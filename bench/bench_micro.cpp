@@ -77,7 +77,6 @@
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
-#include "common/thread_pool.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "service/sharding.hpp"
@@ -537,9 +536,8 @@ int run_kernel_bench_json(const std::string& path) {
                          });
   }
 
-  // GP refit wall time at OtterTune sizes, serial vs pools of {1,4,16}
-  // threads (threads0 = no pool). The parallel fit is bit-identical to
-  // serial, so these columns measure pure scheduling, not model drift.
+  // GP refit wall time at OtterTune sizes. The fit is serial; the
+  // "threads1" column name is kept so the committed baseline still lines up.
   for (const std::size_t n :
        {std::size_t{512}, std::size_t{1024}, std::size_t{2048}}) {
     const std::size_t dim = 12;
@@ -548,27 +546,21 @@ int run_kernel_bench_json(const std::string& path) {
     for (double& v : x.flat()) v = rng.uniform();
     for (double& v : y) v = rng.uniform(30.0, 300.0);
     const std::string prefix = "gp.fit.n" + std::to_string(n);
-    for (const std::size_t threads :
-         {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-      common::ThreadPool pool(threads);
-      const double ns = best_ns_per_call(
-          [&] {
-            gp::GpRegressor model(
-                std::make_unique<gp::Matern52Kernel>(1.8, 1.0), 0.05);
-            model.set_thread_pool(&pool);
-            model.fit(x, y);
-            benchmark::DoNotOptimize(model);
-          },
-          /*min_batch_seconds=*/0.0, kGpFitReps);
-      registry.gauge(prefix + ".threads" + std::to_string(threads) + "_ns")
-          .set(ns);
-    }
+    const double ns = best_ns_per_call(
+        [&] {
+          gp::GpRegressor model(
+              std::make_unique<gp::Matern52Kernel>(1.8, 1.0), 0.05);
+          model.fit(x, y);
+          benchmark::DoNotOptimize(model);
+        },
+        /*min_batch_seconds=*/0.0, kGpFitReps);
+    registry.gauge(prefix + ".threads1_ns").set(ns);
     registry.gauge(prefix + ".reps").set(kGpFitReps);
   }
 
   // Export through the observability layer instead of a private
   // serializer: line 1 is the same build-info object `deepcat info --json`
-  // and the METR frame carry, the rest is the obs metrics exporter — one
+  // and the TELE frame carry, the rest is the obs metrics exporter — one
   // gauge per kernel statistic. Anything that learns to read --metrics-out
   // files reads this baseline for free.
   const auto dispatches = common::simd::dispatch_counts();

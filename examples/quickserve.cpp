@@ -1,14 +1,15 @@
 // Quickserve: the programmatic side of `deepcat serve`. Trains a master
 // model once, publishes it to a versioned on-disk registry, then serves a
 // mixed-workload batch of tuning requests concurrently — each session
-// clones the master, fine-tunes in isolation, and its experience is
-// merged back into the shared RDPER pools afterwards (the paper's
+// clones the master, fine-tunes in isolation, and one flush merges its
+// experience back into the shared RDPER pools afterwards (the paper's
 // train-once / tune-many deployment, §2 and §4).
 //
 //   $ ./quickserve
 #include <cstdio>
 
-#include "service/service.hpp"
+#include "service/checkpoint.hpp"
+#include "service/streaming.hpp"
 #include "sparksim/workloads.hpp"
 
 int main() {
@@ -16,23 +17,24 @@ int main() {
   using sparksim::WorkloadType;
 
   // 1. A service owns the shared master model and the session pool.
-  service::ServiceOptions options;
-  options.threads = 4;
-  options.api.tuner.seed = 7;
-  service::TuningService svc(options);
+  service::StreamingOptions options;
+  options.service.threads = 4;
+  options.service.api.tuner.seed = 7;
+  service::StreamingService svc(options);
 
   // 2. Train once, publish to the registry. A later process (or a
   //    restarted service) loads the newest version instead of retraining.
   std::puts("training master on TeraSort(3.2GB)...");
-  svc.train_master(sparksim::make_workload(WorkloadType::kTeraSort, 3.2),
-                   600);
+  svc.train_model("default",
+                  sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 600);
   service::ModelRegistry registry("/tmp/deepcat_quickserve_registry");
   const auto version = registry.publish("demo", svc.master());
   std::printf("published model 'demo' v%u to %s\n", version,
               registry.directory().c_str());
 
-  // 3. Serve a batch of mixed-workload requests concurrently. Reports
-  //    come back in request order and are identical for any thread count.
+  // 3. Serve a batch of mixed-workload requests concurrently, then flush
+  //    once. Reports come back in request order and are identical for any
+  //    thread count.
   std::vector<service::TuningRequest> requests;
   for (const char* id : {"WC-D1", "TS-D1", "PR-D1", "KM-D1",
                          "WC-D2", "TS-D2", "PR-D2", "KM-D2"}) {
@@ -43,10 +45,11 @@ int main() {
     r.seed = 100 + requests.size();
     requests.push_back(r);
   }
-  const auto reports = svc.run_batch(requests);
+  const auto reports = service::serve_batch(svc, requests);
 
   std::puts("\nid            workload  default(s)  best(s)  speedup");
-  for (const auto& r : reports) {
+  for (const auto& report : reports) {
+    const service::SessionReport& r = report.session;
     if (!r.ok) {
       std::printf("%-13s %-9s FAILED: %s\n", r.id.c_str(),
                   r.workload.c_str(), r.error.c_str());

@@ -12,6 +12,9 @@
 #include "common/simd.hpp"
 #include "common/table.hpp"
 #include "core/deepcat_api.hpp"
+#include "net/client.hpp"
+#include "net/server.hpp"
+#include "net/socket.hpp"
 #include "obs/build_info.hpp"
 #include "obs/clock.hpp"
 #include "obs/exporter.hpp"
@@ -22,19 +25,12 @@
 #include "service/checkpoint.hpp"
 #include "service/jsonl.hpp"
 #include "service/session.hpp"
-#include "service/service.hpp"
 #include "service/sharding.hpp"
 #include "service/streaming.hpp"
 #include "service/wire.hpp"
 #include "sparksim/config_export.hpp"
 #include "sparksim/job_sim.hpp"
 #include "streamsim/workloads.hpp"
-
-#if !defined(_WIN32)
-#include "net/client.hpp"
-#include "net/server.hpp"
-#include "net/socket.hpp"
-#endif
 
 namespace deepcat::cli {
 
@@ -104,13 +100,14 @@ void print_usage(std::ostream& os) {
         "                               streaming workload ids SA-P1..SJ-P2)\n"
         "      [--train-iters 0] [--train-workload TS] [--train-size 3.2]\n"
         "      [--threads 0] [--cluster a|b] [--seed 1] [--publish 1]\n"
+        "      [--master-steps 4]      (fine-tune steps after the batch merge)\n"
         "  serve --stream 1            serve a framed wire stream (DCWP)\n"
         "      --checkpoint dir/ [--in wire.bin] [--out wire.bin]\n"
         "      [--requests file.jsonl]  (framed as REQ* + END; excludes --in)\n"
         "      [--warm-index index.bin] (enables \"warm\" request retrieval)\n"
         "      [--socket /path.sock] [--tcp host:port] [--shards 1]\n"
         "      [--max-conns 256] [--max-inflight 1024] [--drain-timeout 5]\n"
-        "      [--idle-timeout 0] [--exit-after N] [--flush-on-end 0|1]\n"
+        "      [--idle-timeout 0]\n"
         "      [--model default] [--master-steps 4]\n"
         "      [--max-models 4] [--train-iters 0] [--train-workload TS]\n"
         "      [--threads 0] [--cluster a|b] [--seed 1]\n"
@@ -125,8 +122,9 @@ void print_usage(std::ostream& os) {
         "                               frames and GET /timeseries)\n"
         "      [--reply-timings 1]     (echo per-stage t_*_ns in traced REPs;\n"
         "                               needs --trace-out/--trace-stream)\n"
-        "      (--socket/--tcp run the multiplexing front end; --socket\n"
-        "       alone keeps the legacy exit-after-one-connection contract.\n"
+        "      (every stream runs through the epoll front end. --tcp runs\n"
+        "       the long-lived multiplexing server; --socket alone, --in,\n"
+        "       --requests and stdin serve one connection and exit.\n"
         "       without --in/--socket/--tcp reads stdin; without\n"
         "       --out/--socket/--tcp writes wire bytes to stdout silently)\n"
         "  stats --socket /path.sock   poll a streaming server for one TELE\n"
@@ -150,23 +148,15 @@ void print_usage(std::ostream& os) {
         "                              k-NN query against a saved index\n";
 }
 
-int stream_exit_code(const service::StreamServeResult& result) {
-  return (result.failed_sessions == 0 && result.parse_errors == 0 &&
-          result.protocol_errors == 0 && result.clean_end)
-             ? 0
-             : 1;
-}
-
-#if !defined(_WIN32)
 int front_end_exit_code(const net::FrontEndStats& stats) {
   // Overload rejections are the protocol working as designed, not a
-  // failure; anything lost or corrupted is.
+  // failure; anything lost or corrupted is (a stream without its END
+  // frame counts as a protocol error).
   return (stats.failed_sessions == 0 && stats.parse_errors == 0 &&
           stats.protocol_errors == 0 && stats.forced_closes == 0)
              ? 0
              : 1;
 }
-#endif
 
 int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
                      const std::string& checkpoint_dir) {
@@ -176,15 +166,9 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
   const auto seed = static_cast<std::uint64_t>(args.number_or("seed", 1));
   const auto socket_path = args.flag("socket");
   const auto tcp_spec = args.flag("tcp");
-#if defined(_WIN32)
-  if (socket_path || tcp_spec) {
-    throw std::invalid_argument(
-        "serve: --socket/--tcp are not supported on this platform");
-  }
-#endif
-  const bool front_end = socket_path.has_value() || tcp_spec.has_value();
+  const bool listening = socket_path.has_value() || tcp_spec.has_value();
   const auto http_spec = args.flag("http");
-  if (http_spec && !front_end) {
+  if (http_spec && !listening) {
     throw std::invalid_argument(
         "serve: --http requires --socket or --tcp (the observability "
         "endpoint shares the front end's epoll loop)");
@@ -192,11 +176,6 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
   const auto shards =
       std::max<std::size_t>(1, static_cast<std::size_t>(
                                    args.number_or("shards", 1)));
-  if (shards > 1 && !front_end) {
-    throw std::invalid_argument(
-        "serve: --shards requires --socket or --tcp (the in-memory stream "
-        "driver is single-connection)");
-  }
 
   service::StreamingOptions options;
   options.service.cluster = args.flag_or("cluster", "a");
@@ -277,17 +256,16 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
         "--trace-stream)");
   }
 
-  service::StreamServeOptions serve_options;
-  serve_options.tele_every =
-      static_cast<std::size_t>(args.number_or("tele-every", 0));
+  net::FrontEndOptions fe;
+  fe.tele_every = static_cast<std::size_t>(args.number_or("tele-every", 0));
   // Logical-clock runs promise byte-identical telemetry across thread
   // counts; scheduling-dependent fields would break that promise.
-  serve_options.tele_include_nondeterministic =
-      !(obs_on && clock_kind == "logical");
+  fe.tele_include_nondeterministic = !(obs_on && clock_kind == "logical");
+  fe.obs = options.service.obs;
 
   // Wire bytes to stdout (no --out / --socket / --tcp) must stay pure
   // protocol, so status text is suppressed in that mode.
-  const bool quiet = !args.flag("out") && !front_end;
+  const bool quiet = !args.flag("out") && !listening;
   service::ShardedStreamingService svc(options, shards);
   service::ModelRegistry registry(checkpoint_dir);
 
@@ -329,11 +307,8 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
     svc.set_warm_index(std::move(index));
   }
 
-  service::StreamServeResult result;
   int exit_code = 0;
-  if (front_end) {
-#if !defined(_WIN32)
-    net::FrontEndOptions fe;
+  if (listening) {
     if (socket_path) fe.unix_path = *socket_path;
     if (tcp_spec) {
       const auto [host, port] = net::parse_host_port(*tcp_spec);
@@ -346,23 +321,16 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
         static_cast<std::size_t>(args.number_or("max-inflight", 1024));
     fe.drain_timeout_seconds = args.number_or("drain-timeout", 5);
     fe.idle_timeout_seconds = args.number_or("idle-timeout", 0);
-    // --socket alone keeps the legacy contract: serve exactly one
-    // connection with the flush-on-END tail, then exit. Adding --tcp (or
-    // overriding the flags) runs the long-lived multiplexing server.
-    const bool legacy_single = socket_path.has_value() && !tcp_spec;
-    fe.exit_after_connections = static_cast<std::size_t>(
-        args.number_or("exit-after", legacy_single ? 1 : 0));
-    fe.flush_on_end =
-        args.number_or("flush-on-end", legacy_single ? 1 : 0) != 0.0;
-    fe.serve = serve_options;
-    fe.obs = options.service.obs;
+    // --socket alone serves exactly one connection (flushing at its END)
+    // and exits; --tcp runs the long-lived multiplexing server.
+    fe.single_connection = socket_path.has_value() && !tcp_spec;
     if (http_spec) {
       const auto [http_host, http_port] = net::parse_host_port(*http_spec);
       fe.http_host = http_host.empty() ? "127.0.0.1" : http_host;
       fe.http_port = http_port;
     }
     net::FrontEnd server(svc, fe);
-    if (fe.exit_after_connections == 0) server.install_signal_handlers();
+    if (!fe.single_connection) server.install_signal_handlers();
     if (socket_path) os << "listening on " << *socket_path << '\n';
     if (tcp_spec) {
       os << "listening on " << fe.tcp_host << ':' << server.tcp_port()
@@ -388,8 +356,9 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
     }
     os << '\n';
     exit_code = front_end_exit_code(stats);
-#endif
   } else {
+    // One byte stream — stdin, --in, or --requests framed as REQ* + END —
+    // served as the front end's single connection.
     std::ifstream in_file;
     std::istringstream synth_in(std::ios::binary);
     std::istream* in = &std::cin;
@@ -434,9 +403,15 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
       }
       out = &out_file;
     }
-    result = service::serve_frame_stream(*in, *out, svc.shard(0),
-                                         serve_options);
-    exit_code = stream_exit_code(result);
+    const net::FrontEndStats stats = net::serve_stream(*in, *out, svc, fe);
+    if (!quiet) {
+      os << "stream done: " << stats.requests << " requests, "
+         << stats.failed_sessions << " failed sessions, "
+         << stats.parse_errors << " parse errors, " << stats.protocol_errors
+         << " protocol errors"
+         << (stats.clean_ends != 0 ? "" : " (no clean END frame)") << '\n';
+    }
+    exit_code = front_end_exit_code(stats);
   }
 
   if (trace_stream) {
@@ -465,14 +440,6 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
     }
     metrics_registry->write_jsonl(mf);
     if (!quiet) os << "wrote metrics to " << *metrics_out << '\n';
-  }
-
-  if (!quiet && !front_end) {
-    os << "stream done: " << result.requests << " requests, "
-       << result.failed_sessions << " failed sessions, "
-       << result.parse_errors << " parse errors, " << result.protocol_errors
-       << " protocol errors"
-       << (result.clean_end ? "" : " (no clean END frame)") << '\n';
   }
   return exit_code;
 }
@@ -688,18 +655,21 @@ int cmd_serve(const ParsedArgs& args, std::ostream& os) {
       static_cast<std::size_t>(args.number_or("train-iters", 0));
   const auto seed = static_cast<std::uint64_t>(args.number_or("seed", 1));
 
-  service::ServiceOptions options;
-  options.cluster = args.flag_or("cluster", "a");
-  options.threads = static_cast<std::size_t>(args.number_or("threads", 0));
-  options.api.tuner.seed = seed;
-  options.api.env.seed = seed + 1000;
+  service::StreamingOptions options;
+  options.service.cluster = args.flag_or("cluster", "a");
+  options.service.threads =
+      static_cast<std::size_t>(args.number_or("threads", 0));
+  options.service.api.tuner.seed = seed;
+  options.service.api.env.seed = seed + 1000;
+  options.master_update_steps =
+      static_cast<std::size_t>(args.number_or("master-steps", 4));
 
-  service::TuningService svc(options);
+  service::StreamingService svc(options);
   service::ModelRegistry registry(*checkpoint_dir);
 
   const auto version = registry.latest_version(model_name);
   if (version) {
-    svc.load_master_file(registry.path_for(model_name, *version));
+    svc.load_model_file(model_name, registry.path_for(model_name, *version));
     os << "loaded model '" << model_name << "' v" << *version << " from "
        << registry.directory() << '\n';
   } else if (train_iters > 0) {
@@ -708,8 +678,9 @@ int cmd_serve(const ParsedArgs& args, std::ostream& os) {
     const double size = args.number_or("train-size", default_size(type));
     os << "no published model '" << model_name << "'; training "
        << train_iters << " offline iterations...\n";
-    svc.train_master(make_workload(type, size), train_iters);
-    const std::uint32_t v = registry.publish(model_name, svc.master());
+    svc.train_model(model_name, make_workload(type, size), train_iters);
+    const std::uint32_t v =
+        registry.publish(model_name, svc.master(model_name));
     os << "published model '" << model_name << "' v" << v << '\n';
   } else {
     throw std::invalid_argument(
@@ -725,16 +696,36 @@ int cmd_serve(const ParsedArgs& args, std::ostream& os) {
     throw std::invalid_argument("serve: cannot open requests file '" +
                                 *requests_path + "'");
   }
-  const auto requests = service::parse_requests_jsonl(req_stream);
+  auto requests = service::parse_requests_jsonl(req_stream);
   os << "serving " << requests.size() << " requests on "
-     << (options.threads == 0 ? std::string("hardware")
-                              : std::to_string(options.threads))
+     << (options.service.threads == 0
+             ? std::string("hardware")
+             : std::to_string(options.service.threads))
      << " threads...\n";
-  const auto reports = svc.run_batch(requests);
+  // Every request is served cold by the one loaded master, whatever model,
+  // scope or warm count its line names: the batch path is REQ* + one
+  // flush, with no routing and no experience index.
+  for (service::TuningRequest& r : requests) {
+    r.model = model_name;
+    r.scope = service::TuneScope::kGlobal;
+    r.warm_k = 0;
+  }
+  const auto reports = service::serve_batch(svc, std::move(requests));
 
+  // The aggregate is fed in request order, so its float sums — and the
+  // whole output — are identical for any --threads.
+  service::SessionAggregate batch;
   std::ostringstream body;
-  for (const auto& r : reports) service::write_report_jsonl(body, r);
-  service::write_metrics_jsonl(body, svc.metrics());
+  for (const auto& r : reports) {
+    service::write_report_jsonl(body, r.session);
+    batch.record(r.session);
+  }
+  service::ServiceMetrics metrics = batch.snapshot();
+  const service::ServiceMetrics merged = svc.metrics();
+  metrics.merges = merged.merges;
+  metrics.merged_transitions = merged.merged_transitions;
+  metrics.fine_tune_steps = merged.fine_tune_steps;
+  service::write_metrics_jsonl(body, metrics);
   if (const auto out_path = args.flag("out")) {
     std::ofstream out(*out_path, std::ios::trunc);
     if (!out) {
@@ -749,24 +740,15 @@ int cmd_serve(const ParsedArgs& args, std::ostream& os) {
   }
 
   if (args.number_or("publish", 0) != 0.0) {
-    const std::uint32_t v = registry.publish(model_name, svc.master());
+    const std::uint32_t v =
+        registry.publish(model_name, svc.master(model_name));
     os << "published post-batch model '" << model_name << "' v" << v << '\n';
   }
 
-  std::size_t failed = 0;
-  for (const auto& r : reports) {
-    if (!r.ok) ++failed;
-  }
-  return failed == 0 ? 0 : 1;
+  return metrics.sessions_failed == 0 ? 0 : 1;
 }
 
 int cmd_stats(const ParsedArgs& args, std::ostream& os) {
-#if defined(_WIN32)
-  (void)args;
-  (void)os;
-  throw std::invalid_argument("stats: --socket is not supported on this "
-                              "platform");
-#else
   const auto socket_path = args.flag("socket");
   const auto tcp_spec = args.flag("tcp");
   if (!socket_path && !tcp_spec) {
@@ -835,7 +817,7 @@ int cmd_stats(const ParsedArgs& args, std::ostream& os) {
     }
   }
   // STAT asks for one mid-stream TELE; END lets the server finish its
-  // tail (final TELE + compat METR + END) and close.
+  // tail (final TELE + END) and close.
   client.send_frame(service::FrameType::kStat, "");
   client.send_frame(service::FrameType::kEnd, "");
 
@@ -926,7 +908,6 @@ int cmd_stats(const ParsedArgs& args, std::ostream& os) {
        << " spans, trace id '" << trace_id << "')\n";
   }
   return errors == 0 ? 0 : 1;
-#endif
 }
 
 namespace {

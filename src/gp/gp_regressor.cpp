@@ -6,19 +6,10 @@
 
 #include "common/simd.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 
 namespace deepcat::gp {
 
-namespace {
-
-// Trailing updates (and kernel-matrix rows) shorter than this run inline:
-// below it the enqueue/wake cost exceeds the row arithmetic.
-constexpr std::size_t kParallelRowGrain = 64;
-
-}  // namespace
-
-nn::Matrix cholesky(nn::Matrix a, common::ThreadPool* pool) {
+nn::Matrix cholesky(nn::Matrix a) {
   const std::size_t n = a.rows();
   if (n != a.cols()) throw std::invalid_argument("cholesky: not square");
 
@@ -36,21 +27,12 @@ nn::Matrix cholesky(nn::Matrix a, common::ThreadPool* pool) {
         break;
       }
       l(j, j) = std::sqrt(diag);
-      // Trailing update: row i only reads finished columns < j of rows i
-      // and j, and writes its own L(i,j) — rows are independent, so they
-      // fan out across the pool. Each row evaluates the identical serial
-      // expression, which keeps the factor bit-identical at every pool
-      // size (see the header contract).
-      const double inv_diag_row = l(j, j);
-      auto update_row = [&a, &l, lrow_j, j, n, inv_diag_row](std::size_t i) {
+      // Trailing update: row i reads finished columns < j of rows i and
+      // j and writes its own L(i,j).
+      for (std::size_t i = j + 1; i < n; ++i) {
         const double s =
             a(i, j) - common::simd::dot(l.data() + i * n, lrow_j, j);
-        l(i, j) = s / inv_diag_row;
-      };
-      if (pool != nullptr) {
-        pool->parallel_for_range(j + 1, n, kParallelRowGrain, update_row);
-      } else {
-        for (std::size_t i = j + 1; i < n; ++i) update_row(i);
+        l(i, j) = s / l(j, j);
       }
     }
     if (ok) return l;
@@ -83,10 +65,6 @@ GpRegressor::GpRegressor(std::unique_ptr<Kernel> kernel, double noise_var)
 
 void GpRegressor::set_obs(const obs::Sink& sink) { obs_ = sink; }
 
-void GpRegressor::set_thread_pool(common::ThreadPool* pool) noexcept {
-  pool_ = pool;
-}
-
 void GpRegressor::fit(const nn::Matrix& x, std::span<const double> y) {
   const std::size_t n = x.rows();
   if (n == 0) throw std::invalid_argument("GpRegressor::fit: no samples");
@@ -102,26 +80,18 @@ void GpRegressor::fit(const nn::Matrix& x, std::span<const double> y) {
   std::vector<double> y_norm(n);
   for (std::size_t i = 0; i < n; ++i) y_norm[i] = (y[i] - y_mean_) / y_std_;
 
-  // Row i writes k(i, j<=i) plus the mirror elements k(j, i) — column i of
-  // the rows above, which no other row's item touches — so rows build in
-  // parallel with disjoint writes and value-per-element determinism.
   nn::Matrix k(n, n);
-  auto build_row = [this, &k, &x](std::size_t i) {
+  for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j <= i; ++j) {
       const double v = (*kernel_)(x.row(i), x.row(j));
       k(i, j) = v;
       k(j, i) = v;
     }
     k(i, i) += noise_var_;
-  };
-  if (pool_ != nullptr) {
-    pool_->parallel_for_range(0, n, kParallelRowGrain, build_row);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) build_row(i);
   }
 
   train_x_ = x;
-  chol_ = cholesky(std::move(k), pool_);
+  chol_ = cholesky(std::move(k));
   alpha_ = cholesky_solve(chol_, y_norm);
   y_norm_ = std::move(y_norm);
 

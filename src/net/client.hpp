@@ -10,7 +10,6 @@
 #include <string_view>
 
 #include "net/fd.hpp"
-#include "net/frame_decoder.hpp"
 #include "obs/sink.hpp"
 #include "service/wire.hpp"
 
@@ -53,7 +52,7 @@ class BlockingClient {
   void send_all(std::string_view bytes);
 
   FdGuard fd_;
-  FrameDecoder decoder_;
+  service::FrameDecoder decoder_;
   obs::Sink obs_;
 };
 

@@ -4,28 +4,31 @@
 // event loop needs to drive it: the incremental frame decoder on the read
 // side, a byte queue with partial-write tracking on the write side
 // (EPOLLOUT is armed only while the queue is nonempty), per-connection
-// protocol counters, and a connection-scoped metrics accumulator so the
+// protocol counters, and a connection-scoped session aggregate so the
 // TELE frames this connection receives at FLSH/END are a pure function of
 // ITS requests — never of what other connections happened to be doing.
 //
-// Reply ordering: session completions arrive in scheduling order, which
-// is nondeterministic. The connection buffers out-of-order replies in
-// `pending_replies` (keyed by per-connection admission index) and
-// releases them strictly in admission order, so each connection's
-// transcript is byte-identical across thread counts and shard counts.
+// Reply ordering: every frame the connection answers (REQ, STAT, an
+// unexpected frame) and a fatal framing/EOF error each take the next
+// slot; answers are released strictly in slot order. Session completions
+// arrive in scheduling order, so a REP that completes early waits in
+// `pending_replies` for its turn, and an ERR waits behind every earlier
+// REP. The transcript is then a pure function of the input bytes,
+// identical across thread counts, shard counts and how the bytes were
+// split into reads.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 
-#include "common/stats.hpp"
 #include "net/fd.hpp"
-#include "net/frame_decoder.hpp"
-#include "service/service.hpp"
+#include "service/session.hpp"
 #include "service/streaming.hpp"
+#include "service/wire.hpp"
 
 namespace deepcat::net {
 
@@ -37,19 +40,11 @@ enum class ConnState {
   kZombie,     ///< peer gone with sessions in flight; kept for accounting
 };
 
-/// Connection-scoped session metrics: the same aggregation the
-/// StreamingService keeps globally, accumulated per connection so
-/// END-time TELE frames stay deterministic under multiplexing.
-class ConnMetrics {
- public:
-  void record(const service::StreamReport& report);
-  [[nodiscard]] service::ServiceMetrics snapshot() const;
-
- private:
-  service::ServiceMetrics totals_;
-  common::QuantileTracker rec_costs_{service::kRecCostSampleCap};
-  double reward_sum_ = 0.0;
-  double speedup_sum_ = 0.0;
+/// One slot's answer, held until every earlier slot has been written: a
+/// finished session (encoded as a REP at release) or encoded frames.
+struct PendingReply {
+  std::optional<service::StreamReport> report;
+  std::string frames;
 };
 
 /// Transport result of a socket read or write attempt.
@@ -70,9 +65,9 @@ class Connection {
   [[nodiscard]] bool is_tcp() const noexcept { return is_tcp_; }
 
   ConnState state = ConnState::kOpen;
-  FrameDecoder decoder;
+  service::FrameDecoder decoder;
 
-  /// Per-connection serve counters (same meanings as StreamServeResult).
+  /// Per-connection serve counters (summed into FrontEndStats).
   std::size_t requests = 0;
   std::size_t failed_sessions = 0;
   std::size_t parse_errors = 0;
@@ -84,18 +79,23 @@ class Connection {
   std::size_t overloaded_requests = 0;
   bool clean_end = false;
   bool finished = false;     ///< retired into stats; awaiting reap only
+  /// The peer's EOF has been read. Buffered frames are still served; the
+  /// EOF itself is judged once the decoder has nothing complete left.
+  bool read_eof = false;
 
   bool epollout = false;     ///< EPOLLOUT currently armed for this fd
   bool epollin = true;       ///< EPOLLIN currently armed for this fd
+  bool epollrdhup = true;    ///< EPOLLRDHUP currently armed for this fd
   std::uint64_t span = 0;    ///< obs span id covering accept..close
 
-  /// Admission-order reply sequencing.
-  std::uint64_t next_request_index = 0;  ///< assigned at REQ parse time
-  std::uint64_t next_reply_index = 0;    ///< next index to release
-  std::map<std::uint64_t, std::string> pending_replies;  ///< encoded frames
+  /// Slot-order reply sequencing.
+  std::uint64_t next_slot = 0;     ///< assigned when a frame is answered
+  std::uint64_t next_release = 0;  ///< next slot to write
+  std::map<std::uint64_t, PendingReply> pending_replies;
   std::size_t outstanding = 0;  ///< submitted, completion not yet seen
 
-  ConnMetrics metrics;
+  /// Sessions released on this connection, in slot order.
+  service::SessionAggregate metrics;
 
   /// Millisecond timestamp (loop clock) of the last read/write progress.
   std::int64_t last_activity_ms = 0;

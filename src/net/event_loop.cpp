@@ -16,11 +16,12 @@ namespace {
   throw std::runtime_error(std::string(what) + ": " + std::strerror(errno));
 }
 
-epoll_event make_event(std::uint64_t token, bool want_write, bool want_read) {
+epoll_event make_event(std::uint64_t token, bool want_write, bool want_read,
+                       bool want_hangup = true) {
   epoll_event ev{};
-  // EPOLLRDHUP is always armed: even a fd whose reads are paused must
+  // EPOLLRDHUP is armed by default: even a fd whose reads are paused must
   // notice the peer hanging up.
-  ev.events = EPOLLRDHUP;
+  ev.events = want_hangup ? EPOLLRDHUP : 0u;
   if (want_read) ev.events |= EPOLLIN;
   if (want_write) ev.events |= EPOLLOUT;
   ev.data.u64 = token;
@@ -41,8 +42,8 @@ void EventLoop::add(int fd, std::uint64_t token, bool want_write) {
 }
 
 void EventLoop::modify(int fd, std::uint64_t token, bool want_write,
-                       bool want_read) {
-  epoll_event ev = make_event(token, want_write, want_read);
+                       bool want_read, bool want_hangup) {
+  epoll_event ev = make_event(token, want_write, want_read, want_hangup);
   if (::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, fd, &ev) != 0) {
     throw_errno("epoll_ctl(MOD)");
   }

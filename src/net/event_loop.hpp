@@ -32,9 +32,11 @@ class EventLoop {
   /// Re-arms `fd`'s interest set: EPOLLOUT toggling for write
   /// backpressure, EPOLLIN toggling for read backpressure (a paused fd
   /// leaves inbound bytes in the kernel socket buffer instead of user
-  /// memory). EPOLLRDHUP stays armed either way so hangups are seen.
+  /// memory). EPOLLRDHUP stays armed either way so hangups are seen,
+  /// unless `want_hangup` is false: once a peer's EOF has been read, a
+  /// level-triggered hangup would only fire again on every wait.
   void modify(int fd, std::uint64_t token, bool want_write,
-              bool want_read = true);
+              bool want_read = true, bool want_hangup = true);
   void remove(int fd);
 
   /// Blocks up to `timeout_ms` (-1 = forever) and appends ready events to

@@ -3,7 +3,7 @@
 // This is deliberately NOT a web server: the front end exposes exactly
 // four read-only GET routes (/metrics, /healthz, /varz, /timeseries) on a
 // dedicated acceptor, multiplexed on the same epoll loop as the DCWP
-// connections. The parser is therefore a sibling of FrameDecoder, not a
+// connections. The parser is therefore a sibling of service::FrameDecoder, not a
 // general HTTP implementation:
 //
 //   - GET only (anything else is a typed 405);

@@ -5,7 +5,14 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstring>
+#include <exception>
+#include <istream>
+#include <limits>
+#include <ostream>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -64,7 +71,8 @@ FrontEnd::FrontEnd(service::ShardedStreamingService& service,
                    /*backlog=*/128));
     tcp_listener_ = &listeners_.back();
   }
-  if (unix_listener_ == nullptr && tcp_listener_ == nullptr) {
+  if (unix_listener_ == nullptr && tcp_listener_ == nullptr &&
+      !options_.single_connection) {
     throw std::runtime_error("front end needs at least one listener");
   }
   if (options_.http_port >= 0) {
@@ -115,47 +123,76 @@ void FrontEnd::install_signal_handlers() {
   signal_handlers_installed_ = true;
 }
 
+bool FrontEnd::served_single_connection() const noexcept {
+  return options_.single_connection && stats_.accepted >= 1;
+}
+
 bool FrontEnd::accepting() const noexcept {
-  if (draining_ || !listeners_open_) return false;
-  if (options_.exit_after_connections != 0 &&
-      stats_.accepted >= options_.exit_after_connections) {
-    return false;
-  }
-  return true;
+  return !draining_ && listeners_open_ && !served_single_connection();
 }
 
 std::string FrontEnd::global_tele_payload() const {
   std::ostringstream tele;
   service::write_telemetry_payload(
       tele, service_.aggregate_metrics(), service_.build_info(),
-      service_.metrics_registry(),
-      options_.serve.tele_include_nondeterministic);
+      service_.metrics_registry(), options_.tele_include_nondeterministic);
   return strip_newline(std::move(tele).str());
 }
 
-void FrontEnd::emit_conn_tele(Connection& conn) {
-  // Connection-scoped: this connection's own session aggregates, no
-  // registry instrument lines — a pure function of ITS request sequence.
-  std::ostringstream tele;
-  service::write_telemetry_payload(
-      tele, conn.metrics.snapshot(), service_.build_info(),
-      /*registry=*/nullptr, options_.serve.tele_include_nondeterministic);
-  conn.queue_frame(service::FrameType::kTelemetry,
-                   strip_newline(std::move(tele).str()));
+std::string FrontEnd::telemetry_frames(Connection& conn, bool global,
+                                       bool with_series) {
+  std::string frames;
+  // Convergence time-series, immediately before a TELE at the FLSH, STAT
+  // and tail points. Strictly gated on a registry being attached: without
+  // one the stream stays byte-identical v2-shaped.
+  const obs::TimeSeriesRegistry* series = service_.timeseries_registry();
+  if (with_series && series != nullptr) {
+    std::ostringstream os;
+    obs::write_timeseries_jsonl(os, series->snapshot());
+    frames += service::encode_frame(service::FrameType::kTimeSeries,
+                                    strip_newline(std::move(os).str()));
+    ++conn.tser_frames;
+  }
+  // Connection-scoped TELE carries this connection's own session
+  // aggregate and no instrument lines — a pure function of ITS requests.
+  // STAT's is the live global poll: cross-shard aggregate + instruments.
+  std::string payload;
+  if (global) {
+    payload = global_tele_payload();
+  } else {
+    std::ostringstream tele;
+    service::write_telemetry_payload(
+        tele, conn.metrics.snapshot(), service_.build_info(),
+        /*registry=*/nullptr, options_.tele_include_nondeterministic);
+    payload = strip_newline(std::move(tele).str());
+  }
+  frames += service::encode_frame(service::FrameType::kTelemetry, payload);
   ++conn.tele_frames;
+  return frames;
 }
 
-void FrontEnd::maybe_emit_tser(Connection& conn) {
-  // Convergence time-series, emitted immediately before a TELE at the
-  // same protocol points (FLSH, STAT, tail). Strictly gated on a registry
-  // being attached: without one the stream stays byte-identical v2-shaped.
-  const obs::TimeSeriesRegistry* series = service_.timeseries_registry();
-  if (series == nullptr) return;
-  std::ostringstream os;
-  obs::write_timeseries_jsonl(os, series->snapshot());
-  conn.queue_frame(service::FrameType::kTimeSeries,
-                   strip_newline(std::move(os).str()));
-  ++conn.tser_frames;
+void FrontEnd::serve_connection(FdGuard fd) {
+  set_nonblocking(fd.get());
+  add_connection(std::move(fd), /*is_tcp=*/false);
+}
+
+void FrontEnd::add_connection(FdGuard fd, bool is_tcp) {
+  ++stats_.accepted;
+  if (obs_accepted_ != nullptr) obs_accepted_->add(1);
+  auto conn =
+      std::make_unique<Connection>(next_conn_id_++, std::move(fd), is_tcp);
+  if (auto* tracer = options_.obs.tracer) {
+    conn->span = tracer->begin_span("conn", options_.obs.trace_parent);
+  }
+  conn->queue_bytes(service::encode_stream_header());
+  conn->last_activity_ms = now_ms();
+  const std::uint64_t id = conn->id();
+  loop_.add(conn->fd(), id);
+  Connection& ref = *conns_.emplace(id, std::move(conn)).first->second;
+  if (obs_open_conns_ != nullptr) {
+    obs_open_conns_->set(static_cast<double>(conns_.size()));
+  }
+  pump_writes(ref);
 }
 
 void FrontEnd::accept_ready(Listener& listener, bool is_tcp) {
@@ -189,41 +226,33 @@ void FrontEnd::accept_ready(Listener& listener, bool is_tcp) {
       pump_writes(ref);
       continue;
     }
-    ++stats_.accepted;
-    if (obs_accepted_ != nullptr) obs_accepted_->add(1);
-    auto conn =
-        std::make_unique<Connection>(next_conn_id_++, std::move(fd), is_tcp);
-    if (auto* tracer = options_.obs.tracer) {
-      conn->span = tracer->begin_span("conn", options_.obs.trace_parent);
-    }
-    conn->queue_bytes(service::encode_stream_header());
-    conn->last_activity_ms = now_ms();
-    const std::uint64_t id = conn->id();
-    loop_.add(conn->fd(), id);
-    Connection& ref = *conns_.emplace(id, std::move(conn)).first->second;
-    if (obs_open_conns_ != nullptr) {
-      obs_open_conns_->set(static_cast<double>(conns_.size()));
-    }
-    pump_writes(ref);
+    add_connection(std::move(fd), is_tcp);
   }
 }
 
+void FrontEnd::answer(Connection& conn, std::string frames) {
+  conn.pending_replies[conn.next_slot++].frames = std::move(frames);
+  release_replies(conn);
+}
+
 void FrontEnd::handle_frame(Connection& conn, service::Frame frame) {
+  const auto error_frame = [](const std::string& message) {
+    return service::encode_frame(service::FrameType::kError,
+                                 service::stream_error_payload(message));
+  };
   switch (frame.type) {
     case service::FrameType::kRequest: {
       const std::size_t ordinal = conn.requests++;
+      const std::string where = "request " + std::to_string(ordinal) + ": ";
       if (outstanding_total_ >= options_.max_inflight) {
         ++conn.overloaded_requests;
         ++stats_.overloaded_requests;
         if (obs_overloaded_requests_ != nullptr) {
           obs_overloaded_requests_->add(1);
         }
-        conn.queue_frame(
-            service::FrameType::kError,
-            service::stream_error_payload(
-                "request " + std::to_string(ordinal) +
-                ": overloaded: in-flight limit reached (" +
-                std::to_string(options_.max_inflight) + ")"));
+        answer(conn, error_frame(where +
+                                 "overloaded: in-flight limit reached (" +
+                                 std::to_string(options_.max_inflight) + ")"));
         break;
       }
       service::TuningRequest request;
@@ -234,10 +263,7 @@ void FrontEnd::handle_frame(Connection& conn, service::Frame frame) {
       try {
         request = service::parse_request_json(frame.payload, ordinal);
       } catch (const std::exception& e) {
-        conn.queue_frame(service::FrameType::kError,
-                         service::stream_error_payload(
-                             "request " + std::to_string(ordinal) + ": " +
-                             e.what()));
+        answer(conn, error_frame(where + e.what()));
         ++conn.parse_errors;
         break;
       }
@@ -250,30 +276,28 @@ void FrontEnd::handle_frame(Connection& conn, service::Frame frame) {
           request.decode_ns = tracer->clock().now_ns() - t_decode;
         }
       }
-      // Same typed-error contract as the istream driver: a warm request
-      // against a missing/empty index never becomes a failed session.
+      // A warm request against a missing/empty index is a typed protocol
+      // error, never a failed session: the client asked for retrieval the
+      // server cannot perform.
       if (const auto warm_err = service_.warm_error(request)) {
-        conn.queue_frame(service::FrameType::kError,
-                         service::stream_error_payload(
-                             "request " + std::to_string(ordinal) + ": " +
-                             *warm_err));
+        answer(conn, error_frame(where + *warm_err));
         ++conn.parse_errors;
         break;
       }
       const std::uint64_t conn_id = conn.id();
-      const std::uint64_t reply_index = conn.next_request_index++;
+      const std::uint64_t slot = conn.next_slot++;
       ++conn.outstanding;
       ++outstanding_total_;
-      service_.submit(
-          std::move(request),
-          [this, conn_id, reply_index](service::StreamReport report) {
-            {
-              std::scoped_lock lock(completions_mutex_);
-              completions_.push_back(
-                  {conn_id, reply_index, std::move(report)});
-            }
-            wake_.notify();
-          });
+      service_.submit(std::move(request),
+                      [this, conn_id, slot](service::StreamReport report) {
+                        std::scoped_lock lock(completions_mutex_);
+                        completions_.push_back(
+                            {conn_id, slot, std::move(report)});
+                        // Under the lock: once the loop has seen this
+                        // completion, run() may return and ~FrontEnd
+                        // close the wake fd.
+                        wake_.notify();
+                      });
       break;
     }
     case service::FrameType::kFlush:
@@ -281,34 +305,29 @@ void FrontEnd::handle_frame(Connection& conn, service::Frame frame) {
       ++flush_waiters_;
       admissions_paused_ = true;
       break;
-    case service::FrameType::kStat: {
+    case service::FrameType::kStat:
+      // STAT must be empty or a flat JSON object; anything else is
+      // rejected so a corrupt STAT cannot be half-honored.
       if (const auto stat_error = service::stat_payload_error(frame.payload)) {
-        conn.queue_frame(service::FrameType::kError,
-                         service::stream_error_payload("STAT: " + *stat_error));
+        answer(conn, error_frame("STAT: " + *stat_error));
         ++conn.parse_errors;
       } else {
         ++conn.stat_polls;
-        // STAT is the live global poll: cross-shard aggregate plus the
-        // full instrument set, no barrier.
-        maybe_emit_tser(conn);
-        conn.queue_frame(service::FrameType::kTelemetry,
-                         global_tele_payload());
-        ++conn.tele_frames;
+        answer(conn, telemetry_frames(conn, /*global=*/true,
+                                      /*with_series=*/true));
       }
       break;
-    }
     case service::FrameType::kEnd:
       conn.clean_end = true;
       begin_conn_drain(conn);
       break;
     default:
-      conn.queue_frame(
-          service::FrameType::kError,
-          service::stream_error_payload(
-              "unexpected '" +
-              service::frame_type_name(
-                  static_cast<std::uint32_t>(frame.type)) +
-              "' frame from client"));
+      // REP/TELE/ERR/... travel server -> client; receiving one is a
+      // client bug, but the framing is intact, so the stream continues.
+      answer(conn, error_frame("unexpected '" +
+                               service::frame_type_name(
+                                   static_cast<std::uint32_t>(frame.type)) +
+                               "' frame from client"));
       ++conn.parse_errors;
       break;
   }
@@ -323,36 +342,36 @@ void FrontEnd::process_frames(Connection& conn) {
       frame = conn.decoder.next();
     } catch (const service::WireError& e) {
       // Corrupt framing is unrecoverable on a length-prefixed stream:
-      // one typed ERR, then the normal tail. Only THIS connection dies.
-      conn.queue_frame(service::FrameType::kError,
-                       service::stream_error_payload(e.what()));
+      // one typed ERR after every admitted reply, then the normal tail.
+      // Only THIS connection dies.
+      answer(conn, service::encode_frame(service::FrameType::kError,
+                                         service::stream_error_payload(
+                                             e.what())));
       ++conn.protocol_errors;
       if (obs_protocol_errors_ != nullptr) obs_protocol_errors_->add(1);
       begin_conn_drain(conn);
       return;
     }
-    if (!frame) return;
+    if (!frame) {
+      // Every complete frame before the peer's EOF has been served; what
+      // is left decides between a truncation and a missing END.
+      if (conn.read_eof) on_stream_eof(conn);
+      return;
+    }
     handle_frame(conn, *std::move(frame));
   }
 }
 
 void FrontEnd::on_stream_eof(Connection& conn) {
-  if (conn.state != ConnState::kOpen &&
-      conn.state != ConnState::kFlushWait) {
-    return;  // already draining/closing; EOF is expected
-  }
-  if (conn.state == ConnState::kFlushWait) {
-    --flush_waiters_;
-    conn.state = ConnState::kOpen;
-  }
   // EOF without END is a protocol error, but the peer may be half-closed
-  // and still reading — emit the ERR + tail like the stream driver does.
-  conn.queue_frame(
-      service::FrameType::kError,
-      service::stream_error_payload(
-          conn.decoder.midstream()
-              ? "truncated wire stream inside a frame"
-              : "wire stream ended before the 'END' frame"));
+  // and still reading — answer with a typed ERR and the normal tail.
+  const char* why = !conn.decoder.header_seen()
+                        ? "truncated wire stream header"
+                    : conn.decoder.midstream()
+                        ? "truncated wire stream inside a frame"
+                        : "wire stream ended before the 'END' frame";
+  answer(conn, service::encode_frame(service::FrameType::kError,
+                                     service::stream_error_payload(why)));
   ++conn.protocol_errors;
   if (obs_protocol_errors_ != nullptr) obs_protocol_errors_->add(1);
   begin_conn_drain(conn);
@@ -376,20 +395,11 @@ void FrontEnd::drain_completions() {
       if (conn.outstanding == 0) finish_conn(conn);
       continue;
     }
-    conn.metrics.record(completion.report);
     if (!completion.report.session.ok) ++conn.failed_sessions;
-    if (completion.report.session.timings.has_value() &&
-        options_.obs.tracer != nullptr) {
-      // Write cost via a discarded dry-run serialization (two clock reads
-      // bracketing the same encoder the real reply uses below).
-      obs::Clock& clock = options_.obs.tracer->clock();
-      const std::uint64_t t0 = clock.now_ns();
-      (void)service::stream_reply_payload(completion.report);
-      completion.report.session.timings->write_ns = clock.now_ns() - t0;
-    }
-    conn.pending_replies.emplace(
-        completion.reply_index,
-        service::stream_reply_payload(completion.report));
+    // The service already holds the experience for its next merge.
+    completion.report.session.new_transitions = {};
+    conn.pending_replies[completion.slot].report =
+        std::move(completion.report);
     release_replies(conn);
     pump_writes(conn);
     maybe_emit_tail(conn);
@@ -397,19 +407,35 @@ void FrontEnd::drain_completions() {
 }
 
 void FrontEnd::release_replies(Connection& conn) {
-  // Strict admission-order release: a reply that completed early waits in
-  // pending_replies until every earlier admission has been written.
-  for (auto it = conn.pending_replies.find(conn.next_reply_index);
+  // Strict slot-order release: an answer that is ready early waits in
+  // pending_replies until every earlier slot has been written.
+  for (auto it = conn.pending_replies.find(conn.next_release);
        it != conn.pending_replies.end();
-       it = conn.pending_replies.find(conn.next_reply_index)) {
-    conn.queue_frame(service::FrameType::kReply, it->second);
-    conn.pending_replies.erase(it);
-    ++conn.next_reply_index;
-    ++conn.replies;
-    if (options_.serve.tele_every != 0 &&
-        conn.replies % options_.serve.tele_every == 0) {
-      emit_conn_tele(conn);
+       it = conn.pending_replies.find(conn.next_release)) {
+    if (std::optional<service::StreamReport>& report = it->second.report) {
+      conn.metrics.record(report->session);
+      if (report->session.timings.has_value() &&
+          options_.obs.tracer != nullptr) {
+        // Write cost via a discarded dry-run serialization (two clock
+        // reads bracketing the same encoder the real reply uses below).
+        obs::Clock& clock = options_.obs.tracer->clock();
+        const std::uint64_t t0 = clock.now_ns();
+        (void)service::stream_reply_payload(*report);
+        report->session.timings->write_ns = clock.now_ns() - t0;
+      }
+      conn.queue_frame(service::FrameType::kReply,
+                       service::stream_reply_payload(*report));
+      ++conn.replies;
+      if (options_.tele_every != 0 &&
+          conn.replies % options_.tele_every == 0) {
+        conn.queue_bytes(telemetry_frames(conn, /*global=*/false,
+                                          /*with_series=*/false));
+      }
+    } else {
+      conn.queue_bytes(it->second.frames);
     }
+    conn.pending_replies.erase(it);
+    ++conn.next_release;
   }
 }
 
@@ -427,8 +453,8 @@ void FrontEnd::maybe_run_flush() {
     for (auto& [id, conn] : conns_) {
       if (conn->state != ConnState::kFlushWait) continue;
       conn->state = ConnState::kOpen;
-      maybe_emit_tser(*conn);
-      emit_conn_tele(*conn);
+      conn->queue_bytes(telemetry_frames(*conn, /*global=*/false,
+                                         /*with_series=*/true));
       pump_writes(*conn);
     }
     flush_waiters_ = 0;
@@ -457,21 +483,14 @@ void FrontEnd::begin_conn_drain(Connection& conn) {
 void FrontEnd::maybe_emit_tail(Connection& conn) {
   if (conn.state != ConnState::kDraining) return;
   if (conn.outstanding != 0 || !conn.pending_replies.empty()) return;
-  if (options_.flush_on_end) {
-    // Legacy single-connection tail: a global barrier before the final
-    // telemetry. Deferred until the service quiesces, like FLSH.
+  if (options_.single_connection) {
+    // The single connection's tail runs a global barrier first. Deferred
+    // until the service quiesces, like FLSH.
     if (outstanding_total_ != 0) return;
     (void)service_.flush_all();
   }
-  maybe_emit_tser(conn);
-  emit_conn_tele(conn);
-  if (options_.serve.metr_compat) {
-    std::ostringstream metrics;
-    service::write_metrics_jsonl(metrics, conn.metrics.snapshot(),
-                                 service_.build_info());
-    conn.queue_frame(service::FrameType::kMetrics,
-                     strip_newline(std::move(metrics).str()));
-  }
+  conn.queue_bytes(telemetry_frames(conn, /*global=*/false,
+                                    /*with_series=*/true));
   conn.queue_frame(service::FrameType::kEnd, "");
   conn.state = ConnState::kClosing;
   pump_writes(conn);
@@ -556,19 +575,23 @@ bool FrontEnd::wants_read(const Connection& conn) const noexcept {
   // backlog — so leave them in the kernel socket buffer: that is bounded
   // backpressure the peer's send() feels. EPOLLRDHUP stays armed, so
   // hangups are still delivered to a read-paused connection.
-  return conn.state == ConnState::kOpen && flush_waiters_ == 0;
+  return conn.state == ConnState::kOpen && flush_waiters_ == 0 &&
+         !conn.read_eof;
 }
 
 void FrontEnd::update_interest(Connection& conn) {
   const bool want_write = conn.write_pending();
   const bool want_read = wants_read(conn);
+  const bool want_hangup = !conn.read_eof;
   if (conn.fd() < 0 ||
-      (want_write == conn.epollout && want_read == conn.epollin)) {
+      (want_write == conn.epollout && want_read == conn.epollin &&
+       want_hangup == conn.epollrdhup)) {
     return;
   }
-  loop_.modify(conn.fd(), conn.id(), want_write, want_read);
+  loop_.modify(conn.fd(), conn.id(), want_write, want_read, want_hangup);
   conn.epollout = want_write;
   conn.epollin = want_read;
+  conn.epollrdhup = want_hangup;
 }
 
 void FrontEnd::pump_writes(Connection& conn) {
@@ -793,16 +816,14 @@ void FrontEnd::handle_conn_event(Connection& conn, const Event& event) {
     make_zombie(conn);
     return;
   }
-  if (event.readable || event.hangup) {
+  if ((event.readable || event.hangup) && !conn.read_eof) {
     const IoStatus status = conn.read_some();
     if (status == IoStatus::kOk) conn.last_activity_ms = now_ms();
+    if (status == IoStatus::kEof) conn.read_eof = true;
     process_frames(conn);
     pump_writes(conn);
     if (conn.state == ConnState::kZombie) return;
-    if (status == IoStatus::kEof) {
-      on_stream_eof(conn);
-      pump_writes(conn);
-    } else if (status == IoStatus::kError) {
+    if (status == IoStatus::kError) {
       make_zombie(conn);
       return;
     }
@@ -828,10 +849,7 @@ FrontEndStats FrontEnd::run() {
 
   std::vector<Event> events;
   for (;;) {
-    const bool exit_after_done =
-        options_.exit_after_connections != 0 &&
-        stats_.accepted >= options_.exit_after_connections;
-    if ((draining_ || exit_after_done) && conns_.empty() &&
+    if ((draining_ || served_single_connection()) && conns_.empty() &&
         outstanding_total_ == 0) {
       break;
     }
@@ -865,9 +883,10 @@ FrontEndStats FrontEnd::run() {
       resume_admissions();
     }
     if (shutdown_requested_.load()) begin_server_drain();
-    if (draining_ || (options_.flush_on_end && outstanding_total_ == 0)) {
+    if (draining_ ||
+        (options_.single_connection && outstanding_total_ == 0)) {
       // Tails can unblock on GLOBAL conditions (server drain, the
-      // flush-on-end quiesce), not just on this connection's own
+      // single-connection quiesce), not just on this connection's own
       // completions — re-check everyone.
       for (auto& [id, conn] : conns_) maybe_emit_tail(*conn);
     }
@@ -879,6 +898,109 @@ FrontEndStats FrontEnd::run() {
   // checkpoints after a drain reflect every admitted session.
   (void)service_.flush_all();
   return stats_;
+}
+
+namespace {
+
+bool send_all(int fd, const char* data, std::size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
+    if (n > 0) {
+      data += n;
+      size -= static_cast<std::size_t>(n);
+    } else if (n < 0 && errno != EINTR) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+FrontEndStats serve_stream(std::istream& in, std::ostream& out,
+                           service::ShardedStreamingService& service,
+                           FrontEndOptions options) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    throw std::runtime_error(std::string("socketpair(): ") +
+                             std::strerror(errno));
+  }
+  FdGuard server_end(fds[0]);
+  FdGuard client_end(fds[1]);
+  options.unix_path.clear();
+  options.tcp_port = -1;
+  options.single_connection = true;
+  options.max_inflight = std::numeric_limits<std::size_t>::max();
+  FrontEnd front_end(service, std::move(options));
+  front_end.serve_connection(std::move(server_end));
+
+  const int fd = client_end.get();
+  FrontEndStats stats;
+  // One slot per thread; each failure also shuts the socket down so the
+  // other two unblock, and the first is rethrown once all three are done.
+  std::exception_ptr errors[3];
+  const auto fail = [fd](std::exception_ptr& slot) {
+    slot = std::current_exception();
+    ::shutdown(fd, SHUT_RDWR);
+  };
+  std::thread loop([&] {
+    try {
+      stats = front_end.run();
+    } catch (...) {
+      fail(errors[0]);
+    }
+  });
+  std::thread feeder([&] {
+    // Block for one byte, then forward whatever else is already buffered,
+    // so a live pipe reaches the front end frame by frame. Stop after the
+    // END frame (or the first framing error), exactly where the front end
+    // stops reading: a client that keeps its end of the pipe open until
+    // the reply arrives must not stall the stream.
+    try {
+      service::FrameDecoder frames;
+      char buf[64 * 1024];
+      bool done = false;
+      while (!done && in.read(buf, 1)) {
+        const auto n = 1 + static_cast<std::size_t>(
+                               in.readsome(buf + 1, sizeof buf - 1));
+        if (!send_all(fd, buf, n)) break;  // the front end already closed
+        frames.feed(buf, n);
+        try {
+          while (const auto frame = frames.next()) {
+            if (frame->type == service::FrameType::kEnd) {
+              done = true;
+              break;
+            }
+          }
+        } catch (const service::WireError&) {
+          done = true;
+        }
+      }
+      ::shutdown(fd, SHUT_WR);
+    } catch (...) {
+      fail(errors[1]);
+    }
+  });
+  try {
+    char buf[64 * 1024];
+    for (;;) {
+      const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+      if (n > 0) {
+        out.write(buf, n);
+        out.flush();
+      } else if (n == 0 || errno != EINTR) {
+        break;
+      }
+    }
+  } catch (...) {
+    fail(errors[2]);
+  }
+  feeder.join();
+  loop.join();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  return stats;
 }
 
 }  // namespace deepcat::net

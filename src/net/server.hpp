@@ -7,11 +7,12 @@
 //     sessions run on the shards' pools. Completions cross back via a
 //     mutex-guarded queue plus an eventfd wakeup, so no connection state
 //     is ever touched off-loop.
-//   - Replies are released in per-connection ADMISSION order (buffered in
-//     Connection::pending_replies until their turn), so every
-//     connection's transcript is a pure function of its own request
-//     sequence — independent of thread count, shard count and the other
-//     connections.
+//   - Answers are released in per-connection SLOT order (connection.hpp):
+//     a REP waits in Connection::pending_replies until every earlier
+//     answer is out, and request ERRs, STAT answers and a final framing
+//     or EOF ERR take their own slots. Every connection's transcript is a
+//     pure function of its own input bytes — independent of thread count,
+//     shard count, read boundaries and the other connections.
 //   - Admission control is typed, never silent: a connection beyond
 //     --max-conns is greeted with header + ERR "overloaded" + END; a
 //     request beyond --max-inflight gets an ERR naming its index. Both
@@ -26,10 +27,13 @@
 //     connection is past kOpen), EPOLLIN is deasserted so inbound bytes
 //     back up in the kernel socket buffer instead of growing the decoder
 //     backlog without bound; EPOLLRDHUP stays armed for hangups.
+//   - Single-connection contract (`serve --socket`, and every byte stream
+//     through serve_stream below): serve one connection, run a global
+//     flush barrier when it ends its stream, then return from run().
 //   - Graceful drain (SIGTERM/SIGINT or request_shutdown()): stop
 //     accepting, let in-flight sessions finish and their replies go out,
-//     run one final flush_all(), then emit each connection's TELE(+METR)
-//     + END tail and close once its write buffer empties. --drain-timeout
+//     run one final flush_all(), then emit each connection's TELE + END
+//     tail and close once its write buffer empties. --drain-timeout
 //     bounds the wait, after which stragglers are force-closed (counted,
 //     never silent).
 //
@@ -41,6 +45,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -77,17 +82,18 @@ struct FrontEndOptions {
   /// Disconnect connections idle this long with nothing in flight
   /// (0 = never).
   double idle_timeout_seconds = 0.0;
-  /// Exit run() once this many connections have been served to
-  /// completion (0 = run until shutdown). The legacy `serve --socket`
-  /// contract is exit_after_connections = 1.
-  std::size_t exit_after_connections = 0;
-  /// Run a global flush barrier when a connection ends its stream (the
-  /// legacy single-connection tail). Off by default under multiplexing:
-  /// merges then happen only at explicit FLSH barriers and at drain, so
-  /// one connection's END cannot reshuffle another's epochs.
-  bool flush_on_end = false;
-  /// TELE cadence / payload / METR-compat knobs, as in serve_frame_stream.
-  service::StreamServeOptions serve;
+  /// Serve one connection, run a global flush barrier before its tail,
+  /// then return from run(); later connections are refused as overload.
+  /// Off by default: under multiplexing merges happen only at explicit
+  /// FLSH barriers and at drain, so one connection's END cannot reshuffle
+  /// another's epochs.
+  bool single_connection = false;
+  /// Also emit a connection TELE after every Nth REP (0 = only at FLSH
+  /// barriers, STAT polls and the tail).
+  std::size_t tele_every = 0;
+  /// false = byte-stable TELE payloads (deterministic instruments and
+  /// integer aggregates only); the CLI sets this for --clock logical.
+  bool tele_include_nondeterministic = true;
   obs::Sink obs;
 };
 
@@ -114,8 +120,15 @@ struct FrontEndStats {
 class FrontEnd {
  public:
   /// Binds all configured listeners (throws on failure, nothing leaks —
-  /// the Listener guards own fds and socket files).
+  /// the Listener guards own fds and socket files). Needs at least one
+  /// DCWP listener unless `single_connection` is set, in which case the
+  /// connection can come from serve_connection() instead.
   FrontEnd(service::ShardedStreamingService& service, FrontEndOptions options);
+
+  /// Serves an already-connected socket as if it had been accepted (the
+  /// byte-stream bridge hands over one end of a socketpair). Call before
+  /// run(); the fd is switched to nonblocking.
+  void serve_connection(FdGuard fd);
 
   /// Actual TCP port (resolves a port-0 request); 0 when TCP is off.
   [[nodiscard]] std::uint16_t tcp_port() const noexcept;
@@ -138,23 +151,29 @@ class FrontEnd {
  private:
   struct Completion {
     std::uint64_t conn_id = 0;
-    std::uint64_t reply_index = 0;
+    std::uint64_t slot = 0;
     service::StreamReport report;
   };
 
   void accept_ready(Listener& listener, bool is_tcp);
+  void add_connection(FdGuard fd, bool is_tcp);
+  /// Puts `frames` in the connection's next slot and releases what it can.
+  void answer(Connection& conn, std::string frames);
   void handle_conn_event(Connection& conn, const Event& event);
   void process_frames(Connection& conn);
   void handle_frame(Connection& conn, service::Frame frame);
   void on_stream_eof(Connection& conn);
   void drain_completions();
   void release_replies(Connection& conn);
+  /// Encoded TELE frame — the live global aggregate plus instruments for
+  /// STAT, else the connection's own aggregate — preceded by TSER when
+  /// `with_series` and a time-series registry is attached.
+  [[nodiscard]] std::string telemetry_frames(Connection& conn, bool global,
+                                             bool with_series);
   void maybe_run_flush();
   void resume_admissions();
   void begin_conn_drain(Connection& conn);
   void maybe_emit_tail(Connection& conn);
-  void emit_conn_tele(Connection& conn);
-  void maybe_emit_tser(Connection& conn);
   void accept_http_ready();
   void handle_http_event(HttpConnection& conn, const Event& event);
   void respond_http(HttpConnection& conn);
@@ -170,6 +189,7 @@ class FrontEnd {
   void update_interest(Connection& conn);
   [[nodiscard]] bool wants_read(const Connection& conn) const noexcept;
   [[nodiscard]] bool accepting() const noexcept;
+  [[nodiscard]] bool served_single_connection() const noexcept;
   [[nodiscard]] std::string global_tele_payload() const;
 
   service::ShardedStreamingService& service_;
@@ -216,5 +236,16 @@ class FrontEnd {
   obs::Counter* obs_protocol_errors_ = nullptr;
   obs::Gauge* obs_open_conns_ = nullptr;
 };
+
+/// Serves one DCWP byte stream (stdin, a file, a string) through a
+/// FrontEnd: `in` is copied into one end of a socketpair whose other end
+/// the front end serves under the single-connection contract, and every
+/// byte it answers is copied to `out`. Listener fields in `options` are
+/// ignored, and the in-flight cap is lifted — a stream has one client, so
+/// admission control would only turn its own requests away. Returns
+/// after the stream's END tail (or error tail) has been written.
+FrontEndStats serve_stream(std::istream& in, std::ostream& out,
+                           service::ShardedStreamingService& service,
+                           FrontEndOptions options);
 
 }  // namespace deepcat::net

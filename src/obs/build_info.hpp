@@ -1,5 +1,5 @@
 // Build/runtime identity: version, dispatched numeric backend, thread-pool
-// size. One struct and one JSON writer shared by `deepcat info`, the METR
+// size. One struct and one JSON writer shared by `deepcat info`, the TELE
 // wire payload, trace metadata and the bench_micro JSON — so the labels
 // can never drift apart between surfaces.
 #pragma once

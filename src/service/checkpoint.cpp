@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -810,6 +811,55 @@ void load_checkpoint_file(const std::string& path, core::DeepCat& model,
     throw CheckpointError("load_checkpoint_file: cannot open '" + path + "'");
   }
   load_checkpoint(is, model, repository);
+}
+
+// ---- ModelRegistry ------------------------------------------------------
+
+ModelRegistry::ModelRegistry(std::string directory)
+    : dir_(std::move(directory)) {
+  std::filesystem::create_directories(dir_);
+}
+
+std::string ModelRegistry::path_for(const std::string& name,
+                                    std::uint32_t version) const {
+  return dir_ + "/" + name + ".v" + std::to_string(version) + ".dckp";
+}
+
+std::optional<std::uint32_t> ModelRegistry::latest_version(
+    const std::string& name) const {
+  const std::string prefix = name + ".v";
+  const std::string suffix = ".dckp";
+  std::optional<std::uint32_t> latest;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
+    const std::string file = entry.path().filename().string();
+    if (file.size() <= prefix.size() + suffix.size() ||
+        file.compare(0, prefix.size(), prefix) != 0 ||
+        file.compare(file.size() - suffix.size(), suffix.size(), suffix) !=
+            0) {
+      continue;
+    }
+    const std::string mid =
+        file.substr(prefix.size(), file.size() - prefix.size() - suffix.size());
+    std::uint32_t v = 0;
+    const auto [ptr, parse_ec] =
+        std::from_chars(mid.data(), mid.data() + mid.size(), v);
+    if (parse_ec != std::errc{} || ptr != mid.data() + mid.size()) continue;
+    if (!latest || v > *latest) latest = v;
+  }
+  return latest;
+}
+
+std::uint32_t ModelRegistry::publish(const std::string& name,
+                                     core::DeepCat& model) {
+  const std::uint32_t version = latest_version(name).value_or(0) + 1;
+  save_checkpoint_file(path_for(name, version), model);
+  return version;
+}
+
+void ModelRegistry::load_into(const std::string& name, std::uint32_t version,
+                              core::DeepCat& model) const {
+  load_checkpoint_file(path_for(name, version), model);
 }
 
 }  // namespace deepcat::service

@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -111,5 +112,32 @@ void save_checkpoint_file(const std::string& path, core::DeepCat& model,
                           const gp::WorkloadRepository* repository = nullptr);
 void load_checkpoint_file(const std::string& path, core::DeepCat& model,
                           gp::WorkloadRepository* repository = nullptr);
+
+/// Named, versioned checkpoint store on disk: `<dir>/<name>.v<N>.dckp`.
+/// publish() writes tmp-then-rename, so readers never see a torn file and
+/// the newest complete version always wins.
+class ModelRegistry {
+ public:
+  explicit ModelRegistry(std::string directory);
+
+  [[nodiscard]] const std::string& directory() const noexcept { return dir_; }
+
+  /// Saves `model` as the next version of `name`; returns that version.
+  std::uint32_t publish(const std::string& name, core::DeepCat& model);
+
+  /// Highest published version of `name`, or nullopt if none.
+  [[nodiscard]] std::optional<std::uint32_t> latest_version(
+      const std::string& name) const;
+
+  [[nodiscard]] std::string path_for(const std::string& name,
+                                     std::uint32_t version) const;
+
+  /// Restores `name` at `version` into `model` (CheckpointError on failure).
+  void load_into(const std::string& name, std::uint32_t version,
+                 core::DeepCat& model) const;
+
+ private:
+  std::string dir_;
+};
 
 }  // namespace deepcat::service

@@ -247,7 +247,7 @@ void write_report_body(std::ostream& os, const SessionReport& r,
     os << ",\"trace\":\"" << json_escape(r.trace_id)
        << "\",\"span\":" << r.server_span;
   }
-  // Gated per-stage timing block (StreamServeOptions.reply_timings).
+  // Gated per-stage timing block (StreamingOptions.reply_timings).
   if (r.timings.has_value()) {
     os << ",\"t_decode_ns\":" << r.timings->decode_ns
        << ",\"t_queue_ns\":" << r.timings->queue_ns
@@ -294,8 +294,9 @@ void write_report_jsonl(std::ostream& os, const SessionReport& r,
 
 namespace {
 
-/// The one serializer for the aggregate metrics fields — METR and the
-/// TELE aggregate line both call it, so the flat keys cannot drift apart.
+/// The one serializer for the aggregate metrics fields — the batch line
+/// and the TELE aggregate line both call it, so the flat keys cannot drift
+/// apart.
 /// Writes the keys only; the caller owns the braces (and any keys before
 /// or after).
 void write_metrics_body(std::ostream& os, const ServiceMetrics& m) {
@@ -340,14 +341,6 @@ void write_build_labels(std::ostream& os, const obs::BuildInfo& build) {
 void write_metrics_jsonl(std::ostream& os, const ServiceMetrics& m) {
   os << '{';
   write_metrics_body(os, m);
-  os << "}\n";
-}
-
-void write_metrics_jsonl(std::ostream& os, const ServiceMetrics& m,
-                         const obs::BuildInfo& build) {
-  os << '{';
-  write_metrics_body(os, m);
-  write_build_labels(os, build);
   os << "}\n";
 }
 

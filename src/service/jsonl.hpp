@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "obs/build_info.hpp"
-#include "service/service.hpp"
+#include "obs/metrics.hpp"
 #include "service/session.hpp"
 
 namespace deepcat::service {
@@ -58,22 +58,14 @@ void write_report_jsonl(std::ostream& os, const SessionReport& r,
                         std::uint64_t model_epoch);
 
 /// The aggregate metrics line emitted after a batch ("aggregate":true).
+/// No build labels, so the batch output diffs clean across --threads and
+/// numeric backends.
 void write_metrics_jsonl(std::ostream& os, const ServiceMetrics& m);
 
-/// Streaming METR variant: the same aggregate fields plus build-info
-/// labels (version, dispatched numeric backend, thread count). Additive
-/// keys only — PR 3 clients parse with a tolerant flat-JSON reader, so
-/// old readers still accept the extended frame. The batch driver keeps
-/// the unlabelled writer so its output diffs clean across --threads and
-/// numeric backends. Deprecated in wire v2 in favor of the TELE payload
-/// (write_telemetry_payload); still emitted by default for v1 readers.
-void write_metrics_jsonl(std::ostream& os, const ServiceMetrics& m,
-                         const obs::BuildInfo& build);
-
 /// The TELE frame payload: line 1 is the aggregate object — a "tele"
-/// schema version tag, then the exact METR field serializer (the two
-/// writers share one implementation so the flat keys can never drift),
-/// then the build labels — followed by the registry's name-sorted
+/// schema version tag, then the batch line's field serializer (one
+/// implementation, so the flat keys can never drift), then the build
+/// labels (version, numeric backend, threads) — followed by the registry's name-sorted
 /// instrument set, one JSON line per instrument (write_metric_json
 /// format, histogram lines carry p50/p95/p99). registry may be null
 /// (aggregate line only).

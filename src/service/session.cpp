@@ -29,6 +29,39 @@ constexpr std::uint64_t kEnvStream = 0x0E4B51ULL;
 
 }  // namespace
 
+void SessionAggregate::record(const SessionReport& report) {
+  if (!report.ok) {
+    ++totals_.sessions_failed;
+    return;
+  }
+  ++totals_.sessions_served;
+  totals_.evaluations_paid += report.report.steps.size();
+  totals_.evaluation_seconds += report.report.total_evaluation_seconds();
+  const double rec = report.report.total_recommendation_seconds();
+  totals_.recommendation_seconds += rec;
+  rec_costs_.add(rec);
+  // Bucket i counts rec <= edges[i] (first match), mirroring
+  // obs::Histogram, so shards merge their counts exactly.
+  const std::vector<double>& edges = rec_cost_bucket_edges();
+  if (totals_.rec_buckets.empty()) totals_.rec_buckets.resize(edges.size() + 1);
+  ++totals_.rec_buckets[static_cast<std::size_t>(
+      std::lower_bound(edges.begin(), edges.end(), rec) - edges.begin())];
+  reward_sum_ += report.mean_reward();
+  speedup_sum_ += report.report.speedup_over_default();
+}
+
+ServiceMetrics SessionAggregate::snapshot() const {
+  ServiceMetrics m = totals_;
+  if (m.sessions_served > 0) {
+    m.p50_recommendation_seconds = rec_costs_.quantile(0.50);
+    m.p95_recommendation_seconds = rec_costs_.quantile(0.95);
+    const auto n = static_cast<double>(m.sessions_served);
+    m.mean_session_reward = reward_sum_ / n;
+    m.mean_speedup = speedup_sum_ / n;
+  }
+  return m;
+}
+
 std::string to_string(TuneScope scope) {
   switch (scope) {
     case TuneScope::kGlobal:

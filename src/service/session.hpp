@@ -10,12 +10,12 @@
 //     SharedRdperReplay view under a shared mutex instead of copying them;
 //   - write-back on completion: the transitions a session generates are
 //     returned in its report and merged into the master pools by the
-//     service after the whole batch finishes, in request order — the
+//     streaming service at the next flush, in canonical order — the
 //     paper's cross-request memory sharing, kept deterministic.
 //
-// Because the master is frozen for the duration of a batch, a session's
-// result is a pure function of (master checkpoint, request), independent
-// of pool size and of which other sessions run beside it.
+// Because the master is frozen between flushes, a session's result is a
+// pure function of (master checkpoint, request), independent of pool size
+// and of which other sessions run beside it.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "core/deepcat_api.hpp"
 #include "rl/replay_rdper.hpp"
 #include "tuners/tuner.hpp"
@@ -49,8 +50,7 @@ struct TuningRequest {
   int max_steps = 5;          ///< paid online evaluations
   double max_total_seconds = 1e18;  ///< tuning-time budget (paper §2)
   std::uint64_t seed = 1;     ///< per-session determinism seed
-  /// Named master model to serve against (streaming multi-model routing;
-  /// the batch service serves everything from its single master).
+  /// Named master model to serve against (streaming multi-model routing).
   std::string model = "default";
   /// Warm-start: number of experience-index neighbours requested (wire
   /// "warm" field; 0 = cold request, the default). The service resolves
@@ -118,7 +118,7 @@ struct TuningRequest {
 
 /// Per-stage server-side timings for one traced request (clock ns; tick
 /// counts under LogicalClock). Emitted in the REP only when the serve
-/// path opts in (StreamServeOptions.reply_timings) — tick deltas depend
+/// path opts in (StreamingOptions.reply_timings) — tick deltas depend
 /// on global clock interleaving, so determinism suites keep them off.
 struct StageTimings {
   std::uint64_t decode_ns = 0;   ///< REQ payload parse
@@ -157,6 +157,63 @@ struct SessionReport {
   std::vector<rl::Transition> new_transitions;
 
   [[nodiscard]] double mean_reward() const noexcept;
+};
+
+/// Retained-sample cap for the rec-cost percentile trackers: exact
+/// quantiles up to this many sessions, deterministic skeleton compaction
+/// beyond it (common::QuantileTracker bounded mode), so an unbounded
+/// request stream cannot grow service memory without limit.
+inline constexpr std::size_t kRecCostSampleCap = 65536;
+
+/// Fixed bucket upper edges for recommendation-cost histograms. Every
+/// shard uses the same edges by construction, so cross-shard aggregation
+/// can merge bucket counts exactly (sharding.hpp) instead of averaging
+/// per-shard quantiles. Matches the "stream.rec_seconds" registry
+/// histogram so wire and in-process views agree.
+[[nodiscard]] inline const std::vector<double>& rec_cost_bucket_edges() {
+  static const std::vector<double> edges{1.0,  2.0,   5.0,   10.0,  20.0,
+                                         50.0, 100.0, 200.0, 500.0, 1000.0};
+  return edges;
+}
+
+/// Aggregate serving metrics over a set of sessions. Percentiles are over
+/// per-session recommendation cost (the deterministic cost model,
+/// tuners/tuner.hpp rec_cost) — the serving-latency proxy of this repo.
+struct ServiceMetrics {
+  std::size_t sessions_served = 0;  ///< successfully completed sessions
+  std::size_t sessions_failed = 0;  ///< sessions that ended with an error
+  std::size_t evaluations_paid = 0;   ///< paid config evaluations (paper cost)
+  double evaluation_seconds = 0.0;
+  double recommendation_seconds = 0.0;
+  double p50_recommendation_seconds = 0.0;
+  double p95_recommendation_seconds = 0.0;
+  double mean_session_reward = 0.0;   ///< mean over sessions of mean step reward
+  double mean_speedup = 0.0;          ///< mean best-vs-default speedup
+  std::size_t merges = 0;             ///< experience merges into a master
+  std::size_t merged_transitions = 0; ///< transitions folded into masters
+  std::size_t fine_tune_steps = 0;    ///< bounded master fine-tune steps taken
+  /// Per-bucket counts of per-session recommendation cost over
+  /// rec_cost_bucket_edges() (+1 overflow bucket). Carried for exact
+  /// cross-shard percentile aggregation only — never serialized into TELE,
+  /// so transcripts are unchanged. Empty means all-zero.
+  std::vector<std::uint64_t> rec_buckets;
+};
+
+/// The one session-metrics accumulator: the streaming service's totals,
+/// each front-end connection's TELE and the batch report line all feed
+/// one of these. Fed in a fixed order it snapshots to fixed bytes. Not
+/// thread-safe; the owner serializes record().
+class SessionAggregate {
+ public:
+  void record(const SessionReport& report);
+  /// Session fields of ServiceMetrics; the merge counters stay zero.
+  [[nodiscard]] ServiceMetrics snapshot() const;
+
+ private:
+  ServiceMetrics totals_;
+  common::QuantileTracker rec_costs_{kRecCostSampleCap};
+  double reward_sum_ = 0.0;
+  double speedup_sum_ = 0.0;
 };
 
 /// Thread-safe RDPER view for concurrent sessions: samples the master's

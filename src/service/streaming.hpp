@@ -1,9 +1,8 @@
-// StreamingService: the no-barrier serving pipeline over the DeepCAT
-// library. Where TuningService (service.hpp) serves whole batches behind a
-// barrier, StreamingService admits requests as they arrive, runs them on
-// the thread pool with the same clone-on-tune sessions, and hands reports
-// back in completion order. Determinism is preserved by a sequencer
-// discipline instead of a barrier:
+// StreamingService: the serving pipeline over the DeepCAT library. It
+// admits requests as they arrive, runs them on the thread pool as
+// clone-on-tune sessions (session.hpp), and hands reports back in
+// completion order. Determinism is preserved by a sequencer discipline
+// instead of a barrier:
 //
 //   - sessions are pure functions of (master snapshot, request): every
 //     request admitted between two flush boundaries is served against the
@@ -24,10 +23,10 @@
 // idle least-recently-used models when more than `max_loaded_models` are
 // resident (merging and republishing their learned state first).
 //
-// Threading contract: submit/flush/poll_completed/wait_completed are
-// driver APIs — call them from one thread (the stream loop). Sessions
-// complete concurrently on the pool; all shared state crossings are
-// internal.
+// Threading contract: submit/flush/wait_completed are
+// driver APIs — call them from one thread (the net front end's loop, or
+// serve_batch's caller). Sessions complete concurrently on the pool; all
+// shared state crossings are internal.
 #pragma once
 
 #include <condition_variable>
@@ -43,16 +42,25 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "core/deepcat_api.hpp"
 #include "obs/build_info.hpp"
 #include "obs/sink.hpp"
 #include "retrieval/index.hpp"
-#include "service/service.hpp"
+#include "service/checkpoint.hpp"
 #include "service/session.hpp"
 
 namespace deepcat::service {
+
+struct ServiceOptions {
+  core::DeepCatApiOptions api;  ///< master model + environment settings
+  std::string cluster = "a";    ///< master model's home cluster
+  std::size_t threads = 0;      ///< session pool size; 0 = hardware
+  /// Observability hand-off: propagated into the master's tuner options
+  /// and every session clone, so losses, Twin-Q counters and spans from
+  /// all layers land in one registry/tracer. Non-owning; inert by default.
+  obs::Sink obs{};
+};
 
 struct StreamingOptions {
   ServiceOptions service;  ///< master/env settings + session pool size
@@ -65,8 +73,8 @@ struct StreamingOptions {
   /// Registry directory for lazy model loading; empty disables routing
   /// beyond explicitly loaded/trained models.
   std::string registry_dir;
-  /// Build-info fields stamped into the METR frame. Defaults (nullopt) to
-  /// the live current_build_info(); golden tests pin a fixed value so the
+  /// Build-info fields stamped into TELE frames. Defaults (nullopt) to the
+  /// live current_build_info(); golden tests pin a fixed value so the
   /// transcripts stay byte-identical across numeric backends.
   std::optional<obs::BuildInfo> build_info;
   /// Emit the per-stage timing block ("t_*_ns" keys) in traced REPs.
@@ -124,9 +132,9 @@ class StreamingService {
   void set_warm_index(std::shared_ptr<const retrieval::ExperienceIndex> index);
   [[nodiscard]] bool has_warm_index() const;
 
-  /// Typed-error precheck shared by both transports (istream driver and
-  /// net front end): a warm request against a missing/empty index returns
-  /// the ERR message to emit; nullopt means the request is admissible.
+  /// Typed-error precheck for the wire front end: a warm request against a
+  /// missing/empty index returns the ERR message to emit; nullopt means
+  /// the request is admissible.
   [[nodiscard]] std::optional<std::string> warm_error(
       const TuningRequest& request) const;
 
@@ -151,10 +159,9 @@ class StreamingService {
   /// Sessions currently in flight (admitted, not yet completed).
   [[nodiscard]] std::size_t in_flight() const;
 
-  /// Next completed report in completion order, or nullopt if none is
-  /// ready right now (poll) / none will ever arrive because the service is
-  /// idle (wait — it blocks while sessions are in flight).
-  [[nodiscard]] std::optional<StreamReport> poll_completed();
+  /// Next completed report in completion order; blocks while sessions are
+  /// in flight, and returns nullopt once none will ever arrive because the
+  /// service is idle.
   [[nodiscard]] std::optional<StreamReport> wait_completed();
 
   /// Barrier: waits for every in-flight session, merges all pending
@@ -174,8 +181,8 @@ class StreamingService {
 
   [[nodiscard]] ServiceMetrics metrics() const;
 
-  /// Build info for the METR/TELE frames: the configured override, else
-  /// the live dispatch/thread state.
+  /// Build info for TELE frames: the configured override, else the live
+  /// dispatch/thread state.
   [[nodiscard]] obs::BuildInfo build_info() const;
 
   /// The sink's metrics registry (null when observability is off); the
@@ -223,6 +230,10 @@ class StreamingService {
   };
 
   [[nodiscard]] std::unique_ptr<MasterEntry> make_entry() const;
+  /// Shared tail of train_model/load_model*: runs `init` on the named
+  /// entry under its master lock, then records the genesis seed blob.
+  void bootstrap_model(const std::string& name,
+                       const std::function<void(core::DeepCat&)>& init);
   /// Finds or lazily loads the model; throws on unknown names.
   [[nodiscard]] MasterEntry& resolve_entry(const std::string& name);
   [[nodiscard]] MasterEntry& ensure_entry_locked(const std::string& name);
@@ -266,15 +277,10 @@ class StreamingService {
   std::deque<StreamReport> completed_;
   std::size_t in_flight_ = 0;
   std::uint64_t next_sequence_ = 0;
-  ServiceMetrics totals_;
-  common::QuantileTracker rec_costs_{kRecCostSampleCap};
-  double speedup_sum_ = 0.0;
-  double reward_sum_ = 0.0;
-  /// Per-bucket rec-cost counts over rec_cost_bucket_edges() (+overflow),
-  /// maintained unconditionally (cheap) so sharded aggregation can merge
-  /// exactly even when the obs registry is off.
-  std::vector<std::uint64_t> rec_bucket_counts_ =
-      std::vector<std::uint64_t>(rec_cost_bucket_edges().size() + 1, 0);
+  SessionAggregate sessions_;
+  std::size_t merges_ = 0;
+  std::size_t merged_transitions_ = 0;
+  std::size_t fine_tune_steps_ = 0;
   /// Running best session reward per served model key, feeding the
   /// "model.<key>.best_reward" convergence series.
   std::map<std::string, double> best_reward_;
@@ -301,8 +307,7 @@ class StreamingService {
   common::ThreadPool pool_;
 };
 
-/// Canonical wire payload encoders shared by the istream serve driver and
-/// the net front end, so both transports emit byte-identical frames.
+/// Canonical wire payload encoders for the net front end.
 /// stream_reply_payload is the REP body (report + model epoch, no trailing
 /// newline); stream_error_payload wraps a message as the ERR body.
 [[nodiscard]] std::string stream_reply_payload(const StreamReport& report);
@@ -313,44 +318,11 @@ class StreamingService {
 [[nodiscard]] std::optional<std::string> stat_payload_error(
     const std::string& payload);
 
-/// Knobs for one serve_frame_stream drive.
-struct StreamServeOptions {
-  /// Also emit a TELE frame after every Nth REP (0 = only at the
-  /// protocol-mandated points: FLSH boundaries, STAT polls, before END).
-  std::size_t tele_every = 0;
-  /// false = byte-stable TELE payloads (deterministic instruments and
-  /// integer aggregates only); the CLI sets this for --clock logical.
-  bool tele_include_nondeterministic = true;
-  /// Keep emitting the deprecated METR frame before END so wire-v1
-  /// readers still find their flat keys. TELE is emitted either way.
-  bool metr_compat = true;
-};
-
-/// Result of driving one framed stream end to end.
-struct StreamServeResult {
-  std::size_t requests = 0;         ///< REQ frames seen (including bad ones)
-  std::size_t failed_sessions = 0;  ///< REP frames with ok=false
-  std::size_t parse_errors = 0;     ///< bad payloads / misdirected frames
-  std::size_t protocol_errors = 0;  ///< corrupt framing (stream abandoned)
-  std::size_t stat_polls = 0;       ///< well-formed STAT frames served
-  std::size_t tele_frames = 0;      ///< TELE frames emitted
-  std::size_t tser_frames = 0;      ///< TSER frames emitted (v3, gated)
-  bool clean_end = false;           ///< explicit END frame received
-};
-
-/// Serves one framed wire stream: reads REQ/STAT/FLSH/END frames from
-/// `in`, emits REP frames in completion order, a TELE frame at every
-/// FLSH boundary / STAT poll / before the end, then the final
-/// (deprecated, compat-gated) METR frame and an END frame to `out`.
-/// Corrupt framing is unrecoverable (the stream is length-prefixed), so
-/// it yields one ERR frame and stops reading; malformed request or STAT
-/// payloads yield an ERR frame each and the stream continues. In-flight
-/// work is always drained and merged before the final telemetry,
-/// whatever the input did.
-StreamServeResult serve_frame_stream(std::istream& in, std::ostream& out,
-                                     StreamingService& service,
-                                     const StreamServeOptions& serve_options);
-StreamServeResult serve_frame_stream(std::istream& in, std::ostream& out,
-                                     StreamingService& service);
+/// The batch path: submits every request, waits for all of them, then
+/// runs one flush() — REQ* + FLSH without a wire. Reports come back in
+/// request order and, like the merged master, do not depend on the pool
+/// size. Call it on an otherwise idle service.
+[[nodiscard]] std::vector<StreamReport> serve_batch(
+    StreamingService& service, std::vector<TuningRequest> requests);
 
 }  // namespace deepcat::service

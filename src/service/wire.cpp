@@ -1,10 +1,6 @@
 #include "service/wire.hpp"
 
-#include <algorithm>
 #include <cstring>
-#include <istream>
-#include <ostream>
-#include <sstream>
 
 #include "service/checkpoint.hpp"  // crc32
 
@@ -13,6 +9,8 @@ namespace deepcat::service {
 namespace {
 
 constexpr char kWireMagic[4] = {'D', 'C', 'W', 'P'};
+constexpr std::size_t kHeaderSize = 8;      // magic + u32 version
+constexpr std::size_t kFrameHeadSize = 12;  // u32 type + u64 length
 
 constexpr std::uint32_t kKnownTypes[] = {
     static_cast<std::uint32_t>(FrameType::kRequest),
@@ -26,55 +24,20 @@ constexpr std::uint32_t kKnownTypes[] = {
     static_cast<std::uint32_t>(FrameType::kEnd),
 };
 
-void put_u32(std::ostream& os, std::uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) {
-    buf[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+void put_le(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
   }
-  os.write(buf, sizeof buf);
 }
 
-std::uint32_t get_u32(const char* buf) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(buf[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(const char* buf) {
+std::uint64_t get_le(const char* buf, int bytes) {
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < bytes; ++i) {
     v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[i]))
          << (8 * i);
   }
   return v;
 }
-
-
-/// Reads exactly `len` payload bytes in bounded chunks (same discipline as
-/// the checkpoint reader): the length field is untrusted, so allocation
-/// follows the bytes actually present, never the header's claim.
-std::string read_payload(std::istream& is, std::uint64_t len,
-                         std::uint32_t tag) {
-  constexpr std::uint64_t kChunk = 64 * 1024;
-  std::string payload;
-  while (payload.size() < len) {
-    const auto want =
-        static_cast<std::size_t>(std::min(kChunk, len - payload.size()));
-    const std::size_t old = payload.size();
-    payload.resize(old + want);
-    is.read(payload.data() + old, static_cast<std::streamsize>(want));
-    if (static_cast<std::size_t>(is.gcount()) != want) {
-      throw WireError("truncated wire stream inside '" +
-                      frame_type_name(tag) + "' frame payload");
-    }
-  }
-  return payload;
-}
-
-}  // namespace
 
 bool known_frame_type(std::uint32_t tag) noexcept {
   for (const std::uint32_t t : kKnownTypes) {
@@ -82,6 +45,14 @@ bool known_frame_type(std::uint32_t tag) noexcept {
   }
   return false;
 }
+
+/// CRC over the 12-byte frame head plus the payload — the header words are
+/// covered so a bit flip cannot convert one frame type into another.
+std::uint32_t frame_crc(const char* head_and_payload, std::size_t size) {
+  return crc32(reinterpret_cast<const unsigned char*>(head_and_payload), size);
+}
+
+}  // namespace
 
 std::string frame_type_name(std::uint32_t tag) {
   std::string s(4, ' ');
@@ -94,125 +65,93 @@ std::string frame_type_name(std::uint32_t tag) {
   return s;
 }
 
-void write_stream_header(std::ostream& os) {
-  os.write(kWireMagic, sizeof kWireMagic);
-  put_u32(os, kWireVersion);
+std::string encode_stream_header() {
+  std::string out(kWireMagic, sizeof kWireMagic);
+  put_le(out, kWireVersion, 4);
+  return out;
 }
 
-void read_stream_header(std::istream& is) {
-  char magic[4];
-  is.read(magic, sizeof magic);
-  if (!is || std::memcmp(magic, kWireMagic, sizeof kWireMagic) != 0) {
-    throw WireError("not a DeepCAT wire stream (bad magic)");
-  }
-  char vbuf[4];
-  is.read(vbuf, sizeof vbuf);
-  if (!is) throw WireError("truncated wire stream header");
-  const std::uint32_t version = get_u32(vbuf);
-  if (version > kWireVersion) {
-    throw WireError("wire protocol version " + std::to_string(version) +
-                    " is newer than the supported version " +
-                    std::to_string(kWireVersion));
-  }
+std::string encode_frame(FrameType type, std::string_view payload) {
+  std::string out;
+  out.reserve(kFrameHeadSize + payload.size() + 4);
+  put_le(out, static_cast<std::uint32_t>(type), 4);
+  put_le(out, payload.size(), 8);
+  out.append(payload);
+  put_le(out, frame_crc(out.data(), out.size()), 4);
+  return out;
 }
 
-namespace {
-
-/// CRC over the 12-byte frame head plus the payload — the header words are
-/// covered so a bit flip cannot convert one frame type into another.
-std::uint32_t frame_crc(const char head[12], std::string_view payload) {
-  std::string buf;
-  buf.reserve(12 + payload.size());
-  buf.append(head, 12);
-  buf.append(payload.data(), payload.size());
-  return crc32(reinterpret_cast<const unsigned char*>(buf.data()),
-               buf.size());
-}
-
-}  // namespace
-
-void write_frame(std::ostream& os, FrameType type, std::string_view payload) {
-  char head[12];
-  const auto tag = static_cast<std::uint32_t>(type);
-  for (int i = 0; i < 4; ++i) {
-    head[i] = static_cast<char>((tag >> (8 * i)) & 0xFFu);
+std::optional<Frame> FrameDecoder::next() {
+  if (!header_seen_) {
+    if (buffered() < kHeaderSize) return std::nullopt;
+    const char* head = buffer_.data() + pos_;
+    if (std::memcmp(head, kWireMagic, sizeof kWireMagic) != 0) {
+      throw WireError("not a DeepCAT wire stream (bad magic)");
+    }
+    const auto version = static_cast<std::uint32_t>(get_le(head + 4, 4));
+    if (version > kWireVersion) {
+      throw WireError("wire protocol version " + std::to_string(version) +
+                      " is newer than the supported version " +
+                      std::to_string(kWireVersion));
+    }
+    pos_ += kHeaderSize;
+    header_seen_ = true;
   }
-  const std::uint64_t len = payload.size();
-  for (int i = 0; i < 8; ++i) {
-    head[4 + i] = static_cast<char>((len >> (8 * i)) & 0xFFu);
-  }
-  os.write(head, sizeof head);
-  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  put_u32(os, frame_crc(head, payload));
-}
 
-std::optional<Frame> read_frame(std::istream& is) {
-  char head[12];
-  is.read(head, sizeof head);
-  const auto got = static_cast<std::size_t>(is.gcount());
-  if (got == 0) return std::nullopt;  // clean EOF at a frame boundary
-  if (got != sizeof head) {
-    throw WireError("truncated wire stream inside a frame header");
-  }
-  const std::uint32_t tag = get_u32(head);
+  if (buffered() < kFrameHeadSize) return std::nullopt;
+  const char* head = buffer_.data() + pos_;
+  const auto tag = static_cast<std::uint32_t>(get_le(head, 4));
+  // Type and length are judged as soon as the head is present: a hostile
+  // frame is refused before its payload is ever buffered.
   if (!known_frame_type(tag)) {
     throw WireError("unknown wire frame type '" + frame_type_name(tag) + "'");
   }
-  const std::uint64_t len = get_u64(head + 4);
+  const std::uint64_t len = get_le(head + 4, 8);
   if (len > kMaxFramePayload) {
     throw WireError("'" + frame_type_name(tag) + "' frame claims " +
                     std::to_string(len) + " payload bytes (limit " +
                     std::to_string(kMaxFramePayload) + ")");
   }
-  Frame frame;
-  frame.type = static_cast<FrameType>(tag);
-  frame.payload = read_payload(is, len, tag);
-  char cbuf[4];
-  is.read(cbuf, sizeof cbuf);
-  if (!is) {
-    throw WireError("truncated wire stream: '" + frame_type_name(tag) +
-                    "' frame is missing its checksum");
-  }
-  if (get_u32(cbuf) != frame_crc(head, frame.payload)) {
+  const auto body = static_cast<std::size_t>(kFrameHeadSize + len);
+  if (buffered() < body + 4) return std::nullopt;  // head+payload+crc
+  const auto stored = static_cast<std::uint32_t>(get_le(head + body, 4));
+  if (stored != frame_crc(head, body)) {
     throw WireError("checksum mismatch in '" + frame_type_name(tag) +
                     "' frame");
+  }
+  Frame frame;
+  frame.type = static_cast<FrameType>(tag);
+  frame.payload.assign(head + kFrameHeadSize, static_cast<std::size_t>(len));
+  pos_ += body + 4;
+  // Drop the consumed prefix once it dominates the buffer, so a long-lived
+  // connection's buffer doesn't grow with its traffic history.
+  if (pos_ >= buffer_.size() || pos_ > 64 * 1024) {
+    buffer_.erase(0, pos_);
+    pos_ = 0;
   }
   return frame;
 }
 
-std::string encode_stream_header() {
-  std::ostringstream os(std::ios::binary);
-  write_stream_header(os);
-  return std::move(os).str();
-}
-
-std::string encode_frame(FrameType type, std::string_view payload) {
-  std::ostringstream os(std::ios::binary);
-  write_frame(os, type, payload);
-  return std::move(os).str();
-}
-
 std::string encode_frames(
     const std::vector<std::pair<FrameType, std::string>>& frames) {
-  std::ostringstream os(std::ios::binary);
-  write_stream_header(os);
-  for (const auto& [type, payload] : frames) write_frame(os, type, payload);
-  return std::move(os).str();
+  std::string out = encode_stream_header();
+  for (const auto& [type, payload] : frames) out += encode_frame(type, payload);
+  return out;
 }
 
 std::vector<Frame> decode_frames(const std::string& bytes) {
-  std::istringstream is(bytes, std::ios::binary);
-  read_stream_header(is);
+  FrameDecoder decoder;
+  decoder.feed(bytes.data(), bytes.size());
   std::vector<Frame> frames;
-  for (;;) {
-    std::optional<Frame> f = read_frame(is);
-    if (!f) {
-      throw WireError("wire stream ended without an 'END' frame");
-    }
+  while (std::optional<Frame> f = decoder.next()) {
     const bool end = f->type == FrameType::kEnd;
     frames.push_back(*std::move(f));
     if (end) return frames;
   }
+  if (!decoder.header_seen()) throw WireError("truncated wire stream header");
+  throw WireError(decoder.midstream()
+                      ? "truncated wire stream inside a frame"
+                      : "wire stream ended without an 'END' frame");
 }
 
 }  // namespace deepcat::service

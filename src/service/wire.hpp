@@ -23,12 +23,12 @@
 //
 //   "REQ "  client -> server: one tuning request
 //   "REP "  server -> client: one session report (+ model, model_epoch)
-//   "METR"  server -> client: aggregate metrics flat keys, once before
-//           "END " — deprecated in favor of "TELE", still emitted by
-//           default for v1 readers (StreamServeOptions.metr_compat)
+//   "METR"  server -> client: retired aggregate-metrics frame. No longer
+//           emitted (the "TELE" aggregate line carries the same keys); the
+//           type still decodes so older recorded streams read
 //   "TELE"  server -> client: versioned telemetry snapshot — one
-//           aggregate JSON line ("tele" schema tag + the METR fields +
-//           build labels) followed by the full name-sorted instrument
+//           aggregate JSON line ("tele" schema tag + the aggregate
+//           fields + build labels) followed by the full name-sorted instrument
 //           set, one JSON line per instrument. Emitted at every "FLSH"
 //           boundary, in answer to "STAT", and before "END "
 //   "STAT"  client -> server: poll an on-demand "TELE" right now, without
@@ -54,10 +54,13 @@
 // length, truncation mid-frame, CRC mismatch — raises WireError with a
 // message naming the frame; nothing is UB and no attacker-controlled
 // length ever reaches an allocation.
+//
+// There is one reader, the incremental FrameDecoder: the front end feeds
+// it socket reads, decode_frames feeds it a whole buffer.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -105,33 +108,52 @@ struct Frame {
 /// tags render their printable bytes with '?' placeholders.
 [[nodiscard]] std::string frame_type_name(std::uint32_t tag);
 
-/// True when `tag` is one of the frame types this version understands. The
-/// incremental decoder (net/frame_decoder.hpp) shares the istream reader's
-/// type table through this so the two parsers can never drift.
-[[nodiscard]] bool known_frame_type(std::uint32_t tag) noexcept;
-
-/// Byte-buffer forms of the header/frame writers, for transports that own
-/// their output queue instead of a std::ostream (the serving front end's
-/// per-connection write buffers). Byte-identical to the stream writers.
+/// The stream header (magic + version) and one encoded frame (type,
+/// length, payload, CRC).
 [[nodiscard]] std::string encode_stream_header();
 [[nodiscard]] std::string encode_frame(FrameType type,
                                        std::string_view payload);
 
-/// Writes the stream header (magic + version).
-void write_stream_header(std::ostream& os);
+/// Incremental decoder: buffers fed byte slices and yields complete,
+/// validated frames as they materialize. Checks run in stream order:
+///
+///   - stream header (magic + version) first;
+///   - unknown frame type as soon as the 12-byte head is present;
+///   - payload length against kMaxFramePayload BEFORE buffering a payload,
+///     so a hostile length can never balloon the buffer;
+///   - CRC over head+payload when the frame completes.
+///
+/// A violation throws WireError; the decoder is then poisoned and must be
+/// discarded, like an unreadable stream. Truncation (EOF mid-frame) is the
+/// transport's call: it asks `midstream()` when the input ends.
+class FrameDecoder {
+ public:
+  /// Appends received bytes. Cheap; validation happens in next().
+  void feed(const char* data, std::size_t size) { buffer_.append(data, size); }
 
-/// Reads and validates the stream header. Throws WireError on bad magic,
-/// truncation, or a version newer than kWireVersion.
-void read_stream_header(std::istream& is);
+  /// Returns the next complete frame, or nullopt when more bytes are
+  /// needed. Throws WireError on any protocol violation.
+  [[nodiscard]] std::optional<Frame> next();
 
-/// Writes one frame (type, length, payload, CRC).
-void write_frame(std::ostream& os, FrameType type, std::string_view payload);
+  /// True once the stream header has been consumed and validated.
+  [[nodiscard]] bool header_seen() const noexcept { return header_seen_; }
 
-/// Reads the next frame. Returns nullopt on a clean end-of-stream exactly
-/// at a frame boundary (zero bytes of a next frame present); whether that
-/// EOF is legal is the caller's call — the serve driver requires an
-/// explicit "END " frame first. Throws WireError on everything else.
-[[nodiscard]] std::optional<Frame> read_frame(std::istream& is);
+  /// True when EOF now would cut a frame (or the header) in half — i.e.
+  /// there are buffered undecoded bytes or the header never arrived.
+  [[nodiscard]] bool midstream() const noexcept {
+    return buffered() != 0 || !header_seen_;
+  }
+
+  /// Undecoded bytes currently buffered.
+  [[nodiscard]] std::size_t buffered() const noexcept {
+    return buffer_.size() - pos_;
+  }
+
+ private:
+  std::string buffer_;
+  std::size_t pos_ = 0;  ///< consumed prefix, compacted between frames
+  bool header_seen_ = false;
+};
 
 /// Convenience for tests and clients: encodes header + frames to a string
 /// / decodes a whole stream, validating every frame. decode stops at the

@@ -29,13 +29,6 @@ struct OtterTuneOptions {
 
   /// Observability hand-off; attached to every GP the tuner fits.
   obs::Sink obs{};
-
-  /// Optional worker pool for the GP refits (kernel-matrix build and
-  /// Cholesky trailing updates). Fits are bit-identical to the serial
-  /// path at any pool size — see GpRegressor::set_thread_pool — so this
-  /// only changes wall clock, never recommendations. Must outlive the
-  /// tuner. nullptr keeps the serial fit.
-  common::ThreadPool* fit_pool = nullptr;
 };
 
 class OtterTuneTuner final : public OnlineTuner {

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/simd.hpp"
 #include "obs/build_info.hpp"
@@ -181,7 +182,7 @@ TEST(CliCommandsTest, ServeStreamEndToEndOverWireFiles) {
     }
   }
   EXPECT_EQ(reps, 2u);
-  EXPECT_EQ(frames[frames.size() - 2].type, service::FrameType::kMetrics);
+  EXPECT_EQ(frames[frames.size() - 2].type, service::FrameType::kTelemetry);
   EXPECT_EQ(frames.back().type, service::FrameType::kEnd);
 }
 
@@ -257,7 +258,7 @@ TEST(CliObsCommandsTest, ServeStreamWritesChromeTraceAndMetricsFiles) {
   std::ostringstream bytes(std::ios::binary);
   bytes << out.rdbuf();
   const auto frames = service::decode_frames(bytes.str());
-  EXPECT_EQ(frames[frames.size() - 2].type, service::FrameType::kMetrics);
+  EXPECT_EQ(frames[frames.size() - 2].type, service::FrameType::kTelemetry);
   EXPECT_EQ(frames.back().type, service::FrameType::kEnd);
 }
 
@@ -309,26 +310,31 @@ TEST(CliObsCommandsTest, ServeStreamIncrementalTraceAndTeleFrames) {
 
   // TELE frames appear at the FLSH boundary, the STAT poll, after each
   // REP (tele_every=1) and before END; with --clock logical they carry
-  // the deterministic payload variant.
+  // the deterministic payload variant. Only the STAT answer is the live
+  // global poll with the registry's instrument lines; the others are
+  // connection-scoped.
   std::ifstream out(out_path, std::ios::binary);
   ASSERT_TRUE(out);
   std::ostringstream bytes(std::ios::binary);
   bytes << out.rdbuf();
   const auto frames = service::decode_frames(bytes.str());
   std::size_t tele = 0;
+  std::size_t with_instruments = 0;
   for (const auto& f : frames) {
     if (f.type == service::FrameType::kTelemetry) {
       ++tele;
       EXPECT_EQ(f.payload.rfind("{\"tele\":1,\"deterministic\":true,", 0),
                 0u)
           << f.payload.substr(0, 80);
-      EXPECT_NE(f.payload.find("obs.spans.emitted"), std::string::npos);
+      if (f.payload.find("obs.spans.emitted") != std::string::npos) {
+        ++with_instruments;
+      }
     }
   }
   EXPECT_GE(tele, 5u);
-  ASSERT_GE(frames.size(), 3u);
-  EXPECT_EQ(frames[frames.size() - 3].type, service::FrameType::kTelemetry);
-  EXPECT_EQ(frames[frames.size() - 2].type, service::FrameType::kMetrics);
+  EXPECT_EQ(with_instruments, 1u);
+  ASSERT_GE(frames.size(), 2u);
+  EXPECT_EQ(frames[frames.size() - 2].type, service::FrameType::kTelemetry);
   EXPECT_EQ(frames.back().type, service::FrameType::kEnd);
 }
 
@@ -345,7 +351,6 @@ TEST(CliObsCommandsTest, ServeStreamRejectsBothTraceModes) {
   EXPECT_NE(os.str().find("--trace-out"), std::string::npos) << os.str();
 }
 
-#ifndef _WIN32
 TEST(CliObsCommandsTest, StatsPollsATeleSnapshotOverTheSocket) {
   const std::string dir = ::testing::TempDir() + "deepcat_cli_stats";
   std::filesystem::remove_all(dir);
@@ -388,7 +393,6 @@ TEST(CliCommandsTest, StatsWithoutSocketFlagFails) {
   EXPECT_EQ(run_cli({"stats"}, os), 1);
   EXPECT_NE(os.str().find("--socket"), std::string::npos);
 }
-#endif
 
 TEST(CliObsCommandsTest, ServeStreamAcceptsJsonlRequestsBridge) {
   // --requests frames each JSONL line as a REQ plus a clean END, so smoke
@@ -427,6 +431,106 @@ TEST(CliObsCommandsTest, ServeStreamAcceptsJsonlRequestsBridge) {
                     os2),
             1);
   EXPECT_NE(os2.str().find("mutually exclusive"), std::string::npos);
+}
+
+TEST(CliObsCommandsTest, ServeStreamWithoutOutWritesOnlyWireBytes) {
+  // No --out, --socket or --tcp: stdout (here the CLI stream) carries the
+  // wire transcript and nothing else — no status line before or after.
+  const std::string dir = ::testing::TempDir() + "deepcat_cli_wire_stdout";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string req_path = dir + "/req.jsonl";
+  {
+    std::ofstream req(req_path);
+    req << "{\"id\":\"a\",\"workload\":\"TS-D1\",\"steps\":1,\"seed\":3}\n";
+  }
+  std::ostringstream os;
+  EXPECT_EQ(run_cli({"serve", "--stream", "1", "--checkpoint",
+                     dir + "/registry", "--train-iters", "40", "--requests",
+                     req_path},
+                    os),
+            0);
+  const std::string bytes = os.str();
+  const auto frames = service::decode_frames(bytes);
+  std::string reencoded = service::encode_stream_header();
+  for (const auto& f : frames) reencoded += service::encode_frame(f.type, f.payload);
+  EXPECT_EQ(reencoded, bytes) << "bytes outside the wire frames";
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(frames[0].type, service::FrameType::kReply);
+  EXPECT_EQ(frames[1].type, service::FrameType::kTelemetry);
+  EXPECT_EQ(frames[2].type, service::FrameType::kEnd);
+}
+
+TEST(CliCommandsTest, ServeBatchIsThreadCountIndependentAndPublishes) {
+  // The batch path (REQ* + one flush): the JSONL report and metrics lines
+  // are byte-identical on one and four threads, and --publish 1 writes
+  // the merged, fine-tuned master as the next registry version.
+  const std::string dir = ::testing::TempDir() + "deepcat_cli_batch";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string registry = dir + "/registry";
+  const std::string req_path = dir + "/req.jsonl";
+  {
+    std::ofstream req(req_path);
+    req << "{\"id\":\"r1\",\"workload\":\"WC-D1\",\"steps\":2,\"seed\":1}\n"
+        << "{\"id\":\"r2\",\"workload\":\"TS-D1\",\"steps\":2,\"seed\":2}\n"
+        << "{\"id\":\"r3\",\"workload\":\"PR-D1\",\"cluster\":\"b\","
+           "\"steps\":2,\"seed\":3}\n"
+        << "{\"id\":\"r4\",\"workload\":\"KM-D1\",\"steps\":2,\"seed\":4}\n";
+  }
+  std::ostringstream train_os;
+  // Enough offline iterations that the pools hold a TD3 batch (64), so the
+  // post-merge fine-tune actually runs.
+  ASSERT_EQ(run_cli({"serve", "--checkpoint", registry, "--train-iters", "80"},
+                    train_os),
+            0)
+      << train_os.str();
+
+  const auto serve_batch = [&](const std::string& threads,
+                               const std::string& out_path) {
+    std::ostringstream os;
+    EXPECT_EQ(run_cli({"serve", "--checkpoint", registry, "--requests",
+                       req_path, "--out", out_path, "--threads", threads},
+                      os),
+              0)
+        << os.str();
+    std::ifstream in(out_path);
+    std::ostringstream body;
+    body << in.rdbuf();
+    return body.str();
+  };
+  const std::string one = serve_batch("1", dir + "/t1.jsonl");
+  const std::string four = serve_batch("4", dir + "/t4.jsonl");
+  EXPECT_EQ(one, four);
+  std::istringstream lines(one);
+  std::string line;
+  std::vector<std::string> ids;
+  std::string aggregate;
+  while (std::getline(lines, line)) {
+    const auto fields = service::parse_flat_json(line);
+    if (fields.count("aggregate") != 0) {
+      aggregate = line;
+    } else {
+      ids.push_back(fields.at("id"));
+      EXPECT_EQ(fields.at("ok"), "true") << line;
+    }
+  }
+  EXPECT_EQ(ids, (std::vector<std::string>{"r1", "r2", "r3", "r4"}));
+  const auto metrics = service::parse_flat_json(aggregate);
+  EXPECT_EQ(metrics.at("sessions"), "4");
+  EXPECT_EQ(metrics.at("merges"), "1");
+  EXPECT_EQ(metrics.at("fine_tune_steps"), "4") << "--master-steps default";
+
+  std::ostringstream os;
+  ASSERT_EQ(run_cli({"serve", "--checkpoint", registry, "--requests",
+                     req_path, "--out", dir + "/pub.jsonl", "--publish", "1"},
+                    os),
+            0)
+      << os.str();
+  EXPECT_NE(os.str().find("published post-batch model 'default' v2"),
+            std::string::npos)
+      << os.str();
+  EXPECT_TRUE(std::filesystem::exists(registry + "/default.v2.dckp"));
 }
 
 TEST(CliObsCommandsTest, ServeStreamRejectsUnknownClock) {

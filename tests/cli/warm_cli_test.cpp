@@ -233,7 +233,6 @@ TEST(CliWarmTest, IndexSubcommandValidation) {
   EXPECT_NE(os5.str().find("error:"), std::string::npos) << os5.str();
 }
 
-#ifndef _WIN32
 TEST(CliWarmTest, StatsRequestsLegDrivesWarmQueriesOverTheSocket) {
   const std::string dir = make_registry("socket");
   const std::string index_path = dir + "/experience.dcix";
@@ -279,7 +278,6 @@ TEST(CliWarmTest, StatsRequestsLegDrivesWarmQueriesOverTheSocket) {
   EXPECT_NE(out.find("\"warm\":1"), std::string::npos) << out;
   EXPECT_NE(out.find("{\"tele\":1,"), std::string::npos) << out;
 }
-#endif
 
 }  // namespace
 }  // namespace deepcat::cli

@@ -1,9 +1,9 @@
 // FrontEnd behavior over real sockets: round trips on both transports,
-// admission-order reply release, typed (never silent) overload rejection
-// at both caps, wire-robustness isolation (oversized frames and midstream
+// slot-order reply release, typed (never silent) overload rejection at
+// both caps, wire-robustness isolation (oversized frames and midstream
 // disconnects kill only their own connection), the deferred FLSH barrier,
-// graceful drain, idle/drain timeouts, and a 256-connection fan-in with
-// zero silent drops.
+// graceful drain, idle/drain timeouts, a 256-connection fan-in with zero
+// silent drops, and the byte-stream bridge under a 5,000-request load.
 //
 // All tests use the deterministic fake session runner: FrontEnd semantics
 // do not depend on model float math, and the fake keeps the suite fast.
@@ -19,11 +19,13 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/client.hpp"
+#include "obs/metrics.hpp"
 #include "service/sharding.hpp"
 #include "service/streaming.hpp"
 #include "service/wire.hpp"
@@ -160,7 +162,7 @@ TEST(FrontEndTest, UnixAndTcpRoundTripWithStatPoll) {
 
   const auto& stats = server.finish();
 
-  // Unix transcript: replies in admission order, then TELE (+METR) + END.
+  // Unix transcript: replies in admission order, then TELE + END.
   std::vector<std::string> reply_ids;
   for (const auto& f : unix_frames) {
     if (f.type == FrameType::kReply) {
@@ -176,7 +178,7 @@ TEST(FrontEndTest, UnixAndTcpRoundTripWithStatPoll) {
   // STAT answers with the global TELE; the END tail adds the
   // connection-scoped TELE.
   EXPECT_EQ(count_type(unix_frames, FrameType::kTelemetry), 2u);
-  EXPECT_EQ(count_type(unix_frames, FrameType::kMetrics), 1u);
+  EXPECT_EQ(count_type(unix_frames, FrameType::kMetrics), 0u);
   EXPECT_EQ(unix_frames.back().type, FrameType::kEnd);
   EXPECT_EQ(count_type(unix_frames, FrameType::kError), 0u);
 
@@ -279,9 +281,11 @@ TEST(FrontEndTest, InflightCapRejectsRequestsWithTypedError) {
     gate->wait_inside();
     return fake_report(r);
   });
+  obs::MetricsRegistry registry;
   FrontEndOptions options;
   options.unix_path = unique_socket_path("inflight");
   options.max_inflight = 1;
+  options.obs.metrics = &registry;
   TestServer server(svc, options);
 
   auto client = BlockingClient::to_unix(options.unix_path);
@@ -290,21 +294,24 @@ TEST(FrontEndTest, InflightCapRejectsRequestsWithTypedError) {
   client.send_frame(FrameType::kRequest, request_json("req-1"));
   client.send_frame(FrameType::kRequest, request_json("req-2"));
 
-  // The over-cap ERRs are queued synchronously at parse time, before any
-  // session completes.
-  for (int i = 0; i < 2; ++i) {
-    const auto err = client.read_frame();
-    ASSERT_TRUE(err.has_value());
-    EXPECT_EQ(err->type, FrameType::kError);
-    EXPECT_NE(err->payload.find("overloaded: in-flight limit reached"),
-              std::string::npos)
-        << err->payload;
-  }
+  // req-1 and req-2 are refused at parse time, while req-0 is hostage;
+  // their ERRs take their slots behind req-0's REP.
+  const obs::Counter& refused = registry.counter("net.overloaded_requests");
+  while (refused.value() != 2) std::this_thread::yield();
   gate->release();
   const auto reply = client.read_frame();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, FrameType::kReply);
   EXPECT_NE(reply->payload.find("\"id\":\"req-0\""), std::string::npos);
+  for (int i = 1; i <= 2; ++i) {
+    const auto err = client.read_frame();
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->type, FrameType::kError);
+    EXPECT_NE(err->payload.find("request " + std::to_string(i) +
+                                ": overloaded: in-flight limit reached"),
+              std::string::npos)
+        << err->payload;
+  }
   client.send_frame(FrameType::kEnd, "");
   const auto tail = read_until_end(client);
   EXPECT_EQ(tail.back().type, FrameType::kEnd);
@@ -428,13 +435,13 @@ TEST(FrontEndTest, FlushBarrierAcksWithConnectionTele) {
   const auto frames = read_until_end(client);
   (void)server.finish();
 
-  // REP(pre), TELE (flush ack), REP(post), TELE, METR, END.
+  // REP(pre), TELE (flush ack), REP(post), TELE, END.
   std::vector<FrameType> types;
   for (const auto& f : frames) types.push_back(f.type);
   EXPECT_EQ(types, (std::vector<FrameType>{
                        FrameType::kReply, FrameType::kTelemetry,
                        FrameType::kReply, FrameType::kTelemetry,
-                       FrameType::kMetrics, FrameType::kEnd}));
+                       FrameType::kEnd}));
   EXPECT_NE(frames[0].payload.find("\"id\":\"pre\""), std::string::npos);
   EXPECT_NE(frames[2].payload.find("\"id\":\"post\""), std::string::npos);
 }
@@ -460,14 +467,13 @@ TEST(FrontEndTest, BackToBackFlushBarriersBothAck) {
   const auto frames = read_until_end(client);
   (void)server.finish();
 
-  // REP(pre), TELE, TELE (each barrier acks), REP(post), TELE, METR, END.
+  // REP(pre), TELE, TELE (each barrier acks), REP(post), TELE, END.
   std::vector<FrameType> types;
   for (const auto& f : frames) types.push_back(f.type);
   EXPECT_EQ(types, (std::vector<FrameType>{
                        FrameType::kReply, FrameType::kTelemetry,
                        FrameType::kTelemetry, FrameType::kReply,
-                       FrameType::kTelemetry, FrameType::kMetrics,
-                       FrameType::kEnd}));
+                       FrameType::kTelemetry, FrameType::kEnd}));
 }
 
 TEST(FrontEndTest, FramesBufferedDuringBarrierAreServedAfterResume) {
@@ -504,7 +510,7 @@ TEST(FrontEndTest, FramesBufferedDuringBarrierAreServedAfterResume) {
   EXPECT_EQ(types, (std::vector<FrameType>{
                        FrameType::kReply, FrameType::kTelemetry,
                        FrameType::kReply, FrameType::kTelemetry,
-                       FrameType::kMetrics, FrameType::kEnd}));
+                       FrameType::kEnd}));
 }
 
 TEST(FrontEndTest, AbandonedFlushBarrierUnblocksOtherConnections) {
@@ -716,6 +722,50 @@ TEST(FrontEndTest, ServesHundredsOfConcurrentMixedConnections) {
   EXPECT_EQ(stats.overloaded_requests, 0u);
   EXPECT_EQ(stats.failed_sessions, 0u);
   EXPECT_EQ(stats.forced_closes, 0u);
+}
+
+TEST(FrontEndTest, StreamBridgeServesThousandsOfRequestsInOrder) {
+  // 5,000 REQs: more bytes than the socketpair buffer holds and more
+  // requests than the default in-flight cap (1024). The bridge's single
+  // client is never refused, replies come out in request order, and a
+  // corrupt END after them yields one ERR behind every REP — neither
+  // input deadlocks the feeder, the loop or the reader.
+  constexpr std::size_t kRequests = 5000;
+  std::vector<std::pair<FrameType, std::string>> requests;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    requests.emplace_back(FrameType::kRequest,
+                          request_json("r-" + std::to_string(i)));
+  }
+  const std::string body = service::encode_frames(requests);
+  for (const bool corrupt : {false, true}) {
+    std::string input = body + service::encode_frame(FrameType::kEnd, "");
+    if (corrupt) input.back() ^= 0x01;  // the END frame's CRC
+    service::ShardedStreamingService svc(fake_options(4), 1);
+    svc.set_session_runner_for_test(fake_report);
+    std::istringstream in(input, std::ios::binary);
+    std::ostringstream out(std::ios::binary);
+    const FrontEndStats stats = serve_stream(in, out, svc, FrontEndOptions{});
+
+    const auto frames = service::decode_frames(out.str());
+    ASSERT_EQ(frames.size(), kRequests + (corrupt ? 3 : 2)) << corrupt;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      ASSERT_EQ(frames[i].type, FrameType::kReply) << i;
+      ASSERT_NE(frames[i].payload.find("\"id\":\"r-" + std::to_string(i) +
+                                       "\""),
+                std::string::npos)
+          << i;
+    }
+    if (corrupt) {
+      EXPECT_EQ(frames[kRequests].type, FrameType::kError);
+      EXPECT_NE(frames[kRequests].payload.find("checksum"), std::string::npos);
+    }
+    EXPECT_EQ(frames[frames.size() - 2].type, FrameType::kTelemetry);
+    EXPECT_EQ(frames.back().type, FrameType::kEnd);
+    EXPECT_EQ(stats.replies, kRequests);
+    EXPECT_EQ(stats.overloaded_requests, 0u);
+    EXPECT_EQ(stats.protocol_errors, corrupt ? 1u : 0u);
+    EXPECT_EQ(stats.clean_ends, corrupt ? 0u : 1u);
+  }
 }
 
 }  // namespace

@@ -1,51 +1,44 @@
-// FrameDecoder contract: byte-slice feeding yields exactly the frames the
-// blocking istream reader would, and every protocol violation throws a
-// WireError with the SAME message text the stream reader produces — the
-// two paths must never drift apart.
-#include "net/frame_decoder.hpp"
-
+// FrameDecoder contract: byte-slice feeding yields exactly the encoded
+// frames whatever the slicing, and every protocol violation throws a
+// WireError whose message names what went wrong — the same message from
+// the whole-stream reader (decode_frames) and from the decoder fed one
+// byte at a time, as a socket may deliver it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "service/wire.hpp"
 
-namespace deepcat::net {
+namespace deepcat::service {
 namespace {
-
-using service::Frame;
-using service::FrameType;
-using service::WireError;
 
 using FrameSpec = std::pair<FrameType, std::string>;
 
 std::string wire_bytes(const std::vector<FrameSpec>& frames) {
-  return service::encode_frames(frames);
+  return encode_frames(frames);
 }
 
-// Drives the blocking istream reader over the same bytes and returns the
-// error message it dies with ("" = no error), for message-parity checks.
+// The error message the whole-stream reader dies with ("" = none).
 std::string stream_reader_error(const std::string& bytes) {
-  std::istringstream in(bytes, std::ios::binary);
   try {
-    service::read_stream_header(in);
-    while (service::read_frame(in)) {
-    }
+    (void)decode_frames(bytes);
   } catch (const WireError& e) {
     return e.what();
   }
   return "";
 }
 
-std::string decoder_error(const std::string& bytes) {
+// The error message the decoder dies with when fed one byte per call.
+std::string bytewise_decoder_error(const std::string& bytes) {
   FrameDecoder decoder;
-  decoder.feed(bytes.data(), bytes.size());
   try {
-    while (decoder.next()) {
+    for (const char byte : bytes) {
+      decoder.feed(&byte, 1);
+      while (decoder.next()) {
+      }
     }
   } catch (const WireError& e) {
     return e.what();
@@ -131,38 +124,38 @@ TEST(FrameDecoderTest, MidstreamReflectsPartialFrames) {
 TEST(FrameDecoderTest, BadMagicMatchesStreamReaderMessage) {
   const std::string bytes = "BOGUS-BYTES-NOT-A-WIRE-STREAM";
   const std::string expected = stream_reader_error(bytes);
-  ASSERT_NE(expected, "");
-  EXPECT_NE(expected.find("bad magic"), std::string::npos);
-  EXPECT_EQ(decoder_error(bytes), expected);
+  EXPECT_EQ(expected, "not a DeepCAT wire stream (bad magic)");
+  EXPECT_EQ(bytewise_decoder_error(bytes), expected);
 }
 
 TEST(FrameDecoderTest, NewerVersionMatchesStreamReaderMessage) {
   std::string bytes = "DCWP";
-  put_u32(bytes, service::kWireVersion + 5);
+  put_u32(bytes, kWireVersion + 5);
   const std::string expected = stream_reader_error(bytes);
-  ASSERT_NE(expected, "");
-  EXPECT_NE(expected.find("newer"), std::string::npos);
-  EXPECT_EQ(decoder_error(bytes), expected);
+  EXPECT_EQ(expected, "wire protocol version " +
+                          std::to_string(kWireVersion + 5) +
+                          " is newer than the supported version " +
+                          std::to_string(kWireVersion));
+  EXPECT_EQ(bytewise_decoder_error(bytes), expected);
 }
 
 TEST(FrameDecoderTest, UnknownFrameTypeMatchesStreamReaderMessage) {
-  std::string bytes = service::encode_stream_header();
+  std::string bytes = encode_stream_header();
   put_u32(bytes, 0x57595A58u);  // "XZYW": not a known FourCC
   put_u64(bytes, 0);
   put_u32(bytes, 0);  // CRC never reached; the type dies first
   const std::string expected = stream_reader_error(bytes);
-  ASSERT_NE(expected, "");
-  EXPECT_NE(expected.find("unknown wire frame type"), std::string::npos);
-  EXPECT_EQ(decoder_error(bytes), expected);
+  EXPECT_EQ(expected, "unknown wire frame type 'XZYW'");
+  EXPECT_EQ(bytewise_decoder_error(bytes), expected);
 }
 
 TEST(FrameDecoderTest, OversizedFrameRejectedAtTheHead) {
   // A hostile length dies as soon as the 12-byte head is present — no
   // payload bytes follow, so this also proves the decoder never waits for
   // (or buffers) the claimed 16 MiB+.
-  std::string bytes = service::encode_stream_header();
+  std::string bytes = encode_stream_header();
   put_u32(bytes, static_cast<std::uint32_t>(FrameType::kRequest));
-  put_u64(bytes, service::kMaxFramePayload + 1);
+  put_u64(bytes, kMaxFramePayload + 1);
 
   FrameDecoder decoder;
   decoder.feed(bytes.data(), bytes.size());
@@ -177,24 +170,23 @@ TEST(FrameDecoderTest, OversizedFrameRejectedAtTheHead) {
 }
 
 TEST(FrameDecoderTest, OversizedFrameMessageMatchesStreamReader) {
-  std::string bytes = service::encode_stream_header();
+  std::string bytes = encode_stream_header();
   put_u32(bytes, static_cast<std::uint32_t>(FrameType::kRequest));
-  put_u64(bytes, service::kMaxFramePayload + 1);
-  // Give the stream reader a CRC word so its read sequencing cannot hit
-  // EOF first (it checks the length before the payload either way).
-  put_u32(bytes, 0);
+  put_u64(bytes, kMaxFramePayload + 1);
   const std::string expected = stream_reader_error(bytes);
-  ASSERT_NE(expected, "");
-  EXPECT_EQ(decoder_error(bytes), expected);
+  EXPECT_EQ(expected, "'REQ' frame claims " +
+                          std::to_string(kMaxFramePayload + 1) +
+                          " payload bytes (limit " +
+                          std::to_string(kMaxFramePayload) + ")");
+  EXPECT_EQ(bytewise_decoder_error(bytes), expected);
 }
 
 TEST(FrameDecoderTest, CorruptPayloadFailsTheChecksum) {
   std::string bytes = wire_bytes({{FrameType::kRequest, "payload-bytes"}});
   bytes[bytes.size() - 6] ^= 0x01;  // flip a payload bit
   const std::string expected = stream_reader_error(bytes);
-  ASSERT_NE(expected, "");
-  EXPECT_NE(expected.find("checksum mismatch"), std::string::npos);
-  EXPECT_EQ(decoder_error(bytes), expected);
+  EXPECT_EQ(expected, "checksum mismatch in 'REQ' frame");
+  EXPECT_EQ(bytewise_decoder_error(bytes), expected);
 }
 
 TEST(FrameDecoderTest, FramesAfterACorruptOneAreNeverSurfaced) {
@@ -230,4 +222,4 @@ TEST(FrameDecoderTest, LargeValidPayloadRoundTrips) {
 }
 
 }  // namespace
-}  // namespace deepcat::net
+}  // namespace deepcat::service

@@ -1,7 +1,11 @@
 // Golden-transcript tests for the `deepcat serve --stream` engine: the
-// serve loop's output for a checked-in input conversation must be
+// front end's output for a checked-in input conversation must be
 // byte-exact against the committed .golden files in
-// tests/service/golden/.
+// tests/service/golden/. Every input is served three ways — through the
+// byte-stream bridge on one and on four session threads, and sent to the
+// front end one byte per send() — and the three transcripts must match
+// before the golden comparison: a connection's transcript is a pure
+// function of its input bytes.
 //
 // The happy path runs through the injectable SessionRunner seam with
 // integer-valued reports, so its bytes are independent of the SIMD
@@ -17,6 +21,7 @@
 // then commit the rewritten tests/service/golden/*.golden files. See
 // tests/README.md.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <cstdlib>
@@ -24,10 +29,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 
+#include "net/server.hpp"
 #include "obs/timeseries.hpp"
 #include "retrieval/index.hpp"
-#include "service/streaming.hpp"
+#include "service/sharding.hpp"
 #include "service/wire.hpp"
 #include "sparksim/workloads.hpp"
 
@@ -149,22 +156,76 @@ std::shared_ptr<const retrieval::ExperienceIndex> fake_index() {
   return index;
 }
 
-std::string serve(const std::string& input, bool with_fake_runner,
-                  bool with_warm_index = false,
-                  obs::TimeSeriesRegistry* series = nullptr) {
+/// Drives the front end directly over a socketpair, sending the input
+/// one byte per send(): the most adversarial read slicing there is.
+std::string serve_bytewise(const std::string& input,
+                           ShardedStreamingService& svc) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    ADD_FAILURE() << "socketpair() failed";
+    return {};
+  }
+  net::FrontEndOptions options;
+  options.single_connection = true;
+  net::FrontEnd front_end(svc, options);
+  front_end.serve_connection(net::FdGuard(fds[0]));
+  const net::FdGuard client(fds[1]);
+  std::thread loop([&] { (void)front_end.run(); });
+  std::thread sender([&] {
+    for (const char byte : input) {
+      if (::send(client.get(), &byte, 1, MSG_NOSIGNAL) != 1) break;
+    }
+    ::shutdown(client.get(), SHUT_WR);
+  });
+  std::string out;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::recv(client.get(), buf, sizeof buf, 0)) > 0) {
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+  sender.join();
+  loop.join();
+  return out;
+}
+
+std::string serve_once(const std::string& input, bool with_fake_runner,
+                       bool with_warm_index, std::size_t series_capacity,
+                       std::size_t threads, bool bytewise) {
   StreamingOptions options;
-  options.service.threads = 1;  // completion order == submission order
-  // The METR frame carries build-info labels; pin them so the transcript
-  // bytes stay identical across numeric backends and host core counts.
+  options.service.threads = threads;
+  // TELE frames carry build-info labels; pin them so the transcript bytes
+  // stay identical across numeric backends and host core counts.
   options.build_info = obs::BuildInfo{"golden", "pinned", false, 1};
-  options.service.obs.series = series;
-  StreamingService svc(options);
+  std::unique_ptr<obs::TimeSeriesRegistry> series;
+  if (series_capacity != 0) {
+    series = std::make_unique<obs::TimeSeriesRegistry>(series_capacity);
+    options.service.obs.series = series.get();
+  }
+  ShardedStreamingService svc(options, 1);
   if (with_fake_runner) svc.set_session_runner_for_test(fake_session);
   if (with_warm_index) svc.set_warm_index(fake_index());
+  if (bytewise) return serve_bytewise(input, svc);
   std::istringstream in(input, std::ios::binary);
   std::ostringstream out(std::ios::binary);
-  (void)serve_frame_stream(in, out, svc);
+  (void)net::serve_stream(in, out, svc, net::FrontEndOptions{});
   return std::move(out).str();
+}
+
+std::string serve(const std::string& input, bool with_fake_runner,
+                  bool with_warm_index = false,
+                  std::size_t series_capacity = 0) {
+  const std::string bytes = serve_once(input, with_fake_runner,
+                                       with_warm_index, series_capacity, 1,
+                                       /*bytewise=*/false);
+  EXPECT_EQ(serve_once(input, with_fake_runner, with_warm_index,
+                       series_capacity, 4, /*bytewise=*/false),
+            bytes)
+      << "transcript differs on four session threads";
+  EXPECT_EQ(serve_once(input, with_fake_runner, with_warm_index,
+                       series_capacity, 1, /*bytewise=*/true),
+            bytes)
+      << "transcript differs when fed one byte per send()";
+  return bytes;
 }
 
 TEST(GoldenTranscriptTest, HappyPathWithFlush) {
@@ -248,7 +309,7 @@ TEST(GoldenTranscriptTest, WarmHappyPathSeedsFromIndex) {
 }
 
 TEST(GoldenTranscriptTest, WarmWithoutIndexIsATypedError) {
-  // The same warm REQ without --warm-index: the serve driver prechecks
+  // The same warm REQ without --warm-index: the front end prechecks
   // warm_error() and emits a typed ERR frame (counted as a parse error),
   // never a failed session — the cold REQ after it still serves.
   const std::string input = encode_frames({
@@ -364,12 +425,11 @@ TEST(GoldenTranscriptTest, MalformedTraceContextIsAParseError) {
 }
 
 TEST(GoldenTranscriptTest, TimeSeriesFrameAtStatAndTail) {
-  // With a TimeSeriesRegistry attached the serve loop emits a TSER frame
-  // right before each TELE (the STAT answer and the tail). Fake-runner
-  // sessions record integer-valued series, so the frame is byte-stable;
-  // without a registry the transcripts above stay TSER-free (wire v2
-  // shape) — that is pinned by every other golden in this file.
-  obs::TimeSeriesRegistry series(8);
+  // With a TimeSeriesRegistry attached the front end emits a TSER frame
+  // right before each TELE (FLSH, the STAT answer and the tail).
+  // Fake-runner sessions record integer-valued series, so the frame is
+  // byte-stable; without a registry the transcripts above stay TSER-free
+  // (wire v2 shape) — that is pinned by every other golden in this file.
   const std::string input = encode_frames({
       {FrameType::kRequest,
        "{\"id\":\"a\",\"workload\":\"TS-D1\",\"steps\":2,\"seed\":81}"},
@@ -381,7 +441,7 @@ TEST(GoldenTranscriptTest, TimeSeriesFrameAtStatAndTail) {
   });
   check_golden("timeseries_tail.golden",
                serve(input, /*with_fake_runner=*/true,
-                     /*with_warm_index=*/false, &series));
+                     /*with_warm_index=*/false, /*series_capacity=*/8));
 }
 
 TEST(GoldenTranscriptTest, MidStreamEofIsAProtocolError) {
@@ -390,15 +450,15 @@ TEST(GoldenTranscriptTest, MidStreamEofIsAProtocolError) {
       {FrameType::kEnd, ""},
   });
   // Drop the END frame entirely: EOF lands at a frame boundary, which the
-  // serve driver must still report — only an explicit END is a clean end.
+  // front end must still report — only an explicit END is a clean end.
   input.resize(input.size() - 16);
   check_golden("midstream_eof.golden", serve(input, /*with_fake_runner=*/false));
 }
 
 TEST(GoldenTranscriptTest, GoldenTranscriptsDecodeAsValidWireStreams) {
   // Meta-check: every committed golden transcript is itself a well-formed
-  // DCWP stream ending in TELE + METR (compat) + END (the fuzz invariant,
-  // applied to our own outputs).
+  // DCWP stream ending in TELE + END (the fuzz invariant, applied to our
+  // own outputs).
   for (const char* name : {"happy_path.golden", "unknown_model.golden",
                            "malformed_frame.golden", "midstream_eof.golden",
                            "stat_tele.golden", "warm_happy_path.golden",
@@ -414,11 +474,10 @@ TEST(GoldenTranscriptTest, GoldenTranscriptsDecodeAsValidWireStreams) {
     std::ostringstream buf(std::ios::binary);
     buf << in.rdbuf();
     const auto frames = decode_frames(std::move(buf).str());
-    ASSERT_GE(frames.size(), 3u) << name;
+    ASSERT_GE(frames.size(), 2u) << name;
     EXPECT_EQ(frames[frames.size() - 1].type, FrameType::kEnd) << name;
-    EXPECT_EQ(frames[frames.size() - 2].type, FrameType::kMetrics) << name;
-    EXPECT_EQ(frames[frames.size() - 3].type, FrameType::kTelemetry) << name;
-    EXPECT_EQ(frames[frames.size() - 3].payload.rfind("{\"tele\":1,", 0), 0u)
+    EXPECT_EQ(frames[frames.size() - 2].type, FrameType::kTelemetry) << name;
+    EXPECT_EQ(frames[frames.size() - 2].payload.rfind("{\"tele\":1,", 0), 0u)
         << name;
   }
 }

@@ -1,9 +1,7 @@
-// TuningService behavior: batch results independent of thread-pool size,
-// reports in request order, failures isolated per session, experience
-// merged back into the master pools, metrics aggregation, and the
-// versioned on-disk model registry.
-#include "service/service.hpp"
-
+// The batch path (serve_batch: REQ* + one flush on a StreamingService):
+// results independent of thread-pool size, reports in request order,
+// failures isolated per session, experience merged back into the master
+// pools, metrics aggregation, and the versioned on-disk model registry.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -13,6 +11,7 @@
 
 #include "rl/replay_rdper.hpp"
 #include "service/checkpoint.hpp"
+#include "service/streaming.hpp"
 #include "sparksim/workloads.hpp"
 
 namespace deepcat::service {
@@ -20,14 +19,29 @@ namespace {
 
 using sparksim::WorkloadType;
 
-ServiceOptions small_service_options(std::size_t threads) {
-  ServiceOptions o;
-  o.threads = threads;
-  o.api.tuner.seed = 7;
-  o.api.tuner.td3.hidden = {24, 24};
-  o.api.tuner.warmup_steps = 16;
-  o.api.env.seed = 1007;
+StreamingOptions small_service_options(std::size_t threads) {
+  StreamingOptions o;
+  o.service.threads = threads;
+  o.service.api.tuner.seed = 7;
+  o.service.api.tuner.td3.hidden = {24, 24};
+  o.service.api.tuner.warmup_steps = 16;
+  o.service.api.env.seed = 1007;
   return o;
+}
+
+void train(StreamingService& svc, std::size_t iterations) {
+  svc.train_model("default",
+                  sparksim::make_workload(WorkloadType::kTeraSort, 3.2),
+                  iterations);
+}
+
+std::vector<SessionReport> batch_sessions(StreamingService& svc,
+                                     std::vector<TuningRequest> requests) {
+  std::vector<SessionReport> sessions;
+  for (auto& r : serve_batch(svc, std::move(requests))) {
+    sessions.push_back(std::move(r.session));
+  }
+  return sessions;
 }
 
 /// ≥ 8 mixed-workload requests (all four workload types, both clusters)
@@ -72,18 +86,16 @@ void expect_session_reports_identical(const SessionReport& a,
 }
 
 TEST(ServiceTest, BatchResultsIndependentOfThreadCount) {
-  TuningService wide(small_service_options(4));
-  wide.train_master(sparksim::make_workload(WorkloadType::kTeraSort, 3.2),
-                    40);
-  std::stringstream master;
-  wide.save_master(master);
+  StreamingService wide(small_service_options(4));
+  train(wide, 40);
+  std::stringstream master(wide.checkpoint_of("default"));
 
-  TuningService narrow(small_service_options(1));
-  narrow.load_master(master);
+  StreamingService narrow(small_service_options(1));
+  narrow.load_model("default", master);
 
   const auto requests = mixed_batch();
-  const auto ra = wide.run_batch(requests);
-  const auto rb = narrow.run_batch(requests);
+  const auto ra = batch_sessions(wide, requests);
+  const auto rb = batch_sessions(narrow, requests);
   ASSERT_EQ(ra.size(), requests.size());
   ASSERT_EQ(rb.size(), requests.size());
   for (std::size_t i = 0; i < ra.size(); ++i) {
@@ -91,16 +103,18 @@ TEST(ServiceTest, BatchResultsIndependentOfThreadCount) {
     EXPECT_TRUE(ra[i].ok) << ra[i].error;
     expect_session_reports_identical(ra[i], rb[i]);
   }
+  EXPECT_EQ(wide.checkpoint_of("default"), narrow.checkpoint_of("default"))
+      << "the merged and fine-tuned master must not depend on pool size";
 }
 
 TEST(ServiceTest, FailedSessionIsIsolatedAndReported) {
-  TuningService svc(small_service_options(2));
-  svc.train_master(sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 30);
+  StreamingService svc(small_service_options(2));
+  train(svc, 30);
 
   auto requests = mixed_batch();
   requests.resize(3);
   requests[1].workload = "NOT-A-WORKLOAD";
-  const auto reports = svc.run_batch(requests);
+  const auto reports = batch_sessions(svc, requests);
   ASSERT_EQ(reports.size(), 3u);
   EXPECT_TRUE(reports[0].ok) << reports[0].error;
   EXPECT_FALSE(reports[1].ok);
@@ -114,8 +128,8 @@ TEST(ServiceTest, FailedSessionIsIsolatedAndReported) {
 }
 
 TEST(ServiceTest, SessionExperienceMergesIntoMasterPools) {
-  TuningService svc(small_service_options(2));
-  svc.train_master(sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 30);
+  StreamingService svc(small_service_options(2));
+  train(svc, 30);
 
   const auto* pools =
       dynamic_cast<const rl::RdperReplay*>(svc.master().tuner().replay());
@@ -124,7 +138,7 @@ TEST(ServiceTest, SessionExperienceMergesIntoMasterPools) {
 
   auto requests = mixed_batch();
   requests.resize(4);
-  const auto reports = svc.run_batch(requests);
+  const auto reports = batch_sessions(svc, requests);
   std::size_t generated = 0;
   for (const auto& r : reports) {
     EXPECT_TRUE(r.ok) << r.error;
@@ -132,14 +146,16 @@ TEST(ServiceTest, SessionExperienceMergesIntoMasterPools) {
     generated += r.new_transitions.size();
   }
   EXPECT_EQ(pools->size(), before + generated);
+  EXPECT_EQ(svc.metrics().merged_transitions, generated);
+  EXPECT_EQ(svc.model_epoch(), 2u) << "one flush, one merge, one new epoch";
 }
 
 TEST(ServiceTest, MetricsAggregateAcrossBatch) {
-  TuningService svc(small_service_options(3));
-  svc.train_master(sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 30);
+  StreamingService svc(small_service_options(3));
+  train(svc, 30);
 
   const auto requests = mixed_batch();
-  const auto reports = svc.run_batch(requests);
+  const auto reports = batch_sessions(svc, requests);
   std::size_t evals = 0;
   for (const auto& r : reports) evals += r.report.steps.size();
 
@@ -160,8 +176,8 @@ TEST(ServiceTest, RegistryPublishesMonotonicVersions) {
   ModelRegistry registry(dir);
   EXPECT_FALSE(registry.latest_version("prod").has_value());
 
-  TuningService svc(small_service_options(1));
-  svc.train_master(sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 30);
+  StreamingService svc(small_service_options(1));
+  train(svc, 30);
 
   const std::uint32_t v1 = registry.publish("prod", svc.master());
   const std::uint32_t v2 = registry.publish("prod", svc.master());
@@ -175,14 +191,13 @@ TEST(ServiceTest, RegistryPublishesMonotonicVersions) {
   EXPECT_FALSE(registry.latest_version("staging").has_value());
 
   core::DeepCat restored(sparksim::cluster_a(),
-                         small_service_options(1).api);
+                         small_service_options(1).service.api);
   registry.load_into("prod", 2, restored);
   const auto workload = sparksim::make_workload(WorkloadType::kPageRank, 0.5);
   // The restored model tunes identically to the publishing master.
-  std::stringstream master_blob;
-  svc.save_master(master_blob);
+  std::stringstream master_blob(svc.checkpoint_of("default"));
   core::DeepCat from_blob(sparksim::cluster_a(),
-                          small_service_options(1).api);
+                          small_service_options(1).service.api);
   load_checkpoint(master_blob, from_blob);
   const auto ra = restored.tune_online(workload, {.max_steps = 2});
   const auto rb = from_blob.tune_online(workload, {.max_steps = 2});

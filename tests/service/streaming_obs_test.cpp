@@ -15,7 +15,9 @@
 #include "obs/exporter.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
+#include "net/server.hpp"
 #include "service/jsonl.hpp"
+#include "service/sharding.hpp"
 #include "service/streaming.hpp"
 #include "service/wire.hpp"
 #include "sparksim/workloads.hpp"
@@ -243,13 +245,14 @@ TEST(StreamingObsDeterminismTest, SpanHealthCountersLandInNondeterministicTele) 
   EXPECT_NE(deterministic.find("obs.spans.emitted"), std::string::npos);
 }
 
-TEST(StreamingObsMetrTest, MetrFrameCarriesBuildInfoAndStaysParseable) {
+/// A one-shard service on one thread whose fake sessions report ok.
+ShardedStreamingService fake_sharded_service(const obs::BuildInfo& build) {
   StreamingOptions options;
   options.service.threads = 1;
-  // Golden-style pin: METR build fields must be exactly what the options
+  // Golden-style pin: TELE build fields must be exactly what the options
   // injected, not whatever host this test runs on.
-  options.build_info = obs::BuildInfo{"1.2.3-test", "pinned", false, 9};
-  StreamingService svc(options);
+  options.build_info = build;
+  ShardedStreamingService svc(options, 1);
   svc.set_session_runner_for_test([](const TuningRequest& r) {
     SessionReport report;
     report.id = r.id;
@@ -263,30 +266,48 @@ TEST(StreamingObsMetrTest, MetrFrameCarriesBuildInfoAndStaysParseable) {
     report.new_transitions.push_back(t);
     return report;
   });
+  return svc;
+}
 
-  const std::string input = encode_frames({
-      {FrameType::kRequest, "{\"id\":\"a\",\"workload\":\"TS-D1\"}"},
-      {FrameType::kEnd, ""},
-  });
+std::vector<Frame> serve_bytes(ShardedStreamingService& svc,
+                               const std::string& input,
+                               const net::FrontEndOptions& options,
+                               net::FrontEndStats* stats = nullptr) {
   std::istringstream in(input, std::ios::binary);
   std::ostringstream out(std::ios::binary);
-  (void)serve_frame_stream(in, out, svc);
+  const net::FrontEndStats result = net::serve_stream(in, out, svc, options);
+  if (stats != nullptr) *stats = result;
+  return decode_frames(std::move(out).str());
+}
 
-  const auto frames = decode_frames(std::move(out).str());
+TEST(StreamingTeleTest, TailTeleCarriesBuildInfoAndStaysParseable) {
+  auto svc = fake_sharded_service(obs::BuildInfo{"1.2.3-test", "pinned",
+                                                 false, 9});
+  const auto frames =
+      serve_bytes(svc,
+                  encode_frames({
+                      {FrameType::kRequest,
+                       "{\"id\":\"a\",\"workload\":\"TS-D1\"}"},
+                      {FrameType::kEnd, ""},
+                  }),
+                  net::FrontEndOptions{});
   ASSERT_GE(frames.size(), 2u);
-  ASSERT_EQ(frames[frames.size() - 2].type, FrameType::kMetrics);
+  ASSERT_EQ(frames[frames.size() - 2].type, FrameType::kTelemetry);
   const std::string& payload = frames[frames.size() - 2].payload;
 
-  // The PR 3 reader contract: parse_flat_json tolerates unknown keys, so
-  // the extended METR must still parse and keep every legacy field.
+  // The flat-JSON reader contract: the aggregate line parses and keeps
+  // every aggregate field, with the build labels after them.
   const auto fields = parse_flat_json(payload);
+  EXPECT_EQ(fields.at("tele"), "1");
   EXPECT_EQ(fields.at("aggregate"), "true");
   EXPECT_EQ(fields.at("sessions"), "1");
   EXPECT_EQ(fields.at("failed"), "0");
-  // New aggregate fields.
-  EXPECT_EQ(fields.at("merges"), "1");
-  EXPECT_EQ(fields.at("merged_transitions"), "0");  // stub entry: no master
+  // The tail TELE is connection-scoped: merges are the service's.
+  EXPECT_EQ(fields.at("merges"), "0");
+  EXPECT_EQ(fields.at("merged_transitions"), "0");
   EXPECT_EQ(fields.at("fine_tune_steps"), "0");
+  EXPECT_EQ(svc.aggregate_metrics().merges, 1u)
+      << "the single connection's END runs the flush barrier";
   // Build-info labels come from the pinned override.
   EXPECT_EQ(fields.at("version"), "1.2.3-test");
   EXPECT_EQ(fields.at("backend"), "pinned");
@@ -295,18 +316,8 @@ TEST(StreamingObsMetrTest, MetrFrameCarriesBuildInfoAndStaysParseable) {
 }
 
 TEST(StreamingTeleTest, TeleFramesAtEveryProtocolPointAndOnPolls) {
-  StreamingOptions options;
-  options.service.threads = 1;
-  options.build_info = obs::BuildInfo{"tele-test", "pinned", false, 1};
-  StreamingService svc(options);
-  svc.set_session_runner_for_test([](const TuningRequest& r) {
-    SessionReport report;
-    report.id = r.id;
-    report.workload = r.workload;
-    report.ok = true;
-    return report;
-  });
-
+  auto svc =
+      fake_sharded_service(obs::BuildInfo{"tele-test", "pinned", false, 1});
   const std::string input = encode_frames({
       {FrameType::kStat, ""},
       {FrameType::kRequest, "{\"id\":\"a\",\"workload\":\"TS-D1\"}"},
@@ -316,23 +327,21 @@ TEST(StreamingTeleTest, TeleFramesAtEveryProtocolPointAndOnPolls) {
       {FrameType::kStat, "not json at all"},
       {FrameType::kEnd, ""},
   });
-  std::istringstream in(input, std::ios::binary);
-  std::ostringstream out(std::ios::binary);
-  StreamServeOptions serve_options;
-  serve_options.tele_every = 1;  // one TELE after every REP too
-  const StreamServeResult result =
-      serve_frame_stream(in, out, svc, serve_options);
+  net::FrontEndOptions options;
+  options.tele_every = 1;  // one TELE after every REP too
+  net::FrontEndStats result;
+  const auto frames = serve_bytes(svc, input, options, &result);
 
-  EXPECT_TRUE(result.clean_end);
+  EXPECT_EQ(result.clean_ends, 1u);
   EXPECT_EQ(result.requests, 2u);
   EXPECT_EQ(result.stat_polls, 2u);   // the malformed one does not count
   EXPECT_EQ(result.parse_errors, 1u);
   // TELE points: 2 polls + 1 FLSH + 2 per-REP + 1 before END.
   EXPECT_EQ(result.tele_frames, 6u);
 
-  const auto frames = decode_frames(std::move(out).str());
   std::size_t tele = 0, err = 0;
   for (const auto& f : frames) {
+    EXPECT_NE(f.type, FrameType::kMetrics) << "METR is retired";
     if (f.type == FrameType::kTelemetry) {
       ++tele;
       // Every TELE payload leads with the versioned header line and the
@@ -347,45 +356,28 @@ TEST(StreamingTeleTest, TeleFramesAtEveryProtocolPointAndOnPolls) {
   }
   EXPECT_EQ(tele, result.tele_frames);
   EXPECT_EQ(err, 1u);
-  // Compat default: the deprecated METR flat frame still precedes END.
-  ASSERT_GE(frames.size(), 3u);
-  EXPECT_EQ(frames[frames.size() - 2].type, FrameType::kMetrics);
-}
-
-TEST(StreamingTeleTest, MetrCompatOffDropsTheDeprecatedFrame) {
-  StreamingOptions options;
-  options.service.threads = 1;
-  options.build_info = obs::BuildInfo{"tele-test", "pinned", false, 1};
-  StreamingService svc(options);
-  svc.set_session_runner_for_test([](const TuningRequest& r) {
-    SessionReport report;
-    report.id = r.id;
-    report.workload = r.workload;
-    report.ok = true;
-    return report;
-  });
-
-  const std::string input = encode_frames({
-      {FrameType::kRequest, "{\"id\":\"a\",\"workload\":\"TS-D1\"}"},
-      {FrameType::kEnd, ""},
-  });
-  std::istringstream in(input, std::ios::binary);
-  std::ostringstream out(std::ios::binary);
-  StreamServeOptions serve_options;
-  serve_options.metr_compat = false;
-  serve_options.tele_include_nondeterministic = false;
-  const StreamServeResult result =
-      serve_frame_stream(in, out, svc, serve_options);
-  EXPECT_TRUE(result.clean_end);
-
-  const auto frames = decode_frames(std::move(out).str());
+  // The tail is the connection's TELE, then END.
   ASSERT_GE(frames.size(), 2u);
-  // Tail is TELE + END, no METR anywhere.
   EXPECT_EQ(frames[frames.size() - 1].type, FrameType::kEnd);
   EXPECT_EQ(frames[frames.size() - 2].type, FrameType::kTelemetry);
-  for (const auto& f : frames) {
-    EXPECT_NE(f.type, FrameType::kMetrics);
-  }
+}
+
+TEST(StreamingTeleTest, DeterministicTeleDropsSchedulingDependentFloats) {
+  auto svc =
+      fake_sharded_service(obs::BuildInfo{"tele-test", "pinned", false, 1});
+  net::FrontEndOptions options;
+  options.tele_include_nondeterministic = false;
+  const auto frames =
+      serve_bytes(svc,
+                  encode_frames({
+                      {FrameType::kRequest,
+                       "{\"id\":\"a\",\"workload\":\"TS-D1\"}"},
+                      {FrameType::kEnd, ""},
+                  }),
+                  options);
+  ASSERT_GE(frames.size(), 2u);
+  EXPECT_EQ(frames[frames.size() - 1].type, FrameType::kEnd);
+  EXPECT_EQ(frames[frames.size() - 2].type, FrameType::kTelemetry);
   // The deterministic variant says so and drops the scheduling-dependent
   // float aggregates.
   const std::string& payload = frames[frames.size() - 2].payload;

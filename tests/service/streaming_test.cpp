@@ -1,21 +1,23 @@
-// StreamingService behavior: streaming results match the batch service,
+// StreamingService behavior: streaming results match the batch path,
 // model epochs advance only on merging flushes, unknown models fail as
 // reports (never exceptions), multi-model routing lazily loads from the
-// registry and republishes on eviction, and the serve driver speaks the
-// framed wire protocol end to end.
+// registry and republishes on eviction, and the front end's byte-stream
+// bridge speaks the framed wire protocol end to end.
 #include "service/streaming.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "net/server.hpp"
 #include "rl/replay_rdper.hpp"
 #include "service/checkpoint.hpp"
-#include "service/service.hpp"
+#include "service/sharding.hpp"
 #include "service/wire.hpp"
 #include "sparksim/workloads.hpp"
 
@@ -59,32 +61,35 @@ std::vector<StreamReport> drain(StreamingService& svc) {
 }
 
 TEST(StreamingTest, MatchesBatchServiceWithoutMasterUpdates) {
-  // With master_update_steps = 0 the streaming pipeline is the batch
-  // service minus the barrier: identical per-request reports and an
-  // identical post-merge master checkpoint.
+  // With master_update_steps = 0 a shuffled streaming run (submit, drain,
+  // flush) and the batch path (serve_batch: REQ* + one flush, reports in
+  // request order) give identical per-request reports and an identical
+  // post-merge master checkpoint, on different pool sizes.
   const auto workload = sparksim::make_workload(WorkloadType::kTeraSort, 3.2);
-
-  ServiceOptions batch_options;
-  batch_options.threads = 2;
-  batch_options.api = small_streaming_options(2).service.api;
-  TuningService batch(batch_options);
-  batch.train_master(workload, 40);
-  std::stringstream master_blob;
-  batch.save_master(master_blob);
+  StreamingService batch(small_streaming_options(2));
+  batch.train_model("default", workload, 40);
+  std::stringstream master_blob(batch.checkpoint_of("default"));
 
   StreamingService streaming(small_streaming_options(4));
   streaming.load_model("default", master_blob);
 
   const auto requests = mixed_requests(8);
-  const auto batch_reports = batch.run_batch(requests);
-  for (const auto& r : requests) streaming.submit(r);
+  const auto batch_reports = serve_batch(batch, requests);
+  auto shuffled = requests;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(5));
+  for (const auto& r : shuffled) streaming.submit(r);
   auto stream_reports = drain(streaming);
-  EXPECT_EQ(streaming.flush(), [&] {
-    std::size_t n = 0;
-    for (const auto& r : batch_reports) n += r.new_transitions.size();
-    return n;
-  }());
+  std::size_t generated = 0;
+  for (const auto& r : batch_reports) {
+    generated += r.session.new_transitions.size();
+  }
+  EXPECT_EQ(streaming.flush(), generated);
 
+  ASSERT_EQ(batch_reports.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(batch_reports[i].session.id, requests[i].id)
+        << "batch reports must be in request order";
+  }
   ASSERT_EQ(stream_reports.size(), batch_reports.size());
   std::sort(stream_reports.begin(), stream_reports.end(),
             [](const StreamReport& a, const StreamReport& b) {
@@ -92,12 +97,12 @@ TEST(StreamingTest, MatchesBatchServiceWithoutMasterUpdates) {
             });
   auto sorted_batch = batch_reports;
   std::sort(sorted_batch.begin(), sorted_batch.end(),
-            [](const SessionReport& a, const SessionReport& b) {
-              return a.id < b.id;
+            [](const StreamReport& a, const StreamReport& b) {
+              return a.session.id < b.session.id;
             });
   for (std::size_t i = 0; i < sorted_batch.size(); ++i) {
     const auto& s = stream_reports[i].session;
-    const auto& b = sorted_batch[i];
+    const auto& b = sorted_batch[i].session;
     EXPECT_EQ(s.id, b.id);
     EXPECT_TRUE(s.ok) << s.error;
     EXPECT_EQ(s.report.best_time, b.report.best_time);
@@ -105,13 +110,10 @@ TEST(StreamingTest, MatchesBatchServiceWithoutMasterUpdates) {
     ASSERT_EQ(s.new_transitions.size(), b.new_transitions.size());
     EXPECT_EQ(stream_reports[i].model_epoch, 1u)
         << "all sessions served from the initial epoch snapshot";
+    EXPECT_EQ(sorted_batch[i].model_epoch, 1u);
   }
-
-  std::stringstream merged_batch_blob;
-  batch.save_master(merged_batch_blob);
-  EXPECT_EQ(streaming.checkpoint_of("default"), merged_batch_blob.str())
-      << "canonical-order merge must equal the batch request-order merge "
-         "for id-sorted requests";
+  EXPECT_EQ(streaming.checkpoint_of("default"), batch.checkpoint_of("default"))
+      << "the canonical-order merge must not depend on arrival order";
 }
 
 TEST(StreamingTest, EpochAdvancesOnlyWhenAFlushMerges) {
@@ -268,11 +270,14 @@ TEST(StreamingTest, MetricsAggregateWithStreamingQuantiles) {
 TEST(StreamingTest, WaitCompletedReturnsNulloptWhenIdle) {
   StreamingService svc(small_streaming_options(1));
   EXPECT_FALSE(svc.wait_completed().has_value());
-  EXPECT_FALSE(svc.poll_completed().has_value());
 }
 
 TEST(StreamingTest, ServeFrameStreamEndToEnd) {
-  StreamingService svc(small_streaming_options(2, /*master_steps=*/1));
+  // A framed stream served as the front end's single connection: REPs in
+  // request order, the FLSH advancing the epoch between them, and the
+  // END tail's flush merging the last request too.
+  ShardedStreamingService svc(small_streaming_options(2, /*master_steps=*/1),
+                              1);
   svc.train_model("default",
                   sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 40);
 
@@ -288,40 +293,31 @@ TEST(StreamingTest, ServeFrameStreamEndToEnd) {
   });
   std::istringstream in(input, std::ios::binary);
   std::ostringstream out(std::ios::binary);
-  const auto result = serve_frame_stream(in, out, svc);
-  EXPECT_TRUE(result.clean_end);
+  const auto result = net::serve_stream(in, out, svc, net::FrontEndOptions{});
+  EXPECT_EQ(result.clean_ends, 1u);
   EXPECT_EQ(result.requests, 3u);
   EXPECT_EQ(result.failed_sessions, 0u);
   EXPECT_EQ(result.protocol_errors, 0u);
 
   const auto frames = decode_frames(out.str());
-  std::size_t reps = 0;
-  bool saw_metrics = false;
-  std::uint64_t epoch_a = 0, epoch_c = 0;
+  std::vector<FrameType> types;
+  std::vector<std::uint64_t> epochs;
   for (const auto& f : frames) {
+    types.push_back(f.type);
     if (f.type == FrameType::kReply) {
-      ++reps;
-      if (f.payload.find("\"id\":\"a\"") != std::string::npos) {
-        const auto pos = f.payload.find("\"model_epoch\":");
-        ASSERT_NE(pos, std::string::npos);
-        epoch_a = std::strtoull(f.payload.c_str() + pos + 14, nullptr, 10);
-      }
-      if (f.payload.find("\"id\":\"c\"") != std::string::npos) {
-        const auto pos = f.payload.find("\"model_epoch\":");
-        ASSERT_NE(pos, std::string::npos);
-        epoch_c = std::strtoull(f.payload.c_str() + pos + 14, nullptr, 10);
-      }
-    }
-    if (f.type == FrameType::kMetrics) {
-      saw_metrics = true;
-      EXPECT_NE(f.payload.find("\"sessions\":3"), std::string::npos);
+      const auto pos = f.payload.find("\"model_epoch\":");
+      ASSERT_NE(pos, std::string::npos);
+      epochs.push_back(std::strtoull(f.payload.c_str() + pos + 14, nullptr, 10));
     }
   }
-  EXPECT_EQ(reps, 3u);
-  EXPECT_TRUE(saw_metrics);
-  EXPECT_EQ(frames.back().type, FrameType::kEnd);
-  EXPECT_EQ(epoch_a, 1u) << "pre-flush request served by the initial epoch";
-  EXPECT_EQ(epoch_c, 2u) << "post-flush request served by the merged epoch";
+  EXPECT_EQ(types, (std::vector<FrameType>{
+                       FrameType::kReply, FrameType::kReply,
+                       FrameType::kTelemetry, FrameType::kReply,
+                       FrameType::kTelemetry, FrameType::kEnd}));
+  EXPECT_EQ(epochs, (std::vector<std::uint64_t>{1, 1, 2}))
+      << "pre-flush requests served by the initial epoch, c by the merged one";
+  EXPECT_NE(frames[frames.size() - 2].payload.find("\"sessions\":3"),
+            std::string::npos);
   // The end-of-stream flush merged request c's experience too.
   EXPECT_EQ(svc.model_epoch("default"), 3u);
 }

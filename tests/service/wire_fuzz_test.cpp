@@ -14,9 +14,10 @@
 #include <string>
 
 #include "fuzz/wire_mutator.hpp"
+#include "net/server.hpp"
 #include "retrieval/index.hpp"
 #include "service/checkpoint.hpp"
-#include "service/streaming.hpp"
+#include "service/sharding.hpp"
 #include "service/wire.hpp"
 #include "sparksim/workloads.hpp"
 
@@ -116,16 +117,19 @@ TEST(WireFuzzTest, TypedErrorsNameTheOffendingFrame) {
 }
 
 TEST(WireFuzzTest, ServeDriverSurvivesMutatedStreams) {
-  // The serve loop in front of the decoder must also hold the line: any
-  // mutated input yields a well-formed output stream that still terminates
-  // with METR + END, never an escaped exception.
+  // The front end in front of the decoder must also hold the line: any
+  // mutated input, fed through the byte-stream bridge, yields a well-formed
+  // output stream that terminates with TELE + END and whose every ERR is a
+  // typed error payload — never an escaped exception or a hang.
   const std::string base = wire_base_stream();
   for (std::size_t i = 0; i < 1500; ++i) {
     std::string desc;
     const std::string mutant =
         fuzz::make_mutant(base, kCorpusSeed + 1, i * 7 + 3, &desc);
 
-    StreamingService svc;
+    StreamingOptions options;
+    options.service.threads = 1;
+    ShardedStreamingService svc(options, 1);
     svc.set_session_runner_for_test([](const TuningRequest& r) {
       SessionReport report;
       report.id = r.id;
@@ -136,17 +140,24 @@ TEST(WireFuzzTest, ServeDriverSurvivesMutatedStreams) {
     });
     std::istringstream in(mutant, std::ios::binary);
     std::ostringstream out(std::ios::binary);
-    const StreamServeResult result = serve_frame_stream(in, out, svc);
+    const net::FrontEndStats stats =
+        net::serve_stream(in, out, svc, net::FrontEndOptions{});
 
     const auto frames = decode_frames(out.str());
-    ASSERT_GE(frames.size(), 3u) << desc;
+    ASSERT_GE(frames.size(), 2u) << desc;
     EXPECT_EQ(frames[frames.size() - 1].type, FrameType::kEnd) << desc;
-    EXPECT_EQ(frames[frames.size() - 2].type, FrameType::kMetrics) << desc;
-    EXPECT_EQ(frames[frames.size() - 3].type, FrameType::kTelemetry) << desc;
-    EXPECT_EQ(frames[frames.size() - 3].payload.rfind("{\"tele\":1,", 0), 0u)
+    EXPECT_EQ(frames[frames.size() - 2].type, FrameType::kTelemetry) << desc;
+    EXPECT_EQ(frames[frames.size() - 2].payload.rfind("{\"tele\":1,", 0), 0u)
         << desc;
-    if (!result.clean_end) {
-      EXPECT_GT(result.protocol_errors + result.parse_errors, 0u) << desc;
+    for (const auto& f : frames) {
+      EXPECT_NE(f.type, FrameType::kMetrics) << desc;
+      if (f.type == FrameType::kError) {
+        EXPECT_EQ(f.payload.rfind("{\"error\":\"", 0), 0u) << desc;
+        EXPECT_GT(f.payload.size(), 12u) << desc;
+      }
+    }
+    if (stats.clean_ends == 0) {
+      EXPECT_GT(stats.protocol_errors + stats.parse_errors, 0u) << desc;
     }
   }
 }

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
 #include "service/checkpoint.hpp"  // crc32
@@ -74,15 +73,10 @@ TEST(WireTest, RejectsUnknownFrameTypeByName) {
   // Unlike the checkpoint reader (skip unknown optional sections), the
   // wire reader refuses unknown frames: dropping an imperative is a lost
   // request, not a compatibility feature.
-  std::ostringstream os(std::ios::binary);
-  write_stream_header(os);
-  os.write("BOGU", 4);
-  const char zeros[12] = {};
-  os.write(zeros, 12);  // length + CRC
-  std::istringstream is(std::move(os).str(), std::ios::binary);
-  read_stream_header(is);
+  std::string bytes = encode_stream_header() + "BOGU";
+  bytes.append(12, '\0');  // length + CRC
   try {
-    (void)read_frame(is);
+    (void)decode_frames(bytes);
     FAIL() << "unknown frame type accepted";
   } catch (const WireError& e) {
     EXPECT_NE(std::string(e.what()).find("BOGU"), std::string::npos);
@@ -90,16 +84,12 @@ TEST(WireTest, RejectsUnknownFrameTypeByName) {
 }
 
 TEST(WireTest, RejectsOversizedLengthBeforeAllocating) {
-  std::ostringstream os(std::ios::binary);
-  write_stream_header(os);
-  os.write("REQ ", 4);
+  std::string bytes = encode_stream_header() + "REQ ";
   // Hostile length field: ~2^63 claimed payload bytes, no actual payload.
-  const unsigned char len[8] = {0, 0, 0, 0, 0, 0, 0, 0x70};
-  os.write(reinterpret_cast<const char*>(len), 8);
-  std::istringstream is(std::move(os).str(), std::ios::binary);
-  read_stream_header(is);
+  bytes.append(7, '\0');
+  bytes.push_back('\x70');
   try {
-    (void)read_frame(is);
+    (void)decode_frames(bytes);
     FAIL() << "hostile length accepted";
   } catch (const WireError& e) {
     const std::string msg = e.what();
@@ -132,15 +122,16 @@ TEST(WireTest, EveryTruncationIsATypedError) {
 }
 
 TEST(WireTest, CleanEofAtFrameBoundaryIsNullopt) {
-  std::ostringstream os(std::ios::binary);
-  write_stream_header(os);
-  write_frame(os, FrameType::kRequest, "x");
-  std::istringstream is(std::move(os).str(), std::ios::binary);
-  read_stream_header(is);
-  ASSERT_TRUE(read_frame(is).has_value());
-  // EOF exactly at a frame boundary: nullopt, not an exception — whether
-  // that EOF is legal (END seen?) is the caller's decision.
-  EXPECT_FALSE(read_frame(is).has_value());
+  const std::string bytes =
+      encode_stream_header() + encode_frame(FrameType::kRequest, "x");
+  FrameDecoder decoder;
+  decoder.feed(bytes.data(), bytes.size());
+  ASSERT_TRUE(decoder.next().has_value());
+  // EOF exactly at a frame boundary: nullopt and not midstream, not an
+  // exception — whether that EOF is legal (END seen?) is the caller's
+  // decision.
+  EXPECT_FALSE(decoder.next().has_value());
+  EXPECT_FALSE(decoder.midstream());
 }
 
 TEST(WireTest, FrameTypeNameSanitizesUnprintableTags) {
@@ -190,9 +181,7 @@ TEST(WireTest, FrameCrcCoversHeadAndPayload) {
   // covers its own type + length words too: a header flip (one bit
   // separates "REQ " from "REP ") must not survive as a valid frame.
   const std::string payload = "shared-crc-check";
-  std::ostringstream os(std::ios::binary);
-  write_frame(os, FrameType::kReply, payload);
-  const std::string bytes = std::move(os).str();
+  const std::string bytes = encode_frame(FrameType::kReply, payload);
   const std::string head_and_payload = bytes.substr(0, bytes.size() - 4);
   const std::uint32_t expected =
       crc32(reinterpret_cast<const unsigned char*>(head_and_payload.data()),
@@ -205,18 +194,17 @@ TEST(WireTest, FrameCrcCoversHeadAndPayload) {
   EXPECT_EQ(stored, expected);
 
   // The type-flip attack specifically: REP -> REQ must be rejected.
-  std::string flipped = bytes;
-  flipped[2] ^= 0x01;  // 'P' -> 'Q' in the type FourCC
-  std::istringstream is(flipped, std::ios::binary);
-  EXPECT_THROW((void)read_frame(is), WireError);
+  std::string flipped = encode_stream_header() + bytes;
+  flipped[8 + 2] ^= 0x01;  // 'P' -> 'Q' in the type FourCC
+  FrameDecoder decoder;
+  decoder.feed(flipped.data(), flipped.size());
+  EXPECT_THROW((void)decoder.next(), WireError);
 }
 
 TEST(WireTest, DecodeRequiresExplicitEndFrame) {
-  std::ostringstream os(std::ios::binary);
-  write_stream_header(os);
-  write_frame(os, FrameType::kRequest, "{}");
   try {
-    (void)decode_frames(std::move(os).str());
+    (void)decode_frames(encode_stream_header() +
+                        encode_frame(FrameType::kRequest, "{}"));
     FAIL() << "stream without END accepted";
   } catch (const WireError& e) {
     EXPECT_NE(std::string(e.what()).find("END"), std::string::npos);
