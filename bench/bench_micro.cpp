@@ -11,7 +11,10 @@
 //                                  blocked vs L2-tiled packed GEMM at sizes
 //                                  past the packing threshold, and GP refit
 //                                  wall time at n={512,1024,2048} with
-//                                  thread pools of {1,4,16}; every ns value
+//                                  thread pools of {1,4,16}, the GEMMs a
+//                                  TD3 train step runs and the whole step
+//                                  (rl.td3_train_step); the header records
+//                                  nproc and the build type; every ns value
 //                                  is a min-of-N with the rep count in the
 //                                  export, emitted through the obs metrics
 //                                  exporter — a build-info line followed by
@@ -57,6 +60,7 @@
 //                                  of its pre-shift objective.
 #include <benchmark/benchmark.h>
 
+#include <sched.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -375,6 +379,16 @@ constexpr int kKernelReps = 5;
 /// GP fits run seconds per call at n=2048; two reps bound the bench time.
 constexpr int kGpFitReps = 2;
 
+/// What `nproc` prints: the CPUs this process may run on.
+unsigned available_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<unsigned>(CPU_COUNT(&set));
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 struct BackendColumn {
   std::string label;  ///< metric-name fragment: "scalar" | "avx2" | "avx512"
   common::simd::Backend backend;
@@ -505,11 +519,47 @@ int run_kernel_bench_json(const std::string& path) {
     for (double& v : w.flat()) v = rng.normal();
     for (double& v : bias.flat()) v = rng.normal();
     const double flops = 2.0 * static_cast<double>(m * n * k);
+    nn::Matrix out;
     time_kernel_backends(registry, "matmul_bias_tanh", "64x128x128", flops,
                          [&] {
-                           benchmark::DoNotOptimize(nn::matmul_bias_act(
-                               x, w, bias, nn::Activation::kTanh));
+                           nn::matmul_bias_act(x, w, bias,
+                                               nn::Activation::kTanh, out);
+                           benchmark::DoNotOptimize(out.data());
+                           benchmark::ClobberMemory();
                          });
+  }
+
+  {
+    // The GEMMs one TD3 train step runs (shapes m x n x k): dX = G W^T of a
+    // 128->128 layer, dW = X^T G of the same layer, and dX of the critic's
+    // 128->1 output layer (a k=1 nt). They accumulate into C, exactly as
+    // the layers call them, on Matrix storage (64-byte aligned) like theirs.
+    struct StepGemm {
+      const char* name;
+      const char* shape;
+      std::size_t m, n, k;
+    };
+    const StepGemm gemms[] = {{"gemm_nt", "64x128x128", 64, 128, 128},
+                              {"gemm_tn", "128x128x64", 128, 128, 64},
+                              {"gemm_nt", "64x128x1", 64, 128, 1}};
+    for (const auto& g : gemms) {
+      const bool tn = std::string(g.name) == "gemm_tn";
+      nn::Matrix a(g.m, g.k), b(g.n, g.k), c(g.m, g.n);
+      for (double& v : a.flat()) v = rng.normal();
+      for (double& v : b.flat()) v = rng.normal();
+      const double flops = 2.0 * static_cast<double>(g.m * g.n * g.k);
+      time_kernel_backends(registry, g.name, g.shape, flops, [&] {
+        if (tn) {
+          common::simd::gemm_tn(g.m, g.n, g.k, a.data(), g.m, b.data(), g.n,
+                                c.data(), g.n);
+        } else {
+          common::simd::gemm_nt(g.m, g.n, g.k, a.data(), g.k, b.data(), g.k,
+                                c.data(), g.n);
+        }
+        benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
+      });
+    }
   }
 
   {
@@ -534,6 +584,39 @@ int run_kernel_bench_json(const std::string& path) {
                            benchmark::DoNotOptimize(common::simd::dot(
                                u.data(), v.data(), len));
                          });
+  }
+
+  {
+    // One whole TD3 train step at DeepCAT's serving shape (state 9, action
+    // 32, hidden 128x128, batch 64) — BM_Td3TrainStep's setup, min-of-N ns
+    // per tier. The agent keeps training across calls; the shapes, and so
+    // the work, stay fixed.
+    namespace simd = common::simd;
+    for (const auto& col : selectable_columns()) {
+      simd::force_backend(col.backend);
+      common::Rng step_rng(3);
+      rl::Td3Config config;
+      config.state_dim = 9;
+      config.action_dim = 32;
+      rl::Td3Agent agent(config, step_rng);
+      rl::RdperReplay replay(10'000, {.reward_threshold = 0.0, .beta = 0.6});
+      for (int i = 0; i < 1000; ++i) {
+        std::vector<double> st(9), ac(32), st2(9);
+        for (double& v : st) v = step_rng.uniform();
+        for (double& v : ac) v = step_rng.uniform();
+        for (double& v : st2) v = step_rng.uniform();
+        replay.add({st, ac, step_rng.uniform(-3.0, 1.0), st2, false});
+      }
+      const double ns = best_ns_per_call(
+          [&] {
+            benchmark::DoNotOptimize(agent.train_step(replay, step_rng));
+          },
+          /*min_batch_seconds=*/0.05, kKernelReps);
+      registry.gauge(std::string("rl.td3_train_step.") + col.label + "_ns")
+          .set(ns);
+    }
+    simd::force_scalar(false);
+    registry.gauge("rl.td3_train_step.reps").set(kKernelReps);
   }
 
   // GP refit wall time at OtterTune sizes. The fit is serial; the
@@ -569,8 +652,13 @@ int run_kernel_bench_json(const std::string& path) {
   registry.counter("simd.avx512_dispatches").add(dispatches.avx512_calls);
   registry.counter("simd.packed_dispatches").add(dispatches.packed_calls);
 
+  // nproc and the CMake build type sit in this header, next to (not
+  // inside) the shared build-info object, so every other surface that
+  // carries build info stays byte-identical.
   std::ostringstream json;
-  json << "{\"bench\":\"deepcat kernel microbenchmarks\",\"build\":";
+  json << "{\"bench\":\"deepcat kernel microbenchmarks\",\"nproc\":"
+       << available_cpus() << ",\"build_type\":\"" << DEEPCAT_BUILD_TYPE
+       << "\",\"build\":";
   obs::write_build_info_json(json, obs::current_build_info());
   json << "}\n";
   registry.write_jsonl(json);

@@ -128,6 +128,16 @@ void axpy_scalar(double alpha, const double* x, double* y,
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
+void relu_scalar(double* x, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) x[i] = x[i] > 0.0 ? x[i] : 0.0;
+}
+
+void relu_mask_scalar(double* g, const double* y, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (y[i] <= 0.0) g[i] = 0.0;
+  }
+}
+
 void adam_update_scalar(double* value, const double* grad, double* m,
                         double* v, std::size_t n, double scale, double beta1,
                         double beta2, double bc1, double bc2, double lr,
@@ -353,6 +363,36 @@ DEEPCAT_TARGET_AVX2 void axpy_avx2(double alpha, const double* x, double* y,
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
+// max_pd(x, 0) returns its second operand unless x > 0, so NaN and -0.0
+// become +0.0 exactly as in the scalar `x > 0 ? x : 0` — without the
+// compare-and-branch GCC emits for that expression on mixed-sign data.
+DEEPCAT_TARGET_AVX2 void relu_avx2(double* x, std::size_t n) noexcept {
+  const __m256d zero = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(x + i, _mm256_max_pd(_mm256_loadu_pd(x + i), zero));
+  }
+  for (; i < n; ++i) {
+    _mm_store_sd(x + i, _mm_max_sd(_mm_load_sd(x + i), _mm_setzero_pd()));
+  }
+}
+
+// Ordered <= compare: a NaN output keeps its gradient, as in the scalar
+// `if (y <= 0) g = 0`.
+DEEPCAT_TARGET_AVX2 void relu_mask_avx2(double* g, const double* y,
+                                        std::size_t n) noexcept {
+  const __m256d zero = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d dead =
+        _mm256_cmp_pd(_mm256_loadu_pd(y + i), zero, _CMP_LE_OQ);
+    _mm256_storeu_pd(g + i, _mm256_andnot_pd(dead, _mm256_loadu_pd(g + i)));
+  }
+  for (; i < n; ++i) {
+    if (y[i] <= 0.0) g[i] = 0.0;
+  }
+}
+
 DEEPCAT_TARGET_AVX2 void adam_update_avx2(double* value, const double* grad,
                                           double* m, double* v, std::size_t n,
                                           double scale, double beta1,
@@ -410,6 +450,31 @@ DEEPCAT_TARGET_AVX2 void adam_update_clipped_avx2(
     adam_update_avx2(tensors[i].value, tensors[i].grad, tensors[i].m,
                      tensors[i].v, tensors[i].n, scale, beta1, beta2, bc1,
                      bc2, lr, eps);
+  }
+}
+
+// gemm_nn columns [j0, n) that no vector tile covers, for 4 rows: each
+// output keeps its own sequential ascending-k chain (s += a*b from 0, then
+// added to C), but the four chains run side by side so the FMA latency
+// overlaps. This is the critic's n=1 output layer. Inlined into each tier,
+// so the chains contract to FMA there, like the one-row path's chain.
+[[gnu::always_inline]] inline void nn_tail_4rows(
+    std::size_t n, std::size_t k, std::size_t j0, const double* a0,
+    const double* a1, const double* a2, const double* a3, const double* b,
+    std::size_t ldb, double* c, std::size_t ldc) noexcept {
+  for (std::size_t j = j0; j < n; ++j) {
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (std::size_t p = 0; p < k; ++p) {
+      const double bv = b[p * ldb + j];
+      s0 += a0[p] * bv;
+      s1 += a1[p] * bv;
+      s2 += a2[p] * bv;
+      s3 += a3[p] * bv;
+    }
+    c[j] += s0;
+    c[ldc + j] += s1;
+    c[2 * ldc + j] += s2;
+    c[3 * ldc + j] += s3;
   }
 }
 
@@ -479,14 +544,7 @@ DEEPCAT_TARGET_AVX2 void gemm_nn_avx2(std::size_t m, std::size_t n,
       _mm256_storeu_pd(c + (i + 2) * ldc + j, c2);
       _mm256_storeu_pd(c + (i + 3) * ldc + j, c3);
     }
-    for (; j < n; ++j) {
-      for (std::size_t r = 0; r < 4; ++r) {
-        const double* arow = a + (i + r) * lda;
-        double s = 0.0;
-        for (std::size_t p = 0; p < k; ++p) s += arow[p] * b[p * ldb + j];
-        c[(i + r) * ldc + j] += s;
-      }
-    }
+    nn_tail_4rows(n, k, j, a0, a1, a2, a3, b, ldb, c + i * ldc, ldc);
   }
   for (; i < m; ++i) {
     const double* arow = a + i * lda;
@@ -593,48 +651,141 @@ DEEPCAT_TARGET_AVX2 void gemm_tn_avx2(std::size_t m, std::size_t n,
   }
 }
 
-// Both operands are k-contiguous, so this is a batch of vector dots: one A
-// row against 4 B rows at a time, 4 running vector accumulators.
+// The k tail of one output: s += a*b for p in [kv, k), ascending. Compiled
+// with FMA (the AVX-512 kernels use it too), so each step contracts to one
+// fused multiply-add on every path that reaches it — the one-row and the
+// row-blocked paths must agree on that for their outputs to match.
+DEEPCAT_TARGET_AVX2 inline double nt_tail(double s, std::size_t kv,
+                                          std::size_t k, const double* arow,
+                                          const double* brow) noexcept {
+  for (std::size_t p = kv; p < k; ++p) s += arow[p] * brow[p];
+  return s;
+}
+
+// hsum's tree — (v0 + v2) + (v1 + v3) — for four vectors at once. Returns
+// {hsum(w), hsum(y), hsum(x), hsum(z)}.
+DEEPCAT_TARGET_AVX2 inline __m256d reduce4_avx2(__m256d w, __m256d x,
+                                                __m256d y,
+                                                __m256d z) noexcept {
+  const __m256d wx = _mm256_add_pd(_mm256_permute2f128_pd(w, x, 0x20),
+                                   _mm256_permute2f128_pd(w, x, 0x31));
+  const __m256d yz = _mm256_add_pd(_mm256_permute2f128_pd(y, z, 0x20),
+                                   _mm256_permute2f128_pd(y, z, 0x31));
+  return _mm256_add_pd(_mm256_unpacklo_pd(wx, yz),
+                       _mm256_unpackhi_pd(wx, yz));
+}
+
+// Both operands are k-contiguous, so this is a batch of vector dots. Each
+// output (i, j) runs 4-lane FMA chains over p < kv, the hsum tree, then its
+// k tail in ascending p, and is then added to C. Row blocking (R A rows
+// share every B-row load, 4 B rows at a time) and reducing four outputs'
+// accumulators side by side (reduce4_avx2) change which outputs run
+// together, never the order inside one output — so one call over m rows
+// equals m one-row calls (which reduce each output with hsum) bit for bit.
+// Leftover columns go through dot_avx2, exactly as a one-row call does.
+template <std::size_t R>
+DEEPCAT_TARGET_AVX2 void gemm_nt_rows_avx2(std::size_t n, std::size_t k,
+                                           const double* a, std::size_t lda,
+                                           const double* b, std::size_t ldb,
+                                           double* c,
+                                           std::size_t ldc) noexcept {
+  const std::size_t kv = k & ~std::size_t{3};
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const double* bq[4] = {b + j * ldb, b + (j + 1) * ldb, b + (j + 2) * ldb,
+                           b + (j + 3) * ldb};
+    __m256d acc[R][4];
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+      for (std::size_t q = 0; q < 4; ++q) acc[r][q] = _mm256_setzero_pd();
+    }
+    for (std::size_t p = 0; p < kv; p += 4) {
+      __m256d bv[4];
+#pragma GCC unroll 4
+      for (std::size_t q = 0; q < 4; ++q) bv[q] = _mm256_loadu_pd(bq[q] + p);
+#pragma GCC unroll 16
+      for (std::size_t r = 0; r < R; ++r) {
+        const __m256d av = _mm256_loadu_pd(a + r * lda + p);
+#pragma GCC unroll 4
+        for (std::size_t q = 0; q < 4; ++q) {
+          acc[r][q] = _mm256_fmadd_pd(av, bv[q], acc[r][q]);
+        }
+      }
+    }
+    if constexpr (R == 1) {
+      for (std::size_t q = 0; q < 4; ++q) {
+        c[j + q] += nt_tail(hsum(acc[0][q]), kv, k, a, bq[q]);
+      }
+    } else {
+#pragma GCC unroll 16
+      for (std::size_t r = 0; r < R; ++r) {
+        double* crow = c + r * ldc + j;
+        const __m256d sums =
+            reduce4_avx2(acc[r][0], acc[r][2], acc[r][1], acc[r][3]);
+        if (kv == k) {
+          _mm256_storeu_pd(crow, _mm256_add_pd(_mm256_loadu_pd(crow), sums));
+          continue;
+        }
+        alignas(32) double part[4];
+        _mm256_store_pd(part, sums);
+        for (std::size_t q = 0; q < 4; ++q) {
+          crow[q] += nt_tail(part[q], kv, k, a + r * lda, bq[q]);
+        }
+      }
+    }
+  }
+  for (; j < n; ++j) {
+    for (std::size_t r = 0; r < R; ++r) {
+      c[r * ldc + j] += dot_avx2(a + r * lda, b + j * ldb, k);
+    }
+  }
+}
+
+// k below the lane width: the vector loop never runs, so there is nothing to
+// reduce (a one-row call's hsum of all-zero accumulators is +0.0). Each
+// output is C + (0 + a_0 b_0 + a_1 b_1 + ...) as ascending FMAs, four
+// columns at a time with B gathered at stride ldb. The critic's 128->1
+// output layer makes this k=1 call in every backward pass.
+DEEPCAT_TARGET_AVX2 void gemm_nt_small_k_avx2(std::size_t m, std::size_t n,
+                                              std::size_t k, const double* a,
+                                              std::size_t lda, const double* b,
+                                              std::size_t ldb, double* c,
+                                              std::size_t ldc) noexcept {
+  const auto stride = static_cast<long long>(ldb);
+  const __m256i idx = _mm256_set_epi64x(3 * stride, 2 * stride, stride, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* arow = a + i * lda;
+    double* crow = c + i * ldc;
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      __m256d sum = _mm256_setzero_pd();
+      for (std::size_t p = 0; p < k; ++p) {
+        sum = _mm256_fmadd_pd(_mm256_set1_pd(arow[p]),
+                              _mm256_i64gather_pd(b + j * ldb + p, idx, 8),
+                              sum);
+      }
+      _mm256_storeu_pd(crow + j, _mm256_add_pd(_mm256_loadu_pd(crow + j), sum));
+    }
+    for (; j < n; ++j) crow[j] += nt_tail(0.0, 0, k, arow, b + j * ldb);
+  }
+}
+
 DEEPCAT_TARGET_AVX2 void gemm_nt_avx2(std::size_t m, std::size_t n,
                                       std::size_t k, const double* a,
                                       std::size_t lda, const double* b,
                                       std::size_t ldb, double* c,
                                       std::size_t ldc) noexcept {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* arow = a + i * lda;
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const double* b0 = b + (j + 0) * ldb;
-      const double* b1 = b + (j + 1) * ldb;
-      const double* b2 = b + (j + 2) * ldb;
-      const double* b3 = b + (j + 3) * ldb;
-      __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
-      __m256d acc2 = _mm256_setzero_pd(), acc3 = _mm256_setzero_pd();
-      std::size_t p = 0;
-      for (; p + 4 <= k; p += 4) {
-        const __m256d av = _mm256_loadu_pd(arow + p);
-        acc0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b0 + p), acc0);
-        acc1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b1 + p), acc1);
-        acc2 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b2 + p), acc2);
-        acc3 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b3 + p), acc3);
-      }
-      double s0 = hsum(acc0), s1 = hsum(acc1), s2 = hsum(acc2),
-             s3 = hsum(acc3);
-      for (; p < k; ++p) {
-        const double av = arow[p];
-        s0 += av * b0[p];
-        s1 += av * b1[p];
-        s2 += av * b2[p];
-        s3 += av * b3[p];
-      }
-      c[i * ldc + j + 0] += s0;
-      c[i * ldc + j + 1] += s1;
-      c[i * ldc + j + 2] += s2;
-      c[i * ldc + j + 3] += s3;
-    }
-    for (; j < n; ++j) {
-      c[i * ldc + j] += dot_avx2(arow, b + j * ldb, k);
-    }
+  if (k < 4) {
+    gemm_nt_small_k_avx2(m, n, k, a, lda, b, ldb, c, ldc);
+    return;
+  }
+  std::size_t i = 0;
+  for (; i + 2 <= m; i += 2) {
+    gemm_nt_rows_avx2<2>(n, k, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
+  }
+  for (; i < m; ++i) {
+    gemm_nt_rows_avx2<1>(n, k, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
   }
 }
 
@@ -752,6 +903,39 @@ DEEPCAT_TARGET_AVX512 void axpy_avx512(double alpha, const double* x,
                                _mm512_loadu_pd(y + i)));
   }
   for (; i < n; ++i) y[i] += alpha * x[i];
+}
+
+DEEPCAT_TARGET_AVX512 void relu_avx512(double* x, std::size_t n) noexcept {
+  const __m512d zero = _mm512_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm512_storeu_pd(x + i, _mm512_max_pd(_mm512_loadu_pd(x + i), zero));
+  }
+  if (i < n) {
+    const auto tail = static_cast<__mmask8>((1u << (n - i)) - 1u);
+    _mm512_mask_storeu_pd(
+        x + i, tail, _mm512_max_pd(_mm512_maskz_loadu_pd(tail, x + i), zero));
+  }
+}
+
+// Stores +0.0 under the y <= 0 (ordered) mask; g is never loaded.
+DEEPCAT_TARGET_AVX512 void relu_mask_avx512(double* g, const double* y,
+                                            std::size_t n) noexcept {
+  const __m512d zero = _mm512_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm512_mask_storeu_pd(
+        g + i, _mm512_cmp_pd_mask(_mm512_loadu_pd(y + i), zero, _CMP_LE_OQ),
+        zero);
+  }
+  if (i < n) {
+    const auto tail = static_cast<__mmask8>((1u << (n - i)) - 1u);
+    _mm512_mask_storeu_pd(
+        g + i,
+        _mm512_mask_cmp_pd_mask(tail, _mm512_maskz_loadu_pd(tail, y + i),
+                                zero, _CMP_LE_OQ),
+        zero);
+  }
 }
 
 DEEPCAT_TARGET_AVX512 void adam_update_avx512(
@@ -877,14 +1061,7 @@ DEEPCAT_TARGET_AVX512 void gemm_nn_avx512(std::size_t m, std::size_t n,
       _mm512_storeu_pd(c + (i + 2) * ldc + j, c2);
       _mm512_storeu_pd(c + (i + 3) * ldc + j, c3);
     }
-    for (; j < n; ++j) {
-      for (std::size_t r = 0; r < 4; ++r) {
-        const double* arow = a + (i + r) * lda;
-        double s = 0.0;
-        for (std::size_t p = 0; p < k; ++p) s += arow[p] * b[p * ldb + j];
-        c[(i + r) * ldc + j] += s;
-      }
-    }
+    nn_tail_4rows(n, k, j, a0, a1, a2, a3, b, ldb, c + i * ldc, ldc);
   }
   for (; i < m; ++i) {
     const double* arow = a + i * lda;
@@ -991,49 +1168,144 @@ DEEPCAT_TARGET_AVX512 void gemm_tn_avx512(std::size_t m, std::size_t n,
   }
 }
 
-// Batch of vector dots, one A row against 4 B rows, 8-wide accumulators.
+// The gemm_nt_avx2 scheme with 8-lane chains, four A rows per block and
+// _mm512_reduce_add_pd's tree as the per-output reduction.
+
+// {hi4(x) + lo4(x), hi4(y) + lo4(y)}: the first step of the tree below.
+DEEPCAT_TARGET_AVX512 inline __m512d add_halves(__m512d x,
+                                                __m512d y) noexcept {
+  return _mm512_add_pd(_mm512_shuffle_f64x2(x, y, 0xEE),
+                       _mm512_shuffle_f64x2(x, y, 0x44));
+}
+
+// Per 4-lane half h of x and y: hi2(h) + lo2(h), the tree's second step.
+DEEPCAT_TARGET_AVX512 inline __m512d add_quarters(__m512d x,
+                                                  __m512d y) noexcept {
+  return _mm512_add_pd(_mm512_shuffle_f64x2(x, y, 0xDD),
+                       _mm512_shuffle_f64x2(x, y, 0x88));
+}
+
+// _mm512_reduce_add_pd's tree — high half + low half, then high quarter +
+// low quarter, then lane 0 + lane 1 — for eight vectors at once. Returns
+// {r(v0), r(v4), r(v1), r(v5), r(v2), r(v6), r(v3), r(v7)}.
+DEEPCAT_TARGET_AVX512 inline __m512d reduce8_avx512(
+    __m512d v0, __m512d v1, __m512d v2, __m512d v3, __m512d v4, __m512d v5,
+    __m512d v6, __m512d v7) noexcept {
+  const __m512d lo = add_quarters(add_halves(v0, v1), add_halves(v2, v3));
+  const __m512d hi = add_quarters(add_halves(v4, v5), add_halves(v6, v7));
+  return _mm512_add_pd(_mm512_unpacklo_pd(lo, hi),
+                       _mm512_unpackhi_pd(lo, hi));
+}
+
+template <std::size_t R>
+DEEPCAT_TARGET_AVX512 void gemm_nt_rows_avx512(
+    std::size_t n, std::size_t k, const double* a, std::size_t lda,
+    const double* b, std::size_t ldb, double* c, std::size_t ldc) noexcept {
+  static_assert(R == 1 || R % 2 == 0);
+  const std::size_t kv = k & ~std::size_t{7};
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    const double* bq[4] = {b + j * ldb, b + (j + 1) * ldb, b + (j + 2) * ldb,
+                           b + (j + 3) * ldb};
+    __m512d acc[R][4];
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+      for (std::size_t q = 0; q < 4; ++q) acc[r][q] = _mm512_setzero_pd();
+    }
+    for (std::size_t p = 0; p < kv; p += 8) {
+      __m512d bv[4];
+#pragma GCC unroll 4
+      for (std::size_t q = 0; q < 4; ++q) bv[q] = _mm512_loadu_pd(bq[q] + p);
+#pragma GCC unroll 16
+      for (std::size_t r = 0; r < R; ++r) {
+        const __m512d av = _mm512_loadu_pd(a + r * lda + p);
+#pragma GCC unroll 4
+        for (std::size_t q = 0; q < 4; ++q) {
+          acc[r][q] = _mm512_fmadd_pd(av, bv[q], acc[r][q]);
+        }
+      }
+    }
+    if constexpr (R == 1) {
+      for (std::size_t q = 0; q < 4; ++q) {
+        c[j + q] += nt_tail(_mm512_reduce_add_pd(acc[0][q]), kv, k, a,
+                                   bq[q]);
+      }
+    } else {
+#pragma GCC unroll 8
+      for (std::size_t r = 0; r < R; r += 2) {
+        // Lanes 0-3: row r, columns j..j+3; lanes 4-7: row r + 1.
+        const __m512d sums =
+            reduce8_avx512(acc[r][0], acc[r][2], acc[r + 1][0],
+                           acc[r + 1][2], acc[r][1], acc[r][3],
+                           acc[r + 1][1], acc[r + 1][3]);
+        double* c0 = c + r * ldc + j;
+        double* c1 = c0 + ldc;
+        if (kv == k) {
+          _mm256_storeu_pd(c0, _mm256_add_pd(_mm256_loadu_pd(c0),
+                                             _mm512_castpd512_pd256(sums)));
+          _mm256_storeu_pd(c1, _mm256_add_pd(_mm256_loadu_pd(c1),
+                                             _mm512_extractf64x4_pd(sums, 1)));
+          continue;
+        }
+        alignas(64) double part[8];
+        _mm512_store_pd(part, sums);
+        for (std::size_t q = 0; q < 4; ++q) {
+          c0[q] += nt_tail(part[q], kv, k, a + r * lda, bq[q]);
+          c1[q] += nt_tail(part[4 + q], kv, k, a + (r + 1) * lda,
+                                  bq[q]);
+        }
+      }
+    }
+  }
+  for (; j < n; ++j) {
+    for (std::size_t r = 0; r < R; ++r) {
+      c[r * ldc + j] += dot_avx512(a + r * lda, b + j * ldb, k);
+    }
+  }
+}
+
+// gemm_nt_small_k_avx2 at 8 lanes.
+DEEPCAT_TARGET_AVX512 void gemm_nt_small_k_avx512(
+    std::size_t m, std::size_t n, std::size_t k, const double* a,
+    std::size_t lda, const double* b, std::size_t ldb, double* c,
+    std::size_t ldc) noexcept {
+  const auto stride = static_cast<long long>(ldb);
+  const __m512i idx =
+      _mm512_set_epi64(7 * stride, 6 * stride, 5 * stride, 4 * stride,
+                       3 * stride, 2 * stride, stride, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* arow = a + i * lda;
+    double* crow = c + i * ldc;
+    std::size_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+      __m512d sum = _mm512_setzero_pd();
+      for (std::size_t p = 0; p < k; ++p) {
+        sum = _mm512_fmadd_pd(_mm512_set1_pd(arow[p]),
+                              _mm512_i64gather_pd(idx, b + j * ldb + p, 8),
+                              sum);
+      }
+      _mm512_storeu_pd(crow + j, _mm512_add_pd(_mm512_loadu_pd(crow + j), sum));
+    }
+    for (; j < n; ++j) crow[j] += nt_tail(0.0, 0, k, arow, b + j * ldb);
+  }
+}
+
 DEEPCAT_TARGET_AVX512 void gemm_nt_avx512(std::size_t m, std::size_t n,
                                           std::size_t k, const double* a,
                                           std::size_t lda, const double* b,
                                           std::size_t ldb, double* c,
                                           std::size_t ldc) noexcept {
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* arow = a + i * lda;
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const double* b0 = b + (j + 0) * ldb;
-      const double* b1 = b + (j + 1) * ldb;
-      const double* b2 = b + (j + 2) * ldb;
-      const double* b3 = b + (j + 3) * ldb;
-      __m512d acc0 = _mm512_setzero_pd(), acc1 = _mm512_setzero_pd();
-      __m512d acc2 = _mm512_setzero_pd(), acc3 = _mm512_setzero_pd();
-      std::size_t p = 0;
-      for (; p + 8 <= k; p += 8) {
-        const __m512d av = _mm512_loadu_pd(arow + p);
-        acc0 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b0 + p), acc0);
-        acc1 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b1 + p), acc1);
-        acc2 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b2 + p), acc2);
-        acc3 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b3 + p), acc3);
-      }
-      double s0 = _mm512_reduce_add_pd(acc0);
-      double s1 = _mm512_reduce_add_pd(acc1);
-      double s2 = _mm512_reduce_add_pd(acc2);
-      double s3 = _mm512_reduce_add_pd(acc3);
-      for (; p < k; ++p) {
-        const double av = arow[p];
-        s0 += av * b0[p];
-        s1 += av * b1[p];
-        s2 += av * b2[p];
-        s3 += av * b3[p];
-      }
-      c[i * ldc + j + 0] += s0;
-      c[i * ldc + j + 1] += s1;
-      c[i * ldc + j + 2] += s2;
-      c[i * ldc + j + 3] += s3;
-    }
-    for (; j < n; ++j) {
-      c[i * ldc + j] += dot_avx512(arow, b + j * ldb, k);
-    }
+  if (k < 8) {
+    gemm_nt_small_k_avx512(m, n, k, a, lda, b, ldb, c, ldc);
+    return;
+  }
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    gemm_nt_rows_avx512<4>(n, k, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
+  }
+  for (; i < m; ++i) {
+    gemm_nt_rows_avx512<1>(n, k, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
   }
 }
 
@@ -1432,6 +1704,38 @@ void axpy(double alpha, const double* x, double* y, std::size_t n) noexcept {
   }
 #endif
   axpy_scalar(alpha, x, y, n);
+}
+
+void relu(double* x, std::size_t n) noexcept {
+#if DEEPCAT_SIMD_X86
+  switch (active_backend()) {
+    case Backend::kAvx512:
+      relu_avx512(x, n);
+      return;
+    case Backend::kAvx2:
+      relu_avx2(x, n);
+      return;
+    default:
+      break;
+  }
+#endif
+  relu_scalar(x, n);
+}
+
+void relu_mask(double* g, const double* y, std::size_t n) noexcept {
+#if DEEPCAT_SIMD_X86
+  switch (active_backend()) {
+    case Backend::kAvx512:
+      relu_mask_avx512(g, y, n);
+      return;
+    case Backend::kAvx2:
+      relu_mask_avx2(g, y, n);
+      return;
+    default:
+      break;
+  }
+#endif
+  relu_mask_scalar(g, y, n);
 }
 
 void adam_update(double* value, const double* grad, double* m, double* v,

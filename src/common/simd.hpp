@@ -26,7 +26,12 @@
 // keep each output element's FMA chain in ascending-k order on every tier
 // and on the packed path, so those agree bit-for-bit across vector tiers;
 // dot-style reductions (dot, gemm_nt) use per-tier accumulator trees and
-// only meet the 1e-12 contract.
+// only meet the 1e-12 contract. Within one tier the register-blocked
+// gemm_nt and gemm_tn are row-invariant: the C rows of one m-row call equal
+// those of m one-row calls bit for bit, because row blocking only decides
+// which outputs run side by side. gemm_nn is too unless n mod 16 >= 8
+// (avx512) or n mod 8 >= 4 (avx2): its 4-row tiles run one narrower vector
+// tile that the one-row path leaves to the scalar tail.
 #pragma once
 
 #include <cstddef>
@@ -168,6 +173,15 @@ void cosine_distances(const double* query, const double* rows,
 
 /// y[i] += alpha * x[i].
 void axpy(double alpha, const double* x, double* y, std::size_t n) noexcept;
+
+/// x[i] = x[i] > 0 ? x[i] : 0 in place — the ReLU forward. Branch-free on
+/// the vector tiers (max_pd(x, 0)), with the scalar expression's exact
+/// results on every tier: NaN and -0.0 map to +0.0.
+void relu(double* x, std::size_t n) noexcept;
+
+/// g[i] = 0 where y[i] <= 0 (ordered compare, so a NaN y keeps g[i]) —
+/// the ReLU backward mask from the activation output `y`.
+void relu_mask(double* g, const double* y, std::size_t n) noexcept;
 
 /// Fused Adam parameter update over one flat tensor:
 ///   g      = grad[i] * scale

@@ -23,6 +23,15 @@ class Adam {
   /// optimizer (they point into the network's layers).
   explicit Adam(std::vector<Param> params, AdamConfig config = {});
 
+  /// Not copyable: a copy would keep stepping the source network's tensors
+  /// (its Param pointers), so a copied agent would silently never learn.
+  /// Moves keep the pointers, which stay valid when the networks they point
+  /// into move along with the optimizer (Mlp layers live on the heap).
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
+  Adam(Adam&&) noexcept = default;
+  Adam& operator=(Adam&&) noexcept = default;
+
   /// Applies one update using the gradients currently accumulated in the
   /// bound parameters, then leaves gradients untouched (call zero_grad on
   /// the network afterwards / before the next backward).

@@ -1,17 +1,19 @@
 #include "nn/layers.hpp"
 
-#include <cmath>
+#include <stdexcept>
 
+#include "common/simd.hpp"
 #include "nn/init.hpp"
 
 namespace deepcat::nn {
 
 Linear::Linear(std::size_t in_features, std::size_t out_features,
-               common::Rng& rng, Init init)
+               common::Rng& rng, Init init, Activation act)
     : w_(in_features, out_features),
       b_(1, out_features),
       gw_(in_features, out_features),
-      gb_(1, out_features) {
+      gb_(1, out_features),
+      act_(act) {
   switch (init) {
     case Init::kKaiming: kaiming_uniform(w_, rng); break;
     case Init::kXavier: xavier_uniform(w_, rng); break;
@@ -19,19 +21,40 @@ Linear::Linear(std::size_t in_features, std::size_t out_features,
   }
 }
 
-Matrix Linear::forward(const Matrix& x) {
-  return forward_fused(x, Activation::kNone);
+const Matrix& Linear::forward(const Matrix& x) {
+  matmul_bias_act(x, w_, b_, act_, y_);
+  return y_;
 }
 
-Matrix Linear::forward_fused(const Matrix& x, Activation act) {
-  input_cache_ = x;
-  return matmul_bias_act(x, w_, b_, act);
+void Linear::mask_grad() {
+  if (dz_.rows() != y_.rows() || dz_.cols() != y_.cols()) {
+    throw std::invalid_argument("Linear: gradient/output shape mismatch");
+  }
+  apply_activation_grad(dz_, y_, act_);
 }
 
-Matrix Linear::backward(const Matrix& grad_out) {
-  gw_ += matmul_tn(input_cache_, grad_out);
-  gb_ += col_sums(grad_out);
-  return matmul_nt(grad_out, w_);
+void Linear::accumulate_param_grads(const Matrix& x) {
+  if (x.rows() != dz_.rows() || x.cols() != in_features()) {
+    throw std::invalid_argument("Linear: backward input shape mismatch");
+  }
+  // Straight into gw_: the GEMM accumulates on top of C, and from zeroed
+  // gradients that is the same chain a separate product would produce.
+  common::simd::gemm_tn(in_features(), out_features(), x.rows(), x.data(),
+                        x.cols(), dz_.data(), dz_.cols(), gw_.data(),
+                        gw_.cols());
+  // gb += each row in order; axpy with alpha 1 is an exact add per element.
+  for (std::size_t r = 0; r < dz_.rows(); ++r) {
+    common::simd::axpy(1.0, dz_.data() + r * dz_.cols(), gb_.data(),
+                       gb_.cols());
+  }
+}
+
+void Linear::input_grad(Matrix& dx) const {
+  dx.resize(dz_.rows(), in_features());
+  dx.set_zero();
+  common::simd::gemm_nt(dz_.rows(), in_features(), out_features(),
+                        dz_.data(), dz_.cols(), w_.data(), w_.cols(),
+                        dx.data(), dx.cols());
 }
 
 std::vector<Param> Linear::params() {
@@ -41,37 +64,6 @@ std::vector<Param> Linear::params() {
 void Linear::zero_grad() {
   gw_.set_zero();
   gb_.set_zero();
-}
-
-std::unique_ptr<Layer> Linear::clone() const {
-  auto copy = std::make_unique<Linear>(*this);
-  copy->input_cache_ = Matrix{};
-  return copy;
-}
-
-Matrix ActivationLayer::forward(const Matrix& x) {
-  Matrix y = x;
-  apply_activation(y, kind());
-  output_cache_ = y;
-  return y;
-}
-
-Matrix ActivationLayer::backward(const Matrix& grad_out) {
-  Matrix g = grad_out;
-  apply_activation_grad(g, output_cache_, kind());
-  return g;
-}
-
-std::unique_ptr<Layer> ReLU::clone() const {
-  return std::make_unique<ReLU>();
-}
-
-std::unique_ptr<Layer> Tanh::clone() const {
-  return std::make_unique<Tanh>();
-}
-
-std::unique_ptr<Layer> Sigmoid::clone() const {
-  return std::make_unique<Sigmoid>();
 }
 
 }  // namespace deepcat::nn

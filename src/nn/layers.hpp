@@ -1,9 +1,11 @@
-// Dense layers with explicit forward/backward passes. Batches are
-// row-major: x is (batch x features). Each layer caches what it needs for
-// the backward pass, so forward() must precede backward() on the same batch.
+// The dense layer: y = act(x W + b), with the element-wise activation fused
+// into the forward pass. Batches are row-major: x is (batch x features).
+// A layer owns two buffers, sized on first use and reused by every call
+// after: its output y (the backward pass reads act' from it in place) and
+// dL/dz, the gradient at its pre-activation. Mlp chains layers through
+// these buffers, so a train step allocates nothing once warm.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,107 +21,46 @@ struct Param {
   Matrix* grad = nullptr;
 };
 
-/// Abstract differentiable layer.
-class Layer {
- public:
-  virtual ~Layer() = default;
-
-  /// y = f(x); caches activations needed by backward().
-  virtual Matrix forward(const Matrix& x) = 0;
-
-  /// Given dL/dy, accumulates parameter gradients and returns dL/dx.
-  virtual Matrix backward(const Matrix& grad_out) = 0;
-
-  /// Parameter/gradient handles (empty for activations).
-  virtual std::vector<Param> params() { return {}; }
-
-  virtual void zero_grad() {}
-
-  /// Deep copy (weights included, caches excluded).
-  [[nodiscard]] virtual std::unique_ptr<Layer> clone() const = 0;
-
-  [[nodiscard]] virtual std::string name() const = 0;
-};
-
-/// Fully connected layer: y = x W + b, W is (in x out), b is (1 x out).
-class Linear final : public Layer {
+/// Fully connected layer: y = act(x W + b), W is (in x out), b is (1 x out).
+class Linear {
  public:
   enum class Init { kKaiming, kXavier, kSmallUniform };
 
   Linear(std::size_t in_features, std::size_t out_features, common::Rng& rng,
-         Init init = Init::kKaiming);
+         Init init = Init::kKaiming, Activation act = Activation::kNone);
 
-  Matrix forward(const Matrix& x) override;
-  /// Fused act(x W + b) in one kernel pass (no intermediate pre-activation
-  /// matrix). Caches x for backward exactly like forward(); the caller is
-  /// responsible for priming the downstream activation layer's cache with
-  /// the returned output (see Mlp::forward).
-  Matrix forward_fused(const Matrix& x, Activation act);
-  Matrix backward(const Matrix& grad_out) override;
-  std::vector<Param> params() override;
-  void zero_grad() override;
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
-  [[nodiscard]] std::string name() const override { return "Linear"; }
+  /// y = act(x W + b) into the layer's output buffer (bias-seeded GEMM,
+  /// then the activation in place). The reference stays valid until the
+  /// next forward() on this layer.
+  const Matrix& forward(const Matrix& x);
+
+  /// The dL/dz buffer. A caller stores dL/dy here (batch x out) and
+  /// mask_grad() turns it into dL/dz in place.
+  [[nodiscard]] Matrix& grad() noexcept { return dz_; }
+  /// grad() *= act'(y), from the output of the last forward(). Throws if
+  /// grad() does not have that output's shape.
+  void mask_grad();
+  /// gw += x^T dz and gb += column sums of dz, accumulated in place; `x` is
+  /// the input of the last forward().
+  void accumulate_param_grads(const Matrix& x);
+  /// dx = dz W^T, overwriting `dx` (resized to batch x in).
+  void input_grad(Matrix& dx) const;
+
+  std::vector<Param> params();
+  void zero_grad();
 
   [[nodiscard]] std::size_t in_features() const noexcept { return w_.rows(); }
   [[nodiscard]] std::size_t out_features() const noexcept { return w_.cols(); }
+  [[nodiscard]] const Matrix& output() const noexcept { return y_; }
   [[nodiscard]] const Matrix& weights() const noexcept { return w_; }
   [[nodiscard]] Matrix& weights() noexcept { return w_; }
   [[nodiscard]] const Matrix& bias() const noexcept { return b_; }
   [[nodiscard]] Matrix& bias() noexcept { return b_; }
 
  private:
-  Matrix w_, b_, gw_, gb_, input_cache_;
-};
-
-/// Base for element-wise activations. All supported activations have
-/// derivatives expressible in terms of their OUTPUT, so backward only needs
-/// the output cache — which lets Mlp::forward fuse the preceding Linear's
-/// GEMM with the activation and install the fused result directly via
-/// prime_from_output().
-class ActivationLayer : public Layer {
- public:
-  [[nodiscard]] virtual Activation kind() const noexcept = 0;
-
-  Matrix forward(const Matrix& x) final;
-  Matrix backward(const Matrix& grad_out) final;
-
-  /// Installs an already-activated output as this layer's backward cache
-  /// (the fused forward path computed it inside the GEMM epilogue).
-  void prime_from_output(const Matrix& y) { output_cache_ = y; }
-
- private:
-  Matrix output_cache_;
-};
-
-/// Rectified linear unit.
-class ReLU final : public ActivationLayer {
- public:
-  [[nodiscard]] Activation kind() const noexcept override {
-    return Activation::kRelu;
-  }
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
-  [[nodiscard]] std::string name() const override { return "ReLU"; }
-};
-
-/// Hyperbolic tangent; used on actor outputs before mapping to [0,1].
-class Tanh final : public ActivationLayer {
- public:
-  [[nodiscard]] Activation kind() const noexcept override {
-    return Activation::kTanh;
-  }
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
-  [[nodiscard]] std::string name() const override { return "Tanh"; }
-};
-
-/// Logistic sigmoid; maps actor outputs directly onto the [0,1] knob cube.
-class Sigmoid final : public ActivationLayer {
- public:
-  [[nodiscard]] Activation kind() const noexcept override {
-    return Activation::kSigmoid;
-  }
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
-  [[nodiscard]] std::string name() const override { return "Sigmoid"; }
+  Matrix w_, b_, gw_, gb_;
+  Activation act_;
+  Matrix y_, dz_;
 };
 
 }  // namespace deepcat::nn

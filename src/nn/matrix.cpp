@@ -48,6 +48,12 @@ void Matrix::fill(double value) noexcept {
   std::fill(data_.begin(), data_.end(), value);
 }
 
+void Matrix::resize(std::size_t rows, std::size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.resize(rows * cols);
+}
+
 namespace {
 void require_same_shape(const Matrix& a, const Matrix& b, const char* op) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) {
@@ -133,24 +139,23 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix matmul_bias_act(const Matrix& x, const Matrix& w, const Matrix& bias,
-                       Activation act) {
+void matmul_bias_act(const Matrix& x, const Matrix& w, const Matrix& bias,
+                     Activation act, Matrix& out) {
   if (x.cols() != w.rows()) {
     throw std::invalid_argument("matmul_bias_act: inner dimension mismatch");
   }
   if (bias.rows() != 1 || bias.cols() != w.cols()) {
     throw std::invalid_argument("matmul_bias_act: bias shape mismatch");
   }
-  Matrix c(x.rows(), w.cols());
+  out.resize(x.rows(), w.cols());
   // Seed every output row with the bias so the GEMM accumulates on top of
   // it — the broadcast costs one streaming write instead of a second pass.
-  for (std::size_t r = 0; r < c.rows(); ++r) {
-    std::copy(bias.row(0).begin(), bias.row(0).end(), c.row(r).begin());
+  for (std::size_t r = 0; r < out.rows(); ++r) {
+    std::copy(bias.row(0).begin(), bias.row(0).end(), out.row(r).begin());
   }
   common::simd::gemm_nn(x.rows(), w.cols(), x.cols(), x.data(), x.cols(),
-                        w.data(), w.cols(), c.data(), c.cols());
-  apply_activation(c, act);
-  return c;
+                        w.data(), w.cols(), out.data(), out.cols());
+  apply_activation(out, act);
 }
 
 void apply_activation(Matrix& y, Activation act) noexcept {
@@ -158,7 +163,7 @@ void apply_activation(Matrix& y, Activation act) noexcept {
     case Activation::kNone:
       break;
     case Activation::kRelu:
-      for (double& v : y.flat()) v = v > 0.0 ? v : 0.0;
+      common::simd::relu(y.data(), y.size());
       break;
     case Activation::kTanh:
       for (double& v : y.flat()) v = std::tanh(v);
@@ -175,9 +180,7 @@ void apply_activation_grad(Matrix& grad, const Matrix& y,
     case Activation::kNone:
       break;
     case Activation::kRelu:
-      for (std::size_t i = 0; i < grad.size(); ++i) {
-        if (y.flat()[i] <= 0.0) grad.flat()[i] = 0.0;
-      }
+      common::simd::relu_mask(grad.data(), y.data(), grad.size());
       break;
     case Activation::kTanh:
       for (std::size_t i = 0; i < grad.size(); ++i) {

@@ -1,5 +1,6 @@
 #include "nn/mlp.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -11,80 +12,72 @@ Mlp::Mlp(const std::vector<std::size_t>& dims, common::Rng& rng,
   if (dims.size() < 2) {
     throw std::invalid_argument("Mlp: need at least input and output dims");
   }
-  for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
-    const bool last = i + 2 == dims.size();
-    layers_.push_back(std::make_unique<Linear>(
-        dims[i], dims[i + 1], rng,
-        last ? Linear::Init::kSmallUniform : Linear::Init::kKaiming));
-    if (!last) {
-      layers_.push_back(std::make_unique<ReLU>());
-    }
-  }
+  Activation last_act = Activation::kNone;
   switch (out_act) {
     case OutputActivation::kNone: break;
-    case OutputActivation::kTanh: layers_.push_back(std::make_unique<Tanh>()); break;
-    case OutputActivation::kSigmoid:
-      layers_.push_back(std::make_unique<Sigmoid>());
-      break;
+    case OutputActivation::kTanh: last_act = Activation::kTanh; break;
+    case OutputActivation::kSigmoid: last_act = Activation::kSigmoid; break;
+  }
+  layers_.reserve(dims.size() - 1);
+  for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
+    const bool last = i + 2 == dims.size();
+    layers_.emplace_back(
+        dims[i], dims[i + 1], rng,
+        last ? Linear::Init::kSmallUniform : Linear::Init::kKaiming,
+        last ? last_act : Activation::kRelu);
   }
 }
 
-Mlp::Mlp(const Mlp& other) {
-  layers_.reserve(other.layers_.size());
-  for (const auto& layer : other.layers_) layers_.push_back(layer->clone());
+const Matrix& Mlp::forward(const Matrix& x) {
+  const Matrix* y = &x;
+  for (auto& layer : layers_) y = &layer.forward(*y);
+  return *y;
 }
 
-Mlp& Mlp::operator=(const Mlp& other) {
-  if (this == &other) return *this;
-  Mlp tmp(other);
-  layers_ = std::move(tmp.layers_);
-  return *this;
-}
-
-Matrix Mlp::forward(const Matrix& x) {
-  Matrix y = x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    // Fuse Linear -> activation pairs into one kernel pass: the activation
-    // runs in the GEMM epilogue and the pre-activation matrix is never
-    // materialized. The activation layer only needs its output cached for
-    // backward, which the fused result provides directly.
-    auto* linear = dynamic_cast<Linear*>(layers_[i].get());
-    auto* act = linear && i + 1 < layers_.size()
-                    ? dynamic_cast<ActivationLayer*>(layers_[i + 1].get())
-                    : nullptr;
-    if (linear && act) {
-      y = linear->forward_fused(y, act->kind());
-      act->prime_from_output(y);
-      ++i;
-    } else {
-      y = layers_[i]->forward(y);
-    }
+void Mlp::seed_output_grad(const Matrix& grad_out) {
+  const Matrix& y = layers_.back().output();
+  if (grad_out.rows() != y.rows() || grad_out.cols() != y.cols()) {
+    throw std::invalid_argument("Mlp: output gradient shape mismatch");
   }
-  return y;
+  layers_.back().grad() = grad_out;
 }
 
-Matrix Mlp::backward(const Matrix& grad_out) {
-  Matrix g = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+void Mlp::backward(const Matrix& x, const Matrix& grad_out) {
+  seed_output_grad(grad_out);
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    Linear& layer = layers_[i];
+    layer.mask_grad();
+    layer.accumulate_param_grads(i == 0 ? x : layers_[i - 1].output());
+    if (i > 0) layer.input_grad(layers_[i - 1].grad());
   }
-  return g;
+}
+
+const Matrix& Mlp::input_grad(const Matrix& grad_out) {
+  seed_output_grad(grad_out);
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    layers_[i].mask_grad();
+    layers_[i].input_grad(i == 0 ? dx_ : layers_[i - 1].grad());
+  }
+  return dx_;
 }
 
 void Mlp::zero_grad() {
-  for (auto& layer : layers_) layer->zero_grad();
+  for (auto& layer : layers_) layer.zero_grad();
 }
 
 std::vector<Param> Mlp::params() {
   std::vector<Param> all;
+  all.reserve(2 * layers_.size());
   for (auto& layer : layers_) {
-    for (auto& p : layer->params()) all.push_back(p);
+    for (auto& p : layer.params()) all.push_back(p);
   }
   return all;
 }
 
 std::vector<double> Mlp::forward_one(std::span<const double> x) {
-  const Matrix y = forward(Matrix::row_vector(x));
+  one_.resize(1, x.size());
+  std::copy(x.begin(), x.end(), one_.data());
+  const Matrix& y = forward(one_);
   return {y.flat().begin(), y.flat().end()};
 }
 

@@ -3,7 +3,7 @@
 #pragma once
 
 #include <iosfwd>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -14,24 +14,30 @@ namespace deepcat::nn {
 /// Output squashing applied after the last Linear layer.
 enum class OutputActivation { kNone, kTanh, kSigmoid };
 
-/// Sequential stack of layers with convenience builders for the DRL nets.
+/// Sequential stack of dense layers with convenience builders for the DRL
+/// nets. Forward and backward run through the layers' own reused buffers.
 class Mlp {
  public:
   Mlp() = default;
 
-  /// Builds Linear+ReLU hidden stack, final Linear (small-uniform init) and
-  /// optional squashing. `dims` = {in, h1, ..., out}; needs >= 2 entries.
+  /// Builds Linear+ReLU hidden layers and a final Linear (small-uniform
+  /// init) carrying the optional squashing. `dims` = {in, h1, ..., out};
+  /// needs >= 2 entries.
   Mlp(const std::vector<std::size_t>& dims, common::Rng& rng,
       OutputActivation out_act = OutputActivation::kNone);
 
-  Mlp(const Mlp& other);
-  Mlp& operator=(const Mlp& other);
-  Mlp(Mlp&&) noexcept = default;
-  Mlp& operator=(Mlp&&) noexcept = default;
+  /// Forward through the stack; returns the last layer's output buffer,
+  /// valid until the next forward() or forward_one() on this net.
+  const Matrix& forward(const Matrix& x);
 
-  [[nodiscard]] Matrix forward(const Matrix& x);
-  /// Backward through the whole stack; returns dL/dx.
-  Matrix backward(const Matrix& grad_out);
+  /// Backward from dL/dy for the batch of the last forward(x), which `x`
+  /// must be: accumulates every parameter gradient. dL/dx is not formed —
+  /// no caller that trains this net reads it.
+  void backward(const Matrix& x, const Matrix& grad_out);
+
+  /// dL/dx for the batch of the last forward(), leaving every parameter
+  /// gradient untouched. Valid until the next input_grad().
+  const Matrix& input_grad(const Matrix& grad_out);
 
   void zero_grad();
   [[nodiscard]] std::vector<Param> params();
@@ -51,12 +57,17 @@ class Mlp {
   void save(std::ostream& os);
   void load(std::istream& is);
 
+  /// Number of dense layers (each carries its activation).
   [[nodiscard]] std::size_t num_layers() const noexcept {
     return layers_.size();
   }
 
  private:
-  std::vector<std::unique_ptr<Layer>> layers_;
+  /// Seeds the last layer's dL/dz buffer with `grad_out`.
+  void seed_output_grad(const Matrix& grad_out);
+
+  std::vector<Linear> layers_;
+  Matrix one_, dx_;  // forward_one input row; input_grad() result
 };
 
 /// Mean-squared-error loss over a batch: L = mean((pred - target)^2).

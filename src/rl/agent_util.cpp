@@ -7,77 +7,89 @@ namespace deepcat::rl {
 
 namespace {
 template <typename Selector>
-nn::Matrix pack(std::span<const Transition* const> batch, Selector select) {
+void pack(std::span<const Transition* const> batch, Selector select,
+          nn::Matrix& out) {
   if (batch.empty()) throw std::invalid_argument("pack: empty batch");
-  const auto& first = select(*batch.front());
-  nn::Matrix m(batch.size(), first.size());
+  const std::size_t cols = select(*batch.front()).size();
+  out.resize(batch.size(), cols);
   for (std::size_t r = 0; r < batch.size(); ++r) {
     const auto& v = select(*batch[r]);
-    if (v.size() != m.cols()) {
+    if (v.size() != cols) {
       throw std::invalid_argument("pack: ragged transition vectors");
     }
-    std::copy(v.begin(), v.end(), m.row(r).begin());
+    std::copy(v.begin(), v.end(), out.row(r).begin());
   }
-  return m;
 }
 }  // namespace
 
-nn::Matrix states_of(std::span<const Transition* const> batch) {
-  return pack(batch, [](const Transition& t) -> const std::vector<double>& {
+void states_of(std::span<const Transition* const> batch, nn::Matrix& out) {
+  pack(batch, [](const Transition& t) -> const std::vector<double>& {
     return t.state;
-  });
+  }, out);
 }
 
-nn::Matrix actions_of(std::span<const Transition* const> batch) {
-  return pack(batch, [](const Transition& t) -> const std::vector<double>& {
+void actions_of(std::span<const Transition* const> batch, nn::Matrix& out) {
+  pack(batch, [](const Transition& t) -> const std::vector<double>& {
     return t.action;
-  });
+  }, out);
 }
 
-nn::Matrix next_states_of(std::span<const Transition* const> batch) {
-  return pack(batch, [](const Transition& t) -> const std::vector<double>& {
+void next_states_of(std::span<const Transition* const> batch,
+                    nn::Matrix& out) {
+  pack(batch, [](const Transition& t) -> const std::vector<double>& {
     return t.next_state;
-  });
+  }, out);
 }
 
-nn::Matrix rewards_of(std::span<const Transition* const> batch) {
-  nn::Matrix m(batch.size(), 1);
-  for (std::size_t r = 0; r < batch.size(); ++r) m(r, 0) = batch[r]->reward;
-  return m;
+void rewards_of(std::span<const Transition* const> batch, nn::Matrix& out) {
+  out.resize(batch.size(), 1);
+  for (std::size_t r = 0; r < batch.size(); ++r) out(r, 0) = batch[r]->reward;
 }
 
-nn::Matrix dones_of(std::span<const Transition* const> batch) {
-  nn::Matrix m(batch.size(), 1);
+void dones_of(std::span<const Transition* const> batch, nn::Matrix& out) {
+  out.resize(batch.size(), 1);
   for (std::size_t r = 0; r < batch.size(); ++r) {
-    m(r, 0) = batch[r]->done ? 1.0 : 0.0;
+    out(r, 0) = batch[r]->done ? 1.0 : 0.0;
   }
-  return m;
 }
 
-nn::Matrix concat_cols(const nn::Matrix& a, const nn::Matrix& b) {
+void concat_cols(const nn::Matrix& a, const nn::Matrix& b, nn::Matrix& out) {
   if (a.rows() != b.rows()) {
     throw std::invalid_argument("concat_cols: row mismatch");
   }
-  nn::Matrix c(a.rows(), a.cols() + b.cols());
+  out.resize(a.rows(), a.cols() + b.cols());
   for (std::size_t r = 0; r < a.rows(); ++r) {
-    auto dst = c.row(r);
+    auto dst = out.row(r);
     std::copy(a.row(r).begin(), a.row(r).end(), dst.begin());
     std::copy(b.row(r).begin(), b.row(r).end(),
               dst.begin() + static_cast<std::ptrdiff_t>(a.cols()));
   }
-  return c;
 }
 
-nn::Matrix right_cols(const nn::Matrix& m, std::size_t cols) {
+void right_cols(const nn::Matrix& m, std::size_t cols, nn::Matrix& out) {
   if (cols > m.cols()) throw std::invalid_argument("right_cols: too wide");
-  nn::Matrix out(m.rows(), cols);
+  out.resize(m.rows(), cols);
   const std::size_t offset = m.cols() - cols;
   for (std::size_t r = 0; r < m.rows(); ++r) {
     const auto src = m.row(r);
     std::copy(src.begin() + static_cast<std::ptrdiff_t>(offset), src.end(),
               out.row(r).begin());
   }
-  return out;
+}
+
+void state_action_row(std::span<const double> s, std::span<const double> a,
+                      nn::Matrix& out) {
+  out.resize(1, s.size() + a.size());
+  std::copy(s.begin(), s.end(), out.data());
+  std::copy(a.begin(), a.end(), out.data() + s.size());
+}
+
+void StepBuffers::pack(std::span<const Transition* const> batch) {
+  states_of(batch, s);
+  actions_of(batch, a);
+  rewards_of(batch, r);
+  next_states_of(batch, s_next);
+  dones_of(batch, done);
 }
 
 }  // namespace deepcat::rl

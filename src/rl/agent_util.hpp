@@ -9,22 +9,40 @@
 
 namespace deepcat::rl {
 
-/// (m x state_dim) matrix of batch states.
-[[nodiscard]] nn::Matrix states_of(std::span<const Transition* const> batch);
-/// (m x action_dim) matrix of batch actions.
-[[nodiscard]] nn::Matrix actions_of(std::span<const Transition* const> batch);
-/// (m x state_dim) matrix of next states.
-[[nodiscard]] nn::Matrix next_states_of(
-    std::span<const Transition* const> batch);
-/// (m x 1) rewards column.
-[[nodiscard]] nn::Matrix rewards_of(std::span<const Transition* const> batch);
-/// (m x 1) terminal flags (1.0 if done).
-[[nodiscard]] nn::Matrix dones_of(std::span<const Transition* const> batch);
+// Every packer writes into a caller-owned matrix, resized in place, so an
+// agent's batch buffers are allocated once and reused by every train step.
 
-/// [A | B] column-wise concatenation (same row count).
-[[nodiscard]] nn::Matrix concat_cols(const nn::Matrix& a, const nn::Matrix& b);
+/// out = (m x state_dim) batch states.
+void states_of(std::span<const Transition* const> batch, nn::Matrix& out);
+/// out = (m x action_dim) batch actions.
+void actions_of(std::span<const Transition* const> batch, nn::Matrix& out);
+/// out = (m x state_dim) next states.
+void next_states_of(std::span<const Transition* const> batch,
+                    nn::Matrix& out);
+/// out = (m x 1) rewards column.
+void rewards_of(std::span<const Transition* const> batch, nn::Matrix& out);
+/// out = (m x 1) terminal flags (1.0 if done).
+void dones_of(std::span<const Transition* const> batch, nn::Matrix& out);
 
-/// Right `cols` columns of `m` (used to slice dQ/da out of dQ/d[s,a]).
-[[nodiscard]] nn::Matrix right_cols(const nn::Matrix& m, std::size_t cols);
+/// out = [A | B] column-wise concatenation (same row count).
+void concat_cols(const nn::Matrix& a, const nn::Matrix& b, nn::Matrix& out);
+
+/// out = the right `cols` columns of `m` (slices dQ/da out of dQ/d[s,a]).
+void right_cols(const nn::Matrix& m, std::size_t cols, nn::Matrix& out);
+
+/// out = the 1 x (|s| + |a|) row [s | a]: one critic probe's input.
+void state_action_row(std::span<const double> s, std::span<const double> a,
+                      nn::Matrix& out);
+
+/// The matrices one train step packs its batch into and chains its network
+/// passes through. An agent keeps one and reuses it every step.
+struct StepBuffers {
+  nn::Matrix s, a, r, s_next, done;  ///< the sampled batch
+  nn::Matrix sa, target_in, pi_in;   ///< [s|a], [s'|a'], [s|pi(s)]
+  nn::Matrix y, grad, dq, d_action;  ///< TD targets and output gradients
+
+  /// Packs the batch's five transition fields into s, a, r, s_next, done.
+  void pack(std::span<const Transition* const> batch);
+};
 
 }  // namespace deepcat::rl

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "common/math_util.hpp"
-#include "rl/agent_util.hpp"
 
 namespace deepcat::rl {
 
@@ -59,63 +58,58 @@ std::vector<double> DdpgAgent::act_noisy(std::span<const double> state,
 
 double DdpgAgent::q_value(std::span<const double> state,
                           std::span<const double> action) {
-  std::vector<double> input(state.begin(), state.end());
-  input.insert(input.end(), action.begin(), action.end());
-  return critic_.forward_one(input)[0];
+  state_action_row(state, action, q_in_);
+  return critic_.forward(q_in_)(0, 0);
 }
 
 DdpgTrainStats DdpgAgent::train_step(ReplayBuffer& buffer, common::Rng& rng) {
   const SampledBatch batch = buffer.sample(config_.batch_size, rng);
   const auto m = batch.size();
-
-  const nn::Matrix s = states_of(batch.transitions);
-  const nn::Matrix a = actions_of(batch.transitions);
-  const nn::Matrix r = rewards_of(batch.transitions);
-  const nn::Matrix s_next = next_states_of(batch.transitions);
-  const nn::Matrix done = dones_of(batch.transitions);
+  StepBuffers& b = buf_;
+  b.pack(batch.transitions);
 
   // y = r + gamma * Q'(s', mu'(s')) — no smoothing, single critic: this is
   // precisely the overestimation-prone target TD3 was designed to fix.
-  const nn::Matrix a_next = actor_target_.forward(s_next);
-  const nn::Matrix q_next = critic_target_.forward(concat_cols(s_next, a_next));
-  nn::Matrix y(m, 1);
+  concat_cols(b.s_next, actor_target_.forward(b.s_next), b.target_in);
+  const nn::Matrix& q_next = critic_target_.forward(b.target_in);
+  b.y.resize(m, 1);
   for (std::size_t i = 0; i < m; ++i) {
-    y(i, 0) = r(i, 0) + config_.gamma * (1.0 - done(i, 0)) * q_next(i, 0);
+    b.y(i, 0) = b.r(i, 0) + config_.gamma * (1.0 - b.done(i, 0)) * q_next(i, 0);
   }
 
   DdpgTrainStats stats;
   std::vector<double> td_errors(m);
 
   critic_.zero_grad();
-  const nn::Matrix pred = critic_.forward(concat_cols(s, a));
-  nn::Matrix grad(m, 1);
+  concat_cols(b.s, b.a, b.sa);
+  const nn::Matrix& pred = critic_.forward(b.sa);
+  b.grad.resize(m, 1);
   double loss = 0.0;
   for (std::size_t i = 0; i < m; ++i) {
-    const double diff = pred(i, 0) - y(i, 0);
+    const double diff = pred(i, 0) - b.y(i, 0);
     const double w = batch.weights[i];
     loss += w * diff * diff;
-    grad(i, 0) = 2.0 * w * diff / static_cast<double>(m);
+    b.grad(i, 0) = 2.0 * w * diff / static_cast<double>(m);
     td_errors[i] = diff;
   }
-  critic_.backward(grad);
+  critic_.backward(b.sa, b.grad);
   critic_opt_.step();
   stats.critic_loss = loss / static_cast<double>(m);
   buffer.update_priorities(batch.ids, td_errors);
 
-  // Actor ascent on Q(s, mu(s)).
+  // Actor ascent on Q(s, mu(s)); the critic only forms dQ/d(input).
   actor_.zero_grad();
-  critic_.zero_grad();
-  const nn::Matrix a_pi = actor_.forward(s);
-  const nn::Matrix q = critic_.forward(concat_cols(s, a_pi));
+  concat_cols(b.s, actor_.forward(b.s), b.pi_in);
+  const nn::Matrix& q = critic_.forward(b.pi_in);
   double q_mean = 0.0;
   for (std::size_t i = 0; i < m; ++i) q_mean += q(i, 0);
   stats.actor_loss = -q_mean / static_cast<double>(m);
 
-  nn::Matrix dq(m, 1, -1.0 / static_cast<double>(m));
-  const nn::Matrix d_input = critic_.backward(dq);
-  actor_.backward(right_cols(d_input, config_.action_dim));
+  b.dq.resize(m, 1);
+  b.dq.fill(-1.0 / static_cast<double>(m));
+  right_cols(critic_.input_grad(b.dq), config_.action_dim, b.d_action);
+  actor_.backward(b.s, b.d_action);
   actor_opt_.step();
-  critic_.zero_grad();
 
   actor_target_.soft_update_from(actor_, config_.tau);
   critic_target_.soft_update_from(critic_, config_.tau);

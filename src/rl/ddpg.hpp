@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "nn/adam.hpp"
 #include "nn/mlp.hpp"
+#include "rl/agent_util.hpp"
 #include "rl/replay.hpp"
 
 namespace deepcat::rl {
@@ -30,6 +31,7 @@ struct DdpgTrainStats {
   double actor_loss = 0.0;
 };
 
+/// Move-only, like nn::Adam (see Td3Agent).
 class DdpgAgent {
  public:
   DdpgAgent(DdpgConfig config, common::Rng& rng);
@@ -55,6 +57,8 @@ class DdpgAgent {
   nn::Mlp actor_, actor_target_, critic_, critic_target_;
   nn::Adam actor_opt_, critic_opt_;
   std::size_t steps_ = 0;
+  StepBuffers buf_;
+  nn::Matrix q_in_;  // q_value's 1 x (state + action) input row
 };
 
 }  // namespace deepcat::rl

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "common/math_util.hpp"
-#include "rl/agent_util.hpp"
 
 namespace deepcat::rl {
 
@@ -89,10 +88,9 @@ std::vector<double> Td3Agent::act_noisy(std::span<const double> state,
 
 std::pair<double, double> Td3Agent::twin_q(std::span<const double> state,
                                            std::span<const double> action) {
-  std::vector<double> input(state.begin(), state.end());
-  input.insert(input.end(), action.begin(), action.end());
-  const double q1 = critic1_.forward_one(input)[0];
-  const double q2 = critic2_.forward_one(input)[0];
+  state_action_row(state, action, q_in_);
+  const double q1 = critic1_.forward(q_in_)(0, 0);
+  const double q2 = critic2_.forward(q_in_)(0, 0);
   return {q1, q2};
 }
 
@@ -113,50 +111,48 @@ std::size_t Td3Agent::fine_tune(ReplayBuffer& buffer, common::Rng& rng,
 Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng) {
   const SampledBatch batch = buffer.sample(config_.batch_size, rng);
   const auto m = batch.size();
+  StepBuffers& b = buf_;
+  b.pack(batch.transitions);
 
-  const nn::Matrix s = states_of(batch.transitions);
-  const nn::Matrix a = actions_of(batch.transitions);
-  const nn::Matrix r = rewards_of(batch.transitions);
-  const nn::Matrix s_next = next_states_of(batch.transitions);
-  const nn::Matrix done = dones_of(batch.transitions);
-
-  // Target action with clipped smoothing noise (TD3 trick #3).
-  nn::Matrix a_next = actor_target_.forward(s_next);
-  for (double& v : a_next.flat()) {
-    const double eps = common::clamp(rng.normal(0.0, config_.policy_noise),
-                                     -config_.noise_clip, config_.noise_clip);
-    v = common::clamp(v + eps, 0.0, 1.0);
+  // Target action with clipped smoothing noise (TD3 trick #3), applied in
+  // place to the action columns of the target critics' input [s' | a'].
+  concat_cols(b.s_next, actor_target_.forward(b.s_next), b.target_in);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (double& v : b.target_in.row(i).subspan(b.s_next.cols())) {
+      const double eps = common::clamp(rng.normal(0.0, config_.policy_noise),
+                                       -config_.noise_clip, config_.noise_clip);
+      v = common::clamp(v + eps, 0.0, 1.0);
+    }
   }
 
   // Clipped double-Q target (TD3 trick #1).
-  const nn::Matrix target_in = concat_cols(s_next, a_next);
-  const nn::Matrix q1_next = critic1_target_.forward(target_in);
-  const nn::Matrix q2_next = critic2_target_.forward(target_in);
-  nn::Matrix y(m, 1);
+  const nn::Matrix& q1_next = critic1_target_.forward(b.target_in);
+  const nn::Matrix& q2_next = critic2_target_.forward(b.target_in);
+  b.y.resize(m, 1);
   for (std::size_t i = 0; i < m; ++i) {
     const double q_min = std::min(q1_next(i, 0), q2_next(i, 0));
-    y(i, 0) = r(i, 0) + config_.gamma * (1.0 - done(i, 0)) * q_min;
+    b.y(i, 0) = b.r(i, 0) + config_.gamma * (1.0 - b.done(i, 0)) * q_min;
   }
 
-  const nn::Matrix critic_in = concat_cols(s, a);
+  concat_cols(b.s, b.a, b.sa);
   Td3TrainStats stats;
   std::vector<double> td_errors(m);
 
   auto update_critic = [&](nn::Mlp& critic, nn::Adam& opt,
                            bool record_td) -> double {
     critic.zero_grad();
-    const nn::Matrix pred = critic.forward(critic_in);
+    const nn::Matrix& pred = critic.forward(b.sa);
     // Importance-weighted MSE (weights are 1.0 for uniform/RDPER).
-    nn::Matrix grad(m, 1);
+    b.grad.resize(m, 1);
     double loss = 0.0;
     for (std::size_t i = 0; i < m; ++i) {
-      const double diff = pred(i, 0) - y(i, 0);
+      const double diff = pred(i, 0) - b.y(i, 0);
       const double w = batch.weights[i];
       loss += w * diff * diff;
-      grad(i, 0) = 2.0 * w * diff / static_cast<double>(m);
+      b.grad(i, 0) = 2.0 * w * diff / static_cast<double>(m);
       if (record_td) td_errors[i] = diff;
     }
-    critic.backward(grad);
+    critic.backward(b.sa, b.grad);
     opt.step();
     return loss / static_cast<double>(m);
   };
@@ -168,17 +164,10 @@ Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng) {
   ++steps_;
   // Delayed policy + target updates (TD3 trick #2).
   if (steps_ % config_.policy_delay == 0) {
-    update_actor(s);
+    stats.actor_loss = update_actor();
     actor_target_.soft_update_from(actor_, config_.tau);
     critic1_target_.soft_update_from(critic1_, config_.tau);
     critic2_target_.soft_update_from(critic2_, config_.tau);
-
-    // Recompute actor loss for reporting: -mean(Q1(s, pi(s))).
-    const nn::Matrix a_pi = actor_.forward(s);
-    const nn::Matrix q = critic1_.forward(concat_cols(s, a_pi));
-    double q_mean = 0.0;
-    for (std::size_t i = 0; i < m; ++i) q_mean += q(i, 0);
-    stats.actor_loss = -q_mean / static_cast<double>(m);
   }
   if (obs_train_steps_ != nullptr) {
     obs_train_steps_->add(1);
@@ -197,26 +186,25 @@ Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng) {
   return stats;
 }
 
-void Td3Agent::update_actor(const nn::Matrix& states) {
+double Td3Agent::update_actor() {
   // Maximize Q1(s, pi(s)): gradient of -mean(Q1) w.r.t. actor parameters,
-  // chained through the critic input (paper Eq. 4 decomposition).
+  // chained through the critic input (paper Eq. 4 decomposition). Only
+  // dQ1/d(input) is formed for the critic; its parameter gradients would
+  // be discarded, and the actor's own dL/ds is never read.
+  StepBuffers& b = buf_;
   actor_.zero_grad();
-  critic1_.zero_grad();
+  concat_cols(b.s, actor_.forward(b.s), b.pi_in);
+  const nn::Matrix& q = critic1_.forward(b.pi_in);
+  const std::size_t m = q.rows();
+  double q_mean = 0.0;
+  for (std::size_t i = 0; i < m; ++i) q_mean += q(i, 0);
 
-  const nn::Matrix a_pi = actor_.forward(states);
-  const nn::Matrix critic_in = concat_cols(states, a_pi);
-  const nn::Matrix q = critic1_.forward(critic_in);
-
-  nn::Matrix dq(q.rows(), 1,
-                -1.0 / static_cast<double>(q.rows()));  // d(-mean Q)/dQ
-  const nn::Matrix d_input = critic1_.backward(dq);
-  const nn::Matrix d_action = right_cols(d_input, config_.action_dim);
-
-  actor_.backward(d_action);
+  b.dq.resize(m, 1);
+  b.dq.fill(-1.0 / static_cast<double>(m));  // d(-mean Q)/dQ
+  right_cols(critic1_.input_grad(b.dq), config_.action_dim, b.d_action);
+  actor_.backward(b.s, b.d_action);
   actor_opt_.step();
-  // The critic's parameter gradients from this pass are a by-product;
-  // discard them so the next critic update starts clean.
-  critic1_.zero_grad();
+  return -q_mean / static_cast<double>(m);
 }
 
 std::vector<std::pair<const char*, nn::Mlp*>> Td3Agent::networks() {

@@ -14,6 +14,7 @@
 #include "nn/adam.hpp"
 #include "nn/mlp.hpp"
 #include "obs/sink.hpp"
+#include "rl/agent_util.hpp"
 #include "rl/replay.hpp"
 
 namespace deepcat::rl {
@@ -44,6 +45,8 @@ struct Td3TrainStats {
   std::optional<double> actor_loss;
 };
 
+/// Move-only, like nn::Adam: a copy's optimizers would step this agent's
+/// networks, so the copy would never learn.
 class Td3Agent {
  public:
   Td3Agent(Td3Config config, common::Rng& rng);
@@ -64,7 +67,9 @@ class Td3Agent {
                              std::span<const double> action);
 
   /// One gradient step on a batch sampled from `buffer`. Also feeds TD
-  /// errors back for prioritized buffers. Requires buffer.size() > 0.
+  /// errors back for prioritized buffers. Requires buffer.size() > 0. On
+  /// policy steps actor_loss is -mean Q1(s, pi(s)) as the actor update saw
+  /// it, i.e. before that update.
   Td3TrainStats train_step(ReplayBuffer& buffer, common::Rng& rng);
 
   /// Bounded continuous-update hook for the serving layer: takes up to
@@ -94,13 +99,16 @@ class Td3Agent {
   void load(std::istream& is);
 
  private:
-  void update_actor(const nn::Matrix& states);
+  /// One policy step on buf_.s; returns -mean Q1(s, pi(s)) before it.
+  double update_actor();
 
   Td3Config config_;
   nn::Mlp actor_, actor_target_;
   nn::Mlp critic1_, critic2_, critic1_target_, critic2_target_;
   nn::Adam actor_opt_, critic1_opt_, critic2_opt_;
   std::size_t steps_ = 0;
+  StepBuffers buf_;
+  nn::Matrix q_in_;  // twin_q's 1 x (state + action) input row
   // Metric handles resolved once at construction (registry lookups lock).
   obs::Counter* obs_train_steps_ = nullptr;
   obs::Gauge* obs_critic1_loss_ = nullptr;

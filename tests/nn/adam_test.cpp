@@ -74,7 +74,7 @@ TEST(AdamTest, TrainsRegressionNetwork) {
     net.zero_grad();
     const Matrix pred = net.forward(x);
     (void)mse_loss(pred, y, grad);
-    net.backward(grad);
+    net.backward(x, grad);
     opt.step();
   }
   batch(x, y);

@@ -137,11 +137,12 @@ TEST(KernelsTest, MatmulBiasActMatchesUnfusedComposition) {
         }
       }
 
-      expect_close(matmul_bias_act(x, w, bias, act), expected,
-                   "matmul_bias_act vectorized");
+      Matrix out;
+      matmul_bias_act(x, w, bias, act, out);
+      expect_close(out, expected, "matmul_bias_act vectorized");
       common::simd::force_scalar(true);
-      expect_close(matmul_bias_act(x, w, bias, act), expected,
-                   "matmul_bias_act scalar");
+      matmul_bias_act(x, w, bias, act, out);
+      expect_close(out, expected, "matmul_bias_act scalar");
       common::simd::force_scalar(false);
     }
   }
@@ -175,14 +176,16 @@ TEST(KernelsTest, BlockedTransposeIsExact) {
 TEST(KernelsTest, FusedLinearForwardMatchesUnfusedLayers) {
   Rng rng(27);
   for (const Activation act : {Activation::kRelu, Activation::kTanh}) {
-    Linear fused_layer(10, 13, rng);
-    Linear plain_layer = fused_layer;
+    Linear fused_layer(10, 13, rng, Linear::Init::kKaiming, act);
+    Linear plain_layer(10, 13, rng);
+    plain_layer.weights() = fused_layer.weights();
+    plain_layer.bias() = fused_layer.bias();
     const Matrix x = random_matrix(5, 10, rng);
 
-    const Matrix fused = fused_layer.forward_fused(x, act);
+    const Matrix fused = fused_layer.forward(x);
     Matrix unfused = plain_layer.forward(x);
     apply_activation(unfused, act);
-    expect_close(fused, unfused, "forward_fused");
+    expect_close(fused, unfused, "fused forward");
   }
 }
 

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
+#include <stdexcept>
 
 #include "common/rng.hpp"
 #include "nn/mlp.hpp"
@@ -11,18 +11,21 @@
 namespace deepcat::nn {
 namespace {
 
-// Central-difference numerical gradient check of dL/dx for any layer,
-// with L = sum(y * g) for a fixed random g (so dL/dy = g).
-void check_input_gradient(Layer& layer, std::size_t in_features,
-                          std::uint64_t seed, double tol = 1e-5) {
+// Central-difference numerical gradient check of dL/dx for a layer, with
+// L = sum(y * g) for a fixed random g (so dL/dy = g).
+void check_input_gradient(Linear& layer, std::uint64_t seed,
+                          double tol = 1e-5) {
   common::Rng rng(seed);
-  Matrix x(3, in_features);
+  Matrix x(3, layer.in_features());
   for (double& v : x.flat()) v = rng.normal(0.0, 0.7);
-  Matrix g(3, layer.forward(x).cols());
+  Matrix g(3, layer.out_features());
   for (double& v : g.flat()) v = rng.normal();
 
   (void)layer.forward(x);
-  const Matrix dx = layer.backward(g);
+  layer.grad() = g;
+  layer.mask_grad();
+  Matrix dx;
+  layer.input_grad(dx);
 
   const double eps = 1e-6;
   for (std::size_t i = 0; i < x.size(); ++i) {
@@ -37,9 +40,25 @@ void check_input_gradient(Layer& layer, std::size_t in_features,
       lm += ym.flat()[k] * g.flat()[k];
     }
     const double numeric = (lp - lm) / (2.0 * eps);
-    // Re-prime the cache with the base input before the analytic compare.
     EXPECT_NEAR(dx.flat()[i], numeric, tol) << "input index " << i;
   }
+}
+
+// A square layer with identity weights and zero bias: its output is
+// act(x), which isolates the activation.
+Linear activation_layer(std::size_t n, Activation act) {
+  common::Rng rng(0);
+  Linear layer(n, n, rng, Linear::Init::kKaiming, act);
+  layer.weights() = Matrix::identity(n);
+  layer.bias().set_zero();
+  return layer;
+}
+
+// Backward for one batch: dL/dy = g, accumulating parameter gradients.
+void backward(Linear& layer, const Matrix& x, const Matrix& g) {
+  layer.grad() = g;
+  layer.mask_grad();
+  layer.accumulate_param_grads(x);
 }
 
 TEST(LinearTest, ForwardComputesAffine) {
@@ -55,7 +74,7 @@ TEST(LinearTest, ForwardComputesAffine) {
 TEST(LinearTest, InputGradientMatchesNumeric) {
   common::Rng rng(2);
   Linear lin(4, 3, rng);
-  check_input_gradient(lin, 4, 99);
+  check_input_gradient(lin, 99);
 }
 
 TEST(LinearTest, ParameterGradientsMatchNumeric) {
@@ -68,7 +87,7 @@ TEST(LinearTest, ParameterGradientsMatchNumeric) {
 
   lin.zero_grad();
   (void)lin.forward(x);
-  (void)lin.backward(g);
+  backward(lin, x, g);
   auto params = lin.params();
   ASSERT_EQ(params.size(), 2u);
 
@@ -99,28 +118,38 @@ TEST(LinearTest, GradientsAccumulateAcrossBackwardCalls) {
   Matrix g(1, 2, 1.0);
   lin.zero_grad();
   (void)lin.forward(x);
-  (void)lin.backward(g);
+  backward(lin, x, g);
   const double once = lin.params()[0].grad->flat()[0];
   (void)lin.forward(x);
-  (void)lin.backward(g);
+  backward(lin, x, g);
   EXPECT_NEAR(lin.params()[0].grad->flat()[0], 2.0 * once, 1e-12);
   lin.zero_grad();
   EXPECT_DOUBLE_EQ(lin.params()[0].grad->flat()[0], 0.0);
 }
 
+TEST(LinearTest, BackwardRejectsMismatchedShapes) {
+  common::Rng rng(4);
+  Linear lin(2, 3, rng);
+  (void)lin.forward(Matrix(4, 2, 1.0));
+  lin.grad() = Matrix(3, 3, 1.0);  // 3 rows against a 4-row output
+  EXPECT_THROW(lin.mask_grad(), std::invalid_argument);
+  lin.grad() = Matrix(4, 3, 1.0);
+  lin.mask_grad();
+  EXPECT_THROW(lin.accumulate_param_grads(Matrix(4, 5)),
+               std::invalid_argument);
+}
+
 TEST(LinearTest, CloneIsDeepCopy) {
   common::Rng rng(5);
   Linear lin(2, 2, rng);
-  auto copy = lin.clone();
-  auto* copy_lin = dynamic_cast<Linear*>(copy.get());
-  ASSERT_NE(copy_lin, nullptr);
-  EXPECT_EQ(copy_lin->weights(), lin.weights());
+  const Linear copy = lin;
+  EXPECT_EQ(copy.weights(), lin.weights());
   lin.weights()(0, 0) += 1.0;
-  EXPECT_NE(copy_lin->weights(), lin.weights());
+  EXPECT_NE(copy.weights(), lin.weights());
 }
 
 TEST(ReLUTest, ForwardClampsNegatives) {
-  ReLU relu;
+  Linear relu = activation_layer(3, Activation::kRelu);
   const Matrix y = relu.forward(Matrix{{-1.0, 0.0, 2.0}});
   EXPECT_DOUBLE_EQ(y(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(y(0, 1), 0.0);
@@ -128,12 +157,12 @@ TEST(ReLUTest, ForwardClampsNegatives) {
 }
 
 TEST(ReLUTest, GradientMatchesNumeric) {
-  ReLU relu;
-  check_input_gradient(relu, 5, 7);
+  Linear relu = activation_layer(5, Activation::kRelu);
+  check_input_gradient(relu, 7);
 }
 
 TEST(TanhTest, ForwardAndRange) {
-  Tanh tanh_layer;
+  Linear tanh_layer = activation_layer(3, Activation::kTanh);
   const Matrix y = tanh_layer.forward(Matrix{{-100.0, 0.0, 100.0}});
   EXPECT_NEAR(y(0, 0), -1.0, 1e-12);
   EXPECT_DOUBLE_EQ(y(0, 1), 0.0);
@@ -141,12 +170,12 @@ TEST(TanhTest, ForwardAndRange) {
 }
 
 TEST(TanhTest, GradientMatchesNumeric) {
-  Tanh tanh_layer;
-  check_input_gradient(tanh_layer, 4, 8);
+  Linear tanh_layer = activation_layer(4, Activation::kTanh);
+  check_input_gradient(tanh_layer, 8);
 }
 
 TEST(SigmoidTest, ForwardValues) {
-  Sigmoid sig;
+  Linear sig = activation_layer(3, Activation::kSigmoid);
   const Matrix y = sig.forward(Matrix{{0.0, 100.0, -100.0}});
   EXPECT_DOUBLE_EQ(y(0, 0), 0.5);
   EXPECT_NEAR(y(0, 1), 1.0, 1e-12);
@@ -154,16 +183,8 @@ TEST(SigmoidTest, ForwardValues) {
 }
 
 TEST(SigmoidTest, GradientMatchesNumeric) {
-  Sigmoid sig;
-  check_input_gradient(sig, 4, 9);
-}
-
-TEST(LayerTest, Names) {
-  common::Rng rng(6);
-  EXPECT_EQ(Linear(1, 1, rng).name(), "Linear");
-  EXPECT_EQ(ReLU().name(), "ReLU");
-  EXPECT_EQ(Tanh().name(), "Tanh");
-  EXPECT_EQ(Sigmoid().name(), "Sigmoid");
+  Linear sig = activation_layer(4, Activation::kSigmoid);
+  check_input_gradient(sig, 9);
 }
 
 }  // namespace

@@ -12,8 +12,8 @@ namespace {
 TEST(MlpTest, BuildsExpectedStack) {
   common::Rng rng(1);
   Mlp net({4, 8, 2}, rng, OutputActivation::kSigmoid);
-  // Linear-ReLU-Linear-Sigmoid.
-  EXPECT_EQ(net.num_layers(), 4u);
+  // Linear+ReLU, then Linear+Sigmoid: the activations are fused in.
+  EXPECT_EQ(net.num_layers(), 2u);
   EXPECT_EQ(net.num_parameters(), 4u * 8 + 8 + 8 * 2 + 2);
 }
 
@@ -67,7 +67,7 @@ TEST(MlpTest, EndToEndGradientMatchesNumeric) {
   Matrix grad;
   const Matrix pred = net.forward(x);
   (void)mse_loss(pred, target, grad);
-  net.backward(grad);
+  net.backward(x, grad);
 
   const double eps = 1e-6;
   for (auto& p : net.params()) {

@@ -20,7 +20,8 @@ std::vector<const Transition*> ptrs(const std::vector<Transition>& ts) {
 
 TEST(AgentUtilTest, PacksStates) {
   const auto ts = sample_transitions();
-  const nn::Matrix s = states_of(ptrs(ts));
+  nn::Matrix s;
+  states_of(ptrs(ts), s);
   EXPECT_EQ(s.rows(), 2u);
   EXPECT_EQ(s.cols(), 2u);
   EXPECT_DOUBLE_EQ(s(0, 0), 1.0);
@@ -30,35 +31,39 @@ TEST(AgentUtilTest, PacksStates) {
 TEST(AgentUtilTest, PacksActionsNextStatesRewardsDones) {
   const auto ts = sample_transitions();
   const auto p = ptrs(ts);
-  const nn::Matrix a = actions_of(p);
+  nn::Matrix a, s2, r, d;
+  actions_of(p, a);
   EXPECT_EQ(a.cols(), 3u);
   EXPECT_DOUBLE_EQ(a(1, 2), 0.6);
-  const nn::Matrix s2 = next_states_of(p);
+  next_states_of(p, s2);
   EXPECT_DOUBLE_EQ(s2(0, 1), 4.0);
-  const nn::Matrix r = rewards_of(p);
+  rewards_of(p, r);
   EXPECT_EQ(r.cols(), 1u);
   EXPECT_DOUBLE_EQ(r(0, 0), 0.5);
   EXPECT_DOUBLE_EQ(r(1, 0), -1.5);
-  const nn::Matrix d = dones_of(p);
+  dones_of(p, d);
   EXPECT_DOUBLE_EQ(d(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(d(1, 0), 1.0);
 }
 
 TEST(AgentUtilTest, EmptyBatchThrows) {
   const std::vector<const Transition*> empty;
-  EXPECT_THROW((void)states_of(empty), std::invalid_argument);
+  nn::Matrix out;
+  EXPECT_THROW(states_of(empty, out), std::invalid_argument);
 }
 
 TEST(AgentUtilTest, RaggedBatchThrows) {
   std::vector<Transition> ts = sample_transitions();
   ts[1].state = {1.0};  // wrong dimension
-  EXPECT_THROW((void)states_of(ptrs(ts)), std::invalid_argument);
+  nn::Matrix out;
+  EXPECT_THROW(states_of(ptrs(ts), out), std::invalid_argument);
 }
 
 TEST(AgentUtilTest, ConcatCols) {
   const nn::Matrix a{{1.0, 2.0}, {3.0, 4.0}};
   const nn::Matrix b{{5.0}, {6.0}};
-  const nn::Matrix c = concat_cols(a, b);
+  nn::Matrix c;
+  concat_cols(a, b, c);
   EXPECT_EQ(c.rows(), 2u);
   EXPECT_EQ(c.cols(), 3u);
   EXPECT_DOUBLE_EQ(c(0, 2), 5.0);
@@ -66,22 +71,34 @@ TEST(AgentUtilTest, ConcatCols) {
 }
 
 TEST(AgentUtilTest, ConcatColsRowMismatchThrows) {
-  EXPECT_THROW((void)concat_cols(nn::Matrix(2, 2), nn::Matrix(3, 1)),
+  nn::Matrix out;
+  EXPECT_THROW(concat_cols(nn::Matrix(2, 2), nn::Matrix(3, 1), out),
                std::invalid_argument);
 }
 
 TEST(AgentUtilTest, RightCols) {
   const nn::Matrix m{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-  const nn::Matrix r = right_cols(m, 2);
+  nn::Matrix r;
+  right_cols(m, 2, r);
   EXPECT_EQ(r.cols(), 2u);
   EXPECT_DOUBLE_EQ(r(0, 0), 2.0);
   EXPECT_DOUBLE_EQ(r(1, 1), 6.0);
-  EXPECT_THROW((void)right_cols(m, 4), std::invalid_argument);
+  EXPECT_THROW(right_cols(m, 4, r), std::invalid_argument);
 }
 
 TEST(AgentUtilTest, RightColsFullWidthIsIdentity) {
   const nn::Matrix m{{1.0, 2.0}, {3.0, 4.0}};
-  EXPECT_EQ(right_cols(m, 2), m);
+  nn::Matrix r;
+  right_cols(m, 2, r);
+  EXPECT_EQ(r, m);
+}
+
+TEST(AgentUtilTest, StateActionRow) {
+  const std::vector<double> s{1.0, 2.0};
+  const std::vector<double> a{3.0};
+  nn::Matrix row(4, 4, 9.0);  // reused storage of another shape
+  state_action_row(s, a, row);
+  EXPECT_EQ(row, (nn::Matrix{{1.0, 2.0, 3.0}}));
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 
 #include <cmath>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
+#include "rl/ddpg.hpp"
 #include "rl/replay.hpp"
 
 namespace deepcat::rl {
@@ -194,6 +197,58 @@ TEST(Td3Test, SaveLoadThenTrainMatchesNeverSavedBitExact) {
   const std::vector<double> act{0.4};
   EXPECT_EQ(original.twin_q(s, act), clone.twin_q(s, act));
   EXPECT_EQ(original.train_steps(), clone.train_steps());
+}
+
+// A copied agent's optimizers would keep Param pointers into the source's
+// networks: train_step on the copy would step the source's weights with the
+// source's (zero) gradients, and neither agent would learn. Copying is
+// therefore not offered at all; moving is.
+TEST(Td3Test, AgentsAndOptimizersAreMoveOnly) {
+  static_assert(!std::is_copy_constructible_v<nn::Adam>);
+  static_assert(!std::is_copy_assignable_v<nn::Adam>);
+  static_assert(!std::is_copy_constructible_v<Td3Agent>);
+  static_assert(!std::is_copy_assignable_v<Td3Agent>);
+  static_assert(!std::is_copy_constructible_v<DdpgAgent>);
+  static_assert(!std::is_copy_assignable_v<DdpgAgent>);
+  static_assert(std::is_nothrow_move_constructible_v<nn::Adam>);
+  static_assert(std::is_move_constructible_v<Td3Agent>);
+  static_assert(std::is_move_assignable_v<Td3Agent>);
+  static_assert(std::is_move_constructible_v<DdpgAgent>);
+  SUCCEED();
+}
+
+// The moved-to agent owns the networks its optimizers point into, so it
+// trains exactly like an agent that never moved: same weights, same Q, bit
+// for bit, and Q has actually moved.
+TEST(Td3Test, MovedAgentLearnsLikeANeverMovedOne) {
+  common::Rng init_a(21), init_b(21);
+  Td3Agent stay(small_config(), init_a);
+  Td3Agent source(small_config(), init_b);
+  Td3Agent moved(std::move(source));
+  Td3Agent assigned(small_config(), init_b);
+  common::Rng init_c(21);
+  assigned = Td3Agent(small_config(), init_c);
+
+  common::Rng fill_rng(22);
+  UniformReplay buffer(512);
+  fill_bandit_buffer(buffer, fill_rng, 0.7, 256);
+  const std::vector<double> s{0.5, 0.5};
+  const std::vector<double> a{0.7};
+  const double q_before = stay.min_q(s, a);
+  EXPECT_EQ(moved.min_q(s, a), q_before);
+  EXPECT_EQ(assigned.min_q(s, a), q_before);
+
+  common::Rng rng_a(23), rng_b(23), rng_c(23);
+  for (int i = 0; i < 20; ++i) {
+    (void)stay.train_step(buffer, rng_a);
+    (void)moved.train_step(buffer, rng_b);
+    (void)assigned.train_step(buffer, rng_c);
+  }
+  EXPECT_NE(stay.min_q(s, a), q_before);
+  EXPECT_EQ(moved.min_q(s, a), stay.min_q(s, a));
+  EXPECT_EQ(assigned.min_q(s, a), stay.min_q(s, a));
+  EXPECT_EQ(moved.act(s), stay.act(s));
+  EXPECT_EQ(assigned.act(s), stay.act(s));
 }
 
 TEST(Td3Test, LoadRejectsTruncatedStream) {

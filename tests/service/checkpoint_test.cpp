@@ -106,6 +106,37 @@ TEST(CheckpointTest, RoundTripGivesBitIdenticalOnlineTuning) {
   }
 }
 
+// The layers, the Mlp and the agent keep their output, gradient and batch
+// buffers across calls and only overwrite them, so a reload must leave no
+// trace of what ran before it. Two instances load one blob; one first runs
+// a session on another workload and cluster and is then reloaded from the
+// blob, so only its buffers are dirty. The same session on both must give
+// identical reports and identical checkpoint bytes.
+TEST(CheckpointTest, DirtyBuffersLeaveNoTraceAfterReload) {
+  // 80 offline iterations fill more than one 64-transition batch, so both
+  // the offline and the online stages run train steps.
+  core::DeepCat master = trained_model(31, 80);
+  const std::string blob = checkpoint_to_string(master);
+  tuners::TuneBudget budget;
+  budget.max_steps = 3;
+
+  core::DeepCat clean(sparksim::cluster_a(), small_options(1));
+  checkpoint_from_string(blob, clean);
+  core::DeepCat dirty(sparksim::cluster_a(), small_options(2));
+  checkpoint_from_string(blob, dirty);
+  (void)dirty.tune_online_on(
+      sparksim::cluster_b(),
+      sparksim::make_workload(WorkloadType::kWordCount, 2.0), budget);
+  ASSERT_NE(checkpoint_to_string(dirty), blob);  // the session trained
+  checkpoint_from_string(blob, dirty);
+
+  const auto workload = sparksim::make_workload(WorkloadType::kKMeans, 1.0);
+  const auto clean_report = clean.tune_online(workload, budget);
+  const auto dirty_report = dirty.tune_online(workload, budget);
+  expect_reports_identical(clean_report, dirty_report);
+  EXPECT_EQ(checkpoint_to_string(clean), checkpoint_to_string(dirty));
+}
+
 TEST(CheckpointTest, StringAndFileHelpersRoundTrip) {
   core::DeepCat original = trained_model(11);
   const std::string blob = checkpoint_to_string(original);
