@@ -7,19 +7,17 @@
 //   bench_micro                    google-benchmark suite (default)
 //   bench_micro --json[=path]      kernel benchmark: times every GEMM/fused
 //                                  kernel once per selectable ISA tier
-//                                  (scalar/avx2/avx512 columns), register-
-//                                  blocked vs L2-tiled packed GEMM at sizes
-//                                  past the packing threshold, and GP refit
-//                                  wall time at n={512,1024,2048} with
-//                                  thread pools of {1,4,16}, the GEMMs a
-//                                  TD3 train step runs and the whole step
-//                                  (rl.td3_train_step); the header records
-//                                  nproc and the build type; every ns value
-//                                  is a min-of-N with the rep count in the
-//                                  export, emitted through the obs metrics
-//                                  exporter — a build-info line followed by
-//                                  one gauge line per statistic (the
-//                                  committed BENCH_kernels.json baseline).
+//                                  (scalar/avx2/avx512 columns), the GEMMs
+//                                  a TD3 train step runs and the whole step
+//                                  (rl.td3_train_step), and the serial GP
+//                                  refit wall time at n={512,1024,2048};
+//                                  the header records nproc and the build
+//                                  type; every ns value is a min-of-N with
+//                                  the rep count in the export, emitted
+//                                  through the obs metrics exporter — a
+//                                  build-info line followed by one gauge
+//                                  line per statistic (the committed
+//                                  BENCH_kernels.json baseline).
 //   bench_micro --json-obs[=path]  obs-overhead benchmark: the streaming
 //                                  determinism workload (8 tuning sessions
 //                                  through StreamingService) with streaming
@@ -132,11 +130,11 @@ void BM_MatMulScalar(benchmark::State& state) {
   nn::Matrix a(n, n), b(n, n);
   for (double& x : a.flat()) x = rng.normal();
   for (double& x : b.flat()) x = rng.normal();
-  common::simd::force_scalar(true);
+  common::simd::force_backend(common::simd::Backend::kScalar);
   for (auto _ : state) {
     benchmark::DoNotOptimize(nn::matmul(a, b));
   }
-  common::simd::force_scalar(false);
+  common::simd::force_backend(common::simd::Backend::kAvx512);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * n * n));
 }
@@ -433,44 +431,11 @@ void time_kernel_backends(obs::MetricsRegistry& registry,
     if (col.backend == simd::Backend::kScalar) scalar_ns = ns;
     top_ns = ns;  // columns ascend the ladder; the last is the dispatch tier
   }
-  simd::force_scalar(false);
+  simd::force_backend(simd::Backend::kAvx512);
   registry.gauge(prefix + ".reps").set(kKernelReps);
   if (scalar_ns > 0.0 && top_ns > 0.0) {
     registry.gauge(prefix + ".speedup").set(scalar_ns / top_ns);
   }
-}
-
-/// Register-blocked vs L2-tiled packed columns for one GEMM shape, per
-/// vector tier: kernel.{name}.{shape}.{tier}_blocked_ns / _packed_ns /
-/// _packed_speedup. Scalar has no packed path and is skipped.
-template <typename Fn>
-void time_gemm_paths(obs::MetricsRegistry& registry, const std::string& name,
-                     const std::string& shape, double flops, Fn&& fn) {
-  namespace simd = common::simd;
-  const std::string prefix = "kernel." + name + "." + shape;
-  for (const auto& col : selectable_columns()) {
-    if (col.backend == simd::Backend::kScalar) continue;
-    simd::force_backend(col.backend);
-    simd::force_gemm_path(simd::GemmPath::kRegisterBlocked);
-    const double blocked_ns =
-        best_ns_per_call(fn, /*min_batch_seconds=*/0.01, kKernelReps);
-    simd::force_gemm_path(simd::GemmPath::kPacked);
-    const double packed_ns =
-        best_ns_per_call(fn, /*min_batch_seconds=*/0.01, kKernelReps);
-    simd::force_gemm_path(simd::GemmPath::kAuto);
-    registry.gauge(prefix + "." + col.label + "_blocked_ns").set(blocked_ns);
-    registry.gauge(prefix + "." + col.label + "_packed_ns").set(packed_ns);
-    if (flops > 0.0) {
-      registry.gauge(prefix + "." + col.label + "_blocked_gflops")
-          .set(flops / blocked_ns);
-      registry.gauge(prefix + "." + col.label + "_packed_gflops")
-          .set(flops / packed_ns);
-    }
-    registry.gauge(prefix + "." + col.label + "_packed_speedup")
-        .set(blocked_ns / packed_ns);
-  }
-  simd::force_scalar(false);
-  registry.gauge(prefix + ".path_reps").set(kKernelReps);
 }
 
 int run_kernel_bench_json(const std::string& path) {
@@ -494,20 +459,6 @@ int run_kernel_bench_json(const std::string& path) {
     });
     time_kernel_backends(registry, "matmul_nt", shape, flops, [&] {
       benchmark::DoNotOptimize(nn::matmul_nt(a, b));
-    });
-  }
-
-  // At and above the packed threshold: register-blocked vs packed per
-  // vector tier — the acceptance columns for the L2-tiled path.
-  for (const std::size_t n : {std::size_t{256}, std::size_t{320}}) {
-    nn::Matrix a(n, n), b(n, n);
-    for (double& x : a.flat()) x = rng.normal();
-    for (double& x : b.flat()) x = rng.normal();
-    const double flops = 2.0 * static_cast<double>(n * n * n);
-    const std::string shape = std::to_string(n) + "x" + std::to_string(n) +
-                              "x" + std::to_string(n);
-    time_gemm_paths(registry, "matmul", shape, flops, [&] {
-      benchmark::DoNotOptimize(nn::matmul(a, b));
     });
   }
 
@@ -615,7 +566,7 @@ int run_kernel_bench_json(const std::string& path) {
       registry.gauge(std::string("rl.td3_train_step.") + col.label + "_ns")
           .set(ns);
     }
-    simd::force_scalar(false);
+    simd::force_backend(simd::Backend::kAvx512);
     registry.gauge("rl.td3_train_step.reps").set(kKernelReps);
   }
 
@@ -650,7 +601,6 @@ int run_kernel_bench_json(const std::string& path) {
   registry.counter("simd.scalar_dispatches").add(dispatches.scalar_calls);
   registry.counter("simd.avx2_dispatches").add(dispatches.avx2_calls);
   registry.counter("simd.avx512_dispatches").add(dispatches.avx512_calls);
-  registry.counter("simd.packed_dispatches").add(dispatches.packed_calls);
 
   // nproc and the CMake build type sit in this header, next to (not
   // inside) the shared build-info object, so every other surface that

@@ -1,5 +1,6 @@
 #include "cli/args.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace deepcat::cli {
@@ -18,12 +19,34 @@ std::string ParsedArgs::flag_or(const std::string& name,
 double ParsedArgs::number_or(const std::string& name, double fallback) const {
   const auto value = flag(name);
   if (!value) return fallback;
+  bool ok = false;
+  double x = 0.0;
   try {
-    return std::stod(*value);
+    std::size_t used = 0;
+    x = std::stod(*value, &used);
+    ok = used == value->size() && std::isfinite(x);
   } catch (const std::exception&) {
+    // not a number, or out of double range
+  }
+  if (!ok) {
     throw std::invalid_argument("flag --" + name +
                                 " expects a number, got '" + *value + "'");
   }
+  return x;
+}
+
+std::uint64_t ParsedArgs::whole_number(const std::string& name,
+                                       std::uint64_t max) const {
+  const double x = number_or(name, 0.0);
+  // 2^64 is exact in a double; below it the cast is defined.
+  if (x < 0.0 || x != std::floor(x) || x >= 18446744073709551616.0 ||
+      static_cast<std::uint64_t>(x) > max) {
+    throw std::invalid_argument("flag --" + name +
+                                " expects a whole number from 0 to " +
+                                std::to_string(max) + ", got '" +
+                                flag_or(name, "") + "'");
+  }
+  return static_cast<std::uint64_t>(x);
 }
 
 ParsedArgs parse_args(const std::vector<std::string>& argv) {

@@ -2,9 +2,12 @@
 // --flag value pairs + repeatable --set knob=value assignments.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace deepcat::cli {
@@ -19,8 +22,26 @@ struct ParsedArgs {
       const std::string& name) const;
   [[nodiscard]] std::string flag_or(const std::string& name,
                                     const std::string& fallback) const;
+  /// The whole value of flag `name` as a finite number, or `fallback`
+  /// when the flag is absent. Throws std::invalid_argument naming the flag
+  /// on trailing characters ("3abc"), nan or inf.
   [[nodiscard]] double number_or(const std::string& name,
                                  double fallback) const;
+
+  /// Integer flag `name` as T, or `fallback` when the flag is absent. Only
+  /// a whole number >= 0 that T can hold is accepted; anything else
+  /// ("-1", "2.5", "1e30") throws std::invalid_argument naming the flag.
+  template <typename T>
+  [[nodiscard]] T integer_or(const std::string& name, T fallback) const {
+    static_assert(std::is_integral_v<T>);
+    if (!flag(name)) return fallback;
+    return static_cast<T>(whole_number(name, std::numeric_limits<T>::max()));
+  }
+
+ private:
+  // number_or(name) checked to be a whole number in [0, max].
+  [[nodiscard]] std::uint64_t whole_number(const std::string& name,
+                                           std::uint64_t max) const;
 };
 
 /// Parses argv[1..): the first token is the command, an optional second

@@ -161,9 +161,8 @@ int front_end_exit_code(const net::FrontEndStats& stats) {
 int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
                      const std::string& checkpoint_dir) {
   const std::string model_name = args.flag_or("model", "default");
-  const auto train_iters =
-      static_cast<std::size_t>(args.number_or("train-iters", 0));
-  const auto seed = static_cast<std::uint64_t>(args.number_or("seed", 1));
+  const auto train_iters = args.integer_or<std::size_t>("train-iters", 0);
+  const auto seed = args.integer_or<std::uint64_t>("seed", 1);
   const auto socket_path = args.flag("socket");
   const auto tcp_spec = args.flag("tcp");
   const bool listening = socket_path.has_value() || tcp_spec.has_value();
@@ -174,19 +173,16 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
         "endpoint shares the front end's epoll loop)");
   }
   const auto shards =
-      std::max<std::size_t>(1, static_cast<std::size_t>(
-                                   args.number_or("shards", 1)));
+      std::max<std::size_t>(1, args.integer_or<std::size_t>("shards", 1));
 
   service::StreamingOptions options;
   options.service.cluster = args.flag_or("cluster", "a");
-  options.service.threads =
-      static_cast<std::size_t>(args.number_or("threads", 0));
+  options.service.threads = args.integer_or<std::size_t>("threads", 0);
   options.service.api.tuner.seed = seed;
   options.service.api.env.seed = seed + 1000;
   options.master_update_steps =
-      static_cast<std::size_t>(args.number_or("master-steps", 4));
-  options.max_loaded_models =
-      static_cast<std::size_t>(args.number_or("max-models", 4));
+      args.integer_or<std::size_t>("master-steps", 4);
+  options.max_loaded_models = args.integer_or<std::size_t>("max-models", 4);
   options.registry_dir = checkpoint_dir;
 
   // Observability taps: --trace-out (retained) / --trace-stream
@@ -229,8 +225,8 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
             std::make_unique<obs::ChromeTraceFileSink>(*trace_stream,
                                                        clock_kind);
         tracer_options.exporter = trace_sink.get();
-        tracer_options.ring_capacity = static_cast<std::size_t>(
-            args.number_or("trace-ring", 256));
+        tracer_options.ring_capacity =
+            args.integer_or<std::size_t>("trace-ring", 256);
       }
       tracer = std::make_unique<obs::Tracer>(*clock, tracer_options);
       options.service.obs.tracer = tracer.get();
@@ -242,8 +238,8 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
   // gate: --series alone turns it on (for TSER frames + GET /timeseries)
   // without paying for span bookkeeping.
   std::unique_ptr<obs::TimeSeriesRegistry> series_registry;
-  if (const double series_n = args.number_or("series", 0); series_n != 0.0) {
-    auto capacity = static_cast<std::size_t>(series_n);
+  if (auto capacity = args.integer_or<std::size_t>("series", 0);
+      capacity != 0) {
     if (capacity < 2) capacity = 128;  // --series 1 means "just enable it"
     if (capacity % 2 != 0) ++capacity;
     series_registry = std::make_unique<obs::TimeSeriesRegistry>(capacity);
@@ -257,7 +253,7 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
   }
 
   net::FrontEndOptions fe;
-  fe.tele_every = static_cast<std::size_t>(args.number_or("tele-every", 0));
+  fe.tele_every = args.integer_or<std::size_t>("tele-every", 0);
   // Logical-clock runs promise byte-identical telemetry across thread
   // counts; scheduling-dependent fields would break that promise.
   fe.tele_include_nondeterministic = !(obs_on && clock_kind == "logical");
@@ -315,10 +311,8 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
       fe.tcp_host = host.empty() ? "127.0.0.1" : host;
       fe.tcp_port = port;
     }
-    fe.max_connections =
-        static_cast<std::size_t>(args.number_or("max-conns", 256));
-    fe.max_inflight =
-        static_cast<std::size_t>(args.number_or("max-inflight", 1024));
+    fe.max_connections = args.integer_or<std::size_t>("max-conns", 256);
+    fe.max_inflight = args.integer_or<std::size_t>("max-inflight", 1024);
     fe.drain_timeout_seconds = args.number_or("drain-timeout", 5);
     fe.idle_timeout_seconds = args.number_or("idle-timeout", 0);
     // --socket alone serves exactly one connection (flushing at its END)
@@ -477,13 +471,12 @@ std::string scope_level_list() {
 
 int cmd_info(const ParsedArgs& args, std::ostream& os) {
   // Reports what THIS process would actually use: the backend comes from
-  // the live dispatch decision (CPU features + the DEEPCAT_SIMD /
-  // DEEPCAT_FORCE_SCALAR caps), not from compile flags alone. The ladder
-  // lists every tier the CPU + compile flags expose, whether or not an
-  // env cap keeps it inactive.
+  // the live dispatch decision (CPU features + the DEEPCAT_SIMD cap), not
+  // from compile flags alone. The ladder lists every tier the CPU +
+  // compile flags expose, whether or not an env cap keeps it inactive.
   namespace simd = common::simd;
-  const obs::BuildInfo info = obs::current_build_info(
-      static_cast<std::size_t>(args.number_or("threads", 0)));
+  const obs::BuildInfo info =
+      obs::current_build_info(args.integer_or<std::size_t>("threads", 0));
   if (args.number_or("json", 0) != 0.0) {
     // Flat object (cli_test parses it with a flat-JSON reader): the
     // ladder is a comma-joined string, not an array.
@@ -491,8 +484,7 @@ int cmd_info(const ParsedArgs& args, std::ostream& os) {
     obs::write_build_info_json_fields(os, info);
     os << ",\"isa_ladder\":\"" << simd::isa_ladder() << "\",\"detected\":\""
        << simd::backend_label(simd::detected_backend())
-       << "\",\"packed_gemm_min_dim\":" << simd::packed_gemm_min_dim()
-       << ",\"embedding_dim\":" << retrieval::kEmbeddingDim
+       << "\",\"embedding_dim\":" << retrieval::kEmbeddingDim
        << ",\"warm_default_k\":" << retrieval::kDefaultNeighbors
        << ",\"index_section_version\":" << service::kIndexSectionVersion
        << ",\"workload_families\":\"" << workload_family_list()
@@ -508,7 +500,6 @@ int cmd_info(const ParsedArgs& args, std::ostream& os) {
      << "detected tier:    " << simd::backend_label(simd::detected_backend())
      << '\n'
      << "simd compiled:    " << (info.simd_compiled ? "yes" : "no") << '\n'
-     << "packed gemm from: " << simd::packed_gemm_min_dim() << "^3\n"
      << "thread-pool size: " << info.threads << '\n'
      << "warm embedding:   " << retrieval::kEmbeddingDim << " dims\n"
      << "warm default k:   " << retrieval::kDefaultNeighbors << '\n'
@@ -561,9 +552,8 @@ int cmd_simulate(const ParsedArgs& args, std::ostream& os) {
   const WorkloadSpec workload = make_workload(type, size);
   const ClusterSpec cluster = cluster_from_flag(args.flag_or("cluster", "a"));
   const ConfigValues config = config_from_assignments(args);
-  const auto runs = static_cast<int>(args.number_or("runs", 1));
-  const auto seed0 =
-      static_cast<std::uint64_t>(args.number_or("seed", 1));
+  const auto runs = args.integer_or<int>("runs", 1);
+  const auto seed0 = args.integer_or<std::uint64_t>("seed", 1);
 
   const JobSimulator sim(cluster);
   for (int run = 0; run < runs; ++run) {
@@ -596,10 +586,10 @@ int cmd_tune(const ParsedArgs& args, std::ostream& os) {
   const WorkloadType type = workload_from_flag(args.flag_or("workload", "TS"));
   const double size = args.number_or("size", default_size(type));
   const ClusterSpec cluster = cluster_from_flag(args.flag_or("cluster", "a"));
-  const auto steps = static_cast<int>(args.number_or("steps", 5));
+  const auto steps = args.integer_or<int>("steps", 5);
   const auto offline_iters =
-      static_cast<std::size_t>(args.number_or("offline-iters", 1200));
-  const auto seed = static_cast<std::uint64_t>(args.number_or("seed", 1));
+      args.integer_or<std::size_t>("offline-iters", 1200);
+  const auto seed = args.integer_or<std::uint64_t>("seed", 1);
 
   core::DeepCatApiOptions options;
   options.tuner.seed = seed;
@@ -651,18 +641,16 @@ int cmd_serve(const ParsedArgs& args, std::ostream& os) {
     return cmd_serve_stream(args, os, *checkpoint_dir);
   }
   const std::string model_name = args.flag_or("model", "default");
-  const auto train_iters =
-      static_cast<std::size_t>(args.number_or("train-iters", 0));
-  const auto seed = static_cast<std::uint64_t>(args.number_or("seed", 1));
+  const auto train_iters = args.integer_or<std::size_t>("train-iters", 0);
+  const auto seed = args.integer_or<std::uint64_t>("seed", 1);
 
   service::StreamingOptions options;
   options.service.cluster = args.flag_or("cluster", "a");
-  options.service.threads =
-      static_cast<std::size_t>(args.number_or("threads", 0));
+  options.service.threads = args.integer_or<std::size_t>("threads", 0);
   options.service.api.tuner.seed = seed;
   options.service.api.env.seed = seed + 1000;
   options.master_update_steps =
-      static_cast<std::size_t>(args.number_or("master-steps", 4));
+      args.integer_or<std::size_t>("master-steps", 4);
 
   service::StreamingService svc(options);
   service::ModelRegistry registry(*checkpoint_dir);
@@ -922,9 +910,8 @@ int cmd_index_build(const ParsedArgs& args, std::ostream& os) {
   const std::string model_name = args.flag_or("model", "default");
   const std::string cluster_tag = args.flag_or("cluster", "a");
   const auto seeds =
-      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(
-                                     args.number_or("seeds", 2)));
-  const auto steps = static_cast<int>(args.number_or("steps", 5));
+      std::max<std::uint64_t>(1, args.integer_or<std::uint64_t>("seeds", 2));
+  const auto steps = args.integer_or<int>("steps", 5);
 
   service::ModelRegistry registry(*checkpoint_dir);
   const auto version = registry.latest_version(model_name);
@@ -995,8 +982,8 @@ int cmd_index_query(const ParsedArgs& args, std::ostream& os) {
     throw std::invalid_argument(
         "index query: --index index.bin and --workload TS-D1 are required");
   }
-  const auto k = static_cast<std::size_t>(args.number_or(
-      "k", static_cast<double>(retrieval::kDefaultNeighbors)));
+  const auto k =
+      args.integer_or<std::size_t>("k", retrieval::kDefaultNeighbors);
   const retrieval::Metric metric =
       retrieval::metric_from_name(args.flag_or("metric", "cosine"));
 

@@ -1,12 +1,9 @@
 #include "common/simd.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <new>
 
 #if (defined(__x86_64__) || defined(__amd64__)) && defined(__GNUC__) && \
     !defined(DEEPCAT_DISABLE_SIMD)
@@ -46,8 +43,8 @@ Backend detect_cpu_backend() noexcept {
 }
 
 // Environment cap, read once at static init: DEEPCAT_SIMD names the
-// highest tier the process may use; the legacy DEEPCAT_FORCE_SCALAR pin
-// still works. Unknown DEEPCAT_SIMD values leave the ladder uncapped.
+// highest tier the process may use. Unknown values leave the ladder
+// uncapped.
 Backend parse_env_cap() noexcept {
   Backend cap = Backend::kAvx512;
   if (const char* v = std::getenv("DEEPCAT_SIMD"); v != nullptr) {
@@ -55,23 +52,15 @@ Backend parse_env_cap() noexcept {
     else if (std::strcmp(v, "avx2") == 0) cap = Backend::kAvx2;
     else if (std::strcmp(v, "avx512") == 0) cap = Backend::kAvx512;
   }
-  if (const char* v = std::getenv("DEEPCAT_FORCE_SCALAR");
-      v != nullptr && v[0] != '\0' && v[0] != '0') {
-    cap = Backend::kScalar;
-  }
   return cap;
 }
 
 // CPU capability and the env cap are fixed at static init; the
-// programmatic cap (force_backend / force_scalar) layers on top and can
-// only lower dispatch below g_max_backend.
+// programmatic cap (force_backend) layers on top and can only lower
+// dispatch below g_max_backend.
 const Backend g_detected_backend = detect_cpu_backend();
 const Backend g_max_backend = min_backend(g_detected_backend, parse_env_cap());
 Backend g_forced_cap = Backend::kAvx512;
-GemmPath g_gemm_path = GemmPath::kAuto;
-
-// The m/n/k floor where kAuto switches GEMM to the L2-tiled packed path.
-constexpr std::size_t kPackedMinDim = 256;
 
 // Dispatch accounting for the chunky kernels (GEMM family + fused Adam).
 // Relaxed single atomics, not stripes: these kernels run for microseconds
@@ -79,7 +68,6 @@ constexpr std::size_t kPackedMinDim = 256;
 std::atomic<unsigned long long> g_scalar_calls{0};
 std::atomic<unsigned long long> g_avx2_calls{0};
 std::atomic<unsigned long long> g_avx512_calls{0};
-std::atomic<unsigned long long> g_packed_calls{0};
 
 inline void count_dispatch(Backend be) noexcept {
   switch (be) {
@@ -93,10 +81,6 @@ inline void count_dispatch(Backend be) noexcept {
       g_scalar_calls.fetch_add(1, std::memory_order_relaxed);
       break;
   }
-}
-
-inline void count_packed() noexcept {
-  g_packed_calls.fetch_add(1, std::memory_order_relaxed);
 }
 
 // ---- scalar reference kernels ------------------------------------------
@@ -1309,213 +1293,6 @@ DEEPCAT_TARGET_AVX512 void gemm_nt_avx512(std::size_t m, std::size_t n,
   }
 }
 
-// ---- L2-tiled packed GEMM path -------------------------------------------
-// BLIS-style loop nest for operands at or above kPackedMinDim in every
-// dimension: B panels (KC x NC) and A blocks (MC x KC) are copied once into
-// contiguous micro-panel layouts, so the micro-kernels stream packed memory
-// instead of striding the source matrices. One generic packing routine per
-// operand (parameterized on row/column element strides) serves all three
-// storage variants (nn/tn/nt). Panels are zero-padded to the MR/NR register
-// tile, so only full-size micro-kernel calls exist; partial edge tiles land
-// in a zeroed scratch tile and add back the valid region.
-//
-// Block sizes: KC=256 keeps an A micro-panel column strip plus a B panel
-// strip inside L2 alongside the C tile; MC=96 (a multiple of MR=4) bounds
-// the packed-A block at 192 KiB; NC=1024 (a multiple of both NR widths)
-// bounds packed B at 2 MiB — sized for the n in [256, 2048] band the GP
-// refit and bench sweeps occupy.
-
-constexpr std::size_t kPackKc = 256;
-constexpr std::size_t kPackMc = 96;
-constexpr std::size_t kPackNc = 1024;
-constexpr std::size_t kPackMr = 4;
-
-// Packs rows [i0, i0+mc) x cols [p0, p0+kc) of op(A) — element (i, p) at
-// a[i*ars + p*acs] — into mc/MR k-major micro-panels of MR rows each.
-void pack_a_block(const double* a, std::size_t ars, std::size_t acs,
-                  std::size_t i0, std::size_t mc, std::size_t p0,
-                  std::size_t kc, double* out) noexcept {
-  for (std::size_t ir = 0; ir < mc; ir += kPackMr) {
-    const std::size_t mr = std::min(kPackMr, mc - ir);
-    for (std::size_t p = 0; p < kc; ++p) {
-      const double* src = a + (i0 + ir) * ars + (p0 + p) * acs;
-      for (std::size_t r = 0; r < kPackMr; ++r) {
-        out[p * kPackMr + r] = (r < mr) ? src[r * ars] : 0.0;
-      }
-    }
-    out += kc * kPackMr;
-  }
-}
-
-// Packs rows [p0, p0+kc) x cols [j0, j0+nc) of op(B) — element (p, j) at
-// b[p*brs + j*bcs] — into nc/NR k-major micro-panels of NR columns each.
-void pack_b_block(const double* b, std::size_t brs, std::size_t bcs,
-                  std::size_t p0, std::size_t kc, std::size_t j0,
-                  std::size_t nc, std::size_t nr_width,
-                  double* out) noexcept {
-  for (std::size_t jr = 0; jr < nc; jr += nr_width) {
-    const std::size_t nr = std::min(nr_width, nc - jr);
-    for (std::size_t p = 0; p < kc; ++p) {
-      const double* src = b + (p0 + p) * brs + (j0 + jr) * bcs;
-      for (std::size_t col = 0; col < nr_width; ++col) {
-        out[p * nr_width + col] = (col < nr) ? src[col * bcs] : 0.0;
-      }
-    }
-    out += kc * nr_width;
-  }
-}
-
-// Packed micro-kernels: accumulators start at zero and add into C at the
-// end, so C(4 x NR) += packed_A(kc x 4) * packed_B(kc x NR). Broadcast-A /
-// streamed-B with per-element ascending-k FMA chains, same as the
-// register-blocked tiles.
-DEEPCAT_TARGET_AVX2 void micro_4x8_avx2(std::size_t kc, const double* pa,
-                                        const double* pb, double* c,
-                                        std::size_t ldc) noexcept {
-  __m256d c00 = _mm256_setzero_pd(), c01 = _mm256_setzero_pd();
-  __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
-  __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
-  __m256d c30 = _mm256_setzero_pd(), c31 = _mm256_setzero_pd();
-  for (std::size_t p = 0; p < kc; ++p) {
-    const __m256d b0 = _mm256_loadu_pd(pb + p * 8);
-    const __m256d b1 = _mm256_loadu_pd(pb + p * 8 + 4);
-    const double* ap = pa + p * 4;
-    __m256d av = _mm256_set1_pd(ap[0]);
-    c00 = _mm256_fmadd_pd(av, b0, c00);
-    c01 = _mm256_fmadd_pd(av, b1, c01);
-    av = _mm256_set1_pd(ap[1]);
-    c10 = _mm256_fmadd_pd(av, b0, c10);
-    c11 = _mm256_fmadd_pd(av, b1, c11);
-    av = _mm256_set1_pd(ap[2]);
-    c20 = _mm256_fmadd_pd(av, b0, c20);
-    c21 = _mm256_fmadd_pd(av, b1, c21);
-    av = _mm256_set1_pd(ap[3]);
-    c30 = _mm256_fmadd_pd(av, b0, c30);
-    c31 = _mm256_fmadd_pd(av, b1, c31);
-  }
-  _mm256_storeu_pd(c, _mm256_add_pd(_mm256_loadu_pd(c), c00));
-  _mm256_storeu_pd(c + 4, _mm256_add_pd(_mm256_loadu_pd(c + 4), c01));
-  double* r1 = c + ldc;
-  _mm256_storeu_pd(r1, _mm256_add_pd(_mm256_loadu_pd(r1), c10));
-  _mm256_storeu_pd(r1 + 4, _mm256_add_pd(_mm256_loadu_pd(r1 + 4), c11));
-  double* r2 = c + 2 * ldc;
-  _mm256_storeu_pd(r2, _mm256_add_pd(_mm256_loadu_pd(r2), c20));
-  _mm256_storeu_pd(r2 + 4, _mm256_add_pd(_mm256_loadu_pd(r2 + 4), c21));
-  double* r3 = c + 3 * ldc;
-  _mm256_storeu_pd(r3, _mm256_add_pd(_mm256_loadu_pd(r3), c30));
-  _mm256_storeu_pd(r3 + 4, _mm256_add_pd(_mm256_loadu_pd(r3 + 4), c31));
-}
-
-DEEPCAT_TARGET_AVX512 void micro_4x16_avx512(std::size_t kc, const double* pa,
-                                             const double* pb, double* c,
-                                             std::size_t ldc) noexcept {
-  __m512d c00 = _mm512_setzero_pd(), c01 = _mm512_setzero_pd();
-  __m512d c10 = _mm512_setzero_pd(), c11 = _mm512_setzero_pd();
-  __m512d c20 = _mm512_setzero_pd(), c21 = _mm512_setzero_pd();
-  __m512d c30 = _mm512_setzero_pd(), c31 = _mm512_setzero_pd();
-  for (std::size_t p = 0; p < kc; ++p) {
-    const __m512d b0 = _mm512_loadu_pd(pb + p * 16);
-    const __m512d b1 = _mm512_loadu_pd(pb + p * 16 + 8);
-    const double* ap = pa + p * 4;
-    __m512d av = _mm512_set1_pd(ap[0]);
-    c00 = _mm512_fmadd_pd(av, b0, c00);
-    c01 = _mm512_fmadd_pd(av, b1, c01);
-    av = _mm512_set1_pd(ap[1]);
-    c10 = _mm512_fmadd_pd(av, b0, c10);
-    c11 = _mm512_fmadd_pd(av, b1, c11);
-    av = _mm512_set1_pd(ap[2]);
-    c20 = _mm512_fmadd_pd(av, b0, c20);
-    c21 = _mm512_fmadd_pd(av, b1, c21);
-    av = _mm512_set1_pd(ap[3]);
-    c30 = _mm512_fmadd_pd(av, b0, c30);
-    c31 = _mm512_fmadd_pd(av, b1, c31);
-  }
-  _mm512_storeu_pd(c, _mm512_add_pd(_mm512_loadu_pd(c), c00));
-  _mm512_storeu_pd(c + 8, _mm512_add_pd(_mm512_loadu_pd(c + 8), c01));
-  double* r1 = c + ldc;
-  _mm512_storeu_pd(r1, _mm512_add_pd(_mm512_loadu_pd(r1), c10));
-  _mm512_storeu_pd(r1 + 8, _mm512_add_pd(_mm512_loadu_pd(r1 + 8), c11));
-  double* r2 = c + 2 * ldc;
-  _mm512_storeu_pd(r2, _mm512_add_pd(_mm512_loadu_pd(r2), c20));
-  _mm512_storeu_pd(r2 + 8, _mm512_add_pd(_mm512_loadu_pd(r2 + 8), c21));
-  double* r3 = c + 3 * ldc;
-  _mm512_storeu_pd(r3, _mm512_add_pd(_mm512_loadu_pd(r3), c30));
-  _mm512_storeu_pd(r3 + 8, _mm512_add_pd(_mm512_loadu_pd(r3 + 8), c31));
-}
-
-// Generic packed driver: C(m x n) += op(A)(m x k) * op(B)(k x n) with
-// element strides (ars, acs) / (brs, bcs). Returns false if the packing
-// buffers cannot be allocated (caller falls back to register-blocked).
-bool gemm_packed(Backend be, std::size_t m, std::size_t n, std::size_t k,
-                 const double* a, std::size_t ars, std::size_t acs,
-                 const double* b, std::size_t brs, std::size_t bcs,
-                 double* c, std::size_t ldc) noexcept {
-  const std::size_t nr_width = (be == Backend::kAvx512) ? 16 : 8;
-  std::unique_ptr<double[]> pb_buf(
-      new (std::nothrow) double[kPackKc * kPackNc]);
-  std::unique_ptr<double[]> pa_buf(
-      new (std::nothrow) double[kPackMc * kPackKc]);
-  if (pb_buf == nullptr || pa_buf == nullptr) return false;
-  double* const pb = pb_buf.get();
-  double* const pa = pa_buf.get();
-
-  for (std::size_t jc = 0; jc < n; jc += kPackNc) {
-    const std::size_t nc = std::min(kPackNc, n - jc);
-    for (std::size_t pc = 0; pc < k; pc += kPackKc) {
-      const std::size_t kc = std::min(kPackKc, k - pc);
-      pack_b_block(b, brs, bcs, pc, kc, jc, nc, nr_width, pb);
-      for (std::size_t ic = 0; ic < m; ic += kPackMc) {
-        const std::size_t mc = std::min(kPackMc, m - ic);
-        pack_a_block(a, ars, acs, ic, mc, pc, kc, pa);
-        for (std::size_t jr = 0; jr < nc; jr += nr_width) {
-          const std::size_t nr = std::min(nr_width, nc - jr);
-          const double* pbp = pb + (jr / nr_width) * kc * nr_width;
-          for (std::size_t ir = 0; ir < mc; ir += kPackMr) {
-            const std::size_t mr = std::min(kPackMr, mc - ir);
-            const double* pap = pa + (ir / kPackMr) * kc * kPackMr;
-            double* cptr = c + (ic + ir) * ldc + (jc + jr);
-            if (mr == kPackMr && nr == nr_width) {
-              if (be == Backend::kAvx512) {
-                micro_4x16_avx512(kc, pap, pbp, cptr, ldc);
-              } else {
-                micro_4x8_avx2(kc, pap, pbp, cptr, ldc);
-              }
-            } else {
-              alignas(64) double tmp[kPackMr * 16];
-              std::memset(tmp, 0, sizeof(tmp));
-              if (be == Backend::kAvx512) {
-                micro_4x16_avx512(kc, pap, pbp, tmp, 16);
-              } else {
-                micro_4x8_avx2(kc, pap, pbp, tmp, 8);
-              }
-              for (std::size_t r = 0; r < mr; ++r) {
-                for (std::size_t col = 0; col < nr; ++col) {
-                  cptr[r * ldc + col] += tmp[r * nr_width + col];
-                }
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  return true;
-}
-
-// kAuto path choice: packed only once every dimension reaches the floor —
-// below it the packing traffic costs more than the strided loads it saves.
-bool use_packed_path(std::size_t m, std::size_t n, std::size_t k) noexcept {
-  switch (g_gemm_path) {
-    case GemmPath::kPacked:
-      return true;
-    case GemmPath::kRegisterBlocked:
-      return false;
-    case GemmPath::kAuto:
-    default:
-      return m >= kPackedMinDim && n >= kPackedMinDim && k >= kPackedMinDim;
-  }
-}
-
 #endif  // DEEPCAT_SIMD_X86
 
 }  // namespace
@@ -1561,28 +1338,17 @@ const char* isa_ladder() noexcept {
 
 void force_backend(Backend cap) noexcept { g_forced_cap = cap; }
 
-void force_scalar(bool on) noexcept {
-  g_forced_cap = on ? Backend::kScalar : Backend::kAvx512;
-}
-
 bool vectorized_active() noexcept {
   return active_backend() != Backend::kScalar;
 }
 
 bool vector_compiled() noexcept { return DEEPCAT_SIMD_X86 != 0; }
 
-void force_gemm_path(GemmPath path) noexcept { g_gemm_path = path; }
-
-GemmPath forced_gemm_path() noexcept { return g_gemm_path; }
-
-std::size_t packed_gemm_min_dim() noexcept { return kPackedMinDim; }
-
 DispatchCounts dispatch_counts() noexcept {
   DispatchCounts counts;
   counts.scalar_calls = g_scalar_calls.load(std::memory_order_relaxed);
   counts.avx2_calls = g_avx2_calls.load(std::memory_order_relaxed);
   counts.avx512_calls = g_avx512_calls.load(std::memory_order_relaxed);
-  counts.packed_calls = g_packed_calls.load(std::memory_order_relaxed);
   return counts;
 }
 
@@ -1590,7 +1356,6 @@ void reset_dispatch_counts() noexcept {
   g_scalar_calls.store(0, std::memory_order_relaxed);
   g_avx2_calls.store(0, std::memory_order_relaxed);
   g_avx512_calls.store(0, std::memory_order_relaxed);
-  g_packed_calls.store(0, std::memory_order_relaxed);
 }
 
 double dot(const double* a, const double* b, std::size_t n) noexcept {
@@ -1791,11 +1556,6 @@ void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a,
   const Backend be = active_backend();
   count_dispatch(be);
 #if DEEPCAT_SIMD_X86
-  if (be != Backend::kScalar && use_packed_path(m, n, k) &&
-      gemm_packed(be, m, n, k, a, lda, 1, b, ldb, 1, c, ldc)) {
-    count_packed();
-    return;
-  }
   switch (be) {
     case Backend::kAvx512:
       gemm_nn_avx512(m, n, k, a, lda, b, ldb, c, ldc);
@@ -1816,11 +1576,6 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
   const Backend be = active_backend();
   count_dispatch(be);
 #if DEEPCAT_SIMD_X86
-  if (be != Backend::kScalar && use_packed_path(m, n, k) &&
-      gemm_packed(be, m, n, k, a, 1, lda, b, ldb, 1, c, ldc)) {
-    count_packed();
-    return;
-  }
   switch (be) {
     case Backend::kAvx512:
       gemm_tn_avx512(m, n, k, a, lda, b, ldb, c, ldc);
@@ -1841,11 +1596,6 @@ void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
   const Backend be = active_backend();
   count_dispatch(be);
 #if DEEPCAT_SIMD_X86
-  if (be != Backend::kScalar && use_packed_path(m, n, k) &&
-      gemm_packed(be, m, n, k, a, lda, 1, b, 1, ldb, c, ldc)) {
-    count_packed();
-    return;
-  }
   switch (be) {
     case Backend::kAvx512:
       gemm_nt_avx512(m, n, k, a, lda, b, ldb, c, ldc);

@@ -10,26 +10,23 @@
 //   1. compile-time: non-x86 targets, or -DDEEPCAT_DISABLE_SIMD=ON, build
 //      only the scalar kernels;
 //   2. process start: DEEPCAT_SIMD=scalar|avx2|avx512 caps the ladder
-//      (values above what the CPU supports clamp down); the legacy
-//      DEEPCAT_FORCE_SCALAR variable (any non-empty value except "0")
-//      still pins the scalar path;
-//   3. runtime: force_backend()/force_scalar() lower the cap
-//      programmatically (used by the property tests and bench_micro to
-//      compare tiers in one process) — they can never raise it above the
-//      startup cap;
+//      (values above what the CPU supports clamp down);
+//   3. runtime: force_backend() lowers the cap programmatically (used by
+//      the property tests and bench_micro to compare tiers in one
+//      process) — it can never raise it above the startup cap;
 //   4. otherwise the highest tier the CPU supports runs.
 //
 // Numerical contract: vectorized kernels may reassociate reductions and
 // contract mul+add into FMA, so results can differ between tiers in the
 // last bits. The property tests bound the divergence at 1e-12 for the
 // shapes the library uses. Broadcast-style GEMM kernels (gemm_nn/gemm_tn)
-// keep each output element's FMA chain in ascending-k order on every tier
-// and on the packed path, so those agree bit-for-bit across vector tiers;
-// dot-style reductions (dot, gemm_nt) use per-tier accumulator trees and
-// only meet the 1e-12 contract. Within one tier the register-blocked
-// gemm_nt and gemm_tn are row-invariant: the C rows of one m-row call equal
-// those of m one-row calls bit for bit, because row blocking only decides
-// which outputs run side by side. gemm_nn is too unless n mod 16 >= 8
+// keep each output element's FMA chain in ascending-k order on every tier,
+// so those agree bit-for-bit across vector tiers; dot-style reductions
+// (dot, gemm_nt) use per-tier accumulator trees and only meet the 1e-12
+// contract. Within one tier the register-blocked gemm_nt and gemm_tn are
+// row-invariant: the C rows of one m-row call equal those of m one-row
+// calls bit for bit, because row blocking only decides which outputs run
+// side by side. gemm_nn is too unless n mod 16 >= 8
 // (avx512) or n mod 8 >= 4 (avx2): its 4-row tiles run one narrower vector
 // tile that the one-row path leaves to the scalar tail.
 #pragma once
@@ -48,8 +45,7 @@ enum class Backend : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 [[nodiscard]] Backend active_backend() noexcept;
 
 /// Highest tier the CPU + compile flags support, ignoring the DEEPCAT_SIMD
-/// / DEEPCAT_FORCE_SCALAR caps and force_backend(). What `deepcat info`
-/// reports as "detected".
+/// cap and force_backend(). What `deepcat info` reports as "detected".
 [[nodiscard]] Backend detected_backend() noexcept;
 
 /// Highest tier selectable in this process: detected_backend() clamped by
@@ -76,10 +72,6 @@ enum class Backend : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// kernels in flight.
 void force_backend(Backend cap) noexcept;
 
-/// Legacy alias: force_backend(kScalar) while `on`, else removes the
-/// programmatic cap.
-void force_scalar(bool on) noexcept;
-
 /// True when any vector tier is the active backend.
 [[nodiscard]] bool vectorized_active() noexcept;
 
@@ -88,44 +80,18 @@ void force_scalar(bool on) noexcept;
 /// runtime (CPU support, env caps, force_backend()).
 [[nodiscard]] bool vector_compiled() noexcept;
 
-// ---- Packed-GEMM path selection ------------------------------------------
-// For operands at or above packed_gemm_min_dim() in every dimension, the
-// GEMM dispatcher leaves the register-blocked micro-kernels for an
-// L2-tiled packed path: A and B panels are copied once into contiguous
-// micro-panel layouts sized to the L2 cache, so the inner kernels stream
-// packed memory instead of striding the source matrices. Register blocking
-// alone stops paying around there — exactly the OtterTune GP refit sizes.
-
-/// kAuto picks by size threshold; the other values pin one path for
-/// benchmarking and property tests (vector tiers only — the scalar
-/// backend always runs the reference loops).
-enum class GemmPath : int { kAuto = 0, kRegisterBlocked = 1, kPacked = 2 };
-
-/// Pins the GEMM path while != kAuto. Same thread-safety caveat as
-/// force_backend().
-void force_gemm_path(GemmPath path) noexcept;
-
-[[nodiscard]] GemmPath forced_gemm_path() noexcept;
-
-/// The m/n/k floor at which kAuto switches to the packed path (every
-/// dimension must reach it).
-[[nodiscard]] std::size_t packed_gemm_min_dim() noexcept;
-
 // ---- Backend-dispatch accounting ----------------------------------------
 // Counts how many *chunky* kernel calls resolved to each tier — the GEMM
 // family and the fused Adam steps, one increment per call. The tiny
 // level-1 primitives (dot/axpy/sum) are deliberately uncounted: dot runs
 // per matrix row inside the GP Cholesky, so even a relaxed fetch_add
-// there would be a measurable hot-path tax. The obs layer folds these
-// totals into metrics snapshots and `deepcat info`.
+// there would be a measurable hot-path tax. bench_micro and the kernel
+// tests read these totals to prove which tier ran.
 
 struct DispatchCounts {
   unsigned long long scalar_calls = 0;
   unsigned long long avx2_calls = 0;
   unsigned long long avx512_calls = 0;
-  /// GEMM calls that took the L2-tiled packed path (each is also counted
-  /// in its tier's column above).
-  unsigned long long packed_calls = 0;
 };
 
 /// Snapshot of the process-wide dispatch counters.
@@ -221,8 +187,8 @@ void adam_update_clipped(const AdamTensor* tensors, std::size_t count,
 // All accumulate into C (C += ...), so the caller controls the epilogue
 // start state: zero-filled for a plain product, bias-broadcast rows for the
 // fused linear-layer forward. Leading dimensions are element strides.
-// Every variant dispatches across the ISA ladder and, at packed sizes
-// (see packed_gemm_min_dim()), through the L2-tiled packed path.
+// Every variant dispatches across the ISA ladder to one register-blocked
+// kernel per vector tier, or to the scalar reference loop.
 
 /// C(m x n) += A(m x k) * B(k x n). Register-blocked broadcast-A /
 /// streamed-B micro-kernel on the vector tiers (4x8 on avx2, 4x16 on

@@ -197,30 +197,4 @@ void apply_activation_grad(Matrix& grad, const Matrix& y,
   }
 }
 
-Matrix hadamard(const Matrix& a, const Matrix& b) {
-  require_same_shape(a, b, "hadamard");
-  Matrix c = a;
-  for (std::size_t i = 0; i < c.size(); ++i) c.flat()[i] *= b.flat()[i];
-  return c;
-}
-
-void add_row_broadcast(Matrix& m, const Matrix& bias) {
-  if (bias.rows() != 1 || bias.cols() != m.cols()) {
-    throw std::invalid_argument("add_row_broadcast: bias shape mismatch");
-  }
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    double* row = m.data() + r * m.cols();
-    for (std::size_t c = 0; c < m.cols(); ++c) row[c] += bias(0, c);
-  }
-}
-
-Matrix col_sums(const Matrix& m) {
-  Matrix s(1, m.cols());
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    const double* row = m.data() + r * m.cols();
-    for (std::size_t c = 0; c < m.cols(); ++c) s(0, c) += row[c];
-  }
-  return s;
-}
-
 }  // namespace deepcat::nn

@@ -139,13 +139,4 @@ void apply_activation(Matrix& y, Activation act) noexcept;
 void apply_activation_grad(Matrix& grad, const Matrix& y,
                            Activation act) noexcept;
 
-/// Element-wise (Hadamard) product.
-[[nodiscard]] Matrix hadamard(const Matrix& a, const Matrix& b);
-
-/// Adds row vector `bias` (1 x cols) to every row of `m` in place.
-void add_row_broadcast(Matrix& m, const Matrix& bias);
-
-/// Column-wise sum producing a 1 x cols row vector.
-[[nodiscard]] Matrix col_sums(const Matrix& m);
-
 }  // namespace deepcat::nn

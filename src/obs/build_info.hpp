@@ -31,7 +31,8 @@ void write_build_info_json(std::ostream& os, const BuildInfo& info);
 
 /// The same four fields without the surrounding braces, for callers that
 /// extend the object with more keys (`deepcat info --json` adds the ISA
-/// ladder and the packed-GEMM threshold) while keeping the shared labels.
+/// ladder, the detected tier and the tuner constants) while keeping the
+/// shared labels.
 void write_build_info_json_fields(std::ostream& os, const BuildInfo& info);
 
 }  // namespace deepcat::obs

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+
 namespace deepcat::cli {
 namespace {
 
@@ -62,8 +65,35 @@ TEST(ArgsTest, MalformedInputsThrow) {
 }
 
 TEST(ArgsTest, NumberOrRejectsGarbage) {
-  const ParsedArgs args = parse_args({"x", "--size", "abc"});
-  EXPECT_THROW((void)args.number_or("size", 0.0), std::invalid_argument);
+  // Not a number, a number with trailing characters, and non-finite
+  // values all fail instead of reading as a prefix or a NaN.
+  for (const char* bad : {"abc", "3abc", "nan", "inf", "-inf", ""}) {
+    const ParsedArgs args = parse_args({"x", "--size", bad});
+    EXPECT_THROW((void)args.number_or("size", 0.0), std::invalid_argument)
+        << "'" << bad << "'";
+  }
+  EXPECT_DOUBLE_EQ(parse_args({"x", "--size", "1e3"}).number_or("size", 0.0),
+                   1000.0);
+  EXPECT_DOUBLE_EQ(parse_args({"x", "--t", "-2.5"}).number_or("t", 0.0),
+                   -2.5);
+}
+
+TEST(ArgsTest, IntegerOrAcceptsOnlyWholeNumbersTheTypeHolds) {
+  for (const char* bad : {"-1", "2.5", "1e30", "nan", "3abc"}) {
+    const ParsedArgs args = parse_args({"x", "--threads", bad});
+    EXPECT_THROW((void)args.integer_or<std::size_t>("threads", 0),
+                 std::invalid_argument)
+        << "'" << bad << "'";
+  }
+  // The range is the target type's: 2^31 fits a uint64 but not an int.
+  const ParsedArgs big = parse_args({"x", "--n", "2147483648"});
+  EXPECT_EQ(big.integer_or<std::uint64_t>("n", 0), 2147483648ull);
+  EXPECT_THROW((void)big.integer_or<int>("n", 0), std::invalid_argument);
+
+  const ParsedArgs ok = parse_args({"x", "--threads", "4", "--zero", "0"});
+  EXPECT_EQ(ok.integer_or<std::size_t>("threads", 0), 4u);
+  EXPECT_EQ(ok.integer_or<int>("zero", 7), 0);
+  EXPECT_EQ(ok.integer_or<int>("missing", 7), 7);
 }
 
 }  // namespace

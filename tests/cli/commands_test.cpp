@@ -29,7 +29,6 @@ TEST(CliObsCommandsTest, InfoReportsVersionBackendAndThreads) {
   EXPECT_NE(out.find("thread-pool size:"), std::string::npos);
   EXPECT_NE(out.find("isa ladder:"), std::string::npos);
   EXPECT_NE(out.find(common::simd::isa_ladder()), std::string::npos);
-  EXPECT_NE(out.find("packed gemm from:"), std::string::npos);
 }
 
 TEST(CliObsCommandsTest, InfoJsonIsAFlatParseableObject) {
@@ -44,13 +43,11 @@ TEST(CliObsCommandsTest, InfoJsonIsAFlatParseableObject) {
   EXPECT_EQ(fields.at("threads"), "3");
   EXPECT_TRUE(fields.at("simd_compiled") == "true" ||
               fields.at("simd_compiled") == "false");
-  // Ladder, detected tier, and the packed-GEMM threshold ride along as
-  // flat fields (the ladder is a comma-joined string, not an array).
+  // Ladder and detected tier ride along as flat fields (the ladder is a
+  // comma-joined string, not an array).
   EXPECT_EQ(fields.at("isa_ladder"), common::simd::isa_ladder());
   EXPECT_EQ(fields.at("detected"),
             common::simd::backend_label(common::simd::detected_backend()));
-  EXPECT_EQ(fields.at("packed_gemm_min_dim"),
-            std::to_string(common::simd::packed_gemm_min_dim()));
 }
 
 TEST(CliCommandsTest, UnknownCommandPrintsUsageAndFails) {
@@ -101,6 +98,20 @@ TEST(CliCommandsTest, SimulateRejectsUnknownKnob) {
 TEST(CliCommandsTest, SimulateRejectsUnknownWorkload) {
   std::ostringstream os;
   EXPECT_EQ(run_cli({"simulate", "--workload", "XX"}, os), 1);
+}
+
+TEST(CliCommandsTest, BadNumericFlagsFailNamingTheFlag) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"info", "--threads", "-1"},     {"info", "--threads", "nan"},
+      {"info", "--threads", "3abc"},   {"info", "--threads", "2.5"},
+      {"simulate", "--runs", "2.5"},   {"simulate", "--size", "inf"},
+      {"tune", "--steps", "-3"}};
+  for (const auto& argv : cases) {
+    std::ostringstream os;
+    EXPECT_EQ(run_cli(argv, os), 1) << argv[1] << ' ' << argv[2];
+    EXPECT_NE(os.str().find("error: flag " + argv[1]), std::string::npos)
+        << os.str();
+  }
 }
 
 TEST(CliCommandsTest, SimulateMultipleRuns) {

@@ -32,7 +32,7 @@ std::vector<Backend> selectable_backends() {
 
 class BackendGuard {
  public:
-  ~BackendGuard() { force_scalar(false); }
+  ~BackendGuard() { force_backend(Backend::kAvx512); }
 };
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }

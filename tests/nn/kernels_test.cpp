@@ -19,6 +19,8 @@ namespace deepcat::nn {
 namespace {
 
 using common::Rng;
+using common::simd::Backend;
+using common::simd::force_backend;
 
 Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   Matrix m(rows, cols);
@@ -55,58 +57,61 @@ struct Shape {
   std::size_t m, k, n;
 };
 
-// 1x1, single row/column, and sizes straddling the 4-row x 8-column
-// micro-kernel block and the 4-wide j tail.
-const Shape kShapes[] = {{1, 1, 1},   {1, 7, 1},  {1, 3, 9},   {9, 3, 1},
-                         {2, 2, 2},   {3, 5, 7},  {4, 8, 8},   {5, 9, 11},
-                         {7, 13, 6},  {8, 8, 8},  {12, 4, 20}, {13, 17, 19},
-                         {16, 32, 8}, {33, 9, 34}, {64, 64, 64}};
+// 1x1, single row/column, sizes straddling the 4-row x 8-column
+// micro-kernel block and the 4-wide j tail, and two large odd shapes with
+// every dimension >= 256 and partial edge tiles in m, n and k.
+const Shape kShapes[] = {{1, 1, 1},       {1, 7, 1},       {1, 3, 9},
+                         {9, 3, 1},       {2, 2, 2},       {3, 5, 7},
+                         {4, 8, 8},       {5, 9, 11},      {7, 13, 6},
+                         {8, 8, 8},       {12, 4, 20},     {13, 17, 19},
+                         {16, 32, 8},     {33, 9, 34},     {64, 64, 64},
+                         {259, 261, 263}, {300, 270, 265}};
 
-class ForceScalarGuard {
+class BackendGuard {
  public:
-  ForceScalarGuard() { common::simd::force_scalar(false); }
-  ~ForceScalarGuard() { common::simd::force_scalar(false); }
+  BackendGuard() { force_backend(Backend::kAvx512); }
+  ~BackendGuard() { force_backend(Backend::kAvx512); }
 };
 
 TEST(KernelsTest, MatmulMatchesNaiveReferenceOnOddShapes) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(21);
   for (const auto& s : kShapes) {
     const Matrix a = random_matrix(s.m, s.k, rng);
     const Matrix b = random_matrix(s.k, s.n, rng);
     const Matrix expected = ref_matmul(a, b);
     expect_close(matmul(a, b), expected, "matmul vectorized");
-    common::simd::force_scalar(true);
+    force_backend(Backend::kScalar);
     expect_close(matmul(a, b), expected, "matmul scalar");
-    common::simd::force_scalar(false);
+    force_backend(Backend::kAvx512);
   }
 }
 
 TEST(KernelsTest, MatmulTnMatchesNaiveReference) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(22);
   for (const auto& s : kShapes) {
     const Matrix a = random_matrix(s.k, s.m, rng);  // A^T is m x k
     const Matrix b = random_matrix(s.k, s.n, rng);
     const Matrix expected = ref_matmul(a.transposed(), b);
     expect_close(matmul_tn(a, b), expected, "matmul_tn vectorized");
-    common::simd::force_scalar(true);
+    force_backend(Backend::kScalar);
     expect_close(matmul_tn(a, b), expected, "matmul_tn scalar");
-    common::simd::force_scalar(false);
+    force_backend(Backend::kAvx512);
   }
 }
 
 TEST(KernelsTest, MatmulNtMatchesNaiveReference) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(23);
   for (const auto& s : kShapes) {
     const Matrix a = random_matrix(s.m, s.k, rng);
     const Matrix b = random_matrix(s.n, s.k, rng);  // B^T is k x n
     const Matrix expected = ref_matmul(a, b.transposed());
     expect_close(matmul_nt(a, b), expected, "matmul_nt vectorized");
-    common::simd::force_scalar(true);
+    force_backend(Backend::kScalar);
     expect_close(matmul_nt(a, b), expected, "matmul_nt scalar");
-    common::simd::force_scalar(false);
+    force_backend(Backend::kAvx512);
   }
 }
 
@@ -121,7 +126,7 @@ double apply_ref(double x, Activation act) {
 }
 
 TEST(KernelsTest, MatmulBiasActMatchesUnfusedComposition) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(24);
   for (const Activation act : {Activation::kNone, Activation::kRelu,
                                Activation::kTanh, Activation::kSigmoid}) {
@@ -140,10 +145,10 @@ TEST(KernelsTest, MatmulBiasActMatchesUnfusedComposition) {
       Matrix out;
       matmul_bias_act(x, w, bias, act, out);
       expect_close(out, expected, "matmul_bias_act vectorized");
-      common::simd::force_scalar(true);
+      force_backend(Backend::kScalar);
       matmul_bias_act(x, w, bias, act, out);
       expect_close(out, expected, "matmul_bias_act scalar");
-      common::simd::force_scalar(false);
+      force_backend(Backend::kAvx512);
     }
   }
 }
@@ -190,16 +195,16 @@ TEST(KernelsTest, FusedLinearForwardMatchesUnfusedLayers) {
 }
 
 TEST(KernelsTest, MlpForwardIdenticalUnderBothBackends) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   Rng rng(28);
   Mlp net({9, 32, 32, 4}, rng);
   Matrix x = random_matrix(7, 9, rng);
   for (double& v : x.flat()) v = rng.uniform();
 
   const Matrix y_vec = net.forward(x);
-  common::simd::force_scalar(true);
+  force_backend(Backend::kScalar);
   const Matrix y_scalar = net.forward(x);
-  common::simd::force_scalar(false);
+  force_backend(Backend::kAvx512);
   expect_close(y_vec, y_scalar, "mlp forward scalar vs vector");
 }
 
@@ -210,14 +215,14 @@ TEST(KernelsTest, MlpForwardIdenticalUnderBothBackends) {
 // bit-identical results, so compare with EXPECT_EQ, for clipping
 // disabled (grad_clip <= 0), not triggered, and triggered.
 TEST(KernelsTest, AdamUpdateClippedMatchesUnfusedCompositionBitExact) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   namespace simd = common::simd;
   constexpr double kBeta1 = 0.9, kBeta2 = 0.999, kLr = 1e-3, kEps = 1e-8;
   constexpr double kBc1 = 1.0 - 0.9, kBc2 = 1.0 - 0.999;  // step 1
   const std::size_t sizes[] = {1, 3, 17, 64, 5};
 
   for (const bool scalar : {false, true}) {
-    common::simd::force_scalar(scalar);
+    force_backend(scalar ? Backend::kScalar : Backend::kAvx512);
     for (const double grad_clip : {-1.0, 0.0, 1e9, 0.5}) {
       Rng rng(29);
       std::vector<std::vector<double>> value, grad, m, v;
@@ -272,21 +277,21 @@ TEST(KernelsTest, AdamUpdateClippedMatchesUnfusedCompositionBitExact) {
         }
       }
     }
-    common::simd::force_scalar(false);
+    force_backend(Backend::kAvx512);
   }
 }
 
 // The two backends agree to the usual 1e-12 reduction tolerance on the
 // updated parameters.
 TEST(KernelsTest, AdamUpdateClippedBackendsAgree) {
-  ForceScalarGuard guard;
+  BackendGuard guard;
   namespace simd = common::simd;
   constexpr double kBeta1 = 0.9, kBeta2 = 0.999, kLr = 1e-3, kEps = 1e-8;
   constexpr double kBc1 = 1.0 - 0.9, kBc2 = 1.0 - 0.999;
   const std::size_t n = 103;
 
   auto run = [&](bool scalar) {
-    common::simd::force_scalar(scalar);
+    force_backend(scalar ? Backend::kScalar : Backend::kAvx512);
     Rng rng(30);
     std::vector<double> value(n), grad(n), m(n), v(n);
     for (double& x : value) x = rng.normal();
@@ -296,7 +301,7 @@ TEST(KernelsTest, AdamUpdateClippedBackendsAgree) {
     simd::AdamTensor tensor{value.data(), grad.data(), m.data(), v.data(), n};
     simd::adam_update_clipped(&tensor, 1, /*grad_clip=*/0.5, kBeta1, kBeta2,
                               kBc1, kBc2, kLr, kEps);
-    common::simd::force_scalar(false);
+    force_backend(Backend::kAvx512);
     return value;
   };
 
@@ -306,89 +311,6 @@ TEST(KernelsTest, AdamUpdateClippedBackendsAgree) {
     const double tol = 1e-12 * std::max(1.0, std::abs(sca[i]));
     EXPECT_NEAR(vec[i], sca[i], tol) << "elem " << i;
   }
-}
-
-// Packed vs register-blocked contract: both keep each output element's
-// FMA chain in ascending-k order, but the packed path splits k into KC
-// blocks (each block's partial sum rounds once when added into C) and
-// zero-pads edge tiles, so agreement is ulp-scale, not bit-exact. The
-// bound below scales with k * machine-epsilon against the magnitude of
-// the accumulated products, which covers random-data cancellation.
-TEST(KernelsTest, PackedGemmMatchesRegisterBlockedWithinUlps) {
-  namespace simd = common::simd;
-  ForceScalarGuard guard;
-  if (!simd::vectorized_active()) {
-    GTEST_SKIP() << "no vector backend on this machine";
-  }
-  Rng rng(77);
-  // At and above the threshold, plus odd shapes that exercise partial
-  // MR/NR edge tiles and KC remainders on the packed path.
-  const Shape shapes[] = {{256, 256, 256}, {259, 261, 263}, {300, 270, 265}};
-  for (const auto& s : shapes) {
-    const Matrix a = random_matrix(s.m, s.k, rng);
-    const Matrix b = random_matrix(s.k, s.n, rng);
-    const Matrix a_t = a.transposed();
-    const Matrix b_t = b.transposed();
-
-    simd::force_gemm_path(simd::GemmPath::kRegisterBlocked);
-    const Matrix nn_blocked = matmul(a, b);
-    const Matrix tn_blocked = matmul_tn(a_t, b);
-    const Matrix nt_blocked = matmul_nt(a, b_t);
-    simd::force_gemm_path(simd::GemmPath::kPacked);
-    simd::reset_dispatch_counts();
-    const Matrix nn_packed = matmul(a, b);
-    const Matrix tn_packed = matmul_tn(a_t, b);
-    const Matrix nt_packed = matmul_nt(a, b_t);
-    EXPECT_EQ(simd::dispatch_counts().packed_calls, 3ull);
-    simd::force_gemm_path(simd::GemmPath::kAuto);
-
-    // |error| <= ~k ulps of the accumulated magnitude; 32*k*eps leaves
-    // headroom for the KC-block re-rounding without hiding real bugs.
-    const double tol_scale =
-        32.0 * static_cast<double>(s.k) * 2.220446049250313e-16;
-    const Matrix* blocked[] = {&nn_blocked, &tn_blocked, &nt_blocked};
-    const Matrix* packed[] = {&nn_packed, &tn_packed, &nt_packed};
-    const char* names[] = {"nn", "tn", "nt"};
-    for (int v = 0; v < 3; ++v) {
-      for (std::size_t i = 0; i < s.m; ++i) {
-        for (std::size_t j = 0; j < s.n; ++j) {
-          const double ref = (*blocked[v])(i, j);
-          // Accumulated-magnitude proxy: sqrt(k) * O(1) elements; use
-          // max(1, |ref|) floor plus the k-scaled band.
-          const double tol = tol_scale * std::max(32.0, std::abs(ref));
-          EXPECT_NEAR((*packed[v])(i, j), ref, tol)
-              << names[v] << " shape " << s.m << "x" << s.k << "x" << s.n
-              << " at (" << i << "," << j << ")";
-        }
-      }
-    }
-  }
-}
-
-// kAuto flips to the packed path exactly at the documented threshold.
-TEST(KernelsTest, PackedPathSelectedBySizeThreshold) {
-  namespace simd = common::simd;
-  ForceScalarGuard guard;
-  if (!simd::vectorized_active()) {
-    GTEST_SKIP() << "no vector backend on this machine";
-  }
-  const std::size_t t = simd::packed_gemm_min_dim();
-  ASSERT_EQ(simd::forced_gemm_path(), simd::GemmPath::kAuto);
-  Rng rng(78);
-  const Matrix a = random_matrix(t, t, rng);
-  const Matrix b = random_matrix(t, t, rng);
-
-  simd::reset_dispatch_counts();
-  matmul(a, b);
-  EXPECT_EQ(simd::dispatch_counts().packed_calls, 1ull)
-      << "at-threshold GEMM must pack";
-
-  const Matrix a_small = random_matrix(t - 1, t, rng);
-  simd::reset_dispatch_counts();
-  matmul(a_small, b);
-  EXPECT_EQ(simd::dispatch_counts().packed_calls, 0ull)
-      << "below-threshold GEMM must stay register-blocked";
-  simd::reset_dispatch_counts();
 }
 
 TEST(KernelsTest, ActivationGradFromOutputMatchesDefinition) {

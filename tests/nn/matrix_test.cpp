@@ -59,7 +59,6 @@ TEST(MatrixTest, ShapeMismatchThrows) {
   Matrix a(2, 2), b(2, 3);
   EXPECT_THROW(a += b, std::invalid_argument);
   EXPECT_THROW((void)matmul(b, b), std::invalid_argument);
-  EXPECT_THROW((void)hadamard(a, b), std::invalid_argument);
 }
 
 TEST(MatrixTest, MatmulKnownResult) {
@@ -99,26 +98,6 @@ TEST(MatrixTest, TransposeInvolution) {
   Matrix a(3, 7);
   for (double& x : a.flat()) x = rng.normal();
   EXPECT_EQ(a.transposed().transposed(), a);
-}
-
-TEST(MatrixTest, HadamardKnown) {
-  const Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  const Matrix b{{2.0, 0.5}, {1.0, 0.25}};
-  EXPECT_EQ(hadamard(a, b), (Matrix{{2.0, 1.0}, {3.0, 1.0}}));
-}
-
-TEST(MatrixTest, RowBroadcastAndColSums) {
-  Matrix m{{1.0, 2.0}, {3.0, 4.0}};
-  const Matrix bias{{10.0, 20.0}};
-  add_row_broadcast(m, bias);
-  EXPECT_EQ(m, (Matrix{{11.0, 22.0}, {13.0, 24.0}}));
-  EXPECT_EQ(col_sums(m), (Matrix{{24.0, 46.0}}));
-}
-
-TEST(MatrixTest, RowBroadcastShapeCheck) {
-  Matrix m(2, 3);
-  const Matrix bad(1, 2);
-  EXPECT_THROW(add_row_broadcast(m, bad), std::invalid_argument);
 }
 
 TEST(MatrixTest, NormIsFrobenius) {
