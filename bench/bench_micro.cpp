@@ -9,8 +9,11 @@
 //                                  kernel once per selectable ISA tier
 //                                  (scalar/avx2/avx512 columns), the GEMMs
 //                                  a TD3 train step runs and the whole step
-//                                  (rl.td3_train_step), and the serial GP
-//                                  refit wall time at n={512,1024,2048};
+//                                  (rl.td3_train_step), the serial GP
+//                                  refit wall time at n={512,1024,2048},
+//                                  and a served session's clone and epoch
+//                                  snapshot against the checkpoint codec
+//                                  (service.*, checkpoint.*);
 //                                  the header records nproc and the build
 //                                  type; every ns value is a min-of-N with
 //                                  the rep count in the export, emitted
@@ -66,6 +69,7 @@
 #include <chrono>
 #include <cstring>
 #include <mutex>
+#include <shared_mutex>
 #include <thread>
 #include <fstream>
 #include <iostream>
@@ -592,6 +596,49 @@ int run_kernel_bench_json(const std::string& path) {
     registry.gauge(prefix + ".reps").set(kGpFitReps);
   }
 
+  {
+    // A served session's clone (copy the epoch snapshot into a fresh agent)
+    // against the checkpoint codec that a load still pays, plus the epoch
+    // snapshot both ways, on the master `deepcat serve --seed 1` trains
+    // (600 iterations, TeraSort 3.2, cluster a). Dispatch tier, min-of-N.
+    core::DeepCatApiOptions api;
+    api.tuner.seed = 1;
+    api.env.seed = 1001;
+    core::DeepCat master(sparksim::cluster_a(), api);
+    (void)master.train_offline(
+        sparksim::make_workload(sparksim::WorkloadType::kTeraSort, 3.2), 600);
+    const rl::Td3Agent& agent = master.tuner().agent();
+    const rl::AgentSnapshot snapshot = agent.snapshot();
+    const std::string blob = service::checkpoint_to_string(master);
+    const auto time_row = [&](const std::string& name, auto&& fn) {
+      registry.gauge(name).set(
+          best_ns_per_call(fn, /*min_batch_seconds=*/0.01, kKernelReps));
+    };
+    time_row("service.clone.snapshot_ns", [&] {
+      core::DeepCat clone(sparksim::cluster_a(), api);
+      clone.tuner().materialize(snapshot.state_dim, snapshot.action_dim);
+      clone.tuner().agent().restore(snapshot);
+      benchmark::DoNotOptimize(clone);
+    });
+    time_row("service.clone.checkpoint_ns", [&] {
+      core::DeepCat clone(sparksim::cluster_a(), api);
+      service::checkpoint_from_string(blob, clone);
+      benchmark::DoNotOptimize(clone);
+    });
+    time_row("service.snapshot.agent_ns",
+             [&] { benchmark::DoNotOptimize(agent.snapshot()); });
+    time_row("service.snapshot.checkpoint_ns", [&] {
+      benchmark::DoNotOptimize(service::checkpoint_to_string(master));
+    });
+    time_row("checkpoint.crc32.blob_ns", [&] {
+      benchmark::DoNotOptimize(service::crc32(
+          reinterpret_cast<const unsigned char*>(blob.data()), blob.size()));
+    });
+    registry.gauge("checkpoint.blob_bytes")
+        .set(static_cast<double>(blob.size()));
+    registry.gauge("service.reps").set(kKernelReps);
+  }
+
   // Export through the observability layer instead of a private
   // serializer: line 1 is the same build-info object `deepcat info --json`
   // and the TELE frame carry, the rest is the obs metrics exporter — one
@@ -936,7 +983,12 @@ int run_warm_bench_json(const std::string& path) {
   (void)master.train_offline(
       sparksim::make_workload(sparksim::WorkloadType::kTeraSort, 3.2),
       kWarmBenchTrainIters);
-  const std::string blob = service::checkpoint_to_string(master);
+  // Sessions clone the master's snapshot and sample its pools, as served
+  // sessions do.
+  const rl::AgentSnapshot snapshot = master.tuner().agent().snapshot();
+  const auto& pools =
+      dynamic_cast<const rl::RdperReplay&>(*master.tuner().replay());
+  std::shared_mutex pools_mutex;
 
   const auto try_run = [&](const std::string& case_id, std::uint64_t seed,
                            int steps,
@@ -947,7 +999,7 @@ int run_warm_bench_json(const std::string& path) {
     request.max_steps = steps;
     request.seed = seed;
     request.warm_actions = std::move(warm_actions);
-    return service::run_session(blob, api, request, nullptr, nullptr);
+    return service::run_session(snapshot, api, request, pools, pools_mutex);
   };
   const auto run = [&](const std::string& case_id, std::uint64_t seed,
                        int steps,

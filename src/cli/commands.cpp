@@ -5,6 +5,7 @@
 #include <iostream>
 #include <memory>
 #include <ostream>
+#include <shared_mutex>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -919,15 +920,15 @@ int cmd_index_build(const ParsedArgs& args, std::ostream& os) {
     throw std::invalid_argument("index build: no published model '" +
                                 model_name + "' in the registry");
   }
-  // The registry file IS the checkpoint blob sessions clone from.
-  std::ifstream ck(registry.path_for(model_name, *version), std::ios::binary);
-  if (!ck) {
-    throw std::invalid_argument("index build: cannot open checkpoint for '" +
-                                model_name + "'");
-  }
-  std::ostringstream blob_stream;
-  blob_stream << ck.rdbuf();
-  const std::string blob = std::move(blob_stream).str();
+  // Sessions clone the loaded master's snapshot and sample its pools, as
+  // served sessions do.
+  const core::DeepCatApiOptions api;
+  core::DeepCat master(cluster_a(), api);
+  registry.load_into(model_name, *version, master);
+  const rl::AgentSnapshot snapshot = master.tuner().agent().snapshot();
+  const auto& pools =
+      dynamic_cast<const rl::RdperReplay&>(*master.tuner().replay());
+  std::shared_mutex pools_mutex;
 
   std::vector<HiBenchCase> cases;
   const std::string which = args.flag_or("workloads", "all");
@@ -944,10 +945,9 @@ int cmd_index_build(const ParsedArgs& args, std::ostream& os) {
     throw std::invalid_argument("index build: --workloads selected nothing");
   }
 
-  // Sessions are pure functions of (blob, request), so the index built
+  // Sessions are pure functions of (model, request), so the index built
   // here is bit-identical on every machine that holds the same model.
   retrieval::ExperienceIndex index;
-  const core::DeepCatApiOptions api;
   for (const auto& c : cases) {
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
       service::TuningRequest request;
@@ -956,8 +956,8 @@ int cmd_index_build(const ParsedArgs& args, std::ostream& os) {
       request.cluster = cluster_tag;
       request.max_steps = steps;
       request.seed = seed;
-      const service::SessionReport report =
-          service::run_session(blob, api, request, nullptr, nullptr);
+      const service::SessionReport report = service::run_session(
+          snapshot, api, request, pools, pools_mutex);
       if (!report.ok) {
         os << "error: session " << request.id << " failed: " << report.error
            << '\n';

@@ -74,6 +74,17 @@ std::vector<Param> Mlp::params() {
   return all;
 }
 
+std::vector<Matrix> Mlp::param_values() const {
+  // Linear::params() binds (w, b) per layer; keep that order.
+  std::vector<Matrix> all;
+  all.reserve(2 * layers_.size());
+  for (const auto& layer : layers_) {
+    all.push_back(layer.weights());
+    all.push_back(layer.bias());
+  }
+  return all;
+}
+
 std::vector<double> Mlp::forward_one(std::span<const double> x) {
   one_.resize(1, x.size());
   std::copy(x.begin(), x.end(), one_.data());

@@ -41,6 +41,8 @@ class Mlp {
 
   void zero_grad();
   [[nodiscard]] std::vector<Param> params();
+  /// Copies of the parameter tensors, in params() order.
+  [[nodiscard]] std::vector<Matrix> param_values() const;
 
   /// Single-sample convenience: forward on a 1 x n input.
   [[nodiscard]] std::vector<double> forward_one(std::span<const double> x);

@@ -1,10 +1,12 @@
 #include "rl/td3.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "common/math_util.hpp"
 
@@ -207,19 +209,127 @@ double Td3Agent::update_actor() {
   return -q_mean / static_cast<double>(m);
 }
 
+template <typename Self>
+auto Td3Agent::network_table(Self& self) {
+  return std::array{std::pair{"actor", &self.actor_},
+                    std::pair{"actor_target", &self.actor_target_},
+                    std::pair{"critic1", &self.critic1_},
+                    std::pair{"critic2", &self.critic2_},
+                    std::pair{"critic1_target", &self.critic1_target_},
+                    std::pair{"critic2_target", &self.critic2_target_}};
+}
+
+template <typename Self>
+auto Td3Agent::optimizer_table(Self& self) {
+  return std::array{std::pair{"actor_opt", &self.actor_opt_},
+                    std::pair{"critic1_opt", &self.critic1_opt_},
+                    std::pair{"critic2_opt", &self.critic2_opt_}};
+}
+
 std::vector<std::pair<const char*, nn::Mlp*>> Td3Agent::networks() {
-  return {{"actor", &actor_},
-          {"actor_target", &actor_target_},
-          {"critic1", &critic1_},
-          {"critic2", &critic2_},
-          {"critic1_target", &critic1_target_},
-          {"critic2_target", &critic2_target_}};
+  const auto table = network_table(*this);
+  return {table.begin(), table.end()};
 }
 
 std::vector<std::pair<const char*, nn::Adam*>> Td3Agent::optimizers() {
-  return {{"actor_opt", &actor_opt_},
-          {"critic1_opt", &critic1_opt_},
-          {"critic2_opt", &critic2_opt_}};
+  const auto table = optimizer_table(*this);
+  return {table.begin(), table.end()};
+}
+
+AgentSnapshot Td3Agent::snapshot() const {
+  AgentSnapshot s;
+  s.state_dim = config_.state_dim;
+  s.action_dim = config_.action_dim;
+  for (const auto& [name, net] : network_table(*this)) {
+    s.networks.push_back(net->param_values());
+  }
+  for (const auto& [name, opt] : optimizer_table(*this)) {
+    s.optimizers.push_back(
+        {opt->first_moments(), opt->second_moments(), opt->step_count()});
+  }
+  s.train_steps = steps_;
+  return s;
+}
+
+namespace {
+
+std::string shape_of(const nn::Matrix& m) {
+  return std::to_string(m.rows()) + "x" + std::to_string(m.cols());
+}
+
+/// Throws unless `stored` has `live`'s shape, naming tensor `index` of
+/// network or optimizer `owner` (`part` tells moments apart).
+void check_shape(const nn::Matrix& stored, const nn::Matrix& live,
+                 const char* owner, std::size_t index, const char* part) {
+  if (stored.rows() != live.rows() || stored.cols() != live.cols()) {
+    throw AgentSnapshotError(
+        std::string("AgentSnapshot: shape mismatch in '") + owner +
+        "' tensor " + std::to_string(index) + part + " (snapshot " +
+        shape_of(stored) + ", agent " + shape_of(live) + ")");
+  }
+}
+
+void check_count(std::size_t stored, std::size_t live, const char* owner) {
+  if (stored != live) {
+    throw AgentSnapshotError(
+        std::string("AgentSnapshot: tensor count mismatch in '") + owner +
+        "' (snapshot " + std::to_string(stored) + ", agent " +
+        std::to_string(live) + ")");
+  }
+}
+
+}  // namespace
+
+void Td3Agent::restore(const AgentSnapshot& snapshot) {
+  const auto nets = network_table(*this);
+  const auto opts = optimizer_table(*this);
+  if (snapshot.state_dim != config_.state_dim ||
+      snapshot.action_dim != config_.action_dim ||
+      snapshot.networks.size() != nets.size() ||
+      snapshot.optimizers.size() != opts.size()) {
+    throw AgentSnapshotError(
+        "AgentSnapshot: layout mismatch (snapshot " +
+        std::to_string(snapshot.state_dim) + "->" +
+        std::to_string(snapshot.action_dim) + " with " +
+        std::to_string(snapshot.networks.size()) + " networks, agent " +
+        std::to_string(config_.state_dim) + "->" +
+        std::to_string(config_.action_dim) + " with " +
+        std::to_string(nets.size()) + ")");
+  }
+  // Check every tensor first, so a mismatch leaves the agent untouched.
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    const auto& [name, net] = nets[i];
+    const std::vector<nn::Param> live = net->params();
+    const std::vector<nn::Matrix>& stored = snapshot.networks[i];
+    check_count(stored.size(), live.size(), name);
+    for (std::size_t j = 0; j < live.size(); ++j) {
+      check_shape(stored[j], *live[j].value, name, j, "");
+    }
+  }
+  for (std::size_t i = 0; i < opts.size(); ++i) {
+    const auto& [name, opt] = opts[i];
+    const std::vector<nn::Matrix>& live = opt->first_moments();
+    const AgentSnapshot::OptimizerState& stored = snapshot.optimizers[i];
+    check_count(stored.first_moments.size(), live.size(), name);
+    check_count(stored.second_moments.size(), live.size(), name);
+    for (std::size_t j = 0; j < live.size(); ++j) {
+      check_shape(stored.first_moments[j], live[j], name, j, " (m)");
+      check_shape(stored.second_moments[j], live[j], name, j, " (v)");
+    }
+  }
+
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    const std::vector<nn::Param> live = nets[i].second->params();
+    for (std::size_t j = 0; j < live.size(); ++j) {
+      *live[j].value = snapshot.networks[i][j];
+    }
+  }
+  for (std::size_t i = 0; i < opts.size(); ++i) {
+    const AgentSnapshot::OptimizerState& stored = snapshot.optimizers[i];
+    opts[i].second->restore_state(stored.first_moments, stored.second_moments,
+                                  stored.step_count);
+  }
+  steps_ = snapshot.train_steps;
 }
 
 void Td3Agent::save(std::ostream& os) {

@@ -7,6 +7,7 @@
 
 #include <iosfwd>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -43,6 +44,34 @@ struct Td3TrainStats {
   double critic1_loss = 0.0;
   double critic2_loss = 0.0;
   std::optional<double> actor_loss;
+};
+
+/// A value copy of a Td3Agent's trainable state: every parameter tensor of
+/// the six networks, the three optimizers' moments and step counts, and
+/// the train-step counter. It holds no replay and no RNG: the serving
+/// layer reseeds every clone from its request and samples the master's
+/// pools through a shared view. Copying it in and out costs a memcpy of
+/// the tensors; nothing is serialized or checksummed.
+struct AgentSnapshot {
+  struct OptimizerState {
+    std::vector<nn::Matrix> first_moments;   ///< binding order
+    std::vector<nn::Matrix> second_moments;  ///< binding order
+    std::size_t step_count = 0;
+  };
+  std::size_t state_dim = 0;
+  std::size_t action_dim = 0;
+  /// Per network, in Td3Agent::networks() order: its Mlp::params() values.
+  std::vector<std::vector<nn::Matrix>> networks;
+  /// In Td3Agent::optimizers() order.
+  std::vector<OptimizerState> optimizers;
+  std::size_t train_steps = 0;
+};
+
+/// Td3Agent::restore of a snapshot whose dims, counts or shapes differ from
+/// the agent's. The message names the network or optimizer and tensor.
+class AgentSnapshotError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
 /// Move-only, like nn::Adam: a copy's optimizers would step this agent's
@@ -90,6 +119,14 @@ class Td3Agent {
   [[nodiscard]] std::vector<std::pair<const char*, nn::Mlp*>> networks();
   [[nodiscard]] std::vector<std::pair<const char*, nn::Adam*>> optimizers();
 
+  /// Copies out the complete trainable state (the same state save() and the
+  /// checkpoint's NETS/ADAM sections hold).
+  [[nodiscard]] AgentSnapshot snapshot() const;
+  /// Overwrites the trainable state with `snapshot`'s. Every dim, count and
+  /// shape is checked before anything is written: on a mismatch it throws
+  /// AgentSnapshotError and the agent is unchanged.
+  void restore(const AgentSnapshot& snapshot);
+
   /// Persists / restores the complete trainable state: all six networks,
   /// all three Adam optimizers (moment vectors + step counters) and the
   /// train-step counter. Saving only the network weights would make a
@@ -101,6 +138,13 @@ class Td3Agent {
  private:
   /// One policy step on buf_.s; returns -mean Q1(s, pi(s)) before it.
   double update_actor();
+
+  /// The named networks / optimizers in serialization order, for a const or
+  /// a mutable agent (`Self` deduces the constness of the handles).
+  template <typename Self>
+  static auto network_table(Self& self);
+  template <typename Self>
+  static auto optimizer_table(Self& self);
 
   Td3Config config_;
   nn::Mlp actor_, actor_target_;

@@ -1,7 +1,11 @@
 #include "service/checkpoint.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <charconv>
 #include <cstring>
 #include <filesystem>
@@ -79,20 +83,35 @@ std::string read_payload(std::istream& is, std::uint64_t len,
 constexpr std::uint8_t kReplayUniform = 0;
 constexpr std::uint8_t kReplayRdper = 1;
 
-struct Crc32Table {
-  std::uint32_t t[256];
-  constexpr Crc32Table() : t{} {
+/// Slicing-by-8 tables for the reflected CRC-32 (polynomial 0xEDB88320):
+/// t[0] is the classic bytewise table, and t[k][i] is the CRC of byte i
+/// followed by k zero bytes, so eight table lookups fold eight input bytes.
+struct Crc32Tables {
+  std::uint32_t t[8][256];
+  constexpr Crc32Tables() : t{} {
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
   }
 };
 
-constexpr Crc32Table kCrcTable{};
+constexpr Crc32Tables kCrcTables{};
+
+std::uint32_t load_le32(const unsigned char* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
 
 // ---- byte-level codec ---------------------------------------------------
 
@@ -643,14 +662,58 @@ const std::string* find_section(const std::vector<Section>& sections,
 }  // namespace
 
 std::uint32_t crc32(const unsigned char* data, std::size_t size) noexcept {
+  const auto& t = kCrcTables.t;
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = kCrcTable.t[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = load_le32(data) ^ crc;
+    const std::uint32_t hi = load_le32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
 
 namespace {
+
+/// Publishes `bytes` at `path` so that a crash cannot leave it empty or
+/// torn: writes `<path>.tmp`, fsyncs it, renames it over `path`, then
+/// fsyncs the directory so the rename itself is on disk. On any failure the
+/// tmp file is removed and a CheckpointError names the step, the path and
+/// the OS error.
+void write_file_durably(const std::string& path, const std::string& bytes,
+                        const char* who) {
+  const std::string tmp = path + ".tmp";
+  int fd = -1;
+  const auto fail = [&](const char* step) {
+    const int err = errno;
+    if (fd >= 0) ::close(fd);
+    ::unlink(tmp.c_str());
+    throw CheckpointError(std::string(who) + ": " + step + " failed for '" +
+                          path + "': " + std::strerror(err));
+  };
+  fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) fail("open");
+  for (std::size_t done = 0; done < bytes.size();) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) fail("write");
+    done += static_cast<std::size_t>(n);
+  }
+  if (::fsync(fd) != 0) fail("fsync");
+  const int closed = ::close(fd);
+  fd = -1;
+  if (closed != 0) fail("close");
+  if (::rename(tmp.c_str(), path.c_str()) != 0) fail("rename");
+  const std::string dir = std::filesystem::path(path).parent_path().string();
+  fd = ::open(dir.empty() ? "." : dir.c_str(),
+              O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0 || ::fsync(fd) != 0) fail("directory fsync");
+  ::close(fd);
+}
 
 void write_container_header(std::ostream& os) {
   os.write(kMagic, sizeof kMagic);
@@ -760,21 +823,9 @@ retrieval::ExperienceIndex load_index(std::istream& is) {
 
 void save_index_file(const std::string& path,
                      const retrieval::ExperienceIndex& index) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) {
-      throw CheckpointError("save_index_file: cannot open '" + tmp +
-                            "' for writing");
-    }
-    save_index(os, index);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    throw CheckpointError("save_index_file: rename to '" + path +
-                          "' failed: " + ec.message());
-  }
+  std::ostringstream os(std::ios::binary);
+  save_index(os, index);
+  write_file_durably(path, std::move(os).str(), "save_index_file");
 }
 
 retrieval::ExperienceIndex load_index_file(const std::string& path) {
@@ -787,21 +838,9 @@ retrieval::ExperienceIndex load_index_file(const std::string& path) {
 
 void save_checkpoint_file(const std::string& path, core::DeepCat& model,
                           const gp::WorkloadRepository* repository) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) {
-      throw CheckpointError("save_checkpoint_file: cannot open '" + tmp +
-                            "' for writing");
-    }
-    save_checkpoint(os, model, repository);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    throw CheckpointError("save_checkpoint_file: rename to '" + path +
-                          "' failed: " + ec.message());
-  }
+  std::ostringstream os(std::ios::binary);
+  save_checkpoint(os, model, repository);
+  write_file_durably(path, std::move(os).str(), "save_checkpoint_file");
 }
 
 void load_checkpoint_file(const std::string& path, core::DeepCat& model,

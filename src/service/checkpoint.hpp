@@ -90,15 +90,14 @@ void load_checkpoint(std::istream& is, core::DeepCat& model,
 void save_index(std::ostream& os, const retrieval::ExperienceIndex& index);
 [[nodiscard]] retrieval::ExperienceIndex load_index(std::istream& is);
 
-/// File-level index helpers; saving goes through `<path>.tmp` + rename
-/// like the checkpoint writers.
+/// File-level index helpers; saving is durable like save_checkpoint_file.
 void save_index_file(const std::string& path,
                      const retrieval::ExperienceIndex& index);
 [[nodiscard]] retrieval::ExperienceIndex load_index_file(
     const std::string& path);
 
-/// Stream-free conveniences used by the service layer to clone the master
-/// model into per-session tuners (serialize once, deserialize per session).
+/// Stream-free conveniences: the service layer's scoped-fork genesis seeds
+/// and checkpoint_of(). Served sessions clone through rl::AgentSnapshot.
 [[nodiscard]] std::string checkpoint_to_string(
     core::DeepCat& model, const gp::WorkloadRepository* repository = nullptr,
     const retrieval::ExperienceIndex* index = nullptr);
@@ -106,8 +105,11 @@ void checkpoint_from_string(const std::string& blob, core::DeepCat& model,
                             gp::WorkloadRepository* repository = nullptr,
                             retrieval::ExperienceIndex* index = nullptr);
 
-/// File-level helpers. Saving writes to `<path>.tmp` then renames, so a
-/// concurrent reader never observes a half-written checkpoint.
+/// File-level helpers. Saving writes `<path>.tmp`, fsyncs it, renames it
+/// over `path` and fsyncs the directory: a concurrent reader never observes
+/// a half-written checkpoint, and a crash after the call returns cannot
+/// leave the file empty or torn. Failures remove the tmp file and throw
+/// CheckpointError naming the path and the OS error.
 void save_checkpoint_file(const std::string& path, core::DeepCat& model,
                           const gp::WorkloadRepository* repository = nullptr);
 void load_checkpoint_file(const std::string& path, core::DeepCat& model,

@@ -1,9 +1,14 @@
 #include "service/jsonl.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "obs/metrics.hpp"
 
@@ -55,6 +60,21 @@ std::string parse_string(const std::string& s, std::size_t& i) {
   }
   ++i;  // closing quote
   return out;
+}
+
+/// The one numeric field reader: the WHOLE of `text` must parse as a T. No
+/// leading sign on an unsigned T, no trailing characters, no overflow, and
+/// a double must be finite; anything else is nullopt.
+template <typename T>
+std::optional<T> parse_whole(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
 }
 
 std::string parse_scalar(const std::string& s, std::size_t& i) {
@@ -132,30 +152,50 @@ TuningRequest parse_request_json(const std::string& line, std::size_t index) {
   if (const auto it = fields.find("cluster"); it != fields.end()) {
     req.cluster = it->second;
   }
+  const auto bad_value = [&](const char* key, const std::string& value,
+                             const char* want) {
+    return std::invalid_argument("request '" + req.id + "' has an invalid \"" +
+                                 key + "\" value '" + value + "' (" + want +
+                                 ")");
+  };
   if (const auto it = fields.find("steps"); it != fields.end()) {
-    req.max_steps = std::stoi(it->second);
+    const auto steps = parse_whole<int>(it->second);
+    if (!steps || *steps < 1) {
+      throw bad_value("steps", it->second, "want a whole number >= 1");
+    }
+    req.max_steps = *steps;
   }
   if (const auto it = fields.find("budget_seconds"); it != fields.end()) {
-    req.max_total_seconds = std::stod(it->second);
+    const auto budget = parse_whole<double>(it->second);
+    if (!budget || *budget <= 0.0) {
+      throw bad_value("budget_seconds", it->second,
+                      "want a finite number > 0");
+    }
+    req.max_total_seconds = *budget;
   }
   if (const auto it = fields.find("seed"); it != fields.end()) {
-    req.seed = static_cast<std::uint64_t>(std::stoull(it->second));
+    const auto seed = parse_whole<std::uint64_t>(it->second);
+    if (!seed) {
+      throw bad_value("seed", it->second,
+                      "want an unsigned 64-bit whole number");
+    }
+    req.seed = *seed;
   }
   if (const auto it = fields.find("model"); it != fields.end()) {
     req.model = it->second;
   }
   if (const auto it = fields.find("warm"); it != fields.end()) {
-    try {
-      req.warm_k = std::stoi(it->second);
-    } catch (const std::exception&) {
+    const auto warm = parse_whole<int>(it->second);
+    if (!warm) {
       throw std::invalid_argument("request '" + req.id +
                                   "' has a non-integer \"warm\" count '" +
                                   it->second + "'");
     }
-    if (req.warm_k < 0) {
+    if (*warm < 0) {
       throw std::invalid_argument("request '" + req.id +
                                   "' has a negative \"warm\" count");
     }
+    req.warm_k = *warm;
   }
   if (const auto it = fields.find("trace"); it != fields.end()) {
     // Mirrors the "warm" precedent: a malformed trace context is a typed
@@ -171,18 +211,13 @@ TuningRequest parse_request_json(const std::string& line, std::size_t index) {
       throw std::invalid_argument("request '" + req.id +
                                   "' has a \"span\" id without a \"trace\"");
     }
-    try {
-      std::size_t used = 0;
-      if (!it->second.empty() && it->second[0] == '-') {
-        throw std::invalid_argument("negative");
-      }
-      req.trace_span = std::stoull(it->second, &used);
-      if (used != it->second.size()) throw std::invalid_argument("trailing");
-    } catch (const std::exception&) {
+    const auto span = parse_whole<std::uint64_t>(it->second);
+    if (!span) {
       throw std::invalid_argument("request '" + req.id +
                                   "' has a non-integer \"span\" id '" +
                                   it->second + "'");
     }
+    req.trace_span = *span;
   }
   if (const auto it = fields.find("scope"); it != fields.end()) {
     // Mirrors the "warm" precedent: a malformed scope is a typed parse

@@ -6,7 +6,6 @@
 #include <mutex>
 #include <utility>
 
-#include "service/checkpoint.hpp"
 #include "sparksim/hardware.hpp"
 #include "sparksim/workloads.hpp"
 #include "streamsim/workloads.hpp"
@@ -169,11 +168,11 @@ rl::SampledBatch SharedRdperReplay::sample(std::size_t m, common::Rng& rng) {
   return batch;
 }
 
-SessionReport run_session(const std::string& blob,
+SessionReport run_session(const rl::AgentSnapshot& snapshot,
                           const core::DeepCatApiOptions& api,
                           const TuningRequest& request,
-                          const rl::RdperReplay* master_pools,
-                          std::shared_mutex* master_mutex) {
+                          const rl::RdperReplay& master_pools,
+                          std::shared_mutex& master_mutex) {
   SessionReport out;
   out.id = request.id;
   out.workload = request.workload;
@@ -194,7 +193,8 @@ SessionReport run_session(const std::string& blob,
     }
 
     core::DeepCat dc(cluster_for(request.cluster), api);
-    checkpoint_from_string(blob, dc);
+    dc.tuner().materialize(snapshot.state_dim, snapshot.action_dim);
+    dc.tuner().agent().restore(snapshot);
 
     // Per-session determinism: both streams depend only on the request
     // seed, never on scheduling, so a session's report is reproducible for
@@ -203,13 +203,9 @@ SessionReport run_session(const std::string& blob,
         common::Rng(common::mix_seed(request.seed, kTunerStream));
     dc.set_next_env_seed(common::mix_seed(request.seed, kEnvStream));
 
-    SharedRdperReplay* shared = nullptr;
-    if (master_pools != nullptr && master_mutex != nullptr) {
-      auto view =
-          std::make_unique<SharedRdperReplay>(*master_pools, *master_mutex);
-      shared = view.get();
-      dc.tuner().set_replay(std::move(view));
-    }
+    auto view = std::make_unique<SharedRdperReplay>(master_pools, master_mutex);
+    SharedRdperReplay* shared = view.get();
+    dc.tuner().set_replay(std::move(view));
 
     const tuners::TuneBudget budget{
         .max_steps = request.max_steps,
@@ -222,9 +218,7 @@ SessionReport run_session(const std::string& blob,
                                     *stream_case, budget);
     out.warm_seeds = static_cast<int>(
         std::min(request.warm_actions.size(), out.report.steps.size()));
-    if (shared != nullptr) {
-      out.new_transitions = shared->session_transitions();
-    }
+    out.new_transitions = shared->session_transitions();
     out.ok = true;
   } catch (const std::exception& e) {
     out.ok = false;

@@ -2,19 +2,20 @@
 // offline-trained model (paper §2: train once, tune many). Sessions are
 // designed to run concurrently on the service thread pool:
 //
-//   - clone-on-tune: each session deserializes the master checkpoint blob
-//     into a private DeepCat instance, so its fine-tune gradient steps
-//     never touch the shared networks;
-//   - shared read-mostly pools: when the master uses RDPER, the session
-//     samples the master's frozen P_high/P_low pools through a
-//     SharedRdperReplay view under a shared mutex instead of copying them;
+//   - clone-on-tune: each session copies the master's epoch snapshot
+//     (rl::AgentSnapshot, a value copy of its tensors) into a private
+//     DeepCat instance, so its fine-tune gradient steps never touch the
+//     shared networks;
+//   - shared read-mostly pools: the session samples the master's frozen
+//     P_high/P_low RDPER pools through a SharedRdperReplay view under a
+//     shared mutex instead of copying them;
 //   - write-back on completion: the transitions a session generates are
 //     returned in its report and merged into the master pools by the
 //     streaming service at the next flush, in canonical order — the
 //     paper's cross-request memory sharing, kept deterministic.
 //
 // Because the master is frozen between flushes, a session's result is a
-// pure function of (master checkpoint, request), independent of pool size
+// pure function of (master snapshot, request), independent of pool size
 // and of which other sessions run beside it.
 #pragma once
 
@@ -27,6 +28,7 @@
 #include "common/stats.hpp"
 #include "core/deepcat_api.hpp"
 #include "rl/replay_rdper.hpp"
+#include "rl/td3.hpp"
 #include "tuners/tuner.hpp"
 
 namespace deepcat::service {
@@ -258,15 +260,15 @@ class SharedRdperReplay final : public rl::ReplayBuffer {
   std::vector<rl::Transition> scratch_;  ///< last sampled batch's storage
 };
 
-/// Runs one session against the master checkpoint `blob`. When
-/// `master_pools` is non-null the session samples them through a
-/// SharedRdperReplay guarded by `master_mutex`; otherwise it fine-tunes on
-/// the private replay restored from the blob. Never throws: failures come
-/// back as ok = false with the error message.
-[[nodiscard]] SessionReport run_session(const std::string& blob,
+/// Runs one session against the master's epoch `snapshot`: a private
+/// DeepCat at the snapshot's dims takes the master's tensors, reseeds from
+/// the request, and samples `master_pools` through a SharedRdperReplay
+/// guarded by `master_mutex`. Never throws: failures come back as
+/// ok = false with the error message.
+[[nodiscard]] SessionReport run_session(const rl::AgentSnapshot& snapshot,
                                         const core::DeepCatApiOptions& api,
                                         const TuningRequest& request,
-                                        const rl::RdperReplay* master_pools,
-                                        std::shared_mutex* master_mutex);
+                                        const rl::RdperReplay& master_pools,
+                                        std::shared_mutex& master_mutex);
 
 }  // namespace deepcat::service

@@ -21,11 +21,20 @@ sparksim::ClusterSpec streaming_cluster(const std::string& tag) {
   return sparksim::cluster_a();
 }
 
+StreamingOptions require_rdper(StreamingOptions options) {
+  if (!options.service.api.tuner.use_rdper) {
+    throw std::invalid_argument(
+        "StreamingService: use_rdper = false is not servable (sessions "
+        "sample the master's RDPER pools)");
+  }
+  return options;
+}
+
 }  // namespace
 
 StreamingService::StreamingService(StreamingOptions options)
     : options_((options.service.api.tuner.obs = options.service.obs,
-                std::move(options))),
+                require_rdper(std::move(options)))),
       cluster_(streaming_cluster(options_.service.cluster)),
       pool_(options_.service.threads) {
   if (!options_.registry_dir.empty()) {
@@ -79,7 +88,7 @@ void StreamingService::bootstrap_model(
   // state_mutex_ only after the master lock is released: submit() takes
   // state_mutex_ then a master lock, so holding both here inverts the order.
   std::scoped_lock state(state_mutex_);
-  entry.blob.reset();
+  entry.snapshot.reset();
   scope_seeds_[name] = std::move(seed);
 }
 
@@ -332,26 +341,26 @@ void StreamingService::submit(TuningRequest request,
     return;
   }
 
-  std::shared_ptr<const std::string> blob;
+  std::shared_ptr<const rl::AgentSnapshot> snapshot;
   const rl::RdperReplay* master_pools = nullptr;
   std::uint64_t epoch = 0;
   std::uint64_t sequence = 0;
   try {
     std::scoped_lock state(state_mutex_);
-    if (!entry->blob && !runner_) {
-      // First admission of this epoch: serialize the frozen master once;
-      // every session until the next flush clones from this shared blob.
-      std::shared_lock master(entry->mutex);
-      entry->blob = std::make_shared<const std::string>(
-          checkpoint_to_string(entry->model));
-      if (obs_snapshots_ != nullptr) obs_snapshots_->add(1);
-    }
-    blob = entry->blob;
-    epoch = entry->epoch;
     if (!runner_) {
-      master_pools = dynamic_cast<const rl::RdperReplay*>(
-          entry->model.tuner().replay());
+      if (!entry->snapshot) {
+        // First admission of this epoch: copy the frozen master's tensors
+        // once; every session until the next flush clones from this copy.
+        std::shared_lock master(entry->mutex);
+        entry->snapshot = std::make_shared<const rl::AgentSnapshot>(
+            entry->model.tuner().agent().snapshot());
+        if (obs_snapshots_ != nullptr) obs_snapshots_->add(1);
+      }
+      master_pools = &dynamic_cast<const rl::RdperReplay&>(
+          *entry->model.tuner().replay());
     }
+    snapshot = entry->snapshot;
+    epoch = entry->epoch;
     sequence = next_sequence_++;
     entry->last_used = sequence;
     ++in_flight_;
@@ -381,7 +390,7 @@ void StreamingService::submit(TuningRequest request,
       options_.reply_timings && tracer != nullptr && !request.trace_id.empty();
   const std::uint64_t t_submit = timed ? tracer->clock().now_ns() : 0;
 
-  (void)pool_.submit([this, entry, blob = std::move(blob), master_pools,
+  (void)pool_.submit([this, entry, snapshot = std::move(snapshot), master_pools,
                       epoch, sequence, request_span, tracer, timed, t_submit,
                       request = std::move(request),
                       on_done = std::move(on_done)] {
@@ -401,7 +410,8 @@ void StreamingService::submit(TuningRequest request,
         // fine-tune losses are the model's trajectory; a clone's would
         // flood the rings with per-session noise.
         api.tuner.obs.series = nullptr;
-        report = run_session(*blob, api, request, master_pools, &entry->mutex);
+        report = run_session(*snapshot, api, request, *master_pools,
+                             entry->mutex);
       }
     }
     const std::uint64_t t_done = timed ? tracer->clock().now_ns() : 0;
@@ -525,7 +535,7 @@ std::size_t StreamingService::merge_entry_locked(MasterEntry& entry) {
     // so transcripts exercise the model-epoch contract.
     entry.pending.clear();
     ++entry.epoch;
-    entry.blob.reset();
+    entry.snapshot.reset();
     return 0;
   }
   // Canonical merge order — ascending (id, seed, workload), never arrival
@@ -563,7 +573,7 @@ std::size_t StreamingService::merge_entry_locked(MasterEntry& entry) {
   }
   entry.pending.clear();
   ++entry.epoch;
-  entry.blob.reset();
+  entry.snapshot.reset();
   entry.dirty = true;
   return merged;
 }

@@ -97,6 +97,9 @@ class StreamingService {
   /// transcripts can be byte-exact without depending on model float math.
   using SessionRunner = std::function<SessionReport(const TuningRequest&)>;
 
+  /// Throws std::invalid_argument when options.service.api.tuner.use_rdper
+  /// is false: sessions sample the master's RDPER pools, so a master
+  /// without them cannot be served.
   explicit StreamingService(StreamingOptions options = {});
 
   [[nodiscard]] const StreamingOptions& options() const noexcept {
@@ -221,7 +224,10 @@ class StreamingService {
     core::DeepCat model;
     std::shared_mutex mutex;
     std::uint64_t epoch = 1;
-    std::shared_ptr<const std::string> blob;  ///< current epoch snapshot
+    /// Current epoch's snapshot of the master's tensors, taken at the
+    /// epoch's first admission; every session until the next flush clones
+    /// from it.
+    std::shared_ptr<const rl::AgentSnapshot> snapshot;
     std::size_t in_flight = 0;
     std::uint64_t last_used = 0;  ///< admission sequence, for LRU eviction
     std::vector<PendingExperience> pending;

@@ -8,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cstring>
+#include <filesystem>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "core/deepcat_api.hpp"
 #include "rl/replay_rdper.hpp"
 #include "sparksim/hardware.hpp"
@@ -301,6 +306,59 @@ TEST(CheckpointTest, WorkloadRepositoryRoundTripsWhenRequested) {
   EXPECT_EQ(obs[0].config, (std::vector<double>{0.1, 0.2}));
   EXPECT_EQ(obs[0].metrics, (std::vector<double>{0.3, 0.4}));
   EXPECT_EQ(obs[0].performance, 12.5);
+}
+
+// The table-sliced crc32 must return what the textbook one-byte-at-a-time
+// loop returns, for every length and alignment the slicing splits on.
+TEST(CheckpointTest, Crc32MatchesBytewiseReference) {
+  const auto bytewise = [](const unsigned char* data, std::size_t size) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+      crc ^= data[i];
+      for (int k = 0; k < 8; ++k) {
+        crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(reinterpret_cast<const unsigned char*>(check.data()),
+                  check.size()),
+            0xCBF43926u);
+
+  common::Rng rng(41);
+  std::vector<unsigned char> buf(2'360'000);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.index(256));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(crc32(buf.data() + offset, len),
+                bytewise(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  EXPECT_EQ(crc32(buf.data(), buf.size()), bytewise(buf.data(), buf.size()));
+}
+
+// A publish that cannot complete leaves no tmp file behind and says which
+// path failed and why.
+TEST(CheckpointTest, FailedPublishRemovesTmpFileAndNamesTheError) {
+  core::DeepCat model = trained_model(19, 20);
+  const std::string dir =
+      ::testing::TempDir() + "deepcat_failed_publish_test";
+  std::filesystem::remove_all(dir);
+  // The target path is a directory, so the final rename fails.
+  const std::string target = dir + "/model.dckp";
+  std::filesystem::create_directories(target);
+  try {
+    save_checkpoint_file(target, model);
+    FAIL() << "a rename onto a directory succeeded";
+  } catch (const CheckpointError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(target), std::string::npos) << what;
+    EXPECT_NE(what.find(std::strerror(EISDIR)), std::string::npos) << what;
+  }
+  EXPECT_FALSE(std::filesystem::exists(target + ".tmp"));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
