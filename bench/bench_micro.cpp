@@ -597,10 +597,11 @@ int run_kernel_bench_json(const std::string& path) {
   }
 
   {
-    // A served session's clone (copy the epoch snapshot into a fresh agent)
-    // against the checkpoint codec that a load still pays, plus the epoch
-    // snapshot both ways, on the master `deepcat serve --seed 1` trains
-    // (600 iterations, TeraSort 3.2, cluster a). Dispatch tier, min-of-N.
+    // A served session's clone (build a fresh agent from the epoch snapshot
+    // over a view of the master's pools) against the checkpoint codec that
+    // a load still pays, the epoch snapshot both ways, and whole served
+    // sessions, on the master `deepcat serve --seed 1` trains (600
+    // iterations, TeraSort 3.2, cluster a). Dispatch tier, min-of-N.
     core::DeepCatApiOptions api;
     api.tuner.seed = 1;
     api.env.seed = 1001;
@@ -609,17 +610,49 @@ int run_kernel_bench_json(const std::string& path) {
         sparksim::make_workload(sparksim::WorkloadType::kTeraSort, 3.2), 600);
     const rl::Td3Agent& agent = master.tuner().agent();
     const rl::AgentSnapshot snapshot = agent.snapshot();
+    const auto& pools =
+        dynamic_cast<const rl::RdperReplay&>(*master.tuner().replay());
+    std::shared_mutex pools_mutex;
     const std::string blob = service::checkpoint_to_string(master);
-    const auto time_row = [&](const std::string& name, auto&& fn) {
+    const auto time_row = [&](const std::string& name, auto&& fn,
+                              double min_batch_seconds = 0.01) {
       registry.gauge(name).set(
-          best_ns_per_call(fn, /*min_batch_seconds=*/0.01, kKernelReps));
+          best_ns_per_call(fn, min_batch_seconds, kKernelReps));
     };
     time_row("service.clone.snapshot_ns", [&] {
       core::DeepCat clone(sparksim::cluster_a(), api);
-      clone.tuner().materialize(snapshot.state_dim, snapshot.action_dim);
-      clone.tuner().agent().restore(snapshot);
+      clone.tuner().materialize(
+          snapshot,
+          std::make_unique<service::SharedRdperReplay>(pools, pools_mutex));
       benchmark::DoNotOptimize(clone);
     });
+    const auto session = [](int steps) {
+      service::TuningRequest request;
+      request.id = "bench";
+      request.workload = "TS-D1";
+      request.max_steps = steps;
+      return request;
+    };
+    for (const int steps : {1, 5}) {
+      time_row(
+          "service.session.steps" + std::to_string(steps) + "_ns",
+          [&] {
+            benchmark::DoNotOptimize(service::run_session(
+                snapshot, api, session(steps), pools, pools_mutex));
+          },
+          /*min_batch_seconds=*/0.0);
+    }
+    {
+      // Train steps one 5-step session takes: 8 after each evaluation but
+      // the last, whose fine-tune nothing reads.
+      obs::MetricsRegistry counted;
+      core::DeepCatApiOptions counted_api = api;
+      counted_api.tuner.obs.metrics = &counted;
+      (void)service::run_session(snapshot, counted_api, session(5), pools,
+                                 pools_mutex);
+      registry.gauge("service.session.steps5_train_steps")
+          .set(static_cast<double>(counted.counter("rl.train_steps").value()));
+    }
     time_row("service.clone.checkpoint_ns", [&] {
       core::DeepCat clone(sparksim::cluster_a(), api);
       service::checkpoint_from_string(blob, clone);

@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 #include "common/simd.hpp"
 
@@ -16,6 +17,28 @@ Adam::Adam(std::vector<Param> params, AdamConfig config)
   for (const auto& p : params_) {
     m_.emplace_back(p.value->rows(), p.value->cols());
     v_.emplace_back(p.value->rows(), p.value->cols());
+  }
+}
+
+Adam::Adam(std::vector<Param> params, AdamConfig config, std::vector<Matrix> m,
+           std::vector<Matrix> v, std::size_t step_count)
+    : params_(std::move(params)), config_(config), t_(step_count) {
+  check_moments(m, v);
+  m_ = std::move(m);
+  v_ = std::move(v);
+}
+
+void Adam::check_moments(const std::vector<Matrix>& m,
+                         const std::vector<Matrix>& v) const {
+  if (m.size() != params_.size() || v.size() != params_.size()) {
+    throw std::runtime_error("Adam: moment tensor count mismatch");
+  }
+  for (std::size_t i = 0; i < params_.size(); ++i) {
+    const Matrix& p = *params_[i].value;
+    if (m[i].rows() != p.rows() || m[i].cols() != p.cols() ||
+        v[i].rows() != p.rows() || v[i].cols() != p.cols()) {
+      throw std::runtime_error("Adam: moment shape mismatch");
+    }
   }
 }
 
@@ -38,15 +61,7 @@ void Adam::step() {
 void Adam::restore_state(const std::vector<Matrix>& m,
                          const std::vector<Matrix>& v,
                          std::size_t step_count) {
-  if (m.size() != m_.size() || v.size() != v_.size()) {
-    throw std::runtime_error("Adam::restore_state: tensor count mismatch");
-  }
-  for (std::size_t i = 0; i < m_.size(); ++i) {
-    if (m[i].rows() != m_[i].rows() || m[i].cols() != m_[i].cols() ||
-        v[i].rows() != v_[i].rows() || v[i].cols() != v_[i].cols()) {
-      throw std::runtime_error("Adam::restore_state: shape mismatch");
-    }
-  }
+  check_moments(m, v);
   m_ = m;
   v_ = v;
   t_ = step_count;

@@ -22,6 +22,11 @@ class Adam {
   /// Binds to the given parameters; the Param pointers must outlive the
   /// optimizer (they point into the network's layers).
   explicit Adam(std::vector<Param> params, AdamConfig config = {});
+  /// Binds as above but resumes from the given moments (one Matrix per
+  /// parameter, binding order) and step counter instead of zeroed ones.
+  /// Shapes must match the parameters (throws std::runtime_error).
+  Adam(std::vector<Param> params, AdamConfig config, std::vector<Matrix> m,
+       std::vector<Matrix> v, std::size_t step_count);
 
   /// Not copyable: a copy would keep stepping the source network's tensors
   /// (its Param pointers), so a copied agent would silently never learn.
@@ -63,6 +68,11 @@ class Adam {
   void load(std::istream& is);
 
  private:
+  /// Throws unless `m` and `v` each hold one tensor per bound parameter,
+  /// shaped like it.
+  void check_moments(const std::vector<Matrix>& m,
+                     const std::vector<Matrix>& v) const;
+
   std::vector<Param> params_;
   std::vector<Matrix> m_, v_;
   AdamConfig config_;

@@ -1,6 +1,7 @@
 #include "nn/layers.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "common/simd.hpp"
 #include "nn/init.hpp"
@@ -18,6 +19,17 @@ Linear::Linear(std::size_t in_features, std::size_t out_features,
     case Init::kKaiming: kaiming_uniform(w_, rng); break;
     case Init::kXavier: xavier_uniform(w_, rng); break;
     case Init::kSmallUniform: uniform_init(w_, rng, 3e-3); break;
+  }
+}
+
+Linear::Linear(Matrix weights, Matrix bias, Activation act)
+    : w_(std::move(weights)),
+      b_(std::move(bias)),
+      gw_(w_.rows(), w_.cols()),
+      gb_(b_.rows(), b_.cols()),
+      act_(act) {
+  if (b_.rows() != 1 || b_.cols() != w_.cols()) {
+    throw std::invalid_argument("Linear: bias must be 1 x out of the weights");
   }
 }
 

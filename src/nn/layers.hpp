@@ -28,6 +28,9 @@ class Linear {
 
   Linear(std::size_t in_features, std::size_t out_features, common::Rng& rng,
          Init init = Init::kKaiming, Activation act = Activation::kNone);
+  /// Takes given weights (in x out) and bias (1 x out) as they are, with
+  /// zeroed gradients; throws std::invalid_argument on mismatched shapes.
+  Linear(Matrix weights, Matrix bias, Activation act);
 
   /// y = act(x W + b) into the layer's output buffer (bias-seeded GEMM,
   /// then the activation in place). The reference stays valid until the

@@ -4,19 +4,27 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 namespace deepcat::nn {
+
+namespace {
+
+Activation activation_of(OutputActivation out_act) {
+  switch (out_act) {
+    case OutputActivation::kNone: break;
+    case OutputActivation::kTanh: return Activation::kTanh;
+    case OutputActivation::kSigmoid: return Activation::kSigmoid;
+  }
+  return Activation::kNone;
+}
+
+}  // namespace
 
 Mlp::Mlp(const std::vector<std::size_t>& dims, common::Rng& rng,
          OutputActivation out_act) {
   if (dims.size() < 2) {
     throw std::invalid_argument("Mlp: need at least input and output dims");
-  }
-  Activation last_act = Activation::kNone;
-  switch (out_act) {
-    case OutputActivation::kNone: break;
-    case OutputActivation::kTanh: last_act = Activation::kTanh; break;
-    case OutputActivation::kSigmoid: last_act = Activation::kSigmoid; break;
   }
   layers_.reserve(dims.size() - 1);
   for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
@@ -24,7 +32,23 @@ Mlp::Mlp(const std::vector<std::size_t>& dims, common::Rng& rng,
     layers_.emplace_back(
         dims[i], dims[i + 1], rng,
         last ? Linear::Init::kSmallUniform : Linear::Init::kKaiming,
-        last ? last_act : Activation::kRelu);
+        last ? activation_of(out_act) : Activation::kRelu);
+  }
+}
+
+Mlp::Mlp(std::vector<Matrix> params, OutputActivation out_act) {
+  if (params.empty() || params.size() % 2 != 0) {
+    throw std::invalid_argument("Mlp: need a (w, b) pair per layer");
+  }
+  layers_.reserve(params.size() / 2);
+  for (std::size_t i = 0; i < params.size(); i += 2) {
+    if (!layers_.empty() &&
+        params[i].rows() != layers_.back().out_features()) {
+      throw std::invalid_argument("Mlp: layer inputs do not chain");
+    }
+    const bool last = i + 2 == params.size();
+    layers_.emplace_back(std::move(params[i]), std::move(params[i + 1]),
+                         last ? activation_of(out_act) : Activation::kRelu);
   }
 }
 

@@ -26,6 +26,11 @@ class Mlp {
   Mlp(const std::vector<std::size_t>& dims, common::Rng& rng,
       OutputActivation out_act = OutputActivation::kNone);
 
+  /// The same stack over given parameter tensors, in params() order (w, b
+  /// per layer), with zeroed gradients and no random draws. Throws
+  /// std::invalid_argument unless they chain as a stack.
+  Mlp(std::vector<Matrix> params, OutputActivation out_act);
+
   /// Forward through the stack; returns the last layer's output buffer,
   /// valid until the next forward() or forward_one() on this net.
   const Matrix& forward(const Matrix& x);

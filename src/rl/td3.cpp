@@ -7,6 +7,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/math_util.hpp"
 
@@ -25,15 +26,50 @@ std::vector<std::size_t> net_dims(std::size_t in,
   return dims;
 }
 
+std::vector<std::size_t> actor_dims(const Td3Config& c) {
+  return net_dims(c.state_dim, c.hidden, c.action_dim);
+}
+
+std::vector<std::size_t> critic_dims(const Td3Config& c) {
+  return net_dims(c.state_dim + c.action_dim, c.hidden, 1);
+}
+
 nn::Mlp make_actor(const Td3Config& c, common::Rng& rng) {
-  return nn::Mlp(net_dims(c.state_dim, c.hidden, c.action_dim), rng,
-                 nn::OutputActivation::kSigmoid);
+  return nn::Mlp(actor_dims(c), rng, nn::OutputActivation::kSigmoid);
 }
 
 nn::Mlp make_critic(const Td3Config& c, common::Rng& rng) {
-  return nn::Mlp(net_dims(c.state_dim + c.action_dim, c.hidden, 1), rng,
-                 nn::OutputActivation::kNone);
+  return nn::Mlp(critic_dims(c), rng, nn::OutputActivation::kNone);
 }
+
+nn::AdamConfig actor_adam(const Td3Config& c) {
+  return {.lr = c.actor_lr, .grad_clip = c.grad_clip};
+}
+
+nn::AdamConfig critic_adam(const Td3Config& c) {
+  return {.lr = c.critic_lr, .grad_clip = c.grad_clip};
+}
+
+nn::Adam resume(std::vector<nn::Param> params, nn::AdamConfig config,
+                const AgentSnapshot::OptimizerState& state) {
+  return nn::Adam(std::move(params), config, state.first_moments,
+                  state.second_moments, state.step_count);
+}
+
+/// The networks and optimizers in snapshot order (Td3Agent::networks() and
+/// optimizers()), and whether each holds or steps an actor or a critic.
+struct Slot {
+  const char* name;
+  bool actor;
+};
+constexpr std::array<Slot, 6> kNetworks{{{"actor", true},
+                                         {"actor_target", true},
+                                         {"critic1", false},
+                                         {"critic2", false},
+                                         {"critic1_target", false},
+                                         {"critic2_target", false}}};
+constexpr std::array<Slot, 3> kOptimizers{
+    {{"actor_opt", true}, {"critic1_opt", false}, {"critic2_opt", false}}};
 
 void validate(const Td3Config& c) {
   if (c.state_dim == 0 || c.action_dim == 0) {
@@ -48,6 +84,84 @@ void validate(const Td3Config& c) {
   }
 }
 
+struct Shape {
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+};
+
+/// The parameter shapes of an Mlp over `dims`, in params() order.
+std::vector<Shape> param_shapes(const std::vector<std::size_t>& dims) {
+  std::vector<Shape> shapes;
+  for (std::size_t l = 0; l + 1 < dims.size(); ++l) {
+    shapes.push_back({dims[l], dims[l + 1]});
+    shapes.push_back({1, dims[l + 1]});
+  }
+  return shapes;
+}
+
+std::string shape_of(std::size_t rows, std::size_t cols) {
+  return std::to_string(rows) + "x" + std::to_string(cols);
+}
+
+/// Throws unless `stored` has shape `want`, naming tensor `index` of
+/// network or optimizer `owner` (`part` tells moments apart).
+void check_shape(const nn::Matrix& stored, Shape want, const char* owner,
+                 std::size_t index, const char* part) {
+  if (stored.rows() != want.rows || stored.cols() != want.cols) {
+    throw AgentSnapshotError(
+        std::string("AgentSnapshot: shape mismatch in '") + owner +
+        "' tensor " + std::to_string(index) + part + " (snapshot " +
+        shape_of(stored.rows(), stored.cols()) + ", agent " +
+        shape_of(want.rows, want.cols) + ")");
+  }
+}
+
+void check_count(std::size_t stored, std::size_t want, const char* owner) {
+  if (stored != want) {
+    throw AgentSnapshotError(
+        std::string("AgentSnapshot: tensor count mismatch in '") + owner +
+        "' (snapshot " + std::to_string(stored) + ", agent " +
+        std::to_string(want) + ")");
+  }
+}
+
+/// Throws AgentSnapshotError unless an agent built from `c` holds exactly
+/// `s`'s layout: dims, network and optimizer counts, every tensor's shape.
+void check_snapshot(const Td3Config& c, const AgentSnapshot& s) {
+  if (s.state_dim != c.state_dim || s.action_dim != c.action_dim ||
+      s.networks.size() != kNetworks.size() ||
+      s.optimizers.size() != kOptimizers.size()) {
+    throw AgentSnapshotError(
+        "AgentSnapshot: layout mismatch (snapshot " +
+        std::to_string(s.state_dim) + "->" + std::to_string(s.action_dim) +
+        " with " + std::to_string(s.networks.size()) + " networks, agent " +
+        std::to_string(c.state_dim) + "->" + std::to_string(c.action_dim) +
+        " with " + std::to_string(kNetworks.size()) + ")");
+  }
+  const std::vector<Shape> actor = param_shapes(actor_dims(c));
+  const std::vector<Shape> critic = param_shapes(critic_dims(c));
+  for (std::size_t i = 0; i < kNetworks.size(); ++i) {
+    const auto& [name, is_actor] = kNetworks[i];
+    const std::vector<Shape>& want = is_actor ? actor : critic;
+    const std::vector<nn::Matrix>& stored = s.networks[i];
+    check_count(stored.size(), want.size(), name);
+    for (std::size_t j = 0; j < want.size(); ++j) {
+      check_shape(stored[j], want[j], name, j, "");
+    }
+  }
+  for (std::size_t i = 0; i < kOptimizers.size(); ++i) {
+    const auto& [name, is_actor] = kOptimizers[i];
+    const std::vector<Shape>& want = is_actor ? actor : critic;
+    const AgentSnapshot::OptimizerState& stored = s.optimizers[i];
+    check_count(stored.first_moments.size(), want.size(), name);
+    check_count(stored.second_moments.size(), want.size(), name);
+    for (std::size_t j = 0; j < want.size(); ++j) {
+      check_shape(stored.first_moments[j], want[j], name, j, " (m)");
+      check_shape(stored.second_moments[j], want[j], name, j, " (v)");
+    }
+  }
+}
+
 }  // namespace
 
 Td3Agent::Td3Agent(Td3Config config, common::Rng& rng)
@@ -58,12 +172,33 @@ Td3Agent::Td3Agent(Td3Config config, common::Rng& rng)
       critic2_(make_critic(config_, rng)),
       critic1_target_(critic1_),
       critic2_target_(critic2_),
-      actor_opt_(actor_.params(),
-                 {.lr = config_.actor_lr, .grad_clip = config_.grad_clip}),
-      critic1_opt_(critic1_.params(),
-                   {.lr = config_.critic_lr, .grad_clip = config_.grad_clip}),
-      critic2_opt_(critic2_.params(),
-                   {.lr = config_.critic_lr, .grad_clip = config_.grad_clip}) {
+      actor_opt_(actor_.params(), actor_adam(config_)),
+      critic1_opt_(critic1_.params(), critic_adam(config_)),
+      critic2_opt_(critic2_.params(), critic_adam(config_)) {
+  bind_obs();
+}
+
+// Indices below follow kNetworks / kOptimizers, which check_snapshot
+// has just held the snapshot to.
+Td3Agent::Td3Agent(Td3Config config, const AgentSnapshot& snapshot)
+    : config_((validate(config), check_snapshot(config, snapshot), config)),
+      actor_(snapshot.networks[0], nn::OutputActivation::kSigmoid),
+      actor_target_(snapshot.networks[1], nn::OutputActivation::kSigmoid),
+      critic1_(snapshot.networks[2], nn::OutputActivation::kNone),
+      critic2_(snapshot.networks[3], nn::OutputActivation::kNone),
+      critic1_target_(snapshot.networks[4], nn::OutputActivation::kNone),
+      critic2_target_(snapshot.networks[5], nn::OutputActivation::kNone),
+      actor_opt_(resume(actor_.params(), actor_adam(config_),
+                        snapshot.optimizers[0])),
+      critic1_opt_(resume(critic1_.params(), critic_adam(config_),
+                          snapshot.optimizers[1])),
+      critic2_opt_(resume(critic2_.params(), critic_adam(config_),
+                          snapshot.optimizers[2])),
+      steps_(snapshot.train_steps) {
+  bind_obs();
+}
+
+void Td3Agent::bind_obs() {
   if (config_.obs.metrics != nullptr) {
     obs_train_steps_ = &config_.obs.metrics->counter("rl.train_steps");
     obs_critic1_loss_ = &config_.obs.metrics->gauge("rl.critic1_loss");
@@ -211,19 +346,21 @@ double Td3Agent::update_actor() {
 
 template <typename Self>
 auto Td3Agent::network_table(Self& self) {
-  return std::array{std::pair{"actor", &self.actor_},
-                    std::pair{"actor_target", &self.actor_target_},
-                    std::pair{"critic1", &self.critic1_},
-                    std::pair{"critic2", &self.critic2_},
-                    std::pair{"critic1_target", &self.critic1_target_},
-                    std::pair{"critic2_target", &self.critic2_target_}};
+  const auto& n = kNetworks;
+  return std::array{std::pair{n[0].name, &self.actor_},
+                    std::pair{n[1].name, &self.actor_target_},
+                    std::pair{n[2].name, &self.critic1_},
+                    std::pair{n[3].name, &self.critic2_},
+                    std::pair{n[4].name, &self.critic1_target_},
+                    std::pair{n[5].name, &self.critic2_target_}};
 }
 
 template <typename Self>
 auto Td3Agent::optimizer_table(Self& self) {
-  return std::array{std::pair{"actor_opt", &self.actor_opt_},
-                    std::pair{"critic1_opt", &self.critic1_opt_},
-                    std::pair{"critic2_opt", &self.critic2_opt_}};
+  const auto& o = kOptimizers;
+  return std::array{std::pair{o[0].name, &self.actor_opt_},
+                    std::pair{o[1].name, &self.critic1_opt_},
+                    std::pair{o[2].name, &self.critic2_opt_}};
 }
 
 std::vector<std::pair<const char*, nn::Mlp*>> Td3Agent::networks() {
@@ -249,87 +386,6 @@ AgentSnapshot Td3Agent::snapshot() const {
   }
   s.train_steps = steps_;
   return s;
-}
-
-namespace {
-
-std::string shape_of(const nn::Matrix& m) {
-  return std::to_string(m.rows()) + "x" + std::to_string(m.cols());
-}
-
-/// Throws unless `stored` has `live`'s shape, naming tensor `index` of
-/// network or optimizer `owner` (`part` tells moments apart).
-void check_shape(const nn::Matrix& stored, const nn::Matrix& live,
-                 const char* owner, std::size_t index, const char* part) {
-  if (stored.rows() != live.rows() || stored.cols() != live.cols()) {
-    throw AgentSnapshotError(
-        std::string("AgentSnapshot: shape mismatch in '") + owner +
-        "' tensor " + std::to_string(index) + part + " (snapshot " +
-        shape_of(stored) + ", agent " + shape_of(live) + ")");
-  }
-}
-
-void check_count(std::size_t stored, std::size_t live, const char* owner) {
-  if (stored != live) {
-    throw AgentSnapshotError(
-        std::string("AgentSnapshot: tensor count mismatch in '") + owner +
-        "' (snapshot " + std::to_string(stored) + ", agent " +
-        std::to_string(live) + ")");
-  }
-}
-
-}  // namespace
-
-void Td3Agent::restore(const AgentSnapshot& snapshot) {
-  const auto nets = network_table(*this);
-  const auto opts = optimizer_table(*this);
-  if (snapshot.state_dim != config_.state_dim ||
-      snapshot.action_dim != config_.action_dim ||
-      snapshot.networks.size() != nets.size() ||
-      snapshot.optimizers.size() != opts.size()) {
-    throw AgentSnapshotError(
-        "AgentSnapshot: layout mismatch (snapshot " +
-        std::to_string(snapshot.state_dim) + "->" +
-        std::to_string(snapshot.action_dim) + " with " +
-        std::to_string(snapshot.networks.size()) + " networks, agent " +
-        std::to_string(config_.state_dim) + "->" +
-        std::to_string(config_.action_dim) + " with " +
-        std::to_string(nets.size()) + ")");
-  }
-  // Check every tensor first, so a mismatch leaves the agent untouched.
-  for (std::size_t i = 0; i < nets.size(); ++i) {
-    const auto& [name, net] = nets[i];
-    const std::vector<nn::Param> live = net->params();
-    const std::vector<nn::Matrix>& stored = snapshot.networks[i];
-    check_count(stored.size(), live.size(), name);
-    for (std::size_t j = 0; j < live.size(); ++j) {
-      check_shape(stored[j], *live[j].value, name, j, "");
-    }
-  }
-  for (std::size_t i = 0; i < opts.size(); ++i) {
-    const auto& [name, opt] = opts[i];
-    const std::vector<nn::Matrix>& live = opt->first_moments();
-    const AgentSnapshot::OptimizerState& stored = snapshot.optimizers[i];
-    check_count(stored.first_moments.size(), live.size(), name);
-    check_count(stored.second_moments.size(), live.size(), name);
-    for (std::size_t j = 0; j < live.size(); ++j) {
-      check_shape(stored.first_moments[j], live[j], name, j, " (m)");
-      check_shape(stored.second_moments[j], live[j], name, j, " (v)");
-    }
-  }
-
-  for (std::size_t i = 0; i < nets.size(); ++i) {
-    const std::vector<nn::Param> live = nets[i].second->params();
-    for (std::size_t j = 0; j < live.size(); ++j) {
-      *live[j].value = snapshot.networks[i][j];
-    }
-  }
-  for (std::size_t i = 0; i < opts.size(); ++i) {
-    const AgentSnapshot::OptimizerState& stored = snapshot.optimizers[i];
-    opts[i].second->restore_state(stored.first_moments, stored.second_moments,
-                                  stored.step_count);
-  }
-  steps_ = snapshot.train_steps;
 }
 
 void Td3Agent::save(std::ostream& os) {

@@ -67,8 +67,8 @@ struct AgentSnapshot {
   std::size_t train_steps = 0;
 };
 
-/// Td3Agent::restore of a snapshot whose dims, counts or shapes differ from
-/// the agent's. The message names the network or optimizer and tensor.
+/// Building a Td3Agent from a snapshot whose dims, counts or shapes differ
+/// from its config's. The message names the network or optimizer and tensor.
 class AgentSnapshotError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -79,6 +79,12 @@ class AgentSnapshotError : public std::runtime_error {
 class Td3Agent {
  public:
   Td3Agent(Td3Config config, common::Rng& rng);
+  /// An agent whose trainable state is `snapshot`'s: its six networks and
+  /// three optimizers are built from the snapshot's tensors, with no random
+  /// init and no zeroed moments to overwrite. Every dim, count and shape is
+  /// checked against `config` before anything is built; a mismatch throws
+  /// AgentSnapshotError.
+  Td3Agent(Td3Config config, const AgentSnapshot& snapshot);
 
   /// Deterministic policy output for one state, each dim in [0,1].
   [[nodiscard]] std::vector<double> act(std::span<const double> state);
@@ -122,10 +128,6 @@ class Td3Agent {
   /// Copies out the complete trainable state (the same state save() and the
   /// checkpoint's NETS/ADAM sections hold).
   [[nodiscard]] AgentSnapshot snapshot() const;
-  /// Overwrites the trainable state with `snapshot`'s. Every dim, count and
-  /// shape is checked before anything is written: on a mismatch it throws
-  /// AgentSnapshotError and the agent is unchanged.
-  void restore(const AgentSnapshot& snapshot);
 
   /// Persists / restores the complete trainable state: all six networks,
   /// all three Adam optimizers (moment vectors + step counters) and the
@@ -138,6 +140,8 @@ class Td3Agent {
  private:
   /// One policy step on buf_.s; returns -mean Q1(s, pi(s)) before it.
   double update_actor();
+  /// Resolves the metric handles (registry lookups lock, so once).
+  void bind_obs();
 
   /// The named networks / optimizers in serialization order, for a const or
   /// a mutable agent (`Self` deduces the constness of the handles).
@@ -153,7 +157,6 @@ class Td3Agent {
   std::size_t steps_ = 0;
   StepBuffers buf_;
   nn::Matrix q_in_;  // twin_q's 1 x (state + action) input row
-  // Metric handles resolved once at construction (registry lookups lock).
   obs::Counter* obs_train_steps_ = nullptr;
   obs::Gauge* obs_critic1_loss_ = nullptr;
   obs::Gauge* obs_critic2_loss_ = nullptr;

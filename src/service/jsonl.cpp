@@ -1,5 +1,7 @@
 #include "service/jsonl.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -8,6 +10,7 @@
 #include <optional>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 #include <type_traits>
 
 #include "obs/metrics.hpp"
@@ -142,6 +145,19 @@ TuningRequest parse_request_json(const std::string& line, std::size_t index) {
   req.seed = index + 1;
   if (const auto it = fields.find("id"); it != fields.end()) {
     req.id = it->second;
+  }
+  // Only keys read below are accepted: a misspelt "stpes" must fail typed,
+  // not run the default 5 steps.
+  static constexpr std::array<std::string_view, 11> kKeys = {
+      "id",    "workload", "cluster", "steps", "budget_seconds", "seed",
+      "model", "warm",     "trace",   "span",  "scope"};
+  for (const auto& [key, value] : fields) {
+    if (std::find(kKeys.begin(), kKeys.end(), key) == kKeys.end()) {
+      throw std::invalid_argument(
+          "request '" + req.id + "' has an unknown key \"" + key +
+          "\" (want id, workload, cluster, steps, budget_seconds, seed, "
+          "model, warm, trace, span or scope)");
+    }
   }
   if (const auto it = fields.find("workload"); it != fields.end()) {
     req.workload = it->second;

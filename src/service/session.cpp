@@ -192,9 +192,12 @@ SessionReport run_session(const rl::AgentSnapshot& snapshot,
       stream_case = &streamsim::stream_case(request.workload);
     }
 
+    // The clone's agent is built from the epoch snapshot and samples the
+    // master's pools through a shared view; it never owns pools of its own.
     core::DeepCat dc(cluster_for(request.cluster), api);
-    dc.tuner().materialize(snapshot.state_dim, snapshot.action_dim);
-    dc.tuner().agent().restore(snapshot);
+    auto view = std::make_unique<SharedRdperReplay>(master_pools, master_mutex);
+    SharedRdperReplay* shared = view.get();
+    dc.tuner().materialize(snapshot, std::move(view));
 
     // Per-session determinism: both streams depend only on the request
     // seed, never on scheduling, so a session's report is reproducible for
@@ -203,14 +206,13 @@ SessionReport run_session(const rl::AgentSnapshot& snapshot,
         common::Rng(common::mix_seed(request.seed, kTunerStream));
     dc.set_next_env_seed(common::mix_seed(request.seed, kEnvStream));
 
-    auto view = std::make_unique<SharedRdperReplay>(master_pools, master_mutex);
-    SharedRdperReplay* shared = view.get();
-    dc.tuner().set_replay(std::move(view));
-
+    // The clone is dropped once its report is written: only its
+    // transitions reach the master, at the next flush.
     const tuners::TuneBudget budget{
         .max_steps = request.max_steps,
         .max_total_seconds = request.max_total_seconds,
-        .seed_actions = request.warm_actions};
+        .seed_actions = request.warm_actions,
+        .keep_agent = false};
     out.report =
         batch_case != nullptr
             ? dc.tune_online(sparksim::workload_for(*batch_case), budget)

@@ -2,10 +2,11 @@
 // offline-trained model (paper §2: train once, tune many). Sessions are
 // designed to run concurrently on the service thread pool:
 //
-//   - clone-on-tune: each session copies the master's epoch snapshot
-//     (rl::AgentSnapshot, a value copy of its tensors) into a private
-//     DeepCat instance, so its fine-tune gradient steps never touch the
-//     shared networks;
+//   - clone-on-tune: each session builds a private DeepCat agent straight
+//     from the master's epoch snapshot (rl::AgentSnapshot, a value copy of
+//     its tensors), so its fine-tune gradient steps never touch the shared
+//     networks. The clone is dropped with its report, so it skips the
+//     fine-tune after its last evaluation, which nothing would read;
 //   - shared read-mostly pools: the session samples the master's frozen
 //     P_high/P_low RDPER pools through a SharedRdperReplay view under a
 //     shared mutex instead of copying them;
@@ -261,10 +262,12 @@ class SharedRdperReplay final : public rl::ReplayBuffer {
 };
 
 /// Runs one session against the master's epoch `snapshot`: a private
-/// DeepCat at the snapshot's dims takes the master's tensors, reseeds from
-/// the request, and samples `master_pools` through a SharedRdperReplay
-/// guarded by `master_mutex`. Never throws: failures come back as
-/// ok = false with the error message.
+/// DeepCat whose agent is built from the master's tensors reseeds from the
+/// request and samples `master_pools` through a SharedRdperReplay guarded
+/// by `master_mutex`. The fine-tune after the session's last evaluation is
+/// skipped (TuneBudget::keep_agent), so an n-step session on a master that
+/// holds a batch takes 8(n - 1) train steps at the default 8 per step.
+/// Never throws: failures come back as ok = false with the error message.
 [[nodiscard]] SessionReport run_session(const rl::AgentSnapshot& snapshot,
                                         const core::DeepCatApiOptions& api,
                                         const TuningRequest& request,

@@ -55,6 +55,17 @@ void DeepCatTuner::materialize(std::size_t state_dim, std::size_t action_dim) {
   replay_ = make_replay();
 }
 
+void DeepCatTuner::materialize(const rl::AgentSnapshot& snapshot,
+                               std::unique_ptr<rl::ReplayBuffer> replay) {
+  if (agent_) throw std::logic_error("DeepCatTuner: agent already built");
+  if (!replay) throw std::invalid_argument("DeepCatTuner: null replay");
+  options_.td3.state_dim = snapshot.state_dim;
+  options_.td3.action_dim = snapshot.action_dim;
+  options_.td3.obs = options_.obs;
+  agent_ = std::make_unique<rl::Td3Agent>(options_.td3, snapshot);
+  replay_ = std::move(replay);
+}
+
 rl::Td3Agent& DeepCatTuner::agent() {
   if (!agent_) throw std::logic_error("DeepCatTuner: agent not built yet");
   return *agent_;
@@ -190,11 +201,10 @@ TuningReport DeepCatTuner::tune_with_budget(sparksim::TuningEnvironment& env,
     const sparksim::StepResult res = env.step(action);
 
     // Online fine-tuning on the fresh transition (and replayed history).
+    // Its modeled cost is charged whether or not the steps run below.
     replay_->add({state, action, res.reward, res.state, step == num_steps});
-    if (replay_->size() >= options_.td3.batch_size) {
-      for (std::size_t k = 0; k < options_.online_finetune_steps; ++k) {
-        agent_->train_step(*replay_, rng_);
-      }
+    const bool fine_tunes = replay_->size() >= options_.td3.batch_size;
+    if (fine_tunes) {
       rec_seconds += rec_cost::kTrainStep *
                      static_cast<double>(options_.online_finetune_steps);
     }
@@ -210,9 +220,18 @@ TuningReport DeepCatTuner::tune_with_budget(sparksim::TuningEnvironment& env,
 
     state = res.state;
 
-    if (report.total_tuning_seconds() >= budget.max_total_seconds) {
-      break;  // tuning-time budget exhausted (paper §2)
+    // The step limit, or the tuning-time budget (paper §2), ends the loop.
+    const bool next_step =
+        step < num_steps &&
+        !(report.total_tuning_seconds() >= budget.max_total_seconds);
+    // The fine-tune feeds the next recommendation, or the kept agent; with
+    // neither, nothing would read it.
+    if (fine_tunes && (next_step || budget.keep_agent)) {
+      for (std::size_t k = 0; k < options_.online_finetune_steps; ++k) {
+        agent_->train_step(*replay_, rng_);
+      }
     }
+    if (!next_step) break;
   }
 
   report.best_time = env.best_time();

@@ -119,15 +119,24 @@ class DeepCatTuner final : public OnlineTuner {
   /// already exists with matching dims; throws on a dim mismatch.
   void materialize(std::size_t state_dim, std::size_t action_dim);
 
+  /// Builds the agent straight from `snapshot` (its dims, tensors and
+  /// moments; no random init) and takes `replay` as its buffer, in one call:
+  /// how a served session clones the epoch's master. The tuner must not
+  /// have an agent yet (throws std::logic_error); a snapshot that does not
+  /// fit options().td3 throws rl::AgentSnapshotError.
+  void materialize(const rl::AgentSnapshot& snapshot,
+                   std::unique_ptr<rl::ReplayBuffer> replay);
+
   [[nodiscard]] bool has_agent() const noexcept { return agent_ != nullptr; }
 
   /// The tuner's private RNG stream — checkpointed so that a reloaded tuner
   /// continues the exact exploration/optimizer noise sequence.
   [[nodiscard]] common::Rng& rng() noexcept { return rng_; }
 
-  /// Replay buffer access + replacement (used by the checkpoint layer to
-  /// restore pool contents, and by the service layer to interpose a shared
-  /// thread-safe view over the master pools).
+  /// Replay buffer access (the checkpoint layer restores pool contents
+  /// through it) and replacement, for a caller that interposes its own
+  /// buffer on an agent it built another way; served sessions take their
+  /// shared view through materialize(snapshot, replay) instead.
   [[nodiscard]] rl::ReplayBuffer* replay() noexcept { return replay_.get(); }
   void set_replay(std::unique_ptr<rl::ReplayBuffer> replay) {
     replay_ = std::move(replay);

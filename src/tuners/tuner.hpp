@@ -75,7 +75,14 @@ struct TuneBudget {
   /// querying the actor; every step still evaluates, feeds the replay and
   /// fine-tunes, so the agent learns from the seeded evaluations. Empty
   /// (the default) leaves the cold path bit-identical.
-  std::vector<std::vector<double>> seed_actions;
+  std::vector<std::vector<double>> seed_actions{};
+  /// Whether the caller keeps this tuner after the call. False says the
+  /// agent is dropped once the report is written, so the fine-tune after
+  /// the last evaluation, which only that agent would read, is skipped; the
+  /// report and the replay's transitions are the same either way, and the
+  /// skipped steps are still charged to recommendation_seconds. Not a
+  /// tuning knob: the serving layer's throwaway session clones set it.
+  bool keep_agent = true;
 };
 
 class OnlineTuner {

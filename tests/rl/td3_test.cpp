@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -249,6 +251,62 @@ TEST(Td3Test, MovedAgentLearnsLikeANeverMovedOne) {
   EXPECT_EQ(assigned.min_q(s, a), stay.min_q(s, a));
   EXPECT_EQ(moved.act(s), stay.act(s));
   EXPECT_EQ(assigned.act(s), stay.act(s));
+}
+
+void expect_same_tensors(const std::vector<nn::Matrix>& got,
+                         const std::vector<nn::Matrix>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].rows(), want[i].rows()) << "tensor " << i;
+    EXPECT_EQ(got[i].cols(), want[i].cols()) << "tensor " << i;
+    EXPECT_TRUE(std::equal(got[i].flat().begin(), got[i].flat().end(),
+                           want[i].flat().begin(), want[i].flat().end()))
+        << "tensor " << i;
+  }
+}
+
+// An agent built from a snapshot holds that snapshot's state exactly (every
+// tensor, moment and counter), and then trains like the agent it was taken
+// from, bit for bit: the targets, moments and policy-delay phase all came
+// along.
+TEST(Td3Test, SnapshotConstructorHoldsTheSnapshotAndTrainsLikeItsSource) {
+  common::Rng rng(31);
+  Td3Agent source(small_config(), rng);
+  UniformReplay buffer(512);
+  fill_bandit_buffer(buffer, rng, 0.6, 256);
+  for (int i = 0; i < 31; ++i) (void)source.train_step(buffer, rng);
+
+  const AgentSnapshot snapshot = source.snapshot();
+  Td3Agent built(small_config(), snapshot);
+  const AgentSnapshot copy = built.snapshot();
+  EXPECT_EQ(copy.state_dim, snapshot.state_dim);
+  EXPECT_EQ(copy.action_dim, snapshot.action_dim);
+  EXPECT_EQ(copy.train_steps, snapshot.train_steps);
+  ASSERT_EQ(copy.networks.size(), snapshot.networks.size());
+  for (std::size_t i = 0; i < copy.networks.size(); ++i) {
+    SCOPED_TRACE("network " + std::to_string(i));
+    expect_same_tensors(copy.networks[i], snapshot.networks[i]);
+  }
+  ASSERT_EQ(copy.optimizers.size(), snapshot.optimizers.size());
+  for (std::size_t i = 0; i < copy.optimizers.size(); ++i) {
+    SCOPED_TRACE("optimizer " + std::to_string(i));
+    EXPECT_EQ(copy.optimizers[i].step_count, snapshot.optimizers[i].step_count);
+    expect_same_tensors(copy.optimizers[i].first_moments,
+                        snapshot.optimizers[i].first_moments);
+    expect_same_tensors(copy.optimizers[i].second_moments,
+                        snapshot.optimizers[i].second_moments);
+  }
+
+  common::Rng rng_a(32), rng_b(32);
+  for (int i = 0; i < 9; ++i) {
+    (void)source.train_step(buffer, rng_a);
+    (void)built.train_step(buffer, rng_b);
+  }
+  const std::vector<double> s{0.3, 0.9};
+  const std::vector<double> a{0.4};
+  EXPECT_EQ(built.act(s), source.act(s));
+  EXPECT_EQ(built.twin_q(s, a), source.twin_q(s, a));
+  EXPECT_EQ(built.train_steps(), source.train_steps());
 }
 
 TEST(Td3Test, LoadRejectsTruncatedStream) {

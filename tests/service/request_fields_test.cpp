@@ -1,6 +1,7 @@
-// Numeric REQ fields are read strictly: the whole value must parse, and it
-// must be in range. Each bad value is a typed parse error naming the
-// request and the field, never a silently clamped or wrapped session.
+// REQ fields are read strictly: a numeric value must parse whole and be in
+// range, and a key must be one the parser reads. Each bad value or key is a
+// typed parse error naming the request and the field, never a silently
+// clamped, wrapped or defaulted session.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -49,6 +50,25 @@ TEST(RequestFieldTest, NonFiniteBudgetIsAParseError) {
 TEST(RequestFieldTest, NegativeSeedIsAParseError) {
   (void)parse_error(R"({"id":"r","workload":"TS-D1","seed":-1})", "seed");
   (void)parse_error(R"({"id":"r","workload":"TS-D1","seed":"+1"})", "seed");
+}
+
+TEST(RequestFieldTest, UnknownKeyIsAParseError) {
+  (void)parse_error(R"({"id":"r","workload":"TS-D1","stpes":1,"seed":3})",
+                    "stpes");
+  (void)parse_error(R"({"id":"r","workload":"TS-D1","Steps":2})", "Steps");
+}
+
+TEST(RequestFieldTest, EveryKnownKeyParses) {
+  const TuningRequest r = parse_request_json(
+      R"({"id":"r","workload":"TS-D1","cluster":"b","steps":2,)"
+      R"("budget_seconds":9,"seed":4,"model":"m","warm":0,"trace":"t",)"
+      R"("span":7,"scope":"workload"})",
+      0);
+  EXPECT_EQ(r.cluster, "b");
+  EXPECT_EQ(r.max_steps, 2);
+  EXPECT_EQ(r.model, "m");
+  EXPECT_EQ(r.trace_span, 7u);
+  EXPECT_EQ(r.scope, TuneScope::kWorkload);
 }
 
 TEST(RequestFieldTest, WellFormedNumbersParse) {

@@ -1,9 +1,12 @@
-// Served sessions clone the master by copying its tensors (rl::AgentSnapshot)
-// instead of decoding its checkpoint. These tests hold that clone to the
-// checkpoint clone it replaced: same REP line, same transitions, for every
-// HiBench case, both clusters, cold and warm, one streaming session, and
-// the next epoch after a flush. They also pin restore's all-or-nothing
-// shape check and the service's RDPER-only contract.
+// Served sessions build their agent straight from a copy of the master's
+// tensors (rl::AgentSnapshot) instead of decoding its checkpoint, and skip
+// the fine-tune after their last evaluation, which nothing reads. These
+// tests hold that session to the checkpoint clone it replaced, which keeps
+// that fine-tune: same REP line, same transitions, for every HiBench case,
+// both clusters, cold and warm, one streaming session, and the next epoch
+// after a flush. They also count the train steps a served session takes,
+// and pin the snapshot constructor's shape check and the service's
+// RDPER-only contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -229,42 +232,82 @@ TEST(StreamingSnapshotTest, NextEpochClonesThePostFlushMaster) {
       << "one snapshot per epoch that admitted sessions";
 }
 
-TEST(AgentSnapshotTest, MismatchedSnapshotThrowsAndLeavesAgentUnchanged) {
+TEST(StreamingSnapshotTest, ServedSessionSkipsOnlyTheFinalFineTune) {
+  // A served session's clone is dropped with its REP, so it takes the 8
+  // fine-tune steps after each evaluation but the last. With no master
+  // steps, the server's rl.train_steps counts exactly the sessions' steps.
+  obs::MetricsRegistry metrics;
+  StreamingOptions options;
+  options.service.threads = 2;
+  options.service.api = small_api();
+  options.service.obs.metrics = &metrics;
+  options.master_update_steps = 0;
+  StreamingService svc(options);
+  svc.train_model("default",
+                  sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 80);
+  ASSERT_GE(svc.master().tuner().replay()->size(),
+            options.service.api.tuner.td3.batch_size)
+      << "the master must hold a batch, or no session trains at all";
+
+  const auto added_steps = [&](const std::string& workload, int steps) {
+    const std::uint64_t before = metrics.counter("rl.train_steps").value();
+    TuningRequest r;
+    r.id = workload + "-" + std::to_string(steps);
+    r.workload = workload;
+    r.max_steps = steps;
+    r.seed = 5;
+    svc.submit(r);
+    const std::optional<StreamReport> served = svc.wait_completed();
+    EXPECT_TRUE(served.has_value() && served->session.ok);
+    EXPECT_EQ(served->session.report.steps.size(),
+              static_cast<std::size_t>(steps));
+    return metrics.counter("rl.train_steps").value() - before;
+  };
+  EXPECT_EQ(added_steps("TS-D1", 1), 0u);
+  EXPECT_EQ(added_steps("TS-D1", 5), 32u);
+  EXPECT_EQ(added_steps("SA-P1", 11), 80u);
+}
+
+TEST(AgentSnapshotTest, MismatchedSnapshotThrowsFromTheConstructor) {
   core::DeepCat model(sparksim::cluster_a(), small_api());
   (void)model.train_offline(
       sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 40);
-  rl::Td3Agent& agent = model.tuner().agent();
-  const std::string before = checkpoint_to_string(model);
+  const rl::Td3Agent& agent = model.tuner().agent();
+  const rl::Td3Config& config = agent.config();
 
   core::DeepCatApiOptions narrow = small_api();
   narrow.tuner.td3.hidden = {16, 16};
   core::DeepCat other(sparksim::cluster_a(), narrow);
-  other.tuner().materialize(agent.config().state_dim,
-                            agent.config().action_dim);
+  other.tuner().materialize(config.state_dim, config.action_dim);
   try {
-    agent.restore(other.tuner().agent().snapshot());
-    FAIL() << "a snapshot of another hidden size was restored";
+    const rl::Td3Agent built(config, other.tuner().agent().snapshot());
+    FAIL() << "an agent was built from a snapshot of another hidden size";
   } catch (const rl::AgentSnapshotError& e) {
     EXPECT_NE(std::string(e.what()).find("'actor'"), std::string::npos)
         << e.what();
   }
-  EXPECT_EQ(checkpoint_to_string(model), before);
 
-  // Only the very last tensor mismatches: nothing before it may be written.
+  // Only the very last tensor mismatches: it is caught all the same.
   rl::AgentSnapshot changed = agent.snapshot();
-  for (auto& net : changed.networks) {
-    for (nn::Matrix& tensor : net) tensor.fill(0.5);
-  }
-  changed.train_steps += 1;
   changed.optimizers.back().second_moments.back() = nn::Matrix(3, 3);
   try {
-    agent.restore(changed);
-    FAIL() << "a snapshot with a mis-shaped moment was restored";
+    const rl::Td3Agent built(config, changed);
+    FAIL() << "an agent was built from a snapshot with a mis-shaped moment";
   } catch (const rl::AgentSnapshotError& e) {
     EXPECT_NE(std::string(e.what()).find("'critic2_opt'"), std::string::npos)
         << e.what();
   }
-  EXPECT_EQ(checkpoint_to_string(model), before);
+
+  // A session's tuner whose options disagree with the snapshot is left
+  // without an agent, not with a half-built one.
+  tuners::DeepCatTuner session(narrow.tuner);
+  std::shared_mutex mutex;
+  EXPECT_THROW(
+      session.materialize(
+          agent.snapshot(),
+          std::make_unique<SharedRdperReplay>(pools_of(model), mutex)),
+      rl::AgentSnapshotError);
+  EXPECT_FALSE(session.has_agent());
 }
 
 TEST(StreamingSnapshotTest, NonRdperMasterIsRejectedAtConstruction) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "sparksim/environment.hpp"
 
@@ -185,6 +186,87 @@ TEST(DeepCatTunerTest, BudgetStopsEarly) {
       tuner.tune_with_budget(env, {.max_steps = 50, .max_total_seconds = 1.0});
   EXPECT_LT(report.steps.size(), 50u);
   EXPECT_GE(report.steps.size(), 1u);
+}
+
+void expect_same_report(const TuningReport& got, const TuningReport& want) {
+  EXPECT_EQ(got.default_time, want.default_time);
+  EXPECT_EQ(got.best_time, want.best_time);
+  EXPECT_TRUE(got.best_config == want.best_config);
+  ASSERT_EQ(got.steps.size(), want.steps.size());
+  for (std::size_t i = 0; i < got.steps.size(); ++i) {
+    EXPECT_EQ(got.steps[i].step, want.steps[i].step);
+    EXPECT_EQ(got.steps[i].exec_seconds, want.steps[i].exec_seconds);
+    EXPECT_EQ(got.steps[i].reward, want.steps[i].reward);
+    EXPECT_EQ(got.steps[i].success, want.steps[i].success);
+    EXPECT_EQ(got.steps[i].recommendation_seconds,
+              want.steps[i].recommendation_seconds);
+    EXPECT_EQ(got.steps[i].best_so_far, want.steps[i].best_so_far);
+  }
+}
+
+struct OnlineRun {
+  TuningReport report;
+  std::size_t train_steps = 0;  ///< taken during the online call
+};
+
+/// One online call from a fixed trained state whose replay already holds a
+/// batch, so every evaluation is followed by a fine-tune.
+OnlineRun tune_trained(const TuneBudget& budget) {
+  DeepCatTuner tuner(fast_options(40));
+  TuningEnvironment train = make_env(40);
+  (void)tuner.train_offline(train, 80);
+  EXPECT_GE(tuner.replay()->size(), tuner.options().td3.batch_size);
+  const std::size_t before = tuner.agent().train_steps();
+  TuningEnvironment env = make_env(41);
+  OnlineRun run{tuner.tune_with_budget(env, budget), 0};
+  run.train_steps = tuner.agent().train_steps() - before;
+  return run;
+}
+
+// A caller that drops the agent (keep_agent = false) skips the fine-tune
+// after the last evaluation and nothing else: the report is the same to the
+// bit, the skipped steps are still charged, and 8 fewer steps are taken.
+TEST(DeepCatTunerTest, DroppedAgentSkipsOnlyTheFinalFineTune) {
+  const std::size_t per_eval = fast_options().online_finetune_steps;
+  ASSERT_EQ(per_eval, 8u);
+
+  // A budget between the tuning cost after step 1 and after step 2 of the
+  // same 5-step call stops it at step 2.
+  const OnlineRun probe = tune_trained({.max_steps = 5});
+  ASSERT_EQ(probe.report.steps.size(), 5u);
+  const std::vector<TuningStepRecord>& s = probe.report.steps;
+  const double after1 = s[0].exec_seconds + s[0].recommendation_seconds;
+  const double after2 =
+      after1 + s[1].exec_seconds + s[1].recommendation_seconds;
+
+  struct Case {
+    const char* name;
+    TuneBudget budget;
+    std::size_t evaluations;
+  };
+  const std::vector<Case> cases = {
+      {"one step", {.max_steps = 1}, 1},
+      {"five steps", {.max_steps = 5}, 5},
+      {"warm seeded",
+       {.max_steps = 4,
+        .seed_actions = {std::vector<double>(sparksim::kNumKnobs, 0.3),
+                         std::vector<double>(sparksim::kNumKnobs, 0.8)}},
+       4},
+      {"budget stop",
+       {.max_steps = 5, .max_total_seconds = (after1 + after2) / 2.0},
+       2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const OnlineRun kept = tune_trained(c.budget);
+    TuneBudget dropping = c.budget;
+    dropping.keep_agent = false;
+    const OnlineRun dropped = tune_trained(dropping);
+    ASSERT_EQ(kept.report.steps.size(), c.evaluations);
+    expect_same_report(dropped.report, kept.report);
+    EXPECT_EQ(kept.train_steps, per_eval * c.evaluations);
+    EXPECT_EQ(dropped.train_steps, per_eval * (c.evaluations - 1));
+  }
 }
 
 TEST(DeepCatTunerTest, SaveLoadPreservesPolicy) {
