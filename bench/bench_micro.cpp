@@ -9,7 +9,10 @@
 //                                  kernel once per selectable ISA tier
 //                                  (scalar/avx2/avx512 columns), the GEMMs
 //                                  a TD3 train step runs and the whole step
-//                                  (rl.td3_train_step), the serial GP
+//                                  (rl.td3_train_step), a FLSH's 4-step
+//                                  master fine-tune serial and on a
+//                                  borrowed pool worker (rl.fine_tune4),
+//                                  the serial GP
 //                                  refit wall time at n={512,1024,2048},
 //                                  and a served session's clone and epoch
 //                                  snapshot against the checkpoint codec
@@ -83,6 +86,7 @@
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "common/thread_pool.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "service/sharding.hpp"
@@ -541,27 +545,32 @@ int run_kernel_bench_json(const std::string& path) {
                          });
   }
 
+  // A TD3 agent at DeepCAT's serving shape (state 9, action 32, hidden
+  // 128x128, batch 64) over 1000 RDPER transitions — BM_Td3TrainStep's
+  // setup.
+  const rl::Td3Config serving_td3{.state_dim = 9, .action_dim = 32};
+  const auto fill_serving_replay = [](rl::ReplayBuffer& replay,
+                                      common::Rng& step_rng) {
+    for (int i = 0; i < 1000; ++i) {
+      std::vector<double> st(9), ac(32), st2(9);
+      for (double& v : st) v = step_rng.uniform();
+      for (double& v : ac) v = step_rng.uniform();
+      for (double& v : st2) v = step_rng.uniform();
+      replay.add({st, ac, step_rng.uniform(-3.0, 1.0), st2, false});
+    }
+  };
+
   {
-    // One whole TD3 train step at DeepCAT's serving shape (state 9, action
-    // 32, hidden 128x128, batch 64) — BM_Td3TrainStep's setup, min-of-N ns
-    // per tier. The agent keeps training across calls; the shapes, and so
-    // the work, stay fixed.
+    // One whole TD3 train step at the serving shape, min-of-N ns per tier.
+    // The agent keeps training across calls; the shapes, and so the work,
+    // stay fixed.
     namespace simd = common::simd;
     for (const auto& col : selectable_columns()) {
       simd::force_backend(col.backend);
       common::Rng step_rng(3);
-      rl::Td3Config config;
-      config.state_dim = 9;
-      config.action_dim = 32;
-      rl::Td3Agent agent(config, step_rng);
+      rl::Td3Agent agent(serving_td3, step_rng);
       rl::RdperReplay replay(10'000, {.reward_threshold = 0.0, .beta = 0.6});
-      for (int i = 0; i < 1000; ++i) {
-        std::vector<double> st(9), ac(32), st2(9);
-        for (double& v : st) v = step_rng.uniform();
-        for (double& v : ac) v = step_rng.uniform();
-        for (double& v : st2) v = step_rng.uniform();
-        replay.add({st, ac, step_rng.uniform(-3.0, 1.0), st2, false});
-      }
+      fill_serving_replay(replay, step_rng);
       const double ns = best_ns_per_call(
           [&] {
             benchmark::DoNotOptimize(agent.train_step(replay, step_rng));
@@ -572,6 +581,35 @@ int run_kernel_bench_json(const std::string& path) {
     }
     simd::force_backend(simd::Backend::kAvx512);
     registry.gauge("rl.td3_train_step.reps").set(kKernelReps);
+  }
+
+  {
+    // A FLSH's master fine-tune, fine_tune(..., 4) at the serving shape:
+    // serial, then lending one worker of an idle 4-worker pool. Each rep
+    // follows a 2 ms sleep, so the workers are parked as they are when a
+    // flush begins. Min-of-N ns per call, dispatch tier.
+    constexpr int kFineTuneReps = 20;
+    common::ThreadPool pool(4);
+    for (common::ThreadPool* helpers :
+         {static_cast<common::ThreadPool*>(nullptr), &pool}) {
+      common::Rng step_rng(3);
+      rl::Td3Agent agent(serving_td3, step_rng);
+      rl::RdperReplay replay(10'000, {.reward_threshold = 0.0, .beta = 0.6});
+      fill_serving_replay(replay, step_rng);
+      double best = std::numeric_limits<double>::infinity();
+      for (int rep = 0; rep < kFineTuneReps; ++rep) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        const auto t0 = std::chrono::steady_clock::now();
+        benchmark::DoNotOptimize(agent.fine_tune(replay, step_rng, 4, helpers));
+        const std::chrono::duration<double, std::nano> elapsed =
+            std::chrono::steady_clock::now() - t0;
+        best = std::min(best, elapsed.count());
+      }
+      registry.gauge(helpers == nullptr ? "rl.fine_tune4.serial_ns"
+                                        : "rl.fine_tune4.pool_ns")
+          .set(best);
+    }
+    registry.gauge("rl.fine_tune4.reps").set(kFineTuneReps);
   }
 
   // GP refit wall time at OtterTune sizes. The fit is serial; the

@@ -29,13 +29,15 @@ struct ParsedArgs {
                                  double fallback) const;
 
   /// Integer flag `name` as T, or `fallback` when the flag is absent. Only
-  /// a whole number >= 0 that T can hold is accepted; anything else
-  /// ("-1", "2.5", "1e30") throws std::invalid_argument naming the flag.
+  /// a whole number from 0 to `max` is accepted; anything else ("-1",
+  /// "2.5", "1e30", or above `max`) throws std::invalid_argument naming the
+  /// flag and the range.
   template <typename T>
-  [[nodiscard]] T integer_or(const std::string& name, T fallback) const {
+  [[nodiscard]] T integer_or(const std::string& name, T fallback,
+                             T max = std::numeric_limits<T>::max()) const {
     static_assert(std::is_integral_v<T>);
     if (!flag(name)) return fallback;
-    return static_cast<T>(whole_number(name, std::numeric_limits<T>::max()));
+    return static_cast<T>(whole_number(name, static_cast<std::uint64_t>(max)));
   }
 
  private:

@@ -39,6 +39,10 @@ namespace {
 
 using namespace deepcat::sparksim;
 
+/// Upper bounds on `serve --threads` and `--shards` (tests and CI use 4).
+constexpr std::size_t kMaxThreads = 1024;
+constexpr std::size_t kMaxShards = 64;
+
 WorkloadType workload_from_flag(const std::string& tag) {
   if (tag == "WC" || tag == "wordcount") return WorkloadType::kWordCount;
   if (tag == "TS" || tag == "terasort") return WorkloadType::kTeraSort;
@@ -638,6 +642,10 @@ int cmd_serve(const ParsedArgs& args, std::ostream& os) {
   if (!checkpoint_dir) {
     throw std::invalid_argument("serve: --checkpoint dir/ is required");
   }
+  // Every pool worker and shard is an OS thread: refuse counts no host
+  // should be asked for before any service starts one.
+  (void)args.integer_or<std::size_t>("threads", 0, kMaxThreads);
+  (void)args.integer_or<std::size_t>("shards", 1, kMaxShards);
   if (args.number_or("stream", 0) != 0.0) {
     return cmd_serve_stream(args, os, *checkpoint_dir);
   }

@@ -1,16 +1,21 @@
 // Fixed-size thread pool with parallel_for/parallel_map helpers. The
 // experiment harnesses use it to evaluate independent work items
 // concurrently (Fig. 2's 200 random configs, Fig. 6/7's workload sweeps,
-// repeated-seed loops). All parallelism in the library is explicit.
+// repeated-seed loops). Partner borrows one idle worker to run a pair of
+// independent passes side by side (the TD3 train step's twin critics).
+// All parallelism in the library is explicit.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/math_util.hpp"
@@ -84,6 +89,56 @@ class ThreadPool {
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_ = false;
+};
+
+/// Borrows one worker of a pool for its lifetime and runs pairs of
+/// independent tasks side by side: both(a, b) runs a on the caller while
+/// the worker runs b.
+///
+/// The constructor submits one task that spins on an atomic job slot until
+/// the partner is destroyed; the destructor waits for a started task to
+/// leave its loop, so the worker is back in the pool when it returns. The
+/// task shares its state through a shared_ptr, so one that starts late
+/// finds the partner gone and returns. both() posts b, runs a, then tries to
+/// take b back: if the worker has not claimed b yet, the caller runs b
+/// itself, otherwise it spins until the worker is done. Nothing ever waits
+/// on a queued task, so a busy pool (or a caller on one of its own workers)
+/// costs only the serial time and cannot deadlock. With no pool, both()
+/// runs a then b on the caller.
+///
+/// Meant for a pool that is otherwise idle: while a partner lives, its
+/// worker is busy spinning (a few _mm_pause, then yielding). One thread
+/// calls both() at a time.
+class Partner {
+ public:
+  /// `pool == nullptr` means no helper.
+  explicit Partner(ThreadPool* pool = nullptr);
+  ~Partner();
+
+  Partner(const Partner&) = delete;
+  Partner& operator=(const Partner&) = delete;
+
+  /// Runs a() and b() once each, a on the calling thread. Returns true when
+  /// b ran on the borrowed worker. If either throws, the exception reaches
+  /// the caller only after both have finished (a's first if both throw).
+  template <typename A, typename B>
+  bool both(A&& a, B&& b) {
+    return fork({&invoke<A>, &a}, {&invoke<B>, &b});
+  }
+
+ private:
+  struct Job {
+    void (*fn)(void*);
+    void* ctx;
+  };
+  template <typename F>
+  static void invoke(void* f) {
+    (*static_cast<std::remove_reference_t<F>*>(f))();
+  }
+  bool fork(Job a, Job b);
+
+  struct State;  // shared with the borrowed worker's task
+  std::shared_ptr<State> state_;
 };
 
 /// Evaluates fn(i) for i in [0, n) on the pool and returns the results

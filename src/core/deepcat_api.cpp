@@ -11,11 +11,12 @@ DeepCat::DeepCat(sparksim::ClusterSpec cluster, DeepCatApiOptions options)
       next_env_seed_(options.env.seed) {}
 
 std::vector<tuners::OfflineIterationRecord> DeepCat::train_offline(
-    const sparksim::WorkloadSpec& workload, std::size_t iterations) {
+    const sparksim::WorkloadSpec& workload, std::size_t iterations,
+    common::ThreadPool* helpers) {
   sparksim::EnvOptions env_options = options_.env;
   env_options.seed = next_env_seed_++;
   sparksim::TuningEnvironment env(cluster_, workload, env_options);
-  return tuner_.train_offline(env, iterations);
+  return tuner_.train_offline(env, iterations, helpers);
 }
 
 tuners::TuningReport DeepCat::tune_online(

@@ -35,9 +35,12 @@ class DeepCat {
                    DeepCatApiOptions options = {});
 
   /// Offline stage against a "standard environment" running `workload`.
-  /// Returns the iteration trace (rewards, twin-Q values, costs).
+  /// Returns the iteration trace (rewards, twin-Q values, costs). `helpers`
+  /// lends an idle pool's worker to every gradient step, as in
+  /// DeepCatTuner::train_offline; the result is the same either way.
   std::vector<tuners::OfflineIterationRecord> train_offline(
-      const sparksim::WorkloadSpec& workload, std::size_t iterations);
+      const sparksim::WorkloadSpec& workload, std::size_t iterations,
+      common::ThreadPool* helpers = nullptr);
 
   /// Online stage for a fresh tuning request. Each call builds a new
   /// environment (fresh seed) and fine-tunes the shared offline model.

@@ -35,11 +35,16 @@ void state_action_row(std::span<const double> s, std::span<const double> a,
                       nn::Matrix& out);
 
 /// The matrices one train step packs its batch into and chains its network
-/// passes through. An agent keeps one and reuses it every step.
+/// passes through. An agent keeps one and reuses it every step. Passes that
+/// run side by side write disjoint buffers: the target-smoothing noise has
+/// its own matrix, and each critic update its own output gradient.
 struct StepBuffers {
   nn::Matrix s, a, r, s_next, done;  ///< the sampled batch
   nn::Matrix sa, target_in, pi_in;   ///< [s|a], [s'|a'], [s|pi(s)]
-  nn::Matrix y, grad, dq, d_action;  ///< TD targets and output gradients
+  nn::Matrix noise;                  ///< clipped smoothing noise for a'
+  nn::Matrix y;                      ///< TD targets
+  nn::Matrix grad, grad2;            ///< dL/dQ1 (DDPG's dL/dQ), dL/dQ2
+  nn::Matrix dq, d_action;           ///< the actor update's gradients
 
   /// Packs the batch's five transition fields into s, a, r, s_next, done.
   void pack(std::span<const Transition* const> batch);

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "common/math_util.hpp"
+#include "common/thread_pool.hpp"
 
 namespace deepcat::rl {
 
@@ -204,6 +205,9 @@ void Td3Agent::bind_obs() {
     obs_critic1_loss_ = &config_.obs.metrics->gauge("rl.critic1_loss");
     obs_critic2_loss_ = &config_.obs.metrics->gauge("rl.critic2_loss");
     obs_actor_loss_ = &config_.obs.metrics->gauge("rl.actor_loss");
+    // How often the helper took a branch is the scheduler's call.
+    obs_forks_shared_ = &config_.obs.metrics->counter(
+        "rl.forks_shared", /*deterministic=*/false);
   }
 }
 
@@ -238,36 +242,58 @@ double Td3Agent::min_q(std::span<const double> state,
 }
 
 std::size_t Td3Agent::fine_tune(ReplayBuffer& buffer, common::Rng& rng,
-                                std::size_t max_steps) {
+                                std::size_t max_steps,
+                                common::ThreadPool* helpers) {
   if (buffer.size() < config_.batch_size) return 0;
+  common::Partner partner(helpers);
   std::size_t taken = 0;
-  for (; taken < max_steps; ++taken) (void)train_step(buffer, rng);
+  for (; taken < max_steps; ++taken) {
+    (void)train_step(buffer, rng, &partner);
+  }
   return taken;
 }
 
-Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng) {
+Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng,
+                                   common::Partner* partner) {
+  common::Partner serial;
+  common::Partner& fork = partner != nullptr ? *partner : serial;
   const SampledBatch batch = buffer.sample(config_.batch_size, rng);
   const auto m = batch.size();
   StepBuffers& b = buf_;
   b.pack(batch.transitions);
+  std::size_t shared = 0;  // forks whose second branch ran on the helper
 
-  // Target action with clipped smoothing noise (TD3 trick #3), applied in
-  // place to the action columns of the target critics' input [s' | a'].
-  concat_cols(b.s_next, actor_target_.forward(b.s_next), b.target_in);
+  // Target action with clipped smoothing noise (TD3 trick #3). The noise is
+  // drawn beside the target actor's pass, row by row and action by action,
+  // and added to the action columns of the target critics' input [s' | a'].
+  const nn::Matrix* a_next = nullptr;
+  shared += fork.both(
+      [&] { a_next = &actor_target_.forward(b.s_next); },
+      [&] {
+        b.noise.resize(m, config_.action_dim);
+        for (double& eps : b.noise.flat()) {
+          eps = common::clamp(rng.normal(0.0, config_.policy_noise),
+                              -config_.noise_clip, config_.noise_clip);
+        }
+      });
+  concat_cols(b.s_next, *a_next, b.target_in);
   for (std::size_t i = 0; i < m; ++i) {
-    for (double& v : b.target_in.row(i).subspan(b.s_next.cols())) {
-      const double eps = common::clamp(rng.normal(0.0, config_.policy_noise),
-                                       -config_.noise_clip, config_.noise_clip);
-      v = common::clamp(v + eps, 0.0, 1.0);
+    const auto eps = b.noise.row(i);
+    const auto action = b.target_in.row(i).subspan(b.s_next.cols());
+    for (std::size_t j = 0; j < action.size(); ++j) {
+      action[j] = common::clamp(action[j] + eps[j], 0.0, 1.0);
     }
   }
 
   // Clipped double-Q target (TD3 trick #1).
-  const nn::Matrix& q1_next = critic1_target_.forward(b.target_in);
-  const nn::Matrix& q2_next = critic2_target_.forward(b.target_in);
+  const nn::Matrix* q1_next = nullptr;
+  const nn::Matrix* q2_next = nullptr;
+  shared += fork.both(
+      [&] { q1_next = &critic1_target_.forward(b.target_in); },
+      [&] { q2_next = &critic2_target_.forward(b.target_in); });
   b.y.resize(m, 1);
   for (std::size_t i = 0; i < m; ++i) {
-    const double q_min = std::min(q1_next(i, 0), q2_next(i, 0));
+    const double q_min = std::min((*q1_next)(i, 0), (*q2_next)(i, 0));
     b.y(i, 0) = b.r(i, 0) + config_.gamma * (1.0 - b.done(i, 0)) * q_min;
   }
 
@@ -275,42 +301,54 @@ Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng) {
   Td3TrainStats stats;
   std::vector<double> td_errors(m);
 
-  auto update_critic = [&](nn::Mlp& critic, nn::Adam& opt,
+  auto update_critic = [&](nn::Mlp& critic, nn::Adam& opt, nn::Matrix& grad,
                            bool record_td) -> double {
     critic.zero_grad();
     const nn::Matrix& pred = critic.forward(b.sa);
     // Importance-weighted MSE (weights are 1.0 for uniform/RDPER).
-    b.grad.resize(m, 1);
+    grad.resize(m, 1);
     double loss = 0.0;
     for (std::size_t i = 0; i < m; ++i) {
       const double diff = pred(i, 0) - b.y(i, 0);
       const double w = batch.weights[i];
       loss += w * diff * diff;
-      b.grad(i, 0) = 2.0 * w * diff / static_cast<double>(m);
+      grad(i, 0) = 2.0 * w * diff / static_cast<double>(m);
       if (record_td) td_errors[i] = diff;
     }
-    critic.backward(b.sa, b.grad);
+    critic.backward(b.sa, grad);
     opt.step();
     return loss / static_cast<double>(m);
   };
 
-  stats.critic1_loss = update_critic(critic1_, critic1_opt_, true);
-  stats.critic2_loss = update_critic(critic2_, critic2_opt_, false);
+  // Each critic's update beside the other's. Delayed policy + target updates
+  // (TD3 trick #2) ride with the critic they read: the actor update reads
+  // only critic 1, and each target follows only its own online net.
+  const bool policy_step = (steps_ + 1) % config_.policy_delay == 0;
+  shared += fork.both(
+      [&] {
+        stats.critic1_loss =
+            update_critic(critic1_, critic1_opt_, b.grad, true);
+        if (!policy_step) return;
+        stats.actor_loss = update_actor();
+        actor_target_.soft_update_from(actor_, config_.tau);
+        critic1_target_.soft_update_from(critic1_, config_.tau);
+      },
+      [&] {
+        stats.critic2_loss =
+            update_critic(critic2_, critic2_opt_, b.grad2, false);
+        if (policy_step) {
+          critic2_target_.soft_update_from(critic2_, config_.tau);
+        }
+      });
   buffer.update_priorities(batch.ids, td_errors);
-
   ++steps_;
-  // Delayed policy + target updates (TD3 trick #2).
-  if (steps_ % config_.policy_delay == 0) {
-    stats.actor_loss = update_actor();
-    actor_target_.soft_update_from(actor_, config_.tau);
-    critic1_target_.soft_update_from(critic1_, config_.tau);
-    critic2_target_.soft_update_from(critic2_, config_.tau);
-  }
+
   if (obs_train_steps_ != nullptr) {
     obs_train_steps_->add(1);
     obs_critic1_loss_->set(stats.critic1_loss);
     obs_critic2_loss_->set(stats.critic2_loss);
     if (stats.actor_loss) obs_actor_loss_->set(*stats.actor_loss);
+    if (shared != 0) obs_forks_shared_->add(shared);
   }
   // Convergence history: one point per train step (the serving layer only
   // attaches a series registry to the master agent, so these trace the

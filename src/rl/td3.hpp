@@ -18,6 +18,11 @@
 #include "rl/agent_util.hpp"
 #include "rl/replay.hpp"
 
+namespace deepcat::common {
+class Partner;
+class ThreadPool;
+}  // namespace deepcat::common
+
 namespace deepcat::rl {
 
 struct Td3Config {
@@ -104,16 +109,22 @@ class Td3Agent {
   /// One gradient step on a batch sampled from `buffer`. Also feeds TD
   /// errors back for prioritized buffers. Requires buffer.size() > 0. On
   /// policy steps actor_loss is -mean Q1(s, pi(s)) as the actor update saw
-  /// it, i.e. before that update.
-  Td3TrainStats train_step(ReplayBuffer& buffer, common::Rng& rng);
+  /// it, i.e. before that update. With a `partner`, the step's independent
+  /// passes (the smoothing noise beside the target actor, the two target
+  /// critics, the two critic updates) run side by side on its borrowed
+  /// worker; every result is bit-identical to the serial step.
+  Td3TrainStats train_step(ReplayBuffer& buffer, common::Rng& rng,
+                           common::Partner* partner = nullptr);
 
   /// Bounded continuous-update hook for the serving layer: takes up to
   /// `max_steps` train_step calls and returns how many were taken. Unlike
   /// train_step it is safe on a cold buffer — it takes no steps while
   /// `buffer` holds fewer than one full batch, so a freshly materialized
-  /// master never trains on a degenerate sample.
+  /// master never trains on a degenerate sample. With `helpers`, one
+  /// Partner borrowed from that (idle) pool serves every step.
   std::size_t fine_tune(ReplayBuffer& buffer, common::Rng& rng,
-                        std::size_t max_steps);
+                        std::size_t max_steps,
+                        common::ThreadPool* helpers = nullptr);
 
   [[nodiscard]] const Td3Config& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t train_steps() const noexcept { return steps_; }
@@ -161,6 +172,7 @@ class Td3Agent {
   obs::Gauge* obs_critic1_loss_ = nullptr;
   obs::Gauge* obs_critic2_loss_ = nullptr;
   obs::Gauge* obs_actor_loss_ = nullptr;
+  obs::Counter* obs_forks_shared_ = nullptr;
 };
 
 }  // namespace deepcat::rl

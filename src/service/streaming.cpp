@@ -95,8 +95,10 @@ void StreamingService::bootstrap_model(
 void StreamingService::train_model(const std::string& name,
                                    const sparksim::WorkloadSpec& workload,
                                    std::size_t iterations) {
+  // Called before the server listens: no session runs, so the offline
+  // train steps borrow an idle pool worker.
   bootstrap_model(name, [&](core::DeepCat& model) {
-    (void)model.train_offline(workload, iterations);
+    (void)model.train_offline(workload, iterations, &pool_);
   });
 }
 
@@ -218,7 +220,7 @@ void StreamingService::evict_idle_locked() {
       }
     }
     if (victim == entries_.end()) return;  // everything busy: soft cap
-    (void)merge_entry_locked(*victim->second);
+    (void)merge_entry_locked(*victim->second, /*helpers=*/nullptr);
     if (victim->second->dirty && registry_ && !victim->second->stub) {
       // Learned state survives eviction as a new registry version.
       (void)registry_->publish(victim->first, victim->second->model);
@@ -525,7 +527,8 @@ std::optional<StreamReport> StreamingService::wait_completed() {
   return report;
 }
 
-std::size_t StreamingService::merge_entry_locked(MasterEntry& entry) {
+std::size_t StreamingService::merge_entry_locked(
+    MasterEntry& entry, common::ThreadPool* helpers) {
   if (entry.pending.empty()) return 0;
   const auto merge_span = options_.service.obs.scope("merge");
   ++merges_;
@@ -561,7 +564,8 @@ std::size_t StreamingService::merge_entry_locked(MasterEntry& entry) {
         // Continuous master update: bounded fine-tune on the refreshed
         // pools, driven by the master's own checkpointed RNG stream.
         const std::size_t tuned = entry.model.tuner().agent().fine_tune(
-            *replay, entry.model.tuner().rng(), options_.master_update_steps);
+            *replay, entry.model.tuner().rng(), options_.master_update_steps,
+            helpers);
         fine_tune_steps_ += tuned;
         if (obs_fine_tune_steps_ != nullptr) obs_fine_tune_steps_->add(tuned);
       }
@@ -584,8 +588,12 @@ std::size_t StreamingService::flush() {
   std::unique_lock state(state_mutex_);
   completion_cv_.wait(state, [this] { return in_flight_ == 0; });
   if (obs_flushes_ != nullptr) obs_flushes_->add(1);
+  // No session is in flight and none can be admitted while state_mutex_ is
+  // held, so the master's steps borrow an idle pool worker.
   std::size_t merged = 0;
-  for (auto& [name, entry] : entries_) merged += merge_entry_locked(*entry);
+  for (auto& [name, entry] : entries_) {
+    merged += merge_entry_locked(*entry, &pool_);
+  }
   return merged;
 }
 

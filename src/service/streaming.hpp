@@ -253,8 +253,11 @@ class StreamingService {
   void record_metrics_locked(const SessionReport& report,
                              const std::string& model_key);
   /// Merges one entry's pending experience; requires state_mutex_ held and
-  /// no in-flight sessions on the entry. Returns transitions merged.
-  std::size_t merge_entry_locked(MasterEntry& entry);
+  /// no in-flight sessions on the entry. Returns transitions merged. The
+  /// master's fine-tune borrows a worker of `helpers` (flush passes the
+  /// idle pool; eviction passes none, as other entries' sessions may run).
+  std::size_t merge_entry_locked(MasterEntry& entry,
+                                 common::ThreadPool* helpers);
   /// Evicts idle LRU entries down to the cap; requires registry_mutex_
   /// held exclusively.
   void evict_idle_locked();

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "common/math_util.hpp"
+#include "common/thread_pool.hpp"
 #include "rl/replay.hpp"
 
 namespace deepcat::tuners {
@@ -72,10 +73,12 @@ rl::Td3Agent& DeepCatTuner::agent() {
 }
 
 std::vector<OfflineIterationRecord> DeepCatTuner::train_offline(
-    sparksim::TuningEnvironment& env, std::size_t iterations) {
+    sparksim::TuningEnvironment& env, std::size_t iterations,
+    common::ThreadPool* helpers) {
   ensure_agent(env);
   std::vector<OfflineIterationRecord> trace;
   trace.reserve(iterations);
+  common::Partner partner(helpers);
 
   std::vector<double> state = env.reset();
   for (std::size_t it = 0; it < iterations; ++it) {
@@ -92,7 +95,7 @@ std::vector<OfflineIterationRecord> DeepCatTuner::train_offline(
     const bool done = (it + 1) % options_.episode_length == 0;
     replay_->add({state, action, res.reward, res.state, done});
     if (replay_->size() >= options_.td3.batch_size) {
-      agent_->train_step(*replay_, rng_);
+      agent_->train_step(*replay_, rng_, &partner);
     }
 
     trace.push_back({it, res.reward, min_q, res.exec_seconds, res.success});

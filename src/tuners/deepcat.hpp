@@ -84,9 +84,13 @@ class DeepCatTuner final : public OnlineTuner {
   /// Offline stage: interacts with `env` for `iterations` steps (each is
   /// one evaluation + one gradient step) filling the RDPER pools. Returns
   /// the per-iteration trace. May be called once; the model is then reused
-  /// across many online tuning requests (paper §2).
+  /// across many online tuning requests (paper §2). With `helpers` (an
+  /// otherwise idle pool), one worker is borrowed for the whole loop and
+  /// each gradient step runs its independent passes side by side; the
+  /// trace and the trained state are bit-identical either way.
   std::vector<OfflineIterationRecord> train_offline(
-      sparksim::TuningEnvironment& env, std::size_t iterations);
+      sparksim::TuningEnvironment& env, std::size_t iterations,
+      common::ThreadPool* helpers = nullptr);
 
   /// Online stage: fine-tunes the offline model on the target environment
   /// for `num_steps` evaluations, Twin-Q-optimizing each recommendation.

@@ -473,13 +473,15 @@ TEST(CliObsCommandsTest, ServeStreamWithoutOutWritesOnlyWireBytes) {
 }
 
 TEST(CliCommandsTest, ServeBatchIsThreadCountIndependentAndPublishes) {
-  // The batch path (REQ* + one flush): the JSONL report and metrics lines
-  // are byte-identical on one and four threads, and --publish 1 writes
-  // the merged, fine-tuned master as the next registry version.
+  // The batch path (REQ* + one flush), trained, served and published at one
+  // and at four threads into two registries: the JSONL report and metrics
+  // lines are byte-identical, and so are both published versions — the
+  // trained master (v1, whose startup train steps borrow a pool worker) and
+  // the merged, fine-tuned one --publish 1 writes (v2, whose master steps
+  // do too).
   const std::string dir = ::testing::TempDir() + "deepcat_cli_batch";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  const std::string registry = dir + "/registry";
   const std::string req_path = dir + "/req.jsonl";
   {
     std::ofstream req(req_path);
@@ -489,30 +491,45 @@ TEST(CliCommandsTest, ServeBatchIsThreadCountIndependentAndPublishes) {
            "\"steps\":2,\"seed\":3}\n"
         << "{\"id\":\"r4\",\"workload\":\"KM-D1\",\"steps\":2,\"seed\":4}\n";
   }
-  std::ostringstream train_os;
-  // Enough offline iterations that the pools hold a TD3 batch (64), so the
-  // post-merge fine-tune actually runs.
-  ASSERT_EQ(run_cli({"serve", "--checkpoint", registry, "--train-iters", "80"},
-                    train_os),
-            0)
-      << train_os.str();
-
-  const auto serve_batch = [&](const std::string& threads,
-                               const std::string& out_path) {
-    std::ostringstream os;
-    EXPECT_EQ(run_cli({"serve", "--checkpoint", registry, "--requests",
-                       req_path, "--out", out_path, "--threads", threads},
-                      os),
-              0)
-        << os.str();
-    std::ifstream in(out_path);
+  const auto read_file = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
     std::ostringstream body;
     body << in.rdbuf();
     return body.str();
   };
-  const std::string one = serve_batch("1", dir + "/t1.jsonl");
-  const std::string four = serve_batch("4", dir + "/t4.jsonl");
-  EXPECT_EQ(one, four);
+  const auto train_and_serve = [&](const std::string& threads) {
+    const std::string registry = dir + "/registry" + threads;
+    std::ostringstream train_os;
+    // Enough offline iterations that the pools hold a TD3 batch (64), so
+    // startup training and the post-merge fine-tune actually step.
+    EXPECT_EQ(run_cli({"serve", "--checkpoint", registry, "--train-iters",
+                       "80", "--threads", threads},
+                      train_os),
+              0)
+        << train_os.str();
+    std::ostringstream os;
+    const std::string out_path = dir + "/t" + threads + ".jsonl";
+    EXPECT_EQ(run_cli({"serve", "--checkpoint", registry, "--requests",
+                       req_path, "--out", out_path, "--threads", threads,
+                       "--publish", "1"},
+                      os),
+              0)
+        << os.str();
+    EXPECT_NE(os.str().find("published post-batch model 'default' v2"),
+              std::string::npos)
+        << os.str();
+    return registry;
+  };
+  const std::string reg1 = train_and_serve("1");
+  const std::string reg4 = train_and_serve("4");
+  const std::string one = read_file(dir + "/t1.jsonl");
+  EXPECT_EQ(one, read_file(dir + "/t4.jsonl"));
+  for (const char* version : {"/default.v1.dckp", "/default.v2.dckp"}) {
+    ASSERT_TRUE(std::filesystem::exists(reg1 + version)) << version;
+    EXPECT_EQ(read_file(reg1 + version), read_file(reg4 + version))
+        << version << " depends on the pool size";
+  }
+
   std::istringstream lines(one);
   std::string line;
   std::vector<std::string> ids;
@@ -531,17 +548,32 @@ TEST(CliCommandsTest, ServeBatchIsThreadCountIndependentAndPublishes) {
   EXPECT_EQ(metrics.at("sessions"), "4");
   EXPECT_EQ(metrics.at("merges"), "1");
   EXPECT_EQ(metrics.at("fine_tune_steps"), "4") << "--master-steps default";
+}
 
-  std::ostringstream os;
-  ASSERT_EQ(run_cli({"serve", "--checkpoint", registry, "--requests",
-                     req_path, "--out", dir + "/pub.jsonl", "--publish", "1"},
-                    os),
-            0)
-      << os.str();
-  EXPECT_NE(os.str().find("published post-batch model 'default' v2"),
-            std::string::npos)
-      << os.str();
-  EXPECT_TRUE(std::filesystem::exists(registry + "/default.v2.dckp"));
+TEST(CliCommandsTest, ServeRejectsThreadCountsAboveTheLimit) {
+  // Checked before any service (and so any pool thread) exists.
+  const std::string dir = ::testing::TempDir() + "deepcat_cli_limits";
+  std::filesystem::remove_all(dir);
+  for (const std::string stream : {"0", "1"}) {
+    std::ostringstream threads;
+    EXPECT_NE(run_cli({"serve", "--stream", stream, "--checkpoint", dir,
+                       "--train-iters", "40", "--threads", "1025"},
+                      threads),
+              0);
+    EXPECT_NE(threads.str().find("--threads"), std::string::npos)
+        << threads.str();
+    EXPECT_NE(threads.str().find("1024"), std::string::npos) << threads.str();
+
+    std::ostringstream shards;
+    EXPECT_NE(run_cli({"serve", "--stream", stream, "--checkpoint", dir,
+                       "--train-iters", "40", "--shards", "65"},
+                      shards),
+              0);
+    EXPECT_NE(shards.str().find("--shards"), std::string::npos)
+        << shards.str();
+    EXPECT_NE(shards.str().find("64"), std::string::npos) << shards.str();
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir)) << "nothing may be trained";
 }
 
 TEST(CliObsCommandsTest, ServeStreamRejectsUnknownClock) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -145,6 +149,142 @@ TEST(ThreadPoolTest, MixSeedSeparatesNeighboringIndices) {
   int agree = 0;
   for (int i = 0; i < 64; ++i) agree += a() == b() ? 1 : 0;
   EXPECT_EQ(agree, 0);
+}
+
+// ---- Partner: one borrowed worker, two branches side by side -------------
+
+TEST(PartnerTest, BothBranchesRunOnceWithAndWithoutAPool) {
+  ThreadPool pool(2);
+  for (ThreadPool* helpers : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    Partner partner(helpers);
+    // Plain ints: the join must order the worker's write before the read.
+    int a = 0;
+    int b = 0;
+    const bool shared = partner.both([&] { ++a; }, [&] { ++b; });
+    EXPECT_EQ(a, 1);
+    EXPECT_EQ(b, 1);
+    if (helpers == nullptr) {
+      EXPECT_FALSE(shared);
+    }
+  }
+}
+
+TEST(PartnerTest, NoPoolRunsAThenBOnTheCaller) {
+  Partner partner;
+  const auto caller = std::this_thread::get_id();
+  std::vector<int> order;
+  std::vector<std::thread::id> threads;
+  EXPECT_FALSE(partner.both(
+      [&] {
+        order.push_back(1);
+        threads.push_back(std::this_thread::get_id());
+      },
+      [&] {
+        order.push_back(2);
+        threads.push_back(std::this_thread::get_id());
+      }));
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(threads, (std::vector<std::thread::id>{caller, caller}));
+}
+
+TEST(PartnerTest, BusyPoolRunsBInlineWithoutWaiting) {
+  // The pool's only worker is blocked, so the partner's task sits queued.
+  // both() must take b back and run it on the caller instead of waiting;
+  // the watchdog frees the worker after 10 s, so a regression that waits
+  // fails (b would then run on the worker) rather than hanging.
+  ThreadPool pool(1);
+  std::latch release(1);
+  std::atomic<bool> returned{false};
+  auto blocker = pool.submit([&] { release.wait(); });
+  std::thread watchdog([&] {
+    for (int i = 0; i < 1000 && !returned.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    release.count_down();
+  });
+  std::thread::id b_thread;
+  bool shared = true;
+  {
+    Partner partner(&pool);
+    shared = partner.both([] {},
+                          [&] { b_thread = std::this_thread::get_id(); });
+    returned.store(true);
+  }  // destroyed before its task ever starts: the task must see the stop
+  watchdog.join();
+  blocker.get();
+  EXPECT_FALSE(shared);
+  EXPECT_EQ(b_thread, std::this_thread::get_id());
+}
+
+TEST(PartnerTest, ExceptionFromAArrivesOnlyAfterBFinished) {
+  ThreadPool pool(2);
+  for (ThreadPool* helpers : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    Partner partner(helpers);
+    bool b_done = false;
+    EXPECT_THROW(partner.both([] { throw std::runtime_error("a"); },
+                              [&] {
+                                std::this_thread::sleep_for(
+                                    std::chrono::milliseconds(20));
+                                b_done = true;
+                              }),
+                 std::runtime_error);
+    EXPECT_TRUE(b_done);
+    // The slot is reset: the partner keeps working after a throw.
+    int a_after = 0;
+    int b_after = 0;
+    (void)partner.both([&] { ++a_after; }, [&] { ++b_after; });
+    EXPECT_EQ(a_after + b_after, 2);
+  }
+}
+
+TEST(PartnerTest, ExceptionFromBArrivesOnlyAfterAFinished) {
+  ThreadPool pool(2);
+  for (ThreadPool* helpers : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    Partner partner(helpers);
+    bool a_done = false;
+    EXPECT_THROW(partner.both(
+                     [&] {
+                       std::this_thread::sleep_for(
+                           std::chrono::milliseconds(20));
+                       a_done = true;
+                     },
+                     [] { throw std::logic_error("b"); }),
+                 std::logic_error);
+    EXPECT_TRUE(a_done);
+    int a_after = 0;
+    int b_after = 0;
+    (void)partner.both([&] { ++a_after; }, [&] { ++b_after; });
+    EXPECT_EQ(a_after + b_after, 2);
+  }
+}
+
+TEST(PartnerTest, WhenBothThrowTheCallerSeesA) {
+  ThreadPool pool(2);
+  Partner partner(&pool);
+  EXPECT_THROW(partner.both([] { throw std::runtime_error("a"); },
+                            [] { throw std::logic_error("b"); }),
+               std::runtime_error);
+}
+
+TEST(PartnerTest, TenThousandForksOnOneAndFourWorkers) {
+  constexpr std::size_t kForks = 10000;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(workers);
+    Partner partner(&pool);
+    std::vector<int> a_hits(kForks, 0);
+    std::vector<int> b_hits(kForks, 0);
+    std::size_t shared = 0;
+    for (std::size_t i = 0; i < kForks; ++i) {
+      shared += partner.both([&] { ++a_hits[i]; }, [&] { ++b_hits[i]; });
+    }
+    EXPECT_EQ(std::accumulate(a_hits.begin(), a_hits.end(), 0),
+              static_cast<int>(kForks));
+    EXPECT_EQ(std::accumulate(b_hits.begin(), b_hits.end(), 0),
+              static_cast<int>(kForks));
+    EXPECT_TRUE(std::all_of(b_hits.begin(), b_hits.end(),
+                            [](int hits) { return hits == 1; }));
+    EXPECT_LE(shared, kForks);
+  }
 }
 
 }  // namespace

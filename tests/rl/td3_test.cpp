@@ -3,14 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <type_traits>
 #include <utility>
 
+#include "common/simd.hpp"
+#include "common/thread_pool.hpp"
 #include "rl/ddpg.hpp"
 #include "rl/replay.hpp"
+#include "rl/replay_per.hpp"
+#include "rl/replay_rdper.hpp"
 
 namespace deepcat::rl {
 namespace {
@@ -350,6 +356,169 @@ TEST(Td3Test, TrainStepFeedsPriorityUpdates) {
   fill_bandit_buffer(buffer, rng, 0.5, 64);
   (void)agent.train_step(buffer, rng);
   EXPECT_EQ(buffer.updates, agent.config().batch_size);
+}
+
+// ---- The train step's side-by-side passes are exact ----------------------
+
+/// FNV-1a over the bit patterns of every tensor, moment and counter of a
+/// snapshot.
+std::uint64_t snapshot_digest(const AgentSnapshot& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto add = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  const auto add_all = [&add](const std::vector<nn::Matrix>& tensors) {
+    for (const nn::Matrix& t : tensors) {
+      for (const double x : t.flat()) add(std::bit_cast<std::uint64_t>(x));
+    }
+  };
+  for (const auto& net : s.networks) add_all(net);
+  for (const auto& opt : s.optimizers) {
+    add_all(opt.first_moments);
+    add_all(opt.second_moments);
+    add(opt.step_count);
+  }
+  add(s.train_steps);
+  return h;
+}
+
+/// Six train steps at the serving shape (state 9, action 32, hidden
+/// 128x128, batch 64) from a fixed seed; policy_delay 2 makes three of them
+/// policy steps.
+struct SixSteps {
+  std::uint64_t digest = 0;
+  std::vector<Td3TrainStats> stats;
+  common::RngState rng;
+};
+
+SixSteps six_steps(ReplayBuffer& replay, common::ThreadPool* helpers) {
+  Td3Config c;
+  c.state_dim = 9;
+  c.action_dim = 32;
+  c.batch_size = 64;
+  common::Rng rng(2024);
+  Td3Agent agent(c, rng);
+  for (int i = 0; i < 256; ++i) {
+    Transition t;
+    for (std::size_t k = 0; k < c.state_dim; ++k) {
+      t.state.push_back(rng.uniform());
+    }
+    for (std::size_t k = 0; k < c.action_dim; ++k) {
+      t.action.push_back(rng.uniform());
+    }
+    t.reward = 2.0 * rng.uniform() - 1.0;
+    for (std::size_t k = 0; k < c.state_dim; ++k) {
+      t.next_state.push_back(rng.uniform());
+    }
+    t.done = i % 16 == 15;
+    replay.add(std::move(t));
+  }
+  SixSteps out;
+  common::Partner partner(helpers);
+  for (int i = 0; i < 6; ++i) {
+    out.stats.push_back(helpers == nullptr
+                            ? agent.train_step(replay, rng)
+                            : agent.train_step(replay, rng, &partner));
+  }
+  out.digest = snapshot_digest(agent.snapshot());
+  out.rng = rng.state();
+  return out;
+}
+
+void expect_same_run(const SixSteps& got, const SixSteps& want) {
+  EXPECT_EQ(got.digest, want.digest);
+  ASSERT_EQ(got.stats.size(), want.stats.size());
+  for (std::size_t i = 0; i < got.stats.size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(i));
+    EXPECT_EQ(got.stats[i].critic1_loss, want.stats[i].critic1_loss);
+    EXPECT_EQ(got.stats[i].critic2_loss, want.stats[i].critic2_loss);
+    EXPECT_EQ(got.stats[i].actor_loss, want.stats[i].actor_loss);
+  }
+  EXPECT_EQ(got.rng.s, want.rng.s);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.rng.spare),
+            std::bit_cast<std::uint64_t>(want.rng.spare));
+  EXPECT_EQ(got.rng.has_spare, want.rng.has_spare);
+}
+
+// The digests of six_steps, recorded (GCC 12, x86-64) with the fully
+// serial train step that ran critic 1, critic 2, the priority update, then
+// the actor and the three soft updates. Forking the passes, and the serial
+// order it brings (critic 1, actor, soft updates, critic 2), must reproduce
+// them bit for bit on every tier at every pool size: over RDPER, and over
+// PER, whose update_priorities now runs after the join. The vector tiers'
+// bits depend on the optimizer, which contracts the kernels' scalar
+// a * b + c tails into FMAs, so unoptimized builds (the sanitizer jobs)
+// carry their own column.
+TEST(Td3Test, TrainStepMatchesThePinnedDigestAtEveryPoolSize) {
+  using common::simd::Backend;
+  struct Pinned {
+    Backend tier;
+    std::uint64_t rdper;
+    std::uint64_t per;
+  };
+#if defined(__OPTIMIZE__)
+  constexpr Pinned kPinned[] = {
+      {Backend::kScalar, 0x5415a3e6a2bb538aull, 0x022baf35142f6bf9ull},
+      {Backend::kAvx2, 0x07269f84b2bd6d39ull, 0xc0a590fca2d6c3e2ull},
+      {Backend::kAvx512, 0x2d0512355e079c44ull, 0x67bc6760230b85fbull},
+  };
+#else
+  constexpr Pinned kPinned[] = {
+      {Backend::kScalar, 0x5415a3e6a2bb538aull, 0x022baf35142f6bf9ull},
+      {Backend::kAvx2, 0x0bf9a79753677a52ull, 0xab71805aa83de563ull},
+      {Backend::kAvx512, 0x95a1832a8fb8f40full, 0x866d16c20e39a089ull},
+  };
+#endif
+  struct Restore {
+    ~Restore() { common::simd::force_backend(Backend::kAvx512); }
+  } restore;
+  for (const Pinned& pinned : kPinned) {
+    if (!common::simd::backend_selectable(pinned.tier)) continue;
+    common::simd::force_backend(pinned.tier);
+    SCOPED_TRACE(common::simd::backend_label(pinned.tier));
+    RdperReplay rdper(512);
+    PrioritizedReplay per(1024);
+    const SixSteps serial_rdper = six_steps(rdper, nullptr);
+    const SixSteps serial_per = six_steps(per, nullptr);
+    EXPECT_EQ(serial_rdper.digest, pinned.rdper);
+    EXPECT_EQ(serial_per.digest, pinned.per);
+    ASSERT_EQ(serial_rdper.stats.size(), 6u);
+    for (std::size_t i = 0; i < 6; ++i) {
+      EXPECT_EQ(serial_rdper.stats[i].actor_loss.has_value(), i % 2 == 1);
+    }
+    for (const std::size_t workers :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      SCOPED_TRACE("pool of " + std::to_string(workers));
+      common::ThreadPool pool(workers);
+      RdperReplay forked_rdper(512);
+      PrioritizedReplay forked_per(1024);
+      expect_same_run(six_steps(forked_rdper, &pool), serial_rdper);
+      expect_same_run(six_steps(forked_per, &pool), serial_per);
+    }
+  }
+}
+
+TEST(Td3Test, FineTuneWithHelpersMatchesSerial) {
+  // fine_tune holds one partner across its steps; a cold buffer takes none.
+  common::ThreadPool pool(2);
+  common::Rng fill_rng(40);
+  UniformReplay buffer(512);
+  fill_bandit_buffer(buffer, fill_rng, 0.4, 256);
+  common::Rng init_a(41), init_b(41);
+  Td3Agent serial(small_config(), init_a);
+  Td3Agent helped(small_config(), init_b);
+  common::Rng rng_a(42), rng_b(42);
+  EXPECT_EQ(serial.fine_tune(buffer, rng_a, 5), 5u);
+  EXPECT_EQ(helped.fine_tune(buffer, rng_b, 5, &pool), 5u);
+  EXPECT_EQ(snapshot_digest(helped.snapshot()),
+            snapshot_digest(serial.snapshot()));
+  EXPECT_EQ(rng_b.state().s, rng_a.state().s);
+  UniformReplay cold(512);
+  fill_bandit_buffer(cold, fill_rng, 0.4, 8);
+  EXPECT_EQ(helped.fine_tune(cold, rng_b, 5, &pool), 0u);
 }
 
 }  // namespace

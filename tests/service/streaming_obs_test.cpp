@@ -6,6 +6,8 @@
 // master checkpoint.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -243,6 +245,46 @@ TEST(StreamingObsDeterminismTest, SpanHealthCountersLandInNondeterministicTele) 
   EXPECT_EQ(deterministic.find("obs.spans.dropped"), std::string::npos);
   EXPECT_EQ(deterministic.find("obs.spans.ring_highwater"), std::string::npos);
   EXPECT_NE(deterministic.find("obs.spans.emitted"), std::string::npos);
+}
+
+TEST(StreamingObsDeterminismTest, SharedForksAreBoundedAndNondeterministic) {
+  // rl.forks_shared counts the train-step forks whose second branch ran on
+  // the borrowed pool worker: at most three per step taken with the pool
+  // (startup training and each flush's master steps; sessions never
+  // borrow). How many is the scheduler's call, so the counter is present
+  // in the full export only.
+  obs::MetricsRegistry registry;
+  StreamingOptions options = obs_stress_options(4);
+  options.master_update_steps = 4;
+  options.service.obs.metrics = &registry;
+  StreamingService svc(options);
+  svc.train_model("default",
+                  sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 80);
+  const std::uint64_t startup_steps =
+      registry.counter("rl.train_steps").value();
+  ASSERT_GT(startup_steps, 0u) << "startup training must take train steps";
+  const std::vector<TuningRequest> requests = obs_stress_requests();
+  svc.submit(requests[0]);
+  svc.submit(requests[1]);
+  while (svc.wait_completed()) {
+  }
+  (void)svc.flush();
+  const std::size_t master_steps = svc.metrics().fine_tune_steps;
+  EXPECT_EQ(master_steps, 4u);
+
+  const auto find = [](const std::vector<obs::MetricSnapshot>& all) {
+    const auto it = std::find_if(all.begin(), all.end(), [](const auto& m) {
+      return m.name == "rl.forks_shared";
+    });
+    return it == all.end() ? std::optional<obs::MetricSnapshot>{} : *it;
+  };
+  const std::optional<obs::MetricSnapshot> forks =
+      find(registry.snapshot(true));
+  ASSERT_TRUE(forks.has_value());
+  EXPECT_EQ(forks->kind, obs::MetricKind::kCounter);
+  EXPECT_FALSE(forks->deterministic);
+  EXPECT_LE(forks->counter_value, 3 * (startup_steps + master_steps));
+  EXPECT_FALSE(find(registry.snapshot(false)).has_value());
 }
 
 /// A one-shard service on one thread whose fake sessions report ok.

@@ -6,6 +6,9 @@
 #include <sstream>
 #include <vector>
 
+#include "common/thread_pool.hpp"
+#include "core/deepcat_api.hpp"
+#include "service/checkpoint.hpp"
 #include "sparksim/environment.hpp"
 
 namespace deepcat::tuners {
@@ -326,6 +329,31 @@ TEST(DeepCatTunerTest, EnvironmentDimChangeRejected) {
       sparksim::make_workload(WorkloadType::kTeraSort, 3.2), {.seed = 1});
   EXPECT_NE(env_b.state_dim(), env.state_dim());
   EXPECT_THROW((void)tuner.tune(env_b, 2), std::invalid_argument);
+}
+
+// A pool lent to the offline loop only moves passes between threads: the
+// trace and the checkpoint (networks, moments, replay, RNG) are those of
+// the serial loop, through DeepCat::train_offline into the tuner's.
+TEST(DeepCatTunerTest, TrainOfflineWithHelpersMatchesSerial) {
+  common::ThreadPool pool(4);
+  core::DeepCatApiOptions options;
+  options.tuner = fast_options(60);
+  core::DeepCat serial(sparksim::cluster_a(), options);
+  core::DeepCat helped(sparksim::cluster_a(), options);
+  const auto workload = sparksim::make_workload(WorkloadType::kTeraSort, 3.2);
+  const auto want = serial.train_offline(workload, 120);
+  const auto got = helped.train_offline(workload, 120, &pool);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].iteration, want[i].iteration);
+    EXPECT_EQ(got[i].reward, want[i].reward) << "iteration " << i;
+    EXPECT_EQ(got[i].min_q, want[i].min_q) << "iteration " << i;
+    EXPECT_EQ(got[i].exec_seconds, want[i].exec_seconds) << "iteration " << i;
+    EXPECT_EQ(got[i].success, want[i].success) << "iteration " << i;
+  }
+  EXPECT_GT(serial.tuner().agent().train_steps(), 0u);
+  EXPECT_EQ(service::checkpoint_to_string(helped),
+            service::checkpoint_to_string(serial));
 }
 
 }  // namespace
