@@ -8,7 +8,9 @@
 //   bench_micro --json[=path]      kernel benchmark: times every GEMM/fused
 //                                  kernel once per selectable ISA tier
 //                                  (scalar/avx2/avx512 columns), the GEMMs
-//                                  a TD3 train step runs and the whole step
+//                                  a TD3 train step runs, one critic Adam
+//                                  step (kernel.adam_update.critic), the
+//                                  whole step and each step kind apart
 //                                  (rl.td3_train_step), a FLSH's 4-step
 //                                  master fine-tune serial and on a
 //                                  borrowed pool worker (rl.fine_tune4),
@@ -100,6 +102,7 @@
 #include "obs/prometheus.hpp"
 #include "obs/tracer.hpp"
 #include "core/deepcat_api.hpp"
+#include "nn/adam.hpp"
 #include "nn/mlp.hpp"
 #include "retrieval/index.hpp"
 #include "rl/replay_rdper.hpp"
@@ -581,6 +584,50 @@ int run_kernel_bench_json(const std::string& path) {
     }
     simd::force_backend(simd::Backend::kAvx512);
     registry.gauge("rl.td3_train_step.reps").set(kKernelReps);
+  }
+
+  {
+    // The two step kinds apart, serial, dispatch tier: a policy step also
+    // runs the actor update and three soft updates (policy_delay 2, so
+    // the kinds alternate). Best single step of each kind.
+    constexpr int kStepsPerKind = 100;
+    common::Rng step_rng(3);
+    rl::Td3Agent agent(serving_td3, step_rng);
+    rl::RdperReplay replay(10'000, {.reward_threshold = 0.0, .beta = 0.6});
+    fill_serving_replay(replay, step_rng);
+    double best_policy = std::numeric_limits<double>::infinity();
+    double best_value = best_policy;
+    for (int i = 0; i < 2 * kStepsPerKind; ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const rl::Td3TrainStats stats = agent.train_step(replay, step_rng);
+      const std::chrono::duration<double, std::nano> elapsed =
+          std::chrono::steady_clock::now() - t0;
+      benchmark::DoNotOptimize(stats.critic1_loss);
+      double& best = stats.actor_loss ? best_policy : best_value;
+      best = std::min(best, elapsed.count());
+    }
+    registry.gauge("rl.td3_train_step.policy_ns").set(best_policy);
+    registry.gauge("rl.td3_train_step.value_ns").set(best_value);
+  }
+
+  {
+    // One Adam step over the serving critic's six tensors (41x128, 128,
+    // 128x128, 128, 128x1, 1) with the TD3 clip, resumed past t = 356 so
+    // bc1 == 1 as on every master step: the clip reduction and the fused
+    // update, per tier.
+    nn::Mlp critic({41, 128, 128, 1}, rng);
+    std::vector<nn::Matrix> m, v;
+    for (const nn::Param& p : critic.params()) {
+      for (double& g : p.grad->flat()) g = rng.normal();
+      m.emplace_back(p.value->rows(), p.value->cols());
+      v.emplace_back(p.value->rows(), p.value->cols());
+    }
+    nn::Adam opt(critic.params(), {.lr = 1e-3, .grad_clip = 5.0},
+                 std::move(m), std::move(v), 400);
+    time_kernel_backends(registry, "adam_update", "critic", 0.0, [&] {
+      opt.step();
+      benchmark::ClobberMemory();
+    });
   }
 
   {

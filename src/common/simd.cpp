@@ -1,5 +1,6 @@
 #include "common/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -62,7 +63,7 @@ const Backend g_detected_backend = detect_cpu_backend();
 const Backend g_max_backend = min_backend(g_detected_backend, parse_env_cap());
 Backend g_forced_cap = Backend::kAvx512;
 
-// Dispatch accounting for the chunky kernels (GEMM family + fused Adam).
+// Dispatch accounting for the chunky kernels (GEMM family + Adam).
 // Relaxed single atomics, not stripes: these kernels run for microseconds
 // per call, so one fetch_add per call is noise.
 std::atomic<unsigned long long> g_scalar_calls{0};
@@ -122,37 +123,24 @@ void relu_mask_scalar(double* g, const double* y, std::size_t n) noexcept {
   }
 }
 
-void adam_update_scalar(double* value, const double* grad, double* m,
-                        double* v, std::size_t n, double scale, double beta1,
-                        double beta2, double bc1, double bc2, double lr,
-                        double eps) noexcept {
+// kUnitBc1: bc1 == 1.0, where m / bc1 is m itself for every double (signed
+// zeros, subnormals, infinities and NaN included), so the divide is
+// skipped. 1 - 0.9^t rounds to exactly 1.0 from t = 356 on. Out of line:
+// the vector tiers hand it their tails, and inlined there its a * b + c
+// would contract to FMA and change those elements' bits.
+template <bool kUnitBc1>
+[[gnu::noinline]] void adam_update_scalar(double* value, const double* grad,
+                                          double* m, double* v, std::size_t n,
+                                          double scale, double beta1,
+                                          double beta2, double bc1, double bc2,
+                                          double lr, double eps) noexcept {
   for (std::size_t i = 0; i < n; ++i) {
     const double g = grad[i] * scale;
     m[i] = beta1 * m[i] + (1.0 - beta1) * g;
     v[i] = beta2 * v[i] + (1.0 - beta2) * g * g;
-    const double m_hat = m[i] / bc1;
+    const double m_hat = kUnitBc1 ? m[i] : m[i] / bc1;
     const double v_hat = v[i] / bc2;
     value[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
-  }
-}
-
-void adam_update_clipped_scalar(const AdamTensor* tensors, std::size_t count,
-                                double grad_clip, double beta1, double beta2,
-                                double bc1, double bc2, double lr,
-                                double eps) noexcept {
-  double scale = 1.0;
-  if (grad_clip > 0.0) {
-    double sq = 0.0;
-    for (std::size_t i = 0; i < count; ++i) {
-      sq += dot_scalar(tensors[i].grad, tensors[i].grad, tensors[i].n);
-    }
-    const double norm = std::sqrt(sq);
-    if (norm > grad_clip) scale = grad_clip / norm;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    adam_update_scalar(tensors[i].value, tensors[i].grad, tensors[i].m,
-                       tensors[i].v, tensors[i].n, scale, beta1, beta2, bc1,
-                       bc2, lr, eps);
   }
 }
 
@@ -377,11 +365,11 @@ DEEPCAT_TARGET_AVX2 void relu_mask_avx2(double* g, const double* y,
   }
 }
 
-DEEPCAT_TARGET_AVX2 void adam_update_avx2(double* value, const double* grad,
-                                          double* m, double* v, std::size_t n,
-                                          double scale, double beta1,
-                                          double beta2, double bc1, double bc2,
-                                          double lr, double eps) noexcept {
+template <bool kUnitBc1>
+DEEPCAT_TARGET_AVX2 void adam_update_avx2(
+    double* value, const double* grad, double* m, double* v, std::size_t n,
+    double scale, double beta1, double beta2, double bc1, double bc2,
+    double lr, double eps) noexcept {
   const __m256d vscale = _mm256_set1_pd(scale);
   const __m256d vb1 = _mm256_set1_pd(beta1);
   const __m256d vb2 = _mm256_set1_pd(beta2);
@@ -400,7 +388,7 @@ DEEPCAT_TARGET_AVX2 void adam_update_avx2(double* value, const double* grad,
                                        _mm256_mul_pd(vomb2, _mm256_mul_pd(g, g)));
     _mm256_storeu_pd(m + i, mi);
     _mm256_storeu_pd(v + i, vi);
-    const __m256d m_hat = _mm256_div_pd(mi, vbc1);
+    const __m256d m_hat = kUnitBc1 ? mi : _mm256_div_pd(mi, vbc1);
     const __m256d v_hat = _mm256_div_pd(vi, vbc2);
     const __m256d denom = _mm256_add_pd(_mm256_sqrt_pd(v_hat), veps);
     const __m256d update =
@@ -409,31 +397,8 @@ DEEPCAT_TARGET_AVX2 void adam_update_avx2(double* value, const double* grad,
                      _mm256_sub_pd(_mm256_loadu_pd(value + i), update));
   }
   if (i < n) {
-    adam_update_scalar(value + i, grad + i, m + i, v + i, n - i, scale, beta1,
-                       beta2, bc1, bc2, lr, eps);
-  }
-}
-
-DEEPCAT_TARGET_AVX2 void adam_update_clipped_avx2(
-    const AdamTensor* tensors, std::size_t count, double grad_clip,
-    double beta1, double beta2, double bc1, double bc2, double lr,
-    double eps) noexcept {
-  double scale = 1.0;
-  if (grad_clip > 0.0) {
-    // Same per-tensor reduction (dot of grad with itself) in the same array
-    // order as the old standalone sum_squares pass, so the clip scale is
-    // bit-identical to the unfused composition.
-    double sq = 0.0;
-    for (std::size_t i = 0; i < count; ++i) {
-      sq += dot_avx2(tensors[i].grad, tensors[i].grad, tensors[i].n);
-    }
-    const double norm = std::sqrt(sq);
-    if (norm > grad_clip) scale = grad_clip / norm;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    adam_update_avx2(tensors[i].value, tensors[i].grad, tensors[i].m,
-                     tensors[i].v, tensors[i].n, scale, beta1, beta2, bc1,
-                     bc2, lr, eps);
+    adam_update_scalar<kUnitBc1>(value + i, grad + i, m + i, v + i, n - i,
+                                 scale, beta1, beta2, bc1, bc2, lr, eps);
   }
 }
 
@@ -922,6 +887,7 @@ DEEPCAT_TARGET_AVX512 void relu_mask_avx512(double* g, const double* y,
   }
 }
 
+template <bool kUnitBc1>
 DEEPCAT_TARGET_AVX512 void adam_update_avx512(
     double* value, const double* grad, double* m, double* v, std::size_t n,
     double scale, double beta1, double beta2, double bc1, double bc2,
@@ -945,7 +911,7 @@ DEEPCAT_TARGET_AVX512 void adam_update_avx512(
         _mm512_mul_pd(vomb2, _mm512_mul_pd(g, g)));
     _mm512_storeu_pd(m + i, mi);
     _mm512_storeu_pd(v + i, vi);
-    const __m512d m_hat = _mm512_div_pd(mi, vbc1);
+    const __m512d m_hat = kUnitBc1 ? mi : _mm512_div_pd(mi, vbc1);
     const __m512d v_hat = _mm512_div_pd(vi, vbc2);
     const __m512d denom = _mm512_add_pd(_mm512_sqrt_pd(v_hat), veps);
     const __m512d update = _mm512_div_pd(_mm512_mul_pd(vlr, m_hat), denom);
@@ -953,34 +919,16 @@ DEEPCAT_TARGET_AVX512 void adam_update_avx512(
                      _mm512_sub_pd(_mm512_loadu_pd(value + i), update));
   }
   if (i < n) {
-    adam_update_scalar(value + i, grad + i, m + i, v + i, n - i, scale, beta1,
-                       beta2, bc1, bc2, lr, eps);
+    adam_update_scalar<kUnitBc1>(value + i, grad + i, m + i, v + i, n - i,
+                                 scale, beta1, beta2, bc1, bc2, lr, eps);
   }
 }
 
-DEEPCAT_TARGET_AVX512 void adam_update_clipped_avx512(
-    const AdamTensor* tensors, std::size_t count, double grad_clip,
-    double beta1, double beta2, double bc1, double bc2, double lr,
-    double eps) noexcept {
-  double scale = 1.0;
-  if (grad_clip > 0.0) {
-    double sq = 0.0;
-    for (std::size_t i = 0; i < count; ++i) {
-      sq += dot_avx512(tensors[i].grad, tensors[i].grad, tensors[i].n);
-    }
-    const double norm = std::sqrt(sq);
-    if (norm > grad_clip) scale = grad_clip / norm;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    adam_update_avx512(tensors[i].value, tensors[i].grad, tensors[i].m,
-                       tensors[i].v, tensors[i].n, scale, beta1, beta2, bc1,
-                       bc2, lr, eps);
-  }
-}
-
-// 4x16 register-blocked micro-kernel: the AVX2 4x8 tile widened to two
-// zmm columns per row — still 8 resident accumulators, double the flops
-// per broadcast.
+// 4x32 register-blocked micro-kernel: four zmm columns per row, 16
+// resident accumulators, so one broadcast feeds four FMAs; then the AVX2
+// 4x8 tile widened to 4x16 and 4x8 for narrower remainders. Every output
+// keeps its ascending-k chain from C, so the column blocking changes no
+// bit.
 DEEPCAT_TARGET_AVX512 void gemm_nn_avx512(std::size_t m, std::size_t n,
                                           std::size_t k, const double* a,
                                           std::size_t lda, const double* b,
@@ -992,7 +940,41 @@ DEEPCAT_TARGET_AVX512 void gemm_nn_avx512(std::size_t m, std::size_t n,
     const double* a1 = a + (i + 1) * lda;
     const double* a2 = a + (i + 2) * lda;
     const double* a3 = a + (i + 3) * lda;
+    const double* arow[4] = {a0, a1, a2, a3};
     std::size_t j = 0;
+    for (; j + 32 <= n; j += 32) {
+      __m512d acc[4][4];
+#pragma GCC unroll 4
+      for (std::size_t r = 0; r < 4; ++r) {
+#pragma GCC unroll 4
+        for (std::size_t q = 0; q < 4; ++q) {
+          acc[r][q] = _mm512_loadu_pd(c + (i + r) * ldc + j + 8 * q);
+        }
+      }
+      for (std::size_t p = 0; p < k; ++p) {
+        const double* brow = b + p * ldb + j;
+        __m512d bv[4];
+#pragma GCC unroll 4
+        for (std::size_t q = 0; q < 4; ++q) {
+          bv[q] = _mm512_loadu_pd(brow + 8 * q);
+        }
+#pragma GCC unroll 4
+        for (std::size_t r = 0; r < 4; ++r) {
+          const __m512d av = _mm512_set1_pd(arow[r][p]);
+#pragma GCC unroll 4
+          for (std::size_t q = 0; q < 4; ++q) {
+            acc[r][q] = _mm512_fmadd_pd(av, bv[q], acc[r][q]);
+          }
+        }
+      }
+#pragma GCC unroll 4
+      for (std::size_t r = 0; r < 4; ++r) {
+#pragma GCC unroll 4
+        for (std::size_t q = 0; q < 4; ++q) {
+          _mm512_storeu_pd(c + (i + r) * ldc + j + 8 * q, acc[r][q]);
+        }
+      }
+    }
     for (; j + 16 <= n; j += 16) {
       __m512d c00 = _mm512_loadu_pd(c + (i + 0) * ldc + j);
       __m512d c01 = _mm512_loadu_pd(c + (i + 0) * ldc + j + 8);
@@ -1069,14 +1051,74 @@ DEEPCAT_TARGET_AVX512 void gemm_nn_avx512(std::size_t m, std::size_t n,
   }
 }
 
-// Same 4x16 block shape as gemm_nn_avx512; only the A access changes
-// (column i of the stored (k x m) A, i.e. strided broadcasts).
+// gemm_tn_avx512's columns [j0, n) past its last 16-column tile, for the
+// four C rows starting at `c` (A columns from `a`): each output is its own
+// ascending-k chain from 0, then added to C, whichever row block it is in.
+// Inlined, so the chains contract to FMA as the one-row path's chain does.
+[[gnu::always_inline]] inline void tn_tail_4rows_avx512(
+    std::size_t n, std::size_t k, std::size_t j0, const double* a,
+    std::size_t lda, const double* b, std::size_t ldb, double* c,
+    std::size_t ldc) noexcept {
+  for (std::size_t j = j0; j < n; ++j) {
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    for (std::size_t p = 0; p < k; ++p) {
+      const double* acol = a + p * lda;
+      const double bv = b[p * ldb + j];
+      s0 += acol[0] * bv;
+      s1 += acol[1] * bv;
+      s2 += acol[2] * bv;
+      s3 += acol[3] * bv;
+    }
+    c[j] += s0;
+    c[ldc + j] += s1;
+    c[2 * ldc + j] += s2;
+    c[3 * ldc + j] += s3;
+  }
+}
+
+// The 4x16 gemm_nn_avx512 tile with the A access changed (column i of the
+// stored (k x m) A, i.e. strided broadcasts), grown to 8x16 with 16
+// resident accumulators: one pair of B loads feeds 16 FMAs. The last
+// m mod 8 rows run the 4x16 tile and the one-row path, and columns past
+// the last 16-column tile run the scalar tail. Every output keeps its own
+// ascending-k chain, so the row blocking changes no bit.
 DEEPCAT_TARGET_AVX512 void gemm_tn_avx512(std::size_t m, std::size_t n,
                                           std::size_t k, const double* a,
                                           std::size_t lda, const double* b,
                                           std::size_t ldb, double* c,
                                           std::size_t ldc) noexcept {
   std::size_t i = 0;
+  for (; i + 8 <= m; i += 8) {
+    std::size_t j = 0;
+    for (; j + 16 <= n; j += 16) {
+      __m512d acc[8][2];
+#pragma GCC unroll 8
+      for (std::size_t r = 0; r < 8; ++r) {
+        acc[r][0] = _mm512_loadu_pd(c + (i + r) * ldc + j);
+        acc[r][1] = _mm512_loadu_pd(c + (i + r) * ldc + j + 8);
+      }
+      for (std::size_t p = 0; p < k; ++p) {
+        const double* acol = a + p * lda + i;
+        const double* brow = b + p * ldb + j;
+        const __m512d b0 = _mm512_loadu_pd(brow);
+        const __m512d b1 = _mm512_loadu_pd(brow + 8);
+#pragma GCC unroll 8
+        for (std::size_t r = 0; r < 8; ++r) {
+          const __m512d av = _mm512_set1_pd(acol[r]);
+          acc[r][0] = _mm512_fmadd_pd(av, b0, acc[r][0]);
+          acc[r][1] = _mm512_fmadd_pd(av, b1, acc[r][1]);
+        }
+      }
+#pragma GCC unroll 8
+      for (std::size_t r = 0; r < 8; ++r) {
+        _mm512_storeu_pd(c + (i + r) * ldc + j, acc[r][0]);
+        _mm512_storeu_pd(c + (i + r) * ldc + j + 8, acc[r][1]);
+      }
+    }
+    tn_tail_4rows_avx512(n, k, j, a + i, lda, b, ldb, c + i * ldc, ldc);
+    tn_tail_4rows_avx512(n, k, j, a + i + 4, lda, b, ldb,
+                         c + (i + 4) * ldc, ldc);
+  }
   for (; i + 4 <= m; i += 4) {
     std::size_t j = 0;
     for (; j + 16 <= n; j += 16) {
@@ -1115,21 +1157,7 @@ DEEPCAT_TARGET_AVX512 void gemm_tn_avx512(std::size_t m, std::size_t n,
       _mm512_storeu_pd(c + (i + 3) * ldc + j, c30);
       _mm512_storeu_pd(c + (i + 3) * ldc + j + 8, c31);
     }
-    for (; j < n; ++j) {
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        const double* acol = a + p * lda + i;
-        const double bv = b[p * ldb + j];
-        s0 += acol[0] * bv;
-        s1 += acol[1] * bv;
-        s2 += acol[2] * bv;
-        s3 += acol[3] * bv;
-      }
-      c[(i + 0) * ldc + j] += s0;
-      c[(i + 1) * ldc + j] += s1;
-      c[(i + 2) * ldc + j] += s2;
-      c[(i + 3) * ldc + j] += s3;
-    }
+    tn_tail_4rows_avx512(n, k, j, a + i, lda, b, ldb, c + i * ldc, ldc);
   }
   for (; i < m; ++i) {
     std::size_t j = 0;
@@ -1284,12 +1312,21 @@ DEEPCAT_TARGET_AVX512 void gemm_nt_avx512(std::size_t m, std::size_t n,
     gemm_nt_small_k_avx512(m, n, k, a, lda, b, ldb, c, ldc);
     return;
   }
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    gemm_nt_rows_avx512<4>(n, k, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
-  }
-  for (; i < m; ++i) {
-    gemm_nt_rows_avx512<1>(n, k, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
+  // 16 B rows at a time against every A row block, so those B rows stay
+  // in L1 across the blocks. Groups start at multiples of 4 columns, so
+  // each output reduces exactly as in one pass over all n.
+  for (std::size_t j = 0; j < n; j += 16) {
+    const std::size_t nj = std::min<std::size_t>(16, n - j);
+    const double* bj = b + j * ldb;
+    std::size_t i = 0;
+    for (; i + 4 <= m; i += 4) {
+      gemm_nt_rows_avx512<4>(nj, k, a + i * lda, lda, bj, ldb,
+                             c + i * ldc + j, ldc);
+    }
+    for (; i < m; ++i) {
+      gemm_nt_rows_avx512<1>(nj, k, a + i * lda, lda, bj, ldb,
+                             c + i * ldc + j, ldc);
+    }
   }
 }
 
@@ -1508,46 +1545,23 @@ void adam_update(double* value, const double* grad, double* m, double* v,
                  double bc1, double bc2, double lr, double eps) noexcept {
   const Backend be = active_backend();
   count_dispatch(be);
+  const bool unit_bc1 = bc1 == 1.0;
 #if DEEPCAT_SIMD_X86
   switch (be) {
     case Backend::kAvx512:
-      adam_update_avx512(value, grad, m, v, n, scale, beta1, beta2, bc1, bc2,
-                         lr, eps);
+      (unit_bc1 ? adam_update_avx512<true> : adam_update_avx512<false>)(
+          value, grad, m, v, n, scale, beta1, beta2, bc1, bc2, lr, eps);
       return;
     case Backend::kAvx2:
-      adam_update_avx2(value, grad, m, v, n, scale, beta1, beta2, bc1, bc2,
-                       lr, eps);
+      (unit_bc1 ? adam_update_avx2<true> : adam_update_avx2<false>)(
+          value, grad, m, v, n, scale, beta1, beta2, bc1, bc2, lr, eps);
       return;
     default:
       break;
   }
 #endif
-  adam_update_scalar(value, grad, m, v, n, scale, beta1, beta2, bc1, bc2, lr,
-                     eps);
-}
-
-void adam_update_clipped(const AdamTensor* tensors, std::size_t count,
-                         double grad_clip, double beta1, double beta2,
-                         double bc1, double bc2, double lr,
-                         double eps) noexcept {
-  const Backend be = active_backend();
-  count_dispatch(be);
-#if DEEPCAT_SIMD_X86
-  switch (be) {
-    case Backend::kAvx512:
-      adam_update_clipped_avx512(tensors, count, grad_clip, beta1, beta2,
-                                 bc1, bc2, lr, eps);
-      return;
-    case Backend::kAvx2:
-      adam_update_clipped_avx2(tensors, count, grad_clip, beta1, beta2, bc1,
-                               bc2, lr, eps);
-      return;
-    default:
-      break;
-  }
-#endif
-  adam_update_clipped_scalar(tensors, count, grad_clip, beta1, beta2, bc1,
-                             bc2, lr, eps);
+  (unit_bc1 ? adam_update_scalar<true> : adam_update_scalar<false>)(
+      value, grad, m, v, n, scale, beta1, beta2, bc1, bc2, lr, eps);
 }
 
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a,

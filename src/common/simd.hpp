@@ -82,7 +82,7 @@ void force_backend(Backend cap) noexcept;
 
 // ---- Backend-dispatch accounting ----------------------------------------
 // Counts how many *chunky* kernel calls resolved to each tier — the GEMM
-// family and the fused Adam steps, one increment per call. The tiny
+// family and the Adam updates, one increment per call. The tiny
 // level-1 primitives (dot/axpy/sum) are deliberately uncounted: dot runs
 // per matrix row inside the GP Cholesky, so even a relaxed fetch_add
 // there would be a measurable hot-path tax. bench_micro and the kernel
@@ -155,33 +155,12 @@ void relu_mask(double* g, const double* y, std::size_t n) noexcept;
 ///   v[i]   = beta2 * v[i] + (1 - beta2) * g^2
 ///   value[i] -= lr * (m[i] / bc1) / (sqrt(v[i] / bc2) + eps)
 /// Identical formula on every backend (bias corrections passed as the
-/// divisors bc1/bc2, exactly like the scalar reference).
+/// divisors bc1/bc2, exactly like the scalar reference). At bc1 == 1.0
+/// (t >= 356 at beta1 = 0.9) the m / bc1 divide is skipped: dividing by
+/// 1.0 returns every double unchanged, so no bit moves.
 void adam_update(double* value, const double* grad, double* m, double* v,
                  std::size_t n, double scale, double beta1, double beta2,
                  double bc1, double bc2, double lr, double eps) noexcept;
-
-/// One Adam-managed tensor: parameter values, gradients and both moment
-/// vectors, all `n` elements long. The pointers alias nothing else passed
-/// to the same kernel call.
-struct AdamTensor {
-  double* value;
-  const double* grad;
-  double* m;
-  double* v;
-  std::size_t n;
-};
-
-/// Whole-step Adam with fused global gradient-norm clipping over a set of
-/// tensors. Accumulates sum(grad^2) across the tensors in array order,
-/// derives scale = min(1, grad_clip / ||grad||) (grad_clip <= 0 disables
-/// clipping), then applies adam_update to every tensor — one kernel call
-/// per optimizer step instead of a separate norm pass per tensor. The
-/// reduction order and per-element formula match the unfused composition
-/// exactly, so results are bit-identical on each backend.
-void adam_update_clipped(const AdamTensor* tensors, std::size_t count,
-                         double grad_clip, double beta1, double beta2,
-                         double bc1, double bc2, double lr,
-                         double eps) noexcept;
 
 // ---- Level-3 GEMM kernels ----------------------------------------------
 // All accumulate into C (C += ...), so the caller controls the epilogue
@@ -191,19 +170,23 @@ void adam_update_clipped(const AdamTensor* tensors, std::size_t count,
 // kernel per vector tier, or to the scalar reference loop.
 
 /// C(m x n) += A(m x k) * B(k x n). Register-blocked broadcast-A /
-/// streamed-B micro-kernel on the vector tiers (4x8 on avx2, 4x16 on
-/// avx512); the scalar path is the cache-friendly ikj loop with a
-/// zero-skip on A (which makes post-ReLU activations cheap).
+/// streamed-B micro-kernel on the vector tiers (4x8 on avx2; 4x32, then
+/// 4x16 and 4x8, on avx512); the scalar path is the cache-friendly ikj
+/// loop with a zero-skip on A (which makes post-ReLU activations cheap).
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
              std::size_t ldc) noexcept;
 
 /// C(m x n) += A^T * B where A is stored (k x m): C[i][j] += A[p][i]*B[p][j].
+/// The gemm_nn tiles with strided A broadcasts (4x8 on avx2; 8x16, then
+/// 4x16, on avx512).
 void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
              std::size_t ldc) noexcept;
 
 /// C(m x n) += A * B^T where B is stored (n x k): C[i][j] += dot(A[i], B[j]).
+/// Row blocks of A against groups of B rows (4 at a time; on avx512 every
+/// row block passes over 16 B rows before the next 16).
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
              std::size_t ldc) noexcept;

@@ -182,6 +182,7 @@ bool Partner::fork(Job a, Job b) {
     while (s->slot.load(std::memory_order_acquire) != kDone) backoff.pause();
     b_error = std::exchange(s->error, nullptr);
     s->slot.store(kIdle, std::memory_order_relaxed);
+    ++forks_shared_;
   } else {
     b_error = run_caught(b.fn, b.ctx);
   }

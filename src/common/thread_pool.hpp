@@ -2,8 +2,9 @@
 // experiment harnesses use it to evaluate independent work items
 // concurrently (Fig. 2's 200 random configs, Fig. 6/7's workload sweeps,
 // repeated-seed loops). Partner borrows one idle worker to run a pair of
-// independent passes side by side (the TD3 train step's twin critics).
-// All parallelism in the library is explicit.
+// independent passes side by side (the TD3 train step's twin critics), or
+// one pass split in two (the actor update's rows and elements). All
+// parallelism in the library is explicit.
 #pragma once
 
 #include <condition_variable>
@@ -106,6 +107,11 @@ class ThreadPool {
 /// costs only the serial time and cannot deadlock. With no pool, both()
 /// runs a then b on the caller.
 ///
+/// A split pass runs as parts(): two with a borrowed worker, split at
+/// range(), one covering everything without. How many parts a pass runs
+/// as depends only on whether a pool was given, never on whether the
+/// worker claimed a branch, so the results are the same either way.
+///
 /// Meant for a pool that is otherwise idle: while a partner lives, its
 /// worker is busy spinning (a few _mm_pause, then yielding). One thread
 /// calls both() at a time.
@@ -126,6 +132,41 @@ class Partner {
     return fork({&invoke<A>, &a}, {&invoke<B>, &b});
   }
 
+  /// 2 with a borrowed worker, 1 without.
+  [[nodiscard]] std::size_t parts() const noexcept { return state_ ? 2 : 1; }
+
+  /// Runs part(i) for every i < parts(): part(0) and part(1) through
+  /// both(), or part(0) alone.
+  template <typename Part>
+  void each_part(Part&& part) {
+    if (parts() == 1) {
+      part(std::size_t{0});
+      return;
+    }
+    both([&] { part(std::size_t{0}); }, [&] { part(std::size_t{1}); });
+  }
+
+  /// The half-open index range [begin, end) of one part.
+  struct Range {
+    std::size_t begin;
+    std::size_t end;
+  };
+  /// Part `index` of [0, n): all of it as the one part; of two, the first
+  /// ends at n / 2 rounded down to a multiple of `align`. Aligned to a
+  /// kernel's row block or vector width, every element then takes the
+  /// path it takes in one call over [0, n).
+  [[nodiscard]] Range range(std::size_t index, std::size_t n,
+                            std::size_t align) const noexcept {
+    if (parts() == 1) return {0, n};
+    const std::size_t cut = n / 2 / align * align;
+    return index == 0 ? Range{0, cut} : Range{cut, n};
+  }
+
+  /// Forks whose second branch ran on the borrowed worker so far.
+  [[nodiscard]] std::size_t forks_shared() const noexcept {
+    return forks_shared_;
+  }
+
  private:
   struct Job {
     void (*fn)(void*);
@@ -139,6 +180,7 @@ class Partner {
 
   struct State;  // shared with the borrowed worker's task
   std::shared_ptr<State> state_;
+  std::size_t forks_shared_ = 0;  // the calling thread's alone
 };
 
 /// Evaluates fn(i) for i in [0, n) on the pool and returns the results

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/simd.hpp"
+#include "common/thread_pool.hpp"
 
 namespace deepcat::nn {
 
@@ -43,19 +44,33 @@ void Adam::check_moments(const std::vector<Matrix>& m,
 }
 
 void Adam::step() {
+  common::Partner serial;
+  step(serial);
+}
+
+void Adam::step(common::Partner& partner) {
   ++t_;
   const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
-  std::vector<common::simd::AdamTensor> tensors;
-  tensors.reserve(params_.size());
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    tensors.push_back({params_[i].value->data(), params_[i].grad->data(),
-                       m_[i].data(), v_[i].data(), params_[i].value->size()});
+  double scale = 1.0;
+  if (config_.grad_clip > 0.0) {
+    double sq = 0.0;
+    for (const Param& p : params_) {
+      sq += common::simd::dot(p.grad->data(), p.grad->data(), p.grad->size());
+    }
+    const double norm = std::sqrt(sq);
+    if (norm > config_.grad_clip) scale = config_.grad_clip / norm;
   }
-  common::simd::adam_update_clipped(tensors.data(), tensors.size(),
-                                    config_.grad_clip, config_.beta1,
-                                    config_.beta2, bc1, bc2, config_.lr,
-                                    config_.eps);
+  partner.each_part([&](std::size_t part) {
+    for (std::size_t i = 0; i < params_.size(); ++i) {
+      const auto e = partner.range(part, params_[i].value->size(), kSplitLanes);
+      common::simd::adam_update(
+          params_[i].value->data() + e.begin, params_[i].grad->data() + e.begin,
+          m_[i].data() + e.begin, v_[i].data() + e.begin, e.end - e.begin,
+          scale, config_.beta1, config_.beta2, bc1, bc2, config_.lr,
+          config_.eps);
+    }
+  });
 }
 
 void Adam::restore_state(const std::vector<Matrix>& m,

@@ -6,6 +6,10 @@
 
 #include "nn/layers.hpp"
 
+namespace deepcat::common {
+class Partner;
+}  // namespace deepcat::common
+
 namespace deepcat::nn {
 
 struct AdamConfig {
@@ -39,8 +43,15 @@ class Adam {
 
   /// Applies one update using the gradients currently accumulated in the
   /// bound parameters, then leaves gradients untouched (call zero_grad on
-  /// the network afterwards / before the next backward).
+  /// the network afterwards / before the next backward). With grad_clip
+  /// set, the gradients are first scaled by min(1, grad_clip / ||g||),
+  /// ||g||^2 being one dispatched simd::dot per tensor summed in binding
+  /// order.
   void step();
+  /// step() with each tensor's elements split across `partner` at a
+  /// multiple of kSplitLanes; the clip scale is computed once, before the
+  /// fork. Bit-identical to step().
+  void step(common::Partner& partner);
 
   [[nodiscard]] const AdamConfig& config() const noexcept { return config_; }
   void set_lr(double lr) noexcept { config_.lr = lr; }

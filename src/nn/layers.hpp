@@ -3,7 +3,10 @@
 // A layer owns two buffers, sized on first use and reused by every call
 // after: its output y (the backward pass reads act' from it in place) and
 // dL/dz, the gradient at its pre-activation. Mlp chains layers through
-// these buffers, so a train step allocates nothing once warm.
+// these buffers, so a train step allocates nothing once warm. Each pass
+// also comes as a row-range piece that writes only its own rows of a
+// buffer sized beforehand, so two ranges can run side by side; the whole
+// call is the one range over every row.
 #pragma once
 
 #include <string>
@@ -13,6 +16,12 @@
 #include "nn/matrix.hpp"
 
 namespace deepcat::nn {
+
+/// Where split passes cut: batch and weight rows at multiples of the GEMM
+/// kernels' row block, flat tensors at multiples of the widest vector, so
+/// every element takes the kernel path it takes in one whole call.
+inline constexpr std::size_t kSplitRows = 4;
+inline constexpr std::size_t kSplitLanes = 8;
 
 /// One named parameter tensor paired with its gradient accumulator.
 struct Param {
@@ -36,6 +45,11 @@ class Linear {
   /// then the activation in place). The reference stays valid until the
   /// next forward() on this layer.
   const Matrix& forward(const Matrix& x);
+  /// Sizes the output buffer for a `rows`-row batch.
+  void size_output(std::size_t rows);
+  /// Rows [r0, r1) of forward(x), into an output buffer already sized by
+  /// size_output(x.rows()).
+  void forward_rows(const Matrix& x, std::size_t r0, std::size_t r1);
 
   /// The dL/dz buffer. A caller stores dL/dy here (batch x out) and
   /// mask_grad() turns it into dL/dz in place.
@@ -43,11 +57,22 @@ class Linear {
   /// grad() *= act'(y), from the output of the last forward(). Throws if
   /// grad() does not have that output's shape.
   void mask_grad();
+  /// Rows [r0, r1) of mask_grad().
+  void mask_grad_rows(std::size_t r0, std::size_t r1);
   /// gw += x^T dz and gb += column sums of dz, accumulated in place; `x` is
   /// the input of the last forward().
   void accumulate_param_grads(const Matrix& x);
+  /// The weight rows [w0, w1) of accumulate_param_grads(x): gw rows +=
+  /// (columns w0..w1 of x)^T dz.
+  void accumulate_weight_grads(const Matrix& x, std::size_t w0,
+                               std::size_t w1);
+  /// The bias part of accumulate_param_grads(): gb += each row of dz, in
+  /// row order.
+  void accumulate_bias_grad();
   /// dx = dz W^T, overwriting `dx` (resized to batch x in).
   void input_grad(Matrix& dx) const;
+  /// Rows [r0, r1) of input_grad(dx), into a `dx` already batch x in.
+  void input_grad_rows(Matrix& dx, std::size_t r0, std::size_t r1) const;
 
   std::vector<Param> params();
   void zero_grad();

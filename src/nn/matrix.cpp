@@ -141,60 +141,75 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b) {
 
 void matmul_bias_act(const Matrix& x, const Matrix& w, const Matrix& bias,
                      Activation act, Matrix& out) {
+  out.resize(x.rows(), w.cols());
+  matmul_bias_act_rows(x, w, bias, act, out, 0, x.rows());
+}
+
+void matmul_bias_act_rows(const Matrix& x, const Matrix& w,
+                          const Matrix& bias, Activation act, Matrix& out,
+                          std::size_t r0, std::size_t r1) {
   if (x.cols() != w.rows()) {
     throw std::invalid_argument("matmul_bias_act: inner dimension mismatch");
   }
   if (bias.rows() != 1 || bias.cols() != w.cols()) {
     throw std::invalid_argument("matmul_bias_act: bias shape mismatch");
   }
-  out.resize(x.rows(), w.cols());
+  if (out.rows() != x.rows() || out.cols() != w.cols() || r0 > r1 ||
+      r1 > x.rows()) {
+    throw std::invalid_argument("matmul_bias_act: output rows mismatch");
+  }
   // Seed every output row with the bias so the GEMM accumulates on top of
   // it — the broadcast costs one streaming write instead of a second pass.
-  for (std::size_t r = 0; r < out.rows(); ++r) {
+  for (std::size_t r = r0; r < r1; ++r) {
     std::copy(bias.row(0).begin(), bias.row(0).end(), out.row(r).begin());
   }
-  common::simd::gemm_nn(x.rows(), w.cols(), x.cols(), x.data(), x.cols(),
-                        w.data(), w.cols(), out.data(), out.cols());
-  apply_activation(out, act);
+  double* rows = out.data() + r0 * out.cols();
+  common::simd::gemm_nn(r1 - r0, w.cols(), x.cols(),
+                        x.data() + r0 * x.cols(), x.cols(), w.data(),
+                        w.cols(), rows, out.cols());
+  apply_activation(rows, (r1 - r0) * out.cols(), act);
 }
 
-void apply_activation(Matrix& y, Activation act) noexcept {
+void apply_activation(double* y, std::size_t n, Activation act) noexcept {
   switch (act) {
     case Activation::kNone:
       break;
     case Activation::kRelu:
-      common::simd::relu(y.data(), y.size());
+      common::simd::relu(y, n);
       break;
     case Activation::kTanh:
-      for (double& v : y.flat()) v = std::tanh(v);
+      for (std::size_t i = 0; i < n; ++i) y[i] = std::tanh(y[i]);
       break;
     case Activation::kSigmoid:
-      for (double& v : y.flat()) v = 1.0 / (1.0 + std::exp(-v));
+      for (std::size_t i = 0; i < n; ++i) y[i] = 1.0 / (1.0 + std::exp(-y[i]));
+      break;
+  }
+}
+
+void apply_activation(Matrix& y, Activation act) noexcept {
+  apply_activation(y.data(), y.size(), act);
+}
+
+void apply_activation_grad(double* grad, const double* y, std::size_t n,
+                           Activation act) noexcept {
+  switch (act) {
+    case Activation::kNone:
+      break;
+    case Activation::kRelu:
+      common::simd::relu_mask(grad, y, n);
+      break;
+    case Activation::kTanh:
+      for (std::size_t i = 0; i < n; ++i) grad[i] *= 1.0 - y[i] * y[i];
+      break;
+    case Activation::kSigmoid:
+      for (std::size_t i = 0; i < n; ++i) grad[i] *= y[i] * (1.0 - y[i]);
       break;
   }
 }
 
 void apply_activation_grad(Matrix& grad, const Matrix& y,
                            Activation act) noexcept {
-  switch (act) {
-    case Activation::kNone:
-      break;
-    case Activation::kRelu:
-      common::simd::relu_mask(grad.data(), y.data(), grad.size());
-      break;
-    case Activation::kTanh:
-      for (std::size_t i = 0; i < grad.size(); ++i) {
-        const double v = y.flat()[i];
-        grad.flat()[i] *= 1.0 - v * v;
-      }
-      break;
-    case Activation::kSigmoid:
-      for (std::size_t i = 0; i < grad.size(); ++i) {
-        const double v = y.flat()[i];
-        grad.flat()[i] *= v * (1.0 - v);
-      }
-      break;
-  }
+  apply_activation_grad(grad.data(), y.data(), grad.size(), act);
 }
 
 }  // namespace deepcat::nn

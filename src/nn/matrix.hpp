@@ -130,12 +130,22 @@ enum class Activation { kNone, kRelu, kTanh, kSigmoid };
 /// bias-broadcast matrix is ever materialized. `out` must not alias x.
 void matmul_bias_act(const Matrix& x, const Matrix& w, const Matrix& bias,
                      Activation act, Matrix& out);
+/// Rows [r0, r1) of matmul_bias_act into the same rows of `out`, which must
+/// already be x.rows() x w.cols(); other rows are left alone, so disjoint
+/// ranges can run side by side. matmul_bias_act is the range [0, x.rows()).
+void matmul_bias_act_rows(const Matrix& x, const Matrix& w,
+                          const Matrix& bias, Activation act, Matrix& out,
+                          std::size_t r0, std::size_t r1);
 
-/// y = act(y) element-wise, in place.
+/// y = act(y) element-wise, in place, over the n elements at `y`.
+void apply_activation(double* y, std::size_t n, Activation act) noexcept;
 void apply_activation(Matrix& y, Activation act) noexcept;
 
 /// grad *= act'(y) element-wise, where `y` is the activation OUTPUT (all
-/// supported activations have output-expressible derivatives).
+/// supported activations have output-expressible derivatives), over the n
+/// elements at `grad` and `y`.
+void apply_activation_grad(double* grad, const double* y, std::size_t n,
+                           Activation act) noexcept;
 void apply_activation_grad(Matrix& grad, const Matrix& y,
                            Activation act) noexcept;
 

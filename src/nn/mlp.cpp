@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/thread_pool.hpp"
+
 namespace deepcat::nn {
 
 namespace {
@@ -53,9 +55,21 @@ Mlp::Mlp(std::vector<Matrix> params, OutputActivation out_act) {
 }
 
 const Matrix& Mlp::forward(const Matrix& x) {
-  const Matrix* y = &x;
-  for (auto& layer : layers_) y = &layer.forward(*y);
-  return *y;
+  common::Partner serial;
+  return forward(x, serial);
+}
+
+const Matrix& Mlp::forward(const Matrix& x, common::Partner& partner) {
+  for (auto& layer : layers_) layer.size_output(x.rows());
+  partner.each_part([&](std::size_t part) {
+    const auto rows = partner.range(part, x.rows(), kSplitRows);
+    const Matrix* in = &x;
+    for (auto& layer : layers_) {
+      layer.forward_rows(*in, rows.begin, rows.end);
+      in = &layer.output();
+    }
+  });
+  return layers_.back().output();
 }
 
 void Mlp::seed_output_grad(const Matrix& grad_out) {
@@ -67,21 +81,53 @@ void Mlp::seed_output_grad(const Matrix& grad_out) {
 }
 
 void Mlp::backward(const Matrix& x, const Matrix& grad_out) {
+  common::Partner serial;
+  backward(x, grad_out, serial);
+}
+
+void Mlp::backward(const Matrix& x, const Matrix& grad_out,
+                   common::Partner& partner) {
   seed_output_grad(grad_out);
+  layers_.back().mask_grad();
+  const std::size_t batch = grad_out.rows();
   for (std::size_t i = layers_.size(); i-- > 0;) {
     Linear& layer = layers_[i];
-    layer.mask_grad();
-    layer.accumulate_param_grads(i == 0 ? x : layers_[i - 1].output());
-    if (i > 0) layer.input_grad(layers_[i - 1].grad());
+    const Matrix& in = i == 0 ? x : layers_[i - 1].output();
+    Linear* below = i == 0 ? nullptr : &layers_[i - 1];
+    if (below != nullptr) below->grad().resize(batch, below->out_features());
+    partner.each_part([&](std::size_t part) {
+      const auto w = partner.range(part, layer.in_features(), kSplitRows);
+      layer.accumulate_weight_grads(in, w.begin, w.end);
+      if (part == 0) layer.accumulate_bias_grad();
+      if (below == nullptr) return;
+      const auto rows = partner.range(part, batch, kSplitRows);
+      layer.input_grad_rows(below->grad(), rows.begin, rows.end);
+      below->mask_grad_rows(rows.begin, rows.end);
+    });
   }
 }
 
 const Matrix& Mlp::input_grad(const Matrix& grad_out) {
+  common::Partner serial;
+  return input_grad(grad_out, serial);
+}
+
+const Matrix& Mlp::input_grad(const Matrix& grad_out,
+                              common::Partner& partner) {
   seed_output_grad(grad_out);
-  for (std::size_t i = layers_.size(); i-- > 0;) {
-    layers_[i].mask_grad();
-    layers_[i].input_grad(i == 0 ? dx_ : layers_[i - 1].grad());
+  const std::size_t batch = grad_out.rows();
+  for (std::size_t i = 0; i + 1 < layers_.size(); ++i) {
+    layers_[i].grad().resize(batch, layers_[i].out_features());
   }
+  dx_.resize(batch, layers_.front().in_features());
+  partner.each_part([&](std::size_t part) {
+    const auto rows = partner.range(part, batch, kSplitRows);
+    for (std::size_t i = layers_.size(); i-- > 0;) {
+      layers_[i].mask_grad_rows(rows.begin, rows.end);
+      layers_[i].input_grad_rows(i == 0 ? dx_ : layers_[i - 1].grad(),
+                                 rows.begin, rows.end);
+    }
+  });
   return dx_;
 }
 
@@ -117,21 +163,34 @@ std::vector<double> Mlp::forward_one(std::span<const double> x) {
 }
 
 void Mlp::soft_update_from(Mlp& src, double tau) {
+  common::Partner serial;
+  soft_update_from(src, tau, serial);
+}
+
+void Mlp::soft_update_from(Mlp& src, double tau, common::Partner& partner) {
   auto dst_params = params();
   auto src_params = src.params();
   if (dst_params.size() != src_params.size()) {
     throw std::invalid_argument("soft_update_from: layer structure mismatch");
   }
   for (std::size_t i = 0; i < dst_params.size(); ++i) {
-    Matrix& d = *dst_params[i].value;
+    const Matrix& d = *dst_params[i].value;
     const Matrix& s = *src_params[i].value;
     if (d.rows() != s.rows() || d.cols() != s.cols()) {
       throw std::invalid_argument("soft_update_from: shape mismatch");
     }
-    for (std::size_t k = 0; k < d.size(); ++k) {
-      d.flat()[k] = tau * s.flat()[k] + (1.0 - tau) * d.flat()[k];
-    }
   }
+  partner.each_part([&](std::size_t part) {
+    for (std::size_t i = 0; i < dst_params.size(); ++i) {
+      double* d = dst_params[i].value->data();
+      const double* s = src_params[i].value->data();
+      const auto elems =
+          partner.range(part, dst_params[i].value->size(), kSplitLanes);
+      for (std::size_t k = elems.begin; k < elems.end; ++k) {
+        d[k] = tau * s[k] + (1.0 - tau) * d[k];
+      }
+    }
+  });
 }
 
 void Mlp::copy_params_from(Mlp& src) { soft_update_from(src, 1.0); }

@@ -9,6 +9,10 @@
 #include "common/rng.hpp"
 #include "nn/layers.hpp"
 
+namespace deepcat::common {
+class Partner;
+}  // namespace deepcat::common
+
 namespace deepcat::nn {
 
 /// Output squashing applied after the last Linear layer.
@@ -16,6 +20,15 @@ enum class OutputActivation { kNone, kTanh, kSigmoid };
 
 /// Sequential stack of dense layers with convenience builders for the DRL
 /// nets. Forward and backward run through the layers' own reused buffers.
+///
+/// The passes that take a common::Partner split their work across it: the
+/// batch rows (forward, input_grad), the weight rows and batch rows of
+/// each layer (backward) or each tensor's elements (soft_update_from),
+/// cut where Partner::range() with kSplitRows / kSplitLanes cuts. Every
+/// buffer is sized before the fork, the parts write disjoint rows or
+/// elements with the per-element arithmetic of the whole call, so the
+/// result is bit-identical to it. The form without a partner is the
+/// one-part case: the same kernel calls as one whole-batch pass.
 class Mlp {
  public:
   Mlp() = default;
@@ -34,15 +47,26 @@ class Mlp {
   /// Forward through the stack; returns the last layer's output buffer,
   /// valid until the next forward() or forward_one() on this net.
   const Matrix& forward(const Matrix& x);
+  /// forward(x) split by batch rows: one fork carries each part's rows
+  /// through every layer.
+  const Matrix& forward(const Matrix& x, common::Partner& partner);
 
   /// Backward from dL/dy for the batch of the last forward(x), which `x`
   /// must be: accumulates every parameter gradient. dL/dx is not formed —
   /// no caller that trains this net reads it.
   void backward(const Matrix& x, const Matrix& grad_out);
+  /// backward() with one fork per layer: the weight gradient split by
+  /// weight rows, the input gradient (and the layer below's activation
+  /// mask) by batch rows. The output layer's mask runs before the forks.
+  void backward(const Matrix& x, const Matrix& grad_out,
+                common::Partner& partner);
 
   /// dL/dx for the batch of the last forward(), leaving every parameter
   /// gradient untouched. Valid until the next input_grad().
   const Matrix& input_grad(const Matrix& grad_out);
+  /// input_grad() split by batch rows: one fork carries each part's rows
+  /// down every layer.
+  const Matrix& input_grad(const Matrix& grad_out, common::Partner& partner);
 
   void zero_grad();
   [[nodiscard]] std::vector<Param> params();
@@ -54,6 +78,8 @@ class Mlp {
 
   /// this = tau * src + (1 - tau) * this, parameter-wise. Shapes must match.
   void soft_update_from(Mlp& src, double tau);
+  /// soft_update_from() split by elements within each tensor.
+  void soft_update_from(Mlp& src, double tau, common::Partner& partner);
   /// this = src (hard copy of parameters).
   void copy_params_from(Mlp& src);
 

@@ -261,13 +261,13 @@ Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng,
   const auto m = batch.size();
   StepBuffers& b = buf_;
   b.pack(batch.transitions);
-  std::size_t shared = 0;  // forks whose second branch ran on the helper
+  const std::size_t forks_before = fork.forks_shared();
 
   // Target action with clipped smoothing noise (TD3 trick #3). The noise is
   // drawn beside the target actor's pass, row by row and action by action,
   // and added to the action columns of the target critics' input [s' | a'].
   const nn::Matrix* a_next = nullptr;
-  shared += fork.both(
+  fork.both(
       [&] { a_next = &actor_target_.forward(b.s_next); },
       [&] {
         b.noise.resize(m, config_.action_dim);
@@ -288,7 +288,7 @@ Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng,
   // Clipped double-Q target (TD3 trick #1).
   const nn::Matrix* q1_next = nullptr;
   const nn::Matrix* q2_next = nullptr;
-  shared += fork.both(
+  fork.both(
       [&] { q1_next = &critic1_target_.forward(b.target_in); },
       [&] { q2_next = &critic2_target_.forward(b.target_in); });
   b.y.resize(m, 1);
@@ -320,26 +320,33 @@ Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng,
     return loss / static_cast<double>(m);
   };
 
-  // Each critic's update beside the other's. Delayed policy + target updates
-  // (TD3 trick #2) ride with the critic they read: the actor update reads
-  // only critic 1, and each target follows only its own online net.
+  // Each critic's update beside the other's, each followed on a policy step
+  // (TD3 trick #2) by its own target's soft update. The actor's forward
+  // pass rides with critic 2: it reads only the actor, which nothing
+  // changes before the actor's Adam step. The rest of the actor update
+  // reads critic 1, final only after the join, so it runs after it, each
+  // pass split across the partner.
   const bool policy_step = (steps_ + 1) % config_.policy_delay == 0;
-  shared += fork.both(
+  fork.both(
       [&] {
         stats.critic1_loss =
             update_critic(critic1_, critic1_opt_, b.grad, true);
-        if (!policy_step) return;
-        stats.actor_loss = update_actor();
-        actor_target_.soft_update_from(actor_, config_.tau);
-        critic1_target_.soft_update_from(critic1_, config_.tau);
+        if (policy_step) {
+          critic1_target_.soft_update_from(critic1_, config_.tau);
+        }
       },
       [&] {
         stats.critic2_loss =
             update_critic(critic2_, critic2_opt_, b.grad2, false);
-        if (policy_step) {
-          critic2_target_.soft_update_from(critic2_, config_.tau);
-        }
+        if (!policy_step) return;
+        critic2_target_.soft_update_from(critic2_, config_.tau);
+        actor_.zero_grad();
+        concat_cols(b.s, actor_.forward(b.s), b.pi_in);
       });
+  if (policy_step) {
+    stats.actor_loss = update_actor(fork);
+    actor_target_.soft_update_from(actor_, config_.tau, fork);
+  }
   buffer.update_priorities(batch.ids, td_errors);
   ++steps_;
 
@@ -348,6 +355,7 @@ Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng,
     obs_critic1_loss_->set(stats.critic1_loss);
     obs_critic2_loss_->set(stats.critic2_loss);
     if (stats.actor_loss) obs_actor_loss_->set(*stats.actor_loss);
+    const std::size_t shared = fork.forks_shared() - forks_before;
     if (shared != 0) obs_forks_shared_->add(shared);
   }
   // Convergence history: one point per train step (the serving layer only
@@ -361,24 +369,24 @@ Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng,
   return stats;
 }
 
-double Td3Agent::update_actor() {
+double Td3Agent::update_actor(common::Partner& fork) {
   // Maximize Q1(s, pi(s)): gradient of -mean(Q1) w.r.t. actor parameters,
   // chained through the critic input (paper Eq. 4 decomposition). Only
   // dQ1/d(input) is formed for the critic; its parameter gradients would
-  // be discarded, and the actor's own dL/ds is never read.
+  // be discarded, and the actor's own dL/ds is never read. b.pi_in holds
+  // [s | pi(s)] and the actor's gradients are zeroed (train_step's fork).
   StepBuffers& b = buf_;
-  actor_.zero_grad();
-  concat_cols(b.s, actor_.forward(b.s), b.pi_in);
-  const nn::Matrix& q = critic1_.forward(b.pi_in);
+  const nn::Matrix& q = critic1_.forward(b.pi_in, fork);
   const std::size_t m = q.rows();
   double q_mean = 0.0;
   for (std::size_t i = 0; i < m; ++i) q_mean += q(i, 0);
 
   b.dq.resize(m, 1);
   b.dq.fill(-1.0 / static_cast<double>(m));  // d(-mean Q)/dQ
-  right_cols(critic1_.input_grad(b.dq), config_.action_dim, b.d_action);
-  actor_.backward(b.s, b.d_action);
-  actor_opt_.step();
+  right_cols(critic1_.input_grad(b.dq, fork), config_.action_dim,
+             b.d_action);
+  actor_.backward(b.s, b.d_action, fork);
+  actor_opt_.step(fork);
   return -q_mean / static_cast<double>(m);
 }
 

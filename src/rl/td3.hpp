@@ -111,8 +111,10 @@ class Td3Agent {
   /// policy steps actor_loss is -mean Q1(s, pi(s)) as the actor update saw
   /// it, i.e. before that update. With a `partner`, the step's independent
   /// passes (the smoothing noise beside the target actor, the two target
-  /// critics, the two critic updates) run side by side on its borrowed
-  /// worker; every result is bit-identical to the serial step.
+  /// critics, the two critic updates, the actor's forward pass beside
+  /// critic 1's update) run side by side on its borrowed worker, and the
+  /// rest of the actor update splits its rows or elements across it;
+  /// every result is bit-identical to the serial step.
   Td3TrainStats train_step(ReplayBuffer& buffer, common::Rng& rng,
                            common::Partner* partner = nullptr);
 
@@ -149,8 +151,10 @@ class Td3Agent {
   void load(std::istream& is);
 
  private:
-  /// One policy step on buf_.s; returns -mean Q1(s, pi(s)) before it.
-  double update_actor();
+  /// One policy step on buf_.s from buf_.pi_in = [s | pi(s)] and zeroed
+  /// actor gradients, each pass split across `fork`; returns
+  /// -mean Q1(s, pi(s)) before it.
+  double update_actor(common::Partner& fork);
   /// Resolves the metric handles (registry lookups lock, so once).
   void bind_obs();
 

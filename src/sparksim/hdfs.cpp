@@ -9,7 +9,8 @@
 namespace deepcat::sparksim {
 
 HdfsModel::HdfsModel(const ClusterSpec& cluster, const ConfigValues& config)
-    : cluster_(&cluster),
+    : node_(cluster.nodes.empty() ? NodeSpec{} : cluster.nodes.front()),
+      num_nodes_(cluster.num_nodes()),
       block_mb_(config.get(KnobId::kDfsBlockSizeMb)),
       replication_(config.get_int(KnobId::kDfsReplication)),
       namenode_handlers_(config.get_int(KnobId::kNamenodeHandlers)),
@@ -37,12 +38,12 @@ double HdfsModel::read_mbps(int concurrent_readers) const {
   if (concurrent_readers < 1) {
     throw std::invalid_argument("HdfsModel::read_mbps: readers < 1");
   }
-  const NodeSpec& node = cluster_->nodes.front();
+  const NodeSpec& node = node_;
 
   // Disk bandwidth shared by readers co-located per node.
   const double readers_per_node = std::max(
       1.0, static_cast<double>(concurrent_readers) /
-               static_cast<double>(cluster_->num_nodes()));
+               static_cast<double>(num_nodes_));
   double bw = node.disk_seq_mbps / readers_per_node;
 
   // Seek + NameNode metadata overhead per block: small blocks lose more.
@@ -74,10 +75,10 @@ double HdfsModel::write_mbps(int concurrent_writers) const {
   if (concurrent_writers < 1) {
     throw std::invalid_argument("HdfsModel::write_mbps: writers < 1");
   }
-  const NodeSpec& node = cluster_->nodes.front();
+  const NodeSpec& node = node_;
   const double writers_per_node = std::max(
       1.0, static_cast<double>(concurrent_writers) /
-               static_cast<double>(cluster_->num_nodes()));
+               static_cast<double>(num_nodes_));
 
   // Every replica hits a disk; total disk work scales with R. The pipeline
   // also pushes (R-1) copies over the network.

@@ -38,7 +38,10 @@ class HdfsModel {
   /// per handler exceed 1.
   [[nodiscard]] double handler_penalty(int concurrent, int handlers) const;
 
-  const ClusterSpec* cluster_;
+  // Copies of what the model reads from the cluster, so it never refers
+  // back to a ClusterSpec that may be a temporary.
+  NodeSpec node_;
+  std::size_t num_nodes_;
   double block_mb_;
   int replication_;
   int namenode_handlers_;

@@ -6,7 +6,10 @@
 //     0 to 3 x lanes + 1, and never write past the end;
 //   - gemm_nn, gemm_tn and gemm_nt over m rows equal m one-row calls bit
 //     for bit at the shapes one train step runs, so row blocking and the
-//     batched reductions reorder nothing inside an output.
+//     batched reductions reorder nothing inside an output (the split train
+//     step cuts these calls by rows);
+//   - gemm_nn and gemm_tn agree bit for bit between avx2 and avx512 at
+//     those shapes: their tiles differ, the chains inside an output do not.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -146,6 +149,14 @@ const Shape kStepShapes[] = {
     {Op::kNt, 64, 128, 128}, {Op::kNt, 64, 41, 128}, {Op::kNt, 64, 9, 128},
     {Op::kNt, 64, 128, 1},   {Op::kNt, 64, 128, 32}, {Op::kNt, 7, 41, 128},
     {Op::kNt, 6, 10, 13},
+    // Odd row counts through the 8-row gemm_tn tile's 4-row and one-row
+    // remainders, at every output width the step runs.
+    {Op::kNn, 9, 1, 64},     {Op::kNn, 9, 32, 64},   {Op::kNn, 9, 128, 64},
+    {Op::kNn, 41, 1, 64},    {Op::kNn, 41, 32, 64},  {Op::kNn, 41, 128, 64},
+    {Op::kTn, 9, 1, 64},     {Op::kTn, 9, 32, 64},   {Op::kTn, 41, 1, 64},
+    {Op::kTn, 41, 32, 64},   {Op::kNt, 9, 1, 64},    {Op::kNt, 9, 32, 64},
+    {Op::kNt, 9, 128, 64},   {Op::kNt, 41, 1, 64},   {Op::kNt, 41, 32, 64},
+    {Op::kNt, 41, 128, 64},
 };
 
 // Runs op on rows [row0, row0 + rows) of C. Operand layouts: nn A is
@@ -191,6 +202,31 @@ TEST(SimdBitContractTest, GemmRowsEqualOneRowCallsAtStepShapes) {
             << s.n << "x" << s.k << " at (" << i / s.n << "," << i % s.n
             << ")";
       }
+    }
+  }
+}
+
+TEST(SimdBitContractTest, BroadcastGemmsAgreeAcrossVectorTiers) {
+  if (!backend_selectable(Backend::kAvx512)) {
+    GTEST_SKIP() << "needs both vector tiers";
+  }
+  BackendGuard guard;
+  Rng rng(29);
+  for (const Shape& s : kStepShapes) {
+    if (s.op == Op::kNt) continue;  // per-tier reduction trees
+    std::vector<double> a(s.m * s.k), b(s.k * s.n), c0(s.m * s.n);
+    for (double& v : a) v = rng.normal();
+    for (double& v : b) v = rng.normal();
+    for (double& v : c0) v = rng.normal();
+    std::vector<double> avx2 = c0, avx512 = c0;
+    force_backend(Backend::kAvx2);
+    run_rows(s, 0, s.m, a, b, avx2);
+    force_backend(Backend::kAvx512);
+    run_rows(s, 0, s.m, a, b, avx512);
+    for (std::size_t i = 0; i < avx2.size(); ++i) {
+      ASSERT_EQ(bits(avx2[i]), bits(avx512[i]))
+          << op_name(s.op) << " " << s.m << "x" << s.n << "x" << s.k
+          << " at (" << i / s.n << "," << i % s.n << ")";
     }
   }
 }

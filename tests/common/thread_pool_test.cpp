@@ -288,4 +288,59 @@ TEST(PartnerTest, TenThousandForksOnOneAndFourWorkers) {
 }
 
 }  // namespace
+TEST(PartnerTest, SplitsInTwoAtAlignedHalvesOnlyWithAPool) {
+  ThreadPool pool(1);
+  Partner serial;
+  Partner helped(&pool);
+  EXPECT_EQ(serial.parts(), 1u);
+  EXPECT_EQ(helped.parts(), 2u);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{9},
+                              std::size_t{63}, std::size_t{64}}) {
+    const Partner::Range whole = serial.range(0, n, 4);
+    EXPECT_EQ(whole.begin, 0u);
+    EXPECT_EQ(whole.end, n);
+    const Partner::Range first = helped.range(0, n, 4);
+    const Partner::Range second = helped.range(1, n, 4);
+    EXPECT_EQ(first.begin, 0u);
+    EXPECT_EQ(first.end % 4, 0u) << n;
+    EXPECT_LE(first.end, n / 2) << n;
+    EXPECT_EQ(second.begin, first.end);
+    EXPECT_EQ(second.end, n);
+  }
+  EXPECT_EQ(helped.range(0, 64, 4).end, 32u);
+  EXPECT_EQ(helped.range(0, 41, 4).end, 20u);
+  EXPECT_EQ(helped.range(0, 1152, 8).end, 576u);
+
+  // each_part runs every part once, part 0 on the caller.
+  for (Partner* partner : {&serial, &helped}) {
+    std::vector<int> ran(2, 0);
+    std::thread::id first_thread;
+    partner->each_part([&](std::size_t part) {
+      ++ran[part];
+      if (part == 0) first_thread = std::this_thread::get_id();
+    });
+    EXPECT_EQ(ran[0], 1);
+    EXPECT_EQ(ran[1], partner->parts() == 2 ? 1 : 0);
+    EXPECT_EQ(first_thread, std::this_thread::get_id());
+  }
+}
+
+TEST(PartnerTest, CountsTheForksItsWorkerRan) {
+  ThreadPool pool(1);
+  for (ThreadPool* helpers : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    Partner partner(helpers);
+    std::size_t shared = 0;
+    for (int i = 0; i < 50; ++i) {
+      shared += partner.both([] {}, [] {}) ? 1u : 0u;
+    }
+    partner.each_part([](std::size_t) {});
+    if (helpers == nullptr) {
+      EXPECT_EQ(partner.forks_shared(), 0u);
+    } else {
+      EXPECT_GE(partner.forks_shared(), shared);
+      EXPECT_LE(partner.forks_shared(), shared + 1);
+    }
+  }
+}
+
 }  // namespace deepcat::common

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <iterator>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -206,111 +205,6 @@ TEST(KernelsTest, MlpForwardIdenticalUnderBothBackends) {
   const Matrix y_scalar = net.forward(x);
   force_backend(Backend::kAvx512);
   expect_close(y_vec, y_scalar, "mlp forward scalar vs vector");
-}
-
-// One optimizer-step worth of tensors with sizes straddling the 4-wide
-// SIMD lanes, run through the fused clip+update kernel and through the
-// unfused composition (norm reduction via dot, then per-tensor
-// adam_update) under the same backend. The fused kernel documents
-// bit-identical results, so compare with EXPECT_EQ, for clipping
-// disabled (grad_clip <= 0), not triggered, and triggered.
-TEST(KernelsTest, AdamUpdateClippedMatchesUnfusedCompositionBitExact) {
-  BackendGuard guard;
-  namespace simd = common::simd;
-  constexpr double kBeta1 = 0.9, kBeta2 = 0.999, kLr = 1e-3, kEps = 1e-8;
-  constexpr double kBc1 = 1.0 - 0.9, kBc2 = 1.0 - 0.999;  // step 1
-  const std::size_t sizes[] = {1, 3, 17, 64, 5};
-
-  for (const bool scalar : {false, true}) {
-    force_backend(scalar ? Backend::kScalar : Backend::kAvx512);
-    for (const double grad_clip : {-1.0, 0.0, 1e9, 0.5}) {
-      Rng rng(29);
-      std::vector<std::vector<double>> value, grad, m, v;
-      std::vector<std::vector<double>> ref_value, ref_m, ref_v;
-      for (const std::size_t n : sizes) {
-        auto draw = [&rng](std::size_t len) {
-          std::vector<double> out(len);
-          for (double& x : out) x = rng.normal();
-          return out;
-        };
-        value.push_back(draw(n));
-        grad.push_back(draw(n));
-        m.push_back(draw(n));
-        v.push_back(draw(n));
-        for (double& x : v.back()) x = std::abs(x);  // second moments >= 0
-        ref_value.push_back(value.back());
-        ref_m.push_back(m.back());
-        ref_v.push_back(v.back());
-      }
-
-      // Unfused reference under the same backend.
-      double scale = 1.0;
-      if (grad_clip > 0.0) {
-        double sq = 0.0;
-        for (std::size_t t = 0; t < std::size(sizes); ++t) {
-          sq += simd::dot(grad[t].data(), grad[t].data(), sizes[t]);
-        }
-        const double norm = std::sqrt(sq);
-        if (norm > grad_clip) scale = grad_clip / norm;
-      }
-      for (std::size_t t = 0; t < std::size(sizes); ++t) {
-        simd::adam_update(ref_value[t].data(), grad[t].data(),
-                          ref_m[t].data(), ref_v[t].data(), sizes[t], scale,
-                          kBeta1, kBeta2, kBc1, kBc2, kLr, kEps);
-      }
-
-      std::vector<simd::AdamTensor> tensors;
-      for (std::size_t t = 0; t < std::size(sizes); ++t) {
-        tensors.push_back({value[t].data(), grad[t].data(), m[t].data(),
-                           v[t].data(), sizes[t]});
-      }
-      simd::adam_update_clipped(tensors.data(), tensors.size(), grad_clip,
-                                kBeta1, kBeta2, kBc1, kBc2, kLr, kEps);
-
-      for (std::size_t t = 0; t < std::size(sizes); ++t) {
-        for (std::size_t i = 0; i < sizes[t]; ++i) {
-          EXPECT_EQ(value[t][i], ref_value[t][i])
-              << (scalar ? "scalar" : "vector") << " clip=" << grad_clip
-              << " tensor " << t << " elem " << i;
-          EXPECT_EQ(m[t][i], ref_m[t][i]) << "m tensor " << t;
-          EXPECT_EQ(v[t][i], ref_v[t][i]) << "v tensor " << t;
-        }
-      }
-    }
-    force_backend(Backend::kAvx512);
-  }
-}
-
-// The two backends agree to the usual 1e-12 reduction tolerance on the
-// updated parameters.
-TEST(KernelsTest, AdamUpdateClippedBackendsAgree) {
-  BackendGuard guard;
-  namespace simd = common::simd;
-  constexpr double kBeta1 = 0.9, kBeta2 = 0.999, kLr = 1e-3, kEps = 1e-8;
-  constexpr double kBc1 = 1.0 - 0.9, kBc2 = 1.0 - 0.999;
-  const std::size_t n = 103;
-
-  auto run = [&](bool scalar) {
-    force_backend(scalar ? Backend::kScalar : Backend::kAvx512);
-    Rng rng(30);
-    std::vector<double> value(n), grad(n), m(n), v(n);
-    for (double& x : value) x = rng.normal();
-    for (double& x : grad) x = rng.normal();
-    for (double& x : m) x = rng.normal();
-    for (double& x : v) x = std::abs(rng.normal());
-    simd::AdamTensor tensor{value.data(), grad.data(), m.data(), v.data(), n};
-    simd::adam_update_clipped(&tensor, 1, /*grad_clip=*/0.5, kBeta1, kBeta2,
-                              kBc1, kBc2, kLr, kEps);
-    force_backend(Backend::kAvx512);
-    return value;
-  };
-
-  const std::vector<double> vec = run(false);
-  const std::vector<double> sca = run(true);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double tol = 1e-12 * std::max(1.0, std::abs(sca[i]));
-    EXPECT_NEAR(vec[i], sca[i], tol) << "elem " << i;
-  }
 }
 
 TEST(KernelsTest, ActivationGradFromOutputMatchesDefinition) {

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
+#include "common/thread_pool.hpp"
 #include "nn/mlp.hpp"
 
 namespace deepcat::nn {
@@ -185,6 +191,130 @@ TEST(SigmoidTest, ForwardValues) {
 TEST(SigmoidTest, GradientMatchesNumeric) {
   Linear sig = activation_layer(4, Activation::kSigmoid);
   check_input_gradient(sig, 9);
+}
+
+// ---- Row-range pieces: split passes equal the whole call ---------------
+
+std::vector<common::simd::Backend> selectable_backends() {
+  using common::simd::Backend;
+  std::vector<Backend> out;
+  for (Backend b : {Backend::kScalar, Backend::kAvx2, Backend::kAvx512}) {
+    if (common::simd::backend_selectable(b)) out.push_back(b);
+  }
+  return out;
+}
+
+struct BackendGuard {
+  ~BackendGuard() {
+    common::simd::force_backend(common::simd::Backend::kAvx512);
+  }
+};
+
+void expect_same_bits(const Matrix& got, const Matrix& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.flat()[i]),
+              std::bit_cast<std::uint64_t>(want.flat()[i]))
+        << what << " at (" << i / got.cols() << "," << i % got.cols() << ")";
+  }
+}
+
+// Every layer of the serving nets (critic 41-128-128-1, actor 9-128-128-32
+// with a sigmoid output) at batch 64 and 63, through the whole calls and
+// through the row-range pieces run as Partner parts: one part (no pool)
+// and two (split at a multiple of 4 rows, the second on a pool worker).
+// Outputs, dL/dz, both gradients and dL/dx must match bit for bit, on
+// every tier.
+TEST(LinearTest, RowRangePiecesEqualTheWholeCallOnEveryTier) {
+  BackendGuard guard;
+  struct LayerShape {
+    std::size_t in, out;
+    Activation act;
+  };
+  const LayerShape kShapes[] = {{41, 128, Activation::kRelu},
+                                {9, 128, Activation::kRelu},
+                                {128, 128, Activation::kRelu},
+                                {128, 1, Activation::kNone},
+                                {128, 32, Activation::kSigmoid}};
+  common::ThreadPool pool(1);
+  for (const auto be : selectable_backends()) {
+    common::simd::force_backend(be);
+    for (const LayerShape& shape : kShapes) {
+      for (const std::size_t batch : {std::size_t{64}, std::size_t{63}}) {
+        const std::string where =
+            std::string(common::simd::backend_label(be)) + " " +
+            std::to_string(shape.in) + "x" + std::to_string(shape.out) +
+            " batch " + std::to_string(batch);
+        common::Rng rng(shape.in * 1000 + shape.out + batch);
+        Linear proto(shape.in, shape.out, rng, Linear::Init::kKaiming,
+                     shape.act);
+        Matrix x(batch, shape.in), g(batch, shape.out);
+        for (double& v : x.flat()) v = rng.normal();
+        for (std::size_t i = 0; i < x.size(); i += 5) x.flat()[i] = 0.0;
+        for (double& v : g.flat()) v = rng.normal();
+
+        Linear whole = proto;
+        const Matrix y = whole.forward(x);
+        whole.grad() = g;
+        whole.mask_grad();
+        whole.accumulate_param_grads(x);
+        Matrix dx;
+        whole.input_grad(dx);
+
+        for (const bool pooled : {false, true}) {
+          common::Partner partner(pooled ? &pool : nullptr);
+          ASSERT_EQ(partner.parts(), pooled ? 2u : 1u);
+          Linear split = proto;
+          split.size_output(batch);
+          split.grad() = g;
+          Matrix split_dx(batch, shape.in);
+          auto rows = [&](std::size_t part) {
+            return partner.range(part, batch, kSplitRows);
+          };
+          partner.each_part([&](std::size_t part) {
+            split.forward_rows(x, rows(part).begin, rows(part).end);
+          });
+          partner.each_part([&](std::size_t part) {
+            split.mask_grad_rows(rows(part).begin, rows(part).end);
+          });
+          partner.each_part([&](std::size_t part) {
+            const auto w = partner.range(part, shape.in, kSplitRows);
+            split.accumulate_weight_grads(x, w.begin, w.end);
+            if (part == 0) split.accumulate_bias_grad();
+            split.input_grad_rows(split_dx, rows(part).begin, rows(part).end);
+          });
+          const std::string what = where + (pooled ? " 2-part" : " 1-part");
+          expect_same_bits(split.output(), y, what + " y");
+          expect_same_bits(split.grad(), whole.grad(), what + " dz");
+          const auto got = split.params();
+          const auto want = whole.params();
+          for (std::size_t p = 0; p < got.size(); ++p) {
+            expect_same_bits(*got[p].grad, *want[p].grad,
+                             what + " grad " + got[p].name);
+          }
+          expect_same_bits(split_dx, dx, what + " dx");
+        }
+      }
+    }
+  }
+}
+
+TEST(LinearTest, RowRangePiecesRejectRangesOutsideTheBatch) {
+  common::Rng rng(9);
+  Linear layer(3, 2, rng);
+  const Matrix x(4, 3, 0.5);
+  layer.size_output(4);
+  EXPECT_THROW(layer.forward_rows(x, 2, 5), std::invalid_argument);
+  (void)layer.forward(x);
+  layer.grad() = Matrix(4, 2, 1.0);
+  EXPECT_THROW(layer.mask_grad_rows(3, 2), std::invalid_argument);
+  EXPECT_THROW(layer.accumulate_weight_grads(x, 0, 4), std::invalid_argument);
+  Matrix dx(4, 3);
+  EXPECT_THROW(layer.input_grad_rows(dx, 0, 5), std::invalid_argument);
+  Matrix wrong(3, 3);
+  EXPECT_THROW(layer.input_grad_rows(wrong, 0, 3), std::invalid_argument);
 }
 
 }  // namespace

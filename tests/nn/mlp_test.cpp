@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
+#include "common/thread_pool.hpp"
 
 namespace deepcat::nn {
 namespace {
@@ -174,6 +180,87 @@ TEST(MseLossTest, ShapeMismatchThrows) {
   Matrix grad;
   EXPECT_THROW((void)mse_loss(Matrix(1, 2), Matrix(2, 1), grad),
                std::invalid_argument);
+}
+
+// ---- Partner forms: split passes equal the whole-batch calls -----------
+
+void expect_same_bits(const Matrix& got, const Matrix& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.flat()[i]),
+              std::bit_cast<std::uint64_t>(want.flat()[i]))
+        << what << " at (" << i / got.cols() << "," << i % got.cols() << ")";
+  }
+}
+
+void expect_same_params(Mlp& got, Mlp& want, const std::string& what) {
+  const auto g = got.params();
+  const auto w = want.params();
+  ASSERT_EQ(g.size(), w.size());
+  for (std::size_t p = 0; p < g.size(); ++p) {
+    const std::string tensor = what + " layer " + std::to_string(p / 2) +
+                               " " + g[p].name;
+    expect_same_bits(*g[p].value, *w[p].value, tensor);
+    expect_same_bits(*g[p].grad, *w[p].grad, tensor + " grad");
+  }
+}
+
+// The serving nets (critic 41-128-128-1; actor 9-128-128-32, sigmoid) at
+// batch 64 and 63: forward, backward, input_grad and soft_update_from with
+// a Partner — one part without a pool, two with one — against the plain
+// whole-batch calls, bit for bit on every tier.
+TEST(MlpTest, PartnerFormsEqualTheWholeBatchCallsOnEveryTier) {
+  using common::simd::Backend;
+  struct Restore {
+    ~Restore() { common::simd::force_backend(Backend::kAvx512); }
+  } restore;
+  struct Net {
+    std::vector<std::size_t> dims;
+    OutputActivation out;
+  };
+  const Net kNets[] = {{{41, 128, 128, 1}, OutputActivation::kNone},
+                       {{9, 128, 128, 32}, OutputActivation::kSigmoid}};
+  common::ThreadPool pool(1);
+  for (const Backend be : {Backend::kScalar, Backend::kAvx2,
+                           Backend::kAvx512}) {
+    if (!common::simd::backend_selectable(be)) continue;
+    common::simd::force_backend(be);
+    for (const Net& net : kNets) {
+      for (const std::size_t batch : {std::size_t{64}, std::size_t{63}}) {
+        const std::string where =
+            std::string(common::simd::backend_label(be)) + " in " +
+            std::to_string(net.dims.front()) + " batch " +
+            std::to_string(batch);
+        common::Rng rng(net.dims.front() + batch);
+        const Mlp proto(net.dims, rng, net.out);
+        const Mlp source(net.dims, rng, net.out);
+        Matrix x(batch, net.dims.front()), g(batch, net.dims.back());
+        for (double& v : x.flat()) v = rng.uniform();
+        for (double& v : g.flat()) v = rng.normal();
+
+        Mlp whole = proto;
+        Mlp whole_source = source;
+        const Matrix y = whole.forward(x);
+        whole.backward(x, g);
+        const Matrix dx = whole.input_grad(g);
+        whole.soft_update_from(whole_source, 0.005);
+
+        for (const bool pooled : {false, true}) {
+          const std::string what = where + (pooled ? " 2-part" : " 1-part");
+          common::Partner partner(pooled ? &pool : nullptr);
+          Mlp split = proto;
+          Mlp split_source = source;
+          expect_same_bits(split.forward(x, partner), y, what + " y");
+          split.backward(x, g, partner);
+          expect_same_bits(split.input_grad(g, partner), dx, what + " dx");
+          split.soft_update_from(split_source, 0.005, partner);
+          expect_same_params(split, whole, what);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -249,10 +249,13 @@ TEST(StreamingObsDeterminismTest, SpanHealthCountersLandInNondeterministicTele) 
 
 TEST(StreamingObsDeterminismTest, SharedForksAreBoundedAndNondeterministic) {
   // rl.forks_shared counts the train-step forks whose second branch ran on
-  // the borrowed pool worker: at most three per step taken with the pool
-  // (startup training and each flush's master steps; sessions never
-  // borrow). How many is the scheduler's call, so the counter is present
-  // in the full export only.
+  // the borrowed pool worker, for the steps taken with the pool (startup
+  // training and each flush's master steps; sessions never borrow). A
+  // value step forks three times; a policy step adds critic 1's forward
+  // and input-gradient passes, one fork per actor layer for its backward
+  // (three at hidden 128x128), its Adam step and its target's soft update.
+  // How many forks the worker takes is the scheduler's call, so the
+  // counter is present in the full export only.
   obs::MetricsRegistry registry;
   StreamingOptions options = obs_stress_options(4);
   options.master_update_steps = 4;
@@ -283,7 +286,14 @@ TEST(StreamingObsDeterminismTest, SharedForksAreBoundedAndNondeterministic) {
   ASSERT_TRUE(forks.has_value());
   EXPECT_EQ(forks->kind, obs::MetricKind::kCounter);
   EXPECT_FALSE(forks->deterministic);
-  EXPECT_LE(forks->counter_value, 3 * (startup_steps + master_steps));
+  constexpr std::uint64_t kValueStepForks = 3;
+  constexpr std::uint64_t kPolicyStepForks = kValueStepForks + 2 + 3 + 1 + 1;
+  // policy_delay 2: at most every other step of a run is a policy step.
+  const auto bound = [&](std::uint64_t steps) {
+    const std::uint64_t policy = (steps + 1) / 2;
+    return policy * kPolicyStepForks + (steps - policy) * kValueStepForks;
+  };
+  EXPECT_LE(forks->counter_value, bound(startup_steps) + bound(master_steps));
   EXPECT_FALSE(find(registry.snapshot(false)).has_value());
 }
 
