@@ -16,8 +16,10 @@
 //                                  borrowed pool worker (rl.fine_tune4),
 //                                  the serial GP
 //                                  refit wall time at n={512,1024,2048},
-//                                  and a served session's clone and epoch
-//                                  snapshot against the checkpoint codec
+//                                  and a served session's clone of the
+//                                  frozen master (and the training state
+//                                  it copies at its first train step)
+//                                  against the checkpoint codec
 //                                  (service.*, checkpoint.*);
 //                                  the header records nproc and the build
 //                                  type; every ns value is a min-of-N with
@@ -682,11 +684,12 @@ int run_kernel_bench_json(const std::string& path) {
   }
 
   {
-    // A served session's clone (build a fresh agent from the epoch snapshot
-    // over a view of the master's pools) against the checkpoint codec that
-    // a load still pays, the epoch snapshot both ways, and whole served
-    // sessions, on the master `deepcat serve --seed 1` trains (600
-    // iterations, TeraSort 3.2, cluster a). Dispatch tier, min-of-N.
+    // A served session's clone (a fresh agent built from the frozen
+    // master's, over a view of its pools), the training state a clone
+    // copies at its first train step, the checkpoint codec that a load
+    // still pays, and whole served sessions, on the master `deepcat serve
+    // --seed 1` trains (600 iterations, TeraSort 3.2, cluster a). Dispatch
+    // tier, min-of-N.
     core::DeepCatApiOptions api;
     api.tuner.seed = 1;
     api.env.seed = 1001;
@@ -694,7 +697,6 @@ int run_kernel_bench_json(const std::string& path) {
     (void)master.train_offline(
         sparksim::make_workload(sparksim::WorkloadType::kTeraSort, 3.2), 600);
     const rl::Td3Agent& agent = master.tuner().agent();
-    const rl::AgentSnapshot snapshot = agent.snapshot();
     const auto& pools =
         dynamic_cast<const rl::RdperReplay&>(*master.tuner().replay());
     std::shared_mutex pools_mutex;
@@ -704,13 +706,33 @@ int run_kernel_bench_json(const std::string& path) {
       registry.gauge(name).set(
           best_ns_per_call(fn, min_batch_seconds, kKernelReps));
     };
-    time_row("service.clone.snapshot_ns", [&] {
+    time_row("service.clone.frozen_ns", [&] {
       core::DeepCat clone(sparksim::cluster_a(), api);
       clone.tuner().materialize(
-          snapshot,
+          agent,
           std::make_unique<service::SharedRdperReplay>(pools, pools_mutex));
       benchmark::DoNotOptimize(clone);
     });
+    {
+      // The late copy alone: optimizers() completes it, as a first train
+      // step would, on a clone built outside the clock. One clone at a
+      // time, so its memory is recycled as a server's sessions recycle it.
+      constexpr int kClones = 64;
+      double best = std::numeric_limits<double>::infinity();
+      for (int r = 0; r < kKernelReps; ++r) {
+        double total = 0.0;
+        for (int i = 0; i < kClones; ++i) {
+          rl::Td3Agent clone(agent.config(), agent);
+          const auto t0 = std::chrono::steady_clock::now();
+          benchmark::DoNotOptimize(clone.optimizers());
+          const std::chrono::duration<double, std::nano> elapsed =
+              std::chrono::steady_clock::now() - t0;
+          total += elapsed.count();
+        }
+        best = std::min(best, total / kClones);
+      }
+      registry.gauge("service.clone.train_state_ns").set(best);
+    }
     const auto session = [](int steps) {
       service::TuningRequest request;
       request.id = "bench";
@@ -723,7 +745,7 @@ int run_kernel_bench_json(const std::string& path) {
           "service.session.steps" + std::to_string(steps) + "_ns",
           [&] {
             benchmark::DoNotOptimize(service::run_session(
-                snapshot, api, session(steps), pools, pools_mutex));
+                agent, api, session(steps), pools, pools_mutex));
           },
           /*min_batch_seconds=*/0.0);
     }
@@ -733,7 +755,7 @@ int run_kernel_bench_json(const std::string& path) {
       obs::MetricsRegistry counted;
       core::DeepCatApiOptions counted_api = api;
       counted_api.tuner.obs.metrics = &counted;
-      (void)service::run_session(snapshot, counted_api, session(5), pools,
+      (void)service::run_session(agent, counted_api, session(5), pools,
                                  pools_mutex);
       registry.gauge("service.session.steps5_train_steps")
           .set(static_cast<double>(counted.counter("rl.train_steps").value()));
@@ -743,8 +765,6 @@ int run_kernel_bench_json(const std::string& path) {
       service::checkpoint_from_string(blob, clone);
       benchmark::DoNotOptimize(clone);
     });
-    time_row("service.snapshot.agent_ns",
-             [&] { benchmark::DoNotOptimize(agent.snapshot()); });
     time_row("service.snapshot.checkpoint_ns", [&] {
       benchmark::DoNotOptimize(service::checkpoint_to_string(master));
     });
@@ -1101,9 +1121,9 @@ int run_warm_bench_json(const std::string& path) {
   (void)master.train_offline(
       sparksim::make_workload(sparksim::WorkloadType::kTeraSort, 3.2),
       kWarmBenchTrainIters);
-  // Sessions clone the master's snapshot and sample its pools, as served
+  // Sessions clone the master's agent and sample its pools, as served
   // sessions do.
-  const rl::AgentSnapshot snapshot = master.tuner().agent().snapshot();
+  const rl::Td3Agent& agent = master.tuner().agent();
   const auto& pools =
       dynamic_cast<const rl::RdperReplay&>(*master.tuner().replay());
   std::shared_mutex pools_mutex;
@@ -1117,7 +1137,7 @@ int run_warm_bench_json(const std::string& path) {
     request.max_steps = steps;
     request.seed = seed;
     request.warm_actions = std::move(warm_actions);
-    return service::run_session(snapshot, api, request, pools, pools_mutex);
+    return service::run_session(agent, api, request, pools, pools_mutex);
   };
   const auto run = [&](const std::string& case_id, std::uint64_t seed,
                        int steps,

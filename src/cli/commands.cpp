@@ -1,13 +1,16 @@
 #include "cli/commands.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <shared_mutex>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -928,12 +931,12 @@ int cmd_index_build(const ParsedArgs& args, std::ostream& os) {
     throw std::invalid_argument("index build: no published model '" +
                                 model_name + "' in the registry");
   }
-  // Sessions clone the loaded master's snapshot and sample its pools, as
-  // served sessions do.
+  // Sessions clone the loaded master's agent and sample its pools, as
+  // served sessions do; nothing changes the master while they run.
   const core::DeepCatApiOptions api;
   core::DeepCat master(cluster_a(), api);
   registry.load_into(model_name, *version, master);
-  const rl::AgentSnapshot snapshot = master.tuner().agent().snapshot();
+  const rl::Td3Agent& agent = master.tuner().agent();
   const auto& pools =
       dynamic_cast<const rl::RdperReplay&>(*master.tuner().replay());
   std::shared_mutex pools_mutex;
@@ -965,7 +968,7 @@ int cmd_index_build(const ParsedArgs& args, std::ostream& os) {
       request.max_steps = steps;
       request.seed = seed;
       const service::SessionReport report = service::run_session(
-          snapshot, api, request, pools, pools_mutex);
+          agent, api, request, pools, pools_mutex);
       if (!report.ok) {
         os << "error: session " << request.id << " failed: " << report.error
            << '\n';
@@ -1043,6 +1046,70 @@ int cmd_index(const ParsedArgs& args, std::ostream& os) {
                               args.subcommand + "' (use build or query)");
 }
 
+namespace {
+
+/// The flags each command reads ("index build" with its subcommand, "serve
+/// --stream" for the wire server). run_cli rejects any other flag before
+/// the command runs, so a misspelt --master-step fails instead of serving
+/// the default. "set" is the repeatable --set knob=value.
+const std::map<std::string_view, std::vector<std::string_view>>&
+flags_read() {
+  static const std::map<std::string_view, std::vector<std::string_view>>
+      table = {
+          {"info", {"json", "threads"}},
+          {"knobs", {}},
+          {"suite", {}},
+          {"simulate", {"cluster", "runs", "seed", "set", "size", "workload"}},
+          {"tune",
+           {"cluster", "export", "offline-iters", "seed", "size", "steps",
+            "workload"}},
+          {"serve",
+           {"checkpoint", "cluster", "master-steps", "model", "out",
+            "publish", "requests", "seed", "shards", "stream", "threads",
+            "train-iters", "train-size", "train-workload"}},
+          {"serve --stream",
+           {"checkpoint",   "clock",        "cluster",     "drain-timeout",
+            "http",         "idle-timeout", "in",          "master-steps",
+            "max-conns",    "max-inflight", "max-models",  "metrics-out",
+            "model",        "out",          "reply-timings", "requests",
+            "seed",         "series",       "shards",      "socket",
+            "stream",       "tcp",          "tele-every",  "threads",
+            "trace-out",    "trace-ring",   "trace-stream", "train-iters",
+            "train-size",   "train-workload", "warm-index"}},
+          {"stats",
+           {"requests", "series", "socket", "tcp", "trace-id", "trace-out"}},
+          {"index build",
+           {"checkpoint", "cluster", "model", "out", "seeds", "steps",
+            "workloads"}},
+          {"index query", {"index", "json", "k", "metric", "workload"}},
+      };
+  return table;
+}
+
+}  // namespace
+
+void check_flags(const ParsedArgs& args) {
+  std::string command = args.command;
+  if (!args.subcommand.empty()) command += " " + args.subcommand;
+  if (command == "serve" && args.number_or("stream", 0) != 0.0) {
+    command += " --stream";
+  }
+  const auto it = flags_read().find(command);
+  if (it == flags_read().end()) return;  // usage or a subcommand error
+  const auto reads = [&](std::string_view flag) {
+    return std::find(it->second.begin(), it->second.end(), flag) !=
+           it->second.end();
+  };
+  for (const auto& [name, value] : args.flags) {
+    if (!reads(name)) {
+      throw std::invalid_argument(command + ": unknown flag --" + name);
+    }
+  }
+  if (!args.assignments.empty() && !reads("set")) {
+    throw std::invalid_argument(command + ": unknown flag --set");
+  }
+}
+
 int run_cli(const std::vector<std::string>& argv, std::ostream& os) {
   try {
     const ParsedArgs args = parse_args(argv);
@@ -1050,6 +1117,7 @@ int run_cli(const std::vector<std::string>& argv, std::ostream& os) {
       throw std::invalid_argument("unexpected positional argument '" +
                                   args.subcommand + "'");
     }
+    check_flags(args);
     if (args.command == "info") return cmd_info(args, os);
     if (args.command == "knobs") return cmd_knobs(args, os);
     if (args.command == "suite") return cmd_suite(args, os);

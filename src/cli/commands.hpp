@@ -49,7 +49,13 @@ int cmd_stats(const ParsedArgs& args, std::ostream& os);
 /// the registry model, or run a k-NN query against a saved index.
 int cmd_index(const ParsedArgs& args, std::ostream& os);
 
-/// Dispatches to the subcommand; prints usage on unknown/empty command.
+/// Throws std::invalid_argument ("<command>: unknown flag --x") when
+/// `args` carries a flag its command does not read. Unknown commands and
+/// subcommands pass: run_cli reports those itself.
+void check_flags(const ParsedArgs& args);
+
+/// Dispatches to the subcommand after check_flags; prints usage on an
+/// unknown or empty command.
 int run_cli(const std::vector<std::string>& argv, std::ostream& os);
 
 }  // namespace deepcat::cli

@@ -51,26 +51,29 @@ nn::AdamConfig critic_adam(const Td3Config& c) {
   return {.lr = c.critic_lr, .grad_clip = c.grad_clip};
 }
 
+nn::Mlp copy_actor(const nn::Mlp& from) {
+  return nn::Mlp(from.param_values(), nn::OutputActivation::kSigmoid);
+}
+
+nn::Mlp copy_critic(const nn::Mlp& from) {
+  return nn::Mlp(from.param_values(), nn::OutputActivation::kNone);
+}
+
+/// An optimizer over `params` that resumes from `from`'s moments and step
+/// count.
 nn::Adam resume(std::vector<nn::Param> params, nn::AdamConfig config,
-                const AgentSnapshot::OptimizerState& state) {
-  return nn::Adam(std::move(params), config, state.first_moments,
-                  state.second_moments, state.step_count);
+                const nn::Adam& from) {
+  return nn::Adam(std::move(params), config, from.first_moments(),
+                  from.second_moments(), from.step_count());
 }
 
 /// The networks and optimizers in snapshot order (Td3Agent::networks() and
-/// optimizers()), and whether each holds or steps an actor or a critic.
-struct Slot {
-  const char* name;
-  bool actor;
-};
-constexpr std::array<Slot, 6> kNetworks{{{"actor", true},
-                                         {"actor_target", true},
-                                         {"critic1", false},
-                                         {"critic2", false},
-                                         {"critic1_target", false},
-                                         {"critic2_target", false}}};
-constexpr std::array<Slot, 3> kOptimizers{
-    {{"actor_opt", true}, {"critic1_opt", false}, {"critic2_opt", false}}};
+/// optimizers()).
+constexpr std::array<const char*, 6> kNetworks{
+    "actor",   "actor_target",   "critic1",
+    "critic2", "critic1_target", "critic2_target"};
+constexpr std::array<const char*, 3> kOptimizers{"actor_opt", "critic1_opt",
+                                                 "critic2_opt"};
 
 void validate(const Td3Config& c) {
   if (c.state_dim == 0 || c.action_dim == 0) {
@@ -85,81 +88,22 @@ void validate(const Td3Config& c) {
   }
 }
 
-struct Shape {
-  std::size_t rows = 0;
-  std::size_t cols = 0;
-};
-
-/// The parameter shapes of an Mlp over `dims`, in params() order.
-std::vector<Shape> param_shapes(const std::vector<std::size_t>& dims) {
-  std::vector<Shape> shapes;
-  for (std::size_t l = 0; l + 1 < dims.size(); ++l) {
-    shapes.push_back({dims[l], dims[l + 1]});
-    shapes.push_back({1, dims[l + 1]});
+std::string layout_of(const Td3Config& c) {
+  std::string out = std::to_string(c.state_dim) + "->[";
+  for (std::size_t i = 0; i < c.hidden.size(); ++i) {
+    out += (i == 0 ? "" : ",") + std::to_string(c.hidden[i]);
   }
-  return shapes;
+  return out + "]->" + std::to_string(c.action_dim);
 }
 
-std::string shape_of(std::size_t rows, std::size_t cols) {
-  return std::to_string(rows) + "x" + std::to_string(cols);
-}
-
-/// Throws unless `stored` has shape `want`, naming tensor `index` of
-/// network or optimizer `owner` (`part` tells moments apart).
-void check_shape(const nn::Matrix& stored, Shape want, const char* owner,
-                 std::size_t index, const char* part) {
-  if (stored.rows() != want.rows || stored.cols() != want.cols) {
-    throw AgentSnapshotError(
-        std::string("AgentSnapshot: shape mismatch in '") + owner +
-        "' tensor " + std::to_string(index) + part + " (snapshot " +
-        shape_of(stored.rows(), stored.cols()) + ", agent " +
-        shape_of(want.rows, want.cols) + ")");
-  }
-}
-
-void check_count(std::size_t stored, std::size_t want, const char* owner) {
-  if (stored != want) {
-    throw AgentSnapshotError(
-        std::string("AgentSnapshot: tensor count mismatch in '") + owner +
-        "' (snapshot " + std::to_string(stored) + ", agent " +
-        std::to_string(want) + ")");
-  }
-}
-
-/// Throws AgentSnapshotError unless an agent built from `c` holds exactly
-/// `s`'s layout: dims, network and optimizer counts, every tensor's shape.
-void check_snapshot(const Td3Config& c, const AgentSnapshot& s) {
-  if (s.state_dim != c.state_dim || s.action_dim != c.action_dim ||
-      s.networks.size() != kNetworks.size() ||
-      s.optimizers.size() != kOptimizers.size()) {
-    throw AgentSnapshotError(
-        "AgentSnapshot: layout mismatch (snapshot " +
-        std::to_string(s.state_dim) + "->" + std::to_string(s.action_dim) +
-        " with " + std::to_string(s.networks.size()) + " networks, agent " +
-        std::to_string(c.state_dim) + "->" + std::to_string(c.action_dim) +
-        " with " + std::to_string(kNetworks.size()) + ")");
-  }
-  const std::vector<Shape> actor = param_shapes(actor_dims(c));
-  const std::vector<Shape> critic = param_shapes(critic_dims(c));
-  for (std::size_t i = 0; i < kNetworks.size(); ++i) {
-    const auto& [name, is_actor] = kNetworks[i];
-    const std::vector<Shape>& want = is_actor ? actor : critic;
-    const std::vector<nn::Matrix>& stored = s.networks[i];
-    check_count(stored.size(), want.size(), name);
-    for (std::size_t j = 0; j < want.size(); ++j) {
-      check_shape(stored[j], want[j], name, j, "");
-    }
-  }
-  for (std::size_t i = 0; i < kOptimizers.size(); ++i) {
-    const auto& [name, is_actor] = kOptimizers[i];
-    const std::vector<Shape>& want = is_actor ? actor : critic;
-    const AgentSnapshot::OptimizerState& stored = s.optimizers[i];
-    check_count(stored.first_moments.size(), want.size(), name);
-    check_count(stored.second_moments.size(), want.size(), name);
-    for (std::size_t j = 0; j < want.size(); ++j) {
-      check_shape(stored.first_moments[j], want[j], name, j, " (m)");
-      check_shape(stored.second_moments[j], want[j], name, j, " (v)");
-    }
+/// Throws AgentLayoutError unless an agent built from `c` has networks of
+/// the same shapes as `frozen`'s.
+void check_layout(const Td3Config& c, const Td3Config& frozen) {
+  if (c.state_dim != frozen.state_dim || c.action_dim != frozen.action_dim ||
+      c.hidden != frozen.hidden) {
+    throw AgentLayoutError("Td3Agent: clone layout " + layout_of(c) +
+                           " differs from the frozen agent's " +
+                           layout_of(frozen));
   }
 }
 
@@ -179,24 +123,34 @@ Td3Agent::Td3Agent(Td3Config config, common::Rng& rng)
   bind_obs();
 }
 
-// Indices below follow kNetworks / kOptimizers, which check_snapshot
-// has just held the snapshot to.
-Td3Agent::Td3Agent(Td3Config config, const AgentSnapshot& snapshot)
-    : config_((validate(config), check_snapshot(config, snapshot), config)),
-      actor_(snapshot.networks[0], nn::OutputActivation::kSigmoid),
-      actor_target_(snapshot.networks[1], nn::OutputActivation::kSigmoid),
-      critic1_(snapshot.networks[2], nn::OutputActivation::kNone),
-      critic2_(snapshot.networks[3], nn::OutputActivation::kNone),
-      critic1_target_(snapshot.networks[4], nn::OutputActivation::kNone),
-      critic2_target_(snapshot.networks[5], nn::OutputActivation::kNone),
-      actor_opt_(resume(actor_.params(), actor_adam(config_),
-                        snapshot.optimizers[0])),
-      critic1_opt_(resume(critic1_.params(), critic_adam(config_),
-                          snapshot.optimizers[1])),
-      critic2_opt_(resume(critic2_.params(), critic_adam(config_),
-                          snapshot.optimizers[2])),
-      steps_(snapshot.train_steps) {
+// The optimizers stay bound to nothing until thaw() resumes them, and the
+// targets stay empty: a clone that never trains never reads them.
+Td3Agent::Td3Agent(Td3Config config, const Td3Agent& frozen)
+    : config_((validate(config), check_layout(config, frozen.config_), config)),
+      actor_(copy_actor(frozen.actor_)),
+      critic1_(copy_critic(frozen.critic1_)),
+      critic2_(copy_critic(frozen.critic2_)),
+      actor_opt_({}, actor_adam(config_)),
+      critic1_opt_({}, critic_adam(config_)),
+      critic2_opt_({}, critic_adam(config_)),
+      steps_(frozen.steps_),
+      // A clone of an untrained clone still equals the first source.
+      frozen_(frozen.frozen_ != nullptr ? frozen.frozen_ : &frozen) {
   bind_obs();
+}
+
+void Td3Agent::thaw() {
+  if (frozen_ == nullptr) return;
+  const Td3Agent& from = *frozen_;
+  actor_target_ = copy_actor(from.actor_target_);
+  critic1_target_ = copy_critic(from.critic1_target_);
+  critic2_target_ = copy_critic(from.critic2_target_);
+  actor_opt_ = resume(actor_.params(), actor_adam(config_), from.actor_opt_);
+  critic1_opt_ =
+      resume(critic1_.params(), critic_adam(config_), from.critic1_opt_);
+  critic2_opt_ =
+      resume(critic2_.params(), critic_adam(config_), from.critic2_opt_);
+  frozen_ = nullptr;
 }
 
 void Td3Agent::bind_obs() {
@@ -255,6 +209,7 @@ std::size_t Td3Agent::fine_tune(ReplayBuffer& buffer, common::Rng& rng,
 
 Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng,
                                    common::Partner* partner) {
+  thaw();
   common::Partner serial;
   common::Partner& fork = partner != nullptr ? *partner : serial;
   const SampledBatch batch = buffer.sample(config_.batch_size, rng);
@@ -393,40 +348,45 @@ double Td3Agent::update_actor(common::Partner& fork) {
 template <typename Self>
 auto Td3Agent::network_table(Self& self) {
   const auto& n = kNetworks;
-  return std::array{std::pair{n[0].name, &self.actor_},
-                    std::pair{n[1].name, &self.actor_target_},
-                    std::pair{n[2].name, &self.critic1_},
-                    std::pair{n[3].name, &self.critic2_},
-                    std::pair{n[4].name, &self.critic1_target_},
-                    std::pair{n[5].name, &self.critic2_target_}};
+  return std::array{std::pair{n[0], &self.actor_},
+                    std::pair{n[1], &self.actor_target_},
+                    std::pair{n[2], &self.critic1_},
+                    std::pair{n[3], &self.critic2_},
+                    std::pair{n[4], &self.critic1_target_},
+                    std::pair{n[5], &self.critic2_target_}};
 }
 
 template <typename Self>
 auto Td3Agent::optimizer_table(Self& self) {
   const auto& o = kOptimizers;
-  return std::array{std::pair{o[0].name, &self.actor_opt_},
-                    std::pair{o[1].name, &self.critic1_opt_},
-                    std::pair{o[2].name, &self.critic2_opt_}};
+  return std::array{std::pair{o[0], &self.actor_opt_},
+                    std::pair{o[1], &self.critic1_opt_},
+                    std::pair{o[2], &self.critic2_opt_}};
 }
 
 std::vector<std::pair<const char*, nn::Mlp*>> Td3Agent::networks() {
+  thaw();
   const auto table = network_table(*this);
   return {table.begin(), table.end()};
 }
 
 std::vector<std::pair<const char*, nn::Adam*>> Td3Agent::optimizers() {
+  thaw();
   const auto table = optimizer_table(*this);
   return {table.begin(), table.end()};
 }
 
 AgentSnapshot Td3Agent::snapshot() const {
+  // Before its first train step a clone's actor and critics equal its
+  // source's, and the rest is still only there.
+  const Td3Agent& from = frozen_ != nullptr ? *frozen_ : *this;
   AgentSnapshot s;
   s.state_dim = config_.state_dim;
   s.action_dim = config_.action_dim;
-  for (const auto& [name, net] : network_table(*this)) {
+  for (const auto& [name, net] : network_table(from)) {
     s.networks.push_back(net->param_values());
   }
-  for (const auto& [name, opt] : optimizer_table(*this)) {
+  for (const auto& [name, opt] : optimizer_table(from)) {
     s.optimizers.push_back(
         {opt->first_moments(), opt->second_moments(), opt->step_count()});
   }

@@ -53,10 +53,8 @@ struct Td3TrainStats {
 
 /// A value copy of a Td3Agent's trainable state: every parameter tensor of
 /// the six networks, the three optimizers' moments and step counts, and
-/// the train-step counter. It holds no replay and no RNG: the serving
-/// layer reseeds every clone from its request and samples the master's
-/// pools through a shared view. Copying it in and out costs a memcpy of
-/// the tensors; nothing is serialized or checksummed.
+/// the train-step counter. It holds no replay and no RNG. Copying it out
+/// costs a memcpy of the tensors; nothing is serialized or checksummed.
 struct AgentSnapshot {
   struct OptimizerState {
     std::vector<nn::Matrix> first_moments;   ///< binding order
@@ -72,9 +70,9 @@ struct AgentSnapshot {
   std::size_t train_steps = 0;
 };
 
-/// Building a Td3Agent from a snapshot whose dims, counts or shapes differ
-/// from its config's. The message names the network or optimizer and tensor.
-class AgentSnapshotError : public std::runtime_error {
+/// Cloning a frozen Td3Agent under a config whose state or action dims or
+/// hidden sizes differ from the frozen agent's. The message names both.
+class AgentLayoutError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
@@ -84,12 +82,22 @@ class AgentSnapshotError : public std::runtime_error {
 class Td3Agent {
  public:
   Td3Agent(Td3Config config, common::Rng& rng);
-  /// An agent whose trainable state is `snapshot`'s: its six networks and
-  /// three optimizers are built from the snapshot's tensors, with no random
-  /// init and no zeroed moments to overwrite. Every dim, count and shape is
-  /// checked against `config` before anything is built; a mismatch throws
-  /// AgentSnapshotError.
-  Td3Agent(Td3Config config, const AgentSnapshot& snapshot);
+  /// A clone of `frozen` that copies its state in two steps, by first
+  /// reader. Here: the actor (act) and both critics (twin_q), and the
+  /// train-step counter. At the clone's first train_step, or its first
+  /// networks(), optimizers(), save() or load(): the three target networks
+  /// and the three optimizers' moments and step counts. A clone that never
+  /// trains never copies them. Either way it holds `frozen`'s state bit for
+  /// bit, with no random init.
+  ///
+  /// Lifetime: `frozen` must outlive the clone's first train step (or its
+  /// destruction, if it never trains) and must not change before then. A
+  /// served session's master is frozen while any of its sessions is in
+  /// flight, which covers both (DESIGN.md §8). The late copy takes no lock.
+  ///
+  /// `config` must have `frozen`'s state and action dims and hidden sizes;
+  /// otherwise AgentLayoutError is thrown before anything is built.
+  Td3Agent(Td3Config config, const Td3Agent& frozen);
 
   /// Deterministic policy output for one state, each dim in [0,1].
   [[nodiscard]] std::vector<double> act(std::span<const double> state);
@@ -134,12 +142,13 @@ class Td3Agent {
 
   /// Named handles over the six networks / three optimizers, in the fixed
   /// serialization order. The checkpoint layer iterates these instead of
-  /// reaching into private members.
+  /// reaching into private members. A clone completes its copy first.
   [[nodiscard]] std::vector<std::pair<const char*, nn::Mlp*>> networks();
   [[nodiscard]] std::vector<std::pair<const char*, nn::Adam*>> optimizers();
 
   /// Copies out the complete trainable state (the same state save() and the
-  /// checkpoint's NETS/ADAM sections hold).
+  /// checkpoint's NETS/ADAM sections hold). A clone that has not trained
+  /// yet reads it from its frozen source, whose state it still equals.
   [[nodiscard]] AgentSnapshot snapshot() const;
 
   /// Persists / restores the complete trainable state: all six networks,
@@ -147,10 +156,15 @@ class Td3Agent {
   /// train-step counter. Saving only the network weights would make a
   /// loaded agent fine-tune differently from a never-saved one — the warm
   /// Adam moments and the policy-delay phase both feed the next update.
+  /// Both go through networks() and optimizers(), so a clone completes its
+  /// copy first.
   void save(std::ostream& os);
   void load(std::istream& is);
 
  private:
+  /// Copies the state a clone has not copied yet (targets and optimizers)
+  /// from its frozen source; a no-op on any other agent.
+  void thaw();
   /// One policy step on buf_.s from buf_.pi_in = [s | pi(s)] and zeroed
   /// actor gradients, each pass split across `fork`; returns
   /// -mean Q1(s, pi(s)) before it.
@@ -170,6 +184,8 @@ class Td3Agent {
   nn::Mlp critic1_, critic2_, critic1_target_, critic2_target_;
   nn::Adam actor_opt_, critic1_opt_, critic2_opt_;
   std::size_t steps_ = 0;
+  /// A clone's source until thaw() has copied the rest of its state.
+  const Td3Agent* frozen_ = nullptr;
   StepBuffers buf_;
   nn::Matrix q_in_;  // twin_q's 1 x (state + action) input row
   obs::Counter* obs_train_steps_ = nullptr;

@@ -97,7 +97,7 @@ void save_index_file(const std::string& path,
     const std::string& path);
 
 /// Stream-free conveniences: the service layer's scoped-fork genesis seeds
-/// and checkpoint_of(). Served sessions clone through rl::AgentSnapshot.
+/// and checkpoint_of(). Served sessions clone the master's agent instead.
 [[nodiscard]] std::string checkpoint_to_string(
     core::DeepCat& model, const gp::WorkloadRepository* repository = nullptr,
     const retrieval::ExperienceIndex* index = nullptr);

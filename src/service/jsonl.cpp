@@ -107,7 +107,12 @@ std::map<std::string, std::string> parse_flat_json(const std::string& line) {
     skip_ws(line, i);
     const std::string key = parse_string(line, i);
     expect(line, i, ':', "':'");
-    out[key] = parse_scalar(line, i);
+    // A repeated key is an error, not last-one-wins: {"steps":1,"steps":
+    // 500000} must not silently run the second value.
+    if (!out.try_emplace(key, parse_scalar(line, i)).second) {
+      throw std::invalid_argument("malformed JSON: duplicate key \"" + key +
+                                  "\"");
+    }
     skip_ws(line, i);
     if (i >= line.size()) {
       throw std::invalid_argument("malformed JSON: missing '}'");

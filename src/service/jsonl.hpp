@@ -21,7 +21,8 @@ inline constexpr int kTelemetrySchemaVersion = 1;
 
 /// Parses one flat JSON object into key -> raw value (strings unescaped,
 /// numbers/bools kept as their literal text). Throws std::invalid_argument
-/// on malformed input, naming what was expected.
+/// on malformed input, naming what was expected, and on a repeated key,
+/// naming the key.
 [[nodiscard]] std::map<std::string, std::string> parse_flat_json(
     const std::string& line);
 

@@ -168,7 +168,7 @@ rl::SampledBatch SharedRdperReplay::sample(std::size_t m, common::Rng& rng) {
   return batch;
 }
 
-SessionReport run_session(const rl::AgentSnapshot& snapshot,
+SessionReport run_session(const rl::Td3Agent& master,
                           const core::DeepCatApiOptions& api,
                           const TuningRequest& request,
                           const rl::RdperReplay& master_pools,
@@ -192,12 +192,12 @@ SessionReport run_session(const rl::AgentSnapshot& snapshot,
       stream_case = &streamsim::stream_case(request.workload);
     }
 
-    // The clone's agent is built from the epoch snapshot and samples the
+    // The clone's agent is built from the master's and samples the
     // master's pools through a shared view; it never owns pools of its own.
     core::DeepCat dc(cluster_for(request.cluster), api);
     auto view = std::make_unique<SharedRdperReplay>(master_pools, master_mutex);
     SharedRdperReplay* shared = view.get();
-    dc.tuner().materialize(snapshot, std::move(view));
+    dc.tuner().materialize(master, std::move(view));
 
     // Per-session determinism: both streams depend only on the request
     // seed, never on scheduling, so a session's report is reproducible for

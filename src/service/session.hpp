@@ -3,8 +3,9 @@
 // designed to run concurrently on the service thread pool:
 //
 //   - clone-on-tune: each session builds a private DeepCat agent straight
-//     from the master's epoch snapshot (rl::AgentSnapshot, a value copy of
-//     its tensors), so its fine-tune gradient steps never touch the shared
+//     from the frozen master's agent, copying the actor and critics it
+//     reads at once and the targets and optimizer state at its first train
+//     step, so its fine-tune gradient steps never touch the shared
 //     networks. The clone is dropped with its report, so it skips the
 //     fine-tune after its last evaluation, which nothing would read;
 //   - shared read-mostly pools: the session samples the master's frozen
@@ -16,8 +17,8 @@
 //     paper's cross-request memory sharing, kept deterministic.
 //
 // Because the master is frozen between flushes, a session's result is a
-// pure function of (master snapshot, request), independent of pool size
-// and of which other sessions run beside it.
+// pure function of (master at admission, request), independent of pool
+// size and of which other sessions run beside it.
 #pragma once
 
 #include <cstdint>
@@ -261,14 +262,16 @@ class SharedRdperReplay final : public rl::ReplayBuffer {
   std::vector<rl::Transition> scratch_;  ///< last sampled batch's storage
 };
 
-/// Runs one session against the master's epoch `snapshot`: a private
-/// DeepCat whose agent is built from the master's tensors reseeds from the
-/// request and samples `master_pools` through a SharedRdperReplay guarded
-/// by `master_mutex`. The fine-tune after the session's last evaluation is
-/// skipped (TuneBudget::keep_agent), so an n-step session on a master that
-/// holds a batch takes 8(n - 1) train steps at the default 8 per step.
-/// Never throws: failures come back as ok = false with the error message.
-[[nodiscard]] SessionReport run_session(const rl::AgentSnapshot& snapshot,
+/// Runs one session against the `master` agent: a private DeepCat whose
+/// agent clones it (DeepCatTuner::materialize(frozen, replay)) reseeds from
+/// the request and samples `master_pools` through a SharedRdperReplay
+/// guarded by `master_mutex`. The master and its pools must stay unchanged
+/// until run_session returns; the clone reads the agent without the mutex.
+/// The fine-tune after the session's last evaluation is skipped
+/// (TuneBudget::keep_agent), so an n-step session on a master that holds a
+/// batch takes 8(n - 1) train steps at the default 8 per step. Never
+/// throws: failures come back as ok = false with the error message.
+[[nodiscard]] SessionReport run_session(const rl::Td3Agent& master,
                                         const core::DeepCatApiOptions& api,
                                         const TuningRequest& request,
                                         const rl::RdperReplay& master_pools,

@@ -6,7 +6,7 @@
 // a model's shard is a pure function of its name (FNV-1a hash mod shard
 // count), every request for that model lands on the same shard, and
 // shards never share masters — so the per-model determinism contract
-// (frozen epoch snapshots between canonical-order merges) is untouched.
+// (frozen masters between canonical-order merges) is untouched.
 // Two models on different shards stop contending entirely.
 //
 // The shard count is a routing detail, not a semantic one: because a

@@ -48,7 +48,6 @@ StreamingService::StreamingService(StreamingOptions options)
     obs_merges_ = &metrics->counter("stream.merges");
     obs_merged_transitions_ = &metrics->counter("stream.merged_transitions");
     obs_fine_tune_steps_ = &metrics->counter("stream.fine_tune_steps");
-    obs_snapshots_ = &metrics->counter("stream.snapshots");
     obs_evictions_ = &metrics->counter("stream.evictions");
     obs_warm_requests_ = &metrics->counter("stream.warm_requests");
     obs_warm_hits_ = &metrics->counter("stream.warm_hits");
@@ -85,10 +84,9 @@ void StreamingService::bootstrap_model(
     seed = std::make_shared<const std::string>(
         checkpoint_to_string(entry.model));
   }
-  // state_mutex_ only after the master lock is released: submit() takes
+  // state_mutex_ only after the master lock is released: merges take
   // state_mutex_ then a master lock, so holding both here inverts the order.
   std::scoped_lock state(state_mutex_);
-  entry.snapshot.reset();
   scope_seeds_[name] = std::move(seed);
 }
 
@@ -343,25 +341,19 @@ void StreamingService::submit(TuningRequest request,
     return;
   }
 
-  std::shared_ptr<const rl::AgentSnapshot> snapshot;
+  const rl::Td3Agent* master_agent = nullptr;
   const rl::RdperReplay* master_pools = nullptr;
   std::uint64_t epoch = 0;
   std::uint64_t sequence = 0;
   try {
     std::scoped_lock state(state_mutex_);
     if (!runner_) {
-      if (!entry->snapshot) {
-        // First admission of this epoch: copy the frozen master's tensors
-        // once; every session until the next flush clones from this copy.
-        std::shared_lock master(entry->mutex);
-        entry->snapshot = std::make_shared<const rl::AgentSnapshot>(
-            entry->model.tuner().agent().snapshot());
-        if (obs_snapshots_ != nullptr) obs_snapshots_->add(1);
-      }
+      // The session clones the master itself: nothing writes it until this
+      // session completes (merges wait for in_flight to reach 0).
+      master_agent = &entry->model.tuner().agent();
       master_pools = &dynamic_cast<const rl::RdperReplay&>(
           *entry->model.tuner().replay());
     }
-    snapshot = entry->snapshot;
     epoch = entry->epoch;
     sequence = next_sequence_++;
     entry->last_used = sequence;
@@ -392,8 +384,8 @@ void StreamingService::submit(TuningRequest request,
       options_.reply_timings && tracer != nullptr && !request.trace_id.empty();
   const std::uint64_t t_submit = timed ? tracer->clock().now_ns() : 0;
 
-  (void)pool_.submit([this, entry, snapshot = std::move(snapshot), master_pools,
-                      epoch, sequence, request_span, tracer, timed, t_submit,
+  (void)pool_.submit([this, entry, master_agent, master_pools, epoch,
+                      sequence, request_span, tracer, timed, t_submit,
                       request = std::move(request),
                       on_done = std::move(on_done)] {
     SessionReport report;
@@ -412,7 +404,7 @@ void StreamingService::submit(TuningRequest request,
         // fine-tune losses are the model's trajectory; a clone's would
         // flood the rings with per-session noise.
         api.tuner.obs.series = nullptr;
-        report = run_session(*snapshot, api, request, *master_pools,
+        report = run_session(*master_agent, api, request, *master_pools,
                              entry->mutex);
       }
     }
@@ -538,7 +530,6 @@ std::size_t StreamingService::merge_entry_locked(
     // so transcripts exercise the model-epoch contract.
     entry.pending.clear();
     ++entry.epoch;
-    entry.snapshot.reset();
     return 0;
   }
   // Canonical merge order — ascending (id, seed, workload), never arrival
@@ -577,7 +568,6 @@ std::size_t StreamingService::merge_entry_locked(
   }
   entry.pending.clear();
   ++entry.epoch;
-  entry.snapshot.reset();
   entry.dirty = true;
   return merged;
 }

@@ -4,10 +4,10 @@
 // completion order. Determinism is preserved by a sequencer discipline
 // instead of a barrier:
 //
-//   - sessions are pure functions of (master snapshot, request): every
-//     request admitted between two flush boundaries is served against the
-//     same frozen epoch snapshot of its model, so a report never depends
-//     on thread count or arrival order;
+//   - sessions are pure functions of (master at admission, request):
+//     every request admitted between two flush boundaries clones the same
+//     frozen master, which nothing changes while any of its sessions is in
+//     flight, so a report never depends on thread count or arrival order;
 //   - at a flush boundary (explicit FLSH frame, end of stream, or model
 //     eviction) the completed sessions' experience is merged into the
 //     master RDPER pools in CANONICAL order — ascending (id, seed,
@@ -141,8 +141,9 @@ class StreamingService {
   [[nodiscard]] std::optional<std::string> warm_error(
       const TuningRequest& request) const;
 
-  /// Admits one request; returns immediately. Unknown models and snapshot
-  /// failures surface as a completed ok=false report, never an exception.
+  /// Admits one request; returns immediately. Unknown models and other
+  /// admission failures surface as a completed ok=false report, never an
+  /// exception.
   void submit(TuningRequest request);
 
   /// Completion hand-off for callers that multiplex several clients over
@@ -214,9 +215,11 @@ class StreamingService {
     std::vector<rl::Transition> transitions;
   };
 
-  /// One resident master model. `mutex` freezes the model while sessions
-  /// sample its pools (shared) and is taken exclusively for merges; the
-  /// bookkeeping fields are guarded by state_mutex_.
+  /// One resident master model. `mutex` is held shared while sessions
+  /// sample its pools and exclusively for merges; the bookkeeping fields
+  /// are guarded by state_mutex_. Only merges write the model, and only
+  /// with `in_flight` at 0, so every session of an epoch reads (and
+  /// clones, without the mutex) the same frozen master.
   struct MasterEntry {
     MasterEntry(const sparksim::ClusterSpec& cluster,
                 const core::DeepCatApiOptions& api)
@@ -224,10 +227,6 @@ class StreamingService {
     core::DeepCat model;
     std::shared_mutex mutex;
     std::uint64_t epoch = 1;
-    /// Current epoch's snapshot of the master's tensors, taken at the
-    /// epoch's first admission; every session until the next flush clones
-    /// from it.
-    std::shared_ptr<const rl::AgentSnapshot> snapshot;
     std::size_t in_flight = 0;
     std::uint64_t last_used = 0;  ///< admission sequence, for LRU eviction
     std::vector<PendingExperience> pending;
@@ -304,7 +303,6 @@ class StreamingService {
   obs::Counter* obs_merges_ = nullptr;
   obs::Counter* obs_merged_transitions_ = nullptr;
   obs::Counter* obs_fine_tune_steps_ = nullptr;
-  obs::Counter* obs_snapshots_ = nullptr;
   obs::Counter* obs_evictions_ = nullptr;
   obs::Counter* obs_warm_requests_ = nullptr;
   obs::Counter* obs_warm_hits_ = nullptr;

@@ -56,14 +56,14 @@ void DeepCatTuner::materialize(std::size_t state_dim, std::size_t action_dim) {
   replay_ = make_replay();
 }
 
-void DeepCatTuner::materialize(const rl::AgentSnapshot& snapshot,
+void DeepCatTuner::materialize(const rl::Td3Agent& frozen,
                                std::unique_ptr<rl::ReplayBuffer> replay) {
   if (agent_) throw std::logic_error("DeepCatTuner: agent already built");
   if (!replay) throw std::invalid_argument("DeepCatTuner: null replay");
-  options_.td3.state_dim = snapshot.state_dim;
-  options_.td3.action_dim = snapshot.action_dim;
+  options_.td3.state_dim = frozen.config().state_dim;
+  options_.td3.action_dim = frozen.config().action_dim;
   options_.td3.obs = options_.obs;
-  agent_ = std::make_unique<rl::Td3Agent>(options_.td3, snapshot);
+  agent_ = std::make_unique<rl::Td3Agent>(options_.td3, frozen);
   replay_ = std::move(replay);
 }
 

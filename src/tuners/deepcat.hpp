@@ -123,12 +123,13 @@ class DeepCatTuner final : public OnlineTuner {
   /// already exists with matching dims; throws on a dim mismatch.
   void materialize(std::size_t state_dim, std::size_t action_dim);
 
-  /// Builds the agent straight from `snapshot` (its dims, tensors and
-  /// moments; no random init) and takes `replay` as its buffer, in one call:
-  /// how a served session clones the epoch's master. The tuner must not
-  /// have an agent yet (throws std::logic_error); a snapshot that does not
-  /// fit options().td3 throws rl::AgentSnapshotError.
-  void materialize(const rl::AgentSnapshot& snapshot,
+  /// Builds the agent as a clone of `frozen` (its dims, and its state
+  /// copied by first reader: rl::Td3Agent's frozen-clone constructor, whose
+  /// lifetime contract holds here) and takes `replay` as its buffer, in one
+  /// call: how a served session clones its master. The tuner must not have
+  /// an agent yet (throws std::logic_error); hidden sizes in options().td3
+  /// that differ from `frozen`'s throw rl::AgentLayoutError.
+  void materialize(const rl::Td3Agent& frozen,
                    std::unique_ptr<rl::ReplayBuffer> replay);
 
   [[nodiscard]] bool has_agent() const noexcept { return agent_ != nullptr; }
@@ -140,7 +141,7 @@ class DeepCatTuner final : public OnlineTuner {
   /// Replay buffer access (the checkpoint layer restores pool contents
   /// through it) and replacement, for a caller that interposes its own
   /// buffer on an agent it built another way; served sessions take their
-  /// shared view through materialize(snapshot, replay) instead.
+  /// shared view through materialize(frozen, replay) instead.
   [[nodiscard]] rl::ReplayBuffer* replay() noexcept { return replay_.get(); }
   void set_replay(std::unique_ptr<rl::ReplayBuffer> replay) {
     replay_ = std::move(replay);

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -111,6 +112,106 @@ TEST(CliCommandsTest, BadNumericFlagsFailNamingTheFlag) {
     EXPECT_EQ(run_cli(argv, os), 1) << argv[1] << ' ' << argv[2];
     EXPECT_NE(os.str().find("error: flag " + argv[1]), std::string::npos)
         << os.str();
+  }
+}
+
+TEST(CliCommandsTest, FlagsACommandDoesNotReadFailBeforeItRuns) {
+  const std::string dir = ::testing::TempDir() + "deepcat_cli_unread";
+  std::filesystem::remove_all(dir);
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"info", "--bogus", "1"}, "info: unknown flag --bogus"},
+       {{"knobs", "--json", "1"}, "knobs: unknown flag --json"},
+       {{"serve", "--checkpoint", dir, "--train-iters", "40",
+         "--master-step", "4"},
+        "serve: unknown flag --master-step"},
+       {{"serve", "--stream", "1", "--checkpoint", dir, "--train-iters",
+         "40", "--master-step", "4"},
+        "serve --stream: unknown flag --master-step"},
+       // Only the wire server listens; batch serve would ignore it.
+       {{"serve", "--checkpoint", dir, "--train-iters", "40", "--socket",
+         "/tmp/x.sock"},
+        "serve: unknown flag --socket"},
+       {{"index", "build", "--checkpoint", dir, "--out", dir + "/i.bin",
+         "--seed", "2"},
+        "index build: unknown flag --seed"},
+       {{"tune", "--set", "spark.executor.cores=4"},
+        "tune: unknown flag --set"}};
+  for (const auto& [argv, message] : cases) {
+    std::ostringstream os;
+    EXPECT_EQ(run_cli(argv, os), 1) << message;
+    EXPECT_NE(os.str().find("error: " + message), std::string::npos)
+        << os.str();
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir)) << "nothing may be trained";
+}
+
+/// Every (command, flag) pair the usage text shows; "serve --stream" is the
+/// wire server's section.
+std::vector<std::pair<std::string, std::string>> usage_flags() {
+  std::ostringstream os;
+  EXPECT_EQ(run_cli({}, os), 0);
+  const std::regex command_re(R"(^  ([a-z]+)( build| query)?( --stream 1)?)");
+  const std::regex flag_re(R"(--([a-z][a-z0-9-]*))");
+  std::vector<std::pair<std::string, std::string>> out;
+  std::istringstream lines(os.str());
+  std::string line;
+  std::string command;
+  while (std::getline(lines, line)) {
+    std::smatch m;
+    if (std::regex_search(line, m, command_re)) {
+      command = m[1].str() + m[2].str() + (m[3].matched ? " --stream" : "");
+    }
+    for (auto it = std::sregex_iterator(line.begin(), line.end(), flag_re);
+         it != std::sregex_iterator(); ++it) {
+      out.emplace_back(command, (*it)[1].str());
+    }
+  }
+  return out;
+}
+
+TEST(CliCommandsTest, EveryFlagTheUsageCiAndBenchmarkPassParses) {
+  std::vector<std::vector<std::string>> argvs;
+  const auto pairs = usage_flags();
+  ASSERT_GT(pairs.size(), 60u) << "the usage text did not parse";
+  for (const auto& [command, flag] : pairs) {
+    std::vector<std::string> argv;
+    std::istringstream words(command);
+    for (std::string w; words >> w;) argv.push_back(w);
+    if (argv.back() == "--stream") argv.push_back("1");
+    if (flag != "stream") {
+      argv.push_back("--" + flag);
+      argv.push_back(flag == "set" ? "spark.executor.cores=4" : "1");
+    }
+    argvs.push_back(argv);
+  }
+  // e2ebench/run.py's server line, and the CI workflow's invocations.
+  argvs.push_back({"serve", "--stream", "1", "--checkpoint", "reg",
+                   "--model", "default", "--tcp", "127.0.0.1:0",
+                   "--threads", "4", "--shards", "1", "--train-iters", "600",
+                   "--train-workload", "TS", "--train-size", "3.2",
+                   "--cluster", "a", "--seed", "1", "--master-steps", "4",
+                   "--max-models", "8", "--max-conns", "256",
+                   "--max-inflight", "1024", "--trace-out", "t.json"});
+  argvs.push_back({"serve", "--checkpoint", "reg", "--train-iters", "600",
+                   "--requests", "r.jsonl", "--publish", "1", "--threads",
+                   "4", "--out", "o.jsonl"});
+  argvs.push_back({"serve", "--stream", "1", "--checkpoint", "reg",
+                   "--socket", "s.sock", "--http", "127.0.0.1:0",
+                   "--series", "64", "--warm-index", "i.bin",
+                   "--trace-stream", "t.json", "--metrics-out", "m.jsonl",
+                   "--tele-every", "2", "--clock", "logical",
+                   "--master-steps", "0", "--out", "w.bin"});
+  argvs.push_back({"stats", "--socket", "s.sock", "--tcp", "127.0.0.1:1",
+                   "--requests", "r.jsonl"});
+  argvs.push_back({"index", "build", "--checkpoint", "reg", "--out", "i.bin",
+                   "--seeds", "1", "--steps", "3", "--workloads",
+                   "TS-D1,WC-D1"});
+  argvs.push_back({"index", "query", "--index", "i.bin", "--workload",
+                   "TS-D2", "--k", "2", "--json", "1"});
+  for (const auto& argv : argvs) {
+    std::string joined;
+    for (const auto& a : argv) joined += a + " ";
+    EXPECT_NO_THROW(check_flags(parse_args(argv))) << joined;
   }
 }
 

@@ -323,6 +323,36 @@ TEST(FrontEndTest, InflightCapRejectsRequestsWithTypedError) {
   EXPECT_EQ(stats.failed_sessions, 0u);
 }
 
+TEST(FrontEndTest, DuplicateRequestKeyGetsTypedErrorAndTheConnCarriesOn) {
+  service::ShardedStreamingService svc(fake_options(1), 1);
+  svc.set_session_runner_for_test(fake_report);
+  FrontEndOptions options;
+  options.unix_path = unique_socket_path("dupkey");
+  TestServer server(svc, options);
+
+  auto client = BlockingClient::to_unix(options.unix_path);
+  client.send_header();
+  client.send_frame(FrameType::kRequest,
+                    R"({"id":"dup","workload":"TS-D1","steps":1,"steps":9})");
+  client.send_frame(FrameType::kRequest, request_json("after"));
+  client.send_frame(FrameType::kEnd, "");
+  const auto frames = read_until_end(client);
+  ASSERT_GE(frames.size(), 3u);
+  EXPECT_EQ(frames[0].type, FrameType::kError);
+  EXPECT_NE(frames[0].payload.find(
+                R"(request 0: malformed JSON: duplicate key \"steps\")"),
+            std::string::npos)
+      << frames[0].payload;
+  EXPECT_EQ(frames[1].type, FrameType::kReply);
+  EXPECT_NE(frames[1].payload.find("\"id\":\"after\""), std::string::npos);
+  EXPECT_EQ(frames.back().type, FrameType::kEnd);
+
+  const auto& stats = server.finish();
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.replies, 1u);
+  EXPECT_EQ(stats.parse_errors, 1u);
+}
+
 TEST(FrontEndTest, OversizedFrameGetsTypedErrorAndSparesOtherConns) {
   service::ShardedStreamingService svc(fake_options(1), 1);
   svc.set_session_runner_for_test(fake_report);

@@ -271,48 +271,111 @@ void expect_same_tensors(const std::vector<nn::Matrix>& got,
   }
 }
 
-// An agent built from a snapshot holds that snapshot's state exactly (every
-// tensor, moment and counter), and then trains like the agent it was taken
-// from, bit for bit: the targets, moments and policy-delay phase all came
-// along.
-TEST(Td3Test, SnapshotConstructorHoldsTheSnapshotAndTrainsLikeItsSource) {
+void expect_same_snapshot(const AgentSnapshot& got, const AgentSnapshot& want) {
+  EXPECT_EQ(got.state_dim, want.state_dim);
+  EXPECT_EQ(got.action_dim, want.action_dim);
+  EXPECT_EQ(got.train_steps, want.train_steps);
+  ASSERT_EQ(got.networks.size(), want.networks.size());
+  for (std::size_t i = 0; i < got.networks.size(); ++i) {
+    SCOPED_TRACE("network " + std::to_string(i));
+    expect_same_tensors(got.networks[i], want.networks[i]);
+  }
+  ASSERT_EQ(got.optimizers.size(), want.optimizers.size());
+  for (std::size_t i = 0; i < got.optimizers.size(); ++i) {
+    SCOPED_TRACE("optimizer " + std::to_string(i));
+    EXPECT_EQ(got.optimizers[i].step_count, want.optimizers[i].step_count);
+    expect_same_tensors(got.optimizers[i].first_moments,
+                        want.optimizers[i].first_moments);
+    expect_same_tensors(got.optimizers[i].second_moments,
+                        want.optimizers[i].second_moments);
+  }
+}
+
+std::string saved(Td3Agent& agent) {
+  std::ostringstream os;
+  agent.save(os);
+  return os.str();
+}
+
+// A clone of a frozen agent holds the agent's state exactly (every tensor,
+// moment and counter), whether it is read before the clone's first train
+// step (snapshot() from the source, act and twin_q from the copied nets,
+// networks(), optimizers() and save() after completing the copy) or after
+// it. It then trains like an agent restored from the source's saved state,
+// and like the source itself, bit for bit, with and without a partner: the
+// targets, moments and policy-delay phase all came along late.
+TEST(Td3Test, FrozenCloneHoldsItsSourceAndTrainsLikeIt) {
   common::Rng rng(31);
   Td3Agent source(small_config(), rng);
   UniformReplay buffer(512);
   fill_bandit_buffer(buffer, rng, 0.6, 256);
   for (int i = 0; i < 31; ++i) (void)source.train_step(buffer, rng);
+  const AgentSnapshot want = source.snapshot();
+  const std::string want_saved = saved(source);
 
-  const AgentSnapshot snapshot = source.snapshot();
-  Td3Agent built(small_config(), snapshot);
-  const AgentSnapshot copy = built.snapshot();
-  EXPECT_EQ(copy.state_dim, snapshot.state_dim);
-  EXPECT_EQ(copy.action_dim, snapshot.action_dim);
-  EXPECT_EQ(copy.train_steps, snapshot.train_steps);
-  ASSERT_EQ(copy.networks.size(), snapshot.networks.size());
-  for (std::size_t i = 0; i < copy.networks.size(); ++i) {
-    SCOPED_TRACE("network " + std::to_string(i));
-    expect_same_tensors(copy.networks[i], snapshot.networks[i]);
-  }
-  ASSERT_EQ(copy.optimizers.size(), snapshot.optimizers.size());
-  for (std::size_t i = 0; i < copy.optimizers.size(); ++i) {
-    SCOPED_TRACE("optimizer " + std::to_string(i));
-    EXPECT_EQ(copy.optimizers[i].step_count, snapshot.optimizers[i].step_count);
-    expect_same_tensors(copy.optimizers[i].first_moments,
-                        snapshot.optimizers[i].first_moments);
-    expect_same_tensors(copy.optimizers[i].second_moments,
-                        snapshot.optimizers[i].second_moments);
-  }
-
-  common::Rng rng_a(32), rng_b(32);
-  for (int i = 0; i < 9; ++i) {
-    (void)source.train_step(buffer, rng_a);
-    (void)built.train_step(buffer, rng_b);
-  }
+  Td3Agent clone(small_config(), source);
+  expect_same_snapshot(clone.snapshot(), want);
   const std::vector<double> s{0.3, 0.9};
   const std::vector<double> a{0.4};
-  EXPECT_EQ(built.act(s), source.act(s));
-  EXPECT_EQ(built.twin_q(s, a), source.twin_q(s, a));
-  EXPECT_EQ(built.train_steps(), source.train_steps());
+  EXPECT_EQ(clone.act(s), source.act(s));
+  EXPECT_EQ(clone.twin_q(s, a), source.twin_q(s, a));
+  EXPECT_EQ(clone.train_steps(), source.train_steps());
+
+  Td3Agent exposed(small_config(), source);
+  const auto nets = exposed.networks();
+  const auto source_nets = source.networks();
+  ASSERT_EQ(nets.size(), source_nets.size());
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    SCOPED_TRACE(nets[i].first);
+    EXPECT_STREQ(nets[i].first, source_nets[i].first);
+    expect_same_tensors(nets[i].second->param_values(),
+                        source_nets[i].second->param_values());
+  }
+  const auto opts = exposed.optimizers();
+  const auto source_opts = source.optimizers();
+  ASSERT_EQ(opts.size(), source_opts.size());
+  for (std::size_t i = 0; i < opts.size(); ++i) {
+    SCOPED_TRACE(opts[i].first);
+    EXPECT_EQ(opts[i].second->step_count(), source_opts[i].second->step_count());
+    expect_same_tensors(opts[i].second->first_moments(),
+                        source_opts[i].second->first_moments());
+    expect_same_tensors(opts[i].second->second_moments(),
+                        source_opts[i].second->second_moments());
+  }
+  Td3Agent unsaved(small_config(), source);
+  EXPECT_EQ(saved(unsaved), want_saved);
+
+  // Agents that train from here: the source, a reload of its saved state,
+  // the clone serially, and a clone of a still-untrained clone beside a
+  // borrowed worker. A clone reads its source only until its first train
+  // step, so training the source after that step changes nothing.
+  common::Rng other_init(999);
+  Td3Agent reloaded(small_config(), other_init);
+  std::istringstream in(want_saved);
+  reloaded.load(in);
+  Td3Agent untrained(small_config(), source);
+  Td3Agent chained(small_config(), untrained);
+  common::ThreadPool pool(2);
+  common::Partner partner(&pool);
+  common::Rng rng_s(32), rng_r(32), rng_c(32), rng_p(32);
+  for (int i = 0; i < 9; ++i) {
+    const Td3TrainStats got = clone.train_step(buffer, rng_c);
+    const Td3TrainStats helped = chained.train_step(buffer, rng_p, &partner);
+    const Td3TrainStats from_text = reloaded.train_step(buffer, rng_r);
+    const Td3TrainStats from_source = source.train_step(buffer, rng_s);
+    SCOPED_TRACE("step " + std::to_string(i));
+    for (const Td3TrainStats* other : {&helped, &from_text, &from_source}) {
+      EXPECT_EQ(got.critic1_loss, other->critic1_loss);
+      EXPECT_EQ(got.critic2_loss, other->critic2_loss);
+      EXPECT_EQ(got.actor_loss, other->actor_loss);
+    }
+  }
+  const AgentSnapshot trained = source.snapshot();
+  expect_same_snapshot(clone.snapshot(), trained);
+  expect_same_snapshot(chained.snapshot(), trained);
+  expect_same_snapshot(reloaded.snapshot(), trained);
+  EXPECT_EQ(clone.act(s), source.act(s));
+  EXPECT_EQ(chained.twin_q(s, a), source.twin_q(s, a));
 }
 
 TEST(Td3Test, LoadRejectsTruncatedStream) {

@@ -58,6 +58,24 @@ TEST(RequestFieldTest, UnknownKeyIsAParseError) {
   (void)parse_error(R"({"id":"r","workload":"TS-D1","Steps":2})", "Steps");
 }
 
+TEST(RequestFieldTest, DuplicateKeyIsAParseError) {
+  // Last-one-wins would run 500,000 steps behind a "steps":1 the reader saw.
+  for (const char* line :
+       {R"({"workload":"TS-D1","steps":1,"steps":500000})",
+        R"({"workload":"TS-D1","steps":1,"steps":1})"}) {
+    try {
+      (void)parse_request_json(line, 0);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("duplicate key \"steps\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)parse_flat_json(R"({"a":1,"b":2,"a":"x"})"),
+               std::invalid_argument);
+}
+
 TEST(RequestFieldTest, EveryKnownKeyParses) {
   const TuningRequest r = parse_request_json(
       R"({"id":"r","workload":"TS-D1","cluster":"b","steps":2,)"

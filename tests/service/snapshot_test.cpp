@@ -1,12 +1,12 @@
-// Served sessions build their agent straight from a copy of the master's
-// tensors (rl::AgentSnapshot) instead of decoding its checkpoint, and skip
-// the fine-tune after their last evaluation, which nothing reads. These
-// tests hold that session to the checkpoint clone it replaced, which keeps
-// that fine-tune: same REP line, same transitions, for every HiBench case,
-// both clusters, cold and warm, one streaming session, and the next epoch
-// after a flush. They also count the train steps a served session takes,
-// and pin the snapshot constructor's shape check and the service's
-// RDPER-only contract.
+// Served sessions build their agent straight from the frozen master's
+// (the actor and critics at once, the rest at the first train step)
+// instead of decoding its checkpoint, and skip the fine-tune after their
+// last evaluation, which nothing reads. These tests hold that session to
+// the checkpoint clone it replaced, which keeps that fine-tune: same REP
+// line, same transitions, for every HiBench case, both clusters, cold and
+// warm, 1 and 5 steps, one streaming session, and the next epoch after a
+// flush. They also count the train steps a served session takes, and pin
+// the clone's layout check and the service's RDPER-only contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -57,9 +57,9 @@ const rl::RdperReplay& pools_of(core::DeepCat& model) {
   return dynamic_cast<const rl::RdperReplay&>(*model.tuner().replay());
 }
 
-/// The clone sessions made before snapshots: decode the master's checkpoint
-/// blob, reseed from the request, and sample the master's pools through the
-/// same SharedRdperReplay view.
+/// The clone sessions used to make: decode the master's checkpoint blob,
+/// reseed from the request, and sample the master's pools through the same
+/// SharedRdperReplay view.
 SessionReport reference_session(const std::string& blob,
                                 const core::DeepCatApiOptions& api,
                                 const TuningRequest& request,
@@ -130,7 +130,7 @@ TEST(StreamingSnapshotTest, ConcurrentSessionsMatchTheCheckpointClone) {
   core::DeepCat master(sparksim::cluster_a(), api);
   (void)master.train_offline(
       sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 80);
-  const rl::AgentSnapshot snapshot = master.tuner().agent().snapshot();
+  const rl::Td3Agent& frozen = master.tuner().agent();
   const std::string blob = checkpoint_to_string(master);
   const rl::RdperReplay& pools = pools_of(master);
   std::shared_mutex mutex;
@@ -163,12 +163,13 @@ TEST(StreamingSnapshotTest, ConcurrentSessionsMatchTheCheckpointClone) {
   stream.seed = 99;
   requests.push_back(stream);
 
-  // The snapshot sessions run concurrently over one shared snapshot and one
-  // set of pools, as served sessions do.
+  // The sessions run concurrently over one frozen master and one set of
+  // pools, as served sessions do; the 5-step ones copy the master's
+  // training state late, at their first train step.
   common::ThreadPool pool(4);
   const std::vector<SessionReport> got =
       common::parallel_map(pool, requests.size(), [&](std::size_t i) {
-        return run_session(snapshot, api, requests[i], pools, mutex);
+        return run_session(frozen, api, requests[i], pools, mutex);
       });
   std::size_t ok = 0;
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -192,8 +193,8 @@ TEST(StreamingSnapshotTest, NextEpochClonesThePostFlushMaster) {
                   sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 80);
   const std::string genesis = svc.checkpoint_of("default");
 
-  // Epoch 1: three sessions clone one snapshot; serve_batch's flush merges
-  // their experience and takes the master's fine-tune steps.
+  // Epoch 1: three sessions clone the genesis master; serve_batch's flush
+  // merges their experience and takes the master's fine-tune steps.
   std::vector<TuningRequest> first;
   for (const char* id : {"TS-D1", "WC-D2", "PR-D1"}) {
     TuningRequest r;
@@ -212,7 +213,8 @@ TEST(StreamingSnapshotTest, NextEpochClonesThePostFlushMaster) {
   const std::string post_flush = svc.checkpoint_of("default");
   ASSERT_NE(post_flush, genesis);
 
-  // Epoch 2: the next session must clone the post-flush master.
+  // Epoch 2: the next session must clone the post-flush master, its late
+  // copy (at its first train step) included.
   TuningRequest next;
   next.id = "e2";
   next.workload = "KM-D1";
@@ -228,8 +230,6 @@ TEST(StreamingSnapshotTest, NextEpochClonesThePostFlushMaster) {
   expect_same_session(served->session,
                       reference_session(post_flush, options.service.api, next,
                                         pools_of(svc.master()), mutex));
-  EXPECT_EQ(metrics.counter("stream.snapshots").value(), 2u)
-      << "one snapshot per epoch that admitted sessions";
 }
 
 TEST(StreamingSnapshotTest, ServedSessionSkipsOnlyTheFinalFineTune) {
@@ -268,45 +268,37 @@ TEST(StreamingSnapshotTest, ServedSessionSkipsOnlyTheFinalFineTune) {
   EXPECT_EQ(added_steps("SA-P1", 11), 80u);
 }
 
-TEST(AgentSnapshotTest, MismatchedSnapshotThrowsFromTheConstructor) {
+TEST(StreamingSnapshotTest, MismatchedMasterThrowsBeforeTheCloneIsBuilt) {
   core::DeepCat model(sparksim::cluster_a(), small_api());
   (void)model.train_offline(
       sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 40);
   const rl::Td3Agent& agent = model.tuner().agent();
-  const rl::Td3Config& config = agent.config();
 
-  core::DeepCatApiOptions narrow = small_api();
-  narrow.tuner.td3.hidden = {16, 16};
-  core::DeepCat other(sparksim::cluster_a(), narrow);
-  other.tuner().materialize(config.state_dim, config.action_dim);
+  rl::Td3Config narrow = agent.config();
+  narrow.hidden = {16, 16};
   try {
-    const rl::Td3Agent built(config, other.tuner().agent().snapshot());
-    FAIL() << "an agent was built from a snapshot of another hidden size";
-  } catch (const rl::AgentSnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("'actor'"), std::string::npos)
+    const rl::Td3Agent built(narrow, agent);
+    FAIL() << "a clone of another hidden size was built";
+  } catch (const rl::AgentLayoutError& e) {
+    EXPECT_NE(std::string(e.what()).find("[16,16]"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("[24,24]"), std::string::npos)
         << e.what();
   }
+  rl::Td3Config wide = agent.config();
+  ++wide.action_dim;
+  EXPECT_THROW(const rl::Td3Agent built(wide, agent), rl::AgentLayoutError);
 
-  // Only the very last tensor mismatches: it is caught all the same.
-  rl::AgentSnapshot changed = agent.snapshot();
-  changed.optimizers.back().second_moments.back() = nn::Matrix(3, 3);
-  try {
-    const rl::Td3Agent built(config, changed);
-    FAIL() << "an agent was built from a snapshot with a mis-shaped moment";
-  } catch (const rl::AgentSnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("'critic2_opt'"), std::string::npos)
-        << e.what();
-  }
-
-  // A session's tuner whose options disagree with the snapshot is left
+  // A session's tuner whose options disagree with the master is left
   // without an agent, not with a half-built one.
-  tuners::DeepCatTuner session(narrow.tuner);
+  core::DeepCatApiOptions narrow_api = small_api();
+  narrow_api.tuner.td3.hidden = {16, 16};
+  tuners::DeepCatTuner session(narrow_api.tuner);
   std::shared_mutex mutex;
   EXPECT_THROW(
       session.materialize(
-          agent.snapshot(),
-          std::make_unique<SharedRdperReplay>(pools_of(model), mutex)),
-      rl::AgentSnapshotError);
+          agent, std::make_unique<SharedRdperReplay>(pools_of(model), mutex)),
+      rl::AgentLayoutError);
   EXPECT_FALSE(session.has_agent());
 }
 

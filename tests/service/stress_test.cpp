@@ -2,9 +2,11 @@
 // TSan/ASan: many sessions share the master pools while a checkpoint
 // writer hammers checkpoint_of from another thread across the batch and
 // its merge. Asserts (a) every concurrently-written checkpoint is a
-// consistent snapshot (loads cleanly — no torn reads), and (b)
-// per-session reports are a pure function of their seeds regardless of
-// scheduling.
+// consistent snapshot (loads cleanly — no torn reads), (b) per-session
+// reports are a pure function of their seeds regardless of scheduling,
+// and (c) sessions that copy the master's training state late, at their
+// first train step, race neither a FLSH issued while they run nor the
+// checkpoint reader.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -87,6 +89,63 @@ TEST(ServiceStressTest, ConcurrentCheckpointWritesAreNeverTorn) {
   ASSERT_EQ(reports.size(), 12u);
   for (const auto& r : reports) EXPECT_TRUE(r.ok) << r.id << ": " << r.error;
   EXPECT_GT(snapshots.load(), 0u);
+}
+
+TEST(ServiceStressTest, LateCopiesRaceNeitherAFlushNorACheckpointReader) {
+  // A master that holds a batch, so sessions of 2 or more steps train and
+  // copy its targets and moments late, without a lock. flush() is called
+  // while they run, after the first 1-step session has completed: it must
+  // wait for the rest before the merge and the master's fine-tune write
+  // what they copy. TSan checks that ordering; the reports check the bytes.
+  StreamingService svc(stress_options(4));
+  svc.train_model("default",
+                  sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 80);
+  StreamingService twin(stress_options(1));
+  {
+    std::stringstream blob(svc.checkpoint_of("default"));
+    twin.load_model("default", blob);
+  }
+
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      std::stringstream ss(svc.checkpoint_of("default"));
+      core::DeepCat probe(sparksim::cluster_a(),
+                          stress_options(1).service.api);
+      EXPECT_NO_THROW(load_checkpoint(ss, probe));
+    }
+  });
+  std::vector<TuningRequest> all;
+  for (int round = 0; round < 2; ++round) {
+    auto batch = stress_batch(8);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      batch[i].id = "late-" + std::to_string(round) + "-" + std::to_string(i);
+      batch[i].max_steps = i == 0 ? 1 : 2 + static_cast<int>(i % 3);
+    }
+    for (const auto& r : batch) svc.submit(r);
+    std::vector<StreamReport> reports;
+    reports.push_back(*svc.wait_completed());
+    EXPECT_GT(svc.flush(), 0u);
+    while (auto r = svc.wait_completed()) reports.push_back(*std::move(r));
+    EXPECT_EQ(reports.size(), batch.size());  // the writer is still running
+    for (const auto& r : reports) {
+      EXPECT_TRUE(r.session.ok) << r.session.id << ": " << r.session.error;
+      EXPECT_EQ(r.model_epoch, static_cast<std::uint64_t>(round + 1));
+    }
+    all.insert(all.end(), batch.begin(), batch.end());
+  }
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+  EXPECT_EQ(svc.model_epoch(), 3u);
+
+  // The same rounds on one thread, one flush each after every session:
+  // same master afterwards, bit for bit.
+  for (int round = 0; round < 2; ++round) {
+    const std::vector<TuningRequest> batch(all.begin() + 8 * round,
+                                           all.begin() + 8 * (round + 1));
+    (void)batch_sessions(twin, batch);
+  }
+  EXPECT_EQ(twin.checkpoint_of("default"), svc.checkpoint_of("default"));
 }
 
 TEST(ServiceStressTest, ReportsAreDeterministicPerSessionSeed) {
