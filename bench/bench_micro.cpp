@@ -618,6 +618,7 @@ int run_kernel_bench_json(const std::string& path) {
     // bc1 == 1 as on every master step: the clip reduction and the fused
     // update, per tier.
     nn::Mlp critic({41, 128, 128, 1}, rng);
+    critic.zero_grad();  // sizes the gradients the loop below draws
     std::vector<nn::Matrix> m, v;
     for (const nn::Param& p : critic.params()) {
       for (double& g : p.grad->flat()) g = rng.normal();
@@ -685,9 +686,9 @@ int run_kernel_bench_json(const std::string& path) {
 
   {
     // A served session's clone (a fresh agent built from the frozen
-    // master's, over a view of its pools), the training state a clone
-    // copies at its first train step, the checkpoint codec that a load
-    // still pays, and whole served sessions, on the master `deepcat serve
+    // master's, over a view of its pools), a Twin-Q probe on it, the state
+    // a clone copies at its first train step, the checkpoint codec that a
+    // load still pays, and whole served sessions, on the master `deepcat serve
     // --seed 1` trains (600 iterations, TeraSort 3.2, cluster a). Dispatch
     // tier, min-of-N.
     core::DeepCatApiOptions api;
@@ -713,6 +714,18 @@ int run_kernel_bench_json(const std::string& path) {
           std::make_unique<service::SharedRdperReplay>(pools, pools_mutex));
       benchmark::DoNotOptimize(clone);
     });
+    {
+      // One Twin-Q probe (min_q: both critics' one-row passes) through an
+      // untrained clone, i.e. on the master's critics read in place, as a
+      // served session's Twin-Q Optimizer probes them.
+      rl::Td3Agent reader(agent.config(), agent);
+      const rl::Transition& seen = pools.low_pool().empty()
+                                       ? pools.high_pool().front()
+                                       : pools.low_pool().front();
+      time_row("rl.min_q_ns", [&] {
+        benchmark::DoNotOptimize(reader.min_q(seen.state, seen.action));
+      });
+    }
     {
       // The late copy alone: optimizers() completes it, as a first train
       // step would, on a clone built outside the clock. One clone at a

@@ -427,8 +427,32 @@ DEEPCAT_TARGET_AVX2 void adam_update_avx2(
   }
 }
 
+// One C row's columns [0, 4 * kVecs) += arow * B, in kVecs ymm accumulators
+// that each keep their outputs' ascending-k chains from C, so the tile width
+// changes no bit. The one-row path's tile: with 8 accumulators the FMAs of
+// one k overlap instead of waiting on two chains' latency.
+template <std::size_t kVecs>
+[[gnu::always_inline]] DEEPCAT_TARGET_AVX2 inline void nn_row_avx2(
+    std::size_t k, const double* arow, const double* b, std::size_t ldb,
+    double* c) noexcept {
+  __m256d acc[kVecs];
+#pragma GCC unroll 8
+  for (std::size_t q = 0; q < kVecs; ++q) acc[q] = _mm256_loadu_pd(c + 4 * q);
+  for (std::size_t p = 0; p < k; ++p) {
+    const __m256d av = _mm256_set1_pd(arow[p]);
+    const double* brow = b + p * ldb;
+#pragma GCC unroll 8
+    for (std::size_t q = 0; q < kVecs; ++q) {
+      acc[q] = _mm256_fmadd_pd(av, _mm256_loadu_pd(brow + 4 * q), acc[q]);
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t q = 0; q < kVecs; ++q) _mm256_storeu_pd(c + 4 * q, acc[q]);
+}
+
 // 4x8 register-blocked micro-kernel: 8 accumulator registers stay resident
 // across the whole k loop; A elements are broadcast, B rows are streamed.
+// Rows past the last 4-row block run 1x32, then 1x8 tiles.
 DEEPCAT_TARGET_AVX2 void gemm_nn_avx2(std::size_t m, std::size_t n,
                                       std::size_t k, const double* a,
                                       std::size_t lda, const double* b,
@@ -498,16 +522,11 @@ DEEPCAT_TARGET_AVX2 void gemm_nn_avx2(std::size_t m, std::size_t n,
   for (; i < m; ++i) {
     const double* arow = a + i * lda;
     std::size_t j = 0;
+    for (; j + 32 <= n; j += 32) {
+      nn_row_avx2<8>(k, arow, b + j, ldb, c + i * ldc + j);
+    }
     for (; j + 8 <= n; j += 8) {
-      __m256d c0 = _mm256_loadu_pd(c + i * ldc + j);
-      __m256d c1 = _mm256_loadu_pd(c + i * ldc + j + 4);
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m256d av = _mm256_set1_pd(arow[p]);
-        c0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b + p * ldb + j), c0);
-        c1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b + p * ldb + j + 4), c1);
-      }
-      _mm256_storeu_pd(c + i * ldc + j, c0);
-      _mm256_storeu_pd(c + i * ldc + j + 4, c1);
+      nn_row_avx2<2>(k, arow, b + j, ldb, c + i * ldc + j);
     }
     for (; j < n; ++j) {
       double s = 0.0;
@@ -924,11 +943,33 @@ DEEPCAT_TARGET_AVX512 void adam_update_avx512(
   }
 }
 
+// nn_row_avx2 with kVecs zmm accumulators: one C row's columns
+// [0, 8 * kVecs), each output's ascending-k chain from C.
+template <std::size_t kVecs>
+[[gnu::always_inline]] DEEPCAT_TARGET_AVX512 inline void nn_row_avx512(
+    std::size_t k, const double* arow, const double* b, std::size_t ldb,
+    double* c) noexcept {
+  __m512d acc[kVecs];
+#pragma GCC unroll 16
+  for (std::size_t q = 0; q < kVecs; ++q) acc[q] = _mm512_loadu_pd(c + 8 * q);
+  for (std::size_t p = 0; p < k; ++p) {
+    const __m512d av = _mm512_set1_pd(arow[p]);
+    const double* brow = b + p * ldb;
+#pragma GCC unroll 16
+    for (std::size_t q = 0; q < kVecs; ++q) {
+      acc[q] = _mm512_fmadd_pd(av, _mm512_loadu_pd(brow + 8 * q), acc[q]);
+    }
+  }
+#pragma GCC unroll 16
+  for (std::size_t q = 0; q < kVecs; ++q) _mm512_storeu_pd(c + 8 * q, acc[q]);
+}
+
 // 4x32 register-blocked micro-kernel: four zmm columns per row, 16
 // resident accumulators, so one broadcast feeds four FMAs; then the AVX2
-// 4x8 tile widened to 4x16 and 4x8 for narrower remainders. Every output
-// keeps its ascending-k chain from C, so the column blocking changes no
-// bit.
+// 4x8 tile widened to 4x16 and 4x8 for narrower remainders. Rows past the
+// last 4-row block run 1x128 tiles (16 accumulators: a one-row probe
+// layer's whole width), then 1x32 and 1x16. Every output keeps its
+// ascending-k chain from C, so the column blocking changes no bit.
 DEEPCAT_TARGET_AVX512 void gemm_nn_avx512(std::size_t m, std::size_t n,
                                           std::size_t k, const double* a,
                                           std::size_t lda, const double* b,
@@ -1032,16 +1073,14 @@ DEEPCAT_TARGET_AVX512 void gemm_nn_avx512(std::size_t m, std::size_t n,
   for (; i < m; ++i) {
     const double* arow = a + i * lda;
     std::size_t j = 0;
+    for (; j + 128 <= n; j += 128) {
+      nn_row_avx512<16>(k, arow, b + j, ldb, c + i * ldc + j);
+    }
+    for (; j + 32 <= n; j += 32) {
+      nn_row_avx512<4>(k, arow, b + j, ldb, c + i * ldc + j);
+    }
     for (; j + 16 <= n; j += 16) {
-      __m512d c0 = _mm512_loadu_pd(c + i * ldc + j);
-      __m512d c1 = _mm512_loadu_pd(c + i * ldc + j + 8);
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m512d av = _mm512_set1_pd(arow[p]);
-        c0 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b + p * ldb + j), c0);
-        c1 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b + p * ldb + j + 8), c1);
-      }
-      _mm512_storeu_pd(c + i * ldc + j, c0);
-      _mm512_storeu_pd(c + i * ldc + j + 8, c1);
+      nn_row_avx512<2>(k, arow, b + j, ldb, c + i * ldc + j);
     }
     for (; j < n; ++j) {
       double s = 0.0;

@@ -21,14 +21,16 @@
 // last bits. The property tests bound the divergence at 1e-12 for the
 // shapes the library uses. Broadcast-style GEMM kernels (gemm_nn/gemm_tn)
 // keep each output element's FMA chain in ascending-k order on every tier,
-// so those agree bit-for-bit across vector tiers; dot-style reductions
-// (dot, gemm_nt) use per-tier accumulator trees and only meet the 1e-12
-// contract. Within one tier the register-blocked gemm_nt and gemm_tn are
-// row-invariant: the C rows of one m-row call equal those of m one-row
-// calls bit for bit, because row blocking only decides which outputs run
-// side by side. gemm_nn is too unless n mod 16 >= 8
-// (avx512) or n mod 8 >= 4 (avx2): its 4-row tiles run one narrower vector
-// tile that the one-row path leaves to the scalar tail.
+// so those agree bit-for-bit across vector tiers wherever both tiers leave
+// the same columns to the scalar tail (whose chain starts from 0, then adds
+// to C): for gemm_nn's 4-row blocks when n mod 8 < 4, for its one-row path
+// when n mod 16 < 8. Dot-style reductions (dot, gemm_nt) use per-tier
+// accumulator trees and only meet the 1e-12 contract. Within one tier the
+// register-blocked gemm_nt and gemm_tn are row-invariant: the C rows of one
+// m-row call equal those of m one-row calls bit for bit, because row
+// blocking only decides which outputs run side by side. gemm_nn is too
+// unless n mod 16 >= 8 (avx512) or n mod 8 >= 4 (avx2): its 4-row tiles run
+// one narrower vector tile that the one-row path leaves to the scalar tail.
 #pragma once
 
 #include <cstddef>
@@ -171,8 +173,11 @@ void adam_update(double* value, const double* grad, double* m, double* v,
 
 /// C(m x n) += A(m x k) * B(k x n). Register-blocked broadcast-A /
 /// streamed-B micro-kernel on the vector tiers (4x8 on avx2; 4x32, then
-/// 4x16 and 4x8, on avx512); the scalar path is the cache-friendly ikj
-/// loop with a zero-skip on A (which makes post-ReLU activations cheap).
+/// 4x16 and 4x8, on avx512); rows past the last 4-row block run one-row
+/// tiles as wide as the registers hold (1x32, then 1x8, on avx2; 1x128,
+/// then 1x32 and 1x16, on avx512). The scalar path is the cache-friendly
+/// ikj loop with a zero-skip on A (which makes post-ReLU activations
+/// cheap).
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, double* c,
              std::size_t ldc) noexcept;

@@ -49,6 +49,11 @@ void Adam::step() {
 }
 
 void Adam::step(common::Partner& partner) {
+  for (const Param& p : params_) {
+    if (p.grad->size() != p.value->size()) {
+      throw std::logic_error("Adam: no gradient computed for " + p.name);
+    }
+  }
   ++t_;
   const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));

@@ -43,7 +43,9 @@ class Adam {
 
   /// Applies one update using the gradients currently accumulated in the
   /// bound parameters, then leaves gradients untouched (call zero_grad on
-  /// the network afterwards / before the next backward). With grad_clip
+  /// the network afterwards / before the next backward). Throws
+  /// std::logic_error, changing nothing, if a parameter's gradient was never
+  /// sized (its layer has not run backward or zero_grad). With grad_clip
   /// set, the gradients are first scaled by min(1, grad_clip / ||g||),
   /// ||g||^2 being one dispatched simd::dot per tensor summed in binding
   /// order.

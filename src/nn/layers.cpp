@@ -11,11 +11,7 @@ namespace deepcat::nn {
 
 Linear::Linear(std::size_t in_features, std::size_t out_features,
                common::Rng& rng, Init init, Activation act)
-    : w_(in_features, out_features),
-      b_(1, out_features),
-      gw_(in_features, out_features),
-      gb_(1, out_features),
-      act_(act) {
+    : w_(in_features, out_features), b_(1, out_features), act_(act) {
   switch (init) {
     case Init::kKaiming: kaiming_uniform(w_, rng); break;
     case Init::kXavier: xavier_uniform(w_, rng); break;
@@ -24,11 +20,7 @@ Linear::Linear(std::size_t in_features, std::size_t out_features,
 }
 
 Linear::Linear(Matrix weights, Matrix bias, Activation act)
-    : w_(std::move(weights)),
-      b_(std::move(bias)),
-      gw_(w_.rows(), w_.cols()),
-      gb_(b_.rows(), b_.cols()),
-      act_(act) {
+    : w_(std::move(weights)), b_(std::move(bias)), act_(act) {
   if (b_.rows() != 1 || b_.cols() != w_.cols()) {
     throw std::invalid_argument("Linear: bias must be 1 x out of the weights");
   }
@@ -56,6 +48,11 @@ void Linear::forward_rows(const Matrix& x, std::size_t r0, std::size_t r1) {
   matmul_bias_act_rows(x, w_, b_, act_, y_, r0, r1);
 }
 
+void Linear::forward_row(const Matrix& x, Matrix& y) const {
+  y.resize(1, out_features());
+  matmul_bias_act_rows(x, w_, b_, act_, y, 0, 1);
+}
+
 void Linear::mask_grad() { mask_grad_rows(0, dz_.rows()); }
 
 void Linear::mask_grad_rows(std::size_t r0, std::size_t r1) {
@@ -69,6 +66,7 @@ void Linear::mask_grad_rows(std::size_t r0, std::size_t r1) {
 }
 
 void Linear::accumulate_param_grads(const Matrix& x) {
+  size_grads();
   accumulate_weight_grads(x, 0, in_features());
   accumulate_bias_grad();
 }
@@ -79,6 +77,7 @@ void Linear::accumulate_weight_grads(const Matrix& x, std::size_t w0,
     throw std::invalid_argument("Linear: backward input shape mismatch");
   }
   check_rows(w0, w1, in_features());
+  if (!grads_sized()) throw std::logic_error("Linear: gradients not sized");
   // Straight into gw_: the GEMM accumulates on top of C, and from zeroed
   // gradients that is the same chain a separate product would produce.
   common::simd::gemm_tn(w1 - w0, out_features(), x.rows(), x.data() + w0,
@@ -87,6 +86,7 @@ void Linear::accumulate_weight_grads(const Matrix& x, std::size_t w0,
 }
 
 void Linear::accumulate_bias_grad() {
+  if (!grads_sized()) throw std::logic_error("Linear: gradients not sized");
   // gb += each row in order; axpy with alpha 1 is an exact add per element.
   for (std::size_t r = 0; r < dz_.rows(); ++r) {
     common::simd::axpy(1.0, dz_.data() + r * dz_.cols(), gb_.data(),
@@ -116,7 +116,14 @@ std::vector<Param> Linear::params() {
   return {{"w", &w_, &gw_}, {"b", &b_, &gb_}};
 }
 
+void Linear::size_grads() {
+  if (grads_sized()) return;
+  gw_ = Matrix(w_.rows(), w_.cols());
+  gb_ = Matrix(b_.rows(), b_.cols());
+}
+
 void Linear::zero_grad() {
+  if (!grads_sized()) return size_grads();  // zero-filled
   gw_.set_zero();
   gb_.set_zero();
 }

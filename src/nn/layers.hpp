@@ -3,10 +3,12 @@
 // A layer owns two buffers, sized on first use and reused by every call
 // after: its output y (the backward pass reads act' from it in place) and
 // dL/dz, the gradient at its pre-activation. Mlp chains layers through
-// these buffers, so a train step allocates nothing once warm. Each pass
-// also comes as a row-range piece that writes only its own rows of a
-// buffer sized beforehand, so two ranges can run side by side; the whole
-// call is the one range over every row.
+// these buffers, so a train step allocates nothing once warm. Its parameter
+// gradients are sized on first use too, so a layer that never trains (a
+// target network's) never holds them. Each pass also comes as a row-range
+// piece that writes only its own rows of a buffer sized beforehand, so two
+// ranges can run side by side; the whole call is the one range over every
+// row.
 #pragma once
 
 #include <string>
@@ -37,8 +39,8 @@ class Linear {
 
   Linear(std::size_t in_features, std::size_t out_features, common::Rng& rng,
          Init init = Init::kKaiming, Activation act = Activation::kNone);
-  /// Takes given weights (in x out) and bias (1 x out) as they are, with
-  /// zeroed gradients; throws std::invalid_argument on mismatched shapes.
+  /// Takes given weights (in x out) and bias (1 x out) as they are; throws
+  /// std::invalid_argument on mismatched shapes.
   Linear(Matrix weights, Matrix bias, Activation act);
 
   /// y = act(x W + b) into the layer's output buffer (bias-seeded GEMM,
@@ -50,6 +52,9 @@ class Linear {
   /// Rows [r0, r1) of forward(x), into an output buffer already sized by
   /// size_output(x.rows()).
   void forward_rows(const Matrix& x, std::size_t r0, std::size_t r1);
+  /// forward(x) for a one-row x into the caller's `y` (resized to 1 x out):
+  /// the same kernel call, reading nothing of the layer but W, b and act.
+  void forward_row(const Matrix& x, Matrix& y) const;
 
   /// The dL/dz buffer. A caller stores dL/dy here (batch x out) and
   /// mask_grad() turns it into dL/dz in place.
@@ -60,21 +65,26 @@ class Linear {
   /// Rows [r0, r1) of mask_grad().
   void mask_grad_rows(std::size_t r0, std::size_t r1);
   /// gw += x^T dz and gb += column sums of dz, accumulated in place; `x` is
-  /// the input of the last forward().
+  /// the input of the last forward(). Sizes gw and gb first (size_grads()).
   void accumulate_param_grads(const Matrix& x);
   /// The weight rows [w0, w1) of accumulate_param_grads(x): gw rows +=
-  /// (columns w0..w1 of x)^T dz.
+  /// (columns w0..w1 of x)^T dz. Like accumulate_bias_grad(), it needs the
+  /// gradients sized beforehand and throws std::logic_error otherwise.
   void accumulate_weight_grads(const Matrix& x, std::size_t w0,
                                std::size_t w1);
   /// The bias part of accumulate_param_grads(): gb += each row of dz, in
   /// row order.
   void accumulate_bias_grad();
+  /// Sizes gw and gb on first use, zero-filled; a no-op once they are.
+  void size_grads();
   /// dx = dz W^T, overwriting `dx` (resized to batch x in).
   void input_grad(Matrix& dx) const;
   /// Rows [r0, r1) of input_grad(dx), into a `dx` already batch x in.
   void input_grad_rows(Matrix& dx, std::size_t r0, std::size_t r1) const;
 
+  /// The gradient of each is empty until size_grads() or zero_grad().
   std::vector<Param> params();
+  /// Zeroes gw and gb, sizing them on first use.
   void zero_grad();
 
   [[nodiscard]] std::size_t in_features() const noexcept { return w_.rows(); }
@@ -86,6 +96,10 @@ class Linear {
   [[nodiscard]] Matrix& bias() noexcept { return b_; }
 
  private:
+  [[nodiscard]] bool grads_sized() const noexcept {
+    return gw_.rows() == w_.rows() && gw_.cols() == w_.cols();
+  }
+
   Matrix w_, b_, gw_, gb_;
   Activation act_;
   Matrix y_, dz_;

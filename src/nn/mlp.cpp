@@ -1,6 +1,5 @@
 #include "nn/mlp.hpp"
 
-#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -72,6 +71,18 @@ const Matrix& Mlp::forward(const Matrix& x, common::Partner& partner) {
   return layers_.back().output();
 }
 
+const Matrix& Mlp::forward_row(const Matrix& x,
+                               std::vector<Matrix>& rows) const {
+  if (x.rows() != 1) throw std::invalid_argument("Mlp: forward_row takes one row");
+  rows.resize(layers_.size());
+  const Matrix* in = &x;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    layers_[i].forward_row(*in, rows[i]);
+    in = &rows[i];
+  }
+  return rows.back();
+}
+
 void Mlp::seed_output_grad(const Matrix& grad_out) {
   const Matrix& y = layers_.back().output();
   if (grad_out.rows() != y.rows() || grad_out.cols() != y.cols()) {
@@ -89,6 +100,7 @@ void Mlp::backward(const Matrix& x, const Matrix& grad_out,
                    common::Partner& partner) {
   seed_output_grad(grad_out);
   layers_.back().mask_grad();
+  for (auto& layer : layers_) layer.size_grads();
   const std::size_t batch = grad_out.rows();
   for (std::size_t i = layers_.size(); i-- > 0;) {
     Linear& layer = layers_[i];
@@ -153,13 +165,6 @@ std::vector<Matrix> Mlp::param_values() const {
     all.push_back(layer.bias());
   }
   return all;
-}
-
-std::vector<double> Mlp::forward_one(std::span<const double> x) {
-  one_.resize(1, x.size());
-  std::copy(x.begin(), x.end(), one_.data());
-  const Matrix& y = forward(one_);
-  return {y.flat().begin(), y.flat().end()};
 }
 
 void Mlp::soft_update_from(Mlp& src, double tau) {

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -45,15 +44,23 @@ class Mlp {
   Mlp(std::vector<Matrix> params, OutputActivation out_act);
 
   /// Forward through the stack; returns the last layer's output buffer,
-  /// valid until the next forward() or forward_one() on this net.
+  /// valid until the next forward() on this net.
   const Matrix& forward(const Matrix& x);
   /// forward(x) split by batch rows: one fork carries each part's rows
   /// through every layer.
   const Matrix& forward(const Matrix& x, common::Partner& partner);
+  /// forward(x) for a one-row x through a net it only reads: each layer's
+  /// output row goes to the caller's `rows` (one per layer, resized to
+  /// 1 x out) instead of the layer's buffer; returns the last. Each layer
+  /// makes the kernel call forward() makes on a one-row batch, so the row
+  /// is forward(x)'s bit for bit, and callers that each own their `rows`
+  /// can run it on one net side by side.
+  const Matrix& forward_row(const Matrix& x, std::vector<Matrix>& rows) const;
 
   /// Backward from dL/dy for the batch of the last forward(x), which `x`
-  /// must be: accumulates every parameter gradient. dL/dx is not formed —
-  /// no caller that trains this net reads it.
+  /// must be: accumulates every parameter gradient (sized first, zeroed,
+  /// if this net has never trained). dL/dx is not formed — no caller that
+  /// trains this net reads it.
   void backward(const Matrix& x, const Matrix& grad_out);
   /// backward() with one fork per layer: the weight gradient split by
   /// weight rows, the input gradient (and the layer below's activation
@@ -73,8 +80,6 @@ class Mlp {
   /// Copies of the parameter tensors, in params() order.
   [[nodiscard]] std::vector<Matrix> param_values() const;
 
-  /// Single-sample convenience: forward on a 1 x n input.
-  [[nodiscard]] std::vector<double> forward_one(std::span<const double> x);
 
   /// this = tau * src + (1 - tau) * this, parameter-wise. Shapes must match.
   void soft_update_from(Mlp& src, double tau);
@@ -100,7 +105,7 @@ class Mlp {
   void seed_output_grad(const Matrix& grad_out);
 
   std::vector<Linear> layers_;
-  Matrix one_, dx_;  // forward_one input row; input_grad() result
+  Matrix dx_;  // input_grad() result
 };
 
 /// Mean-squared-error loss over a batch: L = mean((pred - target)^2).

@@ -30,7 +30,8 @@ void concat_cols(const nn::Matrix& a, const nn::Matrix& b, nn::Matrix& out);
 /// out = the right `cols` columns of `m` (slices dQ/da out of dQ/d[s,a]).
 void right_cols(const nn::Matrix& m, std::size_t cols, nn::Matrix& out);
 
-/// out = the 1 x (|s| + |a|) row [s | a]: one critic probe's input.
+/// out = the 1 x (|s| + |a|) row [s | a]: one critic probe's input, or with
+/// an empty `a` one actor pass's.
 void state_action_row(std::span<const double> s, std::span<const double> a,
                       nn::Matrix& out);
 

@@ -44,7 +44,9 @@ std::vector<double> DdpgAgent::act(std::span<const double> state) {
   if (state.size() != config_.state_dim) {
     throw std::invalid_argument("DdpgAgent::act: state dim mismatch");
   }
-  return actor_.forward_one(state);
+  state_action_row(state, {}, row_in_);
+  const nn::Matrix& y = actor_.forward_row(row_in_, rows_);
+  return {y.flat().begin(), y.flat().end()};
 }
 
 std::vector<double> DdpgAgent::act_noisy(std::span<const double> state,
@@ -58,8 +60,8 @@ std::vector<double> DdpgAgent::act_noisy(std::span<const double> state,
 
 double DdpgAgent::q_value(std::span<const double> state,
                           std::span<const double> action) {
-  state_action_row(state, action, q_in_);
-  return critic_.forward(q_in_)(0, 0);
+  state_action_row(state, action, row_in_);
+  return critic_.forward_row(row_in_, rows_)(0, 0);
 }
 
 DdpgTrainStats DdpgAgent::train_step(ReplayBuffer& buffer, common::Rng& rng) {

@@ -58,7 +58,8 @@ class DdpgAgent {
   nn::Adam actor_opt_, critic_opt_;
   std::size_t steps_ = 0;
   StepBuffers buf_;
-  nn::Matrix q_in_;  // q_value's 1 x (state + action) input row
+  nn::Matrix row_in_;             // act's [s], q_value's [s | a]
+  std::vector<nn::Matrix> rows_;  // their passes' layer output rows
 };
 
 }  // namespace deepcat::rl

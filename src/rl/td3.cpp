@@ -123,13 +123,10 @@ Td3Agent::Td3Agent(Td3Config config, common::Rng& rng)
   bind_obs();
 }
 
-// The optimizers stay bound to nothing until thaw() resumes them, and the
-// targets stay empty: a clone that never trains never reads them.
+// The networks stay empty and the optimizers bound to nothing until thaw()
+// fills them: until then act and twin_q read the frozen source's.
 Td3Agent::Td3Agent(Td3Config config, const Td3Agent& frozen)
     : config_((validate(config), check_layout(config, frozen.config_), config)),
-      actor_(copy_actor(frozen.actor_)),
-      critic1_(copy_critic(frozen.critic1_)),
-      critic2_(copy_critic(frozen.critic2_)),
       actor_opt_({}, actor_adam(config_)),
       critic1_opt_({}, critic_adam(config_)),
       critic2_opt_({}, critic_adam(config_)),
@@ -142,7 +139,10 @@ Td3Agent::Td3Agent(Td3Config config, const Td3Agent& frozen)
 void Td3Agent::thaw() {
   if (frozen_ == nullptr) return;
   const Td3Agent& from = *frozen_;
+  actor_ = copy_actor(from.actor_);
   actor_target_ = copy_actor(from.actor_target_);
+  critic1_ = copy_critic(from.critic1_);
+  critic2_ = copy_critic(from.critic2_);
   critic1_target_ = copy_critic(from.critic1_target_);
   critic2_target_ = copy_critic(from.critic2_target_);
   actor_opt_ = resume(actor_.params(), actor_adam(config_), from.actor_opt_);
@@ -169,7 +169,9 @@ std::vector<double> Td3Agent::act(std::span<const double> state) {
   if (state.size() != config_.state_dim) {
     throw std::invalid_argument("Td3Agent::act: state dim mismatch");
   }
-  return actor_.forward_one(state);
+  state_action_row(state, {}, row_in_);
+  const nn::Matrix& y = held().actor_.forward_row(row_in_, rows_);
+  return {y.flat().begin(), y.flat().end()};
 }
 
 std::vector<double> Td3Agent::act_noisy(std::span<const double> state,
@@ -183,9 +185,10 @@ std::vector<double> Td3Agent::act_noisy(std::span<const double> state,
 
 std::pair<double, double> Td3Agent::twin_q(std::span<const double> state,
                                            std::span<const double> action) {
-  state_action_row(state, action, q_in_);
-  const double q1 = critic1_.forward(q_in_)(0, 0);
-  const double q2 = critic2_.forward(q_in_)(0, 0);
+  state_action_row(state, action, row_in_);
+  const Td3Agent& from = held();
+  const double q1 = from.critic1_.forward_row(row_in_, rows_)(0, 0);
+  const double q2 = from.critic2_.forward_row(row_in_, rows_)(0, 0);
   return {q1, q2};
 }
 
@@ -377,9 +380,7 @@ std::vector<std::pair<const char*, nn::Adam*>> Td3Agent::optimizers() {
 }
 
 AgentSnapshot Td3Agent::snapshot() const {
-  // Before its first train step a clone's actor and critics equal its
-  // source's, and the rest is still only there.
-  const Td3Agent& from = frozen_ != nullptr ? *frozen_ : *this;
+  const Td3Agent& from = held();
   AgentSnapshot s;
   s.state_dim = config_.state_dim;
   s.action_dim = config_.action_dim;

@@ -82,18 +82,21 @@ class AgentLayoutError : public std::runtime_error {
 class Td3Agent {
  public:
   Td3Agent(Td3Config config, common::Rng& rng);
-  /// A clone of `frozen` that copies its state in two steps, by first
-  /// reader. Here: the actor (act) and both critics (twin_q), and the
-  /// train-step counter. At the clone's first train_step, or its first
-  /// networks(), optimizers(), save() or load(): the three target networks
-  /// and the three optimizers' moments and step counts. A clone that never
-  /// trains never copies them. Either way it holds `frozen`'s state bit for
-  /// bit, with no random init.
+  /// A clone of `frozen` that copies nothing but the train-step counter
+  /// when it is built. Until its first train_step, or its first
+  /// networks(), optimizers(), save() or load(), act, act_noisy, twin_q
+  /// and min_q run `frozen`'s actor and critics in place
+  /// (Mlp::forward_row, into rows this clone owns) and snapshot() reads
+  /// `frozen`'s state. That first call copies all six networks and the
+  /// three optimizers' moments and step counts. A clone that never trains
+  /// never copies them. Either way it holds `frozen`'s state bit for bit,
+  /// with no random init.
   ///
   /// Lifetime: `frozen` must outlive the clone's first train step (or its
   /// destruction, if it never trains) and must not change before then. A
   /// served session's master is frozen while any of its sessions is in
-  /// flight, which covers both (DESIGN.md §8). The late copy takes no lock.
+  /// flight, which covers both (DESIGN.md §8). Neither the reads in place
+  /// nor the late copy take a lock.
   ///
   /// `config` must have `frozen`'s state and action dims and hidden sizes;
   /// otherwise AgentLayoutError is thrown before anything is built.
@@ -162,9 +165,14 @@ class Td3Agent {
   void load(std::istream& is);
 
  private:
-  /// Copies the state a clone has not copied yet (targets and optimizers)
-  /// from its frozen source; a no-op on any other agent.
+  /// Copies a clone's state (the six networks and the optimizers) from its
+  /// frozen source; a no-op on any other agent.
   void thaw();
+  /// The agent whose networks hold this one's state: a clone's frozen
+  /// source until thaw(), otherwise this agent.
+  [[nodiscard]] const Td3Agent& held() const noexcept {
+    return frozen_ != nullptr ? *frozen_ : *this;
+  }
   /// One policy step on buf_.s from buf_.pi_in = [s | pi(s)] and zeroed
   /// actor gradients, each pass split across `fork`; returns
   /// -mean Q1(s, pi(s)) before it.
@@ -184,10 +192,11 @@ class Td3Agent {
   nn::Mlp critic1_, critic2_, critic1_target_, critic2_target_;
   nn::Adam actor_opt_, critic1_opt_, critic2_opt_;
   std::size_t steps_ = 0;
-  /// A clone's source until thaw() has copied the rest of its state.
+  /// A clone's source until thaw() has copied its state.
   const Td3Agent* frozen_ = nullptr;
   StepBuffers buf_;
-  nn::Matrix q_in_;  // twin_q's 1 x (state + action) input row
+  nn::Matrix row_in_;             // act's [s], twin_q's [s | a]
+  std::vector<nn::Matrix> rows_;  // their passes' layer output rows
   obs::Counter* obs_train_steps_ = nullptr;
   obs::Gauge* obs_critic1_loss_ = nullptr;
   obs::Gauge* obs_critic2_loss_ = nullptr;

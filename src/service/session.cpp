@@ -141,30 +141,28 @@ rl::SampledBatch SharedRdperReplay::sample(std::size_t m, common::Rng& rng) {
   rl::SampledBatch batch;
   batch.weights.assign(m, 1.0);
   batch.ids.reserve(m);
-  scratch_.clear();
-  scratch_.reserve(m);
+  batch.transitions.reserve(m);
   {
     // Shared lock only for the master reads; indices below master size hit
-    // the frozen master storage, the rest the private overlay. Each drawn
-    // transition is copied into scratch_ so the batch's pointers stay valid
-    // without holding the lock through the training step.
+    // the frozen master storage, the rest the private overlay. The batch
+    // points into both without a copy: the master pools stay frozen while
+    // this view exists, and the overlay grows only through add(), which
+    // the train step does not call between its sample and its pack.
     std::shared_lock lock(mutex_);
     const auto draw = [&](std::span<const rl::Transition> master_pool,
                           const std::vector<rl::Transition>& local_pool,
                           std::size_t total, std::size_t count) {
       for (std::size_t i = 0; i < count; ++i) {
         const std::size_t idx = rng.index(total);
-        scratch_.push_back(idx < master_pool.size()
-                               ? master_pool[idx]
-                               : local_pool[idx - master_pool.size()]);
+        batch.transitions.push_back(
+            idx < master_pool.size() ? &master_pool[idx]
+                                     : &local_pool[idx - master_pool.size()]);
         batch.ids.push_back(idx);
       }
     };
     draw(master_.high_pool(), local_high_, high_total, from_high);
     draw(master_.low_pool(), local_low_, low_total, m - from_high);
   }
-  batch.transitions.reserve(m);
-  for (const auto& t : scratch_) batch.transitions.push_back(&t);
   return batch;
 }
 

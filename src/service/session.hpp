@@ -3,11 +3,12 @@
 // designed to run concurrently on the service thread pool:
 //
 //   - clone-on-tune: each session builds a private DeepCat agent straight
-//     from the frozen master's agent, copying the actor and critics it
-//     reads at once and the targets and optimizer state at its first train
-//     step, so its fine-tune gradient steps never touch the shared
-//     networks. The clone is dropped with its report, so it skips the
-//     fine-tune after its last evaluation, which nothing would read;
+//     from the frozen master's agent. It reads the master's actor and
+//     critics in place until its first train step, which copies the
+//     master's networks and optimizer state, so its fine-tune gradient
+//     steps never touch the shared networks. The clone is dropped with its
+//     report, so it skips the fine-tune after its last evaluation, which
+//     nothing would read;
 //   - shared read-mostly pools: the session samples the master's frozen
 //     P_high/P_low RDPER pools through a SharedRdperReplay view under a
 //     shared mutex instead of copying them;
@@ -225,9 +226,10 @@ class SessionAggregate {
 /// session's own transitions to a private overlay. Sampling replicates
 /// RdperReplay::sample exactly over the combined master+overlay pools —
 /// same draw order, same beta split — so a session behaves bit-identically
-/// to one holding a private copy of the master pools. Sampled transitions
-/// are copied into internal scratch storage (valid until the next sample
-/// call), so the returned batch never points into the shared pools.
+/// to one holding a private copy of the master pools. The returned batch
+/// points into the master's pools and this view's overlay, copying
+/// nothing; its pointers stay valid until the next add() and, like the
+/// view itself, only while the master stays frozen.
 ///
 /// The overlay appends rather than ring-overwriting: a session adds a
 /// handful of transitions against pools sized in the tens of thousands, so
@@ -259,7 +261,6 @@ class SharedRdperReplay final : public rl::ReplayBuffer {
   std::size_t master_low_ = 0;
   std::vector<rl::Transition> local_high_, local_low_;
   std::vector<rl::Transition> session_log_;
-  std::vector<rl::Transition> scratch_;  ///< last sampled batch's storage
 };
 
 /// Runs one session against the `master` agent: a private DeepCat whose

@@ -9,7 +9,12 @@
 //     batched reductions reorder nothing inside an output (the split train
 //     step cuts these calls by rows);
 //   - gemm_nn and gemm_tn agree bit for bit between avx2 and avx512 at
-//     those shapes: their tiles differ, the chains inside an output do not.
+//     those shapes: their tiles differ, the chains inside an output do not;
+//   - gemm_nn's one-row path (act and the Twin-Q probes, one layer per
+//     call) at the inference shapes and past one 1x128 tile: every column a
+//     vector tile covers is its ascending-k FMA chain from C, rows equal a
+//     4-row call's wherever the row-invariance rule says so, and the tiers
+//     agree wherever both leave the same columns to the scalar tail.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -17,6 +22,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -227,6 +233,89 @@ TEST(SimdBitContractTest, BroadcastGemmsAgreeAcrossVectorTiers) {
       ASSERT_EQ(bits(avx2[i]), bits(avx512[i]))
           << op_name(s.op) << " " << s.m << "x" << s.n << "x" << s.k
           << " at (" << i / s.n << "," << i % s.n << ")";
+    }
+  }
+}
+
+// Columns [0, covered) of a gemm_nn call with `rows` rows run in vector
+// tiles on `be`; the rest take the scalar tail.
+std::size_t nn_vector_columns(Backend be, std::size_t rows, std::size_t n) {
+  if (be == Backend::kScalar) return 0;
+  const bool one_row = rows < 4;
+  const std::size_t step =
+      be == Backend::kAvx512 ? (one_row ? 16 : 8) : (one_row ? 8 : 4);
+  return n - n % step;
+}
+
+// The one-row path equals the matching row of a 4-row call unless the 4-row
+// tiles cover columns it leaves to the scalar tail (simd.hpp).
+bool nn_row_invariant(Backend be, std::size_t n) {
+  return nn_vector_columns(be, 1, n) == nn_vector_columns(be, 4, n);
+}
+
+TEST(SimdBitContractTest, OneRowGemmNnKeepsItsChainsRowsAndTiers) {
+  BackendGuard guard;
+  const std::size_t kDepths[] = {9, 41, 128};
+  const std::size_t kWidths[] = {1, 32, 128, 136, 144, 160};
+  struct Run {
+    std::vector<double> four, one;  // 4 x n from one call, and row by row
+  };
+  for (const std::size_t k : kDepths) {
+    for (const std::size_t n : kWidths) {
+      Rng rng(k * 1000 + n);
+      std::vector<double> a(4 * k), b(k * n), c0(4 * n);
+      for (double& v : a) v = rng.normal();
+      for (std::size_t i = 0; i < a.size(); i += 3) a[i] = 0.0;
+      for (double& v : b) v = rng.normal();
+      for (double& v : c0) v = rng.normal();
+      std::vector<Run> runs;  // one per selectable tier, lowest first
+      for (const Backend be : selectable_backends()) {
+        force_backend(be);
+        const std::string where = std::string(backend_label(be)) + " 1x" +
+                                  std::to_string(n) + "x" + std::to_string(k);
+        Run run{c0, c0};
+        gemm_nn(4, n, k, a.data(), k, b.data(), n, run.four.data(), n);
+        for (std::size_t r = 0; r < 4; ++r) {
+          gemm_nn(1, n, k, a.data() + r * k, k, b.data(), n,
+                  run.one.data() + r * n, n);
+        }
+        const std::size_t covered = nn_vector_columns(be, 1, n);
+        for (std::size_t r = 0; r < 4; ++r) {
+          for (std::size_t j = 0; j < n; ++j) {
+            const std::size_t at = r * n + j;
+            if (j < covered) {
+              double chain = c0[at];
+              for (std::size_t p = 0; p < k; ++p) {
+                chain = std::fma(a[r * k + p], b[p * n + j], chain);
+              }
+              ASSERT_EQ(bits(run.one[at]), bits(chain))
+                  << where << " chain at (" << r << "," << j << ")";
+            }
+            if (nn_row_invariant(be, n)) {
+              ASSERT_EQ(bits(run.one[at]), bits(run.four[at]))
+                  << where << " row at (" << r << "," << j << ")";
+            }
+          }
+        }
+        runs.push_back(std::move(run));
+      }
+      if (runs.size() < 3) continue;  // needs both vector tiers
+      const Run& avx2 = runs[1];
+      const Run& avx512 = runs[2];
+      const bool same_one_row = nn_vector_columns(Backend::kAvx2, 1, n) ==
+                                nn_vector_columns(Backend::kAvx512, 1, n);
+      const bool same_four_row = nn_vector_columns(Backend::kAvx2, 4, n) ==
+                                 nn_vector_columns(Backend::kAvx512, 4, n);
+      for (std::size_t i = 0; i < c0.size(); ++i) {
+        if (same_one_row) {
+          ASSERT_EQ(bits(avx2.one[i]), bits(avx512.one[i]))
+              << "one-row 1x" << n << "x" << k << " at " << i;
+        }
+        if (same_four_row) {
+          ASSERT_EQ(bits(avx2.four[i]), bits(avx512.four[i]))
+              << "4-row 4x" << n << "x" << k << " at " << i;
+        }
+      }
     }
   }
 }

@@ -149,6 +149,21 @@ TEST(AdamTest, TrainsRegressionNetwork) {
   EXPECT_LT(final_loss, 0.01);
 }
 
+// A net that has never run backward or zero_grad holds no gradient; a step
+// over it throws and changes nothing rather than read an empty buffer.
+TEST(AdamTest, StepOnANeverSizedGradientThrows) {
+  common::Rng rng(3);
+  Mlp net({2, 4, 1}, rng);
+  const std::vector<Matrix> before = net.param_values();
+  Adam opt(net.params());
+  EXPECT_THROW(opt.step(), std::logic_error);
+  EXPECT_EQ(opt.step_count(), 0u);
+  EXPECT_EQ(net.param_values(), before);
+  net.zero_grad();
+  opt.step();
+  EXPECT_EQ(opt.step_count(), 1u);
+}
+
 TEST(AdamTest, SetLrTakesEffect) {
   Matrix w(1, 1, 0.0);
   Matrix g(1, 1, 1.0);

@@ -133,6 +133,37 @@ TEST(LinearTest, GradientsAccumulateAcrossBackwardCalls) {
   EXPECT_DOUBLE_EQ(lin.params()[0].grad->flat()[0], 0.0);
 }
 
+// Gradients are sized at first use: a layer that never trains (a target
+// network's) holds none. zero_grad() and the whole accumulation size them;
+// the row-range pieces, which may run side by side, refuse to.
+TEST(LinearTest, GradientsAreSizedAtFirstUse) {
+  common::Rng rng(4);
+  const Matrix x(4, 3, 0.5);
+  for (Linear lin : {Linear(3, 2, rng), Linear(Matrix(3, 2), Matrix(1, 2),
+                                               Activation::kRelu)}) {
+    for (const Param& p : lin.params()) EXPECT_TRUE(p.grad->empty());
+    (void)lin.forward(x);
+    lin.grad() = Matrix(4, 2, 1.0);
+    EXPECT_THROW(lin.accumulate_weight_grads(x, 0, 3), std::logic_error);
+    EXPECT_THROW(lin.accumulate_bias_grad(), std::logic_error);
+    Linear whole = lin;
+    whole.accumulate_param_grads(x);
+    lin.zero_grad();
+    for (const Param& p : lin.params()) {
+      ASSERT_EQ(p.grad->rows(), p.value->rows());
+      ASSERT_EQ(p.grad->cols(), p.value->cols());
+      for (double g : p.grad->flat()) EXPECT_EQ(g, 0.0);
+    }
+    lin.accumulate_weight_grads(x, 0, 3);
+    lin.accumulate_bias_grad();
+    const auto got = lin.params();
+    const auto want = whole.params();
+    for (std::size_t p = 0; p < got.size(); ++p) {
+      EXPECT_EQ(*got[p].grad, *want[p].grad) << got[p].name;
+    }
+  }
+}
+
 TEST(LinearTest, BackwardRejectsMismatchedShapes) {
   common::Rng rng(4);
   Linear lin(2, 3, rng);
@@ -268,6 +299,7 @@ TEST(LinearTest, RowRangePiecesEqualTheWholeCallOnEveryTier) {
           ASSERT_EQ(partner.parts(), pooled ? 2u : 1u);
           Linear split = proto;
           split.size_output(batch);
+          split.size_grads();
           split.grad() = g;
           Matrix split_dx(batch, shape.in);
           auto rows = [&](std::size_t part) {

@@ -49,15 +49,58 @@ TEST(MlpTest, SigmoidOutputInUnitInterval) {
   }
 }
 
-TEST(MlpTest, ForwardOneMatchesBatchRow) {
-  common::Rng rng(5);
-  Mlp net({3, 8, 2}, rng);
-  const std::vector<double> x{0.1, -0.2, 0.3};
-  const auto single = net.forward_one(x);
-  const Matrix batch = net.forward(Matrix::row_vector(x));
-  ASSERT_EQ(single.size(), 2u);
-  EXPECT_DOUBLE_EQ(single[0], batch(0, 0));
-  EXPECT_DOUBLE_EQ(single[1], batch(0, 1));
+// One row through a net the call only reads, as a vector.
+std::vector<double> row_of(const Mlp& net, const std::vector<double>& x) {
+  std::vector<Matrix> rows;
+  const Matrix& y = net.forward_row(Matrix::row_vector(x), rows);
+  return {y.flat().begin(), y.flat().end()};
+}
+
+// The serving nets (sigmoid actor 9-128-128-32, critic 41-128-128-1): the
+// const one-row pass into the caller's rows equals forward() on a one-row
+// batch bit for bit on every tier, whatever those rows held before, and
+// rejects a batch of more than one row.
+TEST(MlpTest, ForwardRowOnAConstNetEqualsAOneRowForward) {
+  using common::simd::Backend;
+  struct Restore {
+    ~Restore() { common::simd::force_backend(Backend::kAvx512); }
+  } restore;
+  struct Net {
+    std::vector<std::size_t> dims;
+    OutputActivation out;
+  };
+  const Net kNets[] = {{{9, 128, 128, 32}, OutputActivation::kSigmoid},
+                       {{41, 128, 128, 1}, OutputActivation::kNone}};
+  for (const Backend be : {Backend::kScalar, Backend::kAvx2,
+                           Backend::kAvx512}) {
+    if (!common::simd::backend_selectable(be)) continue;
+    common::simd::force_backend(be);
+    for (const Net& spec : kNets) {
+      SCOPED_TRACE(std::string(common::simd::backend_label(be)) + " in " +
+                   std::to_string(spec.dims.front()));
+      common::Rng rng(spec.dims.front());
+      Mlp twin(spec.dims, rng, spec.out);
+      const Mlp& net = twin;
+      Matrix x(1, spec.dims.front()), other(1, spec.dims.front());
+      for (double& v : x.flat()) v = rng.uniform();
+      for (double& v : other.flat()) v = rng.uniform();
+      const Matrix want = twin.forward(x);
+      std::vector<Matrix> rows;
+      const Matrix& got = net.forward_row(other, rows);
+      ASSERT_EQ(rows.size(), net.num_layers());
+      const Matrix& again = net.forward_row(x, rows);
+      ASSERT_EQ(&got, &again);
+      ASSERT_EQ(again.rows(), 1u);
+      ASSERT_EQ(again.cols(), spec.dims.back());
+      for (std::size_t j = 0; j < again.cols(); ++j) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(again(0, j)),
+                  std::bit_cast<std::uint64_t>(want(0, j)))
+            << "output " << j;
+      }
+      EXPECT_THROW((void)net.forward_row(Matrix(2, spec.dims.front()), rows),
+                   std::invalid_argument);
+    }
+  }
 }
 
 TEST(MlpTest, EndToEndGradientMatchesNumeric) {
@@ -95,10 +138,10 @@ TEST(MlpTest, CopyIsDeep) {
   Mlp a({2, 4, 1}, rng);
   Mlp b = a;
   const std::vector<double> x{0.5, -0.5};
-  EXPECT_EQ(a.forward_one(x), b.forward_one(x));
+  EXPECT_EQ(row_of(a, x), row_of(b, x));
   // Mutate a; b must not follow.
   *a.params()[0].value *= 2.0;
-  EXPECT_NE(a.forward_one(x), b.forward_one(x));
+  EXPECT_NE(row_of(a, x), row_of(b, x));
 }
 
 TEST(MlpTest, SoftUpdateBlendsParameters) {
@@ -118,7 +161,7 @@ TEST(MlpTest, HardCopyEqualsSource) {
   Mlp source({2, 4, 1}, rng);
   target.copy_params_from(source);
   const std::vector<double> x{1.0, 2.0};
-  EXPECT_EQ(target.forward_one(x), source.forward_one(x));
+  EXPECT_EQ(row_of(target, x), row_of(source, x));
 }
 
 TEST(MlpTest, SoftUpdateRejectsMismatchedShapes) {
@@ -136,7 +179,7 @@ TEST(MlpTest, SaveLoadRoundTrip) {
   a.save(ss);
   b.load(ss);
   const std::vector<double> x{0.2, 0.4, 0.6};
-  EXPECT_EQ(a.forward_one(x), b.forward_one(x));
+  EXPECT_EQ(row_of(a, x), row_of(b, x));
 }
 
 TEST(MlpTest, LoadRejectsWrongArchitecture) {

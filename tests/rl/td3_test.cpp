@@ -6,6 +6,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <future>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -582,6 +584,89 @@ TEST(Td3Test, FineTuneWithHelpersMatchesSerial) {
   UniformReplay cold(512);
   fill_bandit_buffer(cold, fill_rng, 0.4, 8);
   EXPECT_EQ(helped.fine_tune(cold, rng_b, 5, &pool), 0u);
+}
+
+// Untrained clones read their frozen source in place: eight clones of one
+// serving-shape agent (state 9, action 32, hidden 128x128), driven from four
+// threads at once, each return the source's act, twin_q and min_q bit for
+// bit, round after round. They write only their own rows, so ThreadSanitizer
+// sees no race on the shared networks.
+TEST(Td3Test, UntrainedClonesReadTheirSourceInPlaceFromFourThreads) {
+  Td3Config c;
+  c.state_dim = 9;
+  c.action_dim = 32;
+  c.batch_size = 64;
+  common::Rng rng(77);
+  Td3Agent source(c, rng);
+  UniformReplay buffer(512);
+  const auto draw = [&rng](std::size_t n) {
+    std::vector<double> v(n);
+    for (double& x : v) x = rng.uniform();
+    return v;
+  };
+  for (int i = 0; i < 128; ++i) {
+    buffer.add({draw(c.state_dim), draw(c.action_dim),
+                2.0 * rng.uniform() - 1.0, draw(c.state_dim), false});
+  }
+  for (int i = 0; i < 4; ++i) (void)source.train_step(buffer, rng);
+
+  struct Probe {
+    std::vector<double> state, action;
+  };
+  struct Reads {
+    std::vector<std::vector<double>> acts;
+    std::vector<std::pair<double, double>> twins;
+    std::vector<double> mins;
+  };
+  std::vector<Probe> probes;
+  for (int i = 0; i < 6; ++i) {
+    probes.push_back({draw(c.state_dim), draw(c.action_dim)});
+  }
+  const auto read_all = [&probes](Td3Agent& agent, Reads& out) {
+    for (const Probe& p : probes) {
+      out.acts.push_back(agent.act(p.state));
+      out.twins.push_back(agent.twin_q(p.state, p.action));
+      out.mins.push_back(agent.min_q(p.state, p.action));
+    }
+  };
+  Reads want;
+  read_all(source, want);
+
+  constexpr std::size_t kClones = 8;
+  constexpr int kRounds = 4;
+  std::vector<std::unique_ptr<Td3Agent>> clones;
+  for (std::size_t i = 0; i < kClones; ++i) {
+    clones.push_back(std::make_unique<Td3Agent>(c, source));
+  }
+  std::vector<std::vector<Reads>> got(kClones, std::vector<Reads>(kRounds));
+  {
+    common::ThreadPool pool(4);
+    std::vector<std::future<void>> done;
+    for (std::size_t i = 0; i < kClones; ++i) {
+      done.push_back(pool.submit([&, i] {
+        for (Reads& round : got[i]) read_all(*clones[i], round);
+      }));
+    }
+    for (auto& f : done) f.get();
+  }
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (std::size_t i = 0; i < kClones; ++i) {
+    for (int r = 0; r < kRounds; ++r) {
+      SCOPED_TRACE("clone " + std::to_string(i) + " round " +
+                   std::to_string(r));
+      const Reads& g = got[i][static_cast<std::size_t>(r)];
+      ASSERT_EQ(g.acts.size(), want.acts.size());
+      for (std::size_t p = 0; p < want.acts.size(); ++p) {
+        ASSERT_EQ(g.acts[p].size(), c.action_dim);
+        for (std::size_t j = 0; j < c.action_dim; ++j) {
+          EXPECT_EQ(bits(g.acts[p][j]), bits(want.acts[p][j]));
+        }
+        EXPECT_EQ(bits(g.twins[p].first), bits(want.twins[p].first));
+        EXPECT_EQ(bits(g.twins[p].second), bits(want.twins[p].second));
+        EXPECT_EQ(bits(g.mins[p]), bits(want.mins[p]));
+      }
+    }
+  }
 }
 
 }  // namespace

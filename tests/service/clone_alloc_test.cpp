@@ -1,11 +1,12 @@
-// A guard on how a served session clones its master: it copies only what it
-// reads before it trains (the actor and both critics, with their gradient
-// buffers) and the training state (targets, optimizer moments) at its first
-// train step, so a 1-step session never copies the latter at all. Every
-// Matrix buffer comes from nn::CacheAlignedAllocator through the aligned
-// operator new, which this binary replaces to count the bytes asked for
-// while a flag is up. A clone that copied its targets at construction
-// again would allocate twice the bound below.
+// A guard on how a served session clones its master: it copies nothing
+// until its first train step, reading the master's actor and critics in
+// place, and copies the six networks and the optimizer moments there, with
+// gradient buffers for the three nets it trains and none for the targets.
+// So a 1-step session copies no network at all. Every Matrix buffer comes
+// from nn::CacheAlignedAllocator through the aligned operator new, which
+// this binary replaces to count the bytes asked for while a flag is up. A
+// clone that copied its actor or critics at construction again would
+// allocate several times the bound below.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 #include <memory>
 #include <new>
 #include <shared_mutex>
+#include <string>
 
 #include "core/deepcat_api.hpp"
 #include "rl/replay_rdper.hpp"
@@ -98,9 +100,9 @@ std::size_t bytes_of(const std::vector<nn::Matrix>& tensors) {
   return n;
 }
 
-// Room for everything else a session allocates besides its agent: the
-// single-row activations of act and the Twin-Q probes, and the clone's
-// input rows. A few KB at the serving shape; the nets are ~0.5 MB.
+// Room for everything a session allocates besides a copy of the master:
+// the layer output rows of act and the Twin-Q probes, and their input
+// rows. A few KB at the serving shape; the actor alone is 0.18 MB.
 constexpr std::size_t kSlack = 64 * 1024;
 
 TEST(ServiceCloneAllocTest, AClonePaysForWhatItReadsAndTrainsLate) {
@@ -115,11 +117,12 @@ TEST(ServiceCloneAllocTest, AClonePaysForWhatItReadsAndTrainsLate) {
   ASSERT_GE(pools.size(), api.tuner.td3.batch_size);
   std::shared_mutex mutex;
 
-  // The actor and both critics, parameters only (networks() order).
+  // The actor and both critics (networks() order), which train, and the
+  // targets, which do not; parameters only.
   const rl::AgentSnapshot state = frozen.snapshot();
-  const std::size_t read_nets = bytes_of(state.networks[0]) +
-                                bytes_of(state.networks[2]) +
-                                bytes_of(state.networks[3]);
+  const std::size_t actor = bytes_of(state.networks[0]);
+  const std::size_t critics =
+      bytes_of(state.networks[2]) + bytes_of(state.networks[3]);
   const std::size_t targets = bytes_of(state.networks[1]) +
                               bytes_of(state.networks[4]) +
                               bytes_of(state.networks[5]);
@@ -128,25 +131,43 @@ TEST(ServiceCloneAllocTest, AClonePaysForWhatItReadsAndTrainsLate) {
     moments += bytes_of(opt.first_moments) + bytes_of(opt.second_moments);
   }
 
-  // Building the clone copies the read nets and their gradient buffers.
+  // The master trained its actor and critics, never its targets.
+  for (const auto& [name, net] : master.tuner().agent().networks()) {
+    const bool target = std::string(name).ends_with("_target");
+    for (const nn::Param& p : net->params()) {
+      EXPECT_EQ(p.grad->empty(), target) << name << " " << p.name;
+    }
+  }
+
+  // Building the clone copies nothing.
   core::DeepCat clone(sparksim::cluster_a(), api);
   const std::size_t built = aligned_bytes_of([&] {
     clone.tuner().materialize(
         frozen, std::make_unique<SharedRdperReplay>(pools, mutex));
   });
-  EXPECT_GE(built, 2 * read_nets);
-  EXPECT_LE(built, 2 * read_nets + kSlack)
-      << "the clone copied more than the actor and critics at construction";
+  EXPECT_LE(built, kSlack) << "the clone copied a network when it was built";
 
-  // Its first train step brings the targets and the optimizers' moments.
+  // Its first train step brings all six networks, the gradients of the
+  // critics (and, on a policy step, of the actor) and the moments.
   rl::Td3Agent& agent = clone.tuner().agent();
   common::Rng rng(5);
+  rl::Td3TrainStats stats;
   const std::size_t first_step = aligned_bytes_of(
-      [&] { (void)agent.train_step(*clone.tuner().replay(), rng); });
-  EXPECT_GE(first_step, targets + moments)
-      << "the training state did not arrive at the first train step";
+      [&] { stats = agent.train_step(*clone.tuner().replay(), rng); });
+  const std::size_t trained_grads =
+      critics + (stats.actor_loss.has_value() ? actor : 0);
+  EXPECT_GE(first_step,
+            actor + critics + targets + trained_grads + moments)
+      << "the state did not arrive at the first train step";
+  for (const auto& [name, net] : agent.networks()) {
+    if (!std::string(name).ends_with("_target")) continue;
+    for (const nn::Param& p : net->params()) {
+      EXPECT_TRUE(p.grad->empty())
+          << name << " " << p.name << " holds a gradient buffer";
+    }
+  }
 
-  // A whole 1-step session never trains, so it never pays for that state.
+  // A whole 1-step session never trains, so it copies nothing either.
   service::TuningRequest request;
   request.id = "one";
   request.workload = "TS-D1";
@@ -155,8 +176,7 @@ TEST(ServiceCloneAllocTest, AClonePaysForWhatItReadsAndTrainsLate) {
   const std::size_t session = aligned_bytes_of(
       [&] { report = run_session(frozen, api, request, pools, mutex); });
   ASSERT_TRUE(report.ok) << report.error;
-  EXPECT_LE(session, 2 * read_nets + kSlack)
-      << "a 1-step session copied state it never reads";
+  EXPECT_LE(session, kSlack) << "a 1-step session copied state it never reads";
 }
 
 }  // namespace
