@@ -93,7 +93,6 @@
 #include "common/thread_pool.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
-#include "service/sharding.hpp"
 #include "service/wire.hpp"
 #include "gp/gp_regressor.hpp"
 #include "gp/kernel.hpp"
@@ -1046,7 +1045,7 @@ void export_serve_phase(obs::MetricsRegistry& registry,
 int run_serve_bench_json(const std::string& path) {
   service::StreamingOptions streaming;
   streaming.service.threads = 4;
-  service::ShardedStreamingService svc(streaming, /*shards=*/4);
+  service::StreamingService svc(streaming);
   svc.set_session_runner_for_test(serve_bench_fake_session);
 
   net::FrontEndOptions options;
@@ -1080,9 +1079,12 @@ int run_serve_bench_json(const std::string& path) {
   export_serve_phase(registry, "serve.unix", unix_load);
   export_serve_phase(registry, "serve.tcp", tcp_load);
 
+  // nproc and the build type head the file, as in the kernel report.
   std::ostringstream json;
-  json << "{\"bench\":\"deepcat serving front-end load generator\",\"build\":";
-  obs::write_build_info_json(json, obs::current_build_info());
+  json << "{\"bench\":\"deepcat serving front-end load generator\","
+       << "\"nproc\":" << available_cpus() << ",\"build_type\":\""
+       << DEEPCAT_BUILD_TYPE << "\",\"build\":";
+  obs::write_build_info_json(json, svc.build_info());
   json << "}\n";
   registry.write_jsonl(json);
 

@@ -11,7 +11,7 @@
 #include <sstream>
 
 #include "net/server.hpp"
-#include "service/sharding.hpp"
+#include "service/streaming.hpp"
 #include "service/wire.hpp"
 #include "sparksim/workloads.hpp"
 
@@ -25,8 +25,7 @@ int main() {
   options.service.threads = 4;
   options.service.api.tuner.seed = 7;
   options.master_update_steps = 4;  // fine-tune steps after each merge
-  service::ShardedStreamingService sharded(options, /*shards=*/1);
-  service::StreamingService& svc = sharded.shard(0);
+  service::StreamingService svc(options);
 
   std::puts("training models 'sort' and 'graph'...");
   svc.train_model("sort", sparksim::make_workload(WorkloadType::kTeraSort, 3.2),
@@ -88,7 +87,7 @@ int main() {
   std::istringstream wire_in(service::encode_frames(frames));
   std::ostringstream wire_out;
   const net::FrontEndStats result =
-      net::serve_stream(wire_in, wire_out, sharded, net::FrontEndOptions{});
+      net::serve_stream(wire_in, wire_out, svc, net::FrontEndOptions{});
 
   std::printf("\nwire stream: %zu requests, %zu failed, clean_end=%d\n",
               result.requests, result.failed_sessions,

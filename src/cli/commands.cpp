@@ -29,7 +29,6 @@
 #include "service/checkpoint.hpp"
 #include "service/jsonl.hpp"
 #include "service/session.hpp"
-#include "service/sharding.hpp"
 #include "service/streaming.hpp"
 #include "service/wire.hpp"
 #include "sparksim/config_export.hpp"
@@ -42,9 +41,8 @@ namespace {
 
 using namespace deepcat::sparksim;
 
-/// Upper bounds on `serve --threads` and `--shards` (tests and CI use 4).
+/// Upper bound on `serve --threads` (tests and CI use 4).
 constexpr std::size_t kMaxThreads = 1024;
-constexpr std::size_t kMaxShards = 64;
 
 WorkloadType workload_from_flag(const std::string& tag) {
   if (tag == "WC" || tag == "wordcount") return WorkloadType::kWordCount;
@@ -113,7 +111,7 @@ void print_usage(std::ostream& os) {
         "      --checkpoint dir/ [--in wire.bin] [--out wire.bin]\n"
         "      [--requests file.jsonl]  (framed as REQ* + END; excludes --in)\n"
         "      [--warm-index index.bin] (enables \"warm\" request retrieval)\n"
-        "      [--socket /path.sock] [--tcp host:port] [--shards 1]\n"
+        "      [--socket /path.sock] [--tcp host:port]\n"
         "      [--max-conns 256] [--max-inflight 1024] [--drain-timeout 5]\n"
         "      [--idle-timeout 0]\n"
         "      [--model default] [--master-steps 4]\n"
@@ -180,8 +178,14 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
         "serve: --http requires --socket or --tcp (the observability "
         "endpoint shares the front end's epoll loop)");
   }
-  const auto shards =
-      std::max<std::size_t>(1, args.integer_or<std::size_t>("shards", 1));
+  // One service per process: --shards survives only as `--shards 1`, so
+  // older launch lines keep parsing.
+  if (const auto shards = args.flag("shards");
+      shards && args.number_or("shards", 1) != 1.0) {
+    throw std::invalid_argument(
+        "serve: flag --shards accepts only 1 (one service per process), "
+        "got '" + *shards + "'");
+  }
 
   service::StreamingOptions options;
   options.service.cluster = args.flag_or("cluster", "a");
@@ -270,7 +274,7 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
   // Wire bytes to stdout (no --out / --socket / --tcp) must stay pure
   // protocol, so status text is suppressed in that mode.
   const bool quiet = !args.flag("out") && !listening;
-  service::ShardedStreamingService svc(options, shards);
+  service::StreamingService svc(options);
   service::ModelRegistry registry(checkpoint_dir);
 
   const auto version = registry.latest_version(model_name);
@@ -645,10 +649,9 @@ int cmd_serve(const ParsedArgs& args, std::ostream& os) {
   if (!checkpoint_dir) {
     throw std::invalid_argument("serve: --checkpoint dir/ is required");
   }
-  // Every pool worker and shard is an OS thread: refuse counts no host
-  // should be asked for before any service starts one.
+  // Every pool worker is an OS thread: refuse counts no host should be
+  // asked for before any service starts one.
   (void)args.integer_or<std::size_t>("threads", 0, kMaxThreads);
-  (void)args.integer_or<std::size_t>("shards", 1, kMaxShards);
   if (args.number_or("stream", 0) != 0.0) {
     return cmd_serve_stream(args, os, *checkpoint_dir);
   }
@@ -1065,7 +1068,7 @@ flags_read() {
             "workload"}},
           {"serve",
            {"checkpoint", "cluster", "master-steps", "model", "out",
-            "publish", "requests", "seed", "shards", "stream", "threads",
+            "publish", "requests", "seed", "stream", "threads",
             "train-iters", "train-size", "train-workload"}},
           {"serve --stream",
            {"checkpoint",   "clock",        "cluster",     "drain-timeout",

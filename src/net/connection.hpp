@@ -14,8 +14,8 @@
 // arrive in scheduling order, so a REP that completes early waits in
 // `pending_replies` for its turn, and an ERR waits behind every earlier
 // REP. The transcript is then a pure function of the input bytes,
-// identical across thread counts, shard counts and how the bytes were
-// split into reads.
+// identical across thread counts and how the bytes were split into
+// reads.
 #pragma once
 
 #include <cstddef>

@@ -56,7 +56,7 @@ void forward_signal(int) {
 
 }  // namespace
 
-FrontEnd::FrontEnd(service::ShardedStreamingService& service,
+FrontEnd::FrontEnd(service::StreamingService& service,
                    FrontEndOptions options)
     : service_(service), options_(std::move(options)) {
   listeners_.reserve(3);  // pointers below index into this vector
@@ -82,7 +82,7 @@ FrontEnd::FrontEnd(service::ShardedStreamingService& service,
                    /*backlog=*/128));
     http_listener_ = &listeners_.back();
   }
-  time_replies_ = service_.shard(0).options().reply_timings;
+  time_replies_ = service_.options().reply_timings;
   if (auto* metrics = options_.obs.metrics) {
     obs_accepted_ = &metrics->counter("net.accepted");
     obs_rejected_ = &metrics->counter("net.rejected_overload");
@@ -134,7 +134,7 @@ bool FrontEnd::accepting() const noexcept {
 std::string FrontEnd::global_tele_payload() const {
   std::ostringstream tele;
   service::write_telemetry_payload(
-      tele, service_.aggregate_metrics(), service_.build_info(),
+      tele, service_.metrics(), service_.build_info(),
       service_.metrics_registry(), options_.tele_include_nondeterministic);
   return strip_newline(std::move(tele).str());
 }
@@ -155,7 +155,7 @@ std::string FrontEnd::telemetry_frames(Connection& conn, bool global,
   }
   // Connection-scoped TELE carries this connection's own session
   // aggregate and no instrument lines — a pure function of ITS requests.
-  // STAT's is the live global poll: cross-shard aggregate + instruments.
+  // STAT's is the live global poll: service aggregate + instruments.
   std::string payload;
   if (global) {
     payload = global_tele_payload();
@@ -447,9 +447,9 @@ void FrontEnd::maybe_run_flush() {
   // consumes buffered frames (no new bytes arrive while we are here) or
   // puts sessions in flight, whose completions re-invoke us from run().
   while (flush_waiters_ > 0 && outstanding_total_ == 0) {
-    // Every callback has been processed, so every shard's in-flight count
-    // is zero: flush() will not block.
-    (void)service_.flush_all();
+    // Every callback has been processed, so nothing is in flight: flush()
+    // will not block.
+    (void)service_.flush();
     for (auto& [id, conn] : conns_) {
       if (conn->state != ConnState::kFlushWait) continue;
       conn->state = ConnState::kOpen;
@@ -487,7 +487,7 @@ void FrontEnd::maybe_emit_tail(Connection& conn) {
     // The single connection's tail runs a global barrier first. Deferred
     // until the service quiesces, like FLSH.
     if (outstanding_total_ != 0) return;
-    (void)service_.flush_all();
+    (void)service_.flush();
   }
   conn.queue_bytes(telemetry_frames(conn, /*global=*/false,
                                     /*with_series=*/true));
@@ -720,7 +720,7 @@ std::string FrontEnd::route_http(const HttpRequest& request) {
         std::move(os).str());
   }
   if (request.path == "/varz") {
-    // The same payload a STAT poll gets, over HTTP: live cross-shard
+    // The same payload a STAT poll gets, over HTTP: live service
     // aggregate plus the instrument set, flat JSON.
     ++stats_.http_requests;
     return render_http_response(200, "application/json",
@@ -896,7 +896,7 @@ FrontEndStats FrontEnd::run() {
 
   // Final barrier: merge whatever completed without an explicit FLSH so
   // checkpoints after a drain reflect every admitted session.
-  (void)service_.flush_all();
+  (void)service_.flush();
   return stats_;
 }
 
@@ -918,7 +918,7 @@ bool send_all(int fd, const char* data, std::size_t size) {
 }  // namespace
 
 FrontEndStats serve_stream(std::istream& in, std::ostream& out,
-                           service::ShardedStreamingService& service,
+                           service::StreamingService& service,
                            FrontEndOptions options) {
   int fds[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {

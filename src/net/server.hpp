@@ -1,10 +1,10 @@
 // FrontEnd: the epoll serving loop that multiplexes many DCWP
-// connections over one ShardedStreamingService.
+// connections over one StreamingService.
 //
 // Architecture (DESIGN.md §11):
 //
 //   - ONE event-loop thread owns all sockets and all Connection state;
-//     sessions run on the shards' pools. Completions cross back via a
+//     sessions run on the service's pool. Completions cross back via a
 //     mutex-guarded queue plus an eventfd wakeup, so no connection state
 //     is ever touched off-loop.
 //   - Answers are released in per-connection SLOT order (connection.hpp):
@@ -12,7 +12,7 @@
 //     answer is out, and request ERRs, STAT answers and a final framing
 //     or EOF ERR take their own slots. Every connection's transcript is a
 //     pure function of its own input bytes — independent of thread count,
-//     shard count, read boundaries and the other connections.
+//     read boundaries and the other connections.
 //   - Admission control is typed, never silent: a connection beyond
 //     --max-conns is greeted with header + ERR "overloaded" + END; a
 //     request beyond --max-inflight gets an ERR naming its index. Both
@@ -20,7 +20,7 @@
 //   - FLSH is a deferred barrier: the flushing connection parks in
 //     kFlushWait and frame processing pauses globally (no new
 //     admissions); once every outstanding session has completed the loop
-//     runs flush_all() and answers each waiter with its connection-scoped
+//     runs flush() and answers each waiter with its connection-scoped
 //     TELE — re-evaluating until no waiter remains, since a FLSH decoded
 //     while re-pumping buffered frames re-parks after the reset. The loop
 //     thread itself never blocks in flush(). While paused (and once a
@@ -32,15 +32,16 @@
 //     flush barrier when it ends its stream, then return from run().
 //   - Graceful drain (SIGTERM/SIGINT or request_shutdown()): stop
 //     accepting, let in-flight sessions finish and their replies go out,
-//     run one final flush_all(), then emit each connection's TELE + END
+//     run one final flush(), then emit each connection's TELE + END
 //     tail and close once its write buffer empties. --drain-timeout
 //     bounds the wait, after which stragglers are force-closed (counted,
 //     never silent).
 //
 // TELE scoping: FLSH- and END-tail TELE frames carry the CONNECTION's
 // session aggregates (deterministic per connection; no registry
-// instrument lines); STAT answers carry the live GLOBAL cross-shard
-// aggregate plus the instrument set — that is what `deepcat stats` polls.
+// instrument lines); STAT answers carry the live GLOBAL service aggregate
+// plus the instrument set — that is what `deepcat stats` polls. Both read
+// the same exact rec-cost quantiles (SessionAggregate).
 #pragma once
 
 #include <atomic>
@@ -57,7 +58,7 @@
 #include "net/http.hpp"
 #include "net/socket.hpp"
 #include "obs/sink.hpp"
-#include "service/sharding.hpp"
+#include "service/streaming.hpp"
 
 namespace deepcat::net {
 
@@ -123,7 +124,7 @@ class FrontEnd {
   /// the Listener guards own fds and socket files). Needs at least one
   /// DCWP listener unless `single_connection` is set, in which case the
   /// connection can come from serve_connection() instead.
-  FrontEnd(service::ShardedStreamingService& service, FrontEndOptions options);
+  FrontEnd(service::StreamingService& service, FrontEndOptions options);
 
   /// Serves an already-connected socket as if it had been accepted (the
   /// byte-stream bridge hands over one end of a socketpair). Call before
@@ -192,7 +193,7 @@ class FrontEnd {
   [[nodiscard]] bool served_single_connection() const noexcept;
   [[nodiscard]] std::string global_tele_payload() const;
 
-  service::ShardedStreamingService& service_;
+  service::StreamingService& service_;
   FrontEndOptions options_;
   EventLoop loop_;
   WakeFd wake_;
@@ -245,7 +246,7 @@ class FrontEnd {
 /// admission control would only turn its own requests away. Returns
 /// after the stream's END tail (or error tail) has been written.
 FrontEndStats serve_stream(std::istream& in, std::ostream& out,
-                           service::ShardedStreamingService& service,
+                           service::StreamingService& service,
                            FrontEndOptions options);
 
 }  // namespace deepcat::net

@@ -19,7 +19,7 @@
 //
 // Every function here is a pure function of its arguments — embeddings are
 // deterministic, so retrieval results (and therefore warm-started session
-// transcripts) stay bit-identical across shards, threads and processes.
+// transcripts) stay bit-identical across threads and processes.
 #pragma once
 
 #include <array>

@@ -6,9 +6,9 @@
 // Determinism contract: `query` is a pure function of (index contents,
 // query embedding, k, metric). Distances are computed by one batched
 // kernel call per query and ties break on ascending entry order, so the
-// same index returns the same neighbors on every shard, thread and
-// process — which is what keeps warm-started sessions bit-identical
-// across the serving matrix. Within one SIMD tier results are exactly
+// same index returns the same neighbors on every thread and process —
+// which is what keeps warm-started sessions bit-identical across the
+// serving matrix. Within one SIMD tier results are exactly
 // reproducible; across tiers distances agree to the 1e-12 kernel
 // contract, and the suite's embedding geometry keeps every neighbor
 // ordering far (>1e-6) from any tie that tolerance could flip.

@@ -39,12 +39,6 @@ void SessionAggregate::record(const SessionReport& report) {
   const double rec = report.report.total_recommendation_seconds();
   totals_.recommendation_seconds += rec;
   rec_costs_.add(rec);
-  // Bucket i counts rec <= edges[i] (first match), mirroring
-  // obs::Histogram, so shards merge their counts exactly.
-  const std::vector<double>& edges = rec_cost_bucket_edges();
-  if (totals_.rec_buckets.empty()) totals_.rec_buckets.resize(edges.size() + 1);
-  ++totals_.rec_buckets[static_cast<std::size_t>(
-      std::lower_bound(edges.begin(), edges.end(), rec) - edges.begin())];
   reward_sum_ += report.mean_reward();
   speedup_sum_ += report.report.speedup_over_default();
 }

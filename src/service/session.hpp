@@ -88,9 +88,10 @@ struct TuningRequest {
 
 /// The registry/routing key a request's model resolves to under its scope:
 /// kGlobal -> "m", kWorkload -> "m@wl:<workload>", kHardware ->
-/// "m@hw:<cluster>". Scoped keys feed both ModelRegistry lookup and shard
-/// routing, so the same name tunes independently per workload or hardware
-/// class while checkpoints stay bit-identical across shard/thread layouts.
+/// "m@hw:<cluster>". Scoped keys feed both ModelRegistry lookup and the
+/// service's master map, so the same name tunes independently per workload
+/// or hardware class while checkpoints stay bit-identical across thread
+/// layouts.
 [[nodiscard]] std::string scoped_model_key(const TuningRequest& request);
 
 /// Inverse of scoped_model_key's derivation: the base model name a scoped
@@ -170,17 +171,6 @@ struct SessionReport {
 /// request stream cannot grow service memory without limit.
 inline constexpr std::size_t kRecCostSampleCap = 65536;
 
-/// Fixed bucket upper edges for recommendation-cost histograms. Every
-/// shard uses the same edges by construction, so cross-shard aggregation
-/// can merge bucket counts exactly (sharding.hpp) instead of averaging
-/// per-shard quantiles. Matches the "stream.rec_seconds" registry
-/// histogram so wire and in-process views agree.
-[[nodiscard]] inline const std::vector<double>& rec_cost_bucket_edges() {
-  static const std::vector<double> edges{1.0,  2.0,   5.0,   10.0,  20.0,
-                                         50.0, 100.0, 200.0, 500.0, 1000.0};
-  return edges;
-}
-
 /// Aggregate serving metrics over a set of sessions. Percentiles are over
 /// per-session recommendation cost (the deterministic cost model,
 /// tuners/tuner.hpp rec_cost) — the serving-latency proxy of this repo.
@@ -197,11 +187,6 @@ struct ServiceMetrics {
   std::size_t merges = 0;             ///< experience merges into a master
   std::size_t merged_transitions = 0; ///< transitions folded into masters
   std::size_t fine_tune_steps = 0;    ///< bounded master fine-tune steps taken
-  /// Per-bucket counts of per-session recommendation cost over
-  /// rec_cost_bucket_edges() (+1 overflow bucket). Carried for exact
-  /// cross-shard percentile aggregation only — never serialized into TELE,
-  /// so transcripts are unchanged. Empty means all-zero.
-  std::vector<std::uint64_t> rec_buckets;
 };
 
 /// The one session-metrics accumulator: the streaming service's totals,

@@ -112,23 +112,9 @@ void StreamingService::load_model_file(const std::string& name,
   });
 }
 
-void StreamingService::set_scope_seed(const std::string& base,
-                                      std::shared_ptr<const std::string> blob) {
-  std::scoped_lock state(state_mutex_);
-  scope_seeds_[base] = std::move(blob);
-}
-
 bool StreamingService::has_model(const std::string& name) const {
   std::shared_lock reg(registry_mutex_);
   return entries_.find(name) != entries_.end();
-}
-
-std::vector<std::string> StreamingService::loaded_models() const {
-  std::shared_lock reg(registry_mutex_);
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) names.push_back(name);
-  return names;
 }
 
 core::DeepCat& StreamingService::master(const std::string& name) {
@@ -178,7 +164,7 @@ StreamingService::MasterEntry& StreamingService::resolve_entry(
   // Scoped-key fork: no published version under the scoped key, so start
   // the scoped model from its base — the base's latest published version
   // if the registry has one, else the base's genesis seed blob. Both are
-  // fixed bytes, so the fork is identical on every shard/thread layout.
+  // fixed bytes, so the fork is identical on every thread layout.
   if (registry_) {
     if (const auto version = registry_->latest_version(*base)) {
       evict_idle_locked();

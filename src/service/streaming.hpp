@@ -115,15 +115,6 @@ class StreamingService {
   void load_model_file(const std::string& name, const std::string& path);
 
   [[nodiscard]] bool has_model(const std::string& name) const;
-  [[nodiscard]] std::vector<std::string> loaded_models() const;
-
-  /// Genesis checkpoint for scope forks: a scoped model key ("m@wl:...")
-  /// with no resident entry and no published registry version bootstraps
-  /// from its base model's seed blob. train_model/load_model* record the
-  /// seed automatically; the sharded router distributes it to every shard
-  /// so a scoped fork starts from identical bytes on any shard layout.
-  void set_scope_seed(const std::string& base,
-                      std::shared_ptr<const std::string> blob);
 
   /// The live master for `name` (throws std::out_of_range when not
   /// resident). Mutating it while requests are in flight is on the caller.
@@ -156,8 +147,7 @@ class StreamingService {
   void submit(TuningRequest request, CompletionCallback on_done);
 
   /// True when no session is in flight — the nonblocking form of the
-  /// flush() precondition. The front end defers FLSH barriers on this
-  /// instead of blocking its event loop in flush().
+  /// flush() precondition.
   [[nodiscard]] bool idle() const;
 
   /// Sessions currently in flight (admitted, not yet completed).
@@ -271,7 +261,9 @@ class StreamingService {
   std::optional<ModelRegistry> registry_;
   SessionRunner runner_;
   std::shared_ptr<const retrieval::ExperienceIndex> warm_index_;
-  /// Base-model genesis blobs for scoped-key bootstrap (state_mutex_).
+  /// Base-model genesis blobs, recorded by train_model/load_model*: a
+  /// scoped key ("m@wl:...") with no resident entry and no published
+  /// registry version forks from its base's blob (state_mutex_).
   std::map<std::string, std::shared_ptr<const std::string>> scope_seeds_;
 
   /// Guards the entries_ map (lookup shared, lazy load/evict exclusive).

@@ -2,7 +2,7 @@
 // Poisson-like, bursty, diurnal) that shift mid-session. Every batch size
 // is a pure function of (stream seed, window index, batch index), so two
 // sessions with the same seed see byte-identical load no matter how many
-// shards or threads serve them — the determinism anchor the phase-shift
+// threads serve them — the determinism anchor the phase-shift
 // stress tests pin.
 #pragma once
 

@@ -26,7 +26,6 @@
 
 #include "net/client.hpp"
 #include "obs/metrics.hpp"
-#include "service/sharding.hpp"
 #include "service/streaming.hpp"
 #include "service/wire.hpp"
 
@@ -108,7 +107,7 @@ std::string unique_socket_path(const std::string& tag) {
 /// Runs a FrontEnd on its own thread; the test thread plays the clients.
 class TestServer {
  public:
-  TestServer(service::ShardedStreamingService& svc, FrontEndOptions options)
+  TestServer(service::StreamingService& svc, FrontEndOptions options)
       : front_end_(svc, std::move(options)),
         thread_([this] { stats_ = front_end_.run(); }) {}
 
@@ -137,7 +136,7 @@ class TestServer {
 };
 
 TEST(FrontEndTest, UnixAndTcpRoundTripWithStatPoll) {
-  service::ShardedStreamingService svc(fake_options(2), 2);
+  service::StreamingService svc(fake_options(2));
   svc.set_session_runner_for_test(fake_report);
   FrontEndOptions options;
   options.unix_path = unique_socket_path("roundtrip");
@@ -199,7 +198,7 @@ TEST(FrontEndTest, RepliesAreReleasedInAdmissionOrder) {
   // req-0 is held hostage while req-1/req-2 complete; their replies must
   // still come out 0, 1, 2.
   auto gate = std::make_shared<Gate>();
-  service::ShardedStreamingService svc(fake_options(3), 1);
+  service::StreamingService svc(fake_options(3));
   svc.set_session_runner_for_test([gate](const TuningRequest& r) {
     if (r.id == "req-0") gate->wait_inside();
     return fake_report(r);
@@ -238,7 +237,7 @@ TEST(FrontEndTest, RepliesAreReleasedInAdmissionOrder) {
 }
 
 TEST(FrontEndTest, ConnectionCapRejectsWithTypedError) {
-  service::ShardedStreamingService svc(fake_options(1), 1);
+  service::StreamingService svc(fake_options(1));
   svc.set_session_runner_for_test(fake_report);
   FrontEndOptions options;
   options.unix_path = unique_socket_path("conncap");
@@ -276,7 +275,7 @@ TEST(FrontEndTest, ConnectionCapRejectsWithTypedError) {
 
 TEST(FrontEndTest, InflightCapRejectsRequestsWithTypedError) {
   auto gate = std::make_shared<Gate>();
-  service::ShardedStreamingService svc(fake_options(2), 1);
+  service::StreamingService svc(fake_options(2));
   svc.set_session_runner_for_test([gate](const TuningRequest& r) {
     gate->wait_inside();
     return fake_report(r);
@@ -324,7 +323,7 @@ TEST(FrontEndTest, InflightCapRejectsRequestsWithTypedError) {
 }
 
 TEST(FrontEndTest, DuplicateRequestKeyGetsTypedErrorAndTheConnCarriesOn) {
-  service::ShardedStreamingService svc(fake_options(1), 1);
+  service::StreamingService svc(fake_options(1));
   svc.set_session_runner_for_test(fake_report);
   FrontEndOptions options;
   options.unix_path = unique_socket_path("dupkey");
@@ -354,7 +353,7 @@ TEST(FrontEndTest, DuplicateRequestKeyGetsTypedErrorAndTheConnCarriesOn) {
 }
 
 TEST(FrontEndTest, OversizedFrameGetsTypedErrorAndSparesOtherConns) {
-  service::ShardedStreamingService svc(fake_options(1), 1);
+  service::StreamingService svc(fake_options(1));
   svc.set_session_runner_for_test(fake_report);
   FrontEndOptions options;
   options.unix_path = unique_socket_path("oversize");
@@ -399,7 +398,7 @@ TEST(FrontEndTest, OversizedFrameGetsTypedErrorAndSparesOtherConns) {
 }
 
 TEST(FrontEndTest, MidstreamDisconnectDoesNotPoisonOtherConnections) {
-  service::ShardedStreamingService svc(fake_options(1), 1);
+  service::StreamingService svc(fake_options(1));
   svc.set_session_runner_for_test(fake_report);
   FrontEndOptions options;
   options.unix_path = unique_socket_path("midstream");
@@ -450,7 +449,7 @@ TEST(FrontEndTest, MidstreamDisconnectDoesNotPoisonOtherConnections) {
 }
 
 TEST(FrontEndTest, FlushBarrierAcksWithConnectionTele) {
-  service::ShardedStreamingService svc(fake_options(2), 1);
+  service::StreamingService svc(fake_options(2));
   svc.set_session_runner_for_test(fake_report);
   FrontEndOptions options;
   options.unix_path = unique_socket_path("flush");
@@ -481,7 +480,7 @@ TEST(FrontEndTest, BackToBackFlushBarriersBothAck) {
   // barrier re-parks the connection AFTER flush_waiters_ was reset; the
   // barrier must be re-evaluated, not left stranded in epoll_wait (this
   // test used to hang the loop forever).
-  service::ShardedStreamingService svc(fake_options(2), 1);
+  service::StreamingService svc(fake_options(2));
   svc.set_session_runner_for_test(fake_report);
   FrontEndOptions options;
   options.unix_path = unique_socket_path("flushflush");
@@ -512,7 +511,7 @@ TEST(FrontEndTest, FramesBufferedDuringBarrierAreServedAfterResume) {
   // rather than the decoder backlog (unbounded). They must all be served
   // once the barrier resolves and reads re-arm.
   auto gate = std::make_shared<Gate>();
-  service::ShardedStreamingService svc(fake_options(2), 1);
+  service::StreamingService svc(fake_options(2));
   svc.set_session_runner_for_test([gate](const TuningRequest& r) {
     if (r.id == "slow") gate->wait_inside();
     return fake_report(r);
@@ -549,7 +548,7 @@ TEST(FrontEndTest, AbandonedFlushBarrierUnblocksOtherConnections) {
   // (no waiters left) and resume everyone else's reads and buffered
   // frames even though no merge ran.
   auto gate = std::make_shared<Gate>();
-  service::ShardedStreamingService svc(fake_options(2), 1);
+  service::StreamingService svc(fake_options(2));
   svc.set_session_runner_for_test([gate](const TuningRequest& r) {
     if (r.id == "slow") gate->wait_inside();
     return fake_report(r);
@@ -597,7 +596,7 @@ TEST(FrontEndTest, AbandonedFlushBarrierUnblocksOtherConnections) {
 TEST(FrontEndTest, TcpHostnamesResolveViaGetaddrinfo) {
   // --tcp documents host:port; names (not just IPv4 literals) must bind
   // and connect. 'localhost' goes through getaddrinfo like any name.
-  service::ShardedStreamingService svc(fake_options(1), 1);
+  service::StreamingService svc(fake_options(1));
   svc.set_session_runner_for_test(fake_report);
   FrontEndOptions options;
   options.tcp_host = "localhost";
@@ -618,7 +617,7 @@ TEST(FrontEndTest, TcpHostnamesResolveViaGetaddrinfo) {
 
 TEST(FrontEndTest, GracefulDrainFlushesInFlightRepliesAndTails) {
   auto gate = std::make_shared<Gate>();
-  service::ShardedStreamingService svc(fake_options(2), 1);
+  service::StreamingService svc(fake_options(2));
   svc.set_session_runner_for_test([gate](const TuningRequest& r) {
     gate->wait_inside();
     return fake_report(r);
@@ -653,7 +652,7 @@ TEST(FrontEndTest, GracefulDrainFlushesInFlightRepliesAndTails) {
 
 TEST(FrontEndTest, DrainTimeoutForceClosesAndCountsStragglers) {
   auto gate = std::make_shared<Gate>();
-  service::ShardedStreamingService svc(fake_options(1), 1);
+  service::StreamingService svc(fake_options(1));
   svc.set_session_runner_for_test([gate](const TuningRequest& r) {
     gate->wait_inside();
     return fake_report(r);
@@ -679,7 +678,7 @@ TEST(FrontEndTest, DrainTimeoutForceClosesAndCountsStragglers) {
 }
 
 TEST(FrontEndTest, IdleConnectionsTimeOutWithTypedError) {
-  service::ShardedStreamingService svc(fake_options(1), 1);
+  service::StreamingService svc(fake_options(1));
   svc.set_session_runner_for_test(fake_report);
   FrontEndOptions options;
   options.unix_path = unique_socket_path("idle");
@@ -702,7 +701,7 @@ TEST(FrontEndTest, ServesHundredsOfConcurrentMixedConnections) {
   // The acceptance bar: >= 256 simultaneously open connections across
   // both transports, every one answered, zero silent drops.
   constexpr std::size_t kPerTransport = 128;
-  service::ShardedStreamingService svc(fake_options(2), 4);
+  service::StreamingService svc(fake_options(2));
   svc.set_session_runner_for_test(fake_report);
   FrontEndOptions options;
   options.unix_path = unique_socket_path("fanin");
@@ -770,7 +769,7 @@ TEST(FrontEndTest, StreamBridgeServesThousandsOfRequestsInOrder) {
   for (const bool corrupt : {false, true}) {
     std::string input = body + service::encode_frame(FrameType::kEnd, "");
     if (corrupt) input.back() ^= 0x01;  // the END frame's CRC
-    service::ShardedStreamingService svc(fake_options(4), 1);
+    service::StreamingService svc(fake_options(4));
     svc.set_session_runner_for_test(fake_report);
     std::istringstream in(input, std::ios::binary);
     std::ostringstream out(std::ios::binary);

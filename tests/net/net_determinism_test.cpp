@@ -1,8 +1,8 @@
 // Serving determinism under multiplexing: a connection's byte transcript
-// is a pure function of ITS OWN request sequence — independent of shard
-// count, worker thread count, and the order connections happen to arrive
-// — and the post-drain model checkpoints are bit-identical across shard
-// and thread counts (the canonical-order merge erases scheduling).
+// is a pure function of ITS OWN request sequence — independent of worker
+// thread count and the order connections happen to arrive — and the
+// post-drain model checkpoints are bit-identical across thread counts
+// (the canonical-order merge erases scheduling).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -20,7 +20,6 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "service/checkpoint.hpp"
-#include "service/sharding.hpp"
 #include "service/streaming.hpp"
 #include "service/wire.hpp"
 #include "sparksim/workloads.hpp"
@@ -95,12 +94,12 @@ service::SessionReport fake_report(const TuningRequest& r) {
 /// bytes. Connections are opened in `order`; all requests are written
 /// before any reply is read, so completions genuinely interleave.
 std::map<std::size_t, std::string> run_fake_config(
-    std::size_t shards, std::size_t threads,
-    const std::vector<std::size_t>& order, const std::string& tag) {
+    std::size_t threads, const std::vector<std::size_t>& order,
+    const std::string& tag) {
   service::StreamingOptions streaming;
   streaming.service.threads = threads;
   streaming.build_info = obs::BuildInfo{"golden", "pinned", false, 1};
-  service::ShardedStreamingService svc(streaming, shards);
+  service::StreamingService svc(streaming);
   svc.set_session_runner_for_test(fake_report);
 
   FrontEndOptions options;
@@ -142,27 +141,23 @@ std::map<std::size_t, std::string> run_fake_config(
 TEST(NetDeterminismTest,
      TranscriptsAreBitIdenticalAcrossShardsThreadsAndArrival) {
   constexpr std::size_t kConns = 16;
-  const auto baseline =
-      run_fake_config(1, 1, arrival_order(kConns, 0), "base");
+  const auto baseline = run_fake_config(1, arrival_order(kConns, 0), "base");
   ASSERT_EQ(baseline.size(), kConns);
   for (const auto& [key, transcript] : baseline) {
     EXPECT_FALSE(transcript.empty()) << "conn " << key;
   }
 
   std::size_t config = 0;
-  for (const std::size_t shards : {1u, 4u}) {
-    for (const std::size_t threads : {1u, 4u, 16u}) {
-      for (std::size_t shuffle = 0; shuffle < 3; ++shuffle) {
-        if (shards == 1 && threads == 1 && shuffle == 0) continue;
-        const auto got =
-            run_fake_config(shards, threads, arrival_order(kConns, shuffle),
-                            "cfg" + std::to_string(config++));
-        ASSERT_EQ(got.size(), kConns);
-        for (const auto& [key, transcript] : baseline) {
-          EXPECT_EQ(got.at(key), transcript)
-              << "conn " << key << " transcript drifted at shards=" << shards
-              << " threads=" << threads << " shuffle=" << shuffle;
-        }
+  for (const std::size_t threads : {1u, 4u, 16u}) {
+    for (std::size_t shuffle = 0; shuffle < 3; ++shuffle) {
+      if (threads == 1 && shuffle == 0) continue;
+      const auto got = run_fake_config(threads, arrival_order(kConns, shuffle),
+                                       "cfg" + std::to_string(config++));
+      ASSERT_EQ(got.size(), kConns);
+      for (const auto& [key, transcript] : baseline) {
+        EXPECT_EQ(got.at(key), transcript)
+            << "conn " << key << " transcript drifted at threads=" << threads
+            << " shuffle=" << shuffle;
       }
     }
   }
@@ -172,7 +167,7 @@ TEST(NetDeterminismTest,
 /// the same trained blob) over one connection per model, drains, and
 /// returns each model's post-merge checkpoint bytes.
 std::map<std::string, std::string> run_real_config(
-    const std::string& blob, std::size_t shards, std::size_t threads,
+    const std::string& blob, std::size_t threads,
     const std::vector<std::size_t>& order, const std::string& tag) {
   service::StreamingOptions streaming;
   streaming.service.threads = threads;
@@ -181,7 +176,7 @@ std::map<std::string, std::string> run_real_config(
   streaming.service.api.tuner.warmup_steps = 16;
   streaming.service.api.env.seed = 1007;
   streaming.max_loaded_models = kModels;
-  service::ShardedStreamingService svc(streaming, shards);
+  service::StreamingService svc(streaming);
   for (std::size_t i = 0; i < kModels; ++i) {
     std::istringstream in(blob, std::ios::binary);
     svc.load_model(model_name(i), in);
@@ -217,7 +212,7 @@ std::map<std::string, std::string> run_real_config(
     EXPECT_EQ(replies, kRequestsPerConn) << tag;
   }
   front_end.request_shutdown();
-  loop.join();  // run() ends with the final flush_all(): merges are in
+  loop.join();  // run() ends with the final flush(): merges are in
 
   std::map<std::string, std::string> checkpoints;
   for (std::size_t i = 0; i < kModels; ++i) {
@@ -242,7 +237,7 @@ TEST(NetDeterminismTest, CheckpointsAreBitIdenticalAcrossShardsAndThreads) {
   const std::string blob = trainer.checkpoint_of("seed");
 
   const auto baseline =
-      run_real_config(blob, 1, 1, arrival_order(kModels, 0), "rbase");
+      run_real_config(blob, 1, arrival_order(kModels, 0), "rbase");
   ASSERT_EQ(baseline.size(), kModels);
   for (const auto& [name, bytes] : baseline) {
     EXPECT_FALSE(bytes.empty()) << name;
@@ -250,17 +245,15 @@ TEST(NetDeterminismTest, CheckpointsAreBitIdenticalAcrossShardsAndThreads) {
   }
 
   std::size_t config = 0;
-  for (const std::size_t shards : {4u}) {
-    for (const std::size_t threads : {1u, 4u}) {
-      const std::size_t shuffle = 1 + config % 2;
-      const std::string tag = "rcfg" + std::to_string(config++);
-      const auto got = run_real_config(blob, shards, threads,
-                                       arrival_order(kModels, shuffle), tag);
-      for (const auto& [name, bytes] : baseline) {
-        EXPECT_EQ(got.at(name) == bytes, true)
-            << name << " checkpoint drifted at shards=" << shards
-            << " threads=" << threads;
-      }
+  for (const std::size_t threads : {4u, 16u}) {
+    const std::size_t shuffle = 1 + config % 2;
+    const std::string tag = "rcfg" + std::to_string(config++);
+    const auto got =
+        run_real_config(blob, threads, arrival_order(kModels, shuffle), tag);
+    for (const auto& [name, bytes] : baseline) {
+      EXPECT_EQ(got.at(name) == bytes, true)
+          << name << " checkpoint drifted at threads=" << threads
+          << " shuffle=" << shuffle;
     }
   }
 }

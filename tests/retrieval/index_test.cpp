@@ -75,7 +75,7 @@ TEST(RetrievalIndexTest, NeighborsAscendByDistanceAndCapAtSize) {
 
 TEST(RetrievalIndexTest, TiesBreakOnInsertionOrder) {
   // Identical embeddings => identical distances; the contract pins the
-  // ordering to ascending entry index so every shard/thread/process ranks
+  // ordering to ascending entry index so every thread and process ranks
   // the same way.
   ExperienceIndex index;
   for (std::uint64_t s = 0; s < 4; ++s) {

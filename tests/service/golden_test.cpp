@@ -34,7 +34,7 @@
 #include "net/server.hpp"
 #include "obs/timeseries.hpp"
 #include "retrieval/index.hpp"
-#include "service/sharding.hpp"
+#include "service/streaming.hpp"
 #include "service/wire.hpp"
 #include "sparksim/workloads.hpp"
 
@@ -158,8 +158,7 @@ std::shared_ptr<const retrieval::ExperienceIndex> fake_index() {
 
 /// Drives the front end directly over a socketpair, sending the input
 /// one byte per send(): the most adversarial read slicing there is.
-std::string serve_bytewise(const std::string& input,
-                           ShardedStreamingService& svc) {
+std::string serve_bytewise(const std::string& input, StreamingService& svc) {
   int fds[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
     ADD_FAILURE() << "socketpair() failed";
@@ -201,7 +200,7 @@ std::string serve_once(const std::string& input, bool with_fake_runner,
     series = std::make_unique<obs::TimeSeriesRegistry>(series_capacity);
     options.service.obs.series = series.get();
   }
-  ShardedStreamingService svc(options, 1);
+  StreamingService svc(options);
   if (with_fake_runner) svc.set_session_runner_for_test(fake_session);
   if (with_warm_index) svc.set_warm_index(fake_index());
   if (bytewise) return serve_bytewise(input, svc);

@@ -1,10 +1,10 @@
 // Phase-shift determinism stress: one mixed batch of streaming and scoped
-// requests, served across shards {1,4} x threads {1,4,16} x 3 arrival
-// shuffles, must always produce byte-identical REP transcripts (sorted by
-// request id) and byte-identical checkpoints for every scoped key — the
-// scope-keyed variant of the streaming determinism contract. The genesis
-// scope-seed distribution is what makes the shard axis hold: a scoped fork
-// starts from the same canonical bytes whichever shard it lands on.
+// requests, served across threads {1,4,16} x 3 arrival shuffles, must
+// always produce byte-identical REP transcripts (sorted by request id) and
+// byte-identical checkpoints for every scoped key — the scope-keyed variant
+// of the streaming determinism contract. A scoped fork starts from its base
+// model's genesis blob, recorded when the base was loaded: the same
+// canonical bytes whatever the thread layout.
 #include <gtest/gtest.h>
 
 #include <condition_variable>
@@ -16,7 +16,6 @@
 
 #include "common/rng.hpp"
 #include "service/jsonl.hpp"
-#include "service/sharding.hpp"
 #include "service/streaming.hpp"
 #include "sparksim/workloads.hpp"
 
@@ -86,8 +85,8 @@ struct RunResult {
 
 RunResult run_once(const std::string& master_blob,
                    const std::vector<TuningRequest>& arrival_order,
-                   std::size_t shards, std::size_t threads) {
-  ShardedStreamingService svc(stress_options(threads), shards);
+                   std::size_t threads) {
+  StreamingService svc(stress_options(threads));
   std::istringstream blob(master_blob, std::ios::binary);
   svc.load_model("default", blob);
 
@@ -105,9 +104,7 @@ RunResult run_once(const std::string& master_blob,
     std::unique_lock lock(mutex);
     cv.wait(lock, [&] { return reports.size() >= arrival_order.size(); });
   }
-  while (!svc.idle()) {
-  }
-  (void)svc.flush_all();
+  (void)svc.flush();
 
   std::sort(reports.begin(), reports.end(),
             [](const SessionReport& a, const SessionReport& b) {
@@ -137,7 +134,7 @@ TEST(ScopeDeterminismTest, TranscriptsAndCheckpointsSurviveEveryLayout) {
   }
 
   const auto requests = stress_requests();
-  const RunResult reference = run_once(master_blob, requests, 1, 1);
+  const RunResult reference = run_once(master_blob, requests, 1);
   ASSERT_FALSE(reference.transcript.empty());
   for (const auto& [key, blob] : reference.checkpoints) {
     EXPECT_FALSE(blob.empty()) << key;
@@ -149,27 +146,23 @@ TEST(ScopeDeterminismTest, TranscriptsAndCheckpointsSurviveEveryLayout) {
             std::string::npos);
 
   common::Rng shuffler(0x5C0BE5ull);
-  const std::size_t kShardCounts[] = {1, 4};
   const std::size_t kThreadCounts[] = {1, 4, 16};
   for (std::size_t shuffle = 0; shuffle < 3; ++shuffle) {
     auto order = requests;
     shuffler.shuffle(order);
-    for (const std::size_t shards : kShardCounts) {
-      for (const std::size_t threads : kThreadCounts) {
-        const std::string context = "shuffle " + std::to_string(shuffle) +
-                                    ", shards " + std::to_string(shards) +
-                                    ", threads " + std::to_string(threads);
-        const RunResult run = run_once(master_blob, order, shards, threads);
-        EXPECT_EQ(run.transcript, reference.transcript)
-            << context << ": REP transcript diverged";
-        ASSERT_EQ(run.checkpoints.size(), reference.checkpoints.size())
-            << context;
-        for (const auto& [key, blob] : reference.checkpoints) {
-          const auto it = run.checkpoints.find(key);
-          ASSERT_NE(it, run.checkpoints.end()) << context << ": " << key;
-          EXPECT_EQ(it->second, blob)
-              << context << ": checkpoint for '" << key << "' diverged";
-        }
+    for (const std::size_t threads : kThreadCounts) {
+      const std::string context = "shuffle " + std::to_string(shuffle) +
+                                  ", threads " + std::to_string(threads);
+      const RunResult run = run_once(master_blob, order, threads);
+      EXPECT_EQ(run.transcript, reference.transcript)
+          << context << ": REP transcript diverged";
+      ASSERT_EQ(run.checkpoints.size(), reference.checkpoints.size())
+          << context;
+      for (const auto& [key, blob] : reference.checkpoints) {
+        const auto it = run.checkpoints.find(key);
+        ASSERT_NE(it, run.checkpoints.end()) << context << ": " << key;
+        EXPECT_EQ(it->second, blob)
+            << context << ": checkpoint for '" << key << "' diverged";
       }
     }
   }

@@ -3,15 +3,12 @@
 // scope and streaming keys.
 #include <gtest/gtest.h>
 
-#include <condition_variable>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "service/jsonl.hpp"
-#include "service/sharding.hpp"
 #include "service/session.hpp"
 #include "service/streaming.hpp"
 #include "sparksim/workloads.hpp"
@@ -241,52 +238,6 @@ TEST(ScopeServiceTest, ScopesTuneIndependently) {
   // Distinct scoped models, merged from different sessions: bytes differ.
   EXPECT_NE(svc.checkpoint_of("default@wl:TS-D1"),
             svc.checkpoint_of("default@hw:a"));
-}
-
-TEST(ScopeServiceTest, ShardedScopedKeyForksAwayFromTheBaseShard) {
-  // With several shards, a scoped key can hash to a shard where the base
-  // model was never loaded; the distributed genesis seed must cover it.
-  ShardedStreamingService svc(tiny_options(2), 4);
-  svc.train_model("default",
-                  sparksim::make_workload(sparksim::WorkloadType::kTeraSort,
-                                          3.2),
-                  40);
-
-  // Find a workload whose scoped key lands off the base model's shard.
-  const std::size_t base_shard = svc.shard_of("default");
-  const char* cases[] = {"WC-D1", "TS-D1", "PR-D1", "KM-D1", "SA-P1"};
-  std::string away;
-  for (const char* c : cases) {
-    if (svc.shard_of(std::string("default@wl:") + c) != base_shard) {
-      away = c;
-      break;
-    }
-  }
-  ASSERT_FALSE(away.empty()) << "no case hashed off the base shard";
-
-  TuningRequest r = base_request();
-  r.workload = away;
-  r.scope = TuneScope::kWorkload;
-  r.max_steps = 2;
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::optional<StreamReport> report;
-  svc.submit(r, [&](StreamReport rep) {
-    std::scoped_lock lock(mutex);
-    report = std::move(rep);
-    cv.notify_all();
-  });
-  {
-    std::unique_lock lock(mutex);
-    cv.wait(lock, [&] { return report.has_value(); });
-  }
-  EXPECT_TRUE(report->session.ok) << report->session.error;
-  while (!svc.idle()) {
-  }
-  (void)svc.flush_all();
-  const std::string key = "default@wl:" + away;
-  EXPECT_TRUE(svc.has_model(key));
-  EXPECT_NE(svc.shard_of(key), base_shard);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -19,7 +21,6 @@
 #include "obs/tracer.hpp"
 #include "net/server.hpp"
 #include "service/jsonl.hpp"
-#include "service/sharding.hpp"
 #include "service/streaming.hpp"
 #include "service/wire.hpp"
 #include "sparksim/workloads.hpp"
@@ -297,19 +298,23 @@ TEST(StreamingObsDeterminismTest, SharedForksAreBoundedAndNondeterministic) {
   EXPECT_FALSE(find(registry.snapshot(false)).has_value());
 }
 
-/// A one-shard service on one thread whose fake sessions report ok.
-ShardedStreamingService fake_sharded_service(const obs::BuildInfo& build) {
+/// A service on one thread whose fake sessions report ok, each after one
+/// evaluation recommended in 2 s.
+std::unique_ptr<StreamingService> fake_service(const obs::BuildInfo& build) {
   StreamingOptions options;
   options.service.threads = 1;
   // Golden-style pin: TELE build fields must be exactly what the options
   // injected, not whatever host this test runs on.
   options.build_info = build;
-  ShardedStreamingService svc(options, 1);
-  svc.set_session_runner_for_test([](const TuningRequest& r) {
+  auto svc = std::make_unique<StreamingService>(options);
+  svc->set_session_runner_for_test([](const TuningRequest& r) {
     SessionReport report;
     report.id = r.id;
     report.workload = r.workload;
     report.ok = true;
+    tuners::TuningStepRecord step;
+    step.recommendation_seconds = 2;
+    report.report.steps.push_back(step);
     rl::Transition t;
     t.state = {1};
     t.action = {1};
@@ -321,7 +326,7 @@ ShardedStreamingService fake_sharded_service(const obs::BuildInfo& build) {
   return svc;
 }
 
-std::vector<Frame> serve_bytes(ShardedStreamingService& svc,
+std::vector<Frame> serve_bytes(StreamingService& svc,
                                const std::string& input,
                                const net::FrontEndOptions& options,
                                net::FrontEndStats* stats = nullptr) {
@@ -333,10 +338,10 @@ std::vector<Frame> serve_bytes(ShardedStreamingService& svc,
 }
 
 TEST(StreamingTeleTest, TailTeleCarriesBuildInfoAndStaysParseable) {
-  auto svc = fake_sharded_service(obs::BuildInfo{"1.2.3-test", "pinned",
-                                                 false, 9});
+  const auto svc =
+      fake_service(obs::BuildInfo{"1.2.3-test", "pinned", false, 9});
   const auto frames =
-      serve_bytes(svc,
+      serve_bytes(*svc,
                   encode_frames({
                       {FrameType::kRequest,
                        "{\"id\":\"a\",\"workload\":\"TS-D1\"}"},
@@ -358,7 +363,7 @@ TEST(StreamingTeleTest, TailTeleCarriesBuildInfoAndStaysParseable) {
   EXPECT_EQ(fields.at("merges"), "0");
   EXPECT_EQ(fields.at("merged_transitions"), "0");
   EXPECT_EQ(fields.at("fine_tune_steps"), "0");
-  EXPECT_EQ(svc.aggregate_metrics().merges, 1u)
+  EXPECT_EQ(svc->metrics().merges, 1u)
       << "the single connection's END runs the flush barrier";
   // Build-info labels come from the pinned override.
   EXPECT_EQ(fields.at("version"), "1.2.3-test");
@@ -368,8 +373,8 @@ TEST(StreamingTeleTest, TailTeleCarriesBuildInfoAndStaysParseable) {
 }
 
 TEST(StreamingTeleTest, TeleFramesAtEveryProtocolPointAndOnPolls) {
-  auto svc =
-      fake_sharded_service(obs::BuildInfo{"tele-test", "pinned", false, 1});
+  const auto svc =
+      fake_service(obs::BuildInfo{"tele-test", "pinned", false, 1});
   const std::string input = encode_frames({
       {FrameType::kStat, ""},
       {FrameType::kRequest, "{\"id\":\"a\",\"workload\":\"TS-D1\"}"},
@@ -382,7 +387,7 @@ TEST(StreamingTeleTest, TeleFramesAtEveryProtocolPointAndOnPolls) {
   net::FrontEndOptions options;
   options.tele_every = 1;  // one TELE after every REP too
   net::FrontEndStats result;
-  const auto frames = serve_bytes(svc, input, options, &result);
+  const auto frames = serve_bytes(*svc, input, options, &result);
 
   EXPECT_EQ(result.clean_ends, 1u);
   EXPECT_EQ(result.requests, 2u);
@@ -412,15 +417,30 @@ TEST(StreamingTeleTest, TeleFramesAtEveryProtocolPointAndOnPolls) {
   ASSERT_GE(frames.size(), 2u);
   EXPECT_EQ(frames[frames.size() - 1].type, FrameType::kEnd);
   EXPECT_EQ(frames[frames.size() - 2].type, FrameType::kTelemetry);
+
+  // The probe STAT answers in the slot just before the malformed STAT's
+  // ERR. It reads the same exact rec-cost quantiles as the tail TELE:
+  // every session cost 2 s, which a bucket estimate would put at 1.5.
+  const auto err_at = std::find_if(frames.begin(), frames.end(),
+                                   [](const Frame& f) {
+                                     return f.type == FrameType::kError;
+                                   });
+  ASSERT_NE(err_at, frames.begin());
+  ASSERT_NE(err_at, frames.end());
+  const auto stat = parse_flat_json(std::prev(err_at)->payload);
+  const auto tail = parse_flat_json(frames[frames.size() - 2].payload);
+  EXPECT_EQ(tail.at("p50_rec_seconds"), "2");
+  EXPECT_EQ(stat.at("p50_rec_seconds"), tail.at("p50_rec_seconds"));
+  EXPECT_EQ(stat.at("p95_rec_seconds"), tail.at("p95_rec_seconds"));
 }
 
 TEST(StreamingTeleTest, DeterministicTeleDropsSchedulingDependentFloats) {
-  auto svc =
-      fake_sharded_service(obs::BuildInfo{"tele-test", "pinned", false, 1});
+  const auto svc =
+      fake_service(obs::BuildInfo{"tele-test", "pinned", false, 1});
   net::FrontEndOptions options;
   options.tele_include_nondeterministic = false;
   const auto frames =
-      serve_bytes(svc,
+      serve_bytes(*svc,
                   encode_frames({
                       {FrameType::kRequest,
                        "{\"id\":\"a\",\"workload\":\"TS-D1\"}"},

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,7 +20,6 @@
 #include "net/server.hpp"
 #include "rl/replay_rdper.hpp"
 #include "service/checkpoint.hpp"
-#include "service/sharding.hpp"
 #include "service/wire.hpp"
 #include "sparksim/workloads.hpp"
 
@@ -272,12 +274,71 @@ TEST(StreamingTest, WaitCompletedReturnsNulloptWhenIdle) {
   EXPECT_FALSE(svc.wait_completed().has_value());
 }
 
+/// Waits for a fixed number of completion callbacks.
+class CallbackLatch {
+ public:
+  explicit CallbackLatch(std::size_t expected) : expected_(expected) {}
+
+  void arrive(StreamReport report) {
+    std::scoped_lock lock(mutex_);
+    reports_.push_back(std::move(report));
+    if (reports_.size() >= expected_) cv_.notify_all();
+  }
+
+  std::vector<StreamReport> wait() {
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [&] { return reports_.size() >= expected_; });
+    return reports_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<StreamReport> reports_;
+  std::size_t expected_;
+};
+
+TEST(StreamingTest, CallbacksDeliverEveryReportAndIdleSettles) {
+  StreamingService svc(small_streaming_options(2));
+  svc.set_session_runner_for_test([](const TuningRequest& r) {
+    SessionReport report;
+    report.id = r.id;
+    report.workload = r.workload;
+    report.ok = true;
+    return report;
+  });
+  EXPECT_TRUE(svc.idle());
+
+  constexpr std::size_t kRequests = 24;
+  CallbackLatch latch(kRequests);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    TuningRequest request;
+    request.id = "req-" + std::to_string(i);
+    request.workload = "TS-D1";
+    request.model = "model-" + std::to_string(i % 6);
+    svc.submit(request, [&](StreamReport r) { latch.arrive(std::move(r)); });
+  }
+  const auto reports = latch.wait();
+  ASSERT_EQ(reports.size(), kRequests);
+  std::set<std::string> ids;
+  for (const auto& report : reports) {
+    EXPECT_TRUE(report.session.ok);
+    ids.insert(report.session.id);
+  }
+  EXPECT_EQ(ids.size(), kRequests) << "every request answered exactly once";
+
+  // The callback fires after the in-flight decrement, so once the last
+  // one has arrived the service must (eventually) read as idle.
+  while (!svc.idle()) {
+  }
+  EXPECT_EQ(svc.in_flight(), 0u);
+}
+
 TEST(StreamingTest, ServeFrameStreamEndToEnd) {
   // A framed stream served as the front end's single connection: REPs in
   // request order, the FLSH advancing the epoch between them, and the
   // END tail's flush merging the last request too.
-  ShardedStreamingService svc(small_streaming_options(2, /*master_steps=*/1),
-                              1);
+  StreamingService svc(small_streaming_options(2, /*master_steps=*/1));
   svc.train_model("default",
                   sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 40);
 

@@ -1,10 +1,10 @@
 // Trace propagation under the determinism contract: a conversation mixing
-// traced and untraced requests, served across shard counts, thread counts
-// and arrival shuffles, must always produce (a) the identical sorted REP
-// transcript — trace echo and server span ids included — and (b) the
-// identical trace structure_signature(). The server span id is a pure
-// function of (trace id, request id), so no shard layout, pool width or
-// arrival order may leak into what the client sees.
+// traced and untraced requests, served across thread counts and arrival
+// shuffles, must always produce (a) the identical sorted REP transcript —
+// trace echo and server span ids included — and (b) the identical trace
+// structure_signature(). The server span id is a pure function of (trace
+// id, request id), so no pool width or arrival order may leak into what
+// the client sees.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +17,6 @@
 #include "obs/clock.hpp"
 #include "obs/tracer.hpp"
 #include "service/session.hpp"
-#include "service/sharding.hpp"
 #include "service/streaming.hpp"
 
 namespace deepcat::service {
@@ -48,8 +47,8 @@ SessionReport pure_report(const TuningRequest& r) {
   return report;
 }
 
-/// Ten requests over five models (so four shards all see work), six of
-/// them traced — two of those with a client-side parent span.
+/// Ten requests over five models, six of them traced — two of those with
+/// a client-side parent span.
 std::vector<TuningRequest> trace_requests() {
   const char* models[] = {"alpha", "beta", "gamma", "delta", "default"};
   const char* cases[] = {"WC-D1", "TS-D1", "PR-D1", "KM-D1"};
@@ -76,13 +75,13 @@ struct TraceRunResult {
 };
 
 TraceRunResult run_once(const std::vector<TuningRequest>& arrival_order,
-                        std::size_t shards, std::size_t threads) {
+                        std::size_t threads) {
   obs::LogicalClock clock;
   obs::Tracer tracer(clock);
   StreamingOptions options = trace_options(threads);
   options.service.obs.tracer = &tracer;
 
-  ShardedStreamingService svc(options, shards);
+  StreamingService svc(options);
   svc.set_session_runner_for_test(pure_report);
 
   std::mutex mutex;
@@ -117,7 +116,7 @@ TraceRunResult run_once(const std::vector<TuningRequest>& arrival_order,
 
 TEST(TracePropTest, TranscriptAndTraceStructureSurviveShardsThreadsShuffles) {
   const auto requests = trace_requests();
-  const TraceRunResult reference = run_once(requests, 1, 1);
+  const TraceRunResult reference = run_once(requests, 1);
 
   // The reference transcript carries the trace echo for exactly the six
   // traced requests, each with the deterministic server span id.
@@ -148,18 +147,15 @@ TEST(TracePropTest, TranscriptAndTraceStructureSurviveShardsThreadsShuffles) {
   for (std::size_t shuffle = 0; shuffle < 3; ++shuffle) {
     auto order = requests;
     shuffler.shuffle(order);
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      for (const std::size_t threads :
-           {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-        const std::string context =
-            "shuffle " + std::to_string(shuffle) + ", shards " +
-            std::to_string(shards) + ", threads " + std::to_string(threads);
-        const TraceRunResult run = run_once(order, shards, threads);
-        EXPECT_EQ(run.transcript, reference.transcript)
-            << context << ": REP transcript diverged";
-        EXPECT_EQ(run.signature, reference.signature)
-            << context << ": trace structure diverged";
-      }
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
+      const std::string context = "shuffle " + std::to_string(shuffle) +
+                                  ", threads " + std::to_string(threads);
+      const TraceRunResult run = run_once(order, threads);
+      EXPECT_EQ(run.transcript, reference.transcript)
+          << context << ": REP transcript diverged";
+      EXPECT_EQ(run.signature, reference.signature)
+          << context << ": trace structure diverged";
     }
   }
 }

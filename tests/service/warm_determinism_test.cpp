@@ -1,7 +1,7 @@
 // The warm-start determinism contract, stress-tested end to end: warm
 // sessions seeded from one shared experience index must be bit-identical
-// across shard counts {1, 4} x thread pools {1, 4, 16} x shuffled arrival
-// orders — and the index itself (standalone container and checkpoint
+// across thread pools {1, 4, 16} x shuffled arrival orders — and the
+// index itself (standalone container and checkpoint
 // "RIDX" section) must round-trip bit-identically into fresh objects, so
 // a restarted server warm-starts exactly like the one that wrote it.
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "core/deepcat_api.hpp"
 #include "retrieval/index.hpp"
 #include "service/checkpoint.hpp"
-#include "service/sharding.hpp"
 #include "service/streaming.hpp"
 #include "sparksim/hardware.hpp"
 #include "sparksim/workloads.hpp"
@@ -38,7 +37,7 @@ StreamingOptions stress_options(std::size_t threads) {
   return o;
 }
 
-/// Collects a fixed number of completion callbacks across shards.
+/// Collects a fixed number of completion callbacks.
 class CallbackLatch {
  public:
   explicit CallbackLatch(std::size_t expected) : expected_(expected) {}
@@ -116,9 +115,8 @@ std::vector<TuningRequest> warm_requests() {
 }
 
 std::vector<SessionReport> run_matrix_cell(
-    const std::vector<TuningRequest>& arrival_order, std::size_t shards,
-    std::size_t threads) {
-  ShardedStreamingService svc(stress_options(threads), shards);
+    const std::vector<TuningRequest>& arrival_order, std::size_t threads) {
+  StreamingService svc(stress_options(threads));
   std::istringstream blob(fixture().master_blob, std::ios::binary);
   svc.load_model("default", blob);
   svc.set_warm_index(fixture().index);
@@ -156,7 +154,7 @@ void expect_reports_identical(const SessionReport& a, const SessionReport& b,
 
 TEST(WarmDeterminismTest, WarmSessionsAreBitIdenticalAcrossTheServingMatrix) {
   const auto requests = warm_requests();
-  const auto reference = run_matrix_cell(requests, 1, 1);
+  const auto reference = run_matrix_cell(requests, 1);
   ASSERT_EQ(reference.size(), requests.size());
   for (const auto& r : reference) {
     EXPECT_TRUE(r.ok) << r.id << ": " << r.error;
@@ -164,21 +162,17 @@ TEST(WarmDeterminismTest, WarmSessionsAreBitIdenticalAcrossTheServingMatrix) {
   }
 
   common::Rng shuffler(0x5EEDC0DEull);
-  const std::size_t kShardCounts[] = {1, 4};
   const std::size_t kThreadCounts[] = {1, 4, 16};
   for (std::size_t shuffle = 0; shuffle < 3; ++shuffle) {
     auto order = requests;
     shuffler.shuffle(order);
-    for (const std::size_t shards : kShardCounts) {
-      for (const std::size_t threads : kThreadCounts) {
-        const std::string context = "shuffle " + std::to_string(shuffle) +
-                                    ", shards " + std::to_string(shards) +
-                                    ", threads " + std::to_string(threads);
-        const auto run = run_matrix_cell(order, shards, threads);
-        ASSERT_EQ(run.size(), reference.size()) << context;
-        for (std::size_t i = 0; i < run.size(); ++i) {
-          expect_reports_identical(run[i], reference[i], context);
-        }
+    for (const std::size_t threads : kThreadCounts) {
+      const std::string context = "shuffle " + std::to_string(shuffle) +
+                                  ", threads " + std::to_string(threads);
+      const auto run = run_matrix_cell(order, threads);
+      ASSERT_EQ(run.size(), reference.size()) << context;
+      for (std::size_t i = 0; i < run.size(); ++i) {
+        expect_reports_identical(run[i], reference[i], context);
       }
     }
   }
@@ -193,8 +187,8 @@ TEST(WarmDeterminismTest, WarmSeedsActuallyChangeTheTranscript) {
   auto warm = warm_requests();
   auto cold = warm;
   for (auto& r : cold) r.warm_k = 0;
-  const auto warm_reports = run_matrix_cell(warm, 1, 1);
-  const auto cold_reports = run_matrix_cell(cold, 1, 1);
+  const auto warm_reports = run_matrix_cell(warm, 1);
+  const auto cold_reports = run_matrix_cell(cold, 1);
   ASSERT_EQ(warm_reports.size(), cold_reports.size());
   bool any_difference = false;
   for (std::size_t i = 0; i < warm_reports.size(); ++i) {
@@ -248,8 +242,8 @@ TEST(WarmDeterminismTest, IndexRoundTripsBitIdenticallyIntoFreshObjects) {
   auto shared_fresh = std::make_shared<const retrieval::ExperienceIndex>(
       std::move(fresh_index));
   const auto requests = warm_requests();
-  const auto from_original = run_matrix_cell(requests, 1, 1);
-  ShardedStreamingService svc(stress_options(1), 1);
+  const auto from_original = run_matrix_cell(requests, 1);
+  StreamingService svc(stress_options(1));
   std::istringstream blob(fixture().master_blob, std::ios::binary);
   svc.load_model("default", blob);
   svc.set_warm_index(shared_fresh);

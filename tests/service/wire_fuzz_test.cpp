@@ -17,7 +17,7 @@
 #include "net/server.hpp"
 #include "retrieval/index.hpp"
 #include "service/checkpoint.hpp"
-#include "service/sharding.hpp"
+#include "service/streaming.hpp"
 #include "service/wire.hpp"
 #include "sparksim/workloads.hpp"
 
@@ -129,7 +129,7 @@ TEST(WireFuzzTest, ServeDriverSurvivesMutatedStreams) {
 
     StreamingOptions options;
     options.service.threads = 1;
-    ShardedStreamingService svc(options, 1);
+    StreamingService svc(options);
     svc.set_session_runner_for_test([](const TuningRequest& r) {
       SessionReport report;
       report.id = r.id;
