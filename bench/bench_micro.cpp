@@ -123,9 +123,9 @@ using namespace deepcat;
 void BM_MatMul(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   common::Rng rng(1);
-  nn::Matrix a(n, n), b(n, n);
-  for (double& x : a.flat()) x = rng.normal();
-  for (double& x : b.flat()) x = rng.normal();
+  nn::Tensor a(n, n), b(n, n);
+  for (float& x : a.flat()) x = static_cast<float>(rng.normal());
+  for (float& x : b.flat()) x = static_cast<float>(rng.normal());
   for (auto _ : state) {
     benchmark::DoNotOptimize(nn::matmul(a, b));
   }
@@ -139,9 +139,9 @@ void BM_MatMulScalar(benchmark::State& state) {
   // and the scalar reference cost in one number.
   const auto n = static_cast<std::size_t>(state.range(0));
   common::Rng rng(1);
-  nn::Matrix a(n, n), b(n, n);
-  for (double& x : a.flat()) x = rng.normal();
-  for (double& x : b.flat()) x = rng.normal();
+  nn::Tensor a(n, n), b(n, n);
+  for (float& x : a.flat()) x = static_cast<float>(rng.normal());
+  for (float& x : b.flat()) x = static_cast<float>(rng.normal());
   common::simd::force_backend(common::simd::Backend::kScalar);
   for (auto _ : state) {
     benchmark::DoNotOptimize(nn::matmul(a, b));
@@ -155,8 +155,8 @@ BENCHMARK(BM_MatMulScalar)->Arg(32)->Arg(64)->Arg(128);
 void BM_MlpForward(benchmark::State& state) {
   common::Rng rng(2);
   nn::Mlp net({41, 128, 128, 1}, rng);
-  nn::Matrix x(static_cast<std::size_t>(state.range(0)), 41);
-  for (double& v : x.flat()) v = rng.uniform();
+  nn::Tensor x(static_cast<std::size_t>(state.range(0)), 41);
+  for (float& v : x.flat()) v = static_cast<float>(rng.uniform());
   for (auto _ : state) {
     benchmark::DoNotOptimize(net.forward(x));
   }
@@ -457,9 +457,9 @@ int run_kernel_bench_json(const std::string& path) {
 
   for (const std::size_t n : {std::size_t{32}, std::size_t{64},
                               std::size_t{128}, std::size_t{192}}) {
-    nn::Matrix a(n, n), b(n, n);
-    for (double& x : a.flat()) x = rng.normal();
-    for (double& x : b.flat()) x = rng.normal();
+    nn::Tensor a(n, n), b(n, n);
+    for (float& x : a.flat()) x = static_cast<float>(rng.normal());
+    for (float& x : b.flat()) x = static_cast<float>(rng.normal());
     const double flops = 2.0 * static_cast<double>(n * n * n);
     const std::string shape = std::to_string(n) + "x" + std::to_string(n) +
                               "x" + std::to_string(n);
@@ -477,12 +477,12 @@ int run_kernel_bench_json(const std::string& path) {
   {
     // The fused Linear+activation step at the TD3 critic's hidden shape.
     const std::size_t m = 64, k = 128, n = 128;
-    nn::Matrix x(m, k), w(k, n), bias(1, n);
-    for (double& v : x.flat()) v = rng.normal();
-    for (double& v : w.flat()) v = rng.normal();
-    for (double& v : bias.flat()) v = rng.normal();
+    nn::Tensor x(m, k), w(k, n), bias(1, n);
+    for (float& v : x.flat()) v = static_cast<float>(rng.normal());
+    for (float& v : w.flat()) v = static_cast<float>(rng.normal());
+    for (float& v : bias.flat()) v = static_cast<float>(rng.normal());
     const double flops = 2.0 * static_cast<double>(m * n * k);
-    nn::Matrix out;
+    nn::Tensor out;
     time_kernel_backends(registry, "matmul_bias_tanh", "64x128x128", flops,
                          [&] {
                            nn::matmul_bias_act(x, w, bias,
@@ -496,7 +496,7 @@ int run_kernel_bench_json(const std::string& path) {
     // The GEMMs one TD3 train step runs (shapes m x n x k): dX = G W^T of a
     // 128->128 layer, dW = X^T G of the same layer, and dX of the critic's
     // 128->1 output layer (a k=1 nt). They accumulate into C, exactly as
-    // the layers call them, on Matrix storage (64-byte aligned) like theirs.
+    // the layers call them, on Tensor storage (64-byte aligned) like theirs.
     struct StepGemm {
       const char* name;
       const char* shape;
@@ -507,9 +507,9 @@ int run_kernel_bench_json(const std::string& path) {
                               {"gemm_nt", "64x128x1", 64, 128, 1}};
     for (const auto& g : gemms) {
       const bool tn = std::string(g.name) == "gemm_tn";
-      nn::Matrix a(g.m, g.k), b(g.n, g.k), c(g.m, g.n);
-      for (double& v : a.flat()) v = rng.normal();
-      for (double& v : b.flat()) v = rng.normal();
+      nn::Tensor a(g.m, g.k), b(g.n, g.k), c(g.m, g.n);
+      for (float& v : a.flat()) v = static_cast<float>(rng.normal());
+      for (float& v : b.flat()) v = static_cast<float>(rng.normal());
       const double flops = 2.0 * static_cast<double>(g.m * g.n * g.k);
       time_kernel_backends(registry, g.name, g.shape, flops, [&] {
         if (tn) {
@@ -527,8 +527,8 @@ int run_kernel_bench_json(const std::string& path) {
 
   {
     nn::Mlp net({41, 128, 128, 1}, rng);
-    nn::Matrix x(64, 41);
-    for (double& v : x.flat()) v = rng.uniform();
+    nn::Tensor x(64, 41);
+    for (float& v : x.flat()) v = static_cast<float>(rng.uniform());
     // 2*m*k*n per linear layer; activations are noise by comparison.
     const double flops =
         2.0 * 64.0 * (41.0 * 128.0 + 128.0 * 128.0 + 128.0 * 1.0);
@@ -613,14 +613,14 @@ int run_kernel_bench_json(const std::string& path) {
 
   {
     // One Adam step over the serving critic's six tensors (41x128, 128,
-    // 128x128, 128, 128x1, 1) with the TD3 clip, resumed past t = 356 so
+    // 128x128, 128, 128x1, 1) with the TD3 clip, resumed past t = 165 so
     // bc1 == 1 as on every master step: the clip reduction and the fused
     // update, per tier.
     nn::Mlp critic({41, 128, 128, 1}, rng);
     critic.zero_grad();  // sizes the gradients the loop below draws
-    std::vector<nn::Matrix> m, v;
+    std::vector<nn::Tensor> m, v;
     for (const nn::Param& p : critic.params()) {
-      for (double& g : p.grad->flat()) g = rng.normal();
+      for (float& g : p.grad->flat()) g = static_cast<float>(rng.normal());
       m.emplace_back(p.value->rows(), p.value->cols());
       v.emplace_back(p.value->rows(), p.value->cols());
     }
@@ -752,15 +752,26 @@ int run_kernel_bench_json(const std::string& path) {
       request.max_steps = steps;
       return request;
     };
+    // Whole served sessions: the median of kSessions sessions timed one by
+    // one, so neither one lucky session (a minimum) nor one preempted vCPU
+    // (a mean) sets the row.
+    constexpr std::size_t kSessions = 25;
     for (const int steps : {1, 5}) {
-      time_row(
-          "service.session.steps" + std::to_string(steps) + "_ns",
-          [&] {
-            benchmark::DoNotOptimize(service::run_session(
-                agent, api, session(steps), pools, pools_mutex));
-          },
-          /*min_batch_seconds=*/0.0);
+      std::vector<double> ns;
+      for (std::size_t i = 0; i < kSessions; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        benchmark::DoNotOptimize(service::run_session(
+            agent, api, session(steps), pools, pools_mutex));
+        const std::chrono::duration<double, std::nano> elapsed =
+            std::chrono::steady_clock::now() - t0;
+        ns.push_back(elapsed.count());
+      }
+      std::nth_element(ns.begin(), ns.begin() + kSessions / 2, ns.end());
+      registry.gauge("service.session.steps" + std::to_string(steps) + "_ns")
+          .set(ns[kSessions / 2]);
     }
+    registry.gauge("service.session.sessions")
+        .set(static_cast<double>(kSessions));
     {
       // Train steps one 5-step session takes: 8 after each evaluation but
       // the last, whose fine-tune nothing reads.

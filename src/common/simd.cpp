@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfloat>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -63,25 +64,27 @@ const Backend g_detected_backend = detect_cpu_backend();
 const Backend g_max_backend = min_backend(g_detected_backend, parse_env_cap());
 Backend g_forced_cap = Backend::kAvx512;
 
-// Dispatch accounting for the chunky kernels (GEMM family + Adam).
-// Relaxed single atomics, not stripes: these kernels run for microseconds
-// per call, so one fetch_add per call is noise.
-std::atomic<unsigned long long> g_scalar_calls{0};
-std::atomic<unsigned long long> g_avx2_calls{0};
-std::atomic<unsigned long long> g_avx512_calls{0};
+// Dispatch accounting for the chunky kernels (GEMM family, Adam, distance
+// scans): one slot per thread, each on its own cache line, so threads
+// running kernels side by side (four sessions probing one master) never
+// write a shared line. Slots are handed out round-robin; threads past
+// kDispatchSlots share one, and the atomic increments keep that exact.
+struct alignas(64) DispatchSlot {
+  std::atomic<unsigned long long> calls[3]{};  // indexed by Backend
+};
+constexpr std::size_t kDispatchSlots = 64;
+DispatchSlot g_dispatch_slots[kDispatchSlots];
+std::atomic<std::size_t> g_next_dispatch_slot{0};
 
 inline void count_dispatch(Backend be) noexcept {
-  switch (be) {
-    case Backend::kAvx512:
-      g_avx512_calls.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case Backend::kAvx2:
-      g_avx2_calls.fetch_add(1, std::memory_order_relaxed);
-      break;
-    default:
-      g_scalar_calls.fetch_add(1, std::memory_order_relaxed);
-      break;
+  constexpr std::size_t kUnassigned = ~std::size_t{0};
+  thread_local std::size_t slot = kUnassigned;
+  if (slot == kUnassigned) {
+    slot = g_next_dispatch_slot.fetch_add(1, std::memory_order_relaxed) %
+           kDispatchSlots;
   }
+  g_dispatch_slots[slot].calls[static_cast<std::size_t>(be)].fetch_add(
+      1, std::memory_order_relaxed);
 }
 
 // ---- scalar reference kernels ------------------------------------------
@@ -113,74 +116,85 @@ void axpy_scalar(double alpha, const double* x, double* y,
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
-void relu_scalar(double* x, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) x[i] = x[i] > 0.0 ? x[i] : 0.0;
+// The network kernels below take floats (simd.hpp); the scalar tier is
+// their reference.
+
+float dot_scalar(const float* a, const float* b, std::size_t n) noexcept {
+  float s = 0.0f;
+  for (std::size_t i = 0; i < n; ++i) s += a[i] * b[i];
+  return s;
 }
 
-void relu_mask_scalar(double* g, const double* y, std::size_t n) noexcept {
+void relu_scalar(float* x, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
+}
+
+void relu_mask_scalar(float* g, const float* y, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) {
-    if (y[i] <= 0.0) g[i] = 0.0;
+    if (y[i] <= 0.0f) g[i] = 0.0f;
   }
 }
 
-// kUnitBc1: bc1 == 1.0, where m / bc1 is m itself for every double (signed
+// kUnitBc1: bc1 == 1.0f, where m / bc1 is m itself for every float (signed
 // zeros, subnormals, infinities and NaN included), so the divide is
-// skipped. 1 - 0.9^t rounds to exactly 1.0 from t = 356 on. Out of line:
-// the vector tiers hand it their tails, and inlined there its a * b + c
-// would contract to FMA and change those elements' bits.
+// skipped. A first moment below FLT_MIN in magnitude is stored as +0 (the
+// floor; NaN is kept), on every tier: simd.hpp. Out of line: the vector
+// tiers hand it their tails, and inlined there its a * b + c would
+// contract to FMA and change those elements' bits.
 template <bool kUnitBc1>
-[[gnu::noinline]] void adam_update_scalar(double* value, const double* grad,
-                                          double* m, double* v, std::size_t n,
-                                          double scale, double beta1,
-                                          double beta2, double bc1, double bc2,
-                                          double lr, double eps) noexcept {
+[[gnu::noinline]] void adam_update_scalar(float* value, const float* grad,
+                                          float* m, float* v, std::size_t n,
+                                          float scale, float beta1,
+                                          float beta2, float bc1, float bc2,
+                                          float lr, float eps) noexcept {
   for (std::size_t i = 0; i < n; ++i) {
-    const double g = grad[i] * scale;
-    m[i] = beta1 * m[i] + (1.0 - beta1) * g;
-    v[i] = beta2 * v[i] + (1.0 - beta2) * g * g;
-    const double m_hat = kUnitBc1 ? m[i] : m[i] / bc1;
-    const double v_hat = v[i] / bc2;
+    const float g = grad[i] * scale;
+    m[i] = beta1 * m[i] + (1.0f - beta1) * g;
+    if (std::fabs(m[i]) < FLT_MIN) m[i] = 0.0f;
+    v[i] = beta2 * v[i] + (1.0f - beta2) * g * g;
+    const float m_hat = kUnitBc1 ? m[i] : m[i] / bc1;
+    const float v_hat = v[i] / bc2;
     value[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
   }
 }
 
 void gemm_nn_scalar(std::size_t m, std::size_t n, std::size_t k,
-                    const double* a, std::size_t lda, const double* b,
-                    std::size_t ldb, double* c, std::size_t ldc) noexcept {
+                    const float* a, std::size_t lda, const float* b,
+                    std::size_t ldb, float* c, std::size_t ldc) noexcept {
   // ikj order streams B and C rows; the zero-skip makes post-ReLU
   // (sparse) left operands cheap.
   for (std::size_t i = 0; i < m; ++i) {
-    double* crow = c + i * ldc;
-    const double* arow = a + i * lda;
+    float* crow = c + i * ldc;
+    const float* arow = a + i * lda;
     for (std::size_t p = 0; p < k; ++p) {
-      const double aip = arow[p];
-      if (aip == 0.0) continue;
-      const double* brow = b + p * ldb;
+      const float aip = arow[p];
+      if (aip == 0.0f) continue;
+      const float* brow = b + p * ldb;
       for (std::size_t j = 0; j < n; ++j) crow[j] += aip * brow[j];
     }
   }
 }
 
 void gemm_tn_scalar(std::size_t m, std::size_t n, std::size_t k,
-                    const double* a, std::size_t lda, const double* b,
-                    std::size_t ldb, double* c, std::size_t ldc) noexcept {
+                    const float* a, std::size_t lda, const float* b,
+                    std::size_t ldb, float* c, std::size_t ldc) noexcept {
   for (std::size_t p = 0; p < k; ++p) {
-    const double* arow = a + p * lda;
-    const double* brow = b + p * ldb;
+    const float* arow = a + p * lda;
+    const float* brow = b + p * ldb;
     for (std::size_t i = 0; i < m; ++i) {
-      const double api = arow[i];
-      if (api == 0.0) continue;
-      double* crow = c + i * ldc;
+      const float api = arow[i];
+      if (api == 0.0f) continue;
+      float* crow = c + i * ldc;
       for (std::size_t j = 0; j < n; ++j) crow[j] += api * brow[j];
     }
   }
 }
 
 void gemm_nt_scalar(std::size_t m, std::size_t n, std::size_t k,
-                    const double* a, std::size_t lda, const double* b,
-                    std::size_t ldb, double* c, std::size_t ldc) noexcept {
+                    const float* a, std::size_t lda, const float* b,
+                    std::size_t ldb, float* c, std::size_t ldc) noexcept {
   for (std::size_t i = 0; i < m; ++i) {
-    const double* arow = a + i * lda;
+    const float* arow = a + i * lda;
     for (std::size_t j = 0; j < n; ++j) {
       c[i * ldc + j] += dot_scalar(arow, b + j * ldb, k);
     }
@@ -334,67 +348,70 @@ DEEPCAT_TARGET_AVX2 void axpy_avx2(double alpha, const double* x, double* y,
   }
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
-
-// max_pd(x, 0) returns its second operand unless x > 0, so NaN and -0.0
+// max_ps(x, 0) returns its second operand unless x > 0, so NaN and -0.0
 // become +0.0 exactly as in the scalar `x > 0 ? x : 0` — without the
 // compare-and-branch GCC emits for that expression on mixed-sign data.
-DEEPCAT_TARGET_AVX2 void relu_avx2(double* x, std::size_t n) noexcept {
-  const __m256d zero = _mm256_setzero_pd();
+DEEPCAT_TARGET_AVX2 void relu_avx2(float* x, std::size_t n) noexcept {
+  const __m256 zero = _mm256_setzero_ps();
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(x + i, _mm256_max_pd(_mm256_loadu_pd(x + i), zero));
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(x + i, _mm256_max_ps(_mm256_loadu_ps(x + i), zero));
   }
   for (; i < n; ++i) {
-    _mm_store_sd(x + i, _mm_max_sd(_mm_load_sd(x + i), _mm_setzero_pd()));
+    _mm_store_ss(x + i, _mm_max_ss(_mm_load_ss(x + i), _mm_setzero_ps()));
   }
 }
 
 // Ordered <= compare: a NaN output keeps its gradient, as in the scalar
 // `if (y <= 0) g = 0`.
-DEEPCAT_TARGET_AVX2 void relu_mask_avx2(double* g, const double* y,
+DEEPCAT_TARGET_AVX2 void relu_mask_avx2(float* g, const float* y,
                                         std::size_t n) noexcept {
-  const __m256d zero = _mm256_setzero_pd();
+  const __m256 zero = _mm256_setzero_ps();
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d dead =
-        _mm256_cmp_pd(_mm256_loadu_pd(y + i), zero, _CMP_LE_OQ);
-    _mm256_storeu_pd(g + i, _mm256_andnot_pd(dead, _mm256_loadu_pd(g + i)));
+  for (; i + 8 <= n; i += 8) {
+    const __m256 dead =
+        _mm256_cmp_ps(_mm256_loadu_ps(y + i), zero, _CMP_LE_OQ);
+    _mm256_storeu_ps(g + i, _mm256_andnot_ps(dead, _mm256_loadu_ps(g + i)));
   }
   for (; i < n; ++i) {
-    if (y[i] <= 0.0) g[i] = 0.0;
+    if (y[i] <= 0.0f) g[i] = 0.0f;
   }
 }
 
 template <bool kUnitBc1>
 DEEPCAT_TARGET_AVX2 void adam_update_avx2(
-    double* value, const double* grad, double* m, double* v, std::size_t n,
-    double scale, double beta1, double beta2, double bc1, double bc2,
-    double lr, double eps) noexcept {
-  const __m256d vscale = _mm256_set1_pd(scale);
-  const __m256d vb1 = _mm256_set1_pd(beta1);
-  const __m256d vb2 = _mm256_set1_pd(beta2);
-  const __m256d vomb1 = _mm256_set1_pd(1.0 - beta1);
-  const __m256d vomb2 = _mm256_set1_pd(1.0 - beta2);
-  const __m256d vbc1 = _mm256_set1_pd(bc1);
-  const __m256d vbc2 = _mm256_set1_pd(bc2);
-  const __m256d vlr = _mm256_set1_pd(lr);
-  const __m256d veps = _mm256_set1_pd(eps);
+    float* value, const float* grad, float* m, float* v, std::size_t n,
+    float scale, float beta1, float beta2, float bc1, float bc2, float lr,
+    float eps) noexcept {
+  const __m256 vscale = _mm256_set1_ps(scale);
+  const __m256 vb1 = _mm256_set1_ps(beta1);
+  const __m256 vb2 = _mm256_set1_ps(beta2);
+  const __m256 vomb1 = _mm256_set1_ps(1.0f - beta1);
+  const __m256 vomb2 = _mm256_set1_ps(1.0f - beta2);
+  const __m256 vbc1 = _mm256_set1_ps(bc1);
+  const __m256 vbc2 = _mm256_set1_ps(bc2);
+  const __m256 vlr = _mm256_set1_ps(lr);
+  const __m256 veps = _mm256_set1_ps(eps);
+  const __m256 vfloor = _mm256_set1_ps(FLT_MIN);
+  const __m256 vsign = _mm256_set1_ps(-0.0f);
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d g = _mm256_mul_pd(_mm256_loadu_pd(grad + i), vscale);
-    const __m256d mi = _mm256_fmadd_pd(vb1, _mm256_loadu_pd(m + i),
-                                       _mm256_mul_pd(vomb1, g));
-    const __m256d vi = _mm256_fmadd_pd(vb2, _mm256_loadu_pd(v + i),
-                                       _mm256_mul_pd(vomb2, _mm256_mul_pd(g, g)));
-    _mm256_storeu_pd(m + i, mi);
-    _mm256_storeu_pd(v + i, vi);
-    const __m256d m_hat = kUnitBc1 ? mi : _mm256_div_pd(mi, vbc1);
-    const __m256d v_hat = _mm256_div_pd(vi, vbc2);
-    const __m256d denom = _mm256_add_pd(_mm256_sqrt_pd(v_hat), veps);
-    const __m256d update =
-        _mm256_div_pd(_mm256_mul_pd(vlr, m_hat), denom);
-    _mm256_storeu_pd(value + i,
-                     _mm256_sub_pd(_mm256_loadu_pd(value + i), update));
+  for (; i + 8 <= n; i += 8) {
+    const __m256 g = _mm256_mul_ps(_mm256_loadu_ps(grad + i), vscale);
+    __m256 mi = _mm256_fmadd_ps(vb1, _mm256_loadu_ps(m + i),
+                                _mm256_mul_ps(vomb1, g));
+    // Below the floor (ordered, so NaN stays): +0.
+    mi = _mm256_andnot_ps(
+        _mm256_cmp_ps(_mm256_andnot_ps(vsign, mi), vfloor, _CMP_LT_OQ), mi);
+    const __m256 vi = _mm256_fmadd_ps(
+        vb2, _mm256_loadu_ps(v + i), _mm256_mul_ps(vomb2, _mm256_mul_ps(g, g)));
+    _mm256_storeu_ps(m + i, mi);
+    _mm256_storeu_ps(v + i, vi);
+    const __m256 m_hat = kUnitBc1 ? mi : _mm256_div_ps(mi, vbc1);
+    const __m256 v_hat = _mm256_div_ps(vi, vbc2);
+    const __m256 denom = _mm256_add_ps(_mm256_sqrt_ps(v_hat), veps);
+    const __m256 update = _mm256_div_ps(_mm256_mul_ps(vlr, m_hat), denom);
+    _mm256_storeu_ps(value + i,
+                     _mm256_sub_ps(_mm256_loadu_ps(value + i), update));
   }
   if (i < n) {
     adam_update_scalar<kUnitBc1>(value + i, grad + i, m + i, v + i, n - i,
@@ -402,304 +419,260 @@ DEEPCAT_TARGET_AVX2 void adam_update_avx2(
   }
 }
 
-// gemm_nn columns [j0, n) that no vector tile covers, for 4 rows: each
-// output keeps its own sequential ascending-k chain (s += a*b from 0, then
-// added to C), but the four chains run side by side so the FMA latency
-// overlaps. This is the critic's n=1 output layer. Inlined into each tier,
-// so the chains contract to FMA there, like the one-row path's chain.
-[[gnu::always_inline]] inline void nn_tail_4rows(
-    std::size_t n, std::size_t k, std::size_t j0, const double* a0,
-    const double* a1, const double* a2, const double* a3, const double* b,
-    std::size_t ldb, double* c, std::size_t ldc) noexcept {
+// Element (r, p) of a GEMM's left operand: row r of A for gemm_nn, column r
+// of the stored (k x m) A for gemm_tn.
+template <bool kTransA>
+[[gnu::always_inline]] inline float a_at(const float* a, std::size_t lda,
+                                         std::size_t r,
+                                         std::size_t p) noexcept {
+  return kTransA ? a[p * lda + r] : a[r * lda + p];
+}
+
+// Columns [j0, n) of R C rows that no vector tile covers: each output keeps
+// its own sequential ascending-k chain (s += a*b from 0, then added to C),
+// the R chains side by side so the FMA latency overlaps. This is the
+// critic's n=1 output layer. Inlined into each tier, so the chains contract
+// to FMA there whichever row path runs them.
+template <bool kTransA, std::size_t R>
+[[gnu::always_inline]] inline void tail_rows(std::size_t n, std::size_t k,
+                                             std::size_t j0, const float* a,
+                                             std::size_t lda, const float* b,
+                                             std::size_t ldb, float* c,
+                                             std::size_t ldc) noexcept {
   for (std::size_t j = j0; j < n; ++j) {
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    float s[R] = {};
     for (std::size_t p = 0; p < k; ++p) {
-      const double bv = b[p * ldb + j];
-      s0 += a0[p] * bv;
-      s1 += a1[p] * bv;
-      s2 += a2[p] * bv;
-      s3 += a3[p] * bv;
+      const float bv = b[p * ldb + j];
+#pragma GCC unroll 8
+      for (std::size_t r = 0; r < R; ++r) {
+        s[r] += a_at<kTransA>(a, lda, r, p) * bv;
+      }
     }
-    c[j] += s0;
-    c[ldc + j] += s1;
-    c[2 * ldc + j] += s2;
-    c[3 * ldc + j] += s3;
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) c[r * ldc + j] += s[r];
   }
 }
 
-// One C row's columns [0, 4 * kVecs) += arow * B, in kVecs ymm accumulators
-// that each keep their outputs' ascending-k chains from C, so the tile width
-// changes no bit. The one-row path's tile: with 8 accumulators the FMAs of
-// one k overlap instead of waiting on two chains' latency.
-template <std::size_t kVecs>
-[[gnu::always_inline]] DEEPCAT_TARGET_AVX2 inline void nn_row_avx2(
-    std::size_t k, const double* arow, const double* b, std::size_t ldb,
-    double* c) noexcept {
-  __m256d acc[kVecs];
+// R C rows x V ymm columns += A * B, in R * V accumulators that stay
+// resident across the whole k loop, each keeping its outputs'
+// ascending-k chains from C, so tile shapes change no bit. A elements are
+// broadcast, B rows streamed: one B load feeds R FMAs.
+template <bool kTransA, std::size_t R, std::size_t V>
+[[gnu::always_inline]] DEEPCAT_TARGET_AVX2 inline void tile_avx2(
+    std::size_t k, const float* a, std::size_t lda, const float* b,
+    std::size_t ldb, float* c, std::size_t ldc) noexcept {
+  __m256 acc[R][V];
 #pragma GCC unroll 8
-  for (std::size_t q = 0; q < kVecs; ++q) acc[q] = _mm256_loadu_pd(c + 4 * q);
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (std::size_t q = 0; q < V; ++q) {
+      acc[r][q] = _mm256_loadu_ps(c + r * ldc + 8 * q);
+    }
+  }
   for (std::size_t p = 0; p < k; ++p) {
-    const __m256d av = _mm256_set1_pd(arow[p]);
-    const double* brow = b + p * ldb;
+    const float* brow = b + p * ldb;
+    __m256 bv[V];
 #pragma GCC unroll 8
-    for (std::size_t q = 0; q < kVecs; ++q) {
-      acc[q] = _mm256_fmadd_pd(av, _mm256_loadu_pd(brow + 4 * q), acc[q]);
+    for (std::size_t q = 0; q < V; ++q) bv[q] = _mm256_loadu_ps(brow + 8 * q);
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m256 av = _mm256_set1_ps(a_at<kTransA>(a, lda, r, p));
+#pragma GCC unroll 8
+      for (std::size_t q = 0; q < V; ++q) {
+        acc[r][q] = _mm256_fmadd_ps(av, bv[q], acc[r][q]);
+      }
     }
   }
 #pragma GCC unroll 8
-  for (std::size_t q = 0; q < kVecs; ++q) _mm256_storeu_pd(c + 4 * q, acc[q]);
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (std::size_t q = 0; q < V; ++q) {
+      _mm256_storeu_ps(c + r * ldc + 8 * q, acc[r][q]);
+    }
+  }
 }
 
-// 4x8 register-blocked micro-kernel: 8 accumulator registers stay resident
-// across the whole k loop; A elements are broadcast, B rows are streamed.
-// Rows past the last 4-row block run 1x32, then 1x8 tiles.
+// 4x16, then 4x8 tiles; rows past the last 4-row block run 1x64 (8
+// accumulators, so the FMAs of one k overlap), then 1x16 and 1x8. Both row
+// paths leave the same n mod 8 columns to the scalar tail.
 DEEPCAT_TARGET_AVX2 void gemm_nn_avx2(std::size_t m, std::size_t n,
-                                      std::size_t k, const double* a,
-                                      std::size_t lda, const double* b,
-                                      std::size_t ldb, double* c,
+                                      std::size_t k, const float* a,
+                                      std::size_t lda, const float* b,
+                                      std::size_t ldb, float* c,
                                       std::size_t ldc) noexcept {
   std::size_t i = 0;
   for (; i + 4 <= m; i += 4) {
-    const double* a0 = a + (i + 0) * lda;
-    const double* a1 = a + (i + 1) * lda;
-    const double* a2 = a + (i + 2) * lda;
-    const double* a3 = a + (i + 3) * lda;
+    const float* ai = a + i * lda;
+    float* ci = c + i * ldc;
     std::size_t j = 0;
+    for (; j + 16 <= n; j += 16) {
+      tile_avx2<false, 4, 2>(k, ai, lda, b + j, ldb, ci + j, ldc);
+    }
     for (; j + 8 <= n; j += 8) {
-      __m256d c00 = _mm256_loadu_pd(c + (i + 0) * ldc + j);
-      __m256d c01 = _mm256_loadu_pd(c + (i + 0) * ldc + j + 4);
-      __m256d c10 = _mm256_loadu_pd(c + (i + 1) * ldc + j);
-      __m256d c11 = _mm256_loadu_pd(c + (i + 1) * ldc + j + 4);
-      __m256d c20 = _mm256_loadu_pd(c + (i + 2) * ldc + j);
-      __m256d c21 = _mm256_loadu_pd(c + (i + 2) * ldc + j + 4);
-      __m256d c30 = _mm256_loadu_pd(c + (i + 3) * ldc + j);
-      __m256d c31 = _mm256_loadu_pd(c + (i + 3) * ldc + j + 4);
-      for (std::size_t p = 0; p < k; ++p) {
-        const double* brow = b + p * ldb + j;
-        const __m256d b0 = _mm256_loadu_pd(brow);
-        const __m256d b1 = _mm256_loadu_pd(brow + 4);
-        __m256d av = _mm256_set1_pd(a0[p]);
-        c00 = _mm256_fmadd_pd(av, b0, c00);
-        c01 = _mm256_fmadd_pd(av, b1, c01);
-        av = _mm256_set1_pd(a1[p]);
-        c10 = _mm256_fmadd_pd(av, b0, c10);
-        c11 = _mm256_fmadd_pd(av, b1, c11);
-        av = _mm256_set1_pd(a2[p]);
-        c20 = _mm256_fmadd_pd(av, b0, c20);
-        c21 = _mm256_fmadd_pd(av, b1, c21);
-        av = _mm256_set1_pd(a3[p]);
-        c30 = _mm256_fmadd_pd(av, b0, c30);
-        c31 = _mm256_fmadd_pd(av, b1, c31);
-      }
-      _mm256_storeu_pd(c + (i + 0) * ldc + j, c00);
-      _mm256_storeu_pd(c + (i + 0) * ldc + j + 4, c01);
-      _mm256_storeu_pd(c + (i + 1) * ldc + j, c10);
-      _mm256_storeu_pd(c + (i + 1) * ldc + j + 4, c11);
-      _mm256_storeu_pd(c + (i + 2) * ldc + j, c20);
-      _mm256_storeu_pd(c + (i + 2) * ldc + j + 4, c21);
-      _mm256_storeu_pd(c + (i + 3) * ldc + j, c30);
-      _mm256_storeu_pd(c + (i + 3) * ldc + j + 4, c31);
+      tile_avx2<false, 4, 1>(k, ai, lda, b + j, ldb, ci + j, ldc);
     }
-    for (; j + 4 <= n; j += 4) {
-      __m256d c0 = _mm256_loadu_pd(c + (i + 0) * ldc + j);
-      __m256d c1 = _mm256_loadu_pd(c + (i + 1) * ldc + j);
-      __m256d c2 = _mm256_loadu_pd(c + (i + 2) * ldc + j);
-      __m256d c3 = _mm256_loadu_pd(c + (i + 3) * ldc + j);
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m256d bv = _mm256_loadu_pd(b + p * ldb + j);
-        c0 = _mm256_fmadd_pd(_mm256_set1_pd(a0[p]), bv, c0);
-        c1 = _mm256_fmadd_pd(_mm256_set1_pd(a1[p]), bv, c1);
-        c2 = _mm256_fmadd_pd(_mm256_set1_pd(a2[p]), bv, c2);
-        c3 = _mm256_fmadd_pd(_mm256_set1_pd(a3[p]), bv, c3);
-      }
-      _mm256_storeu_pd(c + (i + 0) * ldc + j, c0);
-      _mm256_storeu_pd(c + (i + 1) * ldc + j, c1);
-      _mm256_storeu_pd(c + (i + 2) * ldc + j, c2);
-      _mm256_storeu_pd(c + (i + 3) * ldc + j, c3);
-    }
-    nn_tail_4rows(n, k, j, a0, a1, a2, a3, b, ldb, c + i * ldc, ldc);
+    tail_rows<false, 4>(n, k, j, ai, lda, b, ldb, ci, ldc);
   }
   for (; i < m; ++i) {
-    const double* arow = a + i * lda;
+    const float* ai = a + i * lda;
+    float* ci = c + i * ldc;
     std::size_t j = 0;
-    for (; j + 32 <= n; j += 32) {
-      nn_row_avx2<8>(k, arow, b + j, ldb, c + i * ldc + j);
+    for (; j + 64 <= n; j += 64) {
+      tile_avx2<false, 1, 8>(k, ai, lda, b + j, ldb, ci + j, ldc);
+    }
+    for (; j + 16 <= n; j += 16) {
+      tile_avx2<false, 1, 2>(k, ai, lda, b + j, ldb, ci + j, ldc);
     }
     for (; j + 8 <= n; j += 8) {
-      nn_row_avx2<2>(k, arow, b + j, ldb, c + i * ldc + j);
+      tile_avx2<false, 1, 1>(k, ai, lda, b + j, ldb, ci + j, ldc);
     }
-    for (; j < n; ++j) {
-      double s = 0.0;
-      for (std::size_t p = 0; p < k; ++p) s += arow[p] * b[p * ldb + j];
-      c[i * ldc + j] += s;
-    }
+    tail_rows<false, 1>(n, k, j, ai, lda, b, ldb, ci, ldc);
   }
 }
 
-// Same 4x8 block shape as gemm_nn; only the A access changes (column i of
-// the stored (k x m) A, i.e. strided broadcasts).
+// The 4x16 gemm_nn tile with strided A broadcasts; every row path covers
+// the same multiples of 16 columns.
 DEEPCAT_TARGET_AVX2 void gemm_tn_avx2(std::size_t m, std::size_t n,
-                                      std::size_t k, const double* a,
-                                      std::size_t lda, const double* b,
-                                      std::size_t ldb, double* c,
+                                      std::size_t k, const float* a,
+                                      std::size_t lda, const float* b,
+                                      std::size_t ldb, float* c,
                                       std::size_t ldc) noexcept {
   std::size_t i = 0;
   for (; i + 4 <= m; i += 4) {
     std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m256d c00 = _mm256_loadu_pd(c + (i + 0) * ldc + j);
-      __m256d c01 = _mm256_loadu_pd(c + (i + 0) * ldc + j + 4);
-      __m256d c10 = _mm256_loadu_pd(c + (i + 1) * ldc + j);
-      __m256d c11 = _mm256_loadu_pd(c + (i + 1) * ldc + j + 4);
-      __m256d c20 = _mm256_loadu_pd(c + (i + 2) * ldc + j);
-      __m256d c21 = _mm256_loadu_pd(c + (i + 2) * ldc + j + 4);
-      __m256d c30 = _mm256_loadu_pd(c + (i + 3) * ldc + j);
-      __m256d c31 = _mm256_loadu_pd(c + (i + 3) * ldc + j + 4);
-      for (std::size_t p = 0; p < k; ++p) {
-        const double* acol = a + p * lda + i;
-        const double* brow = b + p * ldb + j;
-        const __m256d b0 = _mm256_loadu_pd(brow);
-        const __m256d b1 = _mm256_loadu_pd(brow + 4);
-        __m256d av = _mm256_set1_pd(acol[0]);
-        c00 = _mm256_fmadd_pd(av, b0, c00);
-        c01 = _mm256_fmadd_pd(av, b1, c01);
-        av = _mm256_set1_pd(acol[1]);
-        c10 = _mm256_fmadd_pd(av, b0, c10);
-        c11 = _mm256_fmadd_pd(av, b1, c11);
-        av = _mm256_set1_pd(acol[2]);
-        c20 = _mm256_fmadd_pd(av, b0, c20);
-        c21 = _mm256_fmadd_pd(av, b1, c21);
-        av = _mm256_set1_pd(acol[3]);
-        c30 = _mm256_fmadd_pd(av, b0, c30);
-        c31 = _mm256_fmadd_pd(av, b1, c31);
-      }
-      _mm256_storeu_pd(c + (i + 0) * ldc + j, c00);
-      _mm256_storeu_pd(c + (i + 0) * ldc + j + 4, c01);
-      _mm256_storeu_pd(c + (i + 1) * ldc + j, c10);
-      _mm256_storeu_pd(c + (i + 1) * ldc + j + 4, c11);
-      _mm256_storeu_pd(c + (i + 2) * ldc + j, c20);
-      _mm256_storeu_pd(c + (i + 2) * ldc + j + 4, c21);
-      _mm256_storeu_pd(c + (i + 3) * ldc + j, c30);
-      _mm256_storeu_pd(c + (i + 3) * ldc + j + 4, c31);
+    for (; j + 16 <= n; j += 16) {
+      tile_avx2<true, 4, 2>(k, a + i, lda, b + j, ldb, c + i * ldc + j, ldc);
     }
-    for (; j < n; ++j) {
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (std::size_t p = 0; p < k; ++p) {
-        const double* acol = a + p * lda + i;
-        const double bv = b[p * ldb + j];
-        s0 += acol[0] * bv;
-        s1 += acol[1] * bv;
-        s2 += acol[2] * bv;
-        s3 += acol[3] * bv;
-      }
-      c[(i + 0) * ldc + j] += s0;
-      c[(i + 1) * ldc + j] += s1;
-      c[(i + 2) * ldc + j] += s2;
-      c[(i + 3) * ldc + j] += s3;
-    }
+    tail_rows<true, 4>(n, k, j, a + i, lda, b, ldb, c + i * ldc, ldc);
   }
   for (; i < m; ++i) {
     std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m256d c0 = _mm256_loadu_pd(c + i * ldc + j);
-      __m256d c1 = _mm256_loadu_pd(c + i * ldc + j + 4);
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m256d av = _mm256_set1_pd(a[p * lda + i]);
-        c0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b + p * ldb + j), c0);
-        c1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(b + p * ldb + j + 4), c1);
-      }
-      _mm256_storeu_pd(c + i * ldc + j, c0);
-      _mm256_storeu_pd(c + i * ldc + j + 4, c1);
+    for (; j + 16 <= n; j += 16) {
+      tile_avx2<true, 1, 2>(k, a + i, lda, b + j, ldb, c + i * ldc + j, ldc);
     }
-    for (; j < n; ++j) {
-      double s = 0.0;
-      for (std::size_t p = 0; p < k; ++p) s += a[p * lda + i] * b[p * ldb + j];
-      c[i * ldc + j] += s;
-    }
+    tail_rows<true, 1>(n, k, j, a + i, lda, b, ldb, c + i * ldc, ldc);
   }
+}
+
+// hsum8's tree: high 128 + low 128, then lanes {0,1} + lanes {2,3}, then
+// lane 0 + lane 1.
+DEEPCAT_TARGET_AVX2 inline float hsum8(__m256 v) noexcept {
+  const __m128 h =
+      _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+  const __m128 q = _mm_add_ps(h, _mm_movehl_ps(h, h));
+  return _mm_cvtss_f32(_mm_add_ss(q, _mm_movehdup_ps(q)));
+}
+
+DEEPCAT_TARGET_AVX2 float dot_avx2(const float* a, const float* b,
+                                   std::size_t n) noexcept {
+  __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
+  __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
+                           acc0);
+    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8),
+                           _mm256_loadu_ps(b + i + 8), acc1);
+    acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 16),
+                           _mm256_loadu_ps(b + i + 16), acc2);
+    acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 24),
+                           _mm256_loadu_ps(b + i + 24), acc3);
+  }
+  for (; i + 8 <= n; i += 8) {
+    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
+                           acc0);
+  }
+  float s = hsum8(_mm256_add_ps(_mm256_add_ps(acc0, acc1),
+                                _mm256_add_ps(acc2, acc3)));
+  for (; i < n; ++i) s += a[i] * b[i];
+  return s;
 }
 
 // The k tail of one output: s += a*b for p in [kv, k), ascending. Compiled
 // with FMA (the AVX-512 kernels use it too), so each step contracts to one
-// fused multiply-add on every path that reaches it — the one-row and the
-// row-blocked paths must agree on that for their outputs to match.
-DEEPCAT_TARGET_AVX2 inline double nt_tail(double s, std::size_t kv,
-                                          std::size_t k, const double* arow,
-                                          const double* brow) noexcept {
+// fused multiply-add on every path that reaches it.
+DEEPCAT_TARGET_AVX2 inline float nt_tail(float s, std::size_t kv,
+                                         std::size_t k, const float* arow,
+                                         const float* brow) noexcept {
   for (std::size_t p = kv; p < k; ++p) s += arow[p] * brow[p];
   return s;
 }
 
-// hsum's tree — (v0 + v2) + (v1 + v3) — for four vectors at once. Returns
-// {hsum(w), hsum(y), hsum(x), hsum(z)}.
-DEEPCAT_TARGET_AVX2 inline __m256d reduce4_avx2(__m256d w, __m256d x,
-                                                __m256d y,
-                                                __m256d z) noexcept {
-  const __m256d wx = _mm256_add_pd(_mm256_permute2f128_pd(w, x, 0x20),
-                                   _mm256_permute2f128_pd(w, x, 0x31));
-  const __m256d yz = _mm256_add_pd(_mm256_permute2f128_pd(y, z, 0x20),
-                                   _mm256_permute2f128_pd(y, z, 0x31));
-  return _mm256_add_pd(_mm256_unpacklo_pd(wx, yz),
-                       _mm256_unpackhi_pd(wx, yz));
+// hsum8's tree for eight vectors at once. Returns {hsum8(v0), hsum8(v2),
+// hsum8(v4), hsum8(v6), hsum8(v1), hsum8(v3), hsum8(v5), hsum8(v7)}: no
+// lane ever meets another vector's, so a zero input costs nothing but its
+// own output lane.
+DEEPCAT_TARGET_AVX2 inline __m256 reduce8_avx2(const __m256 (&v)[8]) noexcept {
+  __m256 h[4];  // [lo128 + hi128 of v[2i] | of v[2i + 1]]
+#pragma GCC unroll 4
+  for (std::size_t i = 0; i < 4; ++i) {
+    h[i] = _mm256_add_ps(_mm256_permute2f128_ps(v[2 * i], v[2 * i + 1], 0x20),
+                         _mm256_permute2f128_ps(v[2 * i], v[2 * i + 1], 0x31));
+  }
+  // Lanes {0,1} + lanes {2,3} of each half, two vectors per 128-bit lane.
+  const __m256 q01 = _mm256_add_ps(_mm256_shuffle_ps(h[0], h[1], 0x44),
+                                   _mm256_shuffle_ps(h[0], h[1], 0xEE));
+  const __m256 q23 = _mm256_add_ps(_mm256_shuffle_ps(h[2], h[3], 0x44),
+                                   _mm256_shuffle_ps(h[2], h[3], 0xEE));
+  return _mm256_hadd_ps(q01, q23);
 }
 
 // Both operands are k-contiguous, so this is a batch of vector dots. Each
-// output (i, j) runs 4-lane FMA chains over p < kv, the hsum tree, then its
-// k tail in ascending p, and is then added to C. Row blocking (R A rows
-// share every B-row load, 4 B rows at a time) and reducing four outputs'
-// accumulators side by side (reduce4_avx2) change which outputs run
-// together, never the order inside one output — so one call over m rows
-// equals m one-row calls (which reduce each output with hsum) bit for bit.
-// Leftover columns go through dot_avx2, exactly as a one-row call does.
+// output (i, j) runs one 8-lane FMA chain over p < kv, hsum8's tree, then
+// its k tail in ascending p, and is then added to C. Row blocking (R A rows
+// share every B-row load, 4 B rows at a time) and reducing the block's
+// accumulators side by side change which outputs run together, never the
+// order inside one output — so one call over m rows equals m one-row calls
+// bit for bit. Leftover columns go through dot_avx2, exactly as a one-row
+// call does.
 template <std::size_t R>
 DEEPCAT_TARGET_AVX2 void gemm_nt_rows_avx2(std::size_t n, std::size_t k,
-                                           const double* a, std::size_t lda,
-                                           const double* b, std::size_t ldb,
-                                           double* c,
+                                           const float* a, std::size_t lda,
+                                           const float* b, std::size_t ldb,
+                                           float* c,
                                            std::size_t ldc) noexcept {
-  const std::size_t kv = k & ~std::size_t{3};
+  static_assert(R == 1 || R == 2);
+  const std::size_t kv = k & ~std::size_t{7};
   std::size_t j = 0;
   for (; j + 4 <= n; j += 4) {
-    const double* bq[4] = {b + j * ldb, b + (j + 1) * ldb, b + (j + 2) * ldb,
-                           b + (j + 3) * ldb};
-    __m256d acc[R][4];
-#pragma GCC unroll 16
+    const float* bq[4] = {b + j * ldb, b + (j + 1) * ldb, b + (j + 2) * ldb,
+                          b + (j + 3) * ldb};
+    __m256 acc[2][4];  // a one-row block's second row stays zero
+#pragma GCC unroll 2
+    for (std::size_t r = 0; r < 2; ++r) {
+#pragma GCC unroll 4
+      for (std::size_t q = 0; q < 4; ++q) acc[r][q] = _mm256_setzero_ps();
+    }
+    for (std::size_t p = 0; p < kv; p += 8) {
+      __m256 bv[4];
+#pragma GCC unroll 4
+      for (std::size_t q = 0; q < 4; ++q) bv[q] = _mm256_loadu_ps(bq[q] + p);
+#pragma GCC unroll 2
+      for (std::size_t r = 0; r < R; ++r) {
+        const __m256 av = _mm256_loadu_ps(a + r * lda + p);
+#pragma GCC unroll 4
+        for (std::size_t q = 0; q < 4; ++q) {
+          acc[r][q] = _mm256_fmadd_ps(av, bv[q], acc[r][q]);
+        }
+      }
+    }
+    // Lanes 0-3: row 0, columns j..j+3; lanes 4-7: row 1.
+    const __m256 sums = reduce8_avx2({acc[0][0], acc[1][0], acc[0][1],
+                                      acc[1][1], acc[0][2], acc[1][2],
+                                      acc[0][3], acc[1][3]});
+    const __m128 row_sums[2] = {_mm256_castps256_ps128(sums),
+                                _mm256_extractf128_ps(sums, 1)};
+#pragma GCC unroll 2
     for (std::size_t r = 0; r < R; ++r) {
-#pragma GCC unroll 4
-      for (std::size_t q = 0; q < 4; ++q) acc[r][q] = _mm256_setzero_pd();
-    }
-    for (std::size_t p = 0; p < kv; p += 4) {
-      __m256d bv[4];
-#pragma GCC unroll 4
-      for (std::size_t q = 0; q < 4; ++q) bv[q] = _mm256_loadu_pd(bq[q] + p);
-#pragma GCC unroll 16
-      for (std::size_t r = 0; r < R; ++r) {
-        const __m256d av = _mm256_loadu_pd(a + r * lda + p);
-#pragma GCC unroll 4
-        for (std::size_t q = 0; q < 4; ++q) {
-          acc[r][q] = _mm256_fmadd_pd(av, bv[q], acc[r][q]);
-        }
+      float* crow = c + r * ldc + j;
+      if (kv == k) {
+        _mm_storeu_ps(crow, _mm_add_ps(_mm_loadu_ps(crow), row_sums[r]));
+        continue;
       }
-    }
-    if constexpr (R == 1) {
+      alignas(16) float part[4];
+      _mm_store_ps(part, row_sums[r]);
       for (std::size_t q = 0; q < 4; ++q) {
-        c[j + q] += nt_tail(hsum(acc[0][q]), kv, k, a, bq[q]);
-      }
-    } else {
-#pragma GCC unroll 16
-      for (std::size_t r = 0; r < R; ++r) {
-        double* crow = c + r * ldc + j;
-        const __m256d sums =
-            reduce4_avx2(acc[r][0], acc[r][2], acc[r][1], acc[r][3]);
-        if (kv == k) {
-          _mm256_storeu_pd(crow, _mm256_add_pd(_mm256_loadu_pd(crow), sums));
-          continue;
-        }
-        alignas(32) double part[4];
-        _mm256_store_pd(part, sums);
-        for (std::size_t q = 0; q < 4; ++q) {
-          crow[q] += nt_tail(part[q], kv, k, a + r * lda, bq[q]);
-        }
+        crow[q] += nt_tail(part[q], kv, k, a + r * lda, bq[q]);
       }
     }
   }
@@ -711,40 +684,40 @@ DEEPCAT_TARGET_AVX2 void gemm_nt_rows_avx2(std::size_t n, std::size_t k,
 }
 
 // k below the lane width: the vector loop never runs, so there is nothing to
-// reduce (a one-row call's hsum of all-zero accumulators is +0.0). Each
-// output is C + (0 + a_0 b_0 + a_1 b_1 + ...) as ascending FMAs, four
-// columns at a time with B gathered at stride ldb. The critic's 128->1
-// output layer makes this k=1 call in every backward pass.
+// reduce. Each output is C + (0 + a_0 b_0 + a_1 b_1 + ...) as ascending
+// FMAs, eight columns at a time with B gathered at stride ldb. The critic's
+// 128->1 output layer makes this k=1 call in every backward pass.
 DEEPCAT_TARGET_AVX2 void gemm_nt_small_k_avx2(std::size_t m, std::size_t n,
-                                              std::size_t k, const double* a,
-                                              std::size_t lda, const double* b,
-                                              std::size_t ldb, double* c,
+                                              std::size_t k, const float* a,
+                                              std::size_t lda, const float* b,
+                                              std::size_t ldb, float* c,
                                               std::size_t ldc) noexcept {
-  const auto stride = static_cast<long long>(ldb);
-  const __m256i idx = _mm256_set_epi64x(3 * stride, 2 * stride, stride, 0);
+  const __m256i idx =
+      _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                         _mm256_set1_epi32(static_cast<int>(ldb)));
   for (std::size_t i = 0; i < m; ++i) {
-    const double* arow = a + i * lda;
-    double* crow = c + i * ldc;
+    const float* arow = a + i * lda;
+    float* crow = c + i * ldc;
     std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      __m256d sum = _mm256_setzero_pd();
+    for (; j + 8 <= n; j += 8) {
+      __m256 sum = _mm256_setzero_ps();
       for (std::size_t p = 0; p < k; ++p) {
-        sum = _mm256_fmadd_pd(_mm256_set1_pd(arow[p]),
-                              _mm256_i64gather_pd(b + j * ldb + p, idx, 8),
+        sum = _mm256_fmadd_ps(_mm256_set1_ps(arow[p]),
+                              _mm256_i32gather_ps(b + j * ldb + p, idx, 4),
                               sum);
       }
-      _mm256_storeu_pd(crow + j, _mm256_add_pd(_mm256_loadu_pd(crow + j), sum));
+      _mm256_storeu_ps(crow + j, _mm256_add_ps(_mm256_loadu_ps(crow + j), sum));
     }
-    for (; j < n; ++j) crow[j] += nt_tail(0.0, 0, k, arow, b + j * ldb);
+    for (; j < n; ++j) crow[j] += nt_tail(0.0f, 0, k, arow, b + j * ldb);
   }
 }
 
 DEEPCAT_TARGET_AVX2 void gemm_nt_avx2(std::size_t m, std::size_t n,
-                                      std::size_t k, const double* a,
-                                      std::size_t lda, const double* b,
-                                      std::size_t ldb, double* c,
+                                      std::size_t k, const float* a,
+                                      std::size_t lda, const float* b,
+                                      std::size_t ldb, float* c,
                                       std::size_t ldc) noexcept {
-  if (k < 4) {
+  if (k < 8) {
     gemm_nt_small_k_avx2(m, n, k, a, lda, b, ldb, c, ldc);
     return;
   }
@@ -760,8 +733,9 @@ DEEPCAT_TARGET_AVX2 void gemm_nt_avx2(std::size_t m, std::size_t n,
 // ---- AVX-512 kernels -----------------------------------------------------
 // Same shapes as the AVX2 tier, twice the lane width. Broadcast-style GEMM
 // keeps per-element ascending-k FMA chains (bit-compatible with the AVX2
-// tier); the dot-family reductions use wider accumulator trees and meet
-// the 1e-12 contract only.
+// tier wherever both leave the same columns to the scalar tail); the
+// dot-family reductions use wider accumulator trees and meet the tier
+// contract only (simd.hpp).
 
 DEEPCAT_TARGET_AVX512 double dot_avx512(const double* a, const double* b,
                                         std::size_t n) noexcept {
@@ -873,34 +847,42 @@ DEEPCAT_TARGET_AVX512 void axpy_avx512(double alpha, const double* x,
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
-DEEPCAT_TARGET_AVX512 void relu_avx512(double* x, std::size_t n) noexcept {
-  const __m512d zero = _mm512_setzero_pd();
+// GCC 12's unmasked forms of the max, sqrt, shuffle and gather below
+// merge into _mm512_undefined_ps(), which its -Wmaybe-uninitialized flags
+// once inlined; the zero-masked forms with every lane selected are the
+// same instructions.
+constexpr __mmask16 kAllLanes = 0xFFFF;
+
+DEEPCAT_TARGET_AVX512 void relu_avx512(float* x, std::size_t n) noexcept {
+  const __m512 zero = _mm512_setzero_ps();
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_pd(x + i, _mm512_max_pd(_mm512_loadu_pd(x + i), zero));
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_ps(
+        x + i, _mm512_maskz_max_ps(kAllLanes, _mm512_loadu_ps(x + i), zero));
   }
   if (i < n) {
-    const auto tail = static_cast<__mmask8>((1u << (n - i)) - 1u);
-    _mm512_mask_storeu_pd(
-        x + i, tail, _mm512_max_pd(_mm512_maskz_loadu_pd(tail, x + i), zero));
+    const auto tail = static_cast<__mmask16>((1u << (n - i)) - 1u);
+    _mm512_mask_storeu_ps(
+        x + i, tail,
+        _mm512_maskz_max_ps(tail, _mm512_maskz_loadu_ps(tail, x + i), zero));
   }
 }
 
 // Stores +0.0 under the y <= 0 (ordered) mask; g is never loaded.
-DEEPCAT_TARGET_AVX512 void relu_mask_avx512(double* g, const double* y,
+DEEPCAT_TARGET_AVX512 void relu_mask_avx512(float* g, const float* y,
                                             std::size_t n) noexcept {
-  const __m512d zero = _mm512_setzero_pd();
+  const __m512 zero = _mm512_setzero_ps();
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_mask_storeu_pd(
-        g + i, _mm512_cmp_pd_mask(_mm512_loadu_pd(y + i), zero, _CMP_LE_OQ),
+  for (; i + 16 <= n; i += 16) {
+    _mm512_mask_storeu_ps(
+        g + i, _mm512_cmp_ps_mask(_mm512_loadu_ps(y + i), zero, _CMP_LE_OQ),
         zero);
   }
   if (i < n) {
-    const auto tail = static_cast<__mmask8>((1u << (n - i)) - 1u);
-    _mm512_mask_storeu_pd(
+    const auto tail = static_cast<__mmask16>((1u << (n - i)) - 1u);
+    _mm512_mask_storeu_ps(
         g + i,
-        _mm512_mask_cmp_pd_mask(tail, _mm512_maskz_loadu_pd(tail, y + i),
+        _mm512_mask_cmp_ps_mask(tail, _mm512_maskz_loadu_ps(tail, y + i),
                                 zero, _CMP_LE_OQ),
         zero);
   }
@@ -908,34 +890,38 @@ DEEPCAT_TARGET_AVX512 void relu_mask_avx512(double* g, const double* y,
 
 template <bool kUnitBc1>
 DEEPCAT_TARGET_AVX512 void adam_update_avx512(
-    double* value, const double* grad, double* m, double* v, std::size_t n,
-    double scale, double beta1, double beta2, double bc1, double bc2,
-    double lr, double eps) noexcept {
-  const __m512d vscale = _mm512_set1_pd(scale);
-  const __m512d vb1 = _mm512_set1_pd(beta1);
-  const __m512d vb2 = _mm512_set1_pd(beta2);
-  const __m512d vomb1 = _mm512_set1_pd(1.0 - beta1);
-  const __m512d vomb2 = _mm512_set1_pd(1.0 - beta2);
-  const __m512d vbc1 = _mm512_set1_pd(bc1);
-  const __m512d vbc2 = _mm512_set1_pd(bc2);
-  const __m512d vlr = _mm512_set1_pd(lr);
-  const __m512d veps = _mm512_set1_pd(eps);
+    float* value, const float* grad, float* m, float* v, std::size_t n,
+    float scale, float beta1, float beta2, float bc1, float bc2, float lr,
+    float eps) noexcept {
+  const __m512 vscale = _mm512_set1_ps(scale);
+  const __m512 vb1 = _mm512_set1_ps(beta1);
+  const __m512 vb2 = _mm512_set1_ps(beta2);
+  const __m512 vomb1 = _mm512_set1_ps(1.0f - beta1);
+  const __m512 vomb2 = _mm512_set1_ps(1.0f - beta2);
+  const __m512 vbc1 = _mm512_set1_ps(bc1);
+  const __m512 vbc2 = _mm512_set1_ps(bc2);
+  const __m512 vlr = _mm512_set1_ps(lr);
+  const __m512 veps = _mm512_set1_ps(eps);
+  const __m512 vfloor = _mm512_set1_ps(FLT_MIN);
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d g = _mm512_mul_pd(_mm512_loadu_pd(grad + i), vscale);
-    const __m512d mi = _mm512_fmadd_pd(vb1, _mm512_loadu_pd(m + i),
-                                       _mm512_mul_pd(vomb1, g));
-    const __m512d vi = _mm512_fmadd_pd(
-        vb2, _mm512_loadu_pd(v + i),
-        _mm512_mul_pd(vomb2, _mm512_mul_pd(g, g)));
-    _mm512_storeu_pd(m + i, mi);
-    _mm512_storeu_pd(v + i, vi);
-    const __m512d m_hat = kUnitBc1 ? mi : _mm512_div_pd(mi, vbc1);
-    const __m512d v_hat = _mm512_div_pd(vi, vbc2);
-    const __m512d denom = _mm512_add_pd(_mm512_sqrt_pd(v_hat), veps);
-    const __m512d update = _mm512_div_pd(_mm512_mul_pd(vlr, m_hat), denom);
-    _mm512_storeu_pd(value + i,
-                     _mm512_sub_pd(_mm512_loadu_pd(value + i), update));
+  for (; i + 16 <= n; i += 16) {
+    const __m512 g = _mm512_mul_ps(_mm512_loadu_ps(grad + i), vscale);
+    __m512 mi = _mm512_fmadd_ps(vb1, _mm512_loadu_ps(m + i),
+                                _mm512_mul_ps(vomb1, g));
+    // Kept unless below the floor (unordered, so NaN stays); else +0.
+    mi = _mm512_maskz_mov_ps(
+        _mm512_cmp_ps_mask(_mm512_abs_ps(mi), vfloor, _CMP_NLT_UQ), mi);
+    const __m512 vi = _mm512_fmadd_ps(
+        vb2, _mm512_loadu_ps(v + i), _mm512_mul_ps(vomb2, _mm512_mul_ps(g, g)));
+    _mm512_storeu_ps(m + i, mi);
+    _mm512_storeu_ps(v + i, vi);
+    const __m512 m_hat = kUnitBc1 ? mi : _mm512_div_ps(mi, vbc1);
+    const __m512 v_hat = _mm512_div_ps(vi, vbc2);
+    const __m512 denom =
+        _mm512_add_ps(_mm512_maskz_sqrt_ps(kAllLanes, v_hat), veps);
+    const __m512 update = _mm512_div_ps(_mm512_mul_ps(vlr, m_hat), denom);
+    _mm512_storeu_ps(value + i,
+                     _mm512_sub_ps(_mm512_loadu_ps(value + i), update));
   }
   if (i < n) {
     adam_update_scalar<kUnitBc1>(value + i, grad + i, m + i, v + i, n - i,
@@ -943,369 +929,228 @@ DEEPCAT_TARGET_AVX512 void adam_update_avx512(
   }
 }
 
-// nn_row_avx2 with kVecs zmm accumulators: one C row's columns
-// [0, 8 * kVecs), each output's ascending-k chain from C.
-template <std::size_t kVecs>
-[[gnu::always_inline]] DEEPCAT_TARGET_AVX512 inline void nn_row_avx512(
-    std::size_t k, const double* arow, const double* b, std::size_t ldb,
-    double* c) noexcept {
-  __m512d acc[kVecs];
-#pragma GCC unroll 16
-  for (std::size_t q = 0; q < kVecs; ++q) acc[q] = _mm512_loadu_pd(c + 8 * q);
-  for (std::size_t p = 0; p < k; ++p) {
-    const __m512d av = _mm512_set1_pd(arow[p]);
-    const double* brow = b + p * ldb;
-#pragma GCC unroll 16
-    for (std::size_t q = 0; q < kVecs; ++q) {
-      acc[q] = _mm512_fmadd_pd(av, _mm512_loadu_pd(brow + 8 * q), acc[q]);
+// tile_avx2 at 16 lanes: R C rows x V zmm columns, each output's
+// ascending-k chain from C.
+template <bool kTransA, std::size_t R, std::size_t V>
+[[gnu::always_inline]] DEEPCAT_TARGET_AVX512 inline void tile_avx512(
+    std::size_t k, const float* a, std::size_t lda, const float* b,
+    std::size_t ldb, float* c, std::size_t ldc) noexcept {
+  __m512 acc[R][V];
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (std::size_t q = 0; q < V; ++q) {
+      acc[r][q] = _mm512_loadu_ps(c + r * ldc + 16 * q);
     }
   }
-#pragma GCC unroll 16
-  for (std::size_t q = 0; q < kVecs; ++q) _mm512_storeu_pd(c + 8 * q, acc[q]);
+  for (std::size_t p = 0; p < k; ++p) {
+    const float* brow = b + p * ldb;
+    __m512 bv[V];
+#pragma GCC unroll 8
+    for (std::size_t q = 0; q < V; ++q) bv[q] = _mm512_loadu_ps(brow + 16 * q);
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      const __m512 av = _mm512_set1_ps(a_at<kTransA>(a, lda, r, p));
+#pragma GCC unroll 8
+      for (std::size_t q = 0; q < V; ++q) {
+        acc[r][q] = _mm512_fmadd_ps(av, bv[q], acc[r][q]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (std::size_t q = 0; q < V; ++q) {
+      _mm512_storeu_ps(c + r * ldc + 16 * q, acc[r][q]);
+    }
+  }
 }
 
-// 4x32 register-blocked micro-kernel: four zmm columns per row, 16
-// resident accumulators, so one broadcast feeds four FMAs; then the AVX2
-// 4x8 tile widened to 4x16 and 4x8 for narrower remainders. Rows past the
-// last 4-row block run 1x128 tiles (16 accumulators: a one-row probe
-// layer's whole width), then 1x32 and 1x16. Every output keeps its
-// ascending-k chain from C, so the column blocking changes no bit.
+// 4x64 tiles (16 resident accumulators, so one broadcast feeds four FMAs),
+// then 4x32 and 4x16. Rows past the last 4-row block run 1x128 tiles (8
+// accumulators: a one-row probe layer's whole width), then 1x32 and 1x16.
+// Both row paths leave the same n mod 16 columns to the scalar tail.
 DEEPCAT_TARGET_AVX512 void gemm_nn_avx512(std::size_t m, std::size_t n,
-                                          std::size_t k, const double* a,
-                                          std::size_t lda, const double* b,
-                                          std::size_t ldb, double* c,
+                                          std::size_t k, const float* a,
+                                          std::size_t lda, const float* b,
+                                          std::size_t ldb, float* c,
                                           std::size_t ldc) noexcept {
   std::size_t i = 0;
   for (; i + 4 <= m; i += 4) {
-    const double* a0 = a + (i + 0) * lda;
-    const double* a1 = a + (i + 1) * lda;
-    const double* a2 = a + (i + 2) * lda;
-    const double* a3 = a + (i + 3) * lda;
-    const double* arow[4] = {a0, a1, a2, a3};
+    const float* ai = a + i * lda;
+    float* ci = c + i * ldc;
     std::size_t j = 0;
+    for (; j + 64 <= n; j += 64) {
+      tile_avx512<false, 4, 4>(k, ai, lda, b + j, ldb, ci + j, ldc);
+    }
     for (; j + 32 <= n; j += 32) {
-      __m512d acc[4][4];
-#pragma GCC unroll 4
-      for (std::size_t r = 0; r < 4; ++r) {
-#pragma GCC unroll 4
-        for (std::size_t q = 0; q < 4; ++q) {
-          acc[r][q] = _mm512_loadu_pd(c + (i + r) * ldc + j + 8 * q);
-        }
-      }
-      for (std::size_t p = 0; p < k; ++p) {
-        const double* brow = b + p * ldb + j;
-        __m512d bv[4];
-#pragma GCC unroll 4
-        for (std::size_t q = 0; q < 4; ++q) {
-          bv[q] = _mm512_loadu_pd(brow + 8 * q);
-        }
-#pragma GCC unroll 4
-        for (std::size_t r = 0; r < 4; ++r) {
-          const __m512d av = _mm512_set1_pd(arow[r][p]);
-#pragma GCC unroll 4
-          for (std::size_t q = 0; q < 4; ++q) {
-            acc[r][q] = _mm512_fmadd_pd(av, bv[q], acc[r][q]);
-          }
-        }
-      }
-#pragma GCC unroll 4
-      for (std::size_t r = 0; r < 4; ++r) {
-#pragma GCC unroll 4
-        for (std::size_t q = 0; q < 4; ++q) {
-          _mm512_storeu_pd(c + (i + r) * ldc + j + 8 * q, acc[r][q]);
-        }
-      }
+      tile_avx512<false, 4, 2>(k, ai, lda, b + j, ldb, ci + j, ldc);
     }
     for (; j + 16 <= n; j += 16) {
-      __m512d c00 = _mm512_loadu_pd(c + (i + 0) * ldc + j);
-      __m512d c01 = _mm512_loadu_pd(c + (i + 0) * ldc + j + 8);
-      __m512d c10 = _mm512_loadu_pd(c + (i + 1) * ldc + j);
-      __m512d c11 = _mm512_loadu_pd(c + (i + 1) * ldc + j + 8);
-      __m512d c20 = _mm512_loadu_pd(c + (i + 2) * ldc + j);
-      __m512d c21 = _mm512_loadu_pd(c + (i + 2) * ldc + j + 8);
-      __m512d c30 = _mm512_loadu_pd(c + (i + 3) * ldc + j);
-      __m512d c31 = _mm512_loadu_pd(c + (i + 3) * ldc + j + 8);
-      for (std::size_t p = 0; p < k; ++p) {
-        const double* brow = b + p * ldb + j;
-        const __m512d b0 = _mm512_loadu_pd(brow);
-        const __m512d b1 = _mm512_loadu_pd(brow + 8);
-        __m512d av = _mm512_set1_pd(a0[p]);
-        c00 = _mm512_fmadd_pd(av, b0, c00);
-        c01 = _mm512_fmadd_pd(av, b1, c01);
-        av = _mm512_set1_pd(a1[p]);
-        c10 = _mm512_fmadd_pd(av, b0, c10);
-        c11 = _mm512_fmadd_pd(av, b1, c11);
-        av = _mm512_set1_pd(a2[p]);
-        c20 = _mm512_fmadd_pd(av, b0, c20);
-        c21 = _mm512_fmadd_pd(av, b1, c21);
-        av = _mm512_set1_pd(a3[p]);
-        c30 = _mm512_fmadd_pd(av, b0, c30);
-        c31 = _mm512_fmadd_pd(av, b1, c31);
-      }
-      _mm512_storeu_pd(c + (i + 0) * ldc + j, c00);
-      _mm512_storeu_pd(c + (i + 0) * ldc + j + 8, c01);
-      _mm512_storeu_pd(c + (i + 1) * ldc + j, c10);
-      _mm512_storeu_pd(c + (i + 1) * ldc + j + 8, c11);
-      _mm512_storeu_pd(c + (i + 2) * ldc + j, c20);
-      _mm512_storeu_pd(c + (i + 2) * ldc + j + 8, c21);
-      _mm512_storeu_pd(c + (i + 3) * ldc + j, c30);
-      _mm512_storeu_pd(c + (i + 3) * ldc + j + 8, c31);
+      tile_avx512<false, 4, 1>(k, ai, lda, b + j, ldb, ci + j, ldc);
     }
-    for (; j + 8 <= n; j += 8) {
-      __m512d c0 = _mm512_loadu_pd(c + (i + 0) * ldc + j);
-      __m512d c1 = _mm512_loadu_pd(c + (i + 1) * ldc + j);
-      __m512d c2 = _mm512_loadu_pd(c + (i + 2) * ldc + j);
-      __m512d c3 = _mm512_loadu_pd(c + (i + 3) * ldc + j);
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m512d bv = _mm512_loadu_pd(b + p * ldb + j);
-        c0 = _mm512_fmadd_pd(_mm512_set1_pd(a0[p]), bv, c0);
-        c1 = _mm512_fmadd_pd(_mm512_set1_pd(a1[p]), bv, c1);
-        c2 = _mm512_fmadd_pd(_mm512_set1_pd(a2[p]), bv, c2);
-        c3 = _mm512_fmadd_pd(_mm512_set1_pd(a3[p]), bv, c3);
-      }
-      _mm512_storeu_pd(c + (i + 0) * ldc + j, c0);
-      _mm512_storeu_pd(c + (i + 1) * ldc + j, c1);
-      _mm512_storeu_pd(c + (i + 2) * ldc + j, c2);
-      _mm512_storeu_pd(c + (i + 3) * ldc + j, c3);
-    }
-    nn_tail_4rows(n, k, j, a0, a1, a2, a3, b, ldb, c + i * ldc, ldc);
+    tail_rows<false, 4>(n, k, j, ai, lda, b, ldb, ci, ldc);
   }
   for (; i < m; ++i) {
-    const double* arow = a + i * lda;
+    const float* ai = a + i * lda;
+    float* ci = c + i * ldc;
     std::size_t j = 0;
     for (; j + 128 <= n; j += 128) {
-      nn_row_avx512<16>(k, arow, b + j, ldb, c + i * ldc + j);
+      tile_avx512<false, 1, 8>(k, ai, lda, b + j, ldb, ci + j, ldc);
     }
     for (; j + 32 <= n; j += 32) {
-      nn_row_avx512<4>(k, arow, b + j, ldb, c + i * ldc + j);
+      tile_avx512<false, 1, 2>(k, ai, lda, b + j, ldb, ci + j, ldc);
     }
     for (; j + 16 <= n; j += 16) {
-      nn_row_avx512<2>(k, arow, b + j, ldb, c + i * ldc + j);
+      tile_avx512<false, 1, 1>(k, ai, lda, b + j, ldb, ci + j, ldc);
     }
-    for (; j < n; ++j) {
-      double s = 0.0;
-      for (std::size_t p = 0; p < k; ++p) s += arow[p] * b[p * ldb + j];
-      c[i * ldc + j] += s;
-    }
+    tail_rows<false, 1>(n, k, j, ai, lda, b, ldb, ci, ldc);
   }
 }
 
-// gemm_tn_avx512's columns [j0, n) past its last 16-column tile, for the
-// four C rows starting at `c` (A columns from `a`): each output is its own
-// ascending-k chain from 0, then added to C, whichever row block it is in.
-// Inlined, so the chains contract to FMA as the one-row path's chain does.
-[[gnu::always_inline]] inline void tn_tail_4rows_avx512(
-    std::size_t n, std::size_t k, std::size_t j0, const double* a,
-    std::size_t lda, const double* b, std::size_t ldb, double* c,
-    std::size_t ldc) noexcept {
-  for (std::size_t j = j0; j < n; ++j) {
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    for (std::size_t p = 0; p < k; ++p) {
-      const double* acol = a + p * lda;
-      const double bv = b[p * ldb + j];
-      s0 += acol[0] * bv;
-      s1 += acol[1] * bv;
-      s2 += acol[2] * bv;
-      s3 += acol[3] * bv;
-    }
-    c[j] += s0;
-    c[ldc + j] += s1;
-    c[2 * ldc + j] += s2;
-    c[3 * ldc + j] += s3;
-  }
-}
-
-// The 4x16 gemm_nn_avx512 tile with the A access changed (column i of the
-// stored (k x m) A, i.e. strided broadcasts), grown to 8x16 with 16
-// resident accumulators: one pair of B loads feeds 16 FMAs. The last
-// m mod 8 rows run the 4x16 tile and the one-row path, and columns past
-// the last 16-column tile run the scalar tail. Every output keeps its own
-// ascending-k chain, so the row blocking changes no bit.
+// 8x32 tiles with strided A broadcasts (16 resident accumulators: one pair
+// of B loads feeds 16 FMAs); the last m mod 8 rows run 4x32 and 1x32
+// tiles. Every row path covers the same multiples of 32 columns.
 DEEPCAT_TARGET_AVX512 void gemm_tn_avx512(std::size_t m, std::size_t n,
-                                          std::size_t k, const double* a,
-                                          std::size_t lda, const double* b,
-                                          std::size_t ldb, double* c,
+                                          std::size_t k, const float* a,
+                                          std::size_t lda, const float* b,
+                                          std::size_t ldb, float* c,
                                           std::size_t ldc) noexcept {
   std::size_t i = 0;
   for (; i + 8 <= m; i += 8) {
     std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      __m512d acc[8][2];
-#pragma GCC unroll 8
-      for (std::size_t r = 0; r < 8; ++r) {
-        acc[r][0] = _mm512_loadu_pd(c + (i + r) * ldc + j);
-        acc[r][1] = _mm512_loadu_pd(c + (i + r) * ldc + j + 8);
-      }
-      for (std::size_t p = 0; p < k; ++p) {
-        const double* acol = a + p * lda + i;
-        const double* brow = b + p * ldb + j;
-        const __m512d b0 = _mm512_loadu_pd(brow);
-        const __m512d b1 = _mm512_loadu_pd(brow + 8);
-#pragma GCC unroll 8
-        for (std::size_t r = 0; r < 8; ++r) {
-          const __m512d av = _mm512_set1_pd(acol[r]);
-          acc[r][0] = _mm512_fmadd_pd(av, b0, acc[r][0]);
-          acc[r][1] = _mm512_fmadd_pd(av, b1, acc[r][1]);
-        }
-      }
-#pragma GCC unroll 8
-      for (std::size_t r = 0; r < 8; ++r) {
-        _mm512_storeu_pd(c + (i + r) * ldc + j, acc[r][0]);
-        _mm512_storeu_pd(c + (i + r) * ldc + j + 8, acc[r][1]);
-      }
+    for (; j + 32 <= n; j += 32) {
+      tile_avx512<true, 8, 2>(k, a + i, lda, b + j, ldb, c + i * ldc + j,
+                              ldc);
     }
-    tn_tail_4rows_avx512(n, k, j, a + i, lda, b, ldb, c + i * ldc, ldc);
-    tn_tail_4rows_avx512(n, k, j, a + i + 4, lda, b, ldb,
-                         c + (i + 4) * ldc, ldc);
+    tail_rows<true, 8>(n, k, j, a + i, lda, b, ldb, c + i * ldc, ldc);
   }
   for (; i + 4 <= m; i += 4) {
     std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      __m512d c00 = _mm512_loadu_pd(c + (i + 0) * ldc + j);
-      __m512d c01 = _mm512_loadu_pd(c + (i + 0) * ldc + j + 8);
-      __m512d c10 = _mm512_loadu_pd(c + (i + 1) * ldc + j);
-      __m512d c11 = _mm512_loadu_pd(c + (i + 1) * ldc + j + 8);
-      __m512d c20 = _mm512_loadu_pd(c + (i + 2) * ldc + j);
-      __m512d c21 = _mm512_loadu_pd(c + (i + 2) * ldc + j + 8);
-      __m512d c30 = _mm512_loadu_pd(c + (i + 3) * ldc + j);
-      __m512d c31 = _mm512_loadu_pd(c + (i + 3) * ldc + j + 8);
-      for (std::size_t p = 0; p < k; ++p) {
-        const double* acol = a + p * lda + i;
-        const double* brow = b + p * ldb + j;
-        const __m512d b0 = _mm512_loadu_pd(brow);
-        const __m512d b1 = _mm512_loadu_pd(brow + 8);
-        __m512d av = _mm512_set1_pd(acol[0]);
-        c00 = _mm512_fmadd_pd(av, b0, c00);
-        c01 = _mm512_fmadd_pd(av, b1, c01);
-        av = _mm512_set1_pd(acol[1]);
-        c10 = _mm512_fmadd_pd(av, b0, c10);
-        c11 = _mm512_fmadd_pd(av, b1, c11);
-        av = _mm512_set1_pd(acol[2]);
-        c20 = _mm512_fmadd_pd(av, b0, c20);
-        c21 = _mm512_fmadd_pd(av, b1, c21);
-        av = _mm512_set1_pd(acol[3]);
-        c30 = _mm512_fmadd_pd(av, b0, c30);
-        c31 = _mm512_fmadd_pd(av, b1, c31);
-      }
-      _mm512_storeu_pd(c + (i + 0) * ldc + j, c00);
-      _mm512_storeu_pd(c + (i + 0) * ldc + j + 8, c01);
-      _mm512_storeu_pd(c + (i + 1) * ldc + j, c10);
-      _mm512_storeu_pd(c + (i + 1) * ldc + j + 8, c11);
-      _mm512_storeu_pd(c + (i + 2) * ldc + j, c20);
-      _mm512_storeu_pd(c + (i + 2) * ldc + j + 8, c21);
-      _mm512_storeu_pd(c + (i + 3) * ldc + j, c30);
-      _mm512_storeu_pd(c + (i + 3) * ldc + j + 8, c31);
+    for (; j + 32 <= n; j += 32) {
+      tile_avx512<true, 4, 2>(k, a + i, lda, b + j, ldb, c + i * ldc + j,
+                              ldc);
     }
-    tn_tail_4rows_avx512(n, k, j, a + i, lda, b, ldb, c + i * ldc, ldc);
+    tail_rows<true, 4>(n, k, j, a + i, lda, b, ldb, c + i * ldc, ldc);
   }
   for (; i < m; ++i) {
     std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      __m512d c0 = _mm512_loadu_pd(c + i * ldc + j);
-      __m512d c1 = _mm512_loadu_pd(c + i * ldc + j + 8);
-      for (std::size_t p = 0; p < k; ++p) {
-        const __m512d av = _mm512_set1_pd(a[p * lda + i]);
-        c0 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b + p * ldb + j), c0);
-        c1 = _mm512_fmadd_pd(av, _mm512_loadu_pd(b + p * ldb + j + 8), c1);
-      }
-      _mm512_storeu_pd(c + i * ldc + j, c0);
-      _mm512_storeu_pd(c + i * ldc + j + 8, c1);
+    for (; j + 32 <= n; j += 32) {
+      tile_avx512<true, 1, 2>(k, a + i, lda, b + j, ldb, c + i * ldc + j,
+                              ldc);
     }
-    for (; j < n; ++j) {
-      double s = 0.0;
-      for (std::size_t p = 0; p < k; ++p) s += a[p * lda + i] * b[p * ldb + j];
-      c[i * ldc + j] += s;
-    }
+    tail_rows<true, 1>(n, k, j, a + i, lda, b, ldb, c + i * ldc, ldc);
   }
 }
 
-// The gemm_nt_avx2 scheme with 8-lane chains, four A rows per block and
-// _mm512_reduce_add_pd's tree as the per-output reduction.
-
-// {hi4(x) + lo4(x), hi4(y) + lo4(y)}: the first step of the tree below.
-DEEPCAT_TARGET_AVX512 inline __m512d add_halves(__m512d x,
-                                                __m512d y) noexcept {
-  return _mm512_add_pd(_mm512_shuffle_f64x2(x, y, 0xEE),
-                       _mm512_shuffle_f64x2(x, y, 0x44));
+// hsum16's tree: high 256 + low 256, then hsum8's (high 128 + low 128,
+// lanes {0,1} + lanes {2,3}, lane 0 + lane 1), all in zmm registers.
+DEEPCAT_TARGET_AVX512 inline float hsum16(__m512 v) noexcept {
+  v = _mm512_add_ps(v, _mm512_maskz_shuffle_f32x4(kAllLanes, v, v, 0xEE));
+  v = _mm512_add_ps(v, _mm512_maskz_shuffle_f32x4(kAllLanes, v, v, 0x01));
+  v = _mm512_add_ps(v, _mm512_maskz_shuffle_ps(kAllLanes, v, v, 0x0E));
+  v = _mm512_add_ps(v, _mm512_maskz_shuffle_ps(kAllLanes, v, v, 0x01));
+  return _mm512_cvtss_f32(v);
 }
 
-// Per 4-lane half h of x and y: hi2(h) + lo2(h), the tree's second step.
-DEEPCAT_TARGET_AVX512 inline __m512d add_quarters(__m512d x,
-                                                  __m512d y) noexcept {
-  return _mm512_add_pd(_mm512_shuffle_f64x2(x, y, 0xDD),
-                       _mm512_shuffle_f64x2(x, y, 0x88));
+DEEPCAT_TARGET_AVX512 float dot_avx512(const float* a, const float* b,
+                                       std::size_t n) noexcept {
+  __m512 acc0 = _mm512_setzero_ps(), acc1 = _mm512_setzero_ps();
+  __m512 acc2 = _mm512_setzero_ps(), acc3 = _mm512_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i),
+                           acc0);
+    acc1 = _mm512_fmadd_ps(_mm512_loadu_ps(a + i + 16),
+                           _mm512_loadu_ps(b + i + 16), acc1);
+    acc2 = _mm512_fmadd_ps(_mm512_loadu_ps(a + i + 32),
+                           _mm512_loadu_ps(b + i + 32), acc2);
+    acc3 = _mm512_fmadd_ps(_mm512_loadu_ps(a + i + 48),
+                           _mm512_loadu_ps(b + i + 48), acc3);
+  }
+  for (; i + 16 <= n; i += 16) {
+    acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i),
+                           acc0);
+  }
+  float s = hsum16(_mm512_add_ps(_mm512_add_ps(acc0, acc1),
+                                 _mm512_add_ps(acc2, acc3)));
+  for (; i < n; ++i) s += a[i] * b[i];
+  return s;
 }
 
-// _mm512_reduce_add_pd's tree — high half + low half, then high quarter +
-// low quarter, then lane 0 + lane 1 — for eight vectors at once. Returns
-// {r(v0), r(v4), r(v1), r(v5), r(v2), r(v6), r(v3), r(v7)}.
-DEEPCAT_TARGET_AVX512 inline __m512d reduce8_avx512(
-    __m512d v0, __m512d v1, __m512d v2, __m512d v3, __m512d v4, __m512d v5,
-    __m512d v6, __m512d v7) noexcept {
-  const __m512d lo = add_quarters(add_halves(v0, v1), add_halves(v2, v3));
-  const __m512d hi = add_quarters(add_halves(v4, v5), add_halves(v6, v7));
-  return _mm512_add_pd(_mm512_unpacklo_pd(lo, hi),
-                       _mm512_unpackhi_pd(lo, hi));
+// hsum16's tree for sixteen vectors at once: lane 4L + c of the result is
+// hsum16(v[L + 4c]). No lane ever meets another vector's, so zero inputs
+// cost nothing but their own output lanes.
+DEEPCAT_TARGET_AVX512 inline __m512 reduce16_avx512(
+    const __m512 (&v)[16]) noexcept {
+  __m512 t[8];  // [lo256 + hi256 of v[2i] | of v[2i + 1]]
+#pragma GCC unroll 8
+  for (std::size_t i = 0; i < 8; ++i) {
+    const __m512 a = v[2 * i], b = v[2 * i + 1];
+    t[i] = _mm512_add_ps(_mm512_maskz_shuffle_f32x4(kAllLanes, a, b, 0x44),
+                         _mm512_maskz_shuffle_f32x4(kAllLanes, a, b, 0xEE));
+  }
+  __m512 h[4];  // lo128 + hi128 of each half: four vectors per register
+#pragma GCC unroll 4
+  for (std::size_t i = 0; i < 4; ++i) {
+    const __m512 a = t[2 * i], b = t[2 * i + 1];
+    h[i] = _mm512_add_ps(_mm512_maskz_shuffle_f32x4(kAllLanes, a, b, 0x88),
+                         _mm512_maskz_shuffle_f32x4(kAllLanes, a, b, 0xDD));
+  }
+  __m512 q[2];  // lanes {0,1} + lanes {2,3}: two vectors per 128-bit lane
+#pragma GCC unroll 2
+  for (std::size_t i = 0; i < 2; ++i) {
+    const __m512 a = h[2 * i], b = h[2 * i + 1];
+    q[i] = _mm512_add_ps(_mm512_maskz_shuffle_ps(kAllLanes, a, b, 0x44),
+                         _mm512_maskz_shuffle_ps(kAllLanes, a, b, 0xEE));
+  }
+  // Lane 0 + lane 1 of each pair.
+  return _mm512_add_ps(_mm512_maskz_shuffle_ps(kAllLanes, q[0], q[1], 0x88),
+                       _mm512_maskz_shuffle_ps(kAllLanes, q[0], q[1], 0xDD));
 }
 
+// gemm_nt_rows_avx2 at 16 lanes with four A rows per block: one
+// reduce16_avx512 sums the block's 16 outputs with hsum16's tree each.
 template <std::size_t R>
 DEEPCAT_TARGET_AVX512 void gemm_nt_rows_avx512(
-    std::size_t n, std::size_t k, const double* a, std::size_t lda,
-    const double* b, std::size_t ldb, double* c, std::size_t ldc) noexcept {
-  static_assert(R == 1 || R % 2 == 0);
-  const std::size_t kv = k & ~std::size_t{7};
+    std::size_t n, std::size_t k, const float* a, std::size_t lda,
+    const float* b, std::size_t ldb, float* c, std::size_t ldc) noexcept {
+  static_assert(R == 1 || R == 4);
+  const std::size_t kv = k & ~std::size_t{15};
   std::size_t j = 0;
   for (; j + 4 <= n; j += 4) {
-    const double* bq[4] = {b + j * ldb, b + (j + 1) * ldb, b + (j + 2) * ldb,
-                           b + (j + 3) * ldb};
-    __m512d acc[R][4];
+    const float* bq[4] = {b + j * ldb, b + (j + 1) * ldb, b + (j + 2) * ldb,
+                          b + (j + 3) * ldb};
+    __m512 acc[16];  // acc[r + 4q]: row r, column j + q; rows >= R stay 0
 #pragma GCC unroll 16
-    for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t i = 0; i < 16; ++i) acc[i] = _mm512_setzero_ps();
+    for (std::size_t p = 0; p < kv; p += 16) {
+      __m512 bv[4];
 #pragma GCC unroll 4
-      for (std::size_t q = 0; q < 4; ++q) acc[r][q] = _mm512_setzero_pd();
-    }
-    for (std::size_t p = 0; p < kv; p += 8) {
-      __m512d bv[4];
+      for (std::size_t q = 0; q < 4; ++q) bv[q] = _mm512_loadu_ps(bq[q] + p);
 #pragma GCC unroll 4
-      for (std::size_t q = 0; q < 4; ++q) bv[q] = _mm512_loadu_pd(bq[q] + p);
-#pragma GCC unroll 16
       for (std::size_t r = 0; r < R; ++r) {
-        const __m512d av = _mm512_loadu_pd(a + r * lda + p);
+        const __m512 av = _mm512_loadu_ps(a + r * lda + p);
 #pragma GCC unroll 4
         for (std::size_t q = 0; q < 4; ++q) {
-          acc[r][q] = _mm512_fmadd_pd(av, bv[q], acc[r][q]);
+          acc[r + 4 * q] = _mm512_fmadd_ps(av, bv[q], acc[r + 4 * q]);
         }
       }
     }
-    if constexpr (R == 1) {
-      for (std::size_t q = 0; q < 4; ++q) {
-        c[j + q] += nt_tail(_mm512_reduce_add_pd(acc[0][q]), kv, k, a,
-                                   bq[q]);
+    // Lanes 4r..4r+3: row r, columns j..j+3.
+    const __m512 sums = reduce16_avx512(acc);
+    alignas(64) float part[16];
+    _mm512_store_ps(part, sums);
+#pragma GCC unroll 4
+    for (std::size_t r = 0; r < R; ++r) {
+      float* crow = c + r * ldc + j;
+      if (kv == k) {
+        _mm_storeu_ps(crow, _mm_add_ps(_mm_loadu_ps(crow),
+                                       _mm_load_ps(part + 4 * r)));
+        continue;
       }
-    } else {
-#pragma GCC unroll 8
-      for (std::size_t r = 0; r < R; r += 2) {
-        // Lanes 0-3: row r, columns j..j+3; lanes 4-7: row r + 1.
-        const __m512d sums =
-            reduce8_avx512(acc[r][0], acc[r][2], acc[r + 1][0],
-                           acc[r + 1][2], acc[r][1], acc[r][3],
-                           acc[r + 1][1], acc[r + 1][3]);
-        double* c0 = c + r * ldc + j;
-        double* c1 = c0 + ldc;
-        if (kv == k) {
-          _mm256_storeu_pd(c0, _mm256_add_pd(_mm256_loadu_pd(c0),
-                                             _mm512_castpd512_pd256(sums)));
-          _mm256_storeu_pd(c1, _mm256_add_pd(_mm256_loadu_pd(c1),
-                                             _mm512_extractf64x4_pd(sums, 1)));
-          continue;
-        }
-        alignas(64) double part[8];
-        _mm512_store_pd(part, sums);
-        for (std::size_t q = 0; q < 4; ++q) {
-          c0[q] += nt_tail(part[q], kv, k, a + r * lda, bq[q]);
-          c1[q] += nt_tail(part[4 + q], kv, k, a + (r + 1) * lda,
-                                  bq[q]);
-        }
+      for (std::size_t q = 0; q < 4; ++q) {
+        crow[q] += nt_tail(part[4 * r + q], kv, k, a + r * lda, bq[q]);
       }
     }
   }
@@ -1316,38 +1161,37 @@ DEEPCAT_TARGET_AVX512 void gemm_nt_rows_avx512(
   }
 }
 
-// gemm_nt_small_k_avx2 at 8 lanes.
+// gemm_nt_small_k_avx2 at 16 lanes.
 DEEPCAT_TARGET_AVX512 void gemm_nt_small_k_avx512(
-    std::size_t m, std::size_t n, std::size_t k, const double* a,
-    std::size_t lda, const double* b, std::size_t ldb, double* c,
+    std::size_t m, std::size_t n, std::size_t k, const float* a,
+    std::size_t lda, const float* b, std::size_t ldb, float* c,
     std::size_t ldc) noexcept {
-  const auto stride = static_cast<long long>(ldb);
-  const __m512i idx =
-      _mm512_set_epi64(7 * stride, 6 * stride, 5 * stride, 4 * stride,
-                       3 * stride, 2 * stride, stride, 0);
+  const __m512i idx = _mm512_mullo_epi32(
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+      _mm512_set1_epi32(static_cast<int>(ldb)));
   for (std::size_t i = 0; i < m; ++i) {
-    const double* arow = a + i * lda;
-    double* crow = c + i * ldc;
+    const float* arow = a + i * lda;
+    float* crow = c + i * ldc;
     std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m512d sum = _mm512_setzero_pd();
+    for (; j + 16 <= n; j += 16) {
+      __m512 sum = _mm512_setzero_ps();
       for (std::size_t p = 0; p < k; ++p) {
-        sum = _mm512_fmadd_pd(_mm512_set1_pd(arow[p]),
-                              _mm512_i64gather_pd(idx, b + j * ldb + p, 8),
-                              sum);
+        const __m512 column = _mm512_mask_i32gather_ps(
+            _mm512_setzero_ps(), kAllLanes, idx, b + j * ldb + p, 4);
+        sum = _mm512_fmadd_ps(_mm512_set1_ps(arow[p]), column, sum);
       }
-      _mm512_storeu_pd(crow + j, _mm512_add_pd(_mm512_loadu_pd(crow + j), sum));
+      _mm512_storeu_ps(crow + j, _mm512_add_ps(_mm512_loadu_ps(crow + j), sum));
     }
-    for (; j < n; ++j) crow[j] += nt_tail(0.0, 0, k, arow, b + j * ldb);
+    for (; j < n; ++j) crow[j] += nt_tail(0.0f, 0, k, arow, b + j * ldb);
   }
 }
 
 DEEPCAT_TARGET_AVX512 void gemm_nt_avx512(std::size_t m, std::size_t n,
-                                          std::size_t k, const double* a,
-                                          std::size_t lda, const double* b,
-                                          std::size_t ldb, double* c,
+                                          std::size_t k, const float* a,
+                                          std::size_t lda, const float* b,
+                                          std::size_t ldb, float* c,
                                           std::size_t ldc) noexcept {
-  if (k < 8) {
+  if (k < 16) {
     gemm_nt_small_k_avx512(m, n, k, a, lda, b, ldb, c, ldc);
     return;
   }
@@ -1356,7 +1200,7 @@ DEEPCAT_TARGET_AVX512 void gemm_nt_avx512(std::size_t m, std::size_t n,
   // each output reduces exactly as in one pass over all n.
   for (std::size_t j = 0; j < n; j += 16) {
     const std::size_t nj = std::min<std::size_t>(16, n - j);
-    const double* bj = b + j * ldb;
+    const float* bj = b + j * ldb;
     std::size_t i = 0;
     for (; i + 4 <= m; i += 4) {
       gemm_nt_rows_avx512<4>(nj, k, a + i * lda, lda, bj, ldb,
@@ -1421,17 +1265,19 @@ bool vectorized_active() noexcept {
 bool vector_compiled() noexcept { return DEEPCAT_SIMD_X86 != 0; }
 
 DispatchCounts dispatch_counts() noexcept {
-  DispatchCounts counts;
-  counts.scalar_calls = g_scalar_calls.load(std::memory_order_relaxed);
-  counts.avx2_calls = g_avx2_calls.load(std::memory_order_relaxed);
-  counts.avx512_calls = g_avx512_calls.load(std::memory_order_relaxed);
-  return counts;
+  unsigned long long total[3] = {};
+  for (const DispatchSlot& slot : g_dispatch_slots) {
+    for (std::size_t be = 0; be < 3; ++be) {
+      total[be] += slot.calls[be].load(std::memory_order_relaxed);
+    }
+  }
+  return {total[0], total[1], total[2]};
 }
 
 void reset_dispatch_counts() noexcept {
-  g_scalar_calls.store(0, std::memory_order_relaxed);
-  g_avx2_calls.store(0, std::memory_order_relaxed);
-  g_avx512_calls.store(0, std::memory_order_relaxed);
+  for (DispatchSlot& slot : g_dispatch_slots) {
+    for (auto& calls : slot.calls) calls.store(0, std::memory_order_relaxed);
+  }
 }
 
 double dot(const double* a, const double* b, std::size_t n) noexcept {
@@ -1547,7 +1393,21 @@ void axpy(double alpha, const double* x, double* y, std::size_t n) noexcept {
   axpy_scalar(alpha, x, y, n);
 }
 
-void relu(double* x, std::size_t n) noexcept {
+float dot(const float* a, const float* b, std::size_t n) noexcept {
+#if DEEPCAT_SIMD_X86
+  switch (active_backend()) {
+    case Backend::kAvx512:
+      return dot_avx512(a, b, n);
+    case Backend::kAvx2:
+      return dot_avx2(a, b, n);
+    default:
+      break;
+  }
+#endif
+  return dot_scalar(a, b, n);
+}
+
+void relu(float* x, std::size_t n) noexcept {
 #if DEEPCAT_SIMD_X86
   switch (active_backend()) {
     case Backend::kAvx512:
@@ -1563,7 +1423,7 @@ void relu(double* x, std::size_t n) noexcept {
   relu_scalar(x, n);
 }
 
-void relu_mask(double* g, const double* y, std::size_t n) noexcept {
+void relu_mask(float* g, const float* y, std::size_t n) noexcept {
 #if DEEPCAT_SIMD_X86
   switch (active_backend()) {
     case Backend::kAvx512:
@@ -1579,12 +1439,12 @@ void relu_mask(double* g, const double* y, std::size_t n) noexcept {
   relu_mask_scalar(g, y, n);
 }
 
-void adam_update(double* value, const double* grad, double* m, double* v,
-                 std::size_t n, double scale, double beta1, double beta2,
-                 double bc1, double bc2, double lr, double eps) noexcept {
+void adam_update(float* value, const float* grad, float* m, float* v,
+                 std::size_t n, float scale, float beta1, float beta2,
+                 float bc1, float bc2, float lr, float eps) noexcept {
   const Backend be = active_backend();
   count_dispatch(be);
-  const bool unit_bc1 = bc1 == 1.0;
+  const bool unit_bc1 = bc1 == 1.0f;
 #if DEEPCAT_SIMD_X86
   switch (be) {
     case Backend::kAvx512:
@@ -1603,8 +1463,8 @@ void adam_update(double* value, const double* grad, double* m, double* v,
       value, grad, m, v, n, scale, beta1, beta2, bc1, bc2, lr, eps);
 }
 
-void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a,
-             std::size_t lda, const double* b, std::size_t ldb, double* c,
+void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* a,
+             std::size_t lda, const float* b, std::size_t ldb, float* c,
              std::size_t ldc) noexcept {
   const Backend be = active_backend();
   count_dispatch(be);
@@ -1623,8 +1483,8 @@ void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a,
   gemm_nn_scalar(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
-void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
-             std::size_t lda, const double* b, std::size_t ldb, double* c,
+void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const float* a,
+             std::size_t lda, const float* b, std::size_t ldb, float* c,
              std::size_t ldc) noexcept {
   const Backend be = active_backend();
   count_dispatch(be);
@@ -1643,8 +1503,8 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
   gemm_tn_scalar(m, n, k, a, lda, b, ldb, c, ldc);
 }
 
-void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
-             std::size_t lda, const double* b, std::size_t ldb, double* c,
+void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* a,
+             std::size_t lda, const float* b, std::size_t ldb, float* c,
              std::size_t ldc) noexcept {
   const Backend be = active_backend();
   count_dispatch(be);

@@ -18,19 +18,21 @@
 //
 // Numerical contract: vectorized kernels may reassociate reductions and
 // contract mul+add into FMA, so results can differ between tiers in the
-// last bits. The property tests bound the divergence at 1e-12 for the
-// shapes the library uses. Broadcast-style GEMM kernels (gemm_nn/gemm_tn)
-// keep each output element's FMA chain in ascending-k order on every tier,
-// so those agree bit-for-bit across vector tiers wherever both tiers leave
-// the same columns to the scalar tail (whose chain starts from 0, then adds
-// to C): for gemm_nn's 4-row blocks when n mod 8 < 4, for its one-row path
-// when n mod 16 < 8. Dot-style reductions (dot, gemm_nt) use per-tier
-// accumulator trees and only meet the 1e-12 contract. Within one tier the
-// register-blocked gemm_nt and gemm_tn are row-invariant: the C rows of one
-// m-row call equal those of m one-row calls bit for bit, because row
-// blocking only decides which outputs run side by side. gemm_nn is too
-// unless n mod 16 >= 8 (avx512) or n mod 8 >= 4 (avx2): its 4-row tiles run
-// one narrower vector tile that the one-row path leaves to the scalar tail.
+// last bits. The double kernels (the GP's and retrieval's) stay within
+// 1e-12 of a plain-order reference; the float kernels (the networks' and
+// Adam's) within (k + 2) * FLT_EPSILON * sum |a_p * b_p| for a k-term
+// product, the classic bound for any summation order. Broadcast-style GEMM
+// kernels (gemm_nn/gemm_tn) keep each output element's FMA chain in
+// ascending-k order on every tier, so those agree bit-for-bit across vector
+// tiers wherever both tiers leave the same columns to the scalar tail
+// (whose chain starts from 0, then adds to C): for gemm_nn when
+// n mod 16 < 8, for gemm_tn when n mod 32 < 16. Dot-style reductions (dot,
+// gemm_nt) use per-tier accumulator trees and only meet the bound. Within
+// one tier every GEMM is row-invariant: the C rows of one m-row call equal
+// those of m one-row calls bit for bit, because row blocking only decides
+// which outputs run side by side, and every row path's vector tiles cover
+// the same columns (multiples of 8 floats on avx2 and 16 on avx512 for
+// gemm_nn, of 16 and 32 for gemm_tn).
 #pragma once
 
 #include <cstddef>
@@ -84,11 +86,14 @@ void force_backend(Backend cap) noexcept;
 
 // ---- Backend-dispatch accounting ----------------------------------------
 // Counts how many *chunky* kernel calls resolved to each tier — the GEMM
-// family and the Adam updates, one increment per call. The tiny
-// level-1 primitives (dot/axpy/sum) are deliberately uncounted: dot runs
-// per matrix row inside the GP Cholesky, so even a relaxed fetch_add
-// there would be a measurable hot-path tax. bench_micro and the kernel
-// tests read these totals to prove which tier ran.
+// family, the Adam updates and the batched distance scans, one increment
+// per call. The tiny level-1 primitives (dot/axpy/sum) are deliberately
+// uncounted: dot runs per matrix row inside the GP Cholesky, so even a
+// relaxed fetch_add there would be a measurable hot-path tax. Each thread
+// bumps its own cache-line-padded slot (handed out round-robin over a fixed
+// array), so threads probing one network side by side never write a shared
+// line. bench_micro and the kernel tests read these totals to prove which
+// tier ran.
 
 struct DispatchCounts {
   unsigned long long scalar_calls = 0;
@@ -96,10 +101,10 @@ struct DispatchCounts {
   unsigned long long avx512_calls = 0;
 };
 
-/// Snapshot of the process-wide dispatch counters.
+/// The process-wide totals: every thread's slot, summed.
 [[nodiscard]] DispatchCounts dispatch_counts() noexcept;
 
-/// Zeroes all counters (tests and bench runs isolate their own windows).
+/// Zeroes every slot (tests and bench runs isolate their own windows).
 void reset_dispatch_counts() noexcept;
 
 // ---- Level-1 primitives -------------------------------------------------
@@ -107,6 +112,10 @@ void reset_dispatch_counts() noexcept;
 /// Inner product sum(a[i] * b[i]).
 [[nodiscard]] double dot(const double* a, const double* b,
                          std::size_t n) noexcept;
+/// The float overload, accumulated in float lanes: the networks' gradient
+/// clip norm, one call per tensor.
+[[nodiscard]] float dot(const float* a, const float* b,
+                        std::size_t n) noexcept;
 
 /// Squared Euclidean distance sum((a[i] - b[i])^2).
 [[nodiscard]] double squared_distance(const double* a, const double* b,
@@ -136,35 +145,49 @@ void cosine_distances(const double* query, const double* rows,
 /// sum(a[i]).
 [[nodiscard]] double sum(const double* a, std::size_t n) noexcept;
 
-/// sum(a[i]^2) — the gradient-clipping reduction.
+/// sum(a[i]^2).
 [[nodiscard]] double sum_squares(const double* a, std::size_t n) noexcept;
 
 /// y[i] += alpha * x[i].
 void axpy(double alpha, const double* x, double* y, std::size_t n) noexcept;
 
+// ---- Network kernels (float) --------------------------------------------
+// The TD3/DDPG networks and their Adam moments are float32, as in the
+// paper's PyTorch (its default dtype), so these take floats only: an
+// AVX-512 register holds 16 of them.
+
 /// x[i] = x[i] > 0 ? x[i] : 0 in place — the ReLU forward. Branch-free on
-/// the vector tiers (max_pd(x, 0)), with the scalar expression's exact
+/// the vector tiers (max_ps(x, 0)), with the scalar expression's exact
 /// results on every tier: NaN and -0.0 map to +0.0.
-void relu(double* x, std::size_t n) noexcept;
+void relu(float* x, std::size_t n) noexcept;
 
 /// g[i] = 0 where y[i] <= 0 (ordered compare, so a NaN y keeps g[i]) —
 /// the ReLU backward mask from the activation output `y`.
-void relu_mask(double* g, const double* y, std::size_t n) noexcept;
+void relu_mask(float* g, const float* y, std::size_t n) noexcept;
 
 /// Fused Adam parameter update over one flat tensor:
 ///   g      = grad[i] * scale
-///   m[i]   = beta1 * m[i] + (1 - beta1) * g
+///   m[i]   = beta1 * m[i] + (1 - beta1) * g, stored as +0 if below FLT_MIN
 ///   v[i]   = beta2 * v[i] + (1 - beta2) * g^2
 ///   value[i] -= lr * (m[i] / bc1) / (sqrt(v[i] / bc2) + eps)
 /// Identical formula on every backend (bias corrections passed as the
-/// divisors bc1/bc2, exactly like the scalar reference). At bc1 == 1.0
-/// (t >= 356 at beta1 = 0.9) the m / bc1 divide is skipped: dividing by
-/// 1.0 returns every double unchanged, so no bit moves.
-void adam_update(double* value, const double* grad, double* m, double* v,
-                 std::size_t n, double scale, double beta1, double beta2,
-                 double bc1, double bc2, double lr, double eps) noexcept;
+/// divisors bc1/bc2, exactly like the scalar reference). The floor on m is
+/// for weights whose gradient is exactly 0 (a dead ReLU unit's): their m
+/// shrinks by beta1 per step into float's subnormal range, where every
+/// multiply takes a microcode assist (a critic step ran 4-8x slower);
+/// stored as +0 it costs nothing, and an update below FLT_MIN * lr / eps
+/// moves no weight of normal magnitude. It is explicit arithmetic on every
+/// tier and thread, not the FTZ/DAZ control bits, which stay untouched.
+/// At bc1 == 1.0f (t >= 165 at beta1 = 0.9, once 0.9^t is below half a
+/// float ulp of 1) the m / bc1 divide is skipped: dividing by 1.0f returns
+/// every float unchanged, so no bit moves. Elements past the last full
+/// vector run the scalar formula, so a caller that splits a tensor at
+/// multiples of 16 elements reproduces one whole call.
+void adam_update(float* value, const float* grad, float* m, float* v,
+                 std::size_t n, float scale, float beta1, float beta2,
+                 float bc1, float bc2, float lr, float eps) noexcept;
 
-// ---- Level-3 GEMM kernels ----------------------------------------------
+// ---- Level-3 GEMM kernels (float) --------------------------------------
 // All accumulate into C (C += ...), so the caller controls the epilogue
 // start state: zero-filled for a plain product, bias-broadcast rows for the
 // fused linear-layer forward. Leading dimensions are element strides.
@@ -172,28 +195,29 @@ void adam_update(double* value, const double* grad, double* m, double* v,
 // kernel per vector tier, or to the scalar reference loop.
 
 /// C(m x n) += A(m x k) * B(k x n). Register-blocked broadcast-A /
-/// streamed-B micro-kernel on the vector tiers (4x8 on avx2; 4x32, then
-/// 4x16 and 4x8, on avx512); rows past the last 4-row block run one-row
-/// tiles as wide as the registers hold (1x32, then 1x8, on avx2; 1x128,
-/// then 1x32 and 1x16, on avx512). The scalar path is the cache-friendly
-/// ikj loop with a zero-skip on A (which makes post-ReLU activations
-/// cheap).
-void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const double* a,
-             std::size_t lda, const double* b, std::size_t ldb, double* c,
+/// streamed-B micro-kernel on the vector tiers (4x16, then 4x8, on avx2;
+/// 4x64, then 4x32 and 4x16, on avx512); rows past the last 4-row block
+/// run one-row tiles as wide as the registers hold (1x64, then 1x16 and
+/// 1x8, on avx2; 1x128 — a probe layer's whole width in 8 registers — then
+/// 1x32 and 1x16, on avx512). The scalar path is the cache-friendly ikj
+/// loop with a zero-skip on A (which makes post-ReLU activations cheap).
+void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* a,
+             std::size_t lda, const float* b, std::size_t ldb, float* c,
              std::size_t ldc) noexcept;
 
 /// C(m x n) += A^T * B where A is stored (k x m): C[i][j] += A[p][i]*B[p][j].
-/// The gemm_nn tiles with strided A broadcasts (4x8 on avx2; 8x16, then
-/// 4x16, on avx512).
-void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const double* a,
-             std::size_t lda, const double* b, std::size_t ldb, double* c,
+/// The gemm_nn tiles with strided A broadcasts (4x16 on avx2; 8x32, then
+/// 4x32, on avx512).
+void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const float* a,
+             std::size_t lda, const float* b, std::size_t ldb, float* c,
              std::size_t ldc) noexcept;
 
 /// C(m x n) += A * B^T where B is stored (n x k): C[i][j] += dot(A[i], B[j]).
-/// Row blocks of A against groups of B rows (4 at a time; on avx512 every
-/// row block passes over 16 B rows before the next 16).
-void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const double* a,
-             std::size_t lda, const double* b, std::size_t ldb, double* c,
+/// Row blocks of A against groups of 4 B rows (2 A rows at a time on avx2;
+/// 4 on avx512, where every row block passes over 16 B rows before the
+/// next 16).
+void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* a,
+             std::size_t lda, const float* b, std::size_t ldb, float* c,
              std::size_t ldc) noexcept;
 
 }  // namespace deepcat::common::simd

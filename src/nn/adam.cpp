@@ -21,21 +21,21 @@ Adam::Adam(std::vector<Param> params, AdamConfig config)
   }
 }
 
-Adam::Adam(std::vector<Param> params, AdamConfig config, std::vector<Matrix> m,
-           std::vector<Matrix> v, std::size_t step_count)
+Adam::Adam(std::vector<Param> params, AdamConfig config, std::vector<Tensor> m,
+           std::vector<Tensor> v, std::size_t step_count)
     : params_(std::move(params)), config_(config), t_(step_count) {
   check_moments(m, v);
   m_ = std::move(m);
   v_ = std::move(v);
 }
 
-void Adam::check_moments(const std::vector<Matrix>& m,
-                         const std::vector<Matrix>& v) const {
+void Adam::check_moments(const std::vector<Tensor>& m,
+                         const std::vector<Tensor>& v) const {
   if (m.size() != params_.size() || v.size() != params_.size()) {
     throw std::runtime_error("Adam: moment tensor count mismatch");
   }
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    const Matrix& p = *params_[i].value;
+    const Tensor& p = *params_[i].value;
     if (m[i].rows() != p.rows() || m[i].cols() != p.cols() ||
         v[i].rows() != p.rows() || v[i].cols() != p.cols()) {
       throw std::runtime_error("Adam: moment shape mismatch");
@@ -61,25 +61,27 @@ void Adam::step(common::Partner& partner) {
   if (config_.grad_clip > 0.0) {
     double sq = 0.0;
     for (const Param& p : params_) {
-      sq += common::simd::dot(p.grad->data(), p.grad->data(), p.grad->size());
+      sq += static_cast<double>(common::simd::dot(
+          p.grad->data(), p.grad->data(), p.grad->size()));
     }
     const double norm = std::sqrt(sq);
     if (norm > config_.grad_clip) scale = config_.grad_clip / norm;
   }
+  const auto f = [](double x) { return static_cast<float>(x); };
   partner.each_part([&](std::size_t part) {
     for (std::size_t i = 0; i < params_.size(); ++i) {
       const auto e = partner.range(part, params_[i].value->size(), kSplitLanes);
       common::simd::adam_update(
           params_[i].value->data() + e.begin, params_[i].grad->data() + e.begin,
           m_[i].data() + e.begin, v_[i].data() + e.begin, e.end - e.begin,
-          scale, config_.beta1, config_.beta2, bc1, bc2, config_.lr,
-          config_.eps);
+          f(scale), f(config_.beta1), f(config_.beta2), f(bc1), f(bc2),
+          f(config_.lr), f(config_.eps));
     }
   });
 }
 
-void Adam::restore_state(const std::vector<Matrix>& m,
-                         const std::vector<Matrix>& v,
+void Adam::restore_state(const std::vector<Tensor>& m,
+                         const std::vector<Tensor>& v,
                          std::size_t step_count) {
   check_moments(m, v);
   m_ = m;
@@ -92,9 +94,9 @@ void Adam::save(std::ostream& os) const {
   os.precision(17);
   for (std::size_t i = 0; i < m_.size(); ++i) {
     os << m_[i].rows() << ' ' << m_[i].cols() << '\n';
-    for (double x : m_[i].flat()) os << x << ' ';
+    for (float x : m_[i].flat()) os << x << ' ';
     os << '\n';
-    for (double x : v_[i].flat()) os << x << ' ';
+    for (float x : v_[i].flat()) os << x << ' ';
     os << '\n';
   }
 }
@@ -111,8 +113,8 @@ void Adam::load(std::istream& is) {
     if (r != m_[i].rows() || c != m_[i].cols()) {
       throw std::runtime_error("Adam::load: shape mismatch");
     }
-    for (double& x : m_[i].flat()) is >> x;
-    for (double& x : v_[i].flat()) is >> x;
+    for (float& x : m_[i].flat()) is >> x;
+    for (float& x : v_[i].flat()) is >> x;
   }
   if (!is) throw std::runtime_error("Adam::load: truncated stream");
   t_ = t;

@@ -26,11 +26,11 @@ class Adam {
   /// Binds to the given parameters; the Param pointers must outlive the
   /// optimizer (they point into the network's layers).
   explicit Adam(std::vector<Param> params, AdamConfig config = {});
-  /// Binds as above but resumes from the given moments (one Matrix per
+  /// Binds as above but resumes from the given moments (one Tensor per
   /// parameter, binding order) and step counter instead of zeroed ones.
   /// Shapes must match the parameters (throws std::runtime_error).
-  Adam(std::vector<Param> params, AdamConfig config, std::vector<Matrix> m,
-       std::vector<Matrix> v, std::size_t step_count);
+  Adam(std::vector<Param> params, AdamConfig config, std::vector<Tensor> m,
+       std::vector<Tensor> v, std::size_t step_count);
 
   /// Not copyable: a copy would keep stepping the source network's tensors
   /// (its Param pointers), so a copied agent would silently never learn.
@@ -47,8 +47,10 @@ class Adam {
   /// std::logic_error, changing nothing, if a parameter's gradient was never
   /// sized (its layer has not run backward or zero_grad). With grad_clip
   /// set, the gradients are first scaled by min(1, grad_clip / ||g||),
-  /// ||g||^2 being one dispatched simd::dot per tensor summed in binding
-  /// order.
+  /// ||g||^2 being one dispatched float simd::dot per tensor, summed in
+  /// double in binding order. The hyperparameters, bias corrections and
+  /// clip scale are computed in double and narrowed once to the float
+  /// kernel's arguments.
   void step();
   /// step() with each tensor's elements split across `partner` at a
   /// multiple of kSplitLanes; the clip scale is computed once, before the
@@ -59,20 +61,21 @@ class Adam {
   void set_lr(double lr) noexcept { config_.lr = lr; }
   [[nodiscard]] std::size_t step_count() const noexcept { return t_; }
 
-  /// First/second moment estimates, one Matrix per bound parameter tensor,
+  /// First/second moment estimates (float, like the parameters), one
+  /// Tensor per bound parameter tensor,
   /// in binding order. Exposed (with restore_state) so checkpoints can
   /// round-trip the optimizer: dropping the moments makes a reloaded agent
   /// fine-tune differently from a never-saved one.
-  [[nodiscard]] const std::vector<Matrix>& first_moments() const noexcept {
+  [[nodiscard]] const std::vector<Tensor>& first_moments() const noexcept {
     return m_;
   }
-  [[nodiscard]] const std::vector<Matrix>& second_moments() const noexcept {
+  [[nodiscard]] const std::vector<Tensor>& second_moments() const noexcept {
     return v_;
   }
 
   /// Overwrites the moment vectors and step counter. Shapes must match the
   /// bound parameters exactly (throws std::runtime_error otherwise).
-  void restore_state(const std::vector<Matrix>& m, const std::vector<Matrix>& v,
+  void restore_state(const std::vector<Tensor>& m, const std::vector<Tensor>& v,
                      std::size_t step_count);
 
   /// Writes/reads the optimizer state (step counter + both moment vectors)
@@ -83,11 +86,11 @@ class Adam {
  private:
   /// Throws unless `m` and `v` each hold one tensor per bound parameter,
   /// shaped like it.
-  void check_moments(const std::vector<Matrix>& m,
-                     const std::vector<Matrix>& v) const;
+  void check_moments(const std::vector<Tensor>& m,
+                     const std::vector<Tensor>& v) const;
 
   std::vector<Param> params_;
-  std::vector<Matrix> m_, v_;
+  std::vector<Tensor> m_, v_;
   AdamConfig config_;
   std::size_t t_ = 0;
 };

@@ -19,7 +19,7 @@ Linear::Linear(std::size_t in_features, std::size_t out_features,
   }
 }
 
-Linear::Linear(Matrix weights, Matrix bias, Activation act)
+Linear::Linear(Tensor weights, Tensor bias, Activation act)
     : w_(std::move(weights)), b_(std::move(bias)), act_(act) {
   if (b_.rows() != 1 || b_.cols() != w_.cols()) {
     throw std::invalid_argument("Linear: bias must be 1 x out of the weights");
@@ -36,7 +36,7 @@ void check_rows(std::size_t r0, std::size_t r1, std::size_t rows) {
 
 }  // namespace
 
-const Matrix& Linear::forward(const Matrix& x) {
+const Tensor& Linear::forward(const Tensor& x) {
   size_output(x.rows());
   forward_rows(x, 0, x.rows());
   return y_;
@@ -44,11 +44,11 @@ const Matrix& Linear::forward(const Matrix& x) {
 
 void Linear::size_output(std::size_t rows) { y_.resize(rows, out_features()); }
 
-void Linear::forward_rows(const Matrix& x, std::size_t r0, std::size_t r1) {
+void Linear::forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) {
   matmul_bias_act_rows(x, w_, b_, act_, y_, r0, r1);
 }
 
-void Linear::forward_row(const Matrix& x, Matrix& y) const {
+void Linear::forward_row(const Tensor& x, Tensor& y) const {
   y.resize(1, out_features());
   matmul_bias_act_rows(x, w_, b_, act_, y, 0, 1);
 }
@@ -65,13 +65,13 @@ void Linear::mask_grad_rows(std::size_t r0, std::size_t r1) {
                         (r1 - r0) * dz_.cols(), act_);
 }
 
-void Linear::accumulate_param_grads(const Matrix& x) {
+void Linear::accumulate_param_grads(const Tensor& x) {
   size_grads();
   accumulate_weight_grads(x, 0, in_features());
   accumulate_bias_grad();
 }
 
-void Linear::accumulate_weight_grads(const Matrix& x, std::size_t w0,
+void Linear::accumulate_weight_grads(const Tensor& x, std::size_t w0,
                                      std::size_t w1) {
   if (x.rows() != dz_.rows() || x.cols() != in_features()) {
     throw std::invalid_argument("Linear: backward input shape mismatch");
@@ -87,26 +87,28 @@ void Linear::accumulate_weight_grads(const Matrix& x, std::size_t w0,
 
 void Linear::accumulate_bias_grad() {
   if (!grads_sized()) throw std::logic_error("Linear: gradients not sized");
-  // gb += each row in order; axpy with alpha 1 is an exact add per element.
+  // gb += each row in order: one exact add per element, so the loop's
+  // vectorization changes no bit.
+  float* gb = gb_.data();
   for (std::size_t r = 0; r < dz_.rows(); ++r) {
-    common::simd::axpy(1.0, dz_.data() + r * dz_.cols(), gb_.data(),
-                       gb_.cols());
+    const float* row = dz_.data() + r * dz_.cols();
+    for (std::size_t j = 0; j < gb_.cols(); ++j) gb[j] += row[j];
   }
 }
 
-void Linear::input_grad(Matrix& dx) const {
+void Linear::input_grad(Tensor& dx) const {
   dx.resize(dz_.rows(), in_features());
   input_grad_rows(dx, 0, dz_.rows());
 }
 
-void Linear::input_grad_rows(Matrix& dx, std::size_t r0,
+void Linear::input_grad_rows(Tensor& dx, std::size_t r0,
                              std::size_t r1) const {
   if (dx.rows() != dz_.rows() || dx.cols() != in_features()) {
     throw std::invalid_argument("Linear: input gradient shape mismatch");
   }
   check_rows(r0, r1, dz_.rows());
-  double* rows = dx.data() + r0 * dx.cols();
-  std::fill(rows, rows + (r1 - r0) * dx.cols(), 0.0);
+  float* rows = dx.data() + r0 * dx.cols();
+  std::fill(rows, rows + (r1 - r0) * dx.cols(), 0.0f);
   common::simd::gemm_nt(r1 - r0, in_features(), out_features(),
                         dz_.data() + r0 * dz_.cols(), dz_.cols(), w_.data(),
                         w_.cols(), rows, dx.cols());
@@ -118,8 +120,8 @@ std::vector<Param> Linear::params() {
 
 void Linear::size_grads() {
   if (grads_sized()) return;
-  gw_ = Matrix(w_.rows(), w_.cols());
-  gb_ = Matrix(b_.rows(), b_.cols());
+  gw_ = Tensor(w_.rows(), w_.cols());
+  gb_ = Tensor(b_.rows(), b_.cols());
 }
 
 void Linear::zero_grad() {

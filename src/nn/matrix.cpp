@@ -3,18 +3,23 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/simd.hpp"
 
 namespace deepcat::nn {
 
-Matrix::Matrix(std::size_t rows, std::size_t cols)
-    : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
+template <typename T>
+BasicMatrix<T>::BasicMatrix(std::size_t rows, std::size_t cols)
+    : rows_(rows), cols_(cols), data_(rows * cols, T{0}) {}
 
-Matrix::Matrix(std::size_t rows, std::size_t cols, double value)
+template <typename T>
+BasicMatrix<T>::BasicMatrix(std::size_t rows, std::size_t cols, T value)
     : rows_(rows), cols_(cols), data_(rows * cols, value) {}
 
-Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
+template <typename T>
+BasicMatrix<T>::BasicMatrix(
+    std::initializer_list<std::initializer_list<T>> rows) {
   rows_ = rows.size();
   cols_ = rows_ ? rows.begin()->size() : 0;
   data_.reserve(rows_ * cols_);
@@ -26,36 +31,38 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   }
 }
 
-Matrix Matrix::row_vector(std::span<const double> values) {
-  Matrix m(1, values.size());
+template <typename T>
+BasicMatrix<T> BasicMatrix<T>::row_vector(std::span<const T> values) {
+  BasicMatrix m(1, values.size());
   std::copy(values.begin(), values.end(), m.data_.begin());
   return m;
 }
 
-Matrix Matrix::col_vector(std::span<const double> values) {
-  Matrix m(values.size(), 1);
+template <typename T>
+BasicMatrix<T> BasicMatrix<T>::col_vector(std::span<const T> values) {
+  BasicMatrix m(values.size(), 1);
   std::copy(values.begin(), values.end(), m.data_.begin());
   return m;
 }
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
+template <typename T>
+BasicMatrix<T> BasicMatrix<T>::identity(std::size_t n) {
+  BasicMatrix m(n, n);
+  for (std::size_t i = 0; i < n; ++i) m(i, i) = T{1};
   return m;
 }
 
-void Matrix::fill(double value) noexcept {
-  std::fill(data_.begin(), data_.end(), value);
-}
-
-void Matrix::resize(std::size_t rows, std::size_t cols) {
+template <typename T>
+void BasicMatrix<T>::resize(std::size_t rows, std::size_t cols) {
   rows_ = rows;
   cols_ = cols;
   data_.resize(rows * cols);
 }
 
 namespace {
-void require_same_shape(const Matrix& a, const Matrix& b, const char* op) {
+template <typename T>
+void require_same_shape(const BasicMatrix<T>& a, const BasicMatrix<T>& b,
+                        const char* op) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) {
     throw std::invalid_argument(std::string("Matrix ") + op +
                                 ": shape mismatch");
@@ -63,34 +70,38 @@ void require_same_shape(const Matrix& a, const Matrix& b, const char* op) {
 }
 }  // namespace
 
-Matrix& Matrix::operator+=(const Matrix& other) {
+template <typename T>
+BasicMatrix<T>& BasicMatrix<T>::operator+=(const BasicMatrix& other) {
   require_same_shape(*this, other, "+=");
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
   return *this;
 }
 
-Matrix& Matrix::operator-=(const Matrix& other) {
+template <typename T>
+BasicMatrix<T>& BasicMatrix<T>::operator-=(const BasicMatrix& other) {
   require_same_shape(*this, other, "-=");
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
   return *this;
 }
 
-Matrix& Matrix::operator*=(double scalar) noexcept {
-  for (double& x : data_) x *= scalar;
+template <typename T>
+BasicMatrix<T>& BasicMatrix<T>::operator*=(T scalar) noexcept {
+  for (T& x : data_) x *= scalar;
   return *this;
 }
 
-Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
+template <typename T>
+BasicMatrix<T> BasicMatrix<T>::transposed() const {
+  BasicMatrix t(cols_, rows_);
   // Cache-blocked: both the source row walk and the destination column
-  // walk stay inside one 32x32 tile (8 KiB working set) at a time.
+  // walk stay inside one 32x32 tile at a time.
   constexpr std::size_t kTile = 32;
   for (std::size_t r0 = 0; r0 < rows_; r0 += kTile) {
     const std::size_t r_end = std::min(rows_, r0 + kTile);
     for (std::size_t c0 = 0; c0 < cols_; c0 += kTile) {
       const std::size_t c_end = std::min(cols_, c0 + kTile);
       for (std::size_t r = r0; r < r_end; ++r) {
-        const double* src = data_.data() + r * cols_;
+        const T* src = data_.data() + r * cols_;
         for (std::size_t c = c0; c < c_end; ++c) {
           t.data_[c * rows_ + r] = src[c];
         }
@@ -100,53 +111,54 @@ Matrix Matrix::transposed() const {
   return t;
 }
 
-double Matrix::norm() const noexcept {
-  return std::sqrt(common::simd::sum_squares(data_.data(), data_.size()));
+template <typename T>
+double BasicMatrix<T>::norm() const noexcept {
+  double sq = 0.0;
+  for (const T x : data_) sq += static_cast<double>(x) * static_cast<double>(x);
+  return std::sqrt(sq);
 }
 
-Matrix operator+(Matrix a, const Matrix& b) { return a += b; }
-Matrix operator-(Matrix a, const Matrix& b) { return a -= b; }
-Matrix operator*(Matrix a, double s) { return a *= s; }
-Matrix operator*(double s, Matrix a) { return a *= s; }
+template class BasicMatrix<double>;
+template class BasicMatrix<float>;
 
-Matrix matmul(const Matrix& a, const Matrix& b) {
+Tensor matmul(const Tensor& a, const Tensor& b) {
   if (a.cols() != b.rows()) {
     throw std::invalid_argument("matmul: inner dimension mismatch");
   }
-  Matrix c(a.rows(), b.cols());
+  Tensor c(a.rows(), b.cols());
   common::simd::gemm_nn(a.rows(), b.cols(), a.cols(), a.data(), a.cols(),
                         b.data(), b.cols(), c.data(), c.cols());
   return c;
 }
 
-Matrix matmul_tn(const Matrix& a, const Matrix& b) {
+Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   if (a.rows() != b.rows()) {
     throw std::invalid_argument("matmul_tn: inner dimension mismatch");
   }
-  Matrix c(a.cols(), b.cols());
+  Tensor c(a.cols(), b.cols());
   common::simd::gemm_tn(a.cols(), b.cols(), a.rows(), a.data(), a.cols(),
                         b.data(), b.cols(), c.data(), c.cols());
   return c;
 }
 
-Matrix matmul_nt(const Matrix& a, const Matrix& b) {
+Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   if (a.cols() != b.cols()) {
     throw std::invalid_argument("matmul_nt: inner dimension mismatch");
   }
-  Matrix c(a.rows(), b.rows());
+  Tensor c(a.rows(), b.rows());
   common::simd::gemm_nt(a.rows(), b.rows(), a.cols(), a.data(), a.cols(),
                         b.data(), b.cols(), c.data(), c.cols());
   return c;
 }
 
-void matmul_bias_act(const Matrix& x, const Matrix& w, const Matrix& bias,
-                     Activation act, Matrix& out) {
+void matmul_bias_act(const Tensor& x, const Tensor& w, const Tensor& bias,
+                     Activation act, Tensor& out) {
   out.resize(x.rows(), w.cols());
   matmul_bias_act_rows(x, w, bias, act, out, 0, x.rows());
 }
 
-void matmul_bias_act_rows(const Matrix& x, const Matrix& w,
-                          const Matrix& bias, Activation act, Matrix& out,
+void matmul_bias_act_rows(const Tensor& x, const Tensor& w,
+                          const Tensor& bias, Activation act, Tensor& out,
                           std::size_t r0, std::size_t r1) {
   if (x.cols() != w.rows()) {
     throw std::invalid_argument("matmul_bias_act: inner dimension mismatch");
@@ -163,14 +175,14 @@ void matmul_bias_act_rows(const Matrix& x, const Matrix& w,
   for (std::size_t r = r0; r < r1; ++r) {
     std::copy(bias.row(0).begin(), bias.row(0).end(), out.row(r).begin());
   }
-  double* rows = out.data() + r0 * out.cols();
+  float* rows = out.data() + r0 * out.cols();
   common::simd::gemm_nn(r1 - r0, w.cols(), x.cols(),
                         x.data() + r0 * x.cols(), x.cols(), w.data(),
                         w.cols(), rows, out.cols());
   apply_activation(rows, (r1 - r0) * out.cols(), act);
 }
 
-void apply_activation(double* y, std::size_t n, Activation act) noexcept {
+void apply_activation(float* y, std::size_t n, Activation act) noexcept {
   switch (act) {
     case Activation::kNone:
       break;
@@ -181,16 +193,18 @@ void apply_activation(double* y, std::size_t n, Activation act) noexcept {
       for (std::size_t i = 0; i < n; ++i) y[i] = std::tanh(y[i]);
       break;
     case Activation::kSigmoid:
-      for (std::size_t i = 0; i < n; ++i) y[i] = 1.0 / (1.0 + std::exp(-y[i]));
+      for (std::size_t i = 0; i < n; ++i) {
+        y[i] = 1.0f / (1.0f + std::exp(-y[i]));
+      }
       break;
   }
 }
 
-void apply_activation(Matrix& y, Activation act) noexcept {
+void apply_activation(Tensor& y, Activation act) noexcept {
   apply_activation(y.data(), y.size(), act);
 }
 
-void apply_activation_grad(double* grad, const double* y, std::size_t n,
+void apply_activation_grad(float* grad, const float* y, std::size_t n,
                            Activation act) noexcept {
   switch (act) {
     case Activation::kNone:
@@ -199,15 +213,15 @@ void apply_activation_grad(double* grad, const double* y, std::size_t n,
       common::simd::relu_mask(grad, y, n);
       break;
     case Activation::kTanh:
-      for (std::size_t i = 0; i < n; ++i) grad[i] *= 1.0 - y[i] * y[i];
+      for (std::size_t i = 0; i < n; ++i) grad[i] *= 1.0f - y[i] * y[i];
       break;
     case Activation::kSigmoid:
-      for (std::size_t i = 0; i < n; ++i) grad[i] *= y[i] * (1.0 - y[i]);
+      for (std::size_t i = 0; i < n; ++i) grad[i] *= y[i] * (1.0f - y[i]);
       break;
   }
 }
 
-void apply_activation_grad(Matrix& grad, const Matrix& y,
+void apply_activation_grad(Tensor& grad, const Tensor& y,
                            Activation act) noexcept {
   apply_activation_grad(grad.data(), y.data(), grad.size(), act);
 }

@@ -37,7 +37,7 @@ Mlp::Mlp(const std::vector<std::size_t>& dims, common::Rng& rng,
   }
 }
 
-Mlp::Mlp(std::vector<Matrix> params, OutputActivation out_act) {
+Mlp::Mlp(std::vector<Tensor> params, OutputActivation out_act) {
   if (params.empty() || params.size() % 2 != 0) {
     throw std::invalid_argument("Mlp: need a (w, b) pair per layer");
   }
@@ -53,16 +53,16 @@ Mlp::Mlp(std::vector<Matrix> params, OutputActivation out_act) {
   }
 }
 
-const Matrix& Mlp::forward(const Matrix& x) {
+const Tensor& Mlp::forward(const Tensor& x) {
   common::Partner serial;
   return forward(x, serial);
 }
 
-const Matrix& Mlp::forward(const Matrix& x, common::Partner& partner) {
+const Tensor& Mlp::forward(const Tensor& x, common::Partner& partner) {
   for (auto& layer : layers_) layer.size_output(x.rows());
   partner.each_part([&](std::size_t part) {
     const auto rows = partner.range(part, x.rows(), kSplitRows);
-    const Matrix* in = &x;
+    const Tensor* in = &x;
     for (auto& layer : layers_) {
       layer.forward_rows(*in, rows.begin, rows.end);
       in = &layer.output();
@@ -71,11 +71,11 @@ const Matrix& Mlp::forward(const Matrix& x, common::Partner& partner) {
   return layers_.back().output();
 }
 
-const Matrix& Mlp::forward_row(const Matrix& x,
-                               std::vector<Matrix>& rows) const {
+const Tensor& Mlp::forward_row(const Tensor& x,
+                               std::vector<Tensor>& rows) const {
   if (x.rows() != 1) throw std::invalid_argument("Mlp: forward_row takes one row");
   rows.resize(layers_.size());
-  const Matrix* in = &x;
+  const Tensor* in = &x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     layers_[i].forward_row(*in, rows[i]);
     in = &rows[i];
@@ -83,20 +83,20 @@ const Matrix& Mlp::forward_row(const Matrix& x,
   return rows.back();
 }
 
-void Mlp::seed_output_grad(const Matrix& grad_out) {
-  const Matrix& y = layers_.back().output();
+void Mlp::seed_output_grad(const Tensor& grad_out) {
+  const Tensor& y = layers_.back().output();
   if (grad_out.rows() != y.rows() || grad_out.cols() != y.cols()) {
     throw std::invalid_argument("Mlp: output gradient shape mismatch");
   }
   layers_.back().grad() = grad_out;
 }
 
-void Mlp::backward(const Matrix& x, const Matrix& grad_out) {
+void Mlp::backward(const Tensor& x, const Tensor& grad_out) {
   common::Partner serial;
   backward(x, grad_out, serial);
 }
 
-void Mlp::backward(const Matrix& x, const Matrix& grad_out,
+void Mlp::backward(const Tensor& x, const Tensor& grad_out,
                    common::Partner& partner) {
   seed_output_grad(grad_out);
   layers_.back().mask_grad();
@@ -104,7 +104,7 @@ void Mlp::backward(const Matrix& x, const Matrix& grad_out,
   const std::size_t batch = grad_out.rows();
   for (std::size_t i = layers_.size(); i-- > 0;) {
     Linear& layer = layers_[i];
-    const Matrix& in = i == 0 ? x : layers_[i - 1].output();
+    const Tensor& in = i == 0 ? x : layers_[i - 1].output();
     Linear* below = i == 0 ? nullptr : &layers_[i - 1];
     if (below != nullptr) below->grad().resize(batch, below->out_features());
     partner.each_part([&](std::size_t part) {
@@ -119,12 +119,12 @@ void Mlp::backward(const Matrix& x, const Matrix& grad_out,
   }
 }
 
-const Matrix& Mlp::input_grad(const Matrix& grad_out) {
+const Tensor& Mlp::input_grad(const Tensor& grad_out) {
   common::Partner serial;
   return input_grad(grad_out, serial);
 }
 
-const Matrix& Mlp::input_grad(const Matrix& grad_out,
+const Tensor& Mlp::input_grad(const Tensor& grad_out,
                               common::Partner& partner) {
   seed_output_grad(grad_out);
   const std::size_t batch = grad_out.rows();
@@ -156,9 +156,9 @@ std::vector<Param> Mlp::params() {
   return all;
 }
 
-std::vector<Matrix> Mlp::param_values() const {
+std::vector<Tensor> Mlp::param_values() const {
   // Linear::params() binds (w, b) per layer; keep that order.
-  std::vector<Matrix> all;
+  std::vector<Tensor> all;
   all.reserve(2 * layers_.size());
   for (const auto& layer : layers_) {
     all.push_back(layer.weights());
@@ -179,20 +179,23 @@ void Mlp::soft_update_from(Mlp& src, double tau, common::Partner& partner) {
     throw std::invalid_argument("soft_update_from: layer structure mismatch");
   }
   for (std::size_t i = 0; i < dst_params.size(); ++i) {
-    const Matrix& d = *dst_params[i].value;
-    const Matrix& s = *src_params[i].value;
+    const Tensor& d = *dst_params[i].value;
+    const Tensor& s = *src_params[i].value;
     if (d.rows() != s.rows() || d.cols() != s.cols()) {
       throw std::invalid_argument("soft_update_from: shape mismatch");
     }
   }
+  // In float, like the weights: tau and 1 - tau narrowed once.
+  const auto t = static_cast<float>(tau);
+  const auto keep = static_cast<float>(1.0 - tau);
   partner.each_part([&](std::size_t part) {
     for (std::size_t i = 0; i < dst_params.size(); ++i) {
-      double* d = dst_params[i].value->data();
-      const double* s = src_params[i].value->data();
+      float* d = dst_params[i].value->data();
+      const float* s = src_params[i].value->data();
       const auto elems =
           partner.range(part, dst_params[i].value->size(), kSplitLanes);
       for (std::size_t k = elems.begin; k < elems.end; ++k) {
-        d[k] = tau * s[k] + (1.0 - tau) * d[k];
+        d[k] = t * s[k] + keep * d[k];
       }
     }
   });
@@ -212,7 +215,7 @@ void Mlp::save(std::ostream& os) {
   os.precision(17);
   for (const auto& p : ps) {
     os << p.value->rows() << ' ' << p.value->cols() << '\n';
-    for (double v : p.value->flat()) os << v << ' ';
+    for (float v : p.value->flat()) os << v << ' ';
     os << '\n';
   }
 }
@@ -230,22 +233,23 @@ void Mlp::load(std::istream& is) {
     if (r != p.value->rows() || c != p.value->cols()) {
       throw std::runtime_error("Mlp::load: shape mismatch");
     }
-    for (double& v : p.value->flat()) is >> v;
+    for (float& v : p.value->flat()) is >> v;
   }
   if (!is) throw std::runtime_error("Mlp::load: truncated stream");
 }
 
-double mse_loss(const Matrix& pred, const Matrix& target, Matrix& grad) {
+double mse_loss(const Tensor& pred, const Tensor& target, Tensor& grad) {
   if (pred.rows() != target.rows() || pred.cols() != target.cols()) {
     throw std::invalid_argument("mse_loss: shape mismatch");
   }
-  grad = Matrix(pred.rows(), pred.cols());
+  grad = Tensor(pred.rows(), pred.cols());
   double loss = 0.0;
   const double inv_n = 1.0 / static_cast<double>(pred.size());
   for (std::size_t i = 0; i < pred.size(); ++i) {
-    const double diff = pred.flat()[i] - target.flat()[i];
+    const double diff = static_cast<double>(pred.flat()[i]) -
+                        static_cast<double>(target.flat()[i]);
     loss += diff * diff;
-    grad.flat()[i] = 2.0 * diff * inv_n;
+    grad.flat()[i] = static_cast<float>(2.0 * diff * inv_n);
   }
   return loss * inv_n;
 }

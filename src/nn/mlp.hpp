@@ -41,44 +41,44 @@ class Mlp {
   /// The same stack over given parameter tensors, in params() order (w, b
   /// per layer), with zeroed gradients and no random draws. Throws
   /// std::invalid_argument unless they chain as a stack.
-  Mlp(std::vector<Matrix> params, OutputActivation out_act);
+  Mlp(std::vector<Tensor> params, OutputActivation out_act);
 
   /// Forward through the stack; returns the last layer's output buffer,
   /// valid until the next forward() on this net.
-  const Matrix& forward(const Matrix& x);
+  const Tensor& forward(const Tensor& x);
   /// forward(x) split by batch rows: one fork carries each part's rows
   /// through every layer.
-  const Matrix& forward(const Matrix& x, common::Partner& partner);
+  const Tensor& forward(const Tensor& x, common::Partner& partner);
   /// forward(x) for a one-row x through a net it only reads: each layer's
   /// output row goes to the caller's `rows` (one per layer, resized to
   /// 1 x out) instead of the layer's buffer; returns the last. Each layer
   /// makes the kernel call forward() makes on a one-row batch, so the row
   /// is forward(x)'s bit for bit, and callers that each own their `rows`
   /// can run it on one net side by side.
-  const Matrix& forward_row(const Matrix& x, std::vector<Matrix>& rows) const;
+  const Tensor& forward_row(const Tensor& x, std::vector<Tensor>& rows) const;
 
   /// Backward from dL/dy for the batch of the last forward(x), which `x`
   /// must be: accumulates every parameter gradient (sized first, zeroed,
   /// if this net has never trained). dL/dx is not formed — no caller that
   /// trains this net reads it.
-  void backward(const Matrix& x, const Matrix& grad_out);
+  void backward(const Tensor& x, const Tensor& grad_out);
   /// backward() with one fork per layer: the weight gradient split by
   /// weight rows, the input gradient (and the layer below's activation
   /// mask) by batch rows. The output layer's mask runs before the forks.
-  void backward(const Matrix& x, const Matrix& grad_out,
+  void backward(const Tensor& x, const Tensor& grad_out,
                 common::Partner& partner);
 
   /// dL/dx for the batch of the last forward(), leaving every parameter
   /// gradient untouched. Valid until the next input_grad().
-  const Matrix& input_grad(const Matrix& grad_out);
+  const Tensor& input_grad(const Tensor& grad_out);
   /// input_grad() split by batch rows: one fork carries each part's rows
   /// down every layer.
-  const Matrix& input_grad(const Matrix& grad_out, common::Partner& partner);
+  const Tensor& input_grad(const Tensor& grad_out, common::Partner& partner);
 
   void zero_grad();
   [[nodiscard]] std::vector<Param> params();
   /// Copies of the parameter tensors, in params() order.
-  [[nodiscard]] std::vector<Matrix> param_values() const;
+  [[nodiscard]] std::vector<Tensor> param_values() const;
 
 
   /// this = tau * src + (1 - tau) * this, parameter-wise. Shapes must match.
@@ -102,15 +102,15 @@ class Mlp {
 
  private:
   /// Seeds the last layer's dL/dz buffer with `grad_out`.
-  void seed_output_grad(const Matrix& grad_out);
+  void seed_output_grad(const Tensor& grad_out);
 
   std::vector<Linear> layers_;
-  Matrix dx_;  // input_grad() result
+  Tensor dx_;  // input_grad() result
 };
 
-/// Mean-squared-error loss over a batch: L = mean((pred - target)^2).
-/// Returns the loss and writes dL/dpred into `grad`.
-[[nodiscard]] double mse_loss(const Matrix& pred, const Matrix& target,
-                              Matrix& grad);
+/// Mean-squared-error loss over a batch: L = mean((pred - target)^2),
+/// accumulated in double. Returns the loss and writes dL/dpred into `grad`.
+[[nodiscard]] double mse_loss(const Tensor& pred, const Tensor& target,
+                              Tensor& grad);
 
 }  // namespace deepcat::nn

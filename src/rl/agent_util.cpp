@@ -8,7 +8,7 @@ namespace deepcat::rl {
 namespace {
 template <typename Selector>
 void pack(std::span<const Transition* const> batch, Selector select,
-          nn::Matrix& out) {
+          nn::Tensor& out) {
   if (batch.empty()) throw std::invalid_argument("pack: empty batch");
   const std::size_t cols = select(*batch.front()).size();
   out.resize(batch.size(), cols);
@@ -17,25 +17,26 @@ void pack(std::span<const Transition* const> batch, Selector select,
     if (v.size() != cols) {
       throw std::invalid_argument("pack: ragged transition vectors");
     }
-    std::copy(v.begin(), v.end(), out.row(r).begin());
+    std::transform(v.begin(), v.end(), out.row(r).begin(),
+                   [](double x) { return static_cast<float>(x); });
   }
 }
 }  // namespace
 
-void states_of(std::span<const Transition* const> batch, nn::Matrix& out) {
+void states_of(std::span<const Transition* const> batch, nn::Tensor& out) {
   pack(batch, [](const Transition& t) -> const std::vector<double>& {
     return t.state;
   }, out);
 }
 
-void actions_of(std::span<const Transition* const> batch, nn::Matrix& out) {
+void actions_of(std::span<const Transition* const> batch, nn::Tensor& out) {
   pack(batch, [](const Transition& t) -> const std::vector<double>& {
     return t.action;
   }, out);
 }
 
 void next_states_of(std::span<const Transition* const> batch,
-                    nn::Matrix& out) {
+                    nn::Tensor& out) {
   pack(batch, [](const Transition& t) -> const std::vector<double>& {
     return t.next_state;
   }, out);
@@ -53,7 +54,7 @@ void dones_of(std::span<const Transition* const> batch, nn::Matrix& out) {
   }
 }
 
-void concat_cols(const nn::Matrix& a, const nn::Matrix& b, nn::Matrix& out) {
+void concat_cols(const nn::Tensor& a, const nn::Tensor& b, nn::Tensor& out) {
   if (a.rows() != b.rows()) {
     throw std::invalid_argument("concat_cols: row mismatch");
   }
@@ -66,7 +67,7 @@ void concat_cols(const nn::Matrix& a, const nn::Matrix& b, nn::Matrix& out) {
   }
 }
 
-void right_cols(const nn::Matrix& m, std::size_t cols, nn::Matrix& out) {
+void right_cols(const nn::Tensor& m, std::size_t cols, nn::Tensor& out) {
   if (cols > m.cols()) throw std::invalid_argument("right_cols: too wide");
   out.resize(m.rows(), cols);
   const std::size_t offset = m.cols() - cols;
@@ -78,10 +79,18 @@ void right_cols(const nn::Matrix& m, std::size_t cols, nn::Matrix& out) {
 }
 
 void state_action_row(std::span<const double> s, std::span<const double> a,
-                      nn::Matrix& out) {
+                      nn::Tensor& out) {
   out.resize(1, s.size() + a.size());
-  std::copy(s.begin(), s.end(), out.data());
-  std::copy(a.begin(), a.end(), out.data() + s.size());
+  const auto narrow = [](double x) { return static_cast<float>(x); };
+  std::transform(s.begin(), s.end(), out.data(), narrow);
+  std::transform(a.begin(), a.end(), out.data() + s.size(), narrow);
+}
+
+std::vector<double> to_doubles(std::span<const float> values) {
+  std::vector<double> out(values.size());
+  std::transform(values.begin(), values.end(), out.begin(),
+                 [](float x) { return static_cast<double>(x); });
+  return out;
 }
 
 void StepBuffers::pack(std::span<const Transition* const> batch) {

@@ -45,8 +45,7 @@ std::vector<double> DdpgAgent::act(std::span<const double> state) {
     throw std::invalid_argument("DdpgAgent::act: state dim mismatch");
   }
   state_action_row(state, {}, row_in_);
-  const nn::Matrix& y = actor_.forward_row(row_in_, rows_);
-  return {y.flat().begin(), y.flat().end()};
+  return to_doubles(actor_.forward_row(row_in_, rows_).flat());
 }
 
 std::vector<double> DdpgAgent::act_noisy(std::span<const double> state,
@@ -61,7 +60,7 @@ std::vector<double> DdpgAgent::act_noisy(std::span<const double> state,
 double DdpgAgent::q_value(std::span<const double> state,
                           std::span<const double> action) {
   state_action_row(state, action, row_in_);
-  return critic_.forward_row(row_in_, rows_)(0, 0);
+  return static_cast<double>(critic_.forward_row(row_in_, rows_)(0, 0));
 }
 
 DdpgTrainStats DdpgAgent::train_step(ReplayBuffer& buffer, common::Rng& rng) {
@@ -73,10 +72,11 @@ DdpgTrainStats DdpgAgent::train_step(ReplayBuffer& buffer, common::Rng& rng) {
   // y = r + gamma * Q'(s', mu'(s')) — no smoothing, single critic: this is
   // precisely the overestimation-prone target TD3 was designed to fix.
   concat_cols(b.s_next, actor_target_.forward(b.s_next), b.target_in);
-  const nn::Matrix& q_next = critic_target_.forward(b.target_in);
+  const nn::Tensor& q_next = critic_target_.forward(b.target_in);
   b.y.resize(m, 1);
   for (std::size_t i = 0; i < m; ++i) {
-    b.y(i, 0) = b.r(i, 0) + config_.gamma * (1.0 - b.done(i, 0)) * q_next(i, 0);
+    b.y(i, 0) = b.r(i, 0) + config_.gamma * (1.0 - b.done(i, 0)) *
+                                static_cast<double>(q_next(i, 0));
   }
 
   DdpgTrainStats stats;
@@ -84,14 +84,14 @@ DdpgTrainStats DdpgAgent::train_step(ReplayBuffer& buffer, common::Rng& rng) {
 
   critic_.zero_grad();
   concat_cols(b.s, b.a, b.sa);
-  const nn::Matrix& pred = critic_.forward(b.sa);
+  const nn::Tensor& pred = critic_.forward(b.sa);
   b.grad.resize(m, 1);
   double loss = 0.0;
   for (std::size_t i = 0; i < m; ++i) {
-    const double diff = pred(i, 0) - b.y(i, 0);
+    const double diff = static_cast<double>(pred(i, 0)) - b.y(i, 0);
     const double w = batch.weights[i];
     loss += w * diff * diff;
-    b.grad(i, 0) = 2.0 * w * diff / static_cast<double>(m);
+    b.grad(i, 0) = static_cast<float>(2.0 * w * diff / static_cast<double>(m));
     td_errors[i] = diff;
   }
   critic_.backward(b.sa, b.grad);
@@ -102,13 +102,13 @@ DdpgTrainStats DdpgAgent::train_step(ReplayBuffer& buffer, common::Rng& rng) {
   // Actor ascent on Q(s, mu(s)); the critic only forms dQ/d(input).
   actor_.zero_grad();
   concat_cols(b.s, actor_.forward(b.s), b.pi_in);
-  const nn::Matrix& q = critic_.forward(b.pi_in);
+  const nn::Tensor& q = critic_.forward(b.pi_in);
   double q_mean = 0.0;
-  for (std::size_t i = 0; i < m; ++i) q_mean += q(i, 0);
+  for (std::size_t i = 0; i < m; ++i) q_mean += static_cast<double>(q(i, 0));
   stats.actor_loss = -q_mean / static_cast<double>(m);
 
   b.dq.resize(m, 1);
-  b.dq.fill(-1.0 / static_cast<double>(m));
+  b.dq.fill(static_cast<float>(-1.0 / static_cast<double>(m)));
   right_cols(critic_.input_grad(b.dq), config_.action_dim, b.d_action);
   actor_.backward(b.s, b.d_action);
   actor_opt_.step();

@@ -170,8 +170,7 @@ std::vector<double> Td3Agent::act(std::span<const double> state) {
     throw std::invalid_argument("Td3Agent::act: state dim mismatch");
   }
   state_action_row(state, {}, row_in_);
-  const nn::Matrix& y = held().actor_.forward_row(row_in_, rows_);
-  return {y.flat().begin(), y.flat().end()};
+  return to_doubles(held().actor_.forward_row(row_in_, rows_).flat());
 }
 
 std::vector<double> Td3Agent::act_noisy(std::span<const double> state,
@@ -187,9 +186,9 @@ std::pair<double, double> Td3Agent::twin_q(std::span<const double> state,
                                            std::span<const double> action) {
   state_action_row(state, action, row_in_);
   const Td3Agent& from = held();
-  const double q1 = from.critic1_.forward_row(row_in_, rows_)(0, 0);
-  const double q2 = from.critic2_.forward_row(row_in_, rows_)(0, 0);
-  return {q1, q2};
+  const float q1 = from.critic1_.forward_row(row_in_, rows_)(0, 0);
+  const float q2 = from.critic2_.forward_row(row_in_, rows_)(0, 0);
+  return {static_cast<double>(q1), static_cast<double>(q2)};
 }
 
 double Td3Agent::min_q(std::span<const double> state,
@@ -223,8 +222,9 @@ Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng,
 
   // Target action with clipped smoothing noise (TD3 trick #3). The noise is
   // drawn beside the target actor's pass, row by row and action by action,
-  // and added to the action columns of the target critics' input [s' | a'].
-  const nn::Matrix* a_next = nullptr;
+  // and added to the action columns of the target critics' input [s' | a']
+  // in double, each sum clamped and narrowed once.
+  const nn::Tensor* a_next = nullptr;
   fork.both(
       [&] { a_next = &actor_target_.forward(b.s_next); },
       [&] {
@@ -239,19 +239,21 @@ Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng,
     const auto eps = b.noise.row(i);
     const auto action = b.target_in.row(i).subspan(b.s_next.cols());
     for (std::size_t j = 0; j < action.size(); ++j) {
-      action[j] = common::clamp(action[j] + eps[j], 0.0, 1.0);
+      action[j] = static_cast<float>(
+          common::clamp(static_cast<double>(action[j]) + eps[j], 0.0, 1.0));
     }
   }
 
-  // Clipped double-Q target (TD3 trick #1).
-  const nn::Matrix* q1_next = nullptr;
-  const nn::Matrix* q2_next = nullptr;
+  // Clipped double-Q target (TD3 trick #1), formed in double.
+  const nn::Tensor* q1_next = nullptr;
+  const nn::Tensor* q2_next = nullptr;
   fork.both(
       [&] { q1_next = &critic1_target_.forward(b.target_in); },
       [&] { q2_next = &critic2_target_.forward(b.target_in); });
   b.y.resize(m, 1);
   for (std::size_t i = 0; i < m; ++i) {
-    const double q_min = std::min((*q1_next)(i, 0), (*q2_next)(i, 0));
+    const auto q_min = static_cast<double>(std::min((*q1_next)(i, 0),
+                                                     (*q2_next)(i, 0)));
     b.y(i, 0) = b.r(i, 0) + config_.gamma * (1.0 - b.done(i, 0)) * q_min;
   }
 
@@ -259,18 +261,19 @@ Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng,
   Td3TrainStats stats;
   std::vector<double> td_errors(m);
 
-  auto update_critic = [&](nn::Mlp& critic, nn::Adam& opt, nn::Matrix& grad,
+  auto update_critic = [&](nn::Mlp& critic, nn::Adam& opt, nn::Tensor& grad,
                            bool record_td) -> double {
     critic.zero_grad();
-    const nn::Matrix& pred = critic.forward(b.sa);
-    // Importance-weighted MSE (weights are 1.0 for uniform/RDPER).
+    const nn::Tensor& pred = critic.forward(b.sa);
+    // Importance-weighted MSE (weights are 1.0 for uniform/RDPER), in
+    // double; each output gradient is narrowed once.
     grad.resize(m, 1);
     double loss = 0.0;
     for (std::size_t i = 0; i < m; ++i) {
-      const double diff = pred(i, 0) - b.y(i, 0);
+      const double diff = static_cast<double>(pred(i, 0)) - b.y(i, 0);
       const double w = batch.weights[i];
       loss += w * diff * diff;
-      grad(i, 0) = 2.0 * w * diff / static_cast<double>(m);
+      grad(i, 0) = static_cast<float>(2.0 * w * diff / static_cast<double>(m));
       if (record_td) td_errors[i] = diff;
     }
     critic.backward(b.sa, grad);
@@ -334,13 +337,14 @@ double Td3Agent::update_actor(common::Partner& fork) {
   // be discarded, and the actor's own dL/ds is never read. b.pi_in holds
   // [s | pi(s)] and the actor's gradients are zeroed (train_step's fork).
   StepBuffers& b = buf_;
-  const nn::Matrix& q = critic1_.forward(b.pi_in, fork);
+  const nn::Tensor& q = critic1_.forward(b.pi_in, fork);
   const std::size_t m = q.rows();
   double q_mean = 0.0;
-  for (std::size_t i = 0; i < m; ++i) q_mean += q(i, 0);
+  for (std::size_t i = 0; i < m; ++i) q_mean += static_cast<double>(q(i, 0));
 
   b.dq.resize(m, 1);
-  b.dq.fill(-1.0 / static_cast<double>(m));  // d(-mean Q)/dQ
+  // d(-mean Q)/dQ
+  b.dq.fill(static_cast<float>(-1.0 / static_cast<double>(m)));
   right_cols(critic1_.input_grad(b.dq, fork), config_.action_dim,
              b.d_action);
   actor_.backward(b.s, b.d_action, fork);

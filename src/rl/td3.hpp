@@ -1,8 +1,11 @@
 // TD3 — twin delayed deep deterministic policy gradient (Fujimoto et al.,
 // 2018), the algorithm DeepCAT trains (paper §3.2). Actions live in
-// [0,1]^action_dim (sigmoid actor output). The twin critics double as
-// DeepCAT's online execution-time indicator (paper §3.4): min(Q1, Q2) of a
-// candidate action predicts whether it is worth a real evaluation.
+// [0,1]^action_dim (sigmoid actor output). The six networks and the three
+// optimizers are float32, as in the paper's PyTorch; states, actions,
+// rewards, TD targets, losses and the RNG stay double at this interface.
+// The twin critics double as DeepCAT's online execution-time indicator
+// (paper §3.4): min(Q1, Q2) of a candidate action predicts whether it is
+// worth a real evaluation.
 #pragma once
 
 #include <iosfwd>
@@ -51,20 +54,21 @@ struct Td3TrainStats {
   std::optional<double> actor_loss;
 };
 
-/// A value copy of a Td3Agent's trainable state: every parameter tensor of
-/// the six networks, the three optimizers' moments and step counts, and
-/// the train-step counter. It holds no replay and no RNG. Copying it out
-/// costs a memcpy of the tensors; nothing is serialized or checksummed.
+/// A value copy of a Td3Agent's trainable state: every (float) parameter
+/// tensor of the six networks, the three optimizers' moments and step
+/// counts, and the train-step counter. It holds no replay and no RNG.
+/// Copying it out costs a memcpy of the tensors; nothing is serialized or
+/// checksummed.
 struct AgentSnapshot {
   struct OptimizerState {
-    std::vector<nn::Matrix> first_moments;   ///< binding order
-    std::vector<nn::Matrix> second_moments;  ///< binding order
+    std::vector<nn::Tensor> first_moments;   ///< binding order
+    std::vector<nn::Tensor> second_moments;  ///< binding order
     std::size_t step_count = 0;
   };
   std::size_t state_dim = 0;
   std::size_t action_dim = 0;
   /// Per network, in Td3Agent::networks() order: its Mlp::params() values.
-  std::vector<std::vector<nn::Matrix>> networks;
+  std::vector<std::vector<nn::Tensor>> networks;
   /// In Td3Agent::optimizers() order.
   std::vector<OptimizerState> optimizers;
   std::size_t train_steps = 0;
@@ -195,8 +199,8 @@ class Td3Agent {
   /// A clone's source until thaw() has copied its state.
   const Td3Agent* frozen_ = nullptr;
   StepBuffers buf_;
-  nn::Matrix row_in_;             // act's [s], twin_q's [s | a]
-  std::vector<nn::Matrix> rows_;  // their passes' layer output rows
+  nn::Tensor row_in_;             // act's [s], twin_q's [s | a]
+  std::vector<nn::Tensor> rows_;  // their passes' layer output rows
   obs::Counter* obs_train_steps_ = nullptr;
   obs::Gauge* obs_critic1_loss_ = nullptr;
   obs::Gauge* obs_critic2_loss_ = nullptr;

@@ -129,12 +129,16 @@ class ByteWriter {
     }
   }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void f32(float v) { u32(std::bit_cast<std::uint32_t>(v)); }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
     buf_.append(s);
   }
   void doubles(const double* data, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) f64(data[i]);
+  }
+  void floats(const float* data, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) f32(data[i]);
   }
   void double_vec(const std::vector<double>& v) {
     u32(static_cast<std::uint32_t>(v.size()));
@@ -171,6 +175,7 @@ class ByteReader {
     return v;
   }
   double f64() { return std::bit_cast<double>(u64()); }
+  float f32() { return std::bit_cast<float>(u32()); }
   std::string str() {
     const std::uint32_t n = u32();
     need(n);
@@ -180,6 +185,9 @@ class ByteReader {
   }
   void doubles(double* out, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) out[i] = f64();
+  }
+  void floats(float* out, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = f32();
   }
   std::vector<double> double_vec() {
     const std::uint32_t n = u32();
@@ -276,7 +284,7 @@ std::string encode_nets(core::DeepCat& model) {
     for (const auto& p : params) {
       w.u32(static_cast<std::uint32_t>(p.value->rows()));
       w.u32(static_cast<std::uint32_t>(p.value->cols()));
-      w.doubles(p.value->data(), p.value->size());
+      w.floats(p.value->data(), p.value->size());
     }
   }
   return w.bytes();
@@ -308,7 +316,7 @@ void decode_nets(const std::string& payload, core::DeepCat& model) {
         throw CheckpointError("section 'NETS': shape mismatch in '" +
                               std::string(name) + "'");
       }
-      r.doubles(p.value->data(), p.value->size());
+      r.floats(p.value->data(), p.value->size());
     }
   }
   r.expect_exhausted();
@@ -328,8 +336,8 @@ std::string encode_adam(core::DeepCat& model) {
     for (std::size_t i = 0; i < m.size(); ++i) {
       w.u32(static_cast<std::uint32_t>(m[i].rows()));
       w.u32(static_cast<std::uint32_t>(m[i].cols()));
-      w.doubles(m[i].data(), m[i].size());
-      w.doubles(v[i].data(), v[i].size());
+      w.floats(m[i].data(), m[i].size());
+      w.floats(v[i].data(), v[i].size());
     }
   }
   w.u64(static_cast<std::uint64_t>(agent.train_steps()));
@@ -357,7 +365,7 @@ void decode_adam(const std::string& payload, core::DeepCat& model) {
       throw CheckpointError("section 'ADAM': tensor count mismatch in '" +
                             std::string(name) + "'");
     }
-    std::vector<nn::Matrix> m, v;
+    std::vector<nn::Tensor> m, v;
     m.reserve(tensors);
     v.reserve(tensors);
     for (std::uint32_t i = 0; i < tensors; ++i) {
@@ -367,9 +375,9 @@ void decode_adam(const std::string& payload, core::DeepCat& model) {
         throw CheckpointError("section 'ADAM': shape mismatch in '" +
                               std::string(name) + "'");
       }
-      nn::Matrix mi(rows, cols), vi(rows, cols);
-      r.doubles(mi.data(), mi.size());
-      r.doubles(vi.data(), vi.size());
+      nn::Tensor mi(rows, cols), vi(rows, cols);
+      r.floats(mi.data(), mi.size());
+      r.floats(vi.data(), vi.size());
       m.push_back(std::move(mi));
       v.push_back(std::move(vi));
     }
@@ -575,7 +583,12 @@ struct Section {
   std::string payload;
 };
 
-std::vector<Section> read_sections(std::istream& is) {
+struct Container {
+  std::uint32_t version = 0;
+  std::vector<Section> sections;
+};
+
+Container read_sections(std::istream& is) {
   char magic[4];
   is.read(magic, sizeof magic);
   if (!is || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
@@ -596,7 +609,8 @@ std::vector<Section> read_sections(std::istream& is) {
                           std::to_string(kCheckpointVersion));
   }
 
-  std::vector<Section> sections;
+  Container container{version, {}};
+  std::vector<Section>& sections = container.sections;
   for (;;) {
     char head[12];
     is.read(head, sizeof head);
@@ -638,7 +652,7 @@ std::vector<Section> read_sections(std::istream& is) {
     if (tag == kTagEnd) break;
     sections.push_back({tag, std::move(payload)});
   }
-  return sections;
+  return container;
 }
 
 const std::string& require_section(const std::vector<Section>& sections,
@@ -754,7 +768,8 @@ void save_checkpoint(std::ostream& os, core::DeepCat& model,
 void load_checkpoint(std::istream& is, core::DeepCat& model,
                      gp::WorkloadRepository* repository,
                      retrieval::ExperienceIndex* index) {
-  const std::vector<Section> sections = read_sections(is);
+  const Container container = read_sections(is);
+  const std::vector<Section>& sections = container.sections;
 
   {
     ByteReader r(require_section(sections, kTagMeta), "META");
@@ -775,6 +790,15 @@ void load_checkpoint(std::istream& is, core::DeepCat& model,
     model.set_next_env_seed(next_seed);
   }
 
+  // NETS and ADAM hold f32 tensors from version 3 on. An older file's f64
+  // tensors are refused, not narrowed: its master trained in double.
+  if (container.version < 3) {
+    throw CheckpointError(
+        "sections 'NETS' and 'ADAM': checkpoint format version " +
+        std::to_string(container.version) +
+        " stores f64 network tensors; this build reads the f32 tensors of "
+        "version 3 and later (republish the model with this build)");
+  }
   decode_nets(require_section(sections, kTagNets), model);
   decode_adam(require_section(sections, kTagAdam), model);
   decode_replay(require_section(sections, kTagReplay), model);
@@ -816,9 +840,8 @@ void save_index(std::ostream& os, const retrieval::ExperienceIndex& index) {
 }
 
 retrieval::ExperienceIndex load_index(std::istream& is) {
-  const std::vector<Section> sections = read_sections(is);
   return decode_retrieval_index(
-      require_section(sections, kTagRetrievalIndex));
+      require_section(read_sections(is).sections, kTagRetrievalIndex));
 }
 
 void save_index_file(const std::string& path,

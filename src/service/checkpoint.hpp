@@ -16,10 +16,10 @@
 //                       | payload bytes | u32 CRC32(payload)
 //   terminator section: tag "END " with zero length
 //
-// Section tags in version 2:
+// Section tags in version 3:
 //   "META"  dims, replay kind, next environment seed   (required)
-//   "NETS"  six networks, fixed order, shape-checked    (required)
-//   "ADAM"  three optimizers: step counts + moments     (required)
+//   "NETS"  six networks, fixed order, shape-checked, f32 (required)
+//   "ADAM"  three optimizers: step counts + f32 moments (required)
 //   "RPLY"  replay pools: contents + ring cursors       (required)
 //   "RNGS"  tuner RNG stream state                      (required)
 //   "WREP"  OtterTune workload repository               (optional)
@@ -28,6 +28,11 @@
 // Version 2 added the optional "RIDX" section (DESIGN.md §12). Version-1
 // readers skip it by the normal unknown-tag rule, so v2 files without the
 // section are byte-compatible with v1 files except for the version word.
+// Version 3 stores the NETS and ADAM tensors as f32, the networks' own
+// dtype, which halves 2.1 of a served master's 2.36 MB. A version-1 or -2
+// file's f64 NETS or ADAM fails with a CheckpointError naming its version
+// (no narrowing decoder is kept); an index-only container (RIDX alone, as
+// `deepcat index build` writes) still loads from any version.
 //
 // Forward compatibility: readers skip sections with unknown tags (their
 // length and CRC still guard the walk), so old code tolerates new optional
@@ -49,9 +54,10 @@
 
 namespace deepcat::service {
 
-/// Current writer format version. Readers accept any version <= this.
-/// v2 added the optional "RIDX" retrieval-index section.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+/// Current writer format version. Readers accept any version <= this, but
+/// decode NETS and ADAM from version 3 (f32 tensors) only. v2 added the
+/// optional "RIDX" retrieval-index section.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Format version of the "RIDX" section payload itself, reported by
 /// `deepcat info` so operators can tell which index layout a build writes.

@@ -51,9 +51,12 @@ StreamingService::StreamingService(StreamingOptions options)
     obs_evictions_ = &metrics->counter("stream.evictions");
     obs_warm_requests_ = &metrics->counter("stream.warm_requests");
     obs_warm_hits_ = &metrics->counter("stream.warm_hits");
+    // 1-2-5 edges from 1 ms: a served session's modeled cost is a few
+    // ms to tens of ms (rec_cost), a long offline run's up to minutes.
     obs_rec_seconds_ = &metrics->histogram(
         "stream.rec_seconds",
-        {1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0});
+        {0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0,
+         10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0});
     obs_queue_depth_ =
         &metrics->gauge("stream.queue_depth", /*deterministic=*/false);
   }

@@ -21,13 +21,22 @@ namespace deepcat::tuners {
 /// inflated them further. Recommendation cost is now charged from the
 /// tuner's deterministic operation counts (actor forwards, twin-Q probes,
 /// train steps, GP fits/predicts) times the per-operation constants below,
-/// calibrated once against bench_micro wall-clock measurements on the
-/// reference build. Figure data is thereby a pure function of the seeds,
-/// identical across machines, runs, and thread counts.
+/// calibrated against bench_micro wall-clock measurements on the reference
+/// build. Figure data is thereby a pure function of the seeds, identical
+/// across machines, runs, and thread counts.
+///
+/// kTrainStep and kCriticPair are the float32 networks' rl.td3_train_step
+/// .avx512_ns and rl.min_q_ns (medians of 7 bench_micro --json runs, 4-vCPU
+/// AVX-512 Xeon, RelWithDebInfo), at two significant digits. The band they
+/// keep: measured / model within [0.5, 2], the band e2ebench flags its
+/// traced rl.*_vs_model ratios outside of (DESIGN.md §7). kActorForward
+/// keeps its earlier calibration: its only measured ratio, rl.act_vs_model,
+/// times a first forward after a checkpoint decode, which no served
+/// session makes.
 namespace rec_cost {
 inline constexpr double kActorForward = 9e-6;   ///< one policy-net forward
-inline constexpr double kCriticPair = 17e-6;    ///< min_q: two critic forwards
-inline constexpr double kTrainStep = 4.5e-3;    ///< one TD3/DDPG train step
+inline constexpr double kCriticPair = 2.8e-6;   ///< min_q: two critic forwards
+inline constexpr double kTrainStep = 6.6e-4;    ///< one TD3/DDPG train step
 inline constexpr double kGpFitPerN3 = 1.3e-10;  ///< Cholesky-dominated GP fit
 inline constexpr double kGpPredictPerN2 = 2e-9; ///< triangular solve/predict
 /// Replaying one retrieved warm-start action (no actor/critic forwards;

@@ -4,6 +4,8 @@
 //     scalar expressions `x > 0 ? x : 0` and `if (y <= 0) g = 0` return,
 //     on signed zeros, NaN, infinities and denormals, at every length from
 //     0 to 3 x lanes + 1, and never write past the end;
+//   - adam_update stores a first moment below FLT_MIN as +0 and keeps
+//     every other one, NaN included;
 //   - gemm_nn, gemm_tn and gemm_nt over m rows equal m one-row calls bit
 //     for bit at the shapes one train step runs, so row blocking and the
 //     batched reductions reorder nothing inside an output (the split train
@@ -13,8 +15,10 @@
 //   - gemm_nn's one-row path (act and the Twin-Q probes, one layer per
 //     call) at the inference shapes and past one 1x128 tile: every column a
 //     vector tile covers is its ascending-k FMA chain from C, rows equal a
-//     4-row call's wherever the row-invariance rule says so, and the tiers
-//     agree wherever both leave the same columns to the scalar tail.
+//     4-row call's (both row paths cover the same multiples of 8 floats on
+//     avx2 and of 16 on avx512), and the tiers agree wherever both leave
+//     the same columns to the scalar tail (n mod 16 < 8).
+// Everything here is float, the networks' type.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -44,37 +48,38 @@ class BackendGuard {
   ~BackendGuard() { force_backend(Backend::kAvx512); }
 };
 
-std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+std::uint32_t bits(float x) { return std::bit_cast<std::uint32_t>(x); }
 
 // Special values first, then ordinary ones of both signs, cycled to any
 // length.
-std::vector<double> edge_values(std::size_t n, std::size_t shift) {
-  const double kValues[] = {
-      -0.0,
-      0.0,
-      std::numeric_limits<double>::quiet_NaN(),
-      -std::numeric_limits<double>::quiet_NaN(),
-      std::numeric_limits<double>::infinity(),
-      -std::numeric_limits<double>::infinity(),
-      std::numeric_limits<double>::denorm_min(),
-      -std::numeric_limits<double>::denorm_min(),
-      std::numeric_limits<double>::min() / 4.0,
-      -std::numeric_limits<double>::min() / 4.0,
-      1.5,
-      -2.25,
-      std::numeric_limits<double>::max(),
-      -std::numeric_limits<double>::max(),
+std::vector<float> edge_values(std::size_t n, std::size_t shift) {
+  using limits = std::numeric_limits<float>;
+  const float kValues[] = {
+      -0.0f,
+      0.0f,
+      limits::quiet_NaN(),
+      -limits::quiet_NaN(),
+      limits::infinity(),
+      -limits::infinity(),
+      limits::denorm_min(),
+      -limits::denorm_min(),
+      limits::min() / 4.0f,
+      -limits::min() / 4.0f,
+      1.5f,
+      -2.25f,
+      limits::max(),
+      -limits::max(),
   };
-  std::vector<double> v(n);
+  std::vector<float> v(n);
   for (std::size_t i = 0; i < n; ++i) {
     v[i] = kValues[(i + shift) % std::size(kValues)];
   }
   return v;
 }
 
-// 3 x 8 + 1: every tail length of the widest (8-lane) tier, three times.
-constexpr std::size_t kMaxLength = 3 * 8 + 1;
-constexpr double kSentinel = 12345.0;
+// 3 x 16 + 1: every tail length of the widest (16-lane) tier, three times.
+constexpr std::size_t kMaxLength = 3 * 16 + 1;
+constexpr float kSentinel = 12345.0f;
 
 TEST(SimdBitContractTest, ReluEqualsScalarExpressionOnEveryTier) {
   BackendGuard guard;
@@ -82,9 +87,9 @@ TEST(SimdBitContractTest, ReluEqualsScalarExpressionOnEveryTier) {
     force_backend(be);
     for (std::size_t n = 0; n <= kMaxLength; ++n) {
       for (std::size_t shift = 0; shift < 14; shift += 5) {
-        std::vector<double> x = edge_values(n, shift);
-        std::vector<double> expected = x;
-        for (double& v : expected) v = v > 0.0 ? v : 0.0;
+        std::vector<float> x = edge_values(n, shift);
+        std::vector<float> expected = x;
+        for (float& v : expected) v = v > 0.0f ? v : 0.0f;
         x.push_back(-kSentinel);  // must survive: it is past the end
         relu(x.data(), n);
         for (std::size_t i = 0; i < n; ++i) {
@@ -104,18 +109,18 @@ TEST(SimdBitContractTest, ReluMaskEqualsScalarExpressionOnEveryTier) {
     force_backend(be);
     for (std::size_t n = 0; n <= kMaxLength; ++n) {
       for (std::size_t shift = 0; shift < 14; shift += 3) {
-        const std::vector<double> y = edge_values(n, shift);
-        std::vector<double> g(n);
-        for (double& v : g) v = rng.normal();
+        const std::vector<float> y = edge_values(n, shift);
+        std::vector<float> g(n);
+        for (float& v : g) v = static_cast<float>(rng.normal());
         // Gradients carry special values too: a masked -0.0 or NaN
         // gradient must still become +0.0.
         if (n > 2) {
-          g[0] = -0.0;
-          g[n / 2] = std::numeric_limits<double>::quiet_NaN();
+          g[0] = -0.0f;
+          g[n / 2] = std::numeric_limits<float>::quiet_NaN();
         }
-        std::vector<double> expected = g;
+        std::vector<float> expected = g;
         for (std::size_t i = 0; i < n; ++i) {
-          if (y[i] <= 0.0) expected[i] = 0.0;
+          if (y[i] <= 0.0f) expected[i] = 0.0f;
         }
         g.push_back(kSentinel);
         relu_mask(g.data(), y.data(), n);
@@ -124,6 +129,49 @@ TEST(SimdBitContractTest, ReluMaskEqualsScalarExpressionOnEveryTier) {
               << backend_label(be) << " n=" << n << " i=" << i;
         }
         EXPECT_EQ(g[n], kSentinel) << backend_label(be) << " n=" << n;
+      }
+    }
+  }
+}
+
+// adam_update's first-moment floor: on every tier and at every tail
+// length, a moment whose update lands below FLT_MIN in magnitude (a dead
+// unit's decaying m, which would otherwise go subnormal) is stored as +0;
+// NaN, infinities and moments at or above FLT_MIN are kept as computed.
+TEST(SimdBitContractTest, AdamFirstMomentFloorOnEveryTier) {
+  BackendGuard guard;
+  using limits = std::numeric_limits<float>;
+  // m before; the gradient is 0, so m after = 0.9 m.
+  const float kM[] = {limits::min() * 1.05f,   // 0.9 m is subnormal
+                      -limits::min() * 1.05f,  // likewise, negative
+                      limits::denorm_min(),    // already subnormal
+                      limits::min() * 2.0f,    // 0.9 m stays normal
+                      limits::quiet_NaN(),     // kept
+                      -limits::infinity(),     // kept
+                      -0.0f,                   // 0.9 * -0 + 0.1 * 0 = +0
+                      0.5f};
+  for (const Backend be : selectable_backends()) {
+    force_backend(be);
+    for (std::size_t n = 0; n <= kMaxLength; ++n) {
+      std::vector<float> value(n, 1.0f), grad(n, 0.0f), m(n), v(n, 1e-6f);
+      for (std::size_t i = 0; i < n; ++i) m[i] = kM[i % std::size(kM)];
+      adam_update(value.data(), grad.data(), m.data(), v.data(), n, 1.0f,
+                  0.9f, 0.999f, 1.0f, 0.5f, 1e-3f, 1e-8f);
+      for (std::size_t i = 0; i < n; ++i) {
+        const float before = kM[i % std::size(kM)];
+        const std::string where = std::string(backend_label(be)) +
+                                  " n=" + std::to_string(n) +
+                                  " i=" + std::to_string(i);
+        if (std::isnan(before)) {
+          EXPECT_TRUE(std::isnan(m[i])) << where;
+          continue;
+        }
+        const float after = 0.9f * before;  // + 0.1 * 0: exact either way
+        if (std::abs(after) < limits::min()) {
+          EXPECT_EQ(bits(m[i]), bits(0.0f)) << where;
+        } else {
+          EXPECT_EQ(bits(m[i]), bits(after)) << where;
+        }
       }
     }
   }
@@ -169,9 +217,9 @@ const Shape kStepShapes[] = {
 // (m x k), B (k x n); tn A is stored (k x m), B (k x n); nt A is (m x k),
 // B is stored (n x k).
 void run_rows(const Shape& s, std::size_t row0, std::size_t rows,
-              const std::vector<double>& a, const std::vector<double>& b,
-              std::vector<double>& c) {
-  double* crow = c.data() + row0 * s.n;
+              const std::vector<float>& a, const std::vector<float>& b,
+              std::vector<float>& c) {
+  float* crow = c.data() + row0 * s.n;
   switch (s.op) {
     case Op::kNn:
       gemm_nn(rows, s.n, s.k, a.data() + row0 * s.k, s.k, b.data(), s.n, crow,
@@ -193,13 +241,14 @@ TEST(SimdBitContractTest, GemmRowsEqualOneRowCallsAtStepShapes) {
   for (const Backend be : selectable_backends()) {
     force_backend(be);
     for (const Shape& s : kStepShapes) {
-      std::vector<double> a(s.m * s.k), b(s.k * s.n), c0(s.m * s.n);
-      for (double& v : a) v = rng.normal();
+      std::vector<float> a(s.m * s.k), b(s.k * s.n), c0(s.m * s.n);
+      for (float& v : a) v = static_cast<float>(rng.normal());
       // Post-ReLU-like zeros in A exercise the scalar tier's zero skip.
-      for (std::size_t i = 0; i < a.size(); i += 3) a[i] = 0.0;
-      for (double& v : b) v = rng.normal();
-      for (double& v : c0) v = rng.normal();  // C accumulates: seed it
-      std::vector<double> whole = c0, by_row = c0;
+      for (std::size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;
+      for (float& v : b) v = static_cast<float>(rng.normal());
+      // C accumulates: seed it.
+      for (float& v : c0) v = static_cast<float>(rng.normal());
+      std::vector<float> whole = c0, by_row = c0;
       run_rows(s, 0, s.m, a, b, whole);
       for (std::size_t i = 0; i < s.m; ++i) run_rows(s, i, 1, a, b, by_row);
       for (std::size_t i = 0; i < whole.size(); ++i) {
@@ -220,11 +269,11 @@ TEST(SimdBitContractTest, BroadcastGemmsAgreeAcrossVectorTiers) {
   Rng rng(29);
   for (const Shape& s : kStepShapes) {
     if (s.op == Op::kNt) continue;  // per-tier reduction trees
-    std::vector<double> a(s.m * s.k), b(s.k * s.n), c0(s.m * s.n);
-    for (double& v : a) v = rng.normal();
-    for (double& v : b) v = rng.normal();
-    for (double& v : c0) v = rng.normal();
-    std::vector<double> avx2 = c0, avx512 = c0;
+    std::vector<float> a(s.m * s.k), b(s.k * s.n), c0(s.m * s.n);
+    for (float& v : a) v = static_cast<float>(rng.normal());
+    for (float& v : b) v = static_cast<float>(rng.normal());
+    for (float& v : c0) v = static_cast<float>(rng.normal());
+    std::vector<float> avx2 = c0, avx512 = c0;
     force_backend(Backend::kAvx2);
     run_rows(s, 0, s.m, a, b, avx2);
     force_backend(Backend::kAvx512);
@@ -240,15 +289,15 @@ TEST(SimdBitContractTest, BroadcastGemmsAgreeAcrossVectorTiers) {
 // Columns [0, covered) of a gemm_nn call with `rows` rows run in vector
 // tiles on `be`; the rest take the scalar tail.
 std::size_t nn_vector_columns(Backend be, std::size_t rows, std::size_t n) {
+  (void)rows;  // both row paths cover the same columns on every tier
   if (be == Backend::kScalar) return 0;
-  const bool one_row = rows < 4;
-  const std::size_t step =
-      be == Backend::kAvx512 ? (one_row ? 16 : 8) : (one_row ? 8 : 4);
+  const std::size_t step = be == Backend::kAvx512 ? 16 : 8;
   return n - n % step;
 }
 
 // The one-row path equals the matching row of a 4-row call unless the 4-row
-// tiles cover columns it leaves to the scalar tail (simd.hpp).
+// tiles cover columns it leaves to the scalar tail (simd.hpp); with float
+// tiles they never do, and this checks that rule rather than assuming it.
 bool nn_row_invariant(Backend be, std::size_t n) {
   return nn_vector_columns(be, 1, n) == nn_vector_columns(be, 4, n);
 }
@@ -258,16 +307,16 @@ TEST(SimdBitContractTest, OneRowGemmNnKeepsItsChainsRowsAndTiers) {
   const std::size_t kDepths[] = {9, 41, 128};
   const std::size_t kWidths[] = {1, 32, 128, 136, 144, 160};
   struct Run {
-    std::vector<double> four, one;  // 4 x n from one call, and row by row
+    std::vector<float> four, one;  // 4 x n from one call, and row by row
   };
   for (const std::size_t k : kDepths) {
     for (const std::size_t n : kWidths) {
       Rng rng(k * 1000 + n);
-      std::vector<double> a(4 * k), b(k * n), c0(4 * n);
-      for (double& v : a) v = rng.normal();
-      for (std::size_t i = 0; i < a.size(); i += 3) a[i] = 0.0;
-      for (double& v : b) v = rng.normal();
-      for (double& v : c0) v = rng.normal();
+      std::vector<float> a(4 * k), b(k * n), c0(4 * n);
+      for (float& v : a) v = static_cast<float>(rng.normal());
+      for (std::size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;
+      for (float& v : b) v = static_cast<float>(rng.normal());
+      for (float& v : c0) v = static_cast<float>(rng.normal());
       std::vector<Run> runs;  // one per selectable tier, lowest first
       for (const Backend be : selectable_backends()) {
         force_backend(be);
@@ -284,7 +333,7 @@ TEST(SimdBitContractTest, OneRowGemmNnKeepsItsChainsRowsAndTiers) {
           for (std::size_t j = 0; j < n; ++j) {
             const std::size_t at = r * n + j;
             if (j < covered) {
-              double chain = c0[at];
+              float chain = c0[at];
               for (std::size_t p = 0; p < k; ++p) {
                 chain = std::fma(a[r * k + p], b[p * n + j], chain);
               }

@@ -1,13 +1,16 @@
-// Property tests for the SIMD dispatch layer: every vectorized primitive
-// must match a naive scalar reference within 1e-12 across odd lengths
-// (0, 1, non-multiples of the vector width), and force_backend() must
-// actually switch the backend.
+// Property tests for the SIMD dispatch layer: every vectorized double
+// primitive must match a naive scalar reference within 1e-12, and every
+// float one within its float bound, across odd lengths (0, 1,
+// non-multiples of the vector width); force_backend() must actually switch
+// the backend, and the per-thread dispatch counters must add up.
 #include "common/simd.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -20,6 +23,14 @@ std::vector<double> random_vec(std::size_t n, Rng& rng) {
   for (double& x : v) x = rng.normal();
   return v;
 }
+
+std::vector<float> random_fvec(std::size_t n, Rng& rng) {
+  std::vector<float> v(n);
+  for (float& x : v) x = static_cast<float>(rng.normal());
+  return v;
+}
+
+constexpr auto kFloatEps = static_cast<double>(FLT_EPSILON);
 
 // Plain accumulation-order references, independent of the library kernels.
 double ref_dot(const double* a, const double* b, std::size_t n) {
@@ -103,9 +114,9 @@ TEST(SimdTest, DispatchCountsFollowTheActiveTier) {
   BackendGuard guard;
   Rng rng(17);
   const std::size_t m = 8, n = 8, k = 8;
-  const auto a = random_vec(m * k, rng);
-  const auto b = random_vec(k * n, rng);
-  std::vector<double> c(m * n, 0.0);
+  const auto a = random_fvec(m * k, rng);
+  const auto b = random_fvec(k * n, rng);
+  std::vector<float> c(m * n, 0.0f);
   for (Backend be : selectable_backends()) {
     force_backend(be);
     reset_dispatch_counts();
@@ -123,6 +134,37 @@ TEST(SimdTest, DispatchCountsFollowTheActiveTier) {
   }
   force_backend(Backend::kAvx512);
   reset_dispatch_counts();
+}
+
+// Each thread counts in its own slot; dispatch_counts() sums them all, so
+// four threads making N GEMM calls each add exactly 4N on the active tier.
+TEST(SimdTest, DispatchCountsSumEveryThreadsCalls) {
+  BackendGuard guard;
+  constexpr std::size_t kThreads = 4;
+  constexpr unsigned long long kCalls = 1000;
+  Rng rng(18);
+  const auto a = random_fvec(4 * 16, rng);
+  const auto b = random_fvec(16 * 16, rng);
+  reset_dispatch_counts();
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&a, &b] {
+      std::vector<float> c(4 * 16, 0.0f);
+      for (unsigned long long i = 0; i < kCalls; ++i) {
+        gemm_nn(4, 16, 16, a.data(), 16, b.data(), 16, c.data(), 16);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const DispatchCounts counts = dispatch_counts();
+  const unsigned long long total = kThreads * kCalls;
+  const Backend be = active_backend();
+  EXPECT_EQ(counts.scalar_calls, be == Backend::kScalar ? total : 0ull);
+  EXPECT_EQ(counts.avx2_calls, be == Backend::kAvx2 ? total : 0ull);
+  EXPECT_EQ(counts.avx512_calls, be == Backend::kAvx512 ? total : 0ull);
+  reset_dispatch_counts();
+  const DispatchCounts zero = dispatch_counts();
+  EXPECT_EQ(zero.scalar_calls + zero.avx2_calls + zero.avx512_calls, 0ull);
 }
 
 TEST(SimdTest, DotMatchesReferenceAcrossOddLengths) {
@@ -189,39 +231,97 @@ TEST(SimdTest, AxpyMatchesReference) {
   }
 }
 
+// The float dot against a double reference: within (n + 2) * FLT_EPSILON
+// * sum |a_i * b_i| on every tier.
+TEST(SimdTest, FloatDotMeetsItsBoundOnEveryTier) {
+  BackendGuard guard;
+  Rng rng(21);
+  for (std::size_t n : kLengths) {
+    const auto a = random_fvec(n, rng);
+    const auto b = random_fvec(n, rng);
+    double exact = 0.0, abs = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double p = static_cast<double>(a[i]) * static_cast<double>(b[i]);
+      exact += p;
+      abs += std::abs(p);
+    }
+    for (Backend be : selectable_backends()) {
+      force_backend(be);
+      EXPECT_NEAR(dot(a.data(), b.data(), n), exact,
+                  static_cast<double>(n + 2) * kFloatEps * abs)
+          << backend_label(be) << " n=" << n;
+    }
+  }
+}
+
+/// One Adam step in double from float inputs, and per element the bound a
+/// float evaluation meets: each of the formula's roundings (scale, the two
+/// moment blends, the bias divides, sqrt, + eps, * lr, / and -) is within
+/// FLT_EPSILON of its result, and they compound to under 12 FLT_EPSILON of
+/// the update (with the first moment taken at its terms' magnitude) plus
+/// one of the value.
+struct AdamReference {
+  std::vector<double> value, tol;
+};
+
+AdamReference adam_reference(const std::vector<float>& value,
+                             const std::vector<float>& grad,
+                             const std::vector<float>& m,
+                             const std::vector<float>& v, double beta1,
+                             double beta2, double bc1, double bc2, double lr,
+                             double eps) {
+  AdamReference ref;
+  for (std::size_t i = 0; i < value.size(); ++i) {
+    const auto g = static_cast<double>(grad[i]);
+    const double mi = beta1 * static_cast<double>(m[i]) + (1.0 - beta1) * g;
+    const double vi = beta2 * static_cast<double>(v[i]) + (1.0 - beta2) * g * g;
+    const double denom = std::sqrt(vi / bc2) + eps;
+    const double next = static_cast<double>(value[i]) - lr * (mi / bc1) / denom;
+    // The first moment's blend can cancel, so its rounding is bounded by
+    // its terms' magnitudes, not its own.
+    const double m_abs = std::abs(beta1 * static_cast<double>(m[i])) +
+                         std::abs((1.0 - beta1) * g);
+    ref.value.push_back(next);
+    ref.tol.push_back(12.0 * kFloatEps * lr * (m_abs / bc1) / denom +
+                      kFloatEps * std::abs(next));
+  }
+  return ref;
+}
+
 TEST(SimdTest, AdamUpdateMatchesScalarBackendExactly) {
-  // The vector path divides by the same bias-corrected denominators as the
-  // scalar formula; per-element results must agree to ~1 ulp-scale noise.
+  // Both tiers evaluate the same float formula; each meets the float bound
+  // of the double reference.
   BackendGuard guard;
   Rng rng(15);
   for (std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{8},
                         std::size_t{33}, std::size_t{257}}) {
-    auto value_s = random_vec(n, rng);
-    auto m_s = random_vec(n, rng);
-    auto v_s = random_vec(n, rng);
-    for (double& x : v_s) x = std::abs(x);  // second moment is non-negative
-    const auto grad = random_vec(n, rng);
-    auto value_v = value_s;
-    auto m_v = m_s;
-    auto v_v = v_s;
+    const auto value0 = random_fvec(n, rng);
+    const auto m0 = random_fvec(n, rng);
+    auto v0 = random_fvec(n, rng);
+    for (float& x : v0) x = std::abs(x);  // second moment is non-negative
+    const auto grad = random_fvec(n, rng);
 
     const double beta1 = 0.9, beta2 = 0.999, lr = 1e-3, eps = 1e-8;
     const double bc1 = 1.0 - std::pow(beta1, 7.0);
     const double bc2 = 1.0 - std::pow(beta2, 7.0);
+    const auto f = [](double x) { return static_cast<float>(x); };
+    // The reference uses the float-rounded hyperparameters the kernel sees.
+    const auto d = [&f](double x) { return static_cast<double>(f(x)); };
+    const AdamReference want =
+        adam_reference(value0, grad, m0, v0, d(beta1), d(beta2), d(bc1),
+                       d(bc2), d(lr), d(eps));
 
-    force_backend(Backend::kScalar);
-    adam_update(value_s.data(), grad.data(), m_s.data(), v_s.data(), n, 1.0,
-                beta1, beta2, bc1, bc2, lr, eps);
-    force_backend(Backend::kAvx512);
-    adam_update(value_v.data(), grad.data(), m_v.data(), v_v.data(), n, 1.0,
-                beta1, beta2, bc1, bc2, lr, eps);
-
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(value_v[i], value_s[i],
-                  1e-12 * std::max(1.0, std::abs(value_s[i])))
-          << "n=" << n << " i=" << i;
-      EXPECT_NEAR(m_v[i], m_s[i], 1e-12) << "n=" << n << " i=" << i;
-      EXPECT_NEAR(v_v[i], v_s[i], 1e-12) << "n=" << n << " i=" << i;
+    for (Backend be : {Backend::kScalar, Backend::kAvx512}) {
+      force_backend(be);
+      auto value = value0;
+      auto m = m0;
+      auto v = v0;
+      adam_update(value.data(), grad.data(), m.data(), v.data(), n, 1.0f,
+                  f(beta1), f(beta2), f(bc1), f(bc2), f(lr), f(eps));
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_NEAR(value[i], want.value[i], want.tol[i])
+            << backend_label(active_backend()) << " n=" << n << " i=" << i;
+      }
     }
   }
 }
@@ -264,35 +364,30 @@ TEST(SimdTest, AdamUpdateAgreesAcrossSelectableBackends) {
   BackendGuard guard;
   Rng rng(20);
   const std::size_t n = 257;
-  const auto value0 = random_vec(n, rng);
-  const auto m0 = random_vec(n, rng);
-  auto v0 = random_vec(n, rng);
-  for (double& x : v0) x = std::abs(x);
-  const auto grad = random_vec(n, rng);
+  const auto value0 = random_fvec(n, rng);
+  const auto m0 = random_fvec(n, rng);
+  auto v0 = random_fvec(n, rng);
+  for (float& x : v0) x = std::abs(x);
+  const auto grad = random_fvec(n, rng);
   const double beta1 = 0.9, beta2 = 0.999, lr = 1e-3, eps = 1e-8;
   const double bc1 = 1.0 - std::pow(beta1, 5.0);
   const double bc2 = 1.0 - std::pow(beta2, 5.0);
-
-  force_backend(Backend::kScalar);
-  auto value_ref = value0;
-  auto m_ref = m0;
-  auto v_ref = v0;
-  adam_update(value_ref.data(), grad.data(), m_ref.data(), v_ref.data(), n,
-              1.0, beta1, beta2, bc1, bc2, lr, eps);
+  const auto f = [](double x) { return static_cast<float>(x); };
+  const auto d = [&f](double x) { return static_cast<double>(f(x)); };
+  const AdamReference want =
+      adam_reference(value0, grad, m0, v0, d(beta1), d(beta2), d(bc1), d(bc2),
+                     d(lr), d(eps));
 
   for (Backend be : selectable_backends()) {
     force_backend(be);
     auto value = value0;
     auto m = m0;
     auto v = v0;
-    adam_update(value.data(), grad.data(), m.data(), v.data(), n, 1.0, beta1,
-                beta2, bc1, bc2, lr, eps);
+    adam_update(value.data(), grad.data(), m.data(), v.data(), n, 1.0f,
+                f(beta1), f(beta2), f(bc1), f(bc2), f(lr), f(eps));
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(value[i], value_ref[i],
-                  1e-12 * std::max(1.0, std::abs(value_ref[i])))
+      EXPECT_NEAR(value[i], want.value[i], want.tol[i])
           << backend_label(be) << " i=" << i;
-      EXPECT_NEAR(m[i], m_ref[i], 1e-12) << backend_label(be) << " i=" << i;
-      EXPECT_NEAR(v[i], v_ref[i], 1e-12) << backend_label(be) << " i=" << i;
     }
   }
   force_backend(Backend::kAvx512);
@@ -301,23 +396,31 @@ TEST(SimdTest, AdamUpdateAgreesAcrossSelectableBackends) {
 TEST(SimdTest, GemmDispatchesMatchScalarBackend) {
   // Direct scalar-vs-dispatch comparison at the gemm API level; shape
   // coverage (odd sizes, transposes, fused epilogues) lives in
-  // tests/nn/kernels_test.cpp on top of the Matrix wrappers.
+  // tests/nn/kernels_test.cpp on top of the Tensor wrappers. Each tier is
+  // within (k + 2) * FLT_EPSILON * (|c| + sum |a b|) of the exact sum, so
+  // the two within twice that.
   BackendGuard guard;
   Rng rng(16);
   const std::size_t m = 5, n = 11, k = 7;
-  const auto a = random_vec(m * k, rng);
-  const auto b = random_vec(k * n, rng);
-  std::vector<double> c_scalar(m * n, 0.5), c_vector(m * n, 0.5);
+  const auto a = random_fvec(m * k, rng);
+  const auto b = random_fvec(k * n, rng);
+  std::vector<float> c_scalar(m * n, 0.5f), c_vector(m * n, 0.5f);
 
   force_backend(Backend::kScalar);
   gemm_nn(m, n, k, a.data(), k, b.data(), n, c_scalar.data(), n);
   force_backend(Backend::kAvx512);
   gemm_nn(m, n, k, a.data(), k, b.data(), n, c_vector.data(), n);
 
-  for (std::size_t i = 0; i < m * n; ++i) {
-    EXPECT_NEAR(c_vector[i], c_scalar[i],
-                1e-12 * std::max(1.0, std::abs(c_scalar[i])))
-        << "i=" << i;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double abs = 0.5;
+      for (std::size_t p = 0; p < k; ++p) {
+        abs += std::abs(static_cast<double>(a[i * k + p] * b[p * n + j]));
+      }
+      EXPECT_NEAR(c_vector[i * n + j], c_scalar[i * n + j],
+                  2.0 * static_cast<double>(k + 2) * kFloatEps * abs)
+          << "(" << i << "," << j << ")";
+    }
   }
 }
 

@@ -9,6 +9,19 @@
 namespace deepcat::gp {
 namespace {
 
+/// B * B^T in double (the GEMM kernels take the networks' floats).
+nn::Matrix times_own_transpose(const nn::Matrix& b) {
+  nn::Matrix out(b.rows(), b.rows());
+  for (std::size_t i = 0; i < b.rows(); ++i) {
+    for (std::size_t j = 0; j < b.rows(); ++j) {
+      double s = 0.0;
+      for (std::size_t p = 0; p < b.cols(); ++p) s += b(i, p) * b(j, p);
+      out(i, j) = s;
+    }
+  }
+  return out;
+}
+
 TEST(CholeskyTest, FactorizesKnownMatrix) {
   const nn::Matrix a{{4.0, 2.0}, {2.0, 5.0}};
   const nn::Matrix l = cholesky(a);
@@ -23,10 +36,10 @@ TEST(CholeskyTest, ReconstructsInput) {
   nn::Matrix b(5, 5);
   for (double& v : b.flat()) v = rng.normal();
   // A = B B^T + I is SPD.
-  nn::Matrix a = matmul_nt(b, b);
+  nn::Matrix a = times_own_transpose(b);
   for (std::size_t i = 0; i < 5; ++i) a(i, i) += 1.0;
   const nn::Matrix l = cholesky(a);
-  const nn::Matrix back = matmul_nt(l, l);
+  const nn::Matrix back = times_own_transpose(l);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(back.flat()[i], a.flat()[i], 1e-9);
   }

@@ -1,10 +1,13 @@
-// Property tests for the GEMM family against a naive triple-loop
-// reference: odd shapes (1x1, 1xn, nx1, non-multiples of the 4x8 register
-// block), agreement within 1e-12, identical results under the forced
-// scalar backend, the fused bias+activation epilogue for all activations,
-// and the cache-blocked transpose.
+// Property tests for the GEMM family against a naive triple-loop double
+// reference: odd shapes (1x1, 1xn, nx1, non-multiples of the register
+// blocks), agreement within the float bound (k + 2) * FLT_EPSILON *
+// sum |a_p * b_p| on the vector and the forced scalar backend, the fused
+// bias+activation epilogue for all activations, and the cache-blocked
+// transpose.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <vector>
 
@@ -21,32 +24,48 @@ using common::Rng;
 using common::simd::Backend;
 using common::simd::force_backend;
 
-Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
-  Matrix m(rows, cols);
-  for (double& x : m.flat()) x = rng.normal();
+constexpr auto kEps = static_cast<double>(FLT_EPSILON);
+
+Tensor random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
+  Tensor m(rows, cols);
+  for (float& x : m.flat()) x = static_cast<float>(rng.normal());
   return m;
 }
 
-Matrix ref_matmul(const Matrix& a, const Matrix& b) {
-  Matrix c(a.rows(), b.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < b.cols(); ++j) {
-      double s = 0.0;
-      for (std::size_t p = 0; p < a.cols(); ++p) s += a(i, p) * b(p, j);
-      c(i, j) = s;
-    }
-  }
-  return c;
+double at(const Tensor& t, std::size_t r, std::size_t c) {
+  return static_cast<double>(t(r, c));
 }
 
-void expect_close(const Matrix& actual, const Matrix& expected,
+/// The exact-enough product in double, and per element the bound a float
+/// evaluation of it in any summation order meets: (k + 2) * FLT_EPSILON *
+/// sum_p |a_ip * b_pj|.
+struct Reference {
+  Matrix value, tol;
+};
+
+Reference ref_matmul(const Tensor& a, const Tensor& b) {
+  Reference ref{Matrix(a.rows(), b.cols()), Matrix(a.rows(), b.cols())};
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+      double s = 0.0, abs = 0.0;
+      for (std::size_t p = 0; p < a.cols(); ++p) {
+        s += at(a, i, p) * at(b, p, j);
+        abs += std::abs(at(a, i, p) * at(b, p, j));
+      }
+      ref.value(i, j) = s;
+      ref.tol(i, j) = static_cast<double>(a.cols() + 2) * kEps * abs;
+    }
+  }
+  return ref;
+}
+
+void expect_close(const Tensor& actual, const Reference& expected,
                   const char* what) {
-  ASSERT_EQ(actual.rows(), expected.rows()) << what;
-  ASSERT_EQ(actual.cols(), expected.cols()) << what;
+  ASSERT_EQ(actual.rows(), expected.value.rows()) << what;
+  ASSERT_EQ(actual.cols(), expected.value.cols()) << what;
   for (std::size_t i = 0; i < actual.rows(); ++i) {
     for (std::size_t j = 0; j < actual.cols(); ++j) {
-      const double tol = 1e-12 * std::max(1.0, std::abs(expected(i, j)));
-      EXPECT_NEAR(actual(i, j), expected(i, j), tol)
+      EXPECT_NEAR(at(actual, i, j), expected.value(i, j), expected.tol(i, j))
           << what << " at (" << i << "," << j << ")";
     }
   }
@@ -76,9 +95,9 @@ TEST(KernelsTest, MatmulMatchesNaiveReferenceOnOddShapes) {
   BackendGuard guard;
   Rng rng(21);
   for (const auto& s : kShapes) {
-    const Matrix a = random_matrix(s.m, s.k, rng);
-    const Matrix b = random_matrix(s.k, s.n, rng);
-    const Matrix expected = ref_matmul(a, b);
+    const Tensor a = random_matrix(s.m, s.k, rng);
+    const Tensor b = random_matrix(s.k, s.n, rng);
+    const Reference expected = ref_matmul(a, b);
     expect_close(matmul(a, b), expected, "matmul vectorized");
     force_backend(Backend::kScalar);
     expect_close(matmul(a, b), expected, "matmul scalar");
@@ -90,9 +109,9 @@ TEST(KernelsTest, MatmulTnMatchesNaiveReference) {
   BackendGuard guard;
   Rng rng(22);
   for (const auto& s : kShapes) {
-    const Matrix a = random_matrix(s.k, s.m, rng);  // A^T is m x k
-    const Matrix b = random_matrix(s.k, s.n, rng);
-    const Matrix expected = ref_matmul(a.transposed(), b);
+    const Tensor a = random_matrix(s.k, s.m, rng);  // A^T is m x k
+    const Tensor b = random_matrix(s.k, s.n, rng);
+    const Reference expected = ref_matmul(a.transposed(), b);
     expect_close(matmul_tn(a, b), expected, "matmul_tn vectorized");
     force_backend(Backend::kScalar);
     expect_close(matmul_tn(a, b), expected, "matmul_tn scalar");
@@ -104,9 +123,9 @@ TEST(KernelsTest, MatmulNtMatchesNaiveReference) {
   BackendGuard guard;
   Rng rng(23);
   for (const auto& s : kShapes) {
-    const Matrix a = random_matrix(s.m, s.k, rng);
-    const Matrix b = random_matrix(s.n, s.k, rng);  // B^T is k x n
-    const Matrix expected = ref_matmul(a, b.transposed());
+    const Tensor a = random_matrix(s.m, s.k, rng);
+    const Tensor b = random_matrix(s.n, s.k, rng);  // B^T is k x n
+    const Reference expected = ref_matmul(a, b.transposed());
     expect_close(matmul_nt(a, b), expected, "matmul_nt vectorized");
     force_backend(Backend::kScalar);
     expect_close(matmul_nt(a, b), expected, "matmul_nt scalar");
@@ -130,18 +149,24 @@ TEST(KernelsTest, MatmulBiasActMatchesUnfusedComposition) {
   for (const Activation act : {Activation::kNone, Activation::kRelu,
                                Activation::kTanh, Activation::kSigmoid}) {
     for (const auto& s : kShapes) {
-      const Matrix x = random_matrix(s.m, s.k, rng);
-      const Matrix w = random_matrix(s.k, s.n, rng);
-      const Matrix bias = random_matrix(1, s.n, rng);
+      const Tensor x = random_matrix(s.m, s.k, rng);
+      const Tensor w = random_matrix(s.k, s.n, rng);
+      const Tensor bias = random_matrix(1, s.n, rng);
 
-      Matrix expected = ref_matmul(x, w);
-      for (std::size_t i = 0; i < expected.rows(); ++i) {
-        for (std::size_t j = 0; j < expected.cols(); ++j) {
-          expected(i, j) = apply_ref(expected(i, j) + bias(0, j), act);
+      // The bias is one more term of each sum; tanh and the sigmoid are
+      // 1-Lipschitz and round their own results within 4 ulp.
+      Reference expected = ref_matmul(x, w);
+      for (std::size_t i = 0; i < expected.value.rows(); ++i) {
+        for (std::size_t j = 0; j < expected.value.cols(); ++j) {
+          const double z = expected.value(i, j) + at(bias, 0, j);
+          expected.value(i, j) = apply_ref(z, act);
+          expected.tol(i, j) +=
+              static_cast<double>(s.k + 3) * kEps * std::abs(at(bias, 0, j)) +
+              4.0 * kEps * std::abs(expected.value(i, j));
         }
       }
 
-      Matrix out;
+      Tensor out;
       matmul_bias_act(x, w, bias, act, out);
       expect_close(out, expected, "matmul_bias_act vectorized");
       force_backend(Backend::kScalar);
@@ -158,8 +183,8 @@ TEST(KernelsTest, BlockedTransposeIsExact) {
   const std::size_t sizes[] = {1, 2, 5, 31, 32, 33, 64, 65, 100};
   for (std::size_t r : sizes) {
     for (std::size_t c : {std::size_t{1}, std::size_t{33}, std::size_t{70}}) {
-      const Matrix m = random_matrix(r, c, rng);
-      const Matrix t = m.transposed();
+      const Tensor m = random_matrix(r, c, rng);
+      const Tensor t = m.transposed();
       ASSERT_EQ(t.rows(), c);
       ASSERT_EQ(t.cols(), r);
       for (std::size_t i = 0; i < r; ++i) {
@@ -167,7 +192,7 @@ TEST(KernelsTest, BlockedTransposeIsExact) {
           EXPECT_EQ(t(j, i), m(i, j)) << r << "x" << c;
         }
       }
-      const Matrix round_trip = t.transposed();
+      const Tensor round_trip = t.transposed();
       for (std::size_t i = 0; i < r; ++i) {
         for (std::size_t j = 0; j < c; ++j) {
           EXPECT_EQ(round_trip(i, j), m(i, j));
@@ -184,55 +209,88 @@ TEST(KernelsTest, FusedLinearForwardMatchesUnfusedLayers) {
     Linear plain_layer(10, 13, rng);
     plain_layer.weights() = fused_layer.weights();
     plain_layer.bias() = fused_layer.bias();
-    const Matrix x = random_matrix(5, 10, rng);
+    const Tensor x = random_matrix(5, 10, rng);
 
-    const Matrix fused = fused_layer.forward(x);
-    Matrix unfused = plain_layer.forward(x);
+    // Same GEMM call, then the same activation in place: bit for bit.
+    const Tensor fused = fused_layer.forward(x);
+    Tensor unfused = plain_layer.forward(x);
     apply_activation(unfused, act);
-    expect_close(fused, unfused, "fused forward");
+    EXPECT_EQ(fused, unfused);
   }
+}
+
+// Forward through `net`'s float parameters in double, carrying per output
+// the bound a float evaluation meets: each layer's (k + 2) * FLT_EPSILON *
+// sum |x w| rounding plus the input error times |w| (ReLU is 1-Lipschitz
+// and the plain output layer adds nothing).
+Reference ref_forward(Mlp& net, const Tensor& x) {
+  Matrix value(x.rows(), x.cols()), tol(x.rows(), x.cols());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    value.flat()[i] = static_cast<double>(x.flat()[i]);
+  }
+  const auto params = net.params();
+  for (std::size_t l = 0; l < params.size(); l += 2) {
+    const Tensor& w = *params[l].value;
+    const Tensor& b = *params[l + 1].value;
+    const bool relu = l + 2 < params.size();
+    Matrix out(value.rows(), w.cols()), out_tol(value.rows(), w.cols());
+    for (std::size_t i = 0; i < value.rows(); ++i) {
+      for (std::size_t j = 0; j < w.cols(); ++j) {
+        double s = at(b, 0, j), abs = std::abs(at(b, 0, j)), carried = 0.0;
+        for (std::size_t p = 0; p < w.rows(); ++p) {
+          s += value(i, p) * at(w, p, j);
+          abs += std::abs(value(i, p) * at(w, p, j));
+          carried += tol(i, p) * std::abs(at(w, p, j));
+        }
+        out(i, j) = relu ? std::max(s, 0.0) : s;
+        out_tol(i, j) =
+            static_cast<double>(w.rows() + 3) * kEps * abs + carried;
+      }
+    }
+    value = std::move(out);
+    tol = std::move(out_tol);
+  }
+  return {value, tol};
 }
 
 TEST(KernelsTest, MlpForwardIdenticalUnderBothBackends) {
   BackendGuard guard;
   Rng rng(28);
   Mlp net({9, 32, 32, 4}, rng);
-  Matrix x = random_matrix(7, 9, rng);
-  for (double& v : x.flat()) v = rng.uniform();
+  Tensor x = random_matrix(7, 9, rng);
+  for (float& v : x.flat()) v = static_cast<float>(rng.uniform());
 
-  const Matrix y_vec = net.forward(x);
+  const Reference expected = ref_forward(net, x);
+  expect_close(net.forward(x), expected, "mlp forward vector");
   force_backend(Backend::kScalar);
-  const Matrix y_scalar = net.forward(x);
-  force_backend(Backend::kAvx512);
-  expect_close(y_vec, y_scalar, "mlp forward scalar vs vector");
+  expect_close(net.forward(x), expected, "mlp forward scalar");
 }
 
 TEST(KernelsTest, ActivationGradFromOutputMatchesDefinition) {
   Rng rng(26);
-  const Matrix x = random_matrix(6, 9, rng);
+  const Tensor x = random_matrix(6, 9, rng);
   // ReLU: y > 0 iff x > 0, so masking on the output equals masking on the
   // input — the identity that makes Linear+ReLU fusion backward-safe.
-  Matrix y = x;
+  Tensor y = x;
   apply_activation(y, Activation::kRelu);
-  Matrix grad(6, 9);
-  for (double& g : grad.flat()) g = 1.0;
+  Tensor grad(6, 9, 1.0f);
   apply_activation_grad(grad, y, Activation::kRelu);
   for (std::size_t i = 0; i < x.rows(); ++i) {
     for (std::size_t j = 0; j < x.cols(); ++j) {
-      EXPECT_EQ(grad(i, j), x(i, j) > 0.0 ? 1.0 : 0.0);
+      EXPECT_EQ(grad(i, j), x(i, j) > 0.0f ? 1.0f : 0.0f);
     }
   }
 
   // Tanh: d/dx = 1 - y^2 computed from the cached output.
-  Matrix yt = x;
+  Tensor yt = x;
   apply_activation(yt, Activation::kTanh);
-  Matrix gt(6, 9);
-  for (double& g : gt.flat()) g = 1.0;
+  Tensor gt(6, 9, 1.0f);
   apply_activation_grad(gt, yt, Activation::kTanh);
   for (std::size_t i = 0; i < x.rows(); ++i) {
     for (std::size_t j = 0; j < x.cols(); ++j) {
-      const double t = std::tanh(x(i, j));
-      EXPECT_NEAR(gt(i, j), 1.0 - t * t, 1e-12);
+      // tanhf's output within 2 ulp, then 1 - t^2 rounded twice.
+      const double t = std::tanh(at(x, i, j));
+      EXPECT_NEAR(at(gt, i, j), 1.0 - t * t, 8.0 * kEps);
     }
   }
 }

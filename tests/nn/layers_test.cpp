@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -17,36 +18,62 @@
 namespace deepcat::nn {
 namespace {
 
+// Central differences of float forward passes take a step h large enough
+// for float rounding: L = sum(y * g) over outputs of k-term products (k =
+// in + 1 with the bias) rounds by at most (k + 2) * FLT_EPSILON * sum |y g|,
+// so the quotient (L+ - L-) / 2h errs by that over h. The curved
+// activations add h^2 / 6 times L's third derivative, at most h^2 * sum |g|
+// (those of tanh and the sigmoid stay below 2, these weights below 1.5).
+constexpr double kStep = 1e-2;
+
+double loss(const Tensor& y, const Tensor& g) {
+  double l = 0.0;
+  for (std::size_t k = 0; k < y.size(); ++k) {
+    l += static_cast<double>(y.flat()[k]) * static_cast<double>(g.flat()[k]);
+  }
+  return l;
+}
+
+double numeric_tolerance(std::size_t k, const Tensor& y, const Tensor& g) {
+  double yg = 0.0, sum_g = 0.0;
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    yg += std::abs(static_cast<double>(y.flat()[i] * g.flat()[i]));
+    sum_g += std::abs(static_cast<double>(g.flat()[i]));
+  }
+  // Both losses round, and the analytic gradient's own k-term sums too.
+  return 2.0 * static_cast<double>(k + 2) *
+             static_cast<double>(FLT_EPSILON) * (yg + sum_g) /
+             kStep +
+         kStep * kStep * sum_g;
+}
+
 // Central-difference numerical gradient check of dL/dx for a layer, with
 // L = sum(y * g) for a fixed random g (so dL/dy = g).
-void check_input_gradient(Linear& layer, std::uint64_t seed,
-                          double tol = 1e-5) {
+void check_input_gradient(Linear& layer, std::uint64_t seed) {
   common::Rng rng(seed);
-  Matrix x(3, layer.in_features());
-  for (double& v : x.flat()) v = rng.normal(0.0, 0.7);
-  Matrix g(3, layer.out_features());
-  for (double& v : g.flat()) v = rng.normal();
+  Tensor x(3, layer.in_features());
+  for (float& v : x.flat()) v = static_cast<float>(rng.normal(0.0, 0.7));
+  Tensor g(3, layer.out_features());
+  for (float& v : g.flat()) v = static_cast<float>(rng.normal());
 
-  (void)layer.forward(x);
+  const Tensor y = layer.forward(x);
+  const double tol = numeric_tolerance(layer.in_features() + 1, y, g);
   layer.grad() = g;
   layer.mask_grad();
-  Matrix dx;
+  Tensor dx;
   layer.input_grad(dx);
 
-  const double eps = 1e-6;
+  const auto h = static_cast<float>(kStep);
   for (std::size_t i = 0; i < x.size(); ++i) {
-    Matrix xp = x, xm = x;
-    xp.flat()[i] += eps;
-    xm.flat()[i] -= eps;
-    const Matrix yp = layer.forward(xp);
-    const Matrix ym = layer.forward(xm);
-    double lp = 0.0, lm = 0.0;
-    for (std::size_t k = 0; k < yp.size(); ++k) {
-      lp += yp.flat()[k] * g.flat()[k];
-      lm += ym.flat()[k] * g.flat()[k];
-    }
-    const double numeric = (lp - lm) / (2.0 * eps);
-    EXPECT_NEAR(dx.flat()[i], numeric, tol) << "input index " << i;
+    Tensor xp = x, xm = x;
+    xp.flat()[i] += h;
+    xm.flat()[i] -= h;
+    const double lp = loss(layer.forward(xp), g);
+    const double lm = loss(layer.forward(xm), g);
+    // The step actually taken, after rounding x +- h to float.
+    const double step =
+        static_cast<double>(xp.flat()[i]) - static_cast<double>(xm.flat()[i]);
+    EXPECT_NEAR(dx.flat()[i], (lp - lm) / step, tol) << "input index " << i;
   }
 }
 
@@ -55,13 +82,13 @@ void check_input_gradient(Linear& layer, std::uint64_t seed,
 Linear activation_layer(std::size_t n, Activation act) {
   common::Rng rng(0);
   Linear layer(n, n, rng, Linear::Init::kKaiming, act);
-  layer.weights() = Matrix::identity(n);
+  layer.weights() = Tensor::identity(n);
   layer.bias().set_zero();
   return layer;
 }
 
 // Backward for one batch: dL/dy = g, accumulating parameter gradients.
-void backward(Linear& layer, const Matrix& x, const Matrix& g) {
+void backward(Linear& layer, const Tensor& x, const Tensor& g) {
   layer.grad() = g;
   layer.mask_grad();
   layer.accumulate_param_grads(x);
@@ -70,11 +97,11 @@ void backward(Linear& layer, const Matrix& x, const Matrix& g) {
 TEST(LinearTest, ForwardComputesAffine) {
   common::Rng rng(1);
   Linear lin(2, 2, rng);
-  lin.weights() = Matrix{{1.0, 2.0}, {3.0, 4.0}};
-  lin.bias() = Matrix{{0.5, -0.5}};
-  const Matrix y = lin.forward(Matrix{{1.0, 1.0}});
-  EXPECT_DOUBLE_EQ(y(0, 0), 4.5);
-  EXPECT_DOUBLE_EQ(y(0, 1), 5.5);
+  lin.weights() = Tensor{{1.0, 2.0}, {3.0, 4.0}};
+  lin.bias() = Tensor{{0.5, -0.5}};
+  const Tensor y = lin.forward(Tensor{{1.0, 1.0}});
+  EXPECT_FLOAT_EQ(y(0, 0), 4.5f);
+  EXPECT_FLOAT_EQ(y(0, 1), 5.5f);
 }
 
 TEST(LinearTest, InputGradientMatchesNumeric) {
@@ -86,32 +113,30 @@ TEST(LinearTest, InputGradientMatchesNumeric) {
 TEST(LinearTest, ParameterGradientsMatchNumeric) {
   common::Rng rng(3);
   Linear lin(3, 2, rng);
-  Matrix x(2, 3);
-  for (double& v : x.flat()) v = rng.normal();
-  Matrix g(2, 2);
-  for (double& v : g.flat()) v = rng.normal();
+  Tensor x(2, 3);
+  for (float& v : x.flat()) v = static_cast<float>(rng.normal());
+  Tensor g(2, 2);
+  for (float& v : g.flat()) v = static_cast<float>(rng.normal());
 
   lin.zero_grad();
-  (void)lin.forward(x);
+  const Tensor y = lin.forward(x);
+  const double tol = numeric_tolerance(lin.in_features() + 1, y, g);
   backward(lin, x, g);
   auto params = lin.params();
   ASSERT_EQ(params.size(), 2u);
 
-  const double eps = 1e-6;
+  const auto h = static_cast<float>(kStep);
   for (auto& p : params) {
     for (std::size_t i = 0; i < p.value->size(); ++i) {
-      const double orig = p.value->flat()[i];
-      p.value->flat()[i] = orig + eps;
-      const Matrix yp = lin.forward(x);
-      p.value->flat()[i] = orig - eps;
-      const Matrix ym = lin.forward(x);
+      const float orig = p.value->flat()[i];
+      p.value->flat()[i] = orig + h;
+      const double up = static_cast<double>(p.value->flat()[i]);
+      const double lp = loss(lin.forward(x), g);
+      p.value->flat()[i] = orig - h;
+      const double down = static_cast<double>(p.value->flat()[i]);
+      const double lm = loss(lin.forward(x), g);
       p.value->flat()[i] = orig;
-      double lp = 0.0, lm = 0.0;
-      for (std::size_t k = 0; k < yp.size(); ++k) {
-        lp += yp.flat()[k] * g.flat()[k];
-        lm += ym.flat()[k] * g.flat()[k];
-      }
-      EXPECT_NEAR(p.grad->flat()[i], (lp - lm) / (2.0 * eps), 1e-5)
+      EXPECT_NEAR(p.grad->flat()[i], (lp - lm) / (up - down), tol)
           << p.name << "[" << i << "]";
     }
   }
@@ -120,17 +145,18 @@ TEST(LinearTest, ParameterGradientsMatchNumeric) {
 TEST(LinearTest, GradientsAccumulateAcrossBackwardCalls) {
   common::Rng rng(4);
   Linear lin(2, 2, rng);
-  Matrix x(1, 2, 1.0);
-  Matrix g(1, 2, 1.0);
+  Tensor x(1, 2, 1.0);
+  Tensor g(1, 2, 1.0);
   lin.zero_grad();
   (void)lin.forward(x);
   backward(lin, x, g);
-  const double once = lin.params()[0].grad->flat()[0];
+  const float once = lin.params()[0].grad->flat()[0];
   (void)lin.forward(x);
   backward(lin, x, g);
-  EXPECT_NEAR(lin.params()[0].grad->flat()[0], 2.0 * once, 1e-12);
+  // once + once is exact in float.
+  EXPECT_EQ(lin.params()[0].grad->flat()[0], 2.0f * once);
   lin.zero_grad();
-  EXPECT_DOUBLE_EQ(lin.params()[0].grad->flat()[0], 0.0);
+  EXPECT_EQ(lin.params()[0].grad->flat()[0], 0.0f);
 }
 
 // Gradients are sized at first use: a layer that never trains (a target
@@ -138,12 +164,12 @@ TEST(LinearTest, GradientsAccumulateAcrossBackwardCalls) {
 // the row-range pieces, which may run side by side, refuse to.
 TEST(LinearTest, GradientsAreSizedAtFirstUse) {
   common::Rng rng(4);
-  const Matrix x(4, 3, 0.5);
-  for (Linear lin : {Linear(3, 2, rng), Linear(Matrix(3, 2), Matrix(1, 2),
+  const Tensor x(4, 3, 0.5);
+  for (Linear lin : {Linear(3, 2, rng), Linear(Tensor(3, 2), Tensor(1, 2),
                                                Activation::kRelu)}) {
     for (const Param& p : lin.params()) EXPECT_TRUE(p.grad->empty());
     (void)lin.forward(x);
-    lin.grad() = Matrix(4, 2, 1.0);
+    lin.grad() = Tensor(4, 2, 1.0);
     EXPECT_THROW(lin.accumulate_weight_grads(x, 0, 3), std::logic_error);
     EXPECT_THROW(lin.accumulate_bias_grad(), std::logic_error);
     Linear whole = lin;
@@ -152,7 +178,7 @@ TEST(LinearTest, GradientsAreSizedAtFirstUse) {
     for (const Param& p : lin.params()) {
       ASSERT_EQ(p.grad->rows(), p.value->rows());
       ASSERT_EQ(p.grad->cols(), p.value->cols());
-      for (double g : p.grad->flat()) EXPECT_EQ(g, 0.0);
+      for (float g : p.grad->flat()) EXPECT_EQ(g, 0.0);
     }
     lin.accumulate_weight_grads(x, 0, 3);
     lin.accumulate_bias_grad();
@@ -167,12 +193,12 @@ TEST(LinearTest, GradientsAreSizedAtFirstUse) {
 TEST(LinearTest, BackwardRejectsMismatchedShapes) {
   common::Rng rng(4);
   Linear lin(2, 3, rng);
-  (void)lin.forward(Matrix(4, 2, 1.0));
-  lin.grad() = Matrix(3, 3, 1.0);  // 3 rows against a 4-row output
+  (void)lin.forward(Tensor(4, 2, 1.0));
+  lin.grad() = Tensor(3, 3, 1.0);  // 3 rows against a 4-row output
   EXPECT_THROW(lin.mask_grad(), std::invalid_argument);
-  lin.grad() = Matrix(4, 3, 1.0);
+  lin.grad() = Tensor(4, 3, 1.0);
   lin.mask_grad();
-  EXPECT_THROW(lin.accumulate_param_grads(Matrix(4, 5)),
+  EXPECT_THROW(lin.accumulate_param_grads(Tensor(4, 5)),
                std::invalid_argument);
 }
 
@@ -181,16 +207,16 @@ TEST(LinearTest, CloneIsDeepCopy) {
   Linear lin(2, 2, rng);
   const Linear copy = lin;
   EXPECT_EQ(copy.weights(), lin.weights());
-  lin.weights()(0, 0) += 1.0;
+  lin.weights()(0, 0) += 1.0f;
   EXPECT_NE(copy.weights(), lin.weights());
 }
 
 TEST(ReLUTest, ForwardClampsNegatives) {
   Linear relu = activation_layer(3, Activation::kRelu);
-  const Matrix y = relu.forward(Matrix{{-1.0, 0.0, 2.0}});
-  EXPECT_DOUBLE_EQ(y(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(y(0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(y(0, 2), 2.0);
+  const Tensor y = relu.forward(Tensor{{-1.0, 0.0, 2.0}});
+  EXPECT_FLOAT_EQ(y(0, 0), 0.0f);
+  EXPECT_FLOAT_EQ(y(0, 1), 0.0f);
+  EXPECT_FLOAT_EQ(y(0, 2), 2.0f);
 }
 
 TEST(ReLUTest, GradientMatchesNumeric) {
@@ -200,10 +226,11 @@ TEST(ReLUTest, GradientMatchesNumeric) {
 
 TEST(TanhTest, ForwardAndRange) {
   Linear tanh_layer = activation_layer(3, Activation::kTanh);
-  const Matrix y = tanh_layer.forward(Matrix{{-100.0, 0.0, 100.0}});
-  EXPECT_NEAR(y(0, 0), -1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(y(0, 1), 0.0);
-  EXPECT_NEAR(y(0, 2), 1.0, 1e-12);
+  const Tensor y = tanh_layer.forward(Tensor{{-100.0, 0.0, 100.0}});
+  // tanh(+-100) rounds to exactly +-1 in float.
+  EXPECT_FLOAT_EQ(y(0, 0), -1.0f);
+  EXPECT_FLOAT_EQ(y(0, 1), 0.0f);
+  EXPECT_FLOAT_EQ(y(0, 2), 1.0f);
 }
 
 TEST(TanhTest, GradientMatchesNumeric) {
@@ -213,10 +240,12 @@ TEST(TanhTest, GradientMatchesNumeric) {
 
 TEST(SigmoidTest, ForwardValues) {
   Linear sig = activation_layer(3, Activation::kSigmoid);
-  const Matrix y = sig.forward(Matrix{{0.0, 100.0, -100.0}});
-  EXPECT_DOUBLE_EQ(y(0, 0), 0.5);
-  EXPECT_NEAR(y(0, 1), 1.0, 1e-12);
-  EXPECT_NEAR(y(0, 2), 0.0, 1e-12);
+  const Tensor y = sig.forward(Tensor{{0.0, 100.0, -100.0}});
+  // 1 / (1 + e^-100) rounds to 1 in float; 1 / (1 + e^100) is 3.7e-44,
+  // a float subnormal.
+  EXPECT_FLOAT_EQ(y(0, 0), 0.5f);
+  EXPECT_FLOAT_EQ(y(0, 1), 1.0f);
+  EXPECT_NEAR(y(0, 2), 0.0f, FLT_EPSILON);
 }
 
 TEST(SigmoidTest, GradientMatchesNumeric) {
@@ -241,13 +270,13 @@ struct BackendGuard {
   }
 };
 
-void expect_same_bits(const Matrix& got, const Matrix& want,
+void expect_same_bits(const Tensor& got, const Tensor& want,
                       const std::string& what) {
   ASSERT_EQ(got.rows(), want.rows()) << what;
   ASSERT_EQ(got.cols(), want.cols()) << what;
   for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.flat()[i]),
-              std::bit_cast<std::uint64_t>(want.flat()[i]))
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got.flat()[i]),
+              std::bit_cast<std::uint32_t>(want.flat()[i]))
         << what << " at (" << i / got.cols() << "," << i % got.cols() << ")";
   }
 }
@@ -281,17 +310,17 @@ TEST(LinearTest, RowRangePiecesEqualTheWholeCallOnEveryTier) {
         common::Rng rng(shape.in * 1000 + shape.out + batch);
         Linear proto(shape.in, shape.out, rng, Linear::Init::kKaiming,
                      shape.act);
-        Matrix x(batch, shape.in), g(batch, shape.out);
-        for (double& v : x.flat()) v = rng.normal();
+        Tensor x(batch, shape.in), g(batch, shape.out);
+        for (float& v : x.flat()) v = static_cast<float>(rng.normal());
         for (std::size_t i = 0; i < x.size(); i += 5) x.flat()[i] = 0.0;
-        for (double& v : g.flat()) v = rng.normal();
+        for (float& v : g.flat()) v = static_cast<float>(rng.normal());
 
         Linear whole = proto;
-        const Matrix y = whole.forward(x);
+        const Tensor y = whole.forward(x);
         whole.grad() = g;
         whole.mask_grad();
         whole.accumulate_param_grads(x);
-        Matrix dx;
+        Tensor dx;
         whole.input_grad(dx);
 
         for (const bool pooled : {false, true}) {
@@ -301,7 +330,7 @@ TEST(LinearTest, RowRangePiecesEqualTheWholeCallOnEveryTier) {
           split.size_output(batch);
           split.size_grads();
           split.grad() = g;
-          Matrix split_dx(batch, shape.in);
+          Tensor split_dx(batch, shape.in);
           auto rows = [&](std::size_t part) {
             return partner.range(part, batch, kSplitRows);
           };
@@ -336,16 +365,16 @@ TEST(LinearTest, RowRangePiecesEqualTheWholeCallOnEveryTier) {
 TEST(LinearTest, RowRangePiecesRejectRangesOutsideTheBatch) {
   common::Rng rng(9);
   Linear layer(3, 2, rng);
-  const Matrix x(4, 3, 0.5);
+  const Tensor x(4, 3, 0.5);
   layer.size_output(4);
   EXPECT_THROW(layer.forward_rows(x, 2, 5), std::invalid_argument);
   (void)layer.forward(x);
-  layer.grad() = Matrix(4, 2, 1.0);
+  layer.grad() = Tensor(4, 2, 1.0);
   EXPECT_THROW(layer.mask_grad_rows(3, 2), std::invalid_argument);
   EXPECT_THROW(layer.accumulate_weight_grads(x, 0, 4), std::invalid_argument);
-  Matrix dx(4, 3);
+  Tensor dx(4, 3);
   EXPECT_THROW(layer.input_grad_rows(dx, 0, 5), std::invalid_argument);
-  Matrix wrong(3, 3);
+  Tensor wrong(3, 3);
   EXPECT_THROW(layer.input_grad_rows(wrong, 0, 3), std::invalid_argument);
 }
 

@@ -2,12 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 
 #include "common/rng.hpp"
 
 namespace deepcat::nn {
 namespace {
+
+// Two float products of the same k-term sums, each within
+// (k + 2) * FLT_EPSILON * sum |a_p * b_p| of the exact value, differ by at
+// most twice that.
+double float_pair_bound(std::size_t k, double sum_abs) {
+  return 2.0 * static_cast<double>(k + 2) * static_cast<double>(FLT_EPSILON) *
+         sum_abs;
+}
 
 TEST(MatrixTest, ConstructionAndFill) {
   Matrix m(2, 3);
@@ -41,9 +50,9 @@ TEST(MatrixTest, VectorFactories) {
 }
 
 TEST(MatrixTest, IdentityMultiplicationIsNoop) {
-  const Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  EXPECT_EQ(matmul(a, Matrix::identity(2)), a);
-  EXPECT_EQ(matmul(Matrix::identity(2), a), a);
+  const Tensor a{{1.0f, 2.0f}, {3.0f, 4.0f}};
+  EXPECT_EQ(matmul(a, Tensor::identity(2)), a);
+  EXPECT_EQ(matmul(Tensor::identity(2), a), a);
 }
 
 TEST(MatrixTest, ArithmeticOperators) {
@@ -58,38 +67,53 @@ TEST(MatrixTest, ArithmeticOperators) {
 TEST(MatrixTest, ShapeMismatchThrows) {
   Matrix a(2, 2), b(2, 3);
   EXPECT_THROW(a += b, std::invalid_argument);
-  EXPECT_THROW((void)matmul(b, b), std::invalid_argument);
+  const Tensor t(2, 3);
+  EXPECT_THROW((void)matmul(t, t), std::invalid_argument);
 }
 
 TEST(MatrixTest, MatmulKnownResult) {
-  const Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  const Matrix b{{5.0, 6.0}, {7.0, 8.0}};
-  EXPECT_EQ(matmul(a, b), (Matrix{{19.0, 22.0}, {43.0, 50.0}}));
+  const Tensor a{{1.0f, 2.0f}, {3.0f, 4.0f}};
+  const Tensor b{{5.0f, 6.0f}, {7.0f, 8.0f}};
+  EXPECT_EQ(matmul(a, b), (Tensor{{19.0f, 22.0f}, {43.0f, 50.0f}}));
 }
 
 TEST(MatrixTest, MatmulTnEqualsTransposeThenMultiply) {
   common::Rng rng(1);
-  Matrix a(4, 3), b(4, 5);
-  for (double& x : a.flat()) x = rng.normal();
-  for (double& x : b.flat()) x = rng.normal();
-  const Matrix expected = matmul(a.transposed(), b);
-  const Matrix got = matmul_tn(a, b);
+  Tensor a(4, 3), b(4, 5);
+  for (float& x : a.flat()) x = static_cast<float>(rng.normal());
+  for (float& x : b.flat()) x = static_cast<float>(rng.normal());
+  const Tensor expected = matmul(a.transposed(), b);
+  const Tensor got = matmul_tn(a, b);
   ASSERT_EQ(got.rows(), expected.rows());
   ASSERT_EQ(got.cols(), expected.cols());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_NEAR(got.flat()[i], expected.flat()[i], 1e-12);
+  for (std::size_t i = 0; i < got.rows(); ++i) {
+    for (std::size_t j = 0; j < got.cols(); ++j) {
+      double sum_abs = 0.0;
+      for (std::size_t p = 0; p < a.rows(); ++p) {
+        sum_abs += std::abs(static_cast<double>(a(p, i) * b(p, j)));
+      }
+      EXPECT_NEAR(got(i, j), expected(i, j),
+                  float_pair_bound(a.rows(), sum_abs));
+    }
   }
 }
 
 TEST(MatrixTest, MatmulNtEqualsMultiplyByTranspose) {
   common::Rng rng(2);
-  Matrix a(3, 4), b(5, 4);
-  for (double& x : a.flat()) x = rng.normal();
-  for (double& x : b.flat()) x = rng.normal();
-  const Matrix expected = matmul(a, b.transposed());
-  const Matrix got = matmul_nt(a, b);
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_NEAR(got.flat()[i], expected.flat()[i], 1e-12);
+  Tensor a(3, 4), b(5, 4);
+  for (float& x : a.flat()) x = static_cast<float>(rng.normal());
+  for (float& x : b.flat()) x = static_cast<float>(rng.normal());
+  const Tensor expected = matmul(a, b.transposed());
+  const Tensor got = matmul_nt(a, b);
+  for (std::size_t i = 0; i < got.rows(); ++i) {
+    for (std::size_t j = 0; j < got.cols(); ++j) {
+      double sum_abs = 0.0;
+      for (std::size_t p = 0; p < a.cols(); ++p) {
+        sum_abs += std::abs(static_cast<double>(a(i, p) * b(j, p)));
+      }
+      EXPECT_NEAR(got(i, j), expected(i, j),
+                  float_pair_bound(a.cols(), sum_abs));
+    }
   }
 }
 

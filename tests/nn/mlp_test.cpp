@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+
 #include <bit>
 #include <cstdint>
 #include <sstream>
@@ -31,7 +33,7 @@ TEST(MlpTest, RejectsDegenerateDims) {
 TEST(MlpTest, ForwardShapes) {
   common::Rng rng(2);
   Mlp net({3, 16, 16, 2}, rng);
-  const Matrix y = net.forward(Matrix(5, 3, 0.1));
+  const Tensor y = net.forward(Tensor(5, 3, 0.1f));
   EXPECT_EQ(y.rows(), 5u);
   EXPECT_EQ(y.cols(), 2u);
 }
@@ -39,20 +41,20 @@ TEST(MlpTest, ForwardShapes) {
 TEST(MlpTest, SigmoidOutputInUnitInterval) {
   common::Rng rng(3);
   Mlp net({3, 8, 4}, rng, OutputActivation::kSigmoid);
-  Matrix x(10, 3);
+  Tensor x(10, 3);
   common::Rng data_rng(4);
-  for (double& v : x.flat()) v = data_rng.normal(0.0, 3.0);
-  const Matrix y = net.forward(x);
-  for (double v : y.flat()) {
-    EXPECT_GE(v, 0.0);
-    EXPECT_LE(v, 1.0);
+  for (float& v : x.flat()) v = static_cast<float>(data_rng.normal(0.0, 3.0));
+  const Tensor y = net.forward(x);
+  for (float v : y.flat()) {
+    EXPECT_GE(v, 0.0f);
+    EXPECT_LE(v, 1.0f);
   }
 }
 
 // One row through a net the call only reads, as a vector.
-std::vector<double> row_of(const Mlp& net, const std::vector<double>& x) {
-  std::vector<Matrix> rows;
-  const Matrix& y = net.forward_row(Matrix::row_vector(x), rows);
+std::vector<float> row_of(const Mlp& net, const std::vector<float>& x) {
+  std::vector<Tensor> rows;
+  const Tensor& y = net.forward_row(Tensor::row_vector(x), rows);
   return {y.flat().begin(), y.flat().end()};
 }
 
@@ -81,23 +83,23 @@ TEST(MlpTest, ForwardRowOnAConstNetEqualsAOneRowForward) {
       common::Rng rng(spec.dims.front());
       Mlp twin(spec.dims, rng, spec.out);
       const Mlp& net = twin;
-      Matrix x(1, spec.dims.front()), other(1, spec.dims.front());
-      for (double& v : x.flat()) v = rng.uniform();
-      for (double& v : other.flat()) v = rng.uniform();
-      const Matrix want = twin.forward(x);
-      std::vector<Matrix> rows;
-      const Matrix& got = net.forward_row(other, rows);
+      Tensor x(1, spec.dims.front()), other(1, spec.dims.front());
+      for (float& v : x.flat()) v = static_cast<float>(rng.uniform());
+      for (float& v : other.flat()) v = static_cast<float>(rng.uniform());
+      const Tensor want = twin.forward(x);
+      std::vector<Tensor> rows;
+      const Tensor& got = net.forward_row(other, rows);
       ASSERT_EQ(rows.size(), net.num_layers());
-      const Matrix& again = net.forward_row(x, rows);
+      const Tensor& again = net.forward_row(x, rows);
       ASSERT_EQ(&got, &again);
       ASSERT_EQ(again.rows(), 1u);
       ASSERT_EQ(again.cols(), spec.dims.back());
       for (std::size_t j = 0; j < again.cols(); ++j) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(again(0, j)),
-                  std::bit_cast<std::uint64_t>(want(0, j)))
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(again(0, j)),
+                  std::bit_cast<std::uint32_t>(want(0, j)))
             << "output " << j;
       }
-      EXPECT_THROW((void)net.forward_row(Matrix(2, spec.dims.front()), rows),
+      EXPECT_THROW((void)net.forward_row(Tensor(2, spec.dims.front()), rows),
                    std::invalid_argument);
     }
   }
@@ -107,28 +109,40 @@ TEST(MlpTest, EndToEndGradientMatchesNumeric) {
   common::Rng rng(6);
   Mlp net({3, 6, 1}, rng, OutputActivation::kTanh);
   common::Rng data_rng(7);
-  Matrix x(4, 3);
-  for (double& v : x.flat()) v = data_rng.normal(0.0, 0.5);
-  Matrix target(4, 1);
-  for (double& v : target.flat()) v = data_rng.uniform(-0.5, 0.5);
+  Tensor x(4, 3);
+  for (float& v : x.flat()) v = static_cast<float>(data_rng.normal(0.0, 0.5));
+  Tensor target(4, 1);
+  for (float& v : target.flat()) {
+    v = static_cast<float>(data_rng.uniform(-0.5, 0.5));
+  }
 
   net.zero_grad();
-  Matrix grad;
-  const Matrix pred = net.forward(x);
+  Tensor grad;
+  const Tensor pred = net.forward(x);
   (void)mse_loss(pred, target, grad);
   net.backward(x, grad);
 
-  const double eps = 1e-6;
+  // Central differences of float forwards at step h. The losses (below 1:
+  // tanh outputs against targets in [-0.5, 0.5]) come from k <= 7-term
+  // float sums, so each rounds within (k + 2) * FLT_EPSILON and their
+  // quotient over 2h errs by that over h; the third derivative of this
+  // small net's loss stays below 6, so truncation adds at most h^2.
+  const float h = 1e-2f;
+  const double tol = 9.0 * static_cast<double>(FLT_EPSILON) /
+                         static_cast<double>(h) +
+                     static_cast<double>(h * h);
   for (auto& p : net.params()) {
     for (std::size_t i = 0; i < p.value->size(); i += 7) {  // spot-check
-      const double orig = p.value->flat()[i];
-      Matrix scratch;
-      p.value->flat()[i] = orig + eps;
+      const float orig = p.value->flat()[i];
+      Tensor scratch;
+      p.value->flat()[i] = orig + h;
+      const double up = static_cast<double>(p.value->flat()[i]);
       const double lp = mse_loss(net.forward(x), target, scratch);
-      p.value->flat()[i] = orig - eps;
+      p.value->flat()[i] = orig - h;
+      const double down = static_cast<double>(p.value->flat()[i]);
       const double lm = mse_loss(net.forward(x), target, scratch);
       p.value->flat()[i] = orig;
-      EXPECT_NEAR(p.grad->flat()[i], (lp - lm) / (2.0 * eps), 1e-5);
+      EXPECT_NEAR(p.grad->flat()[i], (lp - lm) / (up - down), tol);
     }
   }
 }
@@ -137,10 +151,10 @@ TEST(MlpTest, CopyIsDeep) {
   common::Rng rng(8);
   Mlp a({2, 4, 1}, rng);
   Mlp b = a;
-  const std::vector<double> x{0.5, -0.5};
+  const std::vector<float> x{0.5f, -0.5f};
   EXPECT_EQ(row_of(a, x), row_of(b, x));
   // Mutate a; b must not follow.
-  *a.params()[0].value *= 2.0;
+  *a.params()[0].value *= 2.0f;
   EXPECT_NE(row_of(a, x), row_of(b, x));
 }
 
@@ -148,11 +162,12 @@ TEST(MlpTest, SoftUpdateBlendsParameters) {
   common::Rng rng(9);
   Mlp target({2, 4, 1}, rng);
   Mlp source({2, 4, 1}, rng);
-  const double before = target.params()[0].value->flat()[0];
-  const double src = source.params()[0].value->flat()[0];
+  const float before = target.params()[0].value->flat()[0];
+  const float src = source.params()[0].value->flat()[0];
   target.soft_update_from(source, 0.25);
-  EXPECT_NEAR(target.params()[0].value->flat()[0],
-              0.25 * src + 0.75 * before, 1e-12);
+  // The float formula tau * s + (1 - tau) * d, with exact 0.25 and 0.75.
+  EXPECT_EQ(target.params()[0].value->flat()[0],
+            0.25f * src + 0.75f * before);
 }
 
 TEST(MlpTest, HardCopyEqualsSource) {
@@ -160,7 +175,7 @@ TEST(MlpTest, HardCopyEqualsSource) {
   Mlp target({2, 4, 1}, rng);
   Mlp source({2, 4, 1}, rng);
   target.copy_params_from(source);
-  const std::vector<double> x{1.0, 2.0};
+  const std::vector<float> x{1.0f, 2.0f};
   EXPECT_EQ(row_of(target, x), row_of(source, x));
 }
 
@@ -178,7 +193,7 @@ TEST(MlpTest, SaveLoadRoundTrip) {
   std::stringstream ss;
   a.save(ss);
   b.load(ss);
-  const std::vector<double> x{0.2, 0.4, 0.6};
+  const std::vector<float> x{0.2f, 0.4f, 0.6f};
   EXPECT_EQ(row_of(a, x), row_of(b, x));
 }
 
@@ -203,37 +218,37 @@ TEST(MlpTest, LoadRejectsTruncatedStream) {
 }
 
 TEST(MseLossTest, KnownValueAndGradient) {
-  const Matrix pred{{1.0, 2.0}};
-  const Matrix target{{0.0, 4.0}};
-  Matrix grad;
+  const Tensor pred{{1.0, 2.0}};
+  const Tensor target{{0.0, 4.0}};
+  Tensor grad;
   const double loss = mse_loss(pred, target, grad);
   EXPECT_DOUBLE_EQ(loss, (1.0 + 4.0) / 2.0);  // mean of squared errors
-  EXPECT_DOUBLE_EQ(grad(0, 0), 2.0 * 1.0 / 2.0);
-  EXPECT_DOUBLE_EQ(grad(0, 1), 2.0 * -2.0 / 2.0);
+  EXPECT_FLOAT_EQ(grad(0, 0), 2.0f * 1.0f / 2.0f);
+  EXPECT_FLOAT_EQ(grad(0, 1), 2.0f * -2.0f / 2.0f);
 }
 
 TEST(MseLossTest, ZeroWhenEqual) {
-  const Matrix p{{1.0, 2.0}, {3.0, 4.0}};
-  Matrix grad;
+  const Tensor p{{1.0, 2.0}, {3.0, 4.0}};
+  Tensor grad;
   EXPECT_DOUBLE_EQ(mse_loss(p, p, grad), 0.0);
-  for (double g : grad.flat()) EXPECT_DOUBLE_EQ(g, 0.0);
+  for (float g : grad.flat()) EXPECT_FLOAT_EQ(g, 0.0f);
 }
 
 TEST(MseLossTest, ShapeMismatchThrows) {
-  Matrix grad;
-  EXPECT_THROW((void)mse_loss(Matrix(1, 2), Matrix(2, 1), grad),
+  Tensor grad;
+  EXPECT_THROW((void)mse_loss(Tensor(1, 2), Tensor(2, 1), grad),
                std::invalid_argument);
 }
 
 // ---- Partner forms: split passes equal the whole-batch calls -----------
 
-void expect_same_bits(const Matrix& got, const Matrix& want,
+void expect_same_bits(const Tensor& got, const Tensor& want,
                       const std::string& what) {
   ASSERT_EQ(got.rows(), want.rows()) << what;
   ASSERT_EQ(got.cols(), want.cols()) << what;
   for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.flat()[i]),
-              std::bit_cast<std::uint64_t>(want.flat()[i]))
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got.flat()[i]),
+              std::bit_cast<std::uint32_t>(want.flat()[i]))
         << what << " at (" << i / got.cols() << "," << i % got.cols() << ")";
   }
 }
@@ -279,15 +294,15 @@ TEST(MlpTest, PartnerFormsEqualTheWholeBatchCallsOnEveryTier) {
         common::Rng rng(net.dims.front() + batch);
         const Mlp proto(net.dims, rng, net.out);
         const Mlp source(net.dims, rng, net.out);
-        Matrix x(batch, net.dims.front()), g(batch, net.dims.back());
-        for (double& v : x.flat()) v = rng.uniform();
-        for (double& v : g.flat()) v = rng.normal();
+        Tensor x(batch, net.dims.front()), g(batch, net.dims.back());
+        for (float& v : x.flat()) v = static_cast<float>(rng.uniform());
+        for (float& v : g.flat()) v = static_cast<float>(rng.normal());
 
         Mlp whole = proto;
         Mlp whole_source = source;
-        const Matrix y = whole.forward(x);
+        const Tensor y = whole.forward(x);
         whole.backward(x, g);
-        const Matrix dx = whole.input_grad(g);
+        const Tensor dx = whole.input_grad(g);
         whole.soft_update_from(whole_source, 0.005);
 
         for (const bool pooled : {false, true}) {

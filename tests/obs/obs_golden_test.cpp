@@ -5,8 +5,8 @@
 //
 // Regeneration (after an intentional format change):
 //
-//   DEEPCAT_UPDATE_GOLDEN=1 ./build/tests/obs_test \
-//       --gtest_filter='ObsGoldenTest.*'
+//   DEEPCAT_UPDATE_GOLDEN=1 ./build/tests/obs_test
+//       --gtest_filter='ObsGoldenTest.*'   (one command line)
 //
 // then commit the rewritten tests/obs/golden/* files. See tests/README.md.
 #include <gtest/gtest.h>

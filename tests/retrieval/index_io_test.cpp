@@ -156,7 +156,7 @@ TEST(RetrievalIndexIoTest, CheckpointRidxSectionRoundTrips) {
   service::checkpoint_from_string(with_index, target, nullptr, &restored);
   EXPECT_EQ(restored, index);
 
-  // A v2 checkpoint without the optional section leaves the out-param
+  // A checkpoint without the optional section leaves the out-param
   // untouched, and a reader that does not ask for the index skips the
   // section by the unknown-tag rule.
   ExperienceIndex untouched;
@@ -168,7 +168,7 @@ TEST(RetrievalIndexIoTest, CheckpointRidxSectionRoundTrips) {
 TEST(RetrievalIndexIoTest, VersionConstantsMatchTheWireFormat) {
   // `deepcat info` reports these; the golden CLI transcripts pin the
   // rendered values, this pins the constants themselves.
-  EXPECT_EQ(service::kCheckpointVersion, 2u);
+  EXPECT_EQ(service::kCheckpointVersion, 3u);
   EXPECT_EQ(service::kIndexSectionVersion, 1u);
   std::ostringstream os(std::ios::binary);
   service::save_index(os, sample_index());

@@ -261,8 +261,8 @@ TEST(Td3Test, MovedAgentLearnsLikeANeverMovedOne) {
   EXPECT_EQ(assigned.act(s), stay.act(s));
 }
 
-void expect_same_tensors(const std::vector<nn::Matrix>& got,
-                         const std::vector<nn::Matrix>& want) {
+void expect_same_tensors(const std::vector<nn::Tensor>& got,
+                         const std::vector<nn::Tensor>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].rows(), want[i].rows()) << "tensor " << i;
@@ -435,9 +435,9 @@ std::uint64_t snapshot_digest(const AgentSnapshot& s) {
       h *= 1099511628211ull;
     }
   };
-  const auto add_all = [&add](const std::vector<nn::Matrix>& tensors) {
-    for (const nn::Matrix& t : tensors) {
-      for (const double x : t.flat()) add(std::bit_cast<std::uint64_t>(x));
+  const auto add_all = [&add](const std::vector<nn::Tensor>& tensors) {
+    for (const nn::Tensor& t : tensors) {
+      for (const float x : t.flat()) add(std::bit_cast<std::uint32_t>(x));
     }
   };
   for (const auto& net : s.networks) add_all(net);
@@ -508,10 +508,11 @@ void expect_same_run(const SixSteps& got, const SixSteps& want) {
   EXPECT_EQ(got.rng.has_spare, want.rng.has_spare);
 }
 
-// The digests of six_steps, recorded (GCC 12, x86-64) with the fully
-// serial train step that ran critic 1, critic 2, the priority update, then
-// the actor and the three soft updates. Forking the passes, and the serial
-// order it brings (critic 1, actor, soft updates, critic 2), must reproduce
+// The digests of six_steps, recorded (GCC 12, x86-64) with the float32
+// networks and the fully serial train step that ran critic 1, critic 2,
+// the priority update, then the actor and the three soft updates. Forking
+// the passes, and the serial order it brings (critic 1, actor, soft
+// updates, critic 2), must reproduce
 // them bit for bit on every tier at every pool size: over RDPER, and over
 // PER, whose update_priorities now runs after the join. The vector tiers'
 // bits depend on the optimizer, which contracts the kernels' scalar
@@ -526,15 +527,15 @@ TEST(Td3Test, TrainStepMatchesThePinnedDigestAtEveryPoolSize) {
   };
 #if defined(__OPTIMIZE__)
   constexpr Pinned kPinned[] = {
-      {Backend::kScalar, 0x5415a3e6a2bb538aull, 0x022baf35142f6bf9ull},
-      {Backend::kAvx2, 0x07269f84b2bd6d39ull, 0xc0a590fca2d6c3e2ull},
-      {Backend::kAvx512, 0x2d0512355e079c44ull, 0x67bc6760230b85fbull},
+      {Backend::kScalar, 0xb1153303c84ab9f3ull, 0x7d996d5d6618c39bull},
+      {Backend::kAvx2, 0xfcb9104c3a599123ull, 0xf4cdbfe0225b6fdaull},
+      {Backend::kAvx512, 0xf67d8c281a183bf4ull, 0x354daad192e4ccacull},
   };
 #else
   constexpr Pinned kPinned[] = {
-      {Backend::kScalar, 0x5415a3e6a2bb538aull, 0x022baf35142f6bf9ull},
-      {Backend::kAvx2, 0x0bf9a79753677a52ull, 0xab71805aa83de563ull},
-      {Backend::kAvx512, 0x95a1832a8fb8f40full, 0x866d16c20e39a089ull},
+      {Backend::kScalar, 0xb1153303c84ab9f3ull, 0x7d996d5d6618c39bull},
+      {Backend::kAvx2, 0x41fb77d4a0623f16ull, 0x84daa3b1342a42d1ull},
+      {Backend::kAvx512, 0x538f2d4bef2c84c2ull, 0xc35938c693c7131bull},
   };
 #endif
   struct Restore {

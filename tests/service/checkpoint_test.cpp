@@ -17,6 +17,7 @@
 
 #include "common/rng.hpp"
 #include "core/deepcat_api.hpp"
+#include "retrieval/index.hpp"
 #include "rl/replay_rdper.hpp"
 #include "sparksim/hardware.hpp"
 #include "sparksim/workloads.hpp"
@@ -197,6 +198,43 @@ TEST(CheckpointTest, NewerFormatVersionRefusedByName) {
               std::string::npos)
         << what;
   }
+}
+
+// Version 3 stores NETS and ADAM as f32. A version-2 file (f64 tensors) is
+// refused by name, with no narrowing decoder; a version-2 index-only
+// container (RIDX alone, as `deepcat index build` writes) still loads.
+// Both are made by patching the version word of a fresh blob.
+TEST(CheckpointTest, VersionTwoNetworksAreRefusedButItsIndexLoads) {
+  ASSERT_EQ(kCheckpointVersion, 3u);
+  core::DeepCat model = trained_model(15, 20);
+  std::string blob = checkpoint_to_string(model);
+  blob[4] = 2;  // the u32 version word after the magic, little-endian
+  core::DeepCat fresh(sparksim::cluster_a(), small_options(1));
+  try {
+    checkpoint_from_string(blob, fresh);
+    FAIL() << "a version-2 NETS section was accepted";
+  } catch (const CheckpointError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("NETS"), std::string::npos) << what;
+    EXPECT_NE(what.find("ADAM"), std::string::npos) << what;
+  }
+
+  retrieval::ExperienceIndex index;
+  retrieval::ExperienceEntry entry;
+  entry.workload = "terasort-3.2";
+  entry.seed = 7;
+  entry.best_cost = 41.5;
+  entry.default_cost = 60.25;
+  entry.best_action.fill(0.25);
+  entry.embedding.fill(0.5);
+  index.add(entry);
+  std::ostringstream os(std::ios::binary);
+  save_index(os, index);
+  std::string index_blob = std::move(os).str();
+  index_blob[4] = 2;
+  std::istringstream is(index_blob, std::ios::binary);
+  EXPECT_EQ(load_index(is), index);
 }
 
 TEST(CheckpointTest, TruncationNamesTheOffendingSection) {

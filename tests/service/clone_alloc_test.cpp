@@ -2,7 +2,7 @@
 // until its first train step, reading the master's actor and critics in
 // place, and copies the six networks and the optimizer moments there, with
 // gradient buffers for the three nets it trains and none for the targets.
-// So a 1-step session copies no network at all. Every Matrix buffer comes
+// So a 1-step session copies no network at all. Every Tensor buffer comes
 // from nn::CacheAlignedAllocator through the aligned operator new, which
 // this binary replaces to count the bytes asked for while a flag is up. A
 // clone that copied its actor or critics at construction again would
@@ -94,15 +94,15 @@ std::size_t aligned_bytes_of(Fn&& fn) {
   return g_aligned_bytes.load();
 }
 
-std::size_t bytes_of(const std::vector<nn::Matrix>& tensors) {
+std::size_t bytes_of(const std::vector<nn::Tensor>& tensors) {
   std::size_t n = 0;
-  for (const nn::Matrix& t : tensors) n += t.size() * sizeof(double);
+  for (const nn::Tensor& t : tensors) n += t.size() * sizeof(float);
   return n;
 }
 
 // Room for everything a session allocates besides a copy of the master:
 // the layer output rows of act and the Twin-Q probes, and their input
-// rows. A few KB at the serving shape; the actor alone is 0.18 MB.
+// rows. A few KB at the serving shape; the actor alone is 0.09 MB.
 constexpr std::size_t kSlack = 64 * 1024;
 
 TEST(ServiceCloneAllocTest, AClonePaysForWhatItReadsAndTrainsLate) {

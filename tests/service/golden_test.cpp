@@ -15,8 +15,8 @@
 //
 // Regeneration (after an intentional protocol or payload change):
 //
-//   DEEPCAT_UPDATE_GOLDEN=1 ./build/tests/service_test \
-//       --gtest_filter='GoldenTranscriptTest.*'
+//   DEEPCAT_UPDATE_GOLDEN=1 ./build/tests/service_test
+//       --gtest_filter='GoldenTranscriptTest.*'   (one command line)
 //
 // then commit the rewritten tests/service/golden/*.golden files. See
 // tests/README.md.

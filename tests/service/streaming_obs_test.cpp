@@ -337,6 +337,55 @@ std::vector<Frame> serve_bytes(StreamingService& svc,
   return decode_frames(std::move(out).str());
 }
 
+// stream.rec_seconds has 1-2-5 edges from 1 ms, so the modeled costs of
+// served sessions (a few ms to tens of ms) spread over its buckets instead
+// of all landing below its first edge.
+TEST(StreamingObsTest, RecSecondsBucketsFitServedSessionCosts) {
+  obs::MetricsRegistry registry;
+  StreamingOptions options;
+  options.service.threads = 1;
+  options.service.obs.metrics = &registry;
+  StreamingService svc(options);
+  svc.set_session_runner_for_test([](const TuningRequest& r) {
+    SessionReport report;
+    report.id = r.id;
+    report.workload = r.workload;
+    report.ok = true;
+    tuners::TuningStepRecord step;
+    step.recommendation_seconds = std::stod(r.id);  // the id is the cost
+    report.report.steps.push_back(step);
+    return report;
+  });
+  for (const char* cost : {"0.005", "0.03", "0.15"}) {
+    TuningRequest request;
+    request.id = cost;
+    request.workload = "TS-D1";
+    svc.submit(request);
+  }
+  while (svc.wait_completed()) {
+  }
+  std::optional<obs::MetricSnapshot> hist;
+  for (auto& m : registry.snapshot()) {
+    if (m.name == "stream.rec_seconds") hist = std::move(m);
+  }
+  ASSERT_TRUE(hist.has_value());
+  EXPECT_EQ(hist->count, 3u);
+  // Each cost in its own (lo, hi] bucket: counts[i] holds edges[i - 1] <
+  // v <= edges[i].
+  const auto count_in = [&](double lo, double hi) -> std::uint64_t {
+    for (std::size_t i = 1; i < hist->edges.size(); ++i) {
+      if (hist->edges[i - 1] == lo && hist->edges[i] == hi) {
+        return hist->bucket_counts[i];
+      }
+    }
+    ADD_FAILURE() << "no bucket (" << lo << ", " << hi << "]";
+    return 0;
+  };
+  EXPECT_EQ(count_in(0.002, 0.005), 1u);
+  EXPECT_EQ(count_in(0.02, 0.05), 1u);
+  EXPECT_EQ(count_in(0.1, 0.2), 1u);
+}
+
 TEST(StreamingTeleTest, TailTeleCarriesBuildInfoAndStaysParseable) {
   const auto svc =
       fake_service(obs::BuildInfo{"1.2.3-test", "pinned", false, 9});
