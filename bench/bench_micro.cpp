@@ -770,8 +770,6 @@ int run_kernel_bench_json(const std::string& path) {
       registry.gauge("service.session.steps" + std::to_string(steps) + "_ns")
           .set(ns[kSessions / 2]);
     }
-    registry.gauge("service.session.sessions")
-        .set(static_cast<double>(kSessions));
     {
       // Train steps one 5-step session takes: 8 after each evaluation but
       // the last, whose fine-tune nothing reads.

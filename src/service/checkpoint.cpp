@@ -771,27 +771,24 @@ void load_checkpoint(std::istream& is, core::DeepCat& model,
   const Container container = read_sections(is);
   const std::vector<Section>& sections = container.sections;
 
-  {
-    ByteReader r(require_section(sections, kTagMeta), "META");
-    const auto state_dim = static_cast<std::size_t>(r.u32());
-    const auto action_dim = static_cast<std::size_t>(r.u32());
-    const std::uint8_t replay_kind = r.u8();
-    const std::uint64_t next_seed = r.u64();
-    r.expect_exhausted();
-    const bool want_rdper = model.tuner().options().use_rdper;
-    if ((replay_kind == kReplayRdper) != want_rdper) {
-      throw CheckpointError(
-          "section 'META': replay kind mismatch (checkpoint " +
-          std::string(replay_kind == kReplayRdper ? "RDPER" : "uniform") +
-          ", model configured for " +
-          std::string(want_rdper ? "RDPER" : "uniform") + ")");
-    }
-    model.tuner().materialize(state_dim, action_dim);
-    model.set_next_env_seed(next_seed);
+  ByteReader meta(require_section(sections, kTagMeta), "META");
+  const auto state_dim = static_cast<std::size_t>(meta.u32());
+  const auto action_dim = static_cast<std::size_t>(meta.u32());
+  const std::uint8_t replay_kind = meta.u8();
+  const std::uint64_t next_seed = meta.u64();
+  meta.expect_exhausted();
+  const bool want_rdper = model.tuner().options().use_rdper;
+  if ((replay_kind == kReplayRdper) != want_rdper) {
+    throw CheckpointError(
+        "section 'META': replay kind mismatch (checkpoint " +
+        std::string(replay_kind == kReplayRdper ? "RDPER" : "uniform") +
+        ", model configured for " +
+        std::string(want_rdper ? "RDPER" : "uniform") + ")");
   }
-
   // NETS and ADAM hold f32 tensors from version 3 on. An older file's f64
-  // tensors are refused, not narrowed: its master trained in double.
+  // tensors are refused, not narrowed: its master trained in double. Both
+  // checks run before anything touches the model, so a refused file
+  // changes nothing.
   if (container.version < 3) {
     throw CheckpointError(
         "sections 'NETS' and 'ADAM': checkpoint format version " +
@@ -799,6 +796,8 @@ void load_checkpoint(std::istream& is, core::DeepCat& model,
         " stores f64 network tensors; this build reads the f32 tensors of "
         "version 3 and later (republish the model with this build)");
   }
+  model.tuner().materialize(state_dim, action_dim);
+  model.set_next_env_seed(next_seed);
   decode_nets(require_section(sections, kTagNets), model);
   decode_adam(require_section(sections, kTagAdam), model);
   decode_replay(require_section(sections, kTagReplay), model);

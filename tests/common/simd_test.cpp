@@ -255,13 +255,19 @@ TEST(SimdTest, FloatDotMeetsItsBoundOnEveryTier) {
 }
 
 /// One Adam step in double from float inputs, and per element the bound a
-/// float evaluation meets: each of the formula's roundings (scale, the two
-/// moment blends, the bias divides, sqrt, + eps, * lr, / and -) is within
-/// FLT_EPSILON of its result, and they compound to under 12 FLT_EPSILON of
-/// the update (with the first moment taken at its terms' magnitude) plus
-/// one of the value.
+/// float evaluation meets. Each moment blend rounds its two products and
+/// their sum (or fuses one product into the sum), each within FLT_EPSILON / 2
+/// of its result, so a stored moment is within 2 FLT_EPSILON of its terms'
+/// magnitudes: |beta1 m| + |(1 - beta1) g| for m (its blend can cancel),
+/// |beta2 v| + |(1 - beta2) g^2| for v. A first moment below FLT_MIN is
+/// stored as +0 (the floor). The value's roundings (scale, the two moment
+/// blends, the bias divides, sqrt, + eps, * lr, / and -) compound to under
+/// 12 FLT_EPSILON of the update (with the first moment taken at its terms'
+/// magnitude) plus one of the value.
 struct AdamReference {
   std::vector<double> value, tol;
+  std::vector<double> m, m_tol;
+  std::vector<double> v, v_tol;
 };
 
 AdamReference adam_reference(const std::vector<float>& value,
@@ -270,22 +276,47 @@ AdamReference adam_reference(const std::vector<float>& value,
                              const std::vector<float>& v, double beta1,
                              double beta2, double bc1, double bc2, double lr,
                              double eps) {
+  constexpr auto kFloatMin = static_cast<double>(FLT_MIN);
   AdamReference ref;
   for (std::size_t i = 0; i < value.size(); ++i) {
     const auto g = static_cast<double>(grad[i]);
-    const double mi = beta1 * static_cast<double>(m[i]) + (1.0 - beta1) * g;
-    const double vi = beta2 * static_cast<double>(v[i]) + (1.0 - beta2) * g * g;
+    const double m_term = beta1 * static_cast<double>(m[i]);
+    const double v_term = beta2 * static_cast<double>(v[i]);
+    double mi = m_term + (1.0 - beta1) * g;
+    if (std::abs(mi) < kFloatMin) mi = 0.0;
+    const double vi = v_term + (1.0 - beta2) * g * g;
     const double denom = std::sqrt(vi / bc2) + eps;
     const double next = static_cast<double>(value[i]) - lr * (mi / bc1) / denom;
-    // The first moment's blend can cancel, so its rounding is bounded by
-    // its terms' magnitudes, not its own.
-    const double m_abs = std::abs(beta1 * static_cast<double>(m[i])) +
-                         std::abs((1.0 - beta1) * g);
+    const double m_abs = std::abs(m_term) + std::abs((1.0 - beta1) * g);
+    const double v_abs = std::abs(v_term) + std::abs((1.0 - beta2) * g * g);
     ref.value.push_back(next);
     ref.tol.push_back(12.0 * kFloatEps * lr * (m_abs / bc1) / denom +
                       kFloatEps * std::abs(next));
+    ref.m.push_back(mi);
+    ref.m_tol.push_back(2.0 * kFloatEps * m_abs);
+    ref.v.push_back(vi);
+    ref.v_tol.push_back(2.0 * kFloatEps * v_abs);
   }
   return ref;
+}
+
+/// Checks a float Adam step's value and both stored moments against the
+/// double reference; a floored first moment must be stored as +0.
+void expect_adam_matches(const std::vector<float>& value,
+                         const std::vector<float>& m,
+                         const std::vector<float>& v,
+                         const AdamReference& want, const std::string& where) {
+  for (std::size_t i = 0; i < value.size(); ++i) {
+    const std::string at = where + " i=" + std::to_string(i);
+    EXPECT_NEAR(value[i], want.value[i], want.tol[i]) << at;
+    if (want.m[i] == 0.0) {
+      EXPECT_EQ(m[i], 0.0f) << at;
+      EXPECT_FALSE(std::signbit(m[i])) << at;
+    } else {
+      EXPECT_NEAR(m[i], want.m[i], want.m_tol[i]) << at;
+    }
+    EXPECT_NEAR(v[i], want.v[i], want.v_tol[i]) << at;
+  }
 }
 
 TEST(SimdTest, AdamUpdateMatchesScalarBackendExactly) {
@@ -318,10 +349,9 @@ TEST(SimdTest, AdamUpdateMatchesScalarBackendExactly) {
       auto v = v0;
       adam_update(value.data(), grad.data(), m.data(), v.data(), n, 1.0f,
                   f(beta1), f(beta2), f(bc1), f(bc2), f(lr), f(eps));
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(value[i], want.value[i], want.tol[i])
-            << backend_label(active_backend()) << " n=" << n << " i=" << i;
-      }
+      expect_adam_matches(value, m, v, want,
+                          std::string(backend_label(active_backend())) +
+                              " n=" + std::to_string(n));
     }
   }
 }
@@ -365,10 +395,16 @@ TEST(SimdTest, AdamUpdateAgreesAcrossSelectableBackends) {
   Rng rng(20);
   const std::size_t n = 257;
   const auto value0 = random_fvec(n, rng);
-  const auto m0 = random_fvec(n, rng);
+  auto m0 = random_fvec(n, rng);
   auto v0 = random_fvec(n, rng);
   for (float& x : v0) x = std::abs(x);
-  const auto grad = random_fvec(n, rng);
+  auto grad = random_fvec(n, rng);
+  // A dead unit's weight in the vector body and in the scalar tail: its
+  // first moment shrinks below FLT_MIN and is floored to +0.
+  for (const std::size_t i : {std::size_t{5}, n - 1}) {
+    m0[i] = FLT_MIN * 1.05f;
+    grad[i] = 0.0f;
+  }
   const double beta1 = 0.9, beta2 = 0.999, lr = 1e-3, eps = 1e-8;
   const double bc1 = 1.0 - std::pow(beta1, 5.0);
   const double bc2 = 1.0 - std::pow(beta2, 5.0);
@@ -385,10 +421,7 @@ TEST(SimdTest, AdamUpdateAgreesAcrossSelectableBackends) {
     auto v = v0;
     adam_update(value.data(), grad.data(), m.data(), v.data(), n, 1.0f,
                 f(beta1), f(beta2), f(bc1), f(bc2), f(lr), f(eps));
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(value[i], want.value[i], want.tol[i])
-          << backend_label(be) << " i=" << i;
-    }
+    expect_adam_matches(value, m, v, want, backend_label(be));
   }
   force_backend(Backend::kAvx512);
 }

@@ -219,6 +219,7 @@ TEST(CheckpointTest, VersionTwoNetworksAreRefusedButItsIndexLoads) {
     EXPECT_NE(what.find("NETS"), std::string::npos) << what;
     EXPECT_NE(what.find("ADAM"), std::string::npos) << what;
   }
+  EXPECT_FALSE(fresh.tuner().has_agent()) << "a refused file changed the model";
 
   retrieval::ExperienceIndex index;
   retrieval::ExperienceEntry entry;
