@@ -48,9 +48,9 @@ void Linear::forward_rows(const Tensor& x, std::size_t r0, std::size_t r1) {
   matmul_bias_act_rows(x, w_, b_, act_, y_, r0, r1);
 }
 
-void Linear::forward_row(const Tensor& x, Tensor& y) const {
-  y.resize(1, out_features());
-  matmul_bias_act_rows(x, w_, b_, act_, y, 0, 1);
+void Linear::forward_into(const Tensor& x, Tensor& y) const {
+  y.resize(x.rows(), out_features());
+  matmul_bias_act_rows(x, w_, b_, act_, y, 0, x.rows());
 }
 
 void Linear::mask_grad() { mask_grad_rows(0, dz_.rows()); }

@@ -53,9 +53,9 @@ class Linear {
   /// Rows [r0, r1) of forward(x), into an output buffer already sized by
   /// size_output(x.rows()).
   void forward_rows(const Tensor& x, std::size_t r0, std::size_t r1);
-  /// forward(x) for a one-row x into the caller's `y` (resized to 1 x out):
-  /// the same kernel call, reading nothing of the layer but W, b and act.
-  void forward_row(const Tensor& x, Tensor& y) const;
+  /// forward(x) into the caller's `y` (resized to x.rows() x out): the
+  /// same kernel call, reading nothing of the layer but W, b and act.
+  void forward_into(const Tensor& x, Tensor& y) const;
 
   /// The dL/dz buffer. A caller stores dL/dy here (batch x out) and
   /// mask_grad() turns it into dL/dz in place.

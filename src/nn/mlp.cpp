@@ -74,10 +74,15 @@ const Tensor& Mlp::forward(const Tensor& x, common::Partner& partner) {
 const Tensor& Mlp::forward_row(const Tensor& x,
                                std::vector<Tensor>& rows) const {
   if (x.rows() != 1) throw std::invalid_argument("Mlp: forward_row takes one row");
+  return forward_rows(x, rows);
+}
+
+const Tensor& Mlp::forward_rows(const Tensor& x,
+                                std::vector<Tensor>& rows) const {
   rows.resize(layers_.size());
   const Tensor* in = &x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    layers_[i].forward_row(*in, rows[i]);
+    layers_[i].forward_into(*in, rows[i]);
     in = &rows[i];
   }
   return rows.back();

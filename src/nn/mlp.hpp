@@ -56,6 +56,11 @@ class Mlp {
   /// is forward(x)'s bit for bit, and callers that each own their `rows`
   /// can run it on one net side by side.
   const Tensor& forward_row(const Tensor& x, std::vector<Tensor>& rows) const;
+  /// forward_row for an x of any number of rows (each layer's output to
+  /// `rows`, resized to x.rows() x out). The GEMMs are row-invariant
+  /// (common/simd.hpp), so row r is forward_row(row r of x)'s bit for bit,
+  /// while the 4-row tiles read each weight once per four rows.
+  const Tensor& forward_rows(const Tensor& x, std::vector<Tensor>& rows) const;
 
   /// Backward from dL/dy for the batch of the last forward(x), which `x`
   /// must be: accumulates every parameter gradient (sized first, zeroed,

@@ -78,12 +78,26 @@ void right_cols(const nn::Tensor& m, std::size_t cols, nn::Tensor& out) {
   }
 }
 
+void state_action_rows(std::span<const double> s,
+                       std::span<const double> actions, std::size_t rows,
+                       nn::Tensor& out) {
+  if (rows == 0 || actions.size() % rows != 0) {
+    throw std::invalid_argument("state_action_rows: actions/rows mismatch");
+  }
+  const std::size_t dim = actions.size() / rows;
+  out.resize(rows, s.size() + dim);
+  const auto narrow = [](double x) { return static_cast<float>(x); };
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* row = out.data() + r * out.cols();
+    const auto a = actions.subspan(r * dim, dim);
+    std::transform(s.begin(), s.end(), row, narrow);
+    std::transform(a.begin(), a.end(), row + s.size(), narrow);
+  }
+}
+
 void state_action_row(std::span<const double> s, std::span<const double> a,
                       nn::Tensor& out) {
-  out.resize(1, s.size() + a.size());
-  const auto narrow = [](double x) { return static_cast<float>(x); };
-  std::transform(s.begin(), s.end(), out.data(), narrow);
-  std::transform(a.begin(), a.end(), out.data() + s.size(), narrow);
+  state_action_rows(s, a, 1, out);
 }
 
 std::vector<double> to_doubles(std::span<const float> values) {

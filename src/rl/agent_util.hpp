@@ -34,8 +34,14 @@ void concat_cols(const nn::Tensor& a, const nn::Tensor& b, nn::Tensor& out);
 /// out = the right `cols` columns of `m` (slices dQ/da out of dQ/d[s,a]).
 void right_cols(const nn::Tensor& m, std::size_t cols, nn::Tensor& out);
 
-/// out = the 1 x (|s| + |a|) row [s | a], narrowed to float: one critic
-/// probe's input, or with an empty `a` one actor pass's.
+/// out = one row [s | a_r] per candidate action a_r, narrowed to float:
+/// `actions` holds `rows` actions back to back. One row is one critic
+/// probe's input, or with an empty `actions` one actor pass's.
+void state_action_rows(std::span<const double> s,
+                       std::span<const double> actions, std::size_t rows,
+                       nn::Tensor& out);
+
+/// The 1 x (|s| + |a|) row [s | a]: state_action_rows with one row.
 void state_action_row(std::span<const double> s, std::span<const double> a,
                       nn::Tensor& out);
 

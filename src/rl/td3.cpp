@@ -197,6 +197,25 @@ double Td3Agent::min_q(std::span<const double> state,
   return std::min(q1, q2);
 }
 
+void Td3Agent::min_q_rows(std::span<const double> state,
+                          std::span<const double> actions,
+                          std::span<double> out) {
+  if (actions.size() != out.size() * config_.action_dim) {
+    throw std::invalid_argument("Td3Agent::min_q_rows: actions/out mismatch");
+  }
+  state_action_rows(state, actions, out.size(), row_in_);
+  const Td3Agent& from = held();
+  // Critic 1's column goes to `out` before critic 2's pass reuses rows_.
+  const nn::Tensor& q1 = from.critic1_.forward_rows(row_in_, rows_);
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    out[r] = static_cast<double>(q1(r, 0));
+  }
+  const nn::Tensor& q2 = from.critic2_.forward_rows(row_in_, rows_);
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    out[r] = std::min(out[r], static_cast<double>(q2(r, 0)));
+  }
+}
+
 std::size_t Td3Agent::fine_tune(ReplayBuffer& buffer, common::Rng& rng,
                                 std::size_t max_steps,
                                 common::ThreadPool* helpers) {

@@ -88,13 +88,13 @@ class Td3Agent {
   Td3Agent(Td3Config config, common::Rng& rng);
   /// A clone of `frozen` that copies nothing but the train-step counter
   /// when it is built. Until its first train_step, or its first
-  /// networks(), optimizers(), save() or load(), act, act_noisy, twin_q
-  /// and min_q run `frozen`'s actor and critics in place
-  /// (Mlp::forward_row, into rows this clone owns) and snapshot() reads
-  /// `frozen`'s state. That first call copies all six networks and the
-  /// three optimizers' moments and step counts. A clone that never trains
-  /// never copies them. Either way it holds `frozen`'s state bit for bit,
-  /// with no random init.
+  /// networks(), optimizers(), save() or load(), act, act_noisy, twin_q,
+  /// min_q and min_q_rows run `frozen`'s actor and critics in place
+  /// (Mlp::forward_row and forward_rows, into rows this clone owns) and
+  /// snapshot() reads `frozen`'s state. That first call copies all six
+  /// networks and the three optimizers' moments and step counts. A clone
+  /// that never trains never copies them. Either way it holds `frozen`'s
+  /// state bit for bit, with no random init.
   ///
   /// Lifetime: `frozen` must outlive the clone's first train step (or its
   /// destruction, if it never trains) and must not change before then. A
@@ -120,6 +120,14 @@ class Td3Agent {
   /// min(Q1, Q2) — the Twin-Q indicator used by DeepCAT's online optimizer.
   [[nodiscard]] double min_q(std::span<const double> state,
                              std::span<const double> action);
+
+  /// min_q for several candidate actions against one state: `actions`
+  /// holds out.size() actions back to back, and out[r] is min_q(state,
+  /// action r) bit for bit. Each critic makes one pass over all of them
+  /// (Mlp::forward_rows), which reads its weights once per four
+  /// candidates instead of once per candidate.
+  void min_q_rows(std::span<const double> state,
+                  std::span<const double> actions, std::span<double> out);
 
   /// One gradient step on a batch sampled from `buffer`. Also feeds TD
   /// errors back for prioritized buffers. Requires buffer.size() > 0. On
@@ -199,7 +207,7 @@ class Td3Agent {
   /// A clone's source until thaw() has copied its state.
   const Td3Agent* frozen_ = nullptr;
   StepBuffers buf_;
-  nn::Tensor row_in_;             // act's [s], twin_q's [s | a]
+  nn::Tensor row_in_;             // act's [s], the probes' [s | a] rows
   std::vector<nn::Tensor> rows_;  // their passes' layer output rows
   obs::Counter* obs_train_steps_ = nullptr;
   obs::Gauge* obs_critic1_loss_ = nullptr;

@@ -1,5 +1,8 @@
 #include "tuners/deepcat.hpp"
 
+#include <algorithm>
+#include <array>
+#include <span>
 #include <stdexcept>
 
 #include "common/math_util.hpp"
@@ -125,24 +128,49 @@ TwinQOptimizerTrace DeepCatTuner::optimize_action(
   // Algorithm 1 with an iteration guard: keep perturbing with Gaussian
   // noise until the twin-Q indicator clears Q_th. The paper's loop is
   // unbounded; we track the best candidate seen so a pathological Q_th
-  // still yields the strongest action found instead of stalling.
-  std::vector<double> candidate = action;
+  // still yields the strongest action found instead of stalling. Each
+  // candidate perturbs the best so far (a random walk from the best rather
+  // than wandering off), and its noise does not depend on any probe, so
+  // the next kProbeRows candidates are drawn from the current best and
+  // probed in one pass per critic. The first that beats the best or clears
+  // Q_th ends the pass: the candidates after it were drawn from a best
+  // that has just changed, so they are dropped and the RNG goes back to
+  // just after that candidate's draws. Every probe, iteration count and
+  // draw is the one-candidate-at-a-time loop's, bit for bit.
+  constexpr std::size_t kProbeRows = 4;  // the GEMMs' row-block height
+  const std::size_t dim = action.size();
   std::vector<double> best = action;
   double best_q = trace.initial_min_q;
-  for (std::size_t i = 0; i < options_.max_optimizer_iters; ++i) {
-    ++trace.iterations;
-    for (double& a : candidate) {
-      a = common::clamp(a + rng_.normal(0.0, options_.optimizer_sigma), 0.0,
-                        1.0);
+  std::vector<double> candidates(kProbeRows * dim);
+  std::array<double, kProbeRows> q{};
+  std::array<common::RngState, kProbeRows> after{};
+  bool cleared = false;
+  while (!cleared && trace.iterations < options_.max_optimizer_iters) {
+    const std::size_t rows = std::min(
+        kProbeRows, options_.max_optimizer_iters - trace.iterations);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t j = 0; j < dim; ++j) {
+        candidates[r * dim + j] = common::clamp(
+            best[j] + rng_.normal(0.0, options_.optimizer_sigma), 0.0, 1.0);
+      }
+      after[r] = rng_.state();
     }
-    const double q = agent().min_q(state, candidate);
-    if (q > best_q) {
-      best_q = q;
-      best = candidate;
+    agent().min_q_rows(state, std::span(candidates).first(rows * dim),
+                       std::span(q).first(rows));
+    for (std::size_t r = 0; r < rows; ++r) {
+      ++trace.iterations;
+      const bool improved = q[r] > best_q;
+      if (improved) {
+        best_q = q[r];
+        best.assign(candidates.data() + r * dim,
+                    candidates.data() + (r + 1) * dim);
+      }
+      cleared = q[r] >= options_.q_threshold;
+      if (improved || cleared) {
+        if (r + 1 < rows) rng_.restore(after[r]);
+        break;
+      }
     }
-    if (q >= options_.q_threshold) break;
-    // Random-walk from the best candidate so far rather than wandering off.
-    candidate = best;
   }
   action = best;
   trace.final_min_q = best_q;

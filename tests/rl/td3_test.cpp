@@ -8,10 +8,12 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/simd.hpp"
 #include "common/thread_pool.hpp"
@@ -668,6 +670,62 @@ TEST(Td3Test, UntrainedClonesReadTheirSourceInPlaceFromFourThreads) {
       }
     }
   }
+}
+
+// min_q_rows probes several candidates in one pass per critic; each of its
+// outputs must be min_q's for that candidate bit for bit, on every tier,
+// at 1 to 9 candidates (whole 4-row blocks and one-row remainders), from a
+// trained agent and from an untrained clone reading it in place.
+TEST(Td3Test, MinQRowsEqualsMinQPerCandidateOnEveryTier) {
+  Td3Config c;
+  c.state_dim = 9;
+  c.action_dim = 32;
+  c.batch_size = 64;
+  common::Rng rng(78);
+  Td3Agent source(c, rng);
+  UniformReplay buffer(512);
+  const auto draw = [&rng](std::size_t n) {
+    std::vector<double> v(n);
+    for (double& x : v) x = rng.uniform();
+    return v;
+  };
+  for (int i = 0; i < 128; ++i) {
+    buffer.add({draw(c.state_dim), draw(c.action_dim),
+                2.0 * rng.uniform() - 1.0, draw(c.state_dim), false});
+  }
+  for (int i = 0; i < 4; ++i) (void)source.train_step(buffer, rng);
+  Td3Agent clone(c, source);
+
+  struct Restore {
+    ~Restore() { common::simd::force_backend(common::simd::Backend::kAvx512); }
+  } restore;
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const auto be : {common::simd::Backend::kScalar,
+                        common::simd::Backend::kAvx2,
+                        common::simd::Backend::kAvx512}) {
+    if (!common::simd::backend_selectable(be)) continue;
+    common::simd::force_backend(be);
+    for (Td3Agent* agent : {&source, &clone}) {
+      for (std::size_t count = 1; count <= 9; ++count) {
+        SCOPED_TRACE(std::string(common::simd::backend_label(be)) + ", " +
+                     (agent == &clone ? "clone" : "source") + ", " +
+                     std::to_string(count) + " candidates");
+        const std::vector<double> state = draw(c.state_dim);
+        const std::vector<double> actions = draw(count * c.action_dim);
+        std::vector<double> got(count);
+        agent->min_q_rows(state, actions, got);
+        for (std::size_t r = 0; r < count; ++r) {
+          const double want = agent->min_q(
+              state, std::span(actions).subspan(r * c.action_dim,
+                                                c.action_dim));
+          EXPECT_EQ(bits(got[r]), bits(want)) << "candidate " << r;
+        }
+      }
+    }
+  }
+  std::vector<double> out(2);
+  EXPECT_THROW(source.min_q_rows(draw(c.state_dim), draw(c.action_dim), out),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "common/math_util.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/deepcat_api.hpp"
 #include "service/checkpoint.hpp"
@@ -148,6 +156,120 @@ TEST(DeepCatTunerTest, TwinQOptimizerStopsAtThreshold) {
     EXPECT_GE(a, 0.0);
     EXPECT_LE(a, 1.0);
   }
+}
+
+// Algorithm 1 one candidate at a time, as the paper states it: each
+// candidate perturbs the best so far, and the walk stops at Q_th or the
+// guard. optimize_action probes four candidates per pass; it must try the
+// same candidates, count the same iterations, return the same action and
+// leave the tuner's RNG where this loop leaves it, bit for bit.
+TwinQOptimizerTrace one_candidate_at_a_time(rl::Td3Agent& agent,
+                                            common::Rng& rng,
+                                            const DeepCatOptions& o,
+                                            std::span<const double> state,
+                                            std::vector<double>& action) {
+  TwinQOptimizerTrace trace;
+  trace.initial_min_q = agent.min_q(state, action);
+  trace.final_min_q = trace.initial_min_q;
+  if (trace.initial_min_q >= o.q_threshold) {
+    trace.accepted_original = true;
+    return trace;
+  }
+  std::vector<double> candidate = action;
+  std::vector<double> best = action;
+  double best_q = trace.initial_min_q;
+  for (std::size_t i = 0; i < o.max_optimizer_iters; ++i) {
+    ++trace.iterations;
+    for (double& a : candidate) {
+      a = common::clamp(a + rng.normal(0.0, o.optimizer_sigma), 0.0, 1.0);
+    }
+    const double q = agent.min_q(state, candidate);
+    if (q > best_q) {
+      best_q = q;
+      best = candidate;
+    }
+    if (q >= o.q_threshold) break;
+    candidate = best;
+  }
+  action = best;
+  trace.final_min_q = best_q;
+  return trace;
+}
+
+TEST(DeepCatTunerTest, BatchedTwinQScreenReplaysTheOneCandidateLoop) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  common::Rng draws(44);
+  std::vector<std::vector<double>> states, actions;
+  for (int i = 0; i < 24; ++i) {
+    std::vector<double> state(9), action(32);
+    for (double& x : state) x = draws.uniform();
+    for (double& x : action) x = draws.uniform();
+    states.push_back(state);
+    actions.push_back(action);
+  }
+  const auto trained = [](double q_threshold, std::size_t guard) {
+    DeepCatOptions o = fast_options(44);
+    o.q_threshold = q_threshold;
+    o.max_optimizer_iters = guard;
+    auto tuner = std::make_unique<DeepCatTuner>(o);
+    TuningEnvironment env = make_env(44);
+    (void)tuner->train_offline(env, 120);
+    return tuner;
+  };
+  // A threshold the walk crosses partway for some states: between the
+  // median first probe and the median best an unreachable threshold's full
+  // walk finds.
+  std::vector<double> firsts, bests;
+  {
+    const auto probe = trained(9.0, 64);
+    for (std::size_t i = 0; i < states.size(); ++i) {
+      std::vector<double> action = actions[i];
+      const auto t = probe->optimize_action(states[i], action);
+      firsts.push_back(t.initial_min_q);
+      bests.push_back(t.final_min_q);
+    }
+  }
+  std::sort(firsts.begin(), firsts.end());
+  std::sort(bests.begin(), bests.end());
+  const double midway =
+      0.5 * (firsts[firsts.size() / 2] + bests[bests.size() / 2]);
+
+  std::size_t cleared_partway = 0;
+  for (const double q_threshold : {-9.0, midway, 9.0}) {
+    for (const std::size_t guard : {std::size_t{10}, std::size_t{64}}) {
+      const auto tuner = trained(q_threshold, guard);
+      for (std::size_t i = 0; i < states.size(); ++i) {
+        SCOPED_TRACE("Q_th " + std::to_string(q_threshold) + ", guard " +
+                     std::to_string(guard) + ", state " + std::to_string(i));
+        std::vector<double> want_action = actions[i];
+        common::Rng want_rng = tuner->rng();
+        const TwinQOptimizerTrace want = one_candidate_at_a_time(
+            tuner->agent(), want_rng, tuner->options(), states[i],
+            want_action);
+        std::vector<double> action = actions[i];
+        const TwinQOptimizerTrace got =
+            tuner->optimize_action(states[i], action);
+        EXPECT_EQ(got.iterations, want.iterations);
+        EXPECT_EQ(got.accepted_original, want.accepted_original);
+        EXPECT_EQ(bits(got.initial_min_q), bits(want.initial_min_q));
+        EXPECT_EQ(bits(got.final_min_q), bits(want.final_min_q));
+        ASSERT_EQ(action.size(), want_action.size());
+        for (std::size_t j = 0; j < action.size(); ++j) {
+          EXPECT_EQ(bits(action[j]), bits(want_action[j])) << "dim " << j;
+        }
+        const common::RngState got_rng = tuner->rng().state();
+        const common::RngState want_state = want_rng.state();
+        EXPECT_EQ(got_rng.s, want_state.s);
+        EXPECT_EQ(bits(got_rng.spare), bits(want_state.spare));
+        EXPECT_EQ(got_rng.has_spare, want_state.has_spare);
+        if (!got.accepted_original && got.iterations < guard) {
+          ++cleared_partway;
+        }
+      }
+    }
+  }
+  // The pass that ends early (and puts the RNG back) must have run.
+  EXPECT_GT(cleared_partway, 0u);
 }
 
 TEST(DeepCatTunerTest, OnlineTracesRecordedPerStep) {
