@@ -1,5 +1,6 @@
 #include "common/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace deepcat::common {
@@ -77,6 +78,44 @@ double Rng::normal() noexcept {
 
 double Rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * normal();
+}
+
+void Rng::normals(double* out, std::size_t n, double mean,
+                  double stddev) noexcept {
+  std::size_t i = 0;
+  if (n > 0 && has_spare_) {
+    has_spare_ = false;
+    out[i++] = mean + stddev * spare_;
+  }
+  constexpr std::size_t kBlock = 64;
+  double us[kBlock], vs[kBlock], ss[kBlock];
+  while (i < n) {
+    // normal()'s loop, without its branch: every candidate is stored, and
+    // only an accepted one advances the count, so the next overwrites a
+    // rejected one. It draws exactly the pairs normal() would.
+    const std::size_t pairs = std::min(kBlock, (n - i + 1) / 2);
+    std::size_t accepted = 0;
+    while (accepted < pairs) {
+      const double u = uniform(-1.0, 1.0);
+      const double v = uniform(-1.0, 1.0);
+      const double s = u * u + v * v;
+      us[accepted] = u;
+      vs[accepted] = v;
+      ss[accepted] = s;
+      accepted += static_cast<std::size_t>((s < 1.0) & (s != 0.0));
+    }
+    for (std::size_t p = 0; p < pairs; ++p) {
+      const double s = ss[p];
+      const double m = std::sqrt(-2.0 * std::log(s) / s);
+      out[i++] = mean + stddev * (us[p] * m);
+      spare_ = vs[p] * m;
+      if (i < n) {
+        out[i++] = mean + stddev * spare_;
+      } else {
+        has_spare_ = true;
+      }
+    }
+  }
 }
 
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }

@@ -73,6 +73,14 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   [[nodiscard]] double normal(double mean, double stddev) noexcept;
 
+  /// out[i] = normal(mean, stddev) for i in [0, n), in order: the same
+  /// values, the same draws and the same state after (a pair's second
+  /// value left as the spare, and once handed out, left stale in it, as
+  /// normal() leaves it). Candidate pairs are drawn in blocks with a
+  /// branch-free acceptance test, then the accepted pairs take their logs.
+  void normals(double* out, std::size_t n, double mean,
+               double stddev) noexcept;
+
   /// Bernoulli draw with probability `p` of true.
   [[nodiscard]] bool bernoulli(double p) noexcept;
 

@@ -158,20 +158,41 @@ template <bool kUnitBc1>
   }
 }
 
+// Baseline x86-64 code has no FMA, so these products are never fused. Out
+// of line: the vector tiers hand it their tails, and inlined there the
+// optimizer would contract t * s + keep * d into an FMA.
+[[gnu::noinline]] void soft_update_scalar(float* d, const float* s,
+                                          std::size_t n, float t,
+                                          float keep) noexcept {
+  for (std::size_t i = 0; i < n; ++i) d[i] = t * s[i] + keep * d[i];
+}
+
+[[gnu::noinline]] void add_column_sums_scalar(float* acc, const float* x,
+                                              std::size_t m, std::size_t n,
+                                              std::size_t ldx) noexcept {
+  for (std::size_t r = 0; r < m; ++r) {
+    const float* row = x + r * ldx;
+    for (std::size_t j = 0; j < n; ++j) acc[j] += row[j];
+  }
+}
+
 void gemm_nn_scalar(std::size_t m, std::size_t n, std::size_t k,
                     const float* a, std::size_t lda, const float* b,
-                    std::size_t ldb, float* c, std::size_t ldc) noexcept {
+                    std::size_t ldb, float* c, std::size_t ldc,
+                    Epilogue epilogue) noexcept {
   // ikj order streams B and C rows; the zero-skip makes post-ReLU
   // (sparse) left operands cheap.
   for (std::size_t i = 0; i < m; ++i) {
     float* crow = c + i * ldc;
     const float* arow = a + i * lda;
+    if (epilogue.bias != nullptr) std::copy_n(epilogue.bias, n, crow);
     for (std::size_t p = 0; p < k; ++p) {
       const float aip = arow[p];
       if (aip == 0.0f) continue;
       const float* brow = b + p * ldb;
       for (std::size_t j = 0; j < n; ++j) crow[j] += aip * brow[j];
     }
+    if (epilogue.relu) relu_scalar(crow, n);
   }
 }
 
@@ -378,6 +399,53 @@ DEEPCAT_TARGET_AVX2 void relu_mask_avx2(float* g, const float* y,
   }
 }
 
+// Two rounded products and a rounded sum. This function is compiled with
+// FMA, and an optimized build would contract t * s + keep * d into one:
+// the empty asm hands both products over as opaque values, so the add
+// cannot absorb either.
+DEEPCAT_TARGET_AVX2 void soft_update_avx2(float* d, const float* s,
+                                          std::size_t n, float t,
+                                          float keep) noexcept {
+  const __m256 vt = _mm256_set1_ps(t);
+  const __m256 vkeep = _mm256_set1_ps(keep);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256 ts = _mm256_mul_ps(vt, _mm256_loadu_ps(s + i));
+    __m256 kd = _mm256_mul_ps(vkeep, _mm256_loadu_ps(d + i));
+    asm("" : "+x"(ts), "+x"(kd));
+    _mm256_storeu_ps(d + i, _mm256_add_ps(ts, kd));
+  }
+  if (i < n) soft_update_scalar(d + i, s + i, n - i, t, keep);
+}
+
+// V ymm strips of columns side by side, each summed down the rows in order
+// in a register.
+template <std::size_t V>
+[[gnu::always_inline]] DEEPCAT_TARGET_AVX2 inline void column_strips_avx2(
+    float* acc, const float* x, std::size_t m, std::size_t ldx) noexcept {
+  __m256 sum[V];
+#pragma GCC unroll 8
+  for (std::size_t q = 0; q < V; ++q) sum[q] = _mm256_loadu_ps(acc + 8 * q);
+  for (std::size_t r = 0; r < m; ++r) {
+    const float* row = x + r * ldx;
+#pragma GCC unroll 8
+    for (std::size_t q = 0; q < V; ++q) {
+      sum[q] = _mm256_add_ps(sum[q], _mm256_loadu_ps(row + 8 * q));
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t q = 0; q < V; ++q) _mm256_storeu_ps(acc + 8 * q, sum[q]);
+}
+
+DEEPCAT_TARGET_AVX2 void add_column_sums_avx2(float* acc, const float* x,
+                                              std::size_t m, std::size_t n,
+                                              std::size_t ldx) noexcept {
+  std::size_t j = 0;
+  for (; j + 32 <= n; j += 32) column_strips_avx2<4>(acc + j, x + j, m, ldx);
+  for (; j + 8 <= n; j += 8) column_strips_avx2<1>(acc + j, x + j, m, ldx);
+  if (j < n) add_column_sums_scalar(acc + j, x + j, m, n - j, ldx);
+}
+
 template <bool kUnitBc1>
 DEEPCAT_TARGET_AVX2 void adam_update_avx2(
     float* value, const float* grad, float* m, float* v, std::size_t n,
@@ -428,17 +496,24 @@ template <bool kTransA>
   return kTransA ? a[p * lda + r] : a[r * lda + p];
 }
 
+// The epilogue of the tile at column j: its bias columns start at j.
+[[gnu::always_inline]] inline Epilogue from_column(Epilogue e,
+                                                   std::size_t j) noexcept {
+  if (e.bias != nullptr) e.bias += j;
+  return e;
+}
+
 // Columns [j0, n) of R C rows that no vector tile covers: each output keeps
-// its own sequential ascending-k chain (s += a*b from 0, then added to C),
-// the R chains side by side so the FMA latency overlaps. This is the
-// critic's n=1 output layer. Inlined into each tier, so the chains contract
-// to FMA there whichever row path runs them.
+// its own sequential ascending-k chain (s += a*b from 0), the R chains side
+// by side so the FMA latency overlaps, then adds it to C, or to the bias
+// (what C holds after a bias copy), and stores it, through the ReLU if
+// asked. This is the critic's n=1 output layer. Inlined into each tier, so
+// the chains contract to FMA there whichever row path runs them.
 template <bool kTransA, std::size_t R>
-[[gnu::always_inline]] inline void tail_rows(std::size_t n, std::size_t k,
-                                             std::size_t j0, const float* a,
-                                             std::size_t lda, const float* b,
-                                             std::size_t ldb, float* c,
-                                             std::size_t ldc) noexcept {
+[[gnu::always_inline]] inline void tail_rows(
+    std::size_t n, std::size_t k, std::size_t j0, const float* a,
+    std::size_t lda, const float* b, std::size_t ldb, float* c,
+    std::size_t ldc, Epilogue epilogue = {}) noexcept {
   for (std::size_t j = j0; j < n; ++j) {
     float s[R] = {};
     for (std::size_t p = 0; p < k; ++p) {
@@ -449,24 +524,35 @@ template <bool kTransA, std::size_t R>
       }
     }
 #pragma GCC unroll 8
-    for (std::size_t r = 0; r < R; ++r) c[r * ldc + j] += s[r];
+    for (std::size_t r = 0; r < R; ++r) {
+      float& out = c[r * ldc + j];
+      const float sum =
+          (epilogue.bias != nullptr ? epilogue.bias[j] : out) + s[r];
+      out = epilogue.relu ? (sum > 0.0f ? sum : 0.0f) : sum;
+    }
   }
 }
 
 // R C rows x V ymm columns += A * B, in R * V accumulators that stay
 // resident across the whole k loop, each keeping its outputs'
-// ascending-k chains from C, so tile shapes change no bit. A elements are
-// broadcast, B rows streamed: one B load feeds R FMAs.
+// ascending-k chains from C (or from the epilogue's bias, the same values
+// a bias copy would leave in C), so tile shapes change no bit. A elements
+// are broadcast, B rows streamed: one B load feeds R FMAs. The ReLU, if
+// asked, is relu_avx2's max_ps at the store.
 template <bool kTransA, std::size_t R, std::size_t V>
 [[gnu::always_inline]] DEEPCAT_TARGET_AVX2 inline void tile_avx2(
     std::size_t k, const float* a, std::size_t lda, const float* b,
-    std::size_t ldb, float* c, std::size_t ldc) noexcept {
+    std::size_t ldb, float* c, std::size_t ldc,
+    Epilogue epilogue = {}) noexcept {
+  const bool seeded = epilogue.bias != nullptr;
+  const float* seed = seeded ? epilogue.bias : c;
+  const std::size_t ld_seed = seeded ? 0 : ldc;
   __m256 acc[R][V];
 #pragma GCC unroll 8
   for (std::size_t r = 0; r < R; ++r) {
 #pragma GCC unroll 8
     for (std::size_t q = 0; q < V; ++q) {
-      acc[r][q] = _mm256_loadu_ps(c + r * ldc + 8 * q);
+      acc[r][q] = _mm256_loadu_ps(seed + r * ld_seed + 8 * q);
     }
   }
   for (std::size_t p = 0; p < k; ++p) {
@@ -480,6 +566,15 @@ template <bool kTransA, std::size_t R, std::size_t V>
 #pragma GCC unroll 8
       for (std::size_t q = 0; q < V; ++q) {
         acc[r][q] = _mm256_fmadd_ps(av, bv[q], acc[r][q]);
+      }
+    }
+  }
+  if (epilogue.relu) {
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+      for (std::size_t q = 0; q < V; ++q) {
+        acc[r][q] = _mm256_max_ps(acc[r][q], _mm256_setzero_ps());
       }
     }
   }
@@ -499,34 +594,41 @@ DEEPCAT_TARGET_AVX2 void gemm_nn_avx2(std::size_t m, std::size_t n,
                                       std::size_t k, const float* a,
                                       std::size_t lda, const float* b,
                                       std::size_t ldb, float* c,
-                                      std::size_t ldc) noexcept {
+                                      std::size_t ldc,
+                                      Epilogue epilogue) noexcept {
+  const Epilogue& e = epilogue;
   std::size_t i = 0;
   for (; i + 4 <= m; i += 4) {
     const float* ai = a + i * lda;
     float* ci = c + i * ldc;
     std::size_t j = 0;
     for (; j + 16 <= n; j += 16) {
-      tile_avx2<false, 4, 2>(k, ai, lda, b + j, ldb, ci + j, ldc);
+      tile_avx2<false, 4, 2>(k, ai, lda, b + j, ldb, ci + j, ldc,
+                             from_column(e, j));
     }
     for (; j + 8 <= n; j += 8) {
-      tile_avx2<false, 4, 1>(k, ai, lda, b + j, ldb, ci + j, ldc);
+      tile_avx2<false, 4, 1>(k, ai, lda, b + j, ldb, ci + j, ldc,
+                             from_column(e, j));
     }
-    tail_rows<false, 4>(n, k, j, ai, lda, b, ldb, ci, ldc);
+    tail_rows<false, 4>(n, k, j, ai, lda, b, ldb, ci, ldc, e);
   }
   for (; i < m; ++i) {
     const float* ai = a + i * lda;
     float* ci = c + i * ldc;
     std::size_t j = 0;
     for (; j + 64 <= n; j += 64) {
-      tile_avx2<false, 1, 8>(k, ai, lda, b + j, ldb, ci + j, ldc);
+      tile_avx2<false, 1, 8>(k, ai, lda, b + j, ldb, ci + j, ldc,
+                             from_column(e, j));
     }
     for (; j + 16 <= n; j += 16) {
-      tile_avx2<false, 1, 2>(k, ai, lda, b + j, ldb, ci + j, ldc);
+      tile_avx2<false, 1, 2>(k, ai, lda, b + j, ldb, ci + j, ldc,
+                             from_column(e, j));
     }
     for (; j + 8 <= n; j += 8) {
-      tile_avx2<false, 1, 1>(k, ai, lda, b + j, ldb, ci + j, ldc);
+      tile_avx2<false, 1, 1>(k, ai, lda, b + j, ldb, ci + j, ldc,
+                             from_column(e, j));
     }
-    tail_rows<false, 1>(n, k, j, ai, lda, b, ldb, ci, ldc);
+    tail_rows<false, 1>(n, k, j, ai, lda, b, ldb, ci, ldc, e);
   }
 }
 
@@ -685,8 +787,9 @@ DEEPCAT_TARGET_AVX2 void gemm_nt_rows_avx2(std::size_t n, std::size_t k,
 
 // k below the lane width: the vector loop never runs, so there is nothing to
 // reduce. Each output is C + (0 + a_0 b_0 + a_1 b_1 + ...) as ascending
-// FMAs, eight columns at a time with B gathered at stride ldb. The critic's
-// 128->1 output layer makes this k=1 call in every backward pass.
+// FMAs, eight columns at a time with B gathered at stride ldb, or loaded
+// when ldb == 1: the critic's 128->1 output layer makes that k=1 call in
+// every backward pass.
 DEEPCAT_TARGET_AVX2 void gemm_nt_small_k_avx2(std::size_t m, std::size_t n,
                                               std::size_t k, const float* a,
                                               std::size_t lda, const float* b,
@@ -702,8 +805,10 @@ DEEPCAT_TARGET_AVX2 void gemm_nt_small_k_avx2(std::size_t m, std::size_t n,
     for (; j + 8 <= n; j += 8) {
       __m256 sum = _mm256_setzero_ps();
       for (std::size_t p = 0; p < k; ++p) {
+        const float* column = b + j * ldb + p;
         sum = _mm256_fmadd_ps(_mm256_set1_ps(arow[p]),
-                              _mm256_i32gather_ps(b + j * ldb + p, idx, 4),
+                              ldb == 1 ? _mm256_loadu_ps(column)
+                                       : _mm256_i32gather_ps(column, idx, 4),
                               sum);
       }
       _mm256_storeu_ps(crow + j, _mm256_add_ps(_mm256_loadu_ps(crow + j), sum));
@@ -737,6 +842,19 @@ DEEPCAT_TARGET_AVX2 void gemm_nt_avx2(std::size_t m, std::size_t n,
 // dot-family reductions use wider accumulator trees and meet the tier
 // contract only (simd.hpp).
 
+// _mm512_reduce_add_pd's tree, high 256 + low 256, then high 128 + low
+// 128, then lane 0 + lane 1, written out in zero-masked forms with every
+// lane selected: GCC 12's unmasked 256-bit extract merges into an
+// undefined register, which -Wmaybe-uninitialized flags once inlined. The
+// GP and retrieval read these bits.
+DEEPCAT_TARGET_AVX512 inline double reduce_add(__m512d v) noexcept {
+  const __m256d h = _mm256_add_pd(_mm512_maskz_extractf64x4_pd(0xF, v, 1),
+                                  _mm512_maskz_extractf64x4_pd(0xF, v, 0));
+  const __m128d q = _mm_add_pd(_mm256_extractf128_pd(h, 1),
+                               _mm256_extractf128_pd(h, 0));
+  return _mm_cvtsd_f64(q) + _mm_cvtsd_f64(_mm_unpackhi_pd(q, q));
+}
+
 DEEPCAT_TARGET_AVX512 double dot_avx512(const double* a, const double* b,
                                         std::size_t n) noexcept {
   __m512d acc0 = _mm512_setzero_pd(), acc1 = _mm512_setzero_pd();
@@ -756,7 +874,7 @@ DEEPCAT_TARGET_AVX512 double dot_avx512(const double* a, const double* b,
     acc0 = _mm512_fmadd_pd(_mm512_loadu_pd(a + i),
                            _mm512_loadu_pd(b + i), acc0);
   }
-  double s = _mm512_reduce_add_pd(_mm512_add_pd(
+  double s = reduce_add(_mm512_add_pd(
       _mm512_add_pd(acc0, acc1), _mm512_add_pd(acc2, acc3)));
   for (; i < n; ++i) s += a[i] * b[i];
   return s;
@@ -780,7 +898,7 @@ DEEPCAT_TARGET_AVX512 double squared_distance_avx512(const double* a,
         _mm512_sub_pd(_mm512_loadu_pd(a + i), _mm512_loadu_pd(b + i));
     acc0 = _mm512_fmadd_pd(d, d, acc0);
   }
-  double s = _mm512_reduce_add_pd(_mm512_add_pd(acc0, acc1));
+  double s = reduce_add(_mm512_add_pd(acc0, acc1));
   for (; i < n; ++i) {
     const double d = a[i] - b[i];
     s += d * d;
@@ -822,7 +940,7 @@ DEEPCAT_TARGET_AVX512 double sum_avx512(const double* a,
   for (; i + 8 <= n; i += 8) {
     acc0 = _mm512_add_pd(acc0, _mm512_loadu_pd(a + i));
   }
-  double s = _mm512_reduce_add_pd(_mm512_add_pd(acc0, acc1));
+  double s = reduce_add(_mm512_add_pd(acc0, acc1));
   for (; i < n; ++i) s += a[i];
   return s;
 }
@@ -847,10 +965,10 @@ DEEPCAT_TARGET_AVX512 void axpy_avx512(double alpha, const double* x,
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
-// GCC 12's unmasked forms of the max, sqrt, shuffle and gather below
-// merge into _mm512_undefined_ps(), which its -Wmaybe-uninitialized flags
-// once inlined; the zero-masked forms with every lane selected are the
-// same instructions.
+// GCC 12's unmasked forms of the max, sqrt, shuffle, extract and gather
+// below merge into _mm512_undefined_ps(), which its -Wmaybe-uninitialized
+// flags once inlined; the zero-masked forms with every lane selected are
+// the same instructions.
 constexpr __mmask16 kAllLanes = 0xFFFF;
 
 DEEPCAT_TARGET_AVX512 void relu_avx512(float* x, std::size_t n) noexcept {
@@ -885,6 +1003,64 @@ DEEPCAT_TARGET_AVX512 void relu_mask_avx512(float* g, const float* y,
         _mm512_mask_cmp_ps_mask(tail, _mm512_maskz_loadu_ps(tail, y + i),
                                 zero, _CMP_LE_OQ),
         zero);
+  }
+}
+
+// soft_update_avx2 at 16 lanes, the tail under a mask.
+DEEPCAT_TARGET_AVX512 void soft_update_avx512(float* d, const float* s,
+                                              std::size_t n, float t,
+                                              float keep) noexcept {
+  const __m512 vt = _mm512_set1_ps(t);
+  const __m512 vkeep = _mm512_set1_ps(keep);
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    __m512 ts = _mm512_mul_ps(vt, _mm512_loadu_ps(s + i));
+    __m512 kd = _mm512_mul_ps(vkeep, _mm512_loadu_ps(d + i));
+    asm("" : "+v"(ts), "+v"(kd));
+    _mm512_storeu_ps(d + i, _mm512_add_ps(ts, kd));
+  }
+  if (i < n) {
+    const auto tail = static_cast<__mmask16>((1u << (n - i)) - 1u);
+    __m512 ts = _mm512_mul_ps(vt, _mm512_maskz_loadu_ps(tail, s + i));
+    __m512 kd = _mm512_mul_ps(vkeep, _mm512_maskz_loadu_ps(tail, d + i));
+    asm("" : "+v"(ts), "+v"(kd));
+    _mm512_mask_storeu_ps(d + i, tail, _mm512_add_ps(ts, kd));
+  }
+}
+
+// column_strips_avx2 at 16 lanes; the last n mod 16 columns under a mask.
+template <std::size_t V>
+[[gnu::always_inline]] DEEPCAT_TARGET_AVX512 inline void column_strips_avx512(
+    float* acc, const float* x, std::size_t m, std::size_t ldx,
+    __mmask16 lanes = kAllLanes) noexcept {
+  __m512 sum[V];
+#pragma GCC unroll 8
+  for (std::size_t q = 0; q < V; ++q) {
+    sum[q] = _mm512_maskz_loadu_ps(lanes, acc + 16 * q);
+  }
+  for (std::size_t r = 0; r < m; ++r) {
+    const float* row = x + r * ldx;
+#pragma GCC unroll 8
+    for (std::size_t q = 0; q < V; ++q) {
+      sum[q] =
+          _mm512_add_ps(sum[q], _mm512_maskz_loadu_ps(lanes, row + 16 * q));
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t q = 0; q < V; ++q) {
+    _mm512_mask_storeu_ps(acc + 16 * q, lanes, sum[q]);
+  }
+}
+
+DEEPCAT_TARGET_AVX512 void add_column_sums_avx512(float* acc, const float* x,
+                                                  std::size_t m, std::size_t n,
+                                                  std::size_t ldx) noexcept {
+  std::size_t j = 0;
+  for (; j + 64 <= n; j += 64) column_strips_avx512<4>(acc + j, x + j, m, ldx);
+  for (; j + 16 <= n; j += 16) column_strips_avx512<1>(acc + j, x + j, m, ldx);
+  if (j < n) {
+    column_strips_avx512<1>(acc + j, x + j, m, ldx,
+                            static_cast<__mmask16>((1u << (n - j)) - 1u));
   }
 }
 
@@ -930,17 +1106,22 @@ DEEPCAT_TARGET_AVX512 void adam_update_avx512(
 }
 
 // tile_avx2 at 16 lanes: R C rows x V zmm columns, each output's
-// ascending-k chain from C.
+// ascending-k chain from C or the bias, stored through relu_avx512's max if
+// asked.
 template <bool kTransA, std::size_t R, std::size_t V>
 [[gnu::always_inline]] DEEPCAT_TARGET_AVX512 inline void tile_avx512(
     std::size_t k, const float* a, std::size_t lda, const float* b,
-    std::size_t ldb, float* c, std::size_t ldc) noexcept {
+    std::size_t ldb, float* c, std::size_t ldc,
+    Epilogue epilogue = {}) noexcept {
+  const bool seeded = epilogue.bias != nullptr;
+  const float* seed = seeded ? epilogue.bias : c;
+  const std::size_t ld_seed = seeded ? 0 : ldc;
   __m512 acc[R][V];
 #pragma GCC unroll 8
   for (std::size_t r = 0; r < R; ++r) {
 #pragma GCC unroll 8
     for (std::size_t q = 0; q < V; ++q) {
-      acc[r][q] = _mm512_loadu_ps(c + r * ldc + 16 * q);
+      acc[r][q] = _mm512_loadu_ps(seed + r * ld_seed + 16 * q);
     }
   }
   for (std::size_t p = 0; p < k; ++p) {
@@ -954,6 +1135,16 @@ template <bool kTransA, std::size_t R, std::size_t V>
 #pragma GCC unroll 8
       for (std::size_t q = 0; q < V; ++q) {
         acc[r][q] = _mm512_fmadd_ps(av, bv[q], acc[r][q]);
+      }
+    }
+  }
+  if (epilogue.relu) {
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+      for (std::size_t q = 0; q < V; ++q) {
+        acc[r][q] =
+            _mm512_maskz_max_ps(kAllLanes, acc[r][q], _mm512_setzero_ps());
       }
     }
   }
@@ -974,37 +1165,45 @@ DEEPCAT_TARGET_AVX512 void gemm_nn_avx512(std::size_t m, std::size_t n,
                                           std::size_t k, const float* a,
                                           std::size_t lda, const float* b,
                                           std::size_t ldb, float* c,
-                                          std::size_t ldc) noexcept {
+                                          std::size_t ldc,
+                                          Epilogue epilogue) noexcept {
+  const Epilogue& e = epilogue;
   std::size_t i = 0;
   for (; i + 4 <= m; i += 4) {
     const float* ai = a + i * lda;
     float* ci = c + i * ldc;
     std::size_t j = 0;
     for (; j + 64 <= n; j += 64) {
-      tile_avx512<false, 4, 4>(k, ai, lda, b + j, ldb, ci + j, ldc);
+      tile_avx512<false, 4, 4>(k, ai, lda, b + j, ldb, ci + j, ldc,
+                               from_column(e, j));
     }
     for (; j + 32 <= n; j += 32) {
-      tile_avx512<false, 4, 2>(k, ai, lda, b + j, ldb, ci + j, ldc);
+      tile_avx512<false, 4, 2>(k, ai, lda, b + j, ldb, ci + j, ldc,
+                               from_column(e, j));
     }
     for (; j + 16 <= n; j += 16) {
-      tile_avx512<false, 4, 1>(k, ai, lda, b + j, ldb, ci + j, ldc);
+      tile_avx512<false, 4, 1>(k, ai, lda, b + j, ldb, ci + j, ldc,
+                               from_column(e, j));
     }
-    tail_rows<false, 4>(n, k, j, ai, lda, b, ldb, ci, ldc);
+    tail_rows<false, 4>(n, k, j, ai, lda, b, ldb, ci, ldc, e);
   }
   for (; i < m; ++i) {
     const float* ai = a + i * lda;
     float* ci = c + i * ldc;
     std::size_t j = 0;
     for (; j + 128 <= n; j += 128) {
-      tile_avx512<false, 1, 8>(k, ai, lda, b + j, ldb, ci + j, ldc);
+      tile_avx512<false, 1, 8>(k, ai, lda, b + j, ldb, ci + j, ldc,
+                               from_column(e, j));
     }
     for (; j + 32 <= n; j += 32) {
-      tile_avx512<false, 1, 2>(k, ai, lda, b + j, ldb, ci + j, ldc);
+      tile_avx512<false, 1, 2>(k, ai, lda, b + j, ldb, ci + j, ldc,
+                               from_column(e, j));
     }
     for (; j + 16 <= n; j += 16) {
-      tile_avx512<false, 1, 1>(k, ai, lda, b + j, ldb, ci + j, ldc);
+      tile_avx512<false, 1, 1>(k, ai, lda, b + j, ldb, ci + j, ldc,
+                               from_column(e, j));
     }
-    tail_rows<false, 1>(n, k, j, ai, lda, b, ldb, ci, ldc);
+    tail_rows<false, 1>(n, k, j, ai, lda, b, ldb, ci, ldc, e);
   }
 }
 
@@ -1139,18 +1338,21 @@ DEEPCAT_TARGET_AVX512 void gemm_nt_rows_avx512(
     }
     // Lanes 4r..4r+3: row r, columns j..j+3.
     const __m512 sums = reduce16_avx512(acc);
-    alignas(64) float part[16];
-    _mm512_store_ps(part, sums);
+    const __m128 row_sums[4] = {_mm512_maskz_extractf32x4_ps(0xF, sums, 0),
+                                _mm512_maskz_extractf32x4_ps(0xF, sums, 1),
+                                _mm512_maskz_extractf32x4_ps(0xF, sums, 2),
+                                _mm512_maskz_extractf32x4_ps(0xF, sums, 3)};
 #pragma GCC unroll 4
     for (std::size_t r = 0; r < R; ++r) {
       float* crow = c + r * ldc + j;
       if (kv == k) {
-        _mm_storeu_ps(crow, _mm_add_ps(_mm_loadu_ps(crow),
-                                       _mm_load_ps(part + 4 * r)));
+        _mm_storeu_ps(crow, _mm_add_ps(_mm_loadu_ps(crow), row_sums[r]));
         continue;
       }
+      alignas(16) float part[4];
+      _mm_store_ps(part, row_sums[r]);
       for (std::size_t q = 0; q < 4; ++q) {
-        crow[q] += nt_tail(part[4 * r + q], kv, k, a + r * lda, bq[q]);
+        crow[q] += nt_tail(part[q], kv, k, a + r * lda, bq[q]);
       }
     }
   }
@@ -1161,7 +1363,7 @@ DEEPCAT_TARGET_AVX512 void gemm_nt_rows_avx512(
   }
 }
 
-// gemm_nt_small_k_avx2 at 16 lanes.
+// gemm_nt_small_k_avx2 at 16 lanes, B loaded when ldb == 1.
 DEEPCAT_TARGET_AVX512 void gemm_nt_small_k_avx512(
     std::size_t m, std::size_t n, std::size_t k, const float* a,
     std::size_t lda, const float* b, std::size_t ldb, float* c,
@@ -1176,8 +1378,16 @@ DEEPCAT_TARGET_AVX512 void gemm_nt_small_k_avx512(
     for (; j + 16 <= n; j += 16) {
       __m512 sum = _mm512_setzero_ps();
       for (std::size_t p = 0; p < k; ++p) {
-        const __m512 column = _mm512_mask_i32gather_ps(
-            _mm512_setzero_ps(), kAllLanes, idx, b + j * ldb + p, 4);
+        const float* at = b + j * ldb + p;
+// Unoptimized, the gather is a macro that hands the mask to a builtin
+// taking a signed short, and -Wsign-conversion flags kAllLanes here.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wsign-conversion"
+        const __m512 column =
+            ldb == 1 ? _mm512_loadu_ps(at)
+                     : _mm512_mask_i32gather_ps(_mm512_setzero_ps(),
+                                                kAllLanes, idx, at, 4);
+#pragma GCC diagnostic pop
         sum = _mm512_fmadd_ps(_mm512_set1_ps(arow[p]), column, sum);
       }
       _mm512_storeu_ps(crow + j, _mm512_add_ps(_mm512_loadu_ps(crow + j), sum));
@@ -1439,6 +1649,40 @@ void relu_mask(float* g, const float* y, std::size_t n) noexcept {
   relu_mask_scalar(g, y, n);
 }
 
+void soft_update(float* d, const float* s, std::size_t n, float t,
+                 float keep) noexcept {
+#if DEEPCAT_SIMD_X86
+  switch (active_backend()) {
+    case Backend::kAvx512:
+      soft_update_avx512(d, s, n, t, keep);
+      return;
+    case Backend::kAvx2:
+      soft_update_avx2(d, s, n, t, keep);
+      return;
+    default:
+      break;
+  }
+#endif
+  soft_update_scalar(d, s, n, t, keep);
+}
+
+void add_column_sums(float* acc, const float* x, std::size_t m, std::size_t n,
+                     std::size_t ldx) noexcept {
+#if DEEPCAT_SIMD_X86
+  switch (active_backend()) {
+    case Backend::kAvx512:
+      add_column_sums_avx512(acc, x, m, n, ldx);
+      return;
+    case Backend::kAvx2:
+      add_column_sums_avx2(acc, x, m, n, ldx);
+      return;
+    default:
+      break;
+  }
+#endif
+  add_column_sums_scalar(acc, x, m, n, ldx);
+}
+
 void adam_update(float* value, const float* grad, float* m, float* v,
                  std::size_t n, float scale, float beta1, float beta2,
                  float bc1, float bc2, float lr, float eps) noexcept {
@@ -1465,22 +1709,22 @@ void adam_update(float* value, const float* grad, float* m, float* v,
 
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* a,
              std::size_t lda, const float* b, std::size_t ldb, float* c,
-             std::size_t ldc) noexcept {
+             std::size_t ldc, Epilogue epilogue) noexcept {
   const Backend be = active_backend();
   count_dispatch(be);
 #if DEEPCAT_SIMD_X86
   switch (be) {
     case Backend::kAvx512:
-      gemm_nn_avx512(m, n, k, a, lda, b, ldb, c, ldc);
+      gemm_nn_avx512(m, n, k, a, lda, b, ldb, c, ldc, epilogue);
       return;
     case Backend::kAvx2:
-      gemm_nn_avx2(m, n, k, a, lda, b, ldb, c, ldc);
+      gemm_nn_avx2(m, n, k, a, lda, b, ldb, c, ldc, epilogue);
       return;
     default:
       break;
   }
 #endif
-  gemm_nn_scalar(m, n, k, a, lda, b, ldb, c, ldc);
+  gemm_nn_scalar(m, n, k, a, lda, b, ldb, c, ldc, epilogue);
 }
 
 void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const float* a,

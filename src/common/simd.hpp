@@ -18,7 +18,8 @@
 //
 // Numerical contract: vectorized kernels may reassociate reductions and
 // contract mul+add into FMA, so results can differ between tiers in the
-// last bits. The double kernels (the GP's and retrieval's) stay within
+// last bits; relu, relu_mask, soft_update and add_column_sums do neither
+// and return the scalar reference's bits on every tier. The double kernels (the GP's and retrieval's) stay within
 // 1e-12 of a plain-order reference; the float kernels (the networks' and
 // Adam's) within (k + 2) * FLT_EPSILON * sum |a_p * b_p| for a k-term
 // product, the classic bound for any summation order. Broadcast-style GEMM
@@ -165,6 +166,21 @@ void relu(float* x, std::size_t n) noexcept;
 /// the ReLU backward mask from the activation output `y`.
 void relu_mask(float* g, const float* y, std::size_t n) noexcept;
 
+/// d[i] = t * s[i] + keep * d[i] — a target network's soft update, with
+/// t = tau and keep = 1 - tau. Every element is two rounded products and a
+/// rounded sum on every tier and build type, never an FMA: the vector
+/// tiers keep the products apart from the add, so an optimizer that
+/// contracts a * b + c * d inside an FMA-enabled kernel cannot fuse them.
+/// Element-wise, so any cut of [0, n) into calls gives the same bits.
+void soft_update(float* d, const float* s, std::size_t n, float t,
+                 float keep) noexcept;
+
+/// acc[j] += x[r * ldx + j] for r = 0, 1, ..., m - 1 in that order, for
+/// j < n: a bias gradient's column sums. Each column is one sequential
+/// chain of rounded adds in row order, the plain loop's, on every tier.
+void add_column_sums(float* acc, const float* x, std::size_t m, std::size_t n,
+                     std::size_t ldx) noexcept;
+
 /// Fused Adam parameter update over one flat tensor:
 ///   g      = grad[i] * scale
 ///   m[i]   = beta1 * m[i] + (1 - beta1) * g, stored as +0 if below FLT_MIN
@@ -188,22 +204,39 @@ void adam_update(float* value, const float* grad, float* m, float* v,
                  float bc1, float bc2, float lr, float eps) noexcept;
 
 // ---- Level-3 GEMM kernels (float) --------------------------------------
-// All accumulate into C (C += ...), so the caller controls the epilogue
-// start state: zero-filled for a plain product, bias-broadcast rows for the
-// fused linear-layer forward. Leading dimensions are element strides.
-// Every variant dispatches across the ISA ladder to one register-blocked
-// kernel per vector tier, or to the scalar reference loop.
+// gemm_tn and gemm_nt accumulate into C (C += ...), so the caller controls
+// the start state (zero-filled for a plain product); gemm_nn can instead
+// start from a bias row and end in a ReLU (its Epilogue), the fused
+// linear-layer forward. Leading dimensions are element strides. Every
+// variant dispatches across the ISA ladder to one register-blocked kernel
+// per vector tier, or to the scalar reference loop.
 
-/// C(m x n) += A(m x k) * B(k x n). Register-blocked broadcast-A /
-/// streamed-B micro-kernel on the vector tiers (4x16, then 4x8, on avx2;
-/// 4x64, then 4x32 and 4x16, on avx512); rows past the last 4-row block
-/// run one-row tiles as wide as the registers hold (1x64, then 1x16 and
-/// 1x8, on avx2; 1x128 — a probe layer's whole width in 8 registers — then
-/// 1x32 and 1x16, on avx512). The scalar path is the cache-friendly ikj
-/// loop with a zero-skip on A (which makes post-ReLU activations cheap).
+/// Where each gemm_nn output starts and how it is stored. The default is
+/// C += A * B.
+struct Epilogue {
+  /// When set, C = bias + A * B: bias[j] seeds column j of every row and C
+  /// is not read. Each output is then the bias row copied into C followed
+  /// by the accumulating call, bit for bit: the vector tiles seed their
+  /// accumulators from it, and the scalar tail's chain from 0 is added to
+  /// it, as `c += s` adds it to a bias-seeded C.
+  const float* bias = nullptr;
+  /// When set, each output is stored as relu()'s x > 0 ? x : 0 (so NaN and
+  /// -0.0 store +0.0): at the vector tiles' stores, after the tail's add.
+  bool relu = false;
+};
+
+/// C(m x n) = epilogue(A(m x k) * B(k x n)), by default C += A * B.
+/// Register-blocked broadcast-A / streamed-B micro-kernel on the vector
+/// tiers (4x16, then 4x8, on avx2; 4x64, then 4x32 and 4x16, on avx512);
+/// rows past the last 4-row block run one-row tiles as wide as the
+/// registers hold (1x64, then 1x16 and 1x8, on avx2; 1x128 — a probe
+/// layer's whole width in 8 registers — then 1x32 and 1x16, on avx512).
+/// The scalar path is the cache-friendly ikj loop with a zero-skip on A
+/// (which makes post-ReLU activations cheap), one row at a time: the bias
+/// copied in first, relu() over the row last.
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* a,
              std::size_t lda, const float* b, std::size_t ldb, float* c,
-             std::size_t ldc) noexcept;
+             std::size_t ldc, Epilogue epilogue = {}) noexcept;
 
 /// C(m x n) += A^T * B where A is stored (k x m): C[i][j] += A[p][i]*B[p][j].
 /// The gemm_nn tiles with strided A broadcasts (4x16 on avx2; 8x32, then
@@ -215,7 +248,10 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const float* a,
 /// C(m x n) += A * B^T where B is stored (n x k): C[i][j] += dot(A[i], B[j]).
 /// Row blocks of A against groups of 4 B rows (2 A rows at a time on avx2;
 /// 4 on avx512, where every row block passes over 16 B rows before the
-/// next 16).
+/// next 16); a block's reduced sums go to C straight from the register
+/// lanes. Below the lane width in k, each output is an ascending FMA chain
+/// from 0 over B columns, loaded when ldb == 1 (a k = 1 call, the critic's
+/// output layer) and gathered otherwise.
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* a,
              std::size_t lda, const float* b, std::size_t ldb, float* c,
              std::size_t ldc) noexcept;

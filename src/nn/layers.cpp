@@ -87,13 +87,8 @@ void Linear::accumulate_weight_grads(const Tensor& x, std::size_t w0,
 
 void Linear::accumulate_bias_grad() {
   if (!grads_sized()) throw std::logic_error("Linear: gradients not sized");
-  // gb += each row in order: one exact add per element, so the loop's
-  // vectorization changes no bit.
-  float* gb = gb_.data();
-  for (std::size_t r = 0; r < dz_.rows(); ++r) {
-    const float* row = dz_.data() + r * dz_.cols();
-    for (std::size_t j = 0; j < gb_.cols(); ++j) gb[j] += row[j];
-  }
+  common::simd::add_column_sums(gb_.data(), dz_.data(), dz_.rows(),
+                                gb_.cols(), dz_.cols());
 }
 
 void Linear::input_grad(Tensor& dx) const {

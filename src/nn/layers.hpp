@@ -44,9 +44,9 @@ class Linear {
   /// std::invalid_argument on mismatched shapes.
   Linear(Tensor weights, Tensor bias, Activation act);
 
-  /// y = act(x W + b) into the layer's output buffer (bias-seeded GEMM,
-  /// then the activation in place). The reference stays valid until the
-  /// next forward() on this layer.
+  /// y = act(x W + b) into the layer's output buffer (bias-seeded GEMM
+  /// storing through a ReLU; tanh or sigmoid in place after it). The
+  /// reference stays valid until the next forward() on this layer.
   const Tensor& forward(const Tensor& x);
   /// Sizes the output buffer for a `rows`-row batch.
   void size_output(std::size_t rows);

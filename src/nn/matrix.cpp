@@ -170,16 +170,16 @@ void matmul_bias_act_rows(const Tensor& x, const Tensor& w,
       r1 > x.rows()) {
     throw std::invalid_argument("matmul_bias_act: output rows mismatch");
   }
-  // Seed every output row with the bias so the GEMM accumulates on top of
-  // it — the broadcast costs one streaming write instead of a second pass.
-  for (std::size_t r = r0; r < r1; ++r) {
-    std::copy(bias.row(0).begin(), bias.row(0).end(), out.row(r).begin());
-  }
+  // The GEMM's tiles start from the bias row and store through the ReLU,
+  // so a ReLU layer writes its output once; tanh and sigmoid run over the
+  // stored rows.
   float* rows = out.data() + r0 * out.cols();
+  const bool relu = act == Activation::kRelu;
   common::simd::gemm_nn(r1 - r0, w.cols(), x.cols(),
                         x.data() + r0 * x.cols(), x.cols(), w.data(),
-                        w.cols(), rows, out.cols());
-  apply_activation(rows, (r1 - r0) * out.cols(), act);
+                        w.cols(), rows, out.cols(),
+                        {.bias = bias.data(), .relu = relu});
+  if (!relu) apply_activation(rows, (r1 - r0) * out.cols(), act);
 }
 
 void apply_activation(float* y, std::size_t n, Activation act) noexcept {

@@ -144,8 +144,10 @@ enum class Activation { kNone, kRelu, kTanh, kSigmoid };
 
 /// Fused dense-layer forward: out = act(x * w + bias), written into `out`
 /// (resized to x.rows() x w.cols(), storage reused). The bias row
-/// (1 x w.cols()) seeds the accumulators, so no intermediate x*w or
-/// bias-broadcast matrix is ever materialized. `out` must not alias x.
+/// (1 x w.cols()) seeds the GEMM's accumulators and a ReLU is applied as
+/// they are stored, so no intermediate x*w or bias-broadcast matrix is ever
+/// materialized and a ReLU layer's output is written once. `out` must not
+/// alias x.
 void matmul_bias_act(const Tensor& x, const Tensor& w, const Tensor& bias,
                      Activation act, Tensor& out);
 /// Rows [r0, r1) of matmul_bias_act into the same rows of `out`, which must

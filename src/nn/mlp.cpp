@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 
 namespace deepcat::nn {
@@ -195,18 +196,14 @@ void Mlp::soft_update_from(Mlp& src, double tau, common::Partner& partner) {
   const auto keep = static_cast<float>(1.0 - tau);
   partner.each_part([&](std::size_t part) {
     for (std::size_t i = 0; i < dst_params.size(); ++i) {
-      float* d = dst_params[i].value->data();
-      const float* s = src_params[i].value->data();
       const auto elems =
           partner.range(part, dst_params[i].value->size(), kSplitLanes);
-      for (std::size_t k = elems.begin; k < elems.end; ++k) {
-        d[k] = t * s[k] + keep * d[k];
-      }
+      common::simd::soft_update(dst_params[i].value->data() + elems.begin,
+                                src_params[i].value->data() + elems.begin,
+                                elems.end - elems.begin, t, keep);
     }
   });
 }
-
-void Mlp::copy_params_from(Mlp& src) { soft_update_from(src, 1.0); }
 
 std::size_t Mlp::num_parameters() {
   std::size_t n = 0;

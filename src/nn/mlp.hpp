@@ -1,5 +1,5 @@
-// Multi-layer perceptron container plus the target-network utilities
-// (soft updates, hard copies) that DDPG/TD3 need.
+// Multi-layer perceptron container plus the target-network soft update
+// that DDPG/TD3 need.
 #pragma once
 
 #include <iosfwd>
@@ -86,12 +86,12 @@ class Mlp {
   [[nodiscard]] std::vector<Tensor> param_values() const;
 
 
-  /// this = tau * src + (1 - tau) * this, parameter-wise. Shapes must match.
+  /// this = tau * src + (1 - tau) * this, parameter-wise, in float through
+  /// common::simd::soft_update (two rounded products and a rounded sum per
+  /// weight). Shapes must match.
   void soft_update_from(Mlp& src, double tau);
   /// soft_update_from() split by elements within each tensor.
   void soft_update_from(Mlp& src, double tau, common::Partner& partner);
-  /// this = src (hard copy of parameters).
-  void copy_params_from(Mlp& src);
 
   /// Total scalar parameter count.
   [[nodiscard]] std::size_t num_parameters();

@@ -56,7 +56,7 @@ struct StepBuffers {
   nn::Tensor s, a, s_next;          ///< the sampled batch's network inputs
   nn::Matrix r, done;               ///< its rewards and terminal flags
   nn::Tensor sa, target_in, pi_in;  ///< [s|a], [s'|a'], [s|pi(s)]
-  nn::Matrix noise;                 ///< clipped smoothing noise for a'
+  nn::Matrix noise;                 ///< smoothing noise for a', clipped as added
   nn::Matrix y;                     ///< TD targets, in double
   nn::Tensor grad, grad2;           ///< dL/dQ1 (DDPG's dL/dQ), dL/dQ2
   nn::Tensor dq, d_action;          ///< the actor update's gradients

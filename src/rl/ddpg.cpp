@@ -51,8 +51,10 @@ std::vector<double> DdpgAgent::act(std::span<const double> state) {
 std::vector<double> DdpgAgent::act_noisy(std::span<const double> state,
                                          double sigma, common::Rng& rng) {
   auto action = act(state);
-  for (double& a : action) {
-    a = common::clamp(a + rng.normal(0.0, sigma), 0.0, 1.0);
+  std::vector<double> noise(action.size());
+  rng.normals(noise.data(), noise.size(), 0.0, sigma);
+  for (std::size_t j = 0; j < action.size(); ++j) {
+    action[j] = common::clamp(action[j] + noise[j], 0.0, 1.0);
   }
   return action;
 }

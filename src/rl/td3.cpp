@@ -176,8 +176,10 @@ std::vector<double> Td3Agent::act(std::span<const double> state) {
 std::vector<double> Td3Agent::act_noisy(std::span<const double> state,
                                         double sigma, common::Rng& rng) {
   auto action = act(state);
-  for (double& a : action) {
-    a = common::clamp(a + rng.normal(0.0, sigma), 0.0, 1.0);
+  std::vector<double> noise(action.size());
+  rng.normals(noise.data(), noise.size(), 0.0, sigma);
+  for (std::size_t j = 0; j < action.size(); ++j) {
+    action[j] = common::clamp(action[j] + noise[j], 0.0, 1.0);
   }
   return action;
 }
@@ -241,25 +243,25 @@ Td3TrainStats Td3Agent::train_step(ReplayBuffer& buffer, common::Rng& rng,
 
   // Target action with clipped smoothing noise (TD3 trick #3). The noise is
   // drawn beside the target actor's pass, row by row and action by action,
-  // and added to the action columns of the target critics' input [s' | a']
-  // in double, each sum clamped and narrowed once.
+  // then clipped and added to the action columns of the target critics'
+  // input [s' | a'] in double, each sum clamped and narrowed once.
   const nn::Tensor* a_next = nullptr;
   fork.both(
       [&] { a_next = &actor_target_.forward(b.s_next); },
       [&] {
         b.noise.resize(m, config_.action_dim);
-        for (double& eps : b.noise.flat()) {
-          eps = common::clamp(rng.normal(0.0, config_.policy_noise),
-                              -config_.noise_clip, config_.noise_clip);
-        }
+        rng.normals(b.noise.data(), b.noise.size(), 0.0,
+                    config_.policy_noise);
       });
   concat_cols(b.s_next, *a_next, b.target_in);
   for (std::size_t i = 0; i < m; ++i) {
     const auto eps = b.noise.row(i);
     const auto action = b.target_in.row(i).subspan(b.s_next.cols());
     for (std::size_t j = 0; j < action.size(); ++j) {
-      action[j] = static_cast<float>(
-          common::clamp(static_cast<double>(action[j]) + eps[j], 0.0, 1.0));
+      const double clipped =
+          common::clamp(eps[j], -config_.noise_clip, config_.noise_clip);
+      action[j] = static_cast<float>(common::clamp(
+          static_cast<double>(action[j]) + clipped, 0.0, 1.0));
     }
   }
 

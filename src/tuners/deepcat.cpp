@@ -149,9 +149,10 @@ TwinQOptimizerTrace DeepCatTuner::optimize_action(
     const std::size_t rows = std::min(
         kProbeRows, options_.max_optimizer_iters - trace.iterations);
     for (std::size_t r = 0; r < rows; ++r) {
+      double* candidate = candidates.data() + r * dim;
+      rng_.normals(candidate, dim, 0.0, options_.optimizer_sigma);
       for (std::size_t j = 0; j < dim; ++j) {
-        candidates[r * dim + j] = common::clamp(
-            best[j] + rng_.normal(0.0, options_.optimizer_sigma), 0.0, 1.0);
+        candidate[j] = common::clamp(best[j] + candidate[j], 0.0, 1.0);
       }
       after[r] = rng_.state();
     }

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 namespace deepcat::common {
@@ -75,6 +78,44 @@ TEST(RngTest, UniformIntCoversInclusiveRange) {
 TEST(RngTest, IndexStaysBelowN) {
   Rng rng(13);
   for (int i = 0; i < 1000; ++i) EXPECT_LT(rng.index(17), 17u);
+}
+
+// normals(out, n, mean, stddev) is n calls of normal(mean, stddev): every
+// value bit for bit, and the whole state after, lanes and spare both. That
+// includes the stale spare normal() leaves once it has handed a pair's
+// second draw out, which checkpoints and the Twin-Q screen's state restores
+// carry. Both spare states are covered: a fresh generator has none, and one
+// that has drawn an odd number of normals holds one.
+TEST(RngTest, NormalsEqualOneCallAtATime) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const bool spare : {false, true}) {
+    for (std::size_t n = 0; n <= 300; ++n) {
+      SCOPED_TRACE("spare " + std::to_string(spare) + ", n " +
+                   std::to_string(n));
+      Rng one(1000 + n), batched(1000 + n);
+      if (spare) {
+        (void)one.normal();
+        (void)batched.normal();
+      }
+      const double mean = 0.25;
+      const double stddev = n % 2 == 0 ? 0.2 : 1.5;
+      std::vector<double> want(n), got(n + 1, -7.0);
+      for (double& x : want) x = one.normal(mean, stddev);
+      batched.normals(got.data(), n, mean, stddev);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(bits(got[i]), bits(want[i])) << "at " << i;
+      }
+      EXPECT_EQ(got[n], -7.0);  // nothing written past the end
+      const RngState a = one.state();
+      const RngState b = batched.state();
+      EXPECT_EQ(a.s, b.s);
+      EXPECT_EQ(bits(a.spare), bits(b.spare));
+      EXPECT_EQ(a.has_spare, b.has_spare);
+      // The streams go on as one.
+      EXPECT_EQ(bits(one.normal()), bits(batched.normal()));
+      EXPECT_EQ(one(), batched());
+    }
+  }
 }
 
 TEST(RngTest, NormalMoments) {

@@ -17,10 +17,17 @@
 //     vector tile covers is its ascending-k FMA chain from C, rows equal a
 //     4-row call's (both row paths cover the same multiples of 8 floats on
 //     avx2 and of 16 on avx512), and the tiers agree wherever both leave
-//     the same columns to the scalar tail (n mod 16 < 8).
+//     the same columns to the scalar tail (n mod 16 < 8);
+//   - soft_update is two rounded products and a rounded sum, never an FMA,
+//     and a split at multiples of 16 elements equals one whole call;
+//   - add_column_sums adds the rows to each column in row order;
+//   - gemm_nn's bias epilogue equals the bias copied into C, the
+//     accumulating gemm_nn and relu() (when asked), at the forward shapes
+//     and at every row cut a split forward makes, without reading C.
 // Everything here is float, the networks' type.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -171,6 +178,158 @@ TEST(SimdBitContractTest, AdamFirstMomentFloorOnEveryTier) {
           EXPECT_EQ(bits(m[i]), bits(0.0f)) << where;
         } else {
           EXPECT_EQ(bits(m[i]), bits(after)) << where;
+        }
+      }
+    }
+  }
+}
+
+// NaN payloads are not part of the contract: a NaN must stay a NaN.
+bool same_float(float got, float want) {
+  return std::isnan(want) ? std::isnan(got) : bits(got) == bits(want);
+}
+
+// t * s + keep * d with each product rounded on its own: the volatile
+// stores keep any compiler from fusing one into the add.
+float unfused_blend(float t, float s, float keep, float d) {
+  const volatile float ts = t * s;
+  const volatile float kd = keep * d;
+  return ts + kd;
+}
+
+TEST(SimdBitContractTest, SoftUpdateIsTwoRoundedProductsAndARoundedSum) {
+  BackendGuard guard;
+  Rng rng(31);
+  // TD3's tau, narrowed as Mlp::soft_update_from narrows it, and one exact
+  // pair.
+  const std::pair<float, float> kRates[] = {
+      {0.005f, static_cast<float>(1.0 - 0.005)}, {0.25f, 0.75f}};
+  for (const Backend be : selectable_backends()) {
+    force_backend(be);
+    for (const auto& [t, keep] : kRates) {
+      for (std::size_t n = 0; n <= kMaxLength; ++n) {
+        // Special values in the source, in the target, then in neither
+        // (where a fused product would move the low bits).
+        for (std::size_t form = 0; form < 3; ++form) {
+          std::vector<float> src = edge_values(n, 3 * form);
+          std::vector<float> dst(n);
+          for (float& v : dst) v = static_cast<float>(rng.normal());
+          if (form == 1) std::swap(src, dst);
+          if (form == 2) {
+            for (float& v : src) v = static_cast<float>(rng.normal());
+          }
+          const std::string where = std::string(backend_label(be)) +
+                                    " n=" + std::to_string(n) +
+                                    " form=" + std::to_string(form);
+          std::vector<float> whole = dst;
+          whole.push_back(kSentinel);
+          soft_update(whole.data(), src.data(), n, t, keep);
+          for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_TRUE(same_float(whole[i],
+                                   unfused_blend(t, src[i], keep, dst[i])))
+                << where << " i=" << i << ": " << whole[i];
+          }
+          EXPECT_EQ(whole[n], kSentinel) << where;
+          // Split where Mlp's partner splits a tensor: at multiples of 16.
+          for (std::size_t cut = 16; cut < n; cut += 16) {
+            std::vector<float> split = dst;
+            soft_update(split.data(), src.data(), cut, t, keep);
+            soft_update(split.data() + cut, src.data() + cut, n - cut, t,
+                        keep);
+            for (std::size_t i = 0; i < n; ++i) {
+              ASSERT_EQ(bits(split[i]), bits(whole[i]))
+                  << where << " cut=" << cut << " i=" << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdBitContractTest, ColumnSumsAddTheRowsInOrderOnEveryTier) {
+  BackendGuard guard;
+  const std::size_t kSumWidths[] = {1, 15, 16, 17, 32, 128};
+  Rng rng(37);
+  for (const Backend be : selectable_backends()) {
+    force_backend(be);
+    for (std::size_t m = 1; m <= 64; ++m) {
+      for (const std::size_t n : kSumWidths) {
+        for (const std::size_t ldx : {n, n + 3}) {
+          std::vector<float> x(m * ldx), acc(n);
+          for (float& v : x) v = static_cast<float>(rng.normal());
+          for (float& v : acc) v = static_cast<float>(rng.normal());
+          std::vector<float> want = acc;
+          for (std::size_t r = 0; r < m; ++r) {
+            for (std::size_t j = 0; j < n; ++j) want[j] += x[r * ldx + j];
+          }
+          acc.push_back(kSentinel);
+          add_column_sums(acc.data(), x.data(), m, n, ldx);
+          for (std::size_t j = 0; j < n; ++j) {
+            ASSERT_EQ(bits(acc[j]), bits(want[j]))
+                << backend_label(be) << " " << m << "x" << n << " ld "
+                << ldx << " column " << j;
+          }
+          ASSERT_EQ(acc[n], kSentinel) << backend_label(be);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdBitContractTest, BiasEpilogueEqualsBiasCopyGemmAndReluOnEveryTier) {
+  BackendGuard guard;
+  constexpr std::size_t kRowBlock = 4;  // nn::kSplitRows: forward row cuts
+  const std::size_t kRows[] = {1, 4, 63, 64};
+  const std::size_t kWidths[] = {1, 32, 128};
+  const std::size_t kDepths[] = {9, 41, 128};
+  Rng rng(41);
+  for (const Backend be : selectable_backends()) {
+    force_backend(be);
+    for (const std::size_t m : kRows) {
+      for (const std::size_t n : kWidths) {
+        for (const std::size_t k : kDepths) {
+          std::vector<float> a(m * k), b(k * n), bias(n);
+          for (float& v : a) v = static_cast<float>(rng.normal());
+          for (std::size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;
+          for (float& v : b) v = static_cast<float>(rng.normal());
+          for (float& v : bias) v = static_cast<float>(rng.normal());
+          bias[0] = -0.0f;
+          for (const bool with_relu : {false, true}) {
+            const std::string where =
+                std::string(backend_label(be)) + " " + std::to_string(m) +
+                "x" + std::to_string(n) + "x" + std::to_string(k) +
+                (with_relu ? " relu" : " identity");
+            std::vector<float> want(m * n);
+            for (std::size_t r = 0; r < m; ++r) {
+              std::copy(bias.begin(), bias.end(), want.data() + r * n);
+            }
+            gemm_nn(m, n, k, a.data(), k, b.data(), n, want.data(), n);
+            if (with_relu) relu(want.data(), want.size());
+            const Epilogue epilogue{.bias = bias.data(), .relu = with_relu};
+            // C starts as NaN: a kernel that read it would leave NaN.
+            const std::vector<float> garbage(
+                m * n, std::numeric_limits<float>::quiet_NaN());
+            std::vector<float> whole = garbage;
+            gemm_nn(m, n, k, a.data(), k, b.data(), n, whole.data(), n,
+                    epilogue);
+            for (std::size_t i = 0; i < whole.size(); ++i) {
+              ASSERT_EQ(bits(whole[i]), bits(want[i]))
+                  << where << " at (" << i / n << "," << i % n << ")";
+            }
+            for (std::size_t cut = kRowBlock; cut < m; cut += kRowBlock) {
+              std::vector<float> split = garbage;
+              gemm_nn(cut, n, k, a.data(), k, b.data(), n, split.data(), n,
+                      epilogue);
+              gemm_nn(m - cut, n, k, a.data() + cut * k, k, b.data(), n,
+                      split.data() + cut * n, n, epilogue);
+              for (std::size_t i = 0; i < split.size(); ++i) {
+                ASSERT_EQ(bits(split[i]), bits(want[i]))
+                    << where << " cut " << cut << " at (" << i / n << ","
+                    << i % n << ")";
+              }
+            }
+          }
         }
       }
     }

@@ -170,15 +170,6 @@ TEST(MlpTest, SoftUpdateBlendsParameters) {
             0.25f * src + 0.75f * before);
 }
 
-TEST(MlpTest, HardCopyEqualsSource) {
-  common::Rng rng(10);
-  Mlp target({2, 4, 1}, rng);
-  Mlp source({2, 4, 1}, rng);
-  target.copy_params_from(source);
-  const std::vector<float> x{1.0f, 2.0f};
-  EXPECT_EQ(row_of(target, x), row_of(source, x));
-}
-
 TEST(MlpTest, SoftUpdateRejectsMismatchedShapes) {
   common::Rng rng(11);
   Mlp a({2, 4, 1}, rng);

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace deepcat::tuners {
 namespace {
 
 TuningReport sample_report() {
   TuningReport r;
-  r.tuner_name = "X";
+  r.tuner_name = std::string("X");  // = "X" trips a GCC 12 -Wrestrict
   r.default_time = 100.0;
   r.best_time = 25.0;
   r.steps = {
