@@ -15,14 +15,14 @@ using namespace deepcat;
 using namespace deepcat::sparksim;
 
 double evaluate_model(tuners::DeepCatTuner& tuner) {
-  bench::ModelSnapshot snapshot(tuner);
+  const rl::AgentSnapshot snapshot = tuner.agent().snapshot();
   double best = 0.0;
   constexpr int kSessions = 3;
   for (int s = 0; s < kSessions; ++s) {
     TuningEnvironment env = bench::make_env(
         hibench_case("TS-D1"), 5000 + static_cast<std::uint64_t>(s) * 131);
     best += tuner.tune(env, bench::kOnlineSteps).best_time / kSessions;
-    snapshot.restore(tuner);
+    tuner.agent().restore(snapshot);
   }
   return best;
 }

@@ -1,8 +1,9 @@
 // The shared experiment behind Figures 6, 7 and 8: offline-train DeepCAT
 // and CDBTune once on a standard environment (TS-D2), seed OtterTune's
 // observation repository, then serve each workload-input pair as an
-// independent online tuning request (model weights restored between
-// requests, matching the paper's one-model-many-requests protocol).
+// independent online tuning request (each agent's state, networks and
+// optimizers alike, restored between requests, matching the paper's
+// one-model-many-requests protocol).
 #pragma once
 
 #include <string>
@@ -27,13 +28,8 @@ inline std::vector<ComparisonResult> run_suite_comparison(
       trained_cdbtune(sparksim::hibench_case("TS-D2"), seed);
   tuners::OtterTuneTuner ottertune = seeded_ottertune(seed);
 
-  std::stringstream deepcat_weights, cdbtune_weights;
-  deepcat.save(deepcat_weights);
-  cdbtune.save(cdbtune_weights);
-  auto rewind = [](std::stringstream& ss) {
-    ss.clear();
-    ss.seekg(0);
-  };
+  const rl::AgentSnapshot deepcat_state = deepcat.agent().snapshot();
+  const rl::AgentSnapshot cdbtune_state = cdbtune.agent().snapshot();
 
   std::vector<ComparisonResult> results;
   std::uint64_t env_seed = seed * 31 + 100;
@@ -44,14 +40,12 @@ inline std::vector<ComparisonResult> run_suite_comparison(
     {
       sparksim::TuningEnvironment env = make_env(c, env_seed);
       r.deepcat = deepcat.tune(env, kOnlineSteps);
-      rewind(deepcat_weights);
-      deepcat.load(deepcat_weights);
+      deepcat.agent().restore(deepcat_state);
     }
     {
       sparksim::TuningEnvironment env = make_env(c, env_seed);
       r.cdbtune = cdbtune.tune(env, kOnlineSteps);
-      rewind(cdbtune_weights);
-      cdbtune.load(cdbtune_weights);
+      cdbtune.agent().restore(cdbtune_state);
     }
     {
       sparksim::TuningEnvironment env = make_env(c, env_seed);

@@ -18,7 +18,7 @@ int main() {
   tuners::DeepCatTuner tuner(options);
   TuningEnvironment train_env = bench::make_env(ts, 1200);
   (void)tuner.train_offline(train_env, bench::kOfflineIters);
-  bench::ModelSnapshot snapshot(tuner);
+  const rl::AgentSnapshot snapshot = tuner.agent().snapshot();
 
   common::Table t(
       "Figure 12: DeepCAT performance under different Q_th settings "
@@ -28,14 +28,14 @@ int main() {
 
   for (double qth : {0.1, 0.2, 0.3, 0.4, 0.5}) {
     // Rebuild the tuner with the new threshold, then restore the shared
-    // offline weights so only Q_th varies.
+    // offline agent so only Q_th varies.
     tuners::DeepCatOptions o = bench::deepcat_options(12);
     o.q_threshold = qth;
     tuners::DeepCatTuner session(o);
     {
       TuningEnvironment boot = bench::make_env(ts, 1201);
       (void)session.train_offline(boot, 64);
-      snapshot.restore(session);
+      session.agent().restore(snapshot);
     }
     TuningEnvironment env = bench::make_env(ts, 1212);
     const auto report = session.tune(env, bench::kOnlineSteps);

@@ -5,14 +5,13 @@
 // better configuration.
 //
 // Parallel protocol: phase 1 trains each variant straight through its
-// offline schedule, snapshotting the weights every kStep iterations
+// offline schedule, snapshotting the agent every kStep iterations
 // (training never sees online-session RNG draws, unlike the earlier
 // serial interleaving). Phase 2 fans the 2 x 9 x 3 online sessions out as
 // pure (snapshot, per-index seed) units and folds them back in index
 // order, so figure data is byte-identical for any DEEPCAT_BENCH_THREADS.
 #include <algorithm>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -30,30 +29,28 @@ constexpr std::size_t kCheckpoints = kMax / kStep;
 constexpr std::size_t kSessions = 3;
 constexpr std::uint64_t kSeed = 41;
 
-/// Phase 1: offline-train one variant, saving a weight blob at every
+/// Phase 1: offline-train one variant, snapshotting its agent at every
 /// checkpoint. Sequential within a variant (training is inherently
 /// incremental); the two variants run as independent units.
-std::vector<std::string> training_snapshots(bool use_rdper) {
+std::vector<rl::AgentSnapshot> training_snapshots(bool use_rdper) {
   tuners::DeepCatOptions options = bench::deepcat_options(kSeed);
   options.use_rdper = use_rdper;
   tuners::DeepCatTuner tuner(options);
   TuningEnvironment train_env = bench::make_env(hibench_case("TS-D1"), kSeed);
 
-  std::vector<std::string> blobs;
-  blobs.reserve(kCheckpoints);
+  std::vector<rl::AgentSnapshot> snapshots;
+  snapshots.reserve(kCheckpoints);
   for (std::size_t done = 0; done < kMax; done += kStep) {
     (void)tuner.train_offline(train_env, kStep);
-    std::stringstream ss;
-    tuner.save(ss);
-    blobs.push_back(ss.str());
+    snapshots.push_back(tuner.agent().snapshot());
   }
-  return blobs;
+  return snapshots;
 }
 
 /// Phase 2 unit: one independent 5-step online session from a snapshot.
-/// A pure function of (blob, variant, checkpoint, session) — every RNG
+/// A pure function of (snapshot, variant, checkpoint, session) — every RNG
 /// stream is seeded from the unit's own indices.
-double session_best(const std::string& blob, bool use_rdper,
+double session_best(const rl::AgentSnapshot& snapshot, bool use_rdper,
                     std::size_t checkpoint, std::size_t session) {
   const std::uint64_t unit =
       (use_rdper ? kCheckpoints * kSessions : 0) +
@@ -65,8 +62,7 @@ double session_best(const std::string& blob, bool use_rdper,
   TuningEnvironment tune_env = bench::make_env(
       hibench_case("TS-D1"), 9000 + kSeed + session * 97);
   tuner.materialize(tune_env.state_dim(), tune_env.action_dim());
-  std::istringstream ss(blob);
-  tuner.load(ss);
+  tuner.agent().restore(snapshot);
   return tuner.tune(tune_env, bench::kOnlineSteps).best_time;
 }
 

@@ -52,7 +52,7 @@ ArmPair run_workload(const std::string& train_id, const std::string& tune_id) {
         bench::make_env(hibench_case(train_id), 5 * 7919 + 13);
     (void)with_opt.train_offline(env, kFig5OfflineIters);
   }
-  bench::ModelSnapshot snapshot(with_opt);
+  const rl::AgentSnapshot snapshot = with_opt.agent().snapshot();
 
   tuners::DeepCatOptions without_options = with_options;
   without_options.use_twin_q_optimizer = false;
@@ -60,13 +60,13 @@ ArmPair run_workload(const std::string& train_id, const std::string& tune_id) {
   {
     TuningEnvironment boot = bench::make_env(hibench_case(train_id), 55);
     (void)without_opt.train_offline(boot, 64);
-    snapshot.restore(without_opt);
+    without_opt.agent().restore(snapshot);
   }
 
   auto run_sessions = [&](tuners::DeepCatTuner& tuner) {
     Series out;
     for (int trial = 0; trial < kTrials; ++trial) {
-      snapshot.restore(tuner);
+      tuner.agent().restore(snapshot);
       TuningEnvironment env = bench::make_env(
           hibench_case(tune_id), 770 + static_cast<std::uint64_t>(trial));
       const auto report = tuner.tune(env, bench::kOnlineSteps);

@@ -49,27 +49,18 @@ Averages run_unit(std::size_t unit) {
   if (unit < 4) {
     tuners::DeepCatTuner tuner =
         bench::trained_deepcat(hibench_case(kSources[unit]), 9);
-    bench::ModelSnapshot snapshot(tuner);
+    const rl::AgentSnapshot snapshot = tuner.agent().snapshot();
     return averaged_tune(tuner, [&snapshot](tuners::DeepCatTuner& model) {
-      snapshot.restore(model);
+      model.agent().restore(snapshot);
     });
   }
   if (unit == 4) {
     tuners::CdbTuneTuner cdbtune =
         bench::trained_cdbtune(hibench_case("PR-D1"), 9);
-    std::stringstream cdb_weights;
-    cdbtune.save(cdb_weights);
-    Averages cdb;
-    for (const std::uint64_t seed : kTuneSeeds) {
-      cdb_weights.clear();
-      cdb_weights.seekg(0);
-      cdbtune.load(cdb_weights);
-      TuningEnvironment env = bench::make_env(hibench_case("PR-D1"), seed);
-      const auto report = cdbtune.tune(env, bench::kOnlineSteps);
-      cdb.best += report.best_time / std::size(kTuneSeeds);
-      cdb.cost += report.total_tuning_seconds() / std::size(kTuneSeeds);
-    }
-    return cdb;
+    const rl::AgentSnapshot snapshot = cdbtune.agent().snapshot();
+    return averaged_tune(cdbtune, [&snapshot](tuners::CdbTuneTuner& model) {
+      model.agent().restore(snapshot);
+    });
   }
   tuners::OtterTuneTuner ottertune = bench::seeded_ottertune(9);
   return averaged_tune(ottertune, [](tuners::OtterTuneTuner&) {});

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdlib>
-#include <sstream>
 #include <string>
 
 #include "common/thread_pool.hpp"
@@ -99,19 +98,5 @@ inline tuners::OtterTuneTuner seeded_ottertune(std::uint64_t seed) {
   }
   return tuner;
 }
-
-/// Weight snapshot for reusing one offline model across independent runs.
-class ModelSnapshot {
- public:
-  explicit ModelSnapshot(tuners::DeepCatTuner& tuner) { tuner.save(stream_); }
-  void restore(tuners::DeepCatTuner& tuner) {
-    stream_.clear();
-    stream_.seekg(0);
-    tuner.load(stream_);
-  }
-
- private:
-  std::stringstream stream_;
-};
 
 }  // namespace deepcat::bench

@@ -4,7 +4,6 @@
 // transfers across workload types without retraining — the property that
 // makes online auto-tuning practical when workloads shift hour to hour.
 #include <cstdio>
-#include <sstream>
 
 #include "core/deepcat_api.hpp"
 
@@ -17,10 +16,10 @@ int main() {
   (void)tuner.train_offline(
       sparksim::make_workload(WorkloadType::kTeraSort, 6.0), 1200);
 
-  // Snapshot the offline model so each request starts from the same
-  // weights (online fine-tuning specializes a copy per request).
-  std::stringstream snapshot;
-  tuner.save_model(snapshot);
+  // Snapshot the offline agent so each request starts from the same
+  // networks and optimizers (online fine-tuning specializes a copy per
+  // request).
+  const rl::AgentSnapshot snapshot = tuner.tuner().agent().snapshot();
 
   struct Request {
     WorkloadType type;
@@ -36,9 +35,7 @@ int main() {
   std::printf("\n%-22s %12s %12s %10s %14s\n", "request", "default(s)",
               "best(s)", "speedup", "tuning cost(s)");
   for (const Request& request : requests) {
-    snapshot.clear();
-    snapshot.seekg(0);
-    tuner.load_model(snapshot);
+    tuner.tuner().agent().restore(snapshot);
 
     const auto workload = sparksim::make_workload(request.type, request.size);
     const auto report = tuner.tune_online(workload, {.max_steps = 5});

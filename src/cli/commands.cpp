@@ -292,8 +292,9 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
       os << "no published model '" << model_name << "'; training "
          << train_iters << " offline iterations...\n";
     }
-    svc.train_model(model_name, make_workload(type, size), train_iters);
-    const std::uint32_t v = registry.publish(model_name, svc.master(model_name));
+    const auto trained =
+        svc.train_model(model_name, make_workload(type, size), train_iters);
+    const std::uint32_t v = registry.publish(model_name, *trained);
     if (!quiet) os << "published model '" << model_name << "' v" << v << '\n';
   } else {
     throw std::invalid_argument(
@@ -681,9 +682,9 @@ int cmd_serve(const ParsedArgs& args, std::ostream& os) {
     const double size = args.number_or("train-size", default_size(type));
     os << "no published model '" << model_name << "'; training "
        << train_iters << " offline iterations...\n";
-    svc.train_model(model_name, make_workload(type, size), train_iters);
-    const std::uint32_t v =
-        registry.publish(model_name, svc.master(model_name));
+    const auto trained =
+        svc.train_model(model_name, make_workload(type, size), train_iters);
+    const std::uint32_t v = registry.publish(model_name, *trained);
     os << "published model '" << model_name << "' v" << v << '\n';
   } else {
     throw std::invalid_argument(

@@ -43,8 +43,4 @@ tuners::TuningReport DeepCat::tune_online_stream(
   return tuner_.tune_with_budget(env, budget);
 }
 
-void DeepCat::save_model(std::ostream& os) { tuner_.save(os); }
-
-void DeepCat::load_model(std::istream& is) { tuner_.load(is); }
-
 }  // namespace deepcat::core

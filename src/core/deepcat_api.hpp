@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "sparksim/environment.hpp"
@@ -78,10 +77,6 @@ class DeepCat {
   void set_next_env_seed(std::uint64_t seed) noexcept {
     next_env_seed_ = seed;
   }
-
-  /// Persists / restores the trained networks.
-  void save_model(std::ostream& os);
-  void load_model(std::istream& is);
 
  private:
   sparksim::ClusterSpec cluster_;

@@ -1,8 +1,6 @@
 #include "nn/adam.hpp"
 
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <utility>
 
@@ -23,21 +21,18 @@ Adam::Adam(std::vector<Param> params, AdamConfig config)
 
 Adam::Adam(std::vector<Param> params, AdamConfig config, std::vector<Tensor> m,
            std::vector<Tensor> v, std::size_t step_count)
-    : params_(std::move(params)), config_(config), t_(step_count) {
-  check_moments(m, v);
-  m_ = std::move(m);
-  v_ = std::move(v);
-}
-
-void Adam::check_moments(const std::vector<Tensor>& m,
-                         const std::vector<Tensor>& v) const {
-  if (m.size() != params_.size() || v.size() != params_.size()) {
+    : params_(std::move(params)),
+      m_(std::move(m)),
+      v_(std::move(v)),
+      config_(config),
+      t_(step_count) {
+  if (m_.size() != params_.size() || v_.size() != params_.size()) {
     throw std::runtime_error("Adam: moment tensor count mismatch");
   }
   for (std::size_t i = 0; i < params_.size(); ++i) {
     const Tensor& p = *params_[i].value;
-    if (m[i].rows() != p.rows() || m[i].cols() != p.cols() ||
-        v[i].rows() != p.rows() || v[i].cols() != p.cols()) {
+    if (m_[i].rows() != p.rows() || m_[i].cols() != p.cols() ||
+        v_[i].rows() != p.rows() || v_[i].cols() != p.cols()) {
       throw std::runtime_error("Adam: moment shape mismatch");
     }
   }
@@ -78,46 +73,6 @@ void Adam::step(common::Partner& partner) {
           f(config_.lr), f(config_.eps));
     }
   });
-}
-
-void Adam::restore_state(const std::vector<Tensor>& m,
-                         const std::vector<Tensor>& v,
-                         std::size_t step_count) {
-  check_moments(m, v);
-  m_ = m;
-  v_ = v;
-  t_ = step_count;
-}
-
-void Adam::save(std::ostream& os) const {
-  os << t_ << ' ' << m_.size() << '\n';
-  os.precision(17);
-  for (std::size_t i = 0; i < m_.size(); ++i) {
-    os << m_[i].rows() << ' ' << m_[i].cols() << '\n';
-    for (float x : m_[i].flat()) os << x << ' ';
-    os << '\n';
-    for (float x : v_[i].flat()) os << x << ' ';
-    os << '\n';
-  }
-}
-
-void Adam::load(std::istream& is) {
-  std::size_t t = 0, count = 0;
-  is >> t >> count;
-  if (count != m_.size()) {
-    throw std::runtime_error("Adam::load: moment tensor count mismatch");
-  }
-  for (std::size_t i = 0; i < m_.size(); ++i) {
-    std::size_t r = 0, c = 0;
-    is >> r >> c;
-    if (r != m_[i].rows() || c != m_[i].cols()) {
-      throw std::runtime_error("Adam::load: shape mismatch");
-    }
-    for (float& x : m_[i].flat()) is >> x;
-    for (float& x : v_[i].flat()) is >> x;
-  }
-  if (!is) throw std::runtime_error("Adam::load: truncated stream");
-  t_ = t;
 }
 
 }  // namespace deepcat::nn

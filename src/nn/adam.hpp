@@ -1,7 +1,6 @@
 // Adam optimizer (Kingma & Ba, 2015) over a set of Param handles.
 #pragma once
 
-#include <iosfwd>
 #include <vector>
 
 #include "nn/layers.hpp"
@@ -58,14 +57,13 @@ class Adam {
   void step(common::Partner& partner);
 
   [[nodiscard]] const AdamConfig& config() const noexcept { return config_; }
-  void set_lr(double lr) noexcept { config_.lr = lr; }
   [[nodiscard]] std::size_t step_count() const noexcept { return t_; }
 
   /// First/second moment estimates (float, like the parameters), one
-  /// Tensor per bound parameter tensor,
-  /// in binding order. Exposed (with restore_state) so checkpoints can
-  /// round-trip the optimizer: dropping the moments makes a reloaded agent
-  /// fine-tune differently from a never-saved one.
+  /// Tensor per bound parameter tensor, in binding order. Exposed so an
+  /// agent's snapshot() can copy them out (the resuming constructor builds
+  /// them back in): dropping the moments makes a restored agent fine-tune
+  /// differently from one that was never copied.
   [[nodiscard]] const std::vector<Tensor>& first_moments() const noexcept {
     return m_;
   }
@@ -73,22 +71,7 @@ class Adam {
     return v_;
   }
 
-  /// Overwrites the moment vectors and step counter. Shapes must match the
-  /// bound parameters exactly (throws std::runtime_error otherwise).
-  void restore_state(const std::vector<Tensor>& m, const std::vector<Tensor>& v,
-                     std::size_t step_count);
-
-  /// Writes/reads the optimizer state (step counter + both moment vectors)
-  /// as a flat text stream, shape-checked on load, same style as Mlp.
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
-
  private:
-  /// Throws unless `m` and `v` each hold one tensor per bound parameter,
-  /// shaped like it.
-  void check_moments(const std::vector<Tensor>& m,
-                     const std::vector<Tensor>& v) const;
-
   std::vector<Param> params_;
   std::vector<Tensor> m_, v_;
   AdamConfig config_;

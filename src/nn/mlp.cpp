@@ -1,7 +1,5 @@
 #include "nn/mlp.hpp"
 
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <utility>
 
@@ -203,41 +201,6 @@ void Mlp::soft_update_from(Mlp& src, double tau, common::Partner& partner) {
                                 elems.end - elems.begin, t, keep);
     }
   });
-}
-
-std::size_t Mlp::num_parameters() {
-  std::size_t n = 0;
-  for (const auto& p : params()) n += p.value->size();
-  return n;
-}
-
-void Mlp::save(std::ostream& os) {
-  auto ps = params();
-  os << ps.size() << '\n';
-  os.precision(17);
-  for (const auto& p : ps) {
-    os << p.value->rows() << ' ' << p.value->cols() << '\n';
-    for (float v : p.value->flat()) os << v << ' ';
-    os << '\n';
-  }
-}
-
-void Mlp::load(std::istream& is) {
-  auto ps = params();
-  std::size_t count = 0;
-  is >> count;
-  if (count != ps.size()) {
-    throw std::runtime_error("Mlp::load: parameter tensor count mismatch");
-  }
-  for (auto& p : ps) {
-    std::size_t r = 0, c = 0;
-    is >> r >> c;
-    if (r != p.value->rows() || c != p.value->cols()) {
-      throw std::runtime_error("Mlp::load: shape mismatch");
-    }
-    for (float& v : p.value->flat()) is >> v;
-  }
-  if (!is) throw std::runtime_error("Mlp::load: truncated stream");
 }
 
 double mse_loss(const Tensor& pred, const Tensor& target, Tensor& grad) {

@@ -2,7 +2,6 @@
 // that DDPG/TD3 need.
 #pragma once
 
-#include <iosfwd>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -92,13 +91,6 @@ class Mlp {
   void soft_update_from(Mlp& src, double tau);
   /// soft_update_from() split by elements within each tensor.
   void soft_update_from(Mlp& src, double tau, common::Partner& partner);
-
-  /// Total scalar parameter count.
-  [[nodiscard]] std::size_t num_parameters();
-
-  /// Writes/reads parameters as a flat text stream (shape-checked on load).
-  void save(std::ostream& os);
-  void load(std::istream& is);
 
   /// Number of dense layers (each carries its activation).
   [[nodiscard]] std::size_t num_layers() const noexcept {

@@ -1,6 +1,7 @@
 #include "rl/ddpg.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "common/math_util.hpp"
 
@@ -8,13 +9,14 @@ namespace deepcat::rl {
 
 namespace {
 
-std::vector<std::size_t> net_dims(std::size_t in,
-                                  const std::vector<std::size_t>& hidden,
-                                  std::size_t out) {
-  std::vector<std::size_t> dims{in};
-  dims.insert(dims.end(), hidden.begin(), hidden.end());
-  dims.push_back(out);
-  return dims;
+AgentLayout layout(const DdpgConfig& c) {
+  const auto actor = layer_widths(c.state_dim, c.hidden, c.action_dim);
+  const auto critic = layer_widths(c.state_dim + c.action_dim, c.hidden, 1);
+  return {.state_dim = c.state_dim,
+          .action_dim = c.action_dim,
+          .networks = {{"actor", actor}, {"actor_target", actor},
+                       {"critic", critic}, {"critic_target", critic}},
+          .optimizers = {{"actor_opt", 0}, {"critic_opt", 2}}};
 }
 
 void validate(const DdpgConfig& c) {
@@ -28,12 +30,11 @@ void validate(const DdpgConfig& c) {
 
 DdpgAgent::DdpgAgent(DdpgConfig config, common::Rng& rng)
     : config_((validate(config), config)),
-      actor_(net_dims(config_.state_dim, config_.hidden, config_.action_dim),
-             rng, nn::OutputActivation::kSigmoid),
+      actor_(layout(config_).networks[0].widths, rng,
+             nn::OutputActivation::kSigmoid),
       actor_target_(actor_),
-      critic_(net_dims(config_.state_dim + config_.action_dim, config_.hidden,
-                       1),
-              rng, nn::OutputActivation::kNone),
+      critic_(layout(config_).networks[2].widths, rng,
+              nn::OutputActivation::kNone),
       critic_target_(critic_),
       actor_opt_(actor_.params(),
                  {.lr = config_.actor_lr, .grad_clip = config_.grad_clip}),
@@ -121,18 +122,30 @@ DdpgTrainStats DdpgAgent::train_step(ReplayBuffer& buffer, common::Rng& rng) {
   return stats;
 }
 
-void DdpgAgent::save(std::ostream& os) {
-  actor_.save(os);
-  actor_target_.save(os);
-  critic_.save(os);
-  critic_target_.save(os);
+AgentSnapshot DdpgAgent::snapshot() const {
+  AgentSnapshot s;
+  s.state_dim = config_.state_dim;
+  s.action_dim = config_.action_dim;
+  s.train_steps = steps_;
+  for (const nn::Mlp* net : {&actor_, &actor_target_, &critic_,
+                             &critic_target_}) {
+    s.networks.push_back(net->param_values());
+  }
+  s.optimizers.push_back(state_of(actor_opt_));
+  s.optimizers.push_back(state_of(critic_opt_));
+  return s;
 }
 
-void DdpgAgent::load(std::istream& is) {
-  actor_.load(is);
-  actor_target_.load(is);
-  critic_.load(is);
-  critic_target_.load(is);
+void DdpgAgent::restore(AgentSnapshot s) {
+  layout(config_).check(s);
+  auto& n = s.networks;
+  actor_ = nn::Mlp(std::move(n[0]), nn::OutputActivation::kSigmoid);
+  actor_target_ = nn::Mlp(std::move(n[1]), nn::OutputActivation::kSigmoid);
+  critic_ = nn::Mlp(std::move(n[2]), nn::OutputActivation::kNone);
+  critic_target_ = nn::Mlp(std::move(n[3]), nn::OutputActivation::kNone);
+  actor_opt_ = resume_adam(actor_, actor_opt_.config(), s.optimizers[0]);
+  critic_opt_ = resume_adam(critic_, critic_opt_.config(), s.optimizers[1]);
+  steps_ = s.train_steps;
 }
 
 }  // namespace deepcat::rl

@@ -3,7 +3,6 @@
 // original: one critic, no target smoothing, actor updated every step.
 #pragma once
 
-#include <iosfwd>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -49,8 +48,16 @@ class DdpgAgent {
   [[nodiscard]] const DdpgConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t train_steps() const noexcept { return steps_; }
 
-  void save(std::ostream& os);
-  void load(std::istream& is);
+  /// Copies out the complete trainable state: the four networks (actor,
+  /// actor_target, critic, critic_target), the two Adam optimizers
+  /// (actor_opt, critic_opt) and the train-step counter.
+  [[nodiscard]] AgentSnapshot snapshot() const;
+
+  /// Builds `s` in as the complete trainable state, as
+  /// Td3Agent::restore does: networks and optimizers rebuilt from its
+  /// tensors, moments and step counts included. A snapshot of another
+  /// layout throws AgentLayoutError and changes nothing.
+  void restore(AgentSnapshot s);
 
  private:
   DdpgConfig config_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -16,23 +14,12 @@ namespace deepcat::rl {
 
 namespace {
 
-std::vector<std::size_t> net_dims(std::size_t in,
-                                  const std::vector<std::size_t>& hidden,
-                                  std::size_t out) {
-  std::vector<std::size_t> dims;
-  dims.reserve(hidden.size() + 2);
-  dims.push_back(in);
-  dims.insert(dims.end(), hidden.begin(), hidden.end());
-  dims.push_back(out);
-  return dims;
-}
-
 std::vector<std::size_t> actor_dims(const Td3Config& c) {
-  return net_dims(c.state_dim, c.hidden, c.action_dim);
+  return layer_widths(c.state_dim, c.hidden, c.action_dim);
 }
 
 std::vector<std::size_t> critic_dims(const Td3Config& c) {
-  return net_dims(c.state_dim + c.action_dim, c.hidden, 1);
+  return layer_widths(c.state_dim + c.action_dim, c.hidden, 1);
 }
 
 nn::Mlp make_actor(const Td3Config& c, common::Rng& rng) {
@@ -49,22 +36,6 @@ nn::AdamConfig actor_adam(const Td3Config& c) {
 
 nn::AdamConfig critic_adam(const Td3Config& c) {
   return {.lr = c.critic_lr, .grad_clip = c.grad_clip};
-}
-
-nn::Mlp copy_actor(const nn::Mlp& from) {
-  return nn::Mlp(from.param_values(), nn::OutputActivation::kSigmoid);
-}
-
-nn::Mlp copy_critic(const nn::Mlp& from) {
-  return nn::Mlp(from.param_values(), nn::OutputActivation::kNone);
-}
-
-/// An optimizer over `params` that resumes from `from`'s moments and step
-/// count.
-nn::Adam resume(std::vector<nn::Param> params, nn::AdamConfig config,
-                const nn::Adam& from) {
-  return nn::Adam(std::move(params), config, from.first_moments(),
-                  from.second_moments(), from.step_count());
 }
 
 /// The networks and optimizers in snapshot order (Td3Agent::networks() and
@@ -124,7 +95,7 @@ Td3Agent::Td3Agent(Td3Config config, common::Rng& rng)
 }
 
 // The networks stay empty and the optimizers bound to nothing until thaw()
-// fills them: until then act and twin_q read the frozen source's.
+// or restore(); until then act and twin_q read the frozen source's.
 Td3Agent::Td3Agent(Td3Config config, const Td3Agent& frozen)
     : config_((validate(config), check_layout(config, frozen.config_), config)),
       actor_opt_({}, actor_adam(config_)),
@@ -137,20 +108,7 @@ Td3Agent::Td3Agent(Td3Config config, const Td3Agent& frozen)
 }
 
 void Td3Agent::thaw() {
-  if (frozen_ == nullptr) return;
-  const Td3Agent& from = *frozen_;
-  actor_ = copy_actor(from.actor_);
-  actor_target_ = copy_actor(from.actor_target_);
-  critic1_ = copy_critic(from.critic1_);
-  critic2_ = copy_critic(from.critic2_);
-  critic1_target_ = copy_critic(from.critic1_target_);
-  critic2_target_ = copy_critic(from.critic2_target_);
-  actor_opt_ = resume(actor_.params(), actor_adam(config_), from.actor_opt_);
-  critic1_opt_ =
-      resume(critic1_.params(), critic_adam(config_), from.critic1_opt_);
-  critic2_opt_ =
-      resume(critic2_.params(), critic_adam(config_), from.critic2_opt_);
-  frozen_ = nullptr;
+  if (frozen_ != nullptr) restore(frozen_->snapshot());
 }
 
 void Td3Agent::bind_obs() {
@@ -373,64 +331,67 @@ double Td3Agent::update_actor(common::Partner& fork) {
   return -q_mean / static_cast<double>(m);
 }
 
-template <typename Self>
-auto Td3Agent::network_table(Self& self) {
-  const auto& n = kNetworks;
-  return std::array{std::pair{n[0], &self.actor_},
-                    std::pair{n[1], &self.actor_target_},
-                    std::pair{n[2], &self.critic1_},
-                    std::pair{n[3], &self.critic2_},
-                    std::pair{n[4], &self.critic1_target_},
-                    std::pair{n[5], &self.critic2_target_}};
-}
-
-template <typename Self>
-auto Td3Agent::optimizer_table(Self& self) {
-  const auto& o = kOptimizers;
-  return std::array{std::pair{o[0], &self.actor_opt_},
-                    std::pair{o[1], &self.critic1_opt_},
-                    std::pair{o[2], &self.critic2_opt_}};
-}
-
 std::vector<std::pair<const char*, nn::Mlp*>> Td3Agent::networks() {
   thaw();
-  const auto table = network_table(*this);
-  return {table.begin(), table.end()};
+  const auto& n = kNetworks;
+  return {{n[0], &actor_},          {n[1], &actor_target_},
+          {n[2], &critic1_},        {n[3], &critic2_},
+          {n[4], &critic1_target_}, {n[5], &critic2_target_}};
 }
 
 std::vector<std::pair<const char*, nn::Adam*>> Td3Agent::optimizers() {
   thaw();
-  const auto table = optimizer_table(*this);
-  return {table.begin(), table.end()};
+  const auto& o = kOptimizers;
+  return {{o[0], &actor_opt_}, {o[1], &critic1_opt_}, {o[2], &critic2_opt_}};
 }
 
 AgentSnapshot Td3Agent::snapshot() const {
-  const Td3Agent& from = held();
+  const Td3Agent& f = held();
   AgentSnapshot s;
   s.state_dim = config_.state_dim;
   s.action_dim = config_.action_dim;
-  for (const auto& [name, net] : network_table(from)) {
+  s.train_steps = steps_;
+  s.networks.reserve(6);
+  s.optimizers.reserve(3);
+  for (const nn::Mlp* net : {&f.actor_, &f.actor_target_, &f.critic1_,
+                             &f.critic2_, &f.critic1_target_,
+                             &f.critic2_target_}) {
     s.networks.push_back(net->param_values());
   }
-  for (const auto& [name, opt] : optimizer_table(from)) {
-    s.optimizers.push_back(
-        {opt->first_moments(), opt->second_moments(), opt->step_count()});
+  for (const nn::Adam* opt :
+       {&f.actor_opt_, &f.critic1_opt_, &f.critic2_opt_}) {
+    s.optimizers.push_back(state_of(*opt));
   }
-  s.train_steps = steps_;
   return s;
 }
 
-void Td3Agent::save(std::ostream& os) {
-  for (auto& [name, net] : networks()) net->save(os);
-  for (auto& [name, opt] : optimizers()) opt->save(os);
-  os << steps_ << '\n';
+void Td3Agent::restore(AgentSnapshot s) {
+  layout(config_).check(s);
+  auto& n = s.networks;
+  actor_ = nn::Mlp(std::move(n[0]), nn::OutputActivation::kSigmoid);
+  actor_target_ = nn::Mlp(std::move(n[1]), nn::OutputActivation::kSigmoid);
+  critic1_ = nn::Mlp(std::move(n[2]), nn::OutputActivation::kNone);
+  critic2_ = nn::Mlp(std::move(n[3]), nn::OutputActivation::kNone);
+  critic1_target_ = nn::Mlp(std::move(n[4]), nn::OutputActivation::kNone);
+  critic2_target_ = nn::Mlp(std::move(n[5]), nn::OutputActivation::kNone);
+  auto& o = s.optimizers;
+  actor_opt_ = resume_adam(actor_, actor_adam(config_), o[0]);
+  critic1_opt_ = resume_adam(critic1_, critic_adam(config_), o[1]);
+  critic2_opt_ = resume_adam(critic2_, critic_adam(config_), o[2]);
+  steps_ = s.train_steps;
+  frozen_ = nullptr;
 }
 
-void Td3Agent::load(std::istream& is) {
-  for (auto& [name, net] : networks()) net->load(is);
-  for (auto& [name, opt] : optimizers()) opt->load(is);
-  is >> steps_;
-  if (!is) throw std::runtime_error("Td3Agent::load: truncated stream");
+AgentLayout Td3Agent::layout(const Td3Config& config) {
+  const auto actor = actor_dims(config);
+  const auto critic = critic_dims(config);
+  const auto& n = kNetworks;
+  const auto& o = kOptimizers;
+  return {.state_dim = config.state_dim,
+          .action_dim = config.action_dim,
+          .networks = {{n[0], actor}, {n[1], actor}, {n[2], critic},
+                       {n[3], critic}, {n[4], critic}, {n[5], critic}},
+          .optimizers = {{o[0], 0}, {o[1], 2}, {o[2], 3}}};
 }
 
 }  // namespace deepcat::rl

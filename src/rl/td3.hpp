@@ -8,9 +8,7 @@
 // worth a real evaluation.
 #pragma once
 
-#include <iosfwd>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -54,33 +52,6 @@ struct Td3TrainStats {
   std::optional<double> actor_loss;
 };
 
-/// A value copy of a Td3Agent's trainable state: every (float) parameter
-/// tensor of the six networks, the three optimizers' moments and step
-/// counts, and the train-step counter. It holds no replay and no RNG.
-/// Copying it out costs a memcpy of the tensors; nothing is serialized or
-/// checksummed.
-struct AgentSnapshot {
-  struct OptimizerState {
-    std::vector<nn::Tensor> first_moments;   ///< binding order
-    std::vector<nn::Tensor> second_moments;  ///< binding order
-    std::size_t step_count = 0;
-  };
-  std::size_t state_dim = 0;
-  std::size_t action_dim = 0;
-  /// Per network, in Td3Agent::networks() order: its Mlp::params() values.
-  std::vector<std::vector<nn::Tensor>> networks;
-  /// In Td3Agent::optimizers() order.
-  std::vector<OptimizerState> optimizers;
-  std::size_t train_steps = 0;
-};
-
-/// Cloning a frozen Td3Agent under a config whose state or action dims or
-/// hidden sizes differ from the frozen agent's. The message names both.
-class AgentLayoutError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 /// Move-only, like nn::Adam: a copy's optimizers would step this agent's
 /// networks, so the copy would never learn.
 class Td3Agent {
@@ -88,13 +59,13 @@ class Td3Agent {
   Td3Agent(Td3Config config, common::Rng& rng);
   /// A clone of `frozen` that copies nothing but the train-step counter
   /// when it is built. Until its first train_step, or its first
-  /// networks(), optimizers(), save() or load(), act, act_noisy, twin_q,
-  /// min_q and min_q_rows run `frozen`'s actor and critics in place
+  /// networks() or optimizers(), act, act_noisy, twin_q, min_q and
+  /// min_q_rows run `frozen`'s actor and critics in place
   /// (Mlp::forward_row and forward_rows, into rows this clone owns) and
-  /// snapshot() reads `frozen`'s state. That first call copies all six
-  /// networks and the three optimizers' moments and step counts. A clone
-  /// that never trains never copies them. Either way it holds `frozen`'s
-  /// state bit for bit, with no random init.
+  /// snapshot() reads `frozen`'s state. That first call restores
+  /// `frozen`'s snapshot(), copying each tensor once; a clone that never
+  /// trains never copies them. Either way it holds `frozen`'s state bit for
+  /// bit, with no random init.
   ///
   /// Lifetime: `frozen` must outlive the clone's first train step (or its
   /// destruction, if it never trains) and must not change before then. A
@@ -153,32 +124,33 @@ class Td3Agent {
 
   [[nodiscard]] const Td3Config& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t train_steps() const noexcept { return steps_; }
-  void set_train_steps(std::size_t steps) noexcept { steps_ = steps; }
 
-  /// Named handles over the six networks / three optimizers, in the fixed
-  /// serialization order. The checkpoint layer iterates these instead of
-  /// reaching into private members. A clone completes its copy first.
+  /// Named handles over the six networks / three optimizers, in snapshot
+  /// order, for tests and benchmarks that inspect them in place. A clone
+  /// completes its copy first.
   [[nodiscard]] std::vector<std::pair<const char*, nn::Mlp*>> networks();
   [[nodiscard]] std::vector<std::pair<const char*, nn::Adam*>> optimizers();
 
-  /// Copies out the complete trainable state (the same state save() and the
-  /// checkpoint's NETS/ADAM sections hold). A clone that has not trained
-  /// yet reads it from its frozen source, whose state it still equals.
+  /// Copies out the complete trainable state: the six networks, the three
+  /// optimizers' moments and step counts, and the train-step counter. A
+  /// clone that has not trained yet reads its frozen source, which it equals.
   [[nodiscard]] AgentSnapshot snapshot() const;
 
-  /// Persists / restores the complete trainable state: all six networks,
-  /// all three Adam optimizers (moment vectors + step counters) and the
-  /// train-step counter. Saving only the network weights would make a
-  /// loaded agent fine-tune differently from a never-saved one — the warm
-  /// Adam moments and the policy-delay phase both feed the next update.
-  /// Both go through networks() and optimizers(), so a clone completes its
-  /// copy first.
-  void save(std::ostream& os);
-  void load(std::istream& is);
+  /// Rebuilds the networks and optimizers from `s`'s tensors (moved in),
+  /// sets the train-step counter and drops any frozen source. The moments
+  /// and counter matter as much as the weights: both feed the next update.
+  /// A snapshot that fails layout(config()).check throws AgentLayoutError
+  /// and changes nothing.
+  void restore(AgentSnapshot s);
+
+  /// The state layout of an agent built from `config`, in snapshot order:
+  /// "actor", "actor_target", "critic1", "critic2", "critic1_target",
+  /// "critic2_target"; "actor_opt", "critic1_opt", "critic2_opt".
+  [[nodiscard]] static AgentLayout layout(const Td3Config& config);
 
  private:
-  /// Copies a clone's state (the six networks and the optimizers) from its
-  /// frozen source; a no-op on any other agent.
+  /// Restores a clone's state from its frozen source's snapshot(); a no-op
+  /// on any other agent.
   void thaw();
   /// The agent whose networks hold this one's state: a clone's frozen
   /// source until thaw(), otherwise this agent.
@@ -192,19 +164,12 @@ class Td3Agent {
   /// Resolves the metric handles (registry lookups lock, so once).
   void bind_obs();
 
-  /// The named networks / optimizers in serialization order, for a const or
-  /// a mutable agent (`Self` deduces the constness of the handles).
-  template <typename Self>
-  static auto network_table(Self& self);
-  template <typename Self>
-  static auto optimizer_table(Self& self);
-
   Td3Config config_;
   nn::Mlp actor_, actor_target_;
   nn::Mlp critic1_, critic2_, critic1_target_, critic2_target_;
   nn::Adam actor_opt_, critic1_opt_, critic2_opt_;
   std::size_t steps_ = 0;
-  /// A clone's source until thaw() has copied its state.
+  /// A clone's source until thaw() or restore() replaces its state.
   const Td3Agent* frozen_ = nullptr;
   StepBuffers buf_;
   nn::Tensor row_in_;             // act's [s], the probes' [s | a] rows

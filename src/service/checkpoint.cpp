@@ -11,8 +11,10 @@
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -113,10 +115,47 @@ std::uint32_t load_le32(const unsigned char* p) noexcept {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
+/// The running CRC-32 register `crc` (not yet inverted) after `data`.
+std::uint32_t crc32_extend(std::uint32_t crc, const unsigned char* data,
+                           std::size_t size) noexcept {
+  const auto& t = kCrcTables.t;
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = load_le32(data) ^ crc;
+    const std::uint32_t hi = load_le32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc;
+}
+
+/// Writes the low `bytes` bytes of `v`, little-endian.
+void write_le(std::ostream& os, std::uint64_t v, int bytes) {
+  char b[8];
+  for (int i = 0; i < bytes; ++i) {
+    b[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+  }
+  os.write(b, bytes);
+}
+
 // ---- byte-level codec ---------------------------------------------------
 
+/// Collects one section's payload. A writer built on a stream instead sends
+/// the section straight to it, holding about one tensor at a time: the
+/// header (`tag`, `len`) at once, the payload as floats() fills it, and the
+/// CRC at finish(), which checks that exactly `len` bytes came.
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  ByteWriter(std::ostream& os, std::uint32_t tag, std::uint64_t len)
+      : os_(&os), len_(len) {
+    write_le(os, tag, 4);
+    write_le(os, len, 8);
+  }
+
   void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
   void u32(std::uint32_t v) {
     for (int i = 0; i < 4; ++i) {
@@ -139,6 +178,7 @@ class ByteWriter {
   }
   void floats(const float* data, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) f32(data[i]);
+    if (os_ != nullptr) flush();
   }
   void double_vec(const std::vector<double>& v) {
     u32(static_cast<std::uint32_t>(v.size()));
@@ -147,8 +187,25 @@ class ByteWriter {
 
   [[nodiscard]] const std::string& bytes() const noexcept { return buf_; }
 
+  void finish() {
+    flush();
+    if (sent_ != len_) throw std::logic_error("checkpoint: section size");
+    write_le(*os_, crc_ ^ 0xFFFFFFFFu, 4);
+  }
+
  private:
+  void flush() {
+    crc_ = crc32_extend(
+        crc_, reinterpret_cast<const unsigned char*>(buf_.data()), buf_.size());
+    os_->write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    sent_ += buf_.size();
+    buf_.clear();
+  }
+
   std::string buf_;
+  std::ostream* os_ = nullptr;
+  std::uint64_t len_ = 0, sent_ = 0;
+  std::uint32_t crc_ = 0xFFFFFFFFu;
 };
 
 /// Bounds-checked reader over one section payload. Every overrun throws a
@@ -196,6 +253,24 @@ class ByteReader {
     doubles(v.data(), v.size());
     return v;
   }
+  /// A rows x cols float tensor. Its shape is untrusted: nothing is
+  /// allocated unless the rest of the payload holds rows * cols floats.
+  nn::Tensor tensor(std::uint32_t rows, std::uint32_t cols) {
+    const std::uint64_t n = std::uint64_t{rows} * cols;
+    if (n > (data_.size() - off_) / sizeof(float)) truncated();
+    nn::Tensor t(rows, cols);
+    floats(t.data(), t.size());
+    return t;
+  }
+  /// Throws unless `got`, read from the payload, is `want`: the `what` (a
+  /// name or a count) that the format puts here.
+  void expect(const std::string& got, const std::string& want,
+              const char* what) const {
+    if (got != want) {
+      throw CheckpointError("section '" + section_ + "': " + what + " '" +
+                            got + "' where the format has '" + want + "'");
+    }
+  }
 
   void expect_exhausted() const {
     if (off_ != data_.size()) {
@@ -210,10 +285,11 @@ class ByteReader {
     return static_cast<unsigned char>(data_[off_++]);
   }
   void need(std::size_t n) const {
-    if (off_ + n > data_.size()) {
-      throw CheckpointError("truncated payload in checkpoint section '" +
-                            section_ + "'");
-    }
+    if (off_ + n > data_.size()) truncated();
+  }
+  [[noreturn]] void truncated() const {
+    throw CheckpointError("truncated payload in checkpoint section '" +
+                          section_ + "'");
   }
 
   const std::string& data_;
@@ -225,24 +301,13 @@ class ByteReader {
 
 void write_section(std::ostream& os, std::uint32_t tag,
                    const std::string& payload) {
-  char head[12];
-  for (int i = 0; i < 4; ++i) {
-    head[i] = static_cast<char>((tag >> (8 * i)) & 0xFFu);
-  }
-  const auto len = static_cast<std::uint64_t>(payload.size());
-  for (int i = 0; i < 8; ++i) {
-    head[4 + i] = static_cast<char>((len >> (8 * i)) & 0xFFu);
-  }
-  os.write(head, sizeof head);
+  write_le(os, tag, 4);
+  write_le(os, payload.size(), 8);
   os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  const std::uint32_t crc =
-      crc32(reinterpret_cast<const unsigned char*>(payload.data()),
-            payload.size());
-  char cbuf[4];
-  for (int i = 0; i < 4; ++i) {
-    cbuf[i] = static_cast<char>((crc >> (8 * i)) & 0xFFu);
-  }
-  os.write(cbuf, sizeof cbuf);
+  write_le(os,
+           crc32(reinterpret_cast<const unsigned char*>(payload.data()),
+                 payload.size()),
+           4);
 }
 
 void write_transition(ByteWriter& w, const rl::Transition& t) {
@@ -273,118 +338,112 @@ std::string encode_meta(core::DeepCat& model) {
   return w.bytes();
 }
 
-std::string encode_nets(core::DeepCat& model) {
-  ByteWriter w;
-  auto nets = model.tuner().agent().networks();
-  w.u32(static_cast<std::uint32_t>(nets.size()));
-  for (auto& [name, net] : nets) {
-    w.str(name);
-    auto params = net->params();
-    w.u32(static_cast<std::uint32_t>(params.size()));
-    for (const auto& p : params) {
-      w.u32(static_cast<std::uint32_t>(p.value->rows()));
-      w.u32(static_cast<std::uint32_t>(p.value->cols()));
-      w.floats(p.value->data(), p.value->size());
-    }
-  }
-  return w.bytes();
+/// The bytes a count and then, per tensor, its shape and `per_float` bytes
+/// per element take: NETS writes 4 per parameter, ADAM 8 per moment pair.
+/// The streamed sections' lengths come from here, before their bytes.
+std::size_t tensors_bytes(const std::vector<nn::Tensor>& tensors,
+                          std::size_t per_float) {
+  std::size_t n = 4;
+  for (const nn::Tensor& t : tensors) n += 8 + per_float * t.size();
+  return n;
 }
 
-void decode_nets(const std::string& payload, core::DeepCat& model) {
-  ByteReader r(payload, "NETS");
-  auto nets = model.tuner().agent().networks();
-  const std::uint32_t count = r.u32();
-  if (count != nets.size()) {
-    throw CheckpointError("section 'NETS': network count mismatch");
+void write_nets(std::ostream& os, const rl::AgentSnapshot& s,
+                const rl::AgentLayout& layout) {
+  std::size_t len = 4;
+  for (std::size_t i = 0; i < s.networks.size(); ++i) {
+    len += 4 + std::strlen(layout.networks[i].name) +
+           tensors_bytes(s.networks[i], 4);
   }
-  for (auto& [name, net] : nets) {
-    const std::string stored = r.str();
-    if (stored != name) {
-      throw CheckpointError("section 'NETS': expected network '" +
-                            std::string(name) + "', found '" + stored + "'");
-    }
-    auto params = net->params();
-    const std::uint32_t tensors = r.u32();
-    if (tensors != params.size()) {
-      throw CheckpointError("section 'NETS': tensor count mismatch in '" +
-                            std::string(name) + "'");
-    }
-    for (auto& p : params) {
-      const std::uint32_t rows = r.u32();
-      const std::uint32_t cols = r.u32();
-      if (rows != p.value->rows() || cols != p.value->cols()) {
-        throw CheckpointError("section 'NETS': shape mismatch in '" +
-                              std::string(name) + "'");
-      }
-      r.floats(p.value->data(), p.value->size());
+  ByteWriter w(os, kTagNets, len);
+  w.u32(static_cast<std::uint32_t>(s.networks.size()));
+  for (std::size_t i = 0; i < s.networks.size(); ++i) {
+    w.str(layout.networks[i].name);
+    w.u32(static_cast<std::uint32_t>(s.networks[i].size()));
+    for (const nn::Tensor& t : s.networks[i]) {
+      w.u32(static_cast<std::uint32_t>(t.rows()));
+      w.u32(static_cast<std::uint32_t>(t.cols()));
+      w.floats(t.data(), t.size());
     }
   }
-  r.expect_exhausted();
+  w.finish();
 }
 
-std::string encode_adam(core::DeepCat& model) {
-  ByteWriter w;
-  rl::Td3Agent& agent = model.tuner().agent();
-  auto opts = agent.optimizers();
-  w.u32(static_cast<std::uint32_t>(opts.size()));
-  for (auto& [name, opt] : opts) {
-    w.str(name);
-    w.u64(static_cast<std::uint64_t>(opt->step_count()));
-    const auto& m = opt->first_moments();
-    const auto& v = opt->second_moments();
+void write_adam(std::ostream& os, const rl::AgentSnapshot& s,
+                const rl::AgentLayout& layout) {
+  std::size_t len = 4 + 8;
+  for (std::size_t i = 0; i < s.optimizers.size(); ++i) {
+    len += 4 + std::strlen(layout.optimizers[i].name) + 8 +
+           tensors_bytes(s.optimizers[i].first_moments, 8);
+  }
+  ByteWriter w(os, kTagAdam, len);
+  w.u32(static_cast<std::uint32_t>(s.optimizers.size()));
+  for (std::size_t i = 0; i < s.optimizers.size(); ++i) {
+    const rl::AgentSnapshot::OptimizerState& opt = s.optimizers[i];
+    w.str(layout.optimizers[i].name);
+    w.u64(static_cast<std::uint64_t>(opt.step_count));
+    const auto& m = opt.first_moments;
+    const auto& v = opt.second_moments;
     w.u32(static_cast<std::uint32_t>(m.size()));
-    for (std::size_t i = 0; i < m.size(); ++i) {
-      w.u32(static_cast<std::uint32_t>(m[i].rows()));
-      w.u32(static_cast<std::uint32_t>(m[i].cols()));
-      w.floats(m[i].data(), m[i].size());
-      w.floats(v[i].data(), v[i].size());
+    for (std::size_t k = 0; k < m.size(); ++k) {
+      w.u32(static_cast<std::uint32_t>(m[k].rows()));
+      w.u32(static_cast<std::uint32_t>(m[k].cols()));
+      w.floats(m[k].data(), m[k].size());
+      w.floats(v[k].data(), v[k].size());
     }
   }
-  w.u64(static_cast<std::uint64_t>(agent.train_steps()));
-  return w.bytes();
+  w.u64(static_cast<std::uint64_t>(s.train_steps));
+  w.finish();
 }
 
-void decode_adam(const std::string& payload, core::DeepCat& model) {
-  ByteReader r(payload, "ADAM");
-  rl::Td3Agent& agent = model.tuner().agent();
-  auto opts = agent.optimizers();
-  const std::uint32_t count = r.u32();
-  if (count != opts.size()) {
-    throw CheckpointError("section 'ADAM': optimizer count mismatch");
-  }
-  for (auto& [name, opt] : opts) {
-    const std::string stored = r.str();
-    if (stored != name) {
-      throw CheckpointError("section 'ADAM': expected optimizer '" +
-                            std::string(name) + "', found '" + stored + "'");
-    }
-    const std::uint64_t steps = r.u64();
-    const auto& cur_m = opt->first_moments();
-    const std::uint32_t tensors = r.u32();
-    if (tensors != cur_m.size()) {
-      throw CheckpointError("section 'ADAM': tensor count mismatch in '" +
-                            std::string(name) + "'");
-    }
-    std::vector<nn::Tensor> m, v;
-    m.reserve(tensors);
-    v.reserve(tensors);
-    for (std::uint32_t i = 0; i < tensors; ++i) {
+/// Reads NETS and ADAM into one snapshot of an agent with `layout`. The
+/// names and counts are the format's; every tensor's shape comes from the
+/// file, and only layout.check, last, compares them with the agent's.
+rl::AgentSnapshot decode_agent(const std::string& nets,
+                               const std::string& adam,
+                               const rl::AgentLayout& layout) {
+  rl::AgentSnapshot s;
+  s.state_dim = layout.state_dim;
+  s.action_dim = layout.action_dim;
+  ByteReader r(nets, "NETS");
+  r.expect(std::to_string(r.u32()), std::to_string(layout.networks.size()),
+           "network count");
+  for (const rl::AgentLayout::Network& net : layout.networks) {
+    r.expect(r.str(), net.name, "network");
+    std::vector<nn::Tensor>& tensors = s.networks.emplace_back();
+    const std::uint32_t count = r.u32();
+    for (std::uint32_t i = 0; i < count; ++i) {
       const std::uint32_t rows = r.u32();
-      const std::uint32_t cols = r.u32();
-      if (rows != cur_m[i].rows() || cols != cur_m[i].cols()) {
-        throw CheckpointError("section 'ADAM': shape mismatch in '" +
-                              std::string(name) + "'");
-      }
-      nn::Tensor mi(rows, cols), vi(rows, cols);
-      r.floats(mi.data(), mi.size());
-      r.floats(vi.data(), vi.size());
-      m.push_back(std::move(mi));
-      v.push_back(std::move(vi));
+      tensors.push_back(r.tensor(rows, r.u32()));
     }
-    opt->restore_state(m, v, static_cast<std::size_t>(steps));
   }
-  agent.set_train_steps(static_cast<std::size_t>(r.u64()));
   r.expect_exhausted();
+
+  ByteReader a(adam, "ADAM");
+  a.expect(std::to_string(a.u32()), std::to_string(layout.optimizers.size()),
+           "optimizer count");
+  for (const rl::AgentLayout::Optimizer& opt : layout.optimizers) {
+    a.expect(a.str(), opt.name, "optimizer");
+    rl::AgentSnapshot::OptimizerState& state = s.optimizers.emplace_back();
+    state.step_count = static_cast<std::size_t>(a.u64());
+    const std::uint32_t count = a.u32();
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint32_t rows = a.u32();
+      const std::uint32_t cols = a.u32();
+      state.first_moments.push_back(a.tensor(rows, cols));
+      state.second_moments.push_back(a.tensor(rows, cols));
+    }
+  }
+  s.train_steps = static_cast<std::size_t>(a.u64());
+  a.expect_exhausted();
+
+  try {
+    layout.check(s);
+  } catch (const rl::AgentLayoutError& e) {
+    throw CheckpointError(std::string("sections 'NETS' and 'ADAM': ") +
+                          e.what());
+  }
+  return s;
 }
 
 std::string encode_replay(core::DeepCat& model) {
@@ -414,66 +473,86 @@ std::string encode_replay(core::DeepCat& model) {
   return w.bytes();
 }
 
-void decode_replay(const std::string& payload, core::DeepCat& model) {
+/// The replay buffer an RPLY section must fit: the model's own, or the one
+/// materialize() will build from its options when it has none yet.
+struct ReplayFit {
+  std::uint8_t kind = kReplayUniform;
+  rl::RdperConfig rdper;     ///< RDPER only
+  std::size_t capacity = 0;  ///< per pool (RDPER) or of the one ring
+};
+
+ReplayFit replay_fit(tuners::DeepCatTuner& tuner) {
+  const tuners::DeepCatOptions& o = tuner.options();
+  if (!tuner.has_agent()) {
+    return o.use_rdper
+               ? ReplayFit{kReplayRdper, o.rdper, o.replay_capacity_per_pool}
+               : ReplayFit{kReplayUniform, {}, 2 * o.replay_capacity_per_pool};
+  }
+  if (auto* rdper = dynamic_cast<rl::RdperReplay*>(tuner.replay())) {
+    return {kReplayRdper, rdper->config(), rdper->capacity() / 2};
+  }
+  if (auto* uniform = dynamic_cast<rl::UniformReplay*>(tuner.replay())) {
+    return {kReplayUniform, {}, uniform->capacity()};
+  }
+  throw CheckpointError("section 'RPLY': unsupported replay buffer type");
+}
+
+/// A decoded RPLY section: the RDPER pools (high, low) or the uniform ring
+/// (rings[0]), each with its cursor, checked to fit the replay buffer.
+struct ReplayContents {
+  std::uint8_t kind = kReplayUniform;
+  std::vector<rl::Transition> rings[2];
+  std::size_t cursors[2] = {0, 0};
+};
+
+/// Reads one ring: its cursor and transitions, refused unless both fit
+/// `capacity`.
+void read_ring(ByteReader& r, std::size_t payload_size, std::size_t capacity,
+               std::vector<rl::Transition>& ring, std::size_t& cursor) {
+  const std::uint64_t at = r.u64();
+  const std::uint64_t n = r.u64();
+  if (at >= capacity || n > capacity) {
+    throw CheckpointError("section 'RPLY': cursor " + std::to_string(at) +
+                          " or size " + std::to_string(n) +
+                          " does not fit a ring of " +
+                          std::to_string(capacity));
+  }
+  cursor = static_cast<std::size_t>(at);
+  // A spliced stream can pair this decoder with another section's CRC-valid
+  // payload, so `n` is untrusted: cap the reservation by the payload size
+  // (each transition needs > 1 byte) and let the bounds-checked reads raise
+  // the typed error.
+  ring.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(n, payload_size)));
+  for (std::uint64_t i = 0; i < n; ++i) ring.push_back(read_transition(r));
+}
+
+ReplayContents decode_replay(const std::string& payload, const ReplayFit& fit) {
   ByteReader r(payload, "RPLY");
-  rl::ReplayBuffer* replay = model.tuner().replay();
-  const std::uint8_t kind = r.u8();
-  if (kind == kReplayRdper) {
-    auto* rdper = dynamic_cast<rl::RdperReplay*>(replay);
-    if (rdper == nullptr) {
-      throw CheckpointError(
-          "section 'RPLY': checkpoint holds RDPER pools but the model was "
-          "configured with use_rdper = false");
-    }
-    const double r_th = r.f64();
-    const double beta = r.f64();
-    const std::uint64_t cap = r.u64();
-    if (r_th != rdper->config().reward_threshold ||
-        beta != rdper->config().beta ||
-        cap != static_cast<std::uint64_t>(rdper->capacity() / 2)) {
-      throw CheckpointError("section 'RPLY': RDPER config mismatch");
-    }
-    std::vector<std::vector<rl::Transition>> pools(2);
-    std::size_t cursors[2] = {0, 0};
-    for (std::size_t pi = 0; pi < 2; ++pi) {
-      cursors[pi] = static_cast<std::size_t>(r.u64());
-      const std::uint64_t n = r.u64();
-      // A spliced stream can pair this decoder with another section's
-      // CRC-valid payload, so `n` is untrusted: cap the reservation by the
-      // payload size (each transition needs > 1 byte) and let the bounds-
-      // checked reads raise the typed error.
-      pools[pi].reserve(static_cast<std::size_t>(
-          std::min<std::uint64_t>(n, payload.size())));
-      for (std::uint64_t i = 0; i < n; ++i) {
-        pools[pi].push_back(read_transition(r));
-      }
-    }
-    rdper->restore_pools(std::move(pools[0]), cursors[0], std::move(pools[1]),
-                         cursors[1]);
-  } else if (kind == kReplayUniform) {
-    auto* uniform = dynamic_cast<rl::UniformReplay*>(replay);
-    if (uniform == nullptr) {
-      throw CheckpointError(
-          "section 'RPLY': checkpoint holds a uniform buffer but the model "
-          "was configured with use_rdper = true");
-    }
-    const std::uint64_t cap = r.u64();
-    if (cap != static_cast<std::uint64_t>(uniform->capacity())) {
-      throw CheckpointError("section 'RPLY': capacity mismatch");
-    }
-    const auto cursor = static_cast<std::size_t>(r.u64());
-    const std::uint64_t n = r.u64();
-    std::vector<rl::Transition> storage;
-    storage.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(n, payload.size())));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      storage.push_back(read_transition(r));
-    }
-    uniform->restore_storage(std::move(storage), cursor);
-  } else {
-    throw CheckpointError("section 'RPLY': unknown replay kind");
+  ReplayContents out;
+  out.kind = r.u8();
+  if (out.kind != fit.kind) {
+    throw CheckpointError("section 'RPLY': replay kind " +
+                          std::to_string(out.kind) +
+                          " does not fit the model's buffer (kind " +
+                          std::to_string(fit.kind) + ")");
+  }
+  // RDPER: R_th, beta, the per-pool capacity, then the high and low pools.
+  // Uniform: the capacity, then its one ring.
+  const bool rdper = out.kind == kReplayRdper;
+  if (rdper && (r.f64() != fit.rdper.reward_threshold ||
+                r.f64() != fit.rdper.beta)) {
+    throw CheckpointError("section 'RPLY': RDPER config mismatch");
+  }
+  if (r.u64() != static_cast<std::uint64_t>(fit.capacity)) {
+    throw CheckpointError("section 'RPLY': capacity mismatch");
+  }
+  for (std::size_t ring = 0; ring < (rdper ? 2u : 1u); ++ring) {
+    read_ring(r, payload.size(), fit.capacity, out.rings[ring],
+              out.cursors[ring]);
   }
   r.expect_exhausted();
+  return out;
 }
 
 std::string encode_rng(core::DeepCat& model) {
@@ -485,14 +564,14 @@ std::string encode_rng(core::DeepCat& model) {
   return w.bytes();
 }
 
-void decode_rng(const std::string& payload, core::DeepCat& model) {
+common::RngState decode_rng(const std::string& payload) {
   ByteReader r(payload, "RNGS");
   common::RngState st;
   for (std::uint64_t& lane : st.s) lane = r.u64();
   st.spare = r.f64();
   st.has_spare = r.u8() != 0;
   r.expect_exhausted();
-  model.tuner().rng().restore(st);
+  return st;
 }
 
 std::string encode_workload_repo(const gp::WorkloadRepository& repo) {
@@ -512,9 +591,12 @@ std::string encode_workload_repo(const gp::WorkloadRepository& repo) {
   return w.bytes();
 }
 
-void decode_workload_repo(const std::string& payload,
-                          gp::WorkloadRepository& repo) {
+/// The repository's observations in file order, to add once every section
+/// has decoded.
+std::vector<std::pair<std::string, gp::Observation>> decode_workload_repo(
+    const std::string& payload) {
   ByteReader r(payload, "WREP");
+  std::vector<std::pair<std::string, gp::Observation>> out;
   const std::uint32_t workloads = r.u32();
   for (std::uint32_t wi = 0; wi < workloads; ++wi) {
     const std::string id = r.str();
@@ -524,10 +606,11 @@ void decode_workload_repo(const std::string& payload,
       o.config = r.double_vec();
       o.metrics = r.double_vec();
       o.performance = r.f64();
-      repo.add(id, std::move(o));
+      out.emplace_back(id, std::move(o));
     }
   }
   r.expect_exhausted();
+  return out;
 }
 
 std::string encode_retrieval_index(const retrieval::ExperienceIndex& index) {
@@ -676,19 +759,7 @@ const std::string* find_section(const std::vector<Section>& sections,
 }  // namespace
 
 std::uint32_t crc32(const unsigned char* data, std::size_t size) noexcept {
-  const auto& t = kCrcTables.t;
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (; size >= 8; data += 8, size -= 8) {
-    const std::uint32_t lo = load_le32(data) ^ crc;
-    const std::uint32_t hi = load_le32(data + 4);
-    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
-          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
-          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-  }
-  for (; size > 0; ++data, --size) {
-    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
+  return crc32_extend(0xFFFFFFFFu, data, size) ^ 0xFFFFFFFFu;
 }
 
 namespace {
@@ -731,11 +802,7 @@ void write_file_durably(const std::string& path, const std::string& bytes,
 
 void write_container_header(std::ostream& os) {
   os.write(kMagic, sizeof kMagic);
-  char vbuf[4];
-  for (int i = 0; i < 4; ++i) {
-    vbuf[i] = static_cast<char>((kCheckpointVersion >> (8 * i)) & 0xFFu);
-  }
-  os.write(vbuf, sizeof vbuf);
+  write_le(os, kCheckpointVersion, 4);
 }
 
 }  // namespace
@@ -751,8 +818,13 @@ void save_checkpoint(std::ostream& os, core::DeepCat& model,
   write_container_header(os);
 
   write_section(os, kTagMeta, encode_meta(model));
-  write_section(os, kTagNets, encode_nets(model));
-  write_section(os, kTagAdam, encode_adam(model));
+  {
+    const rl::Td3Agent& agent = model.tuner().agent();
+    const rl::AgentSnapshot state = agent.snapshot();
+    const rl::AgentLayout layout = rl::Td3Agent::layout(agent.config());
+    write_nets(os, state, layout);
+    write_adam(os, state, layout);
+  }
   write_section(os, kTagReplay, encode_replay(model));
   write_section(os, kTagRng, encode_rng(model));
   if (repository != nullptr && !repository->empty()) {
@@ -770,14 +842,17 @@ void load_checkpoint(std::istream& is, core::DeepCat& model,
                      retrieval::ExperienceIndex* index) {
   const Container container = read_sections(is);
   const std::vector<Section>& sections = container.sections;
+  tuners::DeepCatTuner& tuner = model.tuner();
 
+  // Every section is decoded and checked before anything touches the model,
+  // so a refused file changes nothing.
   ByteReader meta(require_section(sections, kTagMeta), "META");
   const auto state_dim = static_cast<std::size_t>(meta.u32());
   const auto action_dim = static_cast<std::size_t>(meta.u32());
   const std::uint8_t replay_kind = meta.u8();
   const std::uint64_t next_seed = meta.u64();
   meta.expect_exhausted();
-  const bool want_rdper = model.tuner().options().use_rdper;
+  const bool want_rdper = tuner.options().use_rdper;
   if ((replay_kind == kReplayRdper) != want_rdper) {
     throw CheckpointError(
         "section 'META': replay kind mismatch (checkpoint " +
@@ -785,10 +860,17 @@ void load_checkpoint(std::istream& is, core::DeepCat& model,
         ", model configured for " +
         std::string(want_rdper ? "RDPER" : "uniform") + ")");
   }
+  rl::Td3Config config = tuner.options().td3;
+  if (tuner.has_agent() && (config.state_dim != state_dim ||
+                            config.action_dim != action_dim)) {
+    throw CheckpointError("section 'META': dims " + std::to_string(state_dim) +
+                          "x" + std::to_string(action_dim) +
+                          " differ from the model's agent");
+  }
+  config.state_dim = state_dim;
+  config.action_dim = action_dim;
   // NETS and ADAM hold f32 tensors from version 3 on. An older file's f64
-  // tensors are refused, not narrowed: its master trained in double. Both
-  // checks run before anything touches the model, so a refused file
-  // changes nothing.
+  // tensors are refused, not narrowed: its master trained in double.
   if (container.version < 3) {
     throw CheckpointError(
         "sections 'NETS' and 'ADAM': checkpoint format version " +
@@ -796,24 +878,45 @@ void load_checkpoint(std::istream& is, core::DeepCat& model,
         " stores f64 network tensors; this build reads the f32 tensors of "
         "version 3 and later (republish the model with this build)");
   }
-  model.tuner().materialize(state_dim, action_dim);
-  model.set_next_env_seed(next_seed);
-  decode_nets(require_section(sections, kTagNets), model);
-  decode_adam(require_section(sections, kTagAdam), model);
-  decode_replay(require_section(sections, kTagReplay), model);
-  decode_rng(require_section(sections, kTagRng), model);
+  rl::AgentSnapshot agent = decode_agent(require_section(sections, kTagNets),
+                                         require_section(sections, kTagAdam),
+                                         rl::Td3Agent::layout(config));
+  ReplayContents replay = decode_replay(require_section(sections, kTagReplay),
+                                        replay_fit(tuner));
+  const common::RngState rng = decode_rng(require_section(sections, kTagRng));
+  std::vector<std::pair<std::string, gp::Observation>> observations;
   if (repository != nullptr) {
     if (const std::string* payload =
             find_section(sections, kTagWorkloadRepo)) {
-      decode_workload_repo(*payload, *repository);
+      observations = decode_workload_repo(*payload);
     }
   }
+  std::optional<retrieval::ExperienceIndex> loaded_index;
   if (index != nullptr) {
     if (const std::string* payload =
             find_section(sections, kTagRetrievalIndex)) {
-      *index = decode_retrieval_index(*payload);
+      loaded_index = decode_retrieval_index(*payload);
     }
   }
+
+  // Apply. materialize's random init draws from the tuner's RNG, which RNGS
+  // then overwrites.
+  tuner.materialize(state_dim, action_dim);
+  model.set_next_env_seed(next_seed);
+  tuner.agent().restore(std::move(agent));
+  if (replay.kind == kReplayRdper) {
+    dynamic_cast<rl::RdperReplay&>(*tuner.replay())
+        .restore_pools(std::move(replay.rings[0]), replay.cursors[0],
+                       std::move(replay.rings[1]), replay.cursors[1]);
+  } else {
+    dynamic_cast<rl::UniformReplay&>(*tuner.replay())
+        .restore_storage(std::move(replay.rings[0]), replay.cursors[0]);
+  }
+  tuner.rng().restore(rng);
+  for (auto& [id, observation] : observations) {
+    repository->add(id, std::move(observation));
+  }
+  if (loaded_index) *index = std::move(*loaded_index);
 }
 
 std::string checkpoint_to_string(core::DeepCat& model,
@@ -913,8 +1016,14 @@ std::optional<std::uint32_t> ModelRegistry::latest_version(
 
 std::uint32_t ModelRegistry::publish(const std::string& name,
                                      core::DeepCat& model) {
+  return publish(name, checkpoint_to_string(model));
+}
+
+std::uint32_t ModelRegistry::publish(const std::string& name,
+                                     const std::string& checkpoint) {
   const std::uint32_t version = latest_version(name).value_or(0) + 1;
-  save_checkpoint_file(path_for(name, version), model);
+  write_file_durably(path_for(name, version), checkpoint,
+                     "ModelRegistry::publish");
   return version;
 }
 

@@ -18,12 +18,17 @@
 //
 // Section tags in version 3:
 //   "META"  dims, replay kind, next environment seed   (required)
-//   "NETS"  six networks, fixed order, shape-checked, f32 (required)
+//   "NETS"  six networks, fixed order, f32              (required)
 //   "ADAM"  three optimizers: step counts + f32 moments (required)
 //   "RPLY"  replay pools: contents + ring cursors       (required)
 //   "RNGS"  tuner RNG stream state                      (required)
 //   "WREP"  OtterTune workload repository               (optional)
 //   "RIDX"  warm-start experience retrieval index       (optional, v2)
+//
+// NETS and ADAM are the two halves of one rl::AgentSnapshot: the writer
+// encodes the agent's snapshot(), the reader decodes both into one
+// snapshot, checks it against the agent's layout (rl::AgentLayout::check)
+// and hands it to Td3Agent::restore.
 //
 // Version 2 added the optional "RIDX" section (DESIGN.md §12). Version-1
 // readers skip it by the normal unknown-tag rule, so v2 files without the
@@ -38,8 +43,11 @@
 // length and CRC still guard the walk), so old code tolerates new optional
 // sections; a *newer* format version is refused outright. Every failure
 // mode — bad magic, newer version, truncation, CRC mismatch, missing
-// required section, in-section decode overrun — raises CheckpointError
-// with a message naming the offending section; nothing is UB.
+// required section, in-section decode overrun, a layout, dim, ring cursor
+// or pool size that does not fit the model — raises CheckpointError with a
+// message naming the offending section; nothing is UB. A load is
+// all-or-nothing: every section is decoded and checked before the model
+// changes, so a refused file leaves it as it was.
 #pragma once
 
 #include <cstdint>
@@ -85,7 +93,8 @@ void save_checkpoint(std::ostream& os, core::DeepCat& model,
 /// with options matching the saved dims and replay kind (the service layer
 /// owns both sides, so this is a config-consistency check, not a schema
 /// migration). Pass `repository` / `index` to also restore the optional
-/// OtterTune and retrieval-index sections when present.
+/// OtterTune and retrieval-index sections when present. On a
+/// CheckpointError nothing of `model`, `repository` or `index` has changed.
 void load_checkpoint(std::istream& is, core::DeepCat& model,
                      gp::WorkloadRepository* repository = nullptr,
                      retrieval::ExperienceIndex* index = nullptr);
@@ -132,6 +141,8 @@ class ModelRegistry {
 
   /// Saves `model` as the next version of `name`; returns that version.
   std::uint32_t publish(const std::string& name, core::DeepCat& model);
+  /// The same for a model already serialized as `checkpoint`.
+  std::uint32_t publish(const std::string& name, const std::string& checkpoint);
 
   /// Highest published version of `name`, or nullopt if none.
   [[nodiscard]] std::optional<std::uint32_t> latest_version(

@@ -76,7 +76,7 @@ StreamingService::MasterEntry& StreamingService::ensure_entry_locked(
   return *it->second;
 }
 
-void StreamingService::bootstrap_model(
+std::shared_ptr<const std::string> StreamingService::bootstrap_model(
     const std::string& name, const std::function<void(core::DeepCat&)>& init) {
   std::unique_lock reg(registry_mutex_);
   MasterEntry& entry = ensure_entry_locked(name);
@@ -90,15 +90,15 @@ void StreamingService::bootstrap_model(
   // state_mutex_ only after the master lock is released: merges take
   // state_mutex_ then a master lock, so holding both here inverts the order.
   std::scoped_lock state(state_mutex_);
-  scope_seeds_[name] = std::move(seed);
+  return scope_seeds_[name] = std::move(seed);
 }
 
-void StreamingService::train_model(const std::string& name,
-                                   const sparksim::WorkloadSpec& workload,
-                                   std::size_t iterations) {
+std::shared_ptr<const std::string> StreamingService::train_model(
+    const std::string& name, const sparksim::WorkloadSpec& workload,
+    std::size_t iterations) {
   // Called before the server listens: no session runs, so the offline
   // train steps borrow an idle pool worker.
-  bootstrap_model(name, [&](core::DeepCat& model) {
+  return bootstrap_model(name, [&](core::DeepCat& model) {
     (void)model.train_offline(workload, iterations, &pool_);
   });
 }

@@ -108,9 +108,11 @@ class StreamingService {
 
   /// Explicit model bootstrap (the CLI uses these for the default model;
   /// other models load lazily from the registry on first request).
-  void train_model(const std::string& name,
-                   const sparksim::WorkloadSpec& workload,
-                   std::size_t iterations);
+  /// train_model returns the trained master's checkpoint (its genesis seed
+  /// blob), so that publishing it encodes nothing again.
+  std::shared_ptr<const std::string> train_model(
+      const std::string& name, const sparksim::WorkloadSpec& workload,
+      std::size_t iterations);
   void load_model(const std::string& name, std::istream& is);
   void load_model_file(const std::string& name, const std::string& path);
 
@@ -226,9 +228,10 @@ class StreamingService {
 
   [[nodiscard]] std::unique_ptr<MasterEntry> make_entry() const;
   /// Shared tail of train_model/load_model*: runs `init` on the named
-  /// entry under its master lock, then records the genesis seed blob.
-  void bootstrap_model(const std::string& name,
-                       const std::function<void(core::DeepCat&)>& init);
+  /// entry under its master lock, then records and returns the genesis
+  /// seed blob.
+  std::shared_ptr<const std::string> bootstrap_model(
+      const std::string& name, const std::function<void(core::DeepCat&)>& init);
   /// Finds or lazily loads the model; throws on unknown names.
   [[nodiscard]] MasterEntry& resolve_entry(const std::string& name);
   [[nodiscard]] MasterEntry& ensure_entry_locked(const std::string& name);

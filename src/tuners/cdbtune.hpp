@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 
 #include "rl/ddpg.hpp"
@@ -44,9 +43,6 @@ class CdbTuneTuner final : public OnlineTuner {
   TuningReport tune(sparksim::TuningEnvironment& env, int num_steps) override;
 
   [[nodiscard]] rl::DdpgAgent& agent();
-
-  void save(std::ostream& os) { agent().save(os); }
-  void load(std::istream& is) { agent().load(is); }
 
  private:
   void ensure_agent(const sparksim::TuningEnvironment& env);

@@ -273,8 +273,4 @@ TuningReport DeepCatTuner::tune_with_budget(sparksim::TuningEnvironment& env,
   return report;
 }
 
-void DeepCatTuner::save(std::ostream& os) { agent().save(os); }
-
-void DeepCatTuner::load(std::istream& is) { agent().load(is); }
-
 }  // namespace deepcat::tuners

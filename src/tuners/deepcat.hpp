@@ -114,12 +114,9 @@ class DeepCatTuner final : public OnlineTuner {
     return online_traces_;
   }
 
-  void save(std::ostream& os);
-  void load(std::istream& is);
-
   /// Builds the agent + replay buffer for the given dimensions without an
-  /// environment — the checkpoint layer needs a live agent to deserialize
-  /// into before any env exists in the loading process. No-op if the agent
+  /// environment — the checkpoint layer needs a live agent to restore into
+  /// before any env exists in the loading process. No-op if the agent
   /// already exists with matching dims; throws on a dim mismatch.
   void materialize(std::size_t state_dim, std::size_t action_dim);
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 namespace deepcat::core {
 namespace {
 
@@ -53,21 +51,6 @@ TEST(DeepCatApiTest, CrossClusterAdaptation) {
       {.max_steps = 5});
   EXPECT_EQ(report.steps.size(), 5u);
   EXPECT_GT(report.default_time, 0.0);
-}
-
-TEST(DeepCatApiTest, ModelSaveLoadAcrossInstances) {
-  DeepCat a(sparksim::cluster_a(), fast_options(4));
-  (void)a.train_offline(
-      sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 200);
-  std::stringstream ss;
-  a.save_model(ss);
-
-  DeepCat b(sparksim::cluster_a(), fast_options(5));
-  (void)b.train_offline(
-      sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 30);
-  b.load_model(ss);
-  const std::vector<double> state(9, 0.5);
-  EXPECT_EQ(a.tuner().agent().act(state), b.tuner().agent().act(state));
 }
 
 TEST(DeepCatApiTest, BudgetTerminationHonored) {

@@ -165,16 +165,6 @@ TEST(AdamTest, StepOnANeverSizedGradientThrows) {
   EXPECT_EQ(opt.step_count(), 1u);
 }
 
-TEST(AdamTest, SetLrTakesEffect) {
-  Tensor w(1, 1, 0.0f);
-  Tensor g(1, 1, 1.0f);
-  Adam opt({{"w", &w, &g}}, {.lr = 0.5});
-  opt.set_lr(0.001);
-  EXPECT_DOUBLE_EQ(opt.config().lr, 0.001);
-  opt.step();
-  EXPECT_NEAR(w(0, 0), -0.001f, 1e-6f);
-}
-
 // One optimizer step over tensors whose sizes straddle the 8- and 16-wide
 // lanes against the unfused composition under the same backend: the clip
 // scale from one dispatched float dot per tensor summed in double, then

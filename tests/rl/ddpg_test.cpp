@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "rl/replay.hpp"
 #include "rl/replay_per.hpp"
@@ -92,6 +91,7 @@ TEST(DdpgTest, TrainStepCountsAndReportsLosses) {
   EXPECT_TRUE(std::isfinite(stats.actor_loss));
 }
 
+// The state is saved with snapshot() and loaded with restore().
 TEST(DdpgTest, SaveLoadRoundTrip) {
   common::Rng rng(7);
   DdpgAgent a(small_config(), rng);
@@ -99,13 +99,66 @@ TEST(DdpgTest, SaveLoadRoundTrip) {
   UniformReplay buffer(256);
   fill_bandit_buffer(buffer, rng, 0.5, 64);
   for (int i = 0; i < 30; ++i) (void)a.train_step(buffer, rng);
-  std::stringstream ss;
-  a.save(ss);
-  b.load(ss);
+  b.restore(a.snapshot());
   const std::vector<double> s{0.1, 0.7};
   EXPECT_EQ(a.act(s), b.act(s));
   const std::vector<double> probe{0.3};
-  EXPECT_DOUBLE_EQ(a.q_value(s, probe), b.q_value(s, probe));
+  EXPECT_EQ(a.q_value(s, probe), b.q_value(s, probe));
+  EXPECT_EQ(b.train_steps(), a.train_steps());
+}
+
+// CDBTune restores its offline agent between online cases. The restore must
+// bring the Adam moments and step counts with the networks: an agent
+// restored from a snapshot, then trained, matches the agent the snapshot
+// was taken from, trained through the same RNG stream, bit for bit.
+TEST(DdpgTest, RestoreThenTrainMatchesNeverRestoredBitExact) {
+  common::Rng rng(9);
+  DdpgAgent original(small_config(), rng);
+  UniformReplay buffer(512);
+  fill_bandit_buffer(buffer, rng, 0.5, 256);
+  for (int i = 0; i < 40; ++i) (void)original.train_step(buffer, rng);
+  const AgentSnapshot saved = original.snapshot();
+  const common::RngState fork = rng.state();
+
+  // The agent to restore into trains first, so that its own moments and
+  // step counts differ from the snapshot's.
+  common::Rng other_init(999);
+  DdpgAgent restored(small_config(), other_init);
+  for (int i = 0; i < 7; ++i) (void)restored.train_step(buffer, other_init);
+  restored.restore(saved);
+  EXPECT_EQ(restored.train_steps(), original.train_steps());
+
+  common::Rng replay_rng(1);
+  replay_rng.restore(fork);
+  for (int i = 0; i < 20; ++i) {
+    const DdpgTrainStats want = original.train_step(buffer, rng);
+    const DdpgTrainStats got = restored.train_step(buffer, replay_rng);
+    EXPECT_EQ(got.critic_loss, want.critic_loss) << "step " << i;
+    EXPECT_EQ(got.actor_loss, want.actor_loss) << "step " << i;
+  }
+  const AgentSnapshot want = original.snapshot();
+  const AgentSnapshot got = restored.snapshot();
+  EXPECT_EQ(got.train_steps, want.train_steps);
+  ASSERT_EQ(got.optimizers.size(), 2u);
+  for (std::size_t o = 0; o < 2; ++o) {
+    EXPECT_EQ(got.optimizers[o].step_count, want.optimizers[o].step_count);
+    EXPECT_EQ(got.optimizers[o].first_moments,
+              want.optimizers[o].first_moments);
+    EXPECT_EQ(got.optimizers[o].second_moments,
+              want.optimizers[o].second_moments);
+  }
+  EXPECT_EQ(got.networks, want.networks);
+}
+
+TEST(DdpgTest, RestoreRejectsAnotherLayout) {
+  common::Rng rng(10);
+  DdpgAgent agent(small_config(), rng);
+  DdpgConfig wide = small_config();
+  wide.hidden = {24, 32};
+  DdpgAgent other(wide, rng);
+  const AgentSnapshot before = agent.snapshot();
+  EXPECT_THROW(agent.restore(other.snapshot()), AgentLayoutError);
+  EXPECT_EQ(agent.snapshot().networks, before.networks);
 }
 
 TEST(DdpgTest, WorksWithPrioritizedReplay) {

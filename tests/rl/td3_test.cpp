@@ -9,7 +9,6 @@
 #include <future>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -45,6 +44,38 @@ void fill_bandit_buffer(ReplayBuffer& buffer, common::Rng& rng,
     const double a = rng.uniform();
     const double r = 1.0 - 2.0 * std::abs(a - optimum);
     buffer.add({{0.5, 0.5}, {a}, r, {0.5, 0.5}, true});
+  }
+}
+
+void expect_same_tensors(const std::vector<nn::Tensor>& got,
+                         const std::vector<nn::Tensor>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].rows(), want[i].rows()) << "tensor " << i;
+    EXPECT_EQ(got[i].cols(), want[i].cols()) << "tensor " << i;
+    EXPECT_TRUE(std::equal(got[i].flat().begin(), got[i].flat().end(),
+                           want[i].flat().begin(), want[i].flat().end()))
+        << "tensor " << i;
+  }
+}
+
+void expect_same_snapshot(const AgentSnapshot& got, const AgentSnapshot& want) {
+  EXPECT_EQ(got.state_dim, want.state_dim);
+  EXPECT_EQ(got.action_dim, want.action_dim);
+  EXPECT_EQ(got.train_steps, want.train_steps);
+  ASSERT_EQ(got.networks.size(), want.networks.size());
+  for (std::size_t i = 0; i < got.networks.size(); ++i) {
+    SCOPED_TRACE("network " + std::to_string(i));
+    expect_same_tensors(got.networks[i], want.networks[i]);
+  }
+  ASSERT_EQ(got.optimizers.size(), want.optimizers.size());
+  for (std::size_t i = 0; i < got.optimizers.size(); ++i) {
+    SCOPED_TRACE("optimizer " + std::to_string(i));
+    EXPECT_EQ(got.optimizers[i].step_count, want.optimizers[i].step_count);
+    expect_same_tensors(got.optimizers[i].first_moments,
+                        want.optimizers[i].first_moments);
+    expect_same_tensors(got.optimizers[i].second_moments,
+                        want.optimizers[i].second_moments);
   }
 }
 
@@ -156,6 +187,8 @@ TEST(Td3Test, CriticLossDecreasesOnStationaryData) {
   EXPECT_LT(late, early);
 }
 
+// The state is saved with snapshot() and loaded with restore(): the
+// restored agent holds every tensor, moment and counter of the snapshot.
 TEST(Td3Test, SaveLoadRoundTrip) {
   common::Rng rng(10);
   Td3Agent a(small_config(), rng);
@@ -164,21 +197,20 @@ TEST(Td3Test, SaveLoadRoundTrip) {
   fill_bandit_buffer(buffer, rng, 0.7, 128);
   for (int i = 0; i < 50; ++i) (void)a.train_step(buffer, rng);
 
-  std::stringstream ss;
-  a.save(ss);
-  b.load(ss);
+  b.restore(a.snapshot());
+  expect_same_snapshot(b.snapshot(), a.snapshot());
   const std::vector<double> s{0.3, 0.9};
   EXPECT_EQ(a.act(s), b.act(s));
   const std::vector<double> act{0.4};
   EXPECT_EQ(a.twin_q(s, act), b.twin_q(s, act));
 }
 
-// Regression for the checkpoint-completeness bug: save used to drop the
+// Regression lock for the state-completeness bug: saving used to drop the
 // Adam optimizer state (moment vectors + step counts), so a saved-then-
 // loaded agent fine-tuned differently from one that was never saved.
-// Train, fork the RNG, then continue training the original and a
-// save->load clone through identical streams: every result must match
-// bit for bit.
+// Train, fork the RNG, then continue training the original and an agent
+// restored from its snapshot through identical streams: every result must
+// match bit for bit.
 TEST(Td3Test, SaveLoadThenTrainMatchesNeverSavedBitExact) {
   common::Rng rng(12);
   Td3Agent original(small_config(), rng);
@@ -186,19 +218,18 @@ TEST(Td3Test, SaveLoadThenTrainMatchesNeverSavedBitExact) {
   fill_bandit_buffer(buffer, rng, 0.7, 256);
   for (int i = 0; i < 50; ++i) (void)original.train_step(buffer, rng);
 
-  std::stringstream ss;
-  original.save(ss);
+  const AgentSnapshot saved = original.snapshot();
   const common::RngState fork = rng.state();
 
-  // Path A: the never-serialized agent keeps training.
+  // Path A: the never-copied agent keeps training.
   for (int i = 0; i < 25; ++i) (void)original.train_step(buffer, rng);
 
-  // Path B: a fresh agent restored from the checkpoint trains through an
+  // Path B: a fresh agent restored from the snapshot trains through an
   // identical RNG stream. Without Adam moments + step counts in the
-  // checkpoint the adaptive learning rates diverge immediately.
+  // snapshot the adaptive learning rates diverge immediately.
   common::Rng other_init(999);
   Td3Agent clone(small_config(), other_init);
-  clone.load(ss);
+  clone.restore(saved);
   EXPECT_EQ(clone.train_steps(), original.train_steps() - 25);
   common::Rng replay_rng(1);
   replay_rng.restore(fork);
@@ -263,51 +294,13 @@ TEST(Td3Test, MovedAgentLearnsLikeANeverMovedOne) {
   EXPECT_EQ(assigned.act(s), stay.act(s));
 }
 
-void expect_same_tensors(const std::vector<nn::Tensor>& got,
-                         const std::vector<nn::Tensor>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].rows(), want[i].rows()) << "tensor " << i;
-    EXPECT_EQ(got[i].cols(), want[i].cols()) << "tensor " << i;
-    EXPECT_TRUE(std::equal(got[i].flat().begin(), got[i].flat().end(),
-                           want[i].flat().begin(), want[i].flat().end()))
-        << "tensor " << i;
-  }
-}
-
-void expect_same_snapshot(const AgentSnapshot& got, const AgentSnapshot& want) {
-  EXPECT_EQ(got.state_dim, want.state_dim);
-  EXPECT_EQ(got.action_dim, want.action_dim);
-  EXPECT_EQ(got.train_steps, want.train_steps);
-  ASSERT_EQ(got.networks.size(), want.networks.size());
-  for (std::size_t i = 0; i < got.networks.size(); ++i) {
-    SCOPED_TRACE("network " + std::to_string(i));
-    expect_same_tensors(got.networks[i], want.networks[i]);
-  }
-  ASSERT_EQ(got.optimizers.size(), want.optimizers.size());
-  for (std::size_t i = 0; i < got.optimizers.size(); ++i) {
-    SCOPED_TRACE("optimizer " + std::to_string(i));
-    EXPECT_EQ(got.optimizers[i].step_count, want.optimizers[i].step_count);
-    expect_same_tensors(got.optimizers[i].first_moments,
-                        want.optimizers[i].first_moments);
-    expect_same_tensors(got.optimizers[i].second_moments,
-                        want.optimizers[i].second_moments);
-  }
-}
-
-std::string saved(Td3Agent& agent) {
-  std::ostringstream os;
-  agent.save(os);
-  return os.str();
-}
-
 // A clone of a frozen agent holds the agent's state exactly (every tensor,
 // moment and counter), whether it is read before the clone's first train
 // step (snapshot() from the source, act and twin_q from the copied nets,
-// networks(), optimizers() and save() after completing the copy) or after
-// it. It then trains like an agent restored from the source's saved state,
-// and like the source itself, bit for bit, with and without a partner: the
-// targets, moments and policy-delay phase all came along late.
+// networks() and optimizers() after completing the copy) or after it. It
+// then trains like an agent restored from the source's snapshot, and like
+// the source itself, bit for bit, with and without a partner: the targets,
+// moments and policy-delay phase all came along late.
 TEST(Td3Test, FrozenCloneHoldsItsSourceAndTrainsLikeIt) {
   common::Rng rng(31);
   Td3Agent source(small_config(), rng);
@@ -315,7 +308,6 @@ TEST(Td3Test, FrozenCloneHoldsItsSourceAndTrainsLikeIt) {
   fill_bandit_buffer(buffer, rng, 0.6, 256);
   for (int i = 0; i < 31; ++i) (void)source.train_step(buffer, rng);
   const AgentSnapshot want = source.snapshot();
-  const std::string want_saved = saved(source);
 
   Td3Agent clone(small_config(), source);
   expect_same_snapshot(clone.snapshot(), want);
@@ -346,17 +338,14 @@ TEST(Td3Test, FrozenCloneHoldsItsSourceAndTrainsLikeIt) {
     expect_same_tensors(opts[i].second->second_moments(),
                         source_opts[i].second->second_moments());
   }
-  Td3Agent unsaved(small_config(), source);
-  EXPECT_EQ(saved(unsaved), want_saved);
 
-  // Agents that train from here: the source, a reload of its saved state,
-  // the clone serially, and a clone of a still-untrained clone beside a
-  // borrowed worker. A clone reads its source only until its first train
-  // step, so training the source after that step changes nothing.
+  // Agents that train from here: the source, an agent restored from its
+  // snapshot, the clone serially, and a clone of a still-untrained clone
+  // beside a borrowed worker. A clone reads its source only until its first
+  // train step, so training the source after that step changes nothing.
   common::Rng other_init(999);
   Td3Agent reloaded(small_config(), other_init);
-  std::istringstream in(want_saved);
-  reloaded.load(in);
+  reloaded.restore(want);
   Td3Agent untrained(small_config(), source);
   Td3Agent chained(small_config(), untrained);
   common::ThreadPool pool(2);
@@ -365,10 +354,10 @@ TEST(Td3Test, FrozenCloneHoldsItsSourceAndTrainsLikeIt) {
   for (int i = 0; i < 9; ++i) {
     const Td3TrainStats got = clone.train_step(buffer, rng_c);
     const Td3TrainStats helped = chained.train_step(buffer, rng_p, &partner);
-    const Td3TrainStats from_text = reloaded.train_step(buffer, rng_r);
+    const Td3TrainStats restored = reloaded.train_step(buffer, rng_r);
     const Td3TrainStats from_source = source.train_step(buffer, rng_s);
     SCOPED_TRACE("step " + std::to_string(i));
-    for (const Td3TrainStats* other : {&helped, &from_text, &from_source}) {
+    for (const Td3TrainStats* other : {&helped, &restored, &from_source}) {
       EXPECT_EQ(got.critic1_loss, other->critic1_loss);
       EXPECT_EQ(got.critic2_loss, other->critic2_loss);
       EXPECT_EQ(got.actor_loss, other->actor_loss);
@@ -382,15 +371,106 @@ TEST(Td3Test, FrozenCloneHoldsItsSourceAndTrainsLikeIt) {
   EXPECT_EQ(chained.twin_q(s, a), source.twin_q(s, a));
 }
 
+// A snapshot of another layout (other dims, a wider hidden layer, a missing
+// tensor, a moment of another shape, a missing optimizer) is refused with an
+// AgentLayoutError naming the first difference, and the agent, a trained
+// one or a clone that still reads its source, keeps its state.
+TEST(Td3Test, RestoreRejectsAMismatchedSnapshotUnchanged) {
+  common::Rng rng(13);
+  Td3Agent agent(small_config(), rng);
+  UniformReplay buffer(256);
+  fill_bandit_buffer(buffer, rng, 0.7, 128);
+  for (int i = 0; i < 5; ++i) (void)agent.train_step(buffer, rng);
+  const AgentSnapshot before = agent.snapshot();
+  Td3Agent clone(small_config(), agent);
+
+  Td3Config wide = small_config();
+  wide.hidden = {24, 25};
+  struct Case {
+    AgentSnapshot snapshot;
+    const char* names;
+  };
+  std::vector<Case> cases;
+  cases.push_back({before, "dims"});
+  cases.back().snapshot.state_dim = 3;
+  cases.push_back({Td3Agent(wide, rng).snapshot(), "'actor' tensor 2"});
+  cases.push_back({before, "network 'critic2' holds 5 tensors"});
+  cases.back().snapshot.networks[3].pop_back();
+  cases.push_back({before, "'critic1_opt' second moments tensor 1"});
+  cases.back().snapshot.optimizers[1].second_moments[1] = nn::Tensor(1, 23);
+  cases.push_back({before, "2 optimizers"});
+  cases.back().snapshot.optimizers.pop_back();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.names);
+    for (Td3Agent* target : {&agent, &clone}) {
+      try {
+        target->restore(c.snapshot);
+        ADD_FAILURE() << "a mismatched snapshot was restored";
+      } catch (const AgentLayoutError& e) {
+        EXPECT_NE(std::string(e.what()).find(c.names), std::string::npos)
+            << e.what();
+      }
+      expect_same_snapshot(target->snapshot(), before);
+    }
+  }
+  // The refused restores left the clone acting as its source does.
+  const std::vector<double> s{0.3, 0.9};
+  EXPECT_EQ(clone.act(s), agent.act(s));
+}
+
+// `s` holding only its first `keep` tensors, in the order a stream of it
+// carries them: each network's parameters, then each optimizer's first and
+// second moments.
+AgentSnapshot cut_after(const AgentSnapshot& s, std::size_t keep) {
+  AgentSnapshot cut;
+  cut.state_dim = s.state_dim;
+  cut.action_dim = s.action_dim;
+  cut.train_steps = s.train_steps;
+  const auto take = [&keep](const std::vector<nn::Tensor>& from,
+                            std::vector<nn::Tensor>& to) {
+    for (std::size_t i = 0; i < from.size() && keep > 0; ++i, --keep) {
+      to.push_back(from[i]);
+    }
+  };
+  for (const auto& net : s.networks) {
+    if (keep == 0) return cut;
+    take(net, cut.networks.emplace_back());
+  }
+  for (const auto& opt : s.optimizers) {
+    if (keep == 0) return cut;
+    auto& o = cut.optimizers.emplace_back();
+    o.step_count = opt.step_count;
+    take(opt.first_moments, o.first_moments);
+    take(opt.second_moments, o.second_moments);
+  }
+  return cut;
+}
+
+// The state is loaded with restore() (SaveLoadRoundTrip): a snapshot cut
+// short after any of its tensors is refused with an AgentLayoutError and
+// leaves the agent as it was, which still takes the whole snapshot.
 TEST(Td3Test, LoadRejectsTruncatedStream) {
   common::Rng rng(13);
-  Td3Agent a(small_config(), rng);
-  std::stringstream ss;
-  a.save(ss);
-  const std::string full = ss.str();
-  std::istringstream cut(full.substr(0, full.size() / 3));
-  Td3Agent b(small_config(), rng);
-  EXPECT_THROW(b.load(cut), std::runtime_error);
+  Td3Agent agent(small_config(), rng);
+  UniformReplay buffer(256);
+  fill_bandit_buffer(buffer, rng, 0.7, 128);
+  for (int i = 0; i < 5; ++i) (void)agent.train_step(buffer, rng);
+  const AgentSnapshot before = agent.snapshot();
+
+  std::size_t tensors = 0;
+  for (const auto& net : before.networks) tensors += net.size();
+  for (const auto& opt : before.optimizers) {
+    tensors += opt.first_moments.size() + opt.second_moments.size();
+  }
+  ASSERT_EQ(tensors, 6u * 6 + 3u * 2 * 6);
+  for (std::size_t keep = 0; keep < tensors; ++keep) {
+    SCOPED_TRACE("kept " + std::to_string(keep) + " tensors");
+    EXPECT_THROW(agent.restore(cut_after(before, keep)), AgentLayoutError);
+    expect_same_snapshot(agent.snapshot(), before);
+  }
+  Td3Agent other(small_config(), rng);
+  other.restore(cut_after(before, tensors));
+  expect_same_snapshot(other.snapshot(), before);
 }
 
 TEST(Td3Test, TrainStepFeedsPriorityUpdates) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -398,6 +399,113 @@ TEST(CheckpointTest, FailedPublishRemovesTmpFileAndNamesTheError) {
   }
   EXPECT_FALSE(std::filesystem::exists(target + ".tmp"));
   std::filesystem::remove_all(dir);
+}
+
+// ---- A load changes nothing unless it succeeds ---------------------------
+
+std::uint64_t read_le(const std::string& bytes, std::size_t at,
+                      std::size_t width) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    v |= std::uint64_t{static_cast<unsigned char>(bytes[at + i])} << (8 * i);
+  }
+  return v;
+}
+
+void write_le(std::string& bytes, std::size_t at, std::size_t width,
+              std::uint64_t v) {
+  for (std::size_t i = 0; i < width; ++i) {
+    bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+  }
+}
+
+/// Where section `tag`'s header starts in `blob`: past the magic and the
+/// version, sections are u32 tag | u64 length | payload | u32 CRC.
+std::size_t section_at(const std::string& blob, const char (&tag)[5]) {
+  std::size_t at = 8;
+  while (blob.compare(at, 4, tag) != 0) at += 12 + read_le(blob, at + 4, 8) + 4;
+  return at;
+}
+
+/// The u32 or u64 (`width` bytes) at `offset` in section `tag`'s payload.
+std::uint64_t field(const std::string& blob, const char (&tag)[5],
+                    std::size_t offset, std::size_t width) {
+  return read_le(blob, section_at(blob, tag) + 12 + offset, width);
+}
+
+/// Sets that field to `v` and recomputes the section's CRC, so that only
+/// the section's decoder can refuse it.
+void patch_field(std::string& blob, const char (&tag)[5], std::size_t offset,
+                 std::size_t width, std::uint64_t v) {
+  const std::size_t at = section_at(blob, tag);
+  const std::size_t len = read_le(blob, at + 4, 8);
+  write_le(blob, at + 12 + offset, width, v);
+  write_le(blob, at + 12 + len, 4,
+           crc32(reinterpret_cast<const unsigned char*>(blob.data()) + at + 12,
+                 len));
+}
+
+void expect_refused_naming(const std::string& blob, core::DeepCat& model,
+                           const char* section) {
+  try {
+    checkpoint_from_string(blob, model);
+    ADD_FAILURE() << "a malformed " << section << " section was accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find(section), std::string::npos)
+        << e.what();
+  }
+}
+
+// A model holding checkpoint A is offered B with a malformed ADAM (its
+// optimizer count) or with META dims that differ from A's agent. Each is
+// refused naming the section, and the model still writes A byte for byte:
+// NETS, the env seed and everything else were left as they were.
+TEST(CheckpointTest, RefusedSectionsLeaveTheLoadedModelUnchanged) {
+  core::DeepCat model = trained_model(21, 40);
+  const std::string a = checkpoint_to_string(model);
+  core::DeepCat other = trained_model(22, 40);
+  const std::string b = checkpoint_to_string(other);
+
+  std::string bad_adam = b;
+  patch_field(bad_adam, "ADAM", 0, 4, field(b, "ADAM", 0, 4) + 1);
+  expect_refused_naming(bad_adam, model, "ADAM");
+  EXPECT_EQ(checkpoint_to_string(model), a);
+
+  std::string bad_meta = b;
+  patch_field(bad_meta, "META", 0, 4, field(b, "META", 0, 4) + 1);
+  expect_refused_naming(bad_meta, model, "META");
+  EXPECT_EQ(checkpoint_to_string(model), a);
+
+  checkpoint_from_string(b, model);
+  EXPECT_EQ(checkpoint_to_string(model), b);
+}
+
+// RPLY: u8 kind, f64 R_th, f64 beta, u64 pool capacity, then the high
+// pool's u64 cursor. A cursor at the capacity is refused by name before the
+// fresh model builds an agent.
+TEST(CheckpointTest, ReplayCursorPastItsPoolIsRefused) {
+  core::DeepCat model = trained_model(23, 20);
+  std::string blob = checkpoint_to_string(model);
+  const std::uint64_t capacity = field(blob, "RPLY", 17, 8);
+  ASSERT_GT(capacity, 0u);
+  patch_field(blob, "RPLY", 25, 8, capacity);
+  core::DeepCat fresh(sparksim::cluster_a(), small_options(1));
+  expect_refused_naming(blob, fresh, "RPLY");
+  EXPECT_FALSE(fresh.tuner().has_agent()) << "a refused file changed the model";
+}
+
+// NETS: u32 network count, the name "actor" (u32 length + 5 bytes), its
+// u32 tensor count, then the first tensor's u32 rows and cols. A shape of
+// 2^32-1 x 2^32-1 floats is refused as a truncated payload before anything
+// is allocated for it.
+TEST(CheckpointTest, TensorLargerThanItsPayloadFailsTypedBeforeAllocating) {
+  core::DeepCat model = trained_model(24, 20);
+  std::string blob = checkpoint_to_string(model);
+  patch_field(blob, "NETS", 17, 4, 0xFFFFFFFFu);
+  patch_field(blob, "NETS", 21, 4, 0xFFFFFFFFu);
+  core::DeepCat fresh(sparksim::cluster_a(), small_options(1));
+  expect_refused_naming(blob, fresh, "NETS");
+  EXPECT_FALSE(fresh.tuner().has_agent());
 }
 
 }  // namespace

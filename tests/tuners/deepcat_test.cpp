@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -402,9 +401,7 @@ TEST(DeepCatTunerTest, SaveLoadPreservesPolicy) {
   TuningEnvironment env_b = make_env(18);
   (void)b.train_offline(env_b, 30);  // build the agent, different weights
 
-  std::stringstream ss;
-  a.save(ss);
-  b.load(ss);
+  b.agent().restore(a.agent().snapshot());
   const std::vector<double> state(9, 0.5);
   EXPECT_EQ(a.agent().act(state), b.agent().act(state));
 }
@@ -420,8 +417,7 @@ TEST(DeepCatTunerTest, StableOnlineProtocolIsDeterministic) {
   DeepCatTuner a(o);
   TuningEnvironment train = make_env(30);
   (void)a.train_offline(train, 150);
-  std::stringstream weights;
-  a.save(weights);
+  const rl::AgentSnapshot weights = a.agent().snapshot();
 
   TuningEnvironment env1 = make_env(31);
   const TuningReport r1 = a.tune(env1, 4);
@@ -429,9 +425,7 @@ TEST(DeepCatTunerTest, StableOnlineProtocolIsDeterministic) {
   DeepCatTuner b(o);
   TuningEnvironment boot = make_env(32);
   (void)b.train_offline(boot, 30);
-  weights.clear();
-  weights.seekg(0);
-  b.load(weights);
+  b.agent().restore(weights);
   TuningEnvironment env2 = make_env(31);
   const TuningReport r2 = b.tune(env2, 4);
 
