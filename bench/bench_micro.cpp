@@ -89,6 +89,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "common/thread_pool.hpp"
@@ -313,10 +314,9 @@ class ObsServe {
     service::StreamingOptions options = obs_bench_options();
     if (streaming_export) {
       obs::TracerOptions tracer_options;
-      tracer_options.exporter = &sink_;
       tracer_options.ring_capacity = 256;
       tracer_options.health = &registry_;
-      tracer_.emplace(clock_, tracer_options);
+      tracer_.emplace(clock_, sink_, tracer_options);
       options.service.obs = {&registry_, &*tracer_};
     }
     svc_.emplace(options);
@@ -961,10 +961,9 @@ int run_obs_bench_json(const std::string& path) {
     obs::CallbackSpanSink sink([](const obs::SpanRecord&) {});
     obs::MetricsRegistry live;
     obs::TracerOptions tracer_options;
-    tracer_options.exporter = &sink;
     tracer_options.ring_capacity = 256;
     tracer_options.health = &live;
-    obs::Tracer tracer(clock, tracer_options);
+    obs::Tracer tracer(clock, sink, tracer_options);
     service::StreamingOptions options = obs_bench_options();
     options.service.obs = {&live, &tracer};
     service::StreamingService svc(options);
@@ -1341,7 +1340,7 @@ int run_warm_bench_json(const std::string& path) {
   json << ",\"skipped\":[";
   for (std::size_t i = 0; i < skipped.size(); ++i) {
     if (i) json << ",";
-    json << "\"" << service::json_escape(skipped[i]) << "\"";
+    json << "\"" << common::json_escape(skipped[i]) << "\"";
   }
   json << "]}\n";
   registry.write_jsonl(json);

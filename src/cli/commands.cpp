@@ -13,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/simd.hpp"
 #include "common/table.hpp"
 #include "core/deepcat_api.hpp"
@@ -118,7 +119,6 @@ void print_usage(std::ostream& os) {
         "      [--max-models 4] [--train-iters 0] [--train-workload TS]\n"
         "      [--threads 0] [--cluster a|b] [--seed 1]\n"
         "      [--trace-out trace.json] [--metrics-out metrics.jsonl]\n"
-        "      [--trace-stream trace.json] [--trace-ring 256]\n"
         "      [--tele-every 0] [--clock steady|logical]\n"
         "      [--http host:port]      (GET /metrics /healthz /varz\n"
         "                               /timeseries on the same epoll loop;\n"
@@ -127,7 +127,7 @@ void print_usage(std::ostream& os) {
         "                               points per series; exported as TSER\n"
         "                               frames and GET /timeseries)\n"
         "      [--reply-timings 1]     (echo per-stage t_*_ns in traced REPs;\n"
-        "                               needs --trace-out/--trace-stream)\n"
+        "                               needs --trace-out)\n"
         "      (every stream runs through the epoll front end. --tcp runs\n"
         "       the long-lived multiplexing server; --socket alone, --in,\n"
         "       --requests and stdin serve one connection and exit.\n"
@@ -197,28 +197,25 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
   options.max_loaded_models = args.integer_or<std::size_t>("max-models", 4);
   options.registry_dir = checkpoint_dir;
 
-  // Observability taps: --trace-out (retained) / --trace-stream
-  // (incremental export) / --metrics-out turn the sink on for the whole
-  // stack (service spans, tuner losses, GP timings). --clock logical
-  // makes the trace/metrics — and the TELE payloads — deterministic for
-  // golden comparisons.
+  // Observability taps: --trace-out streams completed spans into a Chrome
+  // trace file, --metrics-out writes the registry at exit; either turns
+  // the sink on for the whole stack (service spans, tuner losses, GP
+  // timings). --clock logical makes the trace/metrics — and the TELE
+  // payloads — deterministic for golden comparisons.
   const auto trace_out = args.flag("trace-out");
-  const auto trace_stream = args.flag("trace-stream");
   const auto metrics_out = args.flag("metrics-out");
-  if (trace_out && trace_stream) {
-    throw std::invalid_argument(
-        "serve: --trace-out and --trace-stream are mutually exclusive");
-  }
   const std::string clock_kind = args.flag_or("clock", "steady");
+  // Declared so that the tracer goes first: its last drain still writes
+  // the file and sets the registry's health gauge.
   std::unique_ptr<obs::Clock> clock;
+  std::unique_ptr<obs::MetricsRegistry> metrics_registry;
+  std::ofstream trace_file;
   std::unique_ptr<obs::ChromeTraceFileSink> trace_sink;
   std::unique_ptr<obs::Tracer> tracer;
-  std::unique_ptr<obs::MetricsRegistry> metrics_registry;
   // --http implies a metrics registry (GET /metrics must serve real
   // instruments, not just the build-info join gauge) but not a tracer:
-  // a long-running server should not retain spans nobody will export.
-  const bool obs_on =
-      trace_out || trace_stream || metrics_out || http_spec.has_value();
+  // spans need a file to stream to.
+  const bool obs_on = trace_out || metrics_out || http_spec.has_value();
   if (obs_on) {
     if (clock_kind == "logical") {
       clock = std::make_unique<obs::LogicalClock>();
@@ -229,18 +226,20 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
                                   "' (use steady or logical)");
     }
     metrics_registry = std::make_unique<obs::MetricsRegistry>();
-    if (trace_out || trace_stream) {
+    if (trace_out) {
+      // Opened before the service is built, so an unwritable path fails
+      // before anything trains; from here on the file is a valid trace.
+      trace_file.open(*trace_out, std::ios::binary | std::ios::trunc);
+      if (!trace_file) {
+        throw std::invalid_argument("serve: cannot open trace output '" +
+                                    *trace_out + "'");
+      }
+      trace_sink =
+          std::make_unique<obs::ChromeTraceFileSink>(trace_file, clock_kind);
       obs::TracerOptions tracer_options;
       tracer_options.health = metrics_registry.get();
-      if (trace_stream) {
-        trace_sink =
-            std::make_unique<obs::ChromeTraceFileSink>(*trace_stream,
-                                                       clock_kind);
-        tracer_options.exporter = trace_sink.get();
-        tracer_options.ring_capacity =
-            args.integer_or<std::size_t>("trace-ring", 256);
-      }
-      tracer = std::make_unique<obs::Tracer>(*clock, tracer_options);
+      tracer =
+          std::make_unique<obs::Tracer>(*clock, *trace_sink, tracer_options);
       options.service.obs.tracer = tracer.get();
     }
     options.service.obs.metrics = metrics_registry.get();
@@ -260,8 +259,7 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
   options.reply_timings = args.number_or("reply-timings", 0) != 0.0;
   if (options.reply_timings && tracer == nullptr) {
     throw std::invalid_argument(
-        "serve: --reply-timings needs a tracer (--trace-out or "
-        "--trace-stream)");
+        "serve: --reply-timings needs a tracer (--trace-out)");
   }
 
   net::FrontEndOptions fe;
@@ -421,23 +419,18 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
     exit_code = front_end_exit_code(stats);
   }
 
-  if (trace_stream) {
+  if (tracer != nullptr) {
     tracer->flush_exporter();
+    if (!trace_file) {
+      throw std::runtime_error("serve: writing trace output '" + *trace_out +
+                               "' failed");
+    }
     if (!quiet) {
-      os << "streamed trace to " << *trace_stream << " ("
-         << trace_sink->exported_spans() << " spans, ring highwater "
+      os << "wrote trace to " << *trace_out << " ("
+         << tracer->exported_spans() << " spans, ring highwater "
          << tracer->ring_highwater() << ", dropped "
          << tracer->dropped_spans() << ")\n";
     }
-  }
-  if (trace_out) {
-    std::ofstream tf(*trace_out, std::ios::trunc);
-    if (!tf) {
-      throw std::invalid_argument("serve: cannot open trace output '" +
-                                  *trace_out + "'");
-    }
-    tracer->write_chrome_trace(tf);
-    if (!quiet) os << "wrote trace to " << *trace_out << '\n';
   }
   if (metrics_out) {
     std::ofstream mf(*metrics_out, std::ios::trunc);
@@ -760,29 +753,40 @@ int cmd_stats(const ParsedArgs& args, std::ostream& os) {
         "stats: --socket /path.sock or --tcp host:port is required");
   }
   const std::string endpoint = socket_path ? *socket_path : *tcp_spec;
+
+  // --trace-out: stream a client-side trace, tag every request with a
+  // trace id + parent span, and graft the server's echoed t_*_ns stage
+  // block back in as server.* child spans — one Chrome-trace file then
+  // shows a request's full life across both processes.
+  const auto trace_out = args.flag("trace-out");
+  if (args.flag("trace-id") && !trace_out) {
+    throw std::invalid_argument("stats: --trace-id needs --trace-out");
+  }
+  const std::string trace_id = args.flag_or("trace-id", "deepcat-stats");
+  obs::SteadyClock clock;
+  std::ofstream trace_file;
+  std::unique_ptr<obs::ChromeTraceFileSink> trace_sink;
+  std::unique_ptr<obs::Tracer> tracer;
+  std::uint64_t root_span = 0;
+  if (trace_out) {
+    trace_file.open(*trace_out, std::ios::binary | std::ios::trunc);
+    if (!trace_file) {
+      throw std::invalid_argument("stats: cannot open trace output '" +
+                                  *trace_out + "'");
+    }
+    trace_sink =
+        std::make_unique<obs::ChromeTraceFileSink>(trace_file, clock.kind());
+    tracer = std::make_unique<obs::Tracer>(clock, *trace_sink);
+    root_span = tracer->begin_span("client.stats");
+  }
+
   net::BlockingClient client = [&] {
     if (socket_path) return net::BlockingClient::to_unix(*socket_path);
     const auto [host, port] = net::parse_host_port(*tcp_spec);
     return net::BlockingClient::to_tcp(host.empty() ? "127.0.0.1" : host,
                                        port);
   }();
-
-  // --trace-out: open a client-side trace, tag every request with a trace
-  // id + parent span, and graft the server's echoed t_*_ns stage block
-  // back in as server.* child spans — one Chrome-trace file then shows a
-  // request's full life across both processes.
-  const auto trace_out = args.flag("trace-out");
-  if (args.flag("trace-id") && !trace_out) {
-    throw std::invalid_argument("stats: --trace-id needs --trace-out");
-  }
-  const std::string trace_id = args.flag_or("trace-id", "deepcat-stats");
-  std::unique_ptr<obs::SteadyClock> clock;
-  std::unique_ptr<obs::Tracer> tracer;
-  std::uint64_t root_span = 0;
-  if (trace_out) {
-    clock = std::make_unique<obs::SteadyClock>();
-    tracer = std::make_unique<obs::Tracer>(*clock);
-    root_span = tracer->begin_span("client.stats");
+  if (tracer != nullptr) {
     obs::Sink sink;
     sink.tracer = tracer.get();
     sink.trace_parent = root_span;
@@ -810,10 +814,10 @@ int cmd_stats(const ParsedArgs& args, std::ostream& os) {
       if (line.empty()) continue;
       if (tracer != nullptr) {
         const std::uint64_t rpc = tracer->begin_span("client.rpc", root_span);
-        open_rpcs.push_back({rpc, clock->now_ns()});
+        open_rpcs.push_back({rpc, clock.now_ns()});
         const std::size_t brace = line.rfind('}');
         if (brace != std::string::npos) {
-          line.insert(brace, ",\"trace\":\"" + service::json_escape(trace_id) +
+          line.insert(brace, ",\"trace\":\"" + common::json_escape(trace_id) +
                                  "\",\"span\":" + std::to_string(rpc));
         }
       }
@@ -867,6 +871,10 @@ int cmd_stats(const ParsedArgs& args, std::ostream& os) {
     }
     if (frame->type == service::FrameType::kEnd) break;
   }
+  if (tracer != nullptr) {
+    for (const OpenRpc& rpc : open_rpcs) tracer->end_span(rpc.span);
+    tracer->end_span(root_span);
+  }
   if (tele.empty()) {
     os << "error: no TELE frame received from '" << endpoint << "'\n";
     return 1;
@@ -899,16 +907,13 @@ int cmd_stats(const ParsedArgs& args, std::ostream& os) {
     }
   }
 
-  if (trace_out) {
-    for (const OpenRpc& rpc : open_rpcs) tracer->end_span(rpc.span);
-    tracer->end_span(root_span);
-    std::ofstream tf(*trace_out, std::ios::trunc);
-    if (!tf) {
-      throw std::invalid_argument("stats: cannot open trace output '" +
-                                  *trace_out + "'");
+  if (tracer != nullptr) {
+    tracer->flush_exporter();
+    if (!trace_file) {
+      throw std::runtime_error("stats: writing trace output '" + *trace_out +
+                               "' failed");
     }
-    tracer->write_chrome_trace(tf);
-    os << "wrote trace to " << *trace_out << " (" << tracer->span_count()
+    os << "wrote trace to " << *trace_out << " (" << tracer->exported_spans()
        << " spans, trace id '" << trace_id << "')\n";
   }
   return errors == 0 ? 0 : 1;
@@ -1018,7 +1023,7 @@ int cmd_index_query(const ParsedArgs& args, std::ostream& os) {
     for (const auto& nb : neighbors) {
       const retrieval::ExperienceEntry& e = index.entries()[nb.entry];
       os << "{\"rank\":" << rank++ << ",\"workload\":\""
-         << service::json_escape(e.workload) << "\",\"seed\":" << e.seed
+         << common::json_escape(e.workload) << "\",\"seed\":" << e.seed
          << ",\"distance\":" << nb.distance
          << ",\"best_cost\":" << e.best_cost
          << ",\"default_cost\":" << e.default_cost << "}\n";
@@ -1078,8 +1083,8 @@ flags_read() {
             "model",        "out",          "reply-timings", "requests",
             "seed",         "series",       "shards",      "socket",
             "stream",       "tcp",          "tele-every",  "threads",
-            "trace-out",    "trace-ring",   "trace-stream", "train-iters",
-            "train-size",   "train-workload", "warm-index"}},
+            "trace-out",    "train-iters",  "train-size",  "train-workload",
+            "warm-index"}},
           {"stats",
            {"requests", "series", "socket", "tcp", "trace-id", "trace-out"}},
           {"index build",

@@ -1,22 +1,19 @@
-// Span export sinks — the streaming side of the tracer.
+// Span export sinks — where the tracer's completed spans go.
 //
-// In retained mode the Tracer keeps every span in memory until someone
-// calls write_chrome_trace(); fine for tests and short CLI runs, O(trace)
-// for a long-lived service. Exporter mode inverts that: completed spans
-// accumulate in a small ring inside the Tracer and are handed to a
-// SpanSink in batches whenever the ring fills (synchronous back-pressure,
-// never silent loss) and at flush points. Memory stays O(ring + open
-// spans) however long the stream runs.
+// Completed spans accumulate in a small ring inside the Tracer and are
+// handed to a SpanSink in batches whenever the ring fills (synchronous
+// back-pressure, never silent loss) and at flush points. Memory stays
+// O(ring + open spans) however long the stream runs.
 //
 // Two sinks ship here:
 //
 //   * CallbackSpanSink — in-process fan-out to a std::function, for tests,
 //     benchmarks and embedders that want spans as objects.
-//   * ChromeTraceFileSink — incremental Chrome-trace-format writer with
-//     valid-JSON-on-crash framing: after every event the closing "]}"
+//   * ChromeTraceFileSink — the one Chrome-trace-format writer, with
+//     valid-JSON-on-crash framing: after every batch the closing "]}"
 //     tail is written and the write position rewound over it before the
-//     next event, so the file on disk parses as a complete trace at every
-//     flush boundary even if the process dies mid-stream.
+//     next batch, so the stream parses as a complete trace at every flush
+//     boundary even if the process dies mid-stream.
 //
 // Sinks are called with the Tracer's internal mutex held (that is what
 // makes the ring drain a back-pressure point rather than a drop point),
@@ -25,8 +22,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <fstream>
 #include <functional>
+#include <ostream>
 #include <string>
 
 namespace deepcat::obs {
@@ -68,36 +65,33 @@ class CallbackSpanSink final : public SpanSink {
   Callback on_span_;
 };
 
-/// Streams spans into a Chrome-trace JSON file as they complete.
+/// Streams spans into a Chrome-trace JSON document as they complete: one
+/// "X" (complete) event per span with ts/dur in microseconds and the span
+/// id and parent in args, in completion order, after metadata naming the
+/// process and the clock kind.
 ///
 /// Framing invariant: after construction and after every export_spans /
-/// flush call the file contains a structurally valid Chrome trace (header,
-/// metadata event, every span exported so far, closing "]}" tail). The
-/// tail is rewritten after each event batch and the put position seeks
-/// back over it before the next batch — a crash between batches loses at
-/// most the spans still in the Tracer's ring, never the file's validity.
+/// flush call the stream holds a structurally valid Chrome trace (header,
+/// metadata event, every span exported so far, closing "]}" tail). Each
+/// batch is written, with a fresh tail, in one write over the previous
+/// tail and flushed — a crash loses at most the spans still in the
+/// Tracer's ring, never the file's validity. The stream must therefore be
+/// seekable (a file or a string stream).
 class ChromeTraceFileSink final : public SpanSink {
  public:
-  /// Opens (truncates) `path` and writes the trace header. `clock_kind`
-  /// lands in the otherData metadata ("steady" / "logical"). Throws
-  /// std::runtime_error when the file cannot be opened.
-  ChromeTraceFileSink(const std::string& path, const std::string& clock_kind);
+  /// Writes the trace header to `out`, which the caller opened and keeps
+  /// alive for the sink's lifetime. `clock_kind` lands in the otherData
+  /// metadata ("steady" / "logical"). Throws std::invalid_argument when
+  /// `out` cannot report its position (a pipe), before writing a span.
+  ChromeTraceFileSink(std::ostream& out, const std::string& clock_kind);
   ~ChromeTraceFileSink() override;
 
   void export_spans(const SpanRecord* spans, std::size_t count) override;
   void flush() override;
 
-  /// Spans written to the file so far.
-  [[nodiscard]] std::uint64_t exported_spans() const noexcept {
-    return exported_;
-  }
-
  private:
-  void write_tail();
-
-  std::ofstream out_;
-  std::ofstream::pos_type tail_pos_{};
-  std::uint64_t exported_ = 0;
+  std::ostream& out_;
+  std::ostream::pos_type tail_pos_{};
 };
 
 }  // namespace deepcat::obs

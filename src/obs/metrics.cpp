@@ -9,6 +9,8 @@
 #include <thread>
 #include <utility>
 
+#include "common/json.hpp"
+
 namespace deepcat::obs {
 
 namespace detail {
@@ -207,34 +209,6 @@ const char* kind_name(MetricKind kind) noexcept {
   return "unknown";
 }
 
-// Metric names are plain identifiers (dots, dashes, alnum); escape the
-// JSON specials anyway so a stray name cannot corrupt the export.
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      default:
-        os << c;
-    }
-  }
-  os << '"';
-}
-
 }  // namespace
 
 Counter& MetricsRegistry::counter(const std::string& name,
@@ -333,8 +307,7 @@ std::vector<MetricSnapshot> MetricsRegistry::snapshot(
 
 void write_metric_json(std::ostream& os, const MetricSnapshot& snap) {
   const auto previous = os.precision(17);
-  os << "{\"name\":";
-  write_json_string(os, snap.name);
+  os << "{\"name\":\"" << common::json_escape(snap.name) << '"';
   os << ",\"kind\":\"" << kind_name(snap.kind) << "\",\"deterministic\":"
      << (snap.deterministic ? "true" : "false");
   switch (snap.kind) {

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/json.hpp"
+
 namespace deepcat::obs {
 
 namespace {
@@ -31,20 +33,6 @@ void fold_into(TimeSeriesPoint& into, const TimeSeriesPoint& p) {
   into.min = std::min(into.min, p.min);
   into.max = std::max(into.max, p.max);
   into.last = p.last;
-}
-
-std::string escape_name(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -139,9 +127,9 @@ void write_timeseries_jsonl(std::ostream& os,
                             const std::vector<TimeSeriesSnapshot>& series) {
   os << "{\"tser\":1,\"series\":" << series.size() << "}\n";
   for (const TimeSeriesSnapshot& s : series) {
-    os << "{\"name\":\"" << escape_name(s.name) << "\",\"count\":" << s.total
-       << ",\"stride\":" << s.stride << ",\"points\":\""
-       << encode_points(s.points) << "\"}\n";
+    os << "{\"name\":\"" << common::json_escape(s.name)
+       << "\",\"count\":" << s.total << ",\"stride\":" << s.stride
+       << ",\"points\":\"" << encode_points(s.points) << "\"}\n";
   }
 }
 
@@ -151,8 +139,9 @@ void write_timeseries_json(std::ostream& os,
   for (std::size_t i = 0; i < series.size(); ++i) {
     const TimeSeriesSnapshot& s = series[i];
     if (i != 0) os << ',';
-    os << "{\"name\":\"" << escape_name(s.name) << "\",\"count\":" << s.total
-       << ",\"stride\":" << s.stride << ",\"points\":[";
+    os << "{\"name\":\"" << common::json_escape(s.name)
+       << "\",\"count\":" << s.total << ",\"stride\":" << s.stride
+       << ",\"points\":[";
     for (std::size_t j = 0; j < s.points.size(); ++j) {
       const TimeSeriesPoint& p = s.points[j];
       if (j != 0) os << ',';

@@ -1,6 +1,7 @@
-// Span tracer with explicit parent/child links and an injectable clock,
-// exporting Chrome-trace-format JSON (load the file in chrome://tracing
-// or https://ui.perfetto.dev).
+// Span tracer with explicit parent/child links and an injectable clock.
+// Completed spans stream out through a SpanSink (exporter.hpp); the
+// ChromeTraceFileSink turns them into a Chrome-trace-format file (load it
+// in chrome://tracing or https://ui.perfetto.dev).
 //
 // Spans are explicit: begin_span() returns an id, the caller threads it to
 // children as `parent`, end_span() closes it. No thread-local implicit
@@ -9,37 +10,25 @@
 // so "current span" is a property of the request, not the thread. The
 // Sink (sink.hpp) carries the parent id across layer boundaries.
 //
-// Two storage modes:
-//
-//   * retained (default, no exporter): every span stays in memory until
-//     write_chrome_trace(); max_spans caps the store and begin_span()
-//     drops past it. Right for tests and bounded CLI runs.
-//   * streaming (options.exporter set): completed spans land in a bounded
-//     ring and are drained to the SpanSink whenever the ring fills and at
-//     flush_exporter(). Memory is O(ring_capacity + open spans) whatever
-//     the stream length; a full ring drains synchronously (back-pressure)
-//     instead of dropping, so dropped_spans() counts only spans refused
-//     because too many were simultaneously *open* (> max_spans), not
-//     truncation of the completed-span history.
+// Storage: completed spans land in a bounded ring and are drained to the
+// SpanSink whenever the ring fills and at flush_exporter(). Memory is
+// O(ring_capacity + open spans) whatever the stream length; a full ring
+// drains synchronously (back-pressure) instead of dropping, so
+// dropped_spans() counts only spans refused because too many were
+// simultaneously *open* (> max_spans), never completed-span history. An
+// unended span never reaches the sink.
 //
 // Determinism: with a LogicalClock, timestamps are tick numbers and the
 // *structure* of the trace (the multiset of parent-name -> span-name
 // edges) is a pure function of the work performed — invariant across
-// thread counts and arrival shuffles, in both storage modes (the edge
-// multiset is maintained incrementally at begin_span, so streaming export
-// never loses it). Tick assignment order still depends on interleaving,
-// so golden tests compare structure_signature(), not bytes. See
-// DESIGN.md §10.
-//
-// Sampling: sample_every = N keeps every Nth *root* span (children of a
-// kept root are always kept; children of a dropped root see parent id 0
-// and are sampled independently as roots). Default 1 = keep everything.
+// thread counts and arrival shuffles (the edge multiset is maintained
+// incrementally at begin_span, so export never loses it). Tick assignment
+// order still depends on interleaving, so golden tests compare
+// structure_signature(), not bytes. See DESIGN.md §10.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <iosfwd>
 #include <map>
 #include <mutex>
 #include <string>
@@ -57,36 +46,34 @@ class Counter;
 class Gauge;
 
 struct TracerOptions {
-  /// Keep every Nth root span (1 = all). Must be >= 1.
-  std::size_t sample_every = 1;
-  /// Retained mode: hard cap on stored spans; beyond it begin_span()
-  /// drops (returns 0) and counts. Streaming mode: cap on simultaneously
-  /// OPEN spans — completed spans stream out and are never capped.
+  /// Cap on simultaneously OPEN spans; beyond it begin_span() drops
+  /// (returns 0) and counts. Completed spans stream out and are never
+  /// capped.
   std::size_t max_spans = 1u << 20;
-  /// Streaming export destination; nullptr = retained mode.
-  SpanSink* exporter = nullptr;
-  /// Completed-span ring size in streaming mode. A full ring drains to
-  /// the exporter synchronously (back-pressure, no loss). Must be >= 1.
+  /// Completed-span ring size. A full ring drains to the sink
+  /// synchronously (back-pressure, no loss). Must be >= 1.
   std::size_t ring_capacity = 256;
   /// Optional registry for tracer health instruments
-  /// (obs.spans.emitted/dropped/ring_highwater, obs.sample_every) so
-  /// trace loss is visible in the metrics snapshot, not only via
-  /// accessors. Must outlive the tracer.
+  /// (obs.spans.emitted/dropped/ring_highwater) so trace loss is visible
+  /// in the metrics snapshot, not only via accessors. Must outlive the
+  /// tracer.
   MetricsRegistry* health = nullptr;
 };
 
 class Tracer {
  public:
-  explicit Tracer(Clock& clock, TracerOptions options = {});
+  /// `sink` receives every completed span and must outlive the tracer.
+  Tracer(Clock& clock, SpanSink& sink, TracerOptions options = {});
   ~Tracer();
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
   [[nodiscard]] Clock& clock() noexcept { return *clock_; }
 
-  /// Opens a span. parent = 0 means root. Returns the span id (> 0), or 0
-  /// when the span was sampled out or the cap was hit — 0 is always safe
-  /// to pass as a parent and to end_span().
+  /// Opens a span. parent = 0 means root; a parent that is not open (it
+  /// ended, or was dropped) also makes the span a root. Returns the span
+  /// id (> 0; ids count up from 1 in begin order), or 0 when the open-span
+  /// cap was hit — 0 is always safe to pass as a parent and to end_span().
   [[nodiscard]] std::uint64_t begin_span(std::string name,
                                          std::uint64_t parent = 0);
 
@@ -95,12 +82,11 @@ class Tracer {
   void end_span(std::uint64_t id);
 
   /// Records an already-timed span with explicit start/duration, bypassing
-  /// the clock (and root sampling — the caller already decided to keep
-  /// it). Used to graft timings measured elsewhere into this trace: the
+  /// the clock. Used to graft timings measured elsewhere into this trace: the
   /// stats client turns a REP's t_*_ns stage block into child spans of its
   /// local rpc span, so one Chrome-trace file shows the request's full
-  /// life across both processes. Returns the span id, or 0 when dropped
-  /// at the span cap.
+  /// life across both processes. The span is born complete, so it never
+  /// counts against the open-span cap. Returns the span id.
   std::uint64_t add_complete_span(std::string name, std::uint64_t parent,
                                   std::uint64_t t0_ns,
                                   std::uint64_t duration_ns);
@@ -131,72 +117,57 @@ class Tracer {
     return Span(this, begin_span(std::move(name), parent));
   }
 
-  /// Spans begun and not dropped (retained: stored; streaming: open +
-  /// ringed + exported).
+  /// Spans begun and not dropped: open + ringed + exported.
   [[nodiscard]] std::size_t span_count() const;
   [[nodiscard]] std::size_t dropped_spans() const;
 
-  /// Spans currently held in memory: records in retained mode, open map +
-  /// ring in streaming mode. The streaming determinism stress asserts
-  /// this stays O(ring_capacity + concurrency).
+  /// Spans currently held in memory: the open map plus the ring. The
+  /// streaming determinism stress asserts this stays O(ring_capacity +
+  /// concurrency).
   [[nodiscard]] std::size_t retained_spans() const;
-  /// Completed spans handed to the exporter so far (0 in retained mode).
+  /// Completed spans handed to the sink so far.
   [[nodiscard]] std::size_t exported_spans() const;
   /// Deepest the completed-span ring ever got (<= ring_capacity).
   [[nodiscard]] std::size_t ring_highwater() const;
 
-  /// Streaming mode: drains the ring to the exporter and flushes the
-  /// sink, making everything completed so far durable. No-op in retained
-  /// mode. The destructor calls this.
+  /// Drains the ring to the sink and flushes it, making everything
+  /// completed so far durable. The destructor calls this.
   void flush_exporter();
-
-  /// Chrome trace event format: one "X" (complete) event per span with
-  /// ts/dur in microseconds, plus metadata naming the process and the
-  /// clock kind. Unended spans export with dur 0. Retained mode only —
-  /// in streaming mode the exporter owns the spans and this writes an
-  /// empty (but valid) trace.
-  void write_chrome_trace(std::ostream& os) const;
 
   /// Deterministic structural digest: name-sorted lines
   /// "<parent-name>><name> <count>\n" with "" as the root parent. Two
   /// logical-clock runs of the same work produce identical signatures
-  /// whatever the interleaving — and whichever storage mode is active.
+  /// whatever the interleaving.
   [[nodiscard]] std::string structure_signature() const;
 
  private:
-  struct Record {
-    std::string name;
-    std::uint64_t parent = 0;
-    std::uint64_t t0 = 0;
-    std::uint64_t t1 = 0;
-    bool ended = false;
-    std::uint32_t tid = 0;
-  };
-
-  /// Requires mutex_ held. Hands the ring to the exporter and clears it.
+  /// Requires mutex_ held. Hands the ring to the sink and clears it.
   void drain_ring_locked();
+  /// Requires mutex_ held. Counts the span's parent-name -> name edge and
+  /// returns its effective parent: `parent` if open, else 0 (root).
+  std::uint64_t attach_locked(std::uint64_t parent, const std::string& name);
+  /// Requires mutex_ held. Appends a completed span to the ring, draining
+  /// it when full.
+  void complete_locked(SpanRecord span);
   [[nodiscard]] std::uint32_t tid_for_current_thread_locked();
 
   Clock* clock_;
+  SpanSink* sink_;
   TracerOptions options_;
   mutable std::mutex mutex_;
 
-  // Retained mode storage (span id == 1-based index into records_).
-  std::deque<Record> records_;
-
-  // Streaming mode storage: monotonically id'd open spans + completed ring.
+  // Monotonically id'd open spans (t1 unset) + the completed ring.
   std::uint64_t next_id_ = 1;
-  std::map<std::uint64_t, Record> open_;
+  std::map<std::uint64_t, SpanRecord> open_;
   std::vector<SpanRecord> ring_;
   std::size_t ring_highwater_ = 0;
   std::uint64_t exported_ = 0;
 
   // Parent-name -> name edge multiset, maintained incrementally so the
-  // structural digest survives streaming export.
+  // structural digest survives export.
   std::map<std::pair<std::string, std::string>, std::uint64_t> edges_;
 
   std::map<std::thread::id, std::uint32_t> tids_;
-  std::uint64_t roots_seen_ = 0;
   std::uint64_t dropped_ = 0;
 
   // Health instruments (null when options_.health is null).

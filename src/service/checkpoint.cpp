@@ -42,7 +42,6 @@ constexpr std::uint32_t kTagNets = fourcc("NETS");
 constexpr std::uint32_t kTagAdam = fourcc("ADAM");
 constexpr std::uint32_t kTagReplay = fourcc("RPLY");
 constexpr std::uint32_t kTagRng = fourcc("RNGS");
-constexpr std::uint32_t kTagWorkloadRepo = fourcc("WREP");
 constexpr std::uint32_t kTagRetrievalIndex = fourcc("RIDX");
 constexpr std::uint32_t kTagEnd = fourcc("END ");
 
@@ -574,45 +573,6 @@ common::RngState decode_rng(const std::string& payload) {
   return st;
 }
 
-std::string encode_workload_repo(const gp::WorkloadRepository& repo) {
-  ByteWriter w;
-  const auto& ids = repo.workload_ids();
-  w.u32(static_cast<std::uint32_t>(ids.size()));
-  for (const auto& id : ids) {
-    w.str(id);
-    const auto& obs = repo.observations(id);
-    w.u64(static_cast<std::uint64_t>(obs.size()));
-    for (const auto& o : obs) {
-      w.double_vec(o.config);
-      w.double_vec(o.metrics);
-      w.f64(o.performance);
-    }
-  }
-  return w.bytes();
-}
-
-/// The repository's observations in file order, to add once every section
-/// has decoded.
-std::vector<std::pair<std::string, gp::Observation>> decode_workload_repo(
-    const std::string& payload) {
-  ByteReader r(payload, "WREP");
-  std::vector<std::pair<std::string, gp::Observation>> out;
-  const std::uint32_t workloads = r.u32();
-  for (std::uint32_t wi = 0; wi < workloads; ++wi) {
-    const std::string id = r.str();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      gp::Observation o;
-      o.config = r.double_vec();
-      o.metrics = r.double_vec();
-      o.performance = r.f64();
-      out.emplace_back(id, std::move(o));
-    }
-  }
-  r.expect_exhausted();
-  return out;
-}
-
 std::string encode_retrieval_index(const retrieval::ExperienceIndex& index) {
   ByteWriter w;
   w.u32(static_cast<std::uint32_t>(retrieval::kEmbeddingDim));
@@ -748,14 +708,6 @@ const std::string& require_section(const std::vector<Section>& sections,
                         "' (written by an incompatible or older version?)");
 }
 
-const std::string* find_section(const std::vector<Section>& sections,
-                                std::uint32_t tag) {
-  for (const auto& s : sections) {
-    if (s.tag == tag) return &s.payload;
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 std::uint32_t crc32(const unsigned char* data, std::size_t size) noexcept {
@@ -807,9 +759,7 @@ void write_container_header(std::ostream& os) {
 
 }  // namespace
 
-void save_checkpoint(std::ostream& os, core::DeepCat& model,
-                     const gp::WorkloadRepository* repository,
-                     const retrieval::ExperienceIndex* index) {
+void save_checkpoint(std::ostream& os, core::DeepCat& model) {
   if (!model.tuner().has_agent()) {
     throw CheckpointError(
         "save_checkpoint: model has no trained agent (call train_offline or "
@@ -827,19 +777,11 @@ void save_checkpoint(std::ostream& os, core::DeepCat& model,
   }
   write_section(os, kTagReplay, encode_replay(model));
   write_section(os, kTagRng, encode_rng(model));
-  if (repository != nullptr && !repository->empty()) {
-    write_section(os, kTagWorkloadRepo, encode_workload_repo(*repository));
-  }
-  if (index != nullptr && !index->empty()) {
-    write_section(os, kTagRetrievalIndex, encode_retrieval_index(*index));
-  }
   write_section(os, kTagEnd, "");
   if (!os) throw CheckpointError("save_checkpoint: stream write failed");
 }
 
-void load_checkpoint(std::istream& is, core::DeepCat& model,
-                     gp::WorkloadRepository* repository,
-                     retrieval::ExperienceIndex* index) {
+void load_checkpoint(std::istream& is, core::DeepCat& model) {
   const Container container = read_sections(is);
   const std::vector<Section>& sections = container.sections;
   tuners::DeepCatTuner& tuner = model.tuner();
@@ -884,20 +826,6 @@ void load_checkpoint(std::istream& is, core::DeepCat& model,
   ReplayContents replay = decode_replay(require_section(sections, kTagReplay),
                                         replay_fit(tuner));
   const common::RngState rng = decode_rng(require_section(sections, kTagRng));
-  std::vector<std::pair<std::string, gp::Observation>> observations;
-  if (repository != nullptr) {
-    if (const std::string* payload =
-            find_section(sections, kTagWorkloadRepo)) {
-      observations = decode_workload_repo(*payload);
-    }
-  }
-  std::optional<retrieval::ExperienceIndex> loaded_index;
-  if (index != nullptr) {
-    if (const std::string* payload =
-            find_section(sections, kTagRetrievalIndex)) {
-      loaded_index = decode_retrieval_index(*payload);
-    }
-  }
 
   // Apply. materialize's random init draws from the tuner's RNG, which RNGS
   // then overwrites.
@@ -913,25 +841,17 @@ void load_checkpoint(std::istream& is, core::DeepCat& model,
         .restore_storage(std::move(replay.rings[0]), replay.cursors[0]);
   }
   tuner.rng().restore(rng);
-  for (auto& [id, observation] : observations) {
-    repository->add(id, std::move(observation));
-  }
-  if (loaded_index) *index = std::move(*loaded_index);
 }
 
-std::string checkpoint_to_string(core::DeepCat& model,
-                                 const gp::WorkloadRepository* repository,
-                                 const retrieval::ExperienceIndex* index) {
+std::string checkpoint_to_string(core::DeepCat& model) {
   std::ostringstream os(std::ios::binary);
-  save_checkpoint(os, model, repository, index);
+  save_checkpoint(os, model);
   return std::move(os).str();
 }
 
-void checkpoint_from_string(const std::string& blob, core::DeepCat& model,
-                            gp::WorkloadRepository* repository,
-                            retrieval::ExperienceIndex* index) {
+void checkpoint_from_string(const std::string& blob, core::DeepCat& model) {
   std::istringstream is(blob, std::ios::binary);
-  load_checkpoint(is, model, repository, index);
+  load_checkpoint(is, model);
 }
 
 void save_index(std::ostream& os, const retrieval::ExperienceIndex& index) {
@@ -961,20 +881,18 @@ retrieval::ExperienceIndex load_index_file(const std::string& path) {
   return load_index(is);
 }
 
-void save_checkpoint_file(const std::string& path, core::DeepCat& model,
-                          const gp::WorkloadRepository* repository) {
+void save_checkpoint_file(const std::string& path, core::DeepCat& model) {
   std::ostringstream os(std::ios::binary);
-  save_checkpoint(os, model, repository);
+  save_checkpoint(os, model);
   write_file_durably(path, std::move(os).str(), "save_checkpoint_file");
 }
 
-void load_checkpoint_file(const std::string& path, core::DeepCat& model,
-                          gp::WorkloadRepository* repository) {
+void load_checkpoint_file(const std::string& path, core::DeepCat& model) {
   std::ifstream is(path, std::ios::binary);
   if (!is) {
     throw CheckpointError("load_checkpoint_file: cannot open '" + path + "'");
   }
-  load_checkpoint(is, model, repository);
+  load_checkpoint(is, model);
 }
 
 // ---- ModelRegistry ------------------------------------------------------

@@ -4,10 +4,9 @@
 // offline-trained model is an asset that outlives any single process, so
 // everything the next fine-tune step depends on must round-trip exactly —
 // the six networks, the Adam moment vectors and step counters, the RDPER
-// P_high/P_low pools with their ring cursors, the tuner RNG stream, and
-// (optionally) the OtterTune workload repository. A reloaded model then
-// produces bit-identical tune_online reports to one that was never
-// serialized.
+// P_high/P_low pools with their ring cursors and the tuner RNG stream. A
+// reloaded model then produces bit-identical tune_online reports to one
+// that was never serialized.
 //
 // Layout (all integers little-endian):
 //
@@ -22,22 +21,23 @@
 //   "ADAM"  three optimizers: step counts + f32 moments (required)
 //   "RPLY"  replay pools: contents + ring cursors       (required)
 //   "RNGS"  tuner RNG stream state                      (required)
-//   "WREP"  OtterTune workload repository               (optional)
-//   "RIDX"  warm-start experience retrieval index       (optional, v2)
+//
+// The retrieval-index container (save_index) uses the same walk with one
+// section, "RIDX" (DESIGN.md §12). A model load skips any other tag, so a
+// model file that also carries "RIDX" (or the retired "WREP" OtterTune
+// repository) still loads.
 //
 // NETS and ADAM are the two halves of one rl::AgentSnapshot: the writer
 // encodes the agent's snapshot(), the reader decodes both into one
 // snapshot, checks it against the agent's layout (rl::AgentLayout::check)
 // and hands it to Td3Agent::restore.
 //
-// Version 2 added the optional "RIDX" section (DESIGN.md §12). Version-1
-// readers skip it by the normal unknown-tag rule, so v2 files without the
-// section are byte-compatible with v1 files except for the version word.
-// Version 3 stores the NETS and ADAM tensors as f32, the networks' own
-// dtype, which halves 2.1 of a served master's 2.36 MB. A version-1 or -2
-// file's f64 NETS or ADAM fails with a CheckpointError naming its version
-// (no narrowing decoder is kept); an index-only container (RIDX alone, as
-// `deepcat index build` writes) still loads from any version.
+// Version 2 added the "RIDX" section tag. Version 3 stores the NETS and
+// ADAM tensors as f32, the networks' own dtype, which halves 2.1 of a
+// served master's 2.36 MB. A version-1 or -2 file's f64 NETS or ADAM fails
+// with a CheckpointError naming its version (no narrowing decoder is
+// kept); an index-only container (RIDX alone, as `deepcat index build`
+// writes) still loads from any version.
 //
 // Forward compatibility: readers skip sections with unknown tags (their
 // length and CRC still guard the walk), so old code tolerates new optional
@@ -57,14 +57,13 @@
 #include <string>
 
 #include "core/deepcat_api.hpp"
-#include "gp/workload_map.hpp"
 #include "retrieval/index.hpp"
 
 namespace deepcat::service {
 
 /// Current writer format version. Readers accept any version <= this, but
 /// decode NETS and ADAM from version 3 (f32 tensors) only. v2 added the
-/// optional "RIDX" retrieval-index section.
+/// "RIDX" retrieval-index section.
 inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Format version of the "RIDX" section payload itself, reported by
@@ -83,21 +82,13 @@ class CheckpointError : public std::runtime_error {
 
 /// Serializes the complete tuner state. The model's agent must already be
 /// built (train_offline or materialize); throws CheckpointError otherwise.
-/// Pass `repository` to append the optional OtterTune section and `index`
-/// (non-empty) to append the optional "RIDX" retrieval-index section.
-void save_checkpoint(std::ostream& os, core::DeepCat& model,
-                     const gp::WorkloadRepository* repository = nullptr,
-                     const retrieval::ExperienceIndex* index = nullptr);
+void save_checkpoint(std::ostream& os, core::DeepCat& model);
 
 /// Restores a checkpoint into `model`, which must have been constructed
 /// with options matching the saved dims and replay kind (the service layer
 /// owns both sides, so this is a config-consistency check, not a schema
-/// migration). Pass `repository` / `index` to also restore the optional
-/// OtterTune and retrieval-index sections when present. On a
-/// CheckpointError nothing of `model`, `repository` or `index` has changed.
-void load_checkpoint(std::istream& is, core::DeepCat& model,
-                     gp::WorkloadRepository* repository = nullptr,
-                     retrieval::ExperienceIndex* index = nullptr);
+/// migration). On a CheckpointError nothing of `model` has changed.
+void load_checkpoint(std::istream& is, core::DeepCat& model);
 
 /// Standalone retrieval-index container: the same DCKP magic + version +
 /// CRC-checked section walk, carrying just an "RIDX" section. This is what
@@ -113,22 +104,16 @@ void save_index_file(const std::string& path,
 
 /// Stream-free conveniences: the service layer's scoped-fork genesis seeds
 /// and checkpoint_of(). Served sessions clone the master's agent instead.
-[[nodiscard]] std::string checkpoint_to_string(
-    core::DeepCat& model, const gp::WorkloadRepository* repository = nullptr,
-    const retrieval::ExperienceIndex* index = nullptr);
-void checkpoint_from_string(const std::string& blob, core::DeepCat& model,
-                            gp::WorkloadRepository* repository = nullptr,
-                            retrieval::ExperienceIndex* index = nullptr);
+[[nodiscard]] std::string checkpoint_to_string(core::DeepCat& model);
+void checkpoint_from_string(const std::string& blob, core::DeepCat& model);
 
 /// File-level helpers. Saving writes `<path>.tmp`, fsyncs it, renames it
 /// over `path` and fsyncs the directory: a concurrent reader never observes
 /// a half-written checkpoint, and a crash after the call returns cannot
 /// leave the file empty or torn. Failures remove the tmp file and throw
 /// CheckpointError naming the path and the OS error.
-void save_checkpoint_file(const std::string& path, core::DeepCat& model,
-                          const gp::WorkloadRepository* repository = nullptr);
-void load_checkpoint_file(const std::string& path, core::DeepCat& model,
-                          gp::WorkloadRepository* repository = nullptr);
+void save_checkpoint_file(const std::string& path, core::DeepCat& model);
+void load_checkpoint_file(const std::string& path, core::DeepCat& model);
 
 /// Named, versioned checkpoint store on disk: `<dir>/<name>.v<N>.dckp`.
 /// publish() writes tmp-then-rename, so readers never see a torn file and

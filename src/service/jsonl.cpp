@@ -13,6 +13,7 @@
 #include <string_view>
 #include <type_traits>
 
+#include "common/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace deepcat::service {
@@ -41,6 +42,12 @@ std::string parse_string(const std::string& s, std::size_t& i) {
   std::string out;
   while (i < s.size() && s[i] != '"') {
     char c = s[i++];
+    // JSON strings may not hold raw control bytes; one copied into an id
+    // would come back in the REP or ERR, which strict readers reject.
+    if (static_cast<unsigned char>(c) < 0x20) {
+      throw std::invalid_argument(
+          "malformed JSON: unescaped control character");
+    }
     if (c == '\\') {
       if (i >= s.size()) break;
       const char esc = s[i++];
@@ -123,22 +130,6 @@ std::map<std::string, std::string> parse_flat_json(const std::string& line) {
     }
     if (line[i] == '}') break;
     throw std::invalid_argument("malformed JSON: expected ',' or '}'");
-  }
-  return out;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out.push_back(c);
-    }
   }
   return out;
 }
@@ -277,16 +268,16 @@ namespace {
 void write_report_body(std::ostream& os, const SessionReport& r,
                        bool with_routing, std::uint64_t model_epoch) {
   os.precision(17);
-  os << "{\"id\":\"" << json_escape(r.id) << "\",\"workload\":\""
-     << json_escape(r.workload) << "\",\"cluster\":\""
-     << json_escape(r.cluster) << "\"";
+  os << "{\"id\":\"" << common::json_escape(r.id) << "\",\"workload\":\""
+     << common::json_escape(r.workload) << "\",\"cluster\":\""
+     << common::json_escape(r.cluster) << "\"";
   if (with_routing) {
-    os << ",\"model\":\"" << json_escape(r.model)
+    os << ",\"model\":\"" << common::json_escape(r.model)
        << "\",\"model_epoch\":" << model_epoch;
   }
   os << ",\"ok\":" << (r.ok ? "true" : "false");
   if (!r.ok) {
-    os << ",\"error\":\"" << json_escape(r.error) << "\"}\n";
+    os << ",\"error\":\"" << common::json_escape(r.error) << "\"}\n";
     return;
   }
   // Cold sessions omit the key entirely so pre-warm transcripts (and their
@@ -295,12 +286,12 @@ void write_report_body(std::ostream& os, const SessionReport& r,
   // Global-scope sessions likewise omit "scope" — legacy transcripts stay
   // byte-identical; scoped ones echo the level the model was keyed under.
   if (!r.scope.empty()) {
-    os << ",\"scope\":\"" << json_escape(r.scope) << "\"";
+    os << ",\"scope\":\"" << common::json_escape(r.scope) << "\"";
   }
   // Traced sessions echo the client's trace id plus the deterministic
   // server span id; untraced REPs omit both keys (byte-identity again).
   if (!r.trace_id.empty()) {
-    os << ",\"trace\":\"" << json_escape(r.trace_id)
+    os << ",\"trace\":\"" << common::json_escape(r.trace_id)
        << "\",\"span\":" << r.server_span;
   }
   // Gated per-stage timing block (StreamingOptions.reply_timings).
@@ -386,8 +377,8 @@ void write_metrics_body_deterministic(std::ostream& os,
 }
 
 void write_build_labels(std::ostream& os, const obs::BuildInfo& build) {
-  os << ",\"version\":\"" << json_escape(build.version) << "\""
-     << ",\"backend\":\"" << json_escape(build.backend) << "\""
+  os << ",\"version\":\"" << common::json_escape(build.version) << "\""
+     << ",\"backend\":\"" << common::json_escape(build.backend) << "\""
      << ",\"simd_compiled\":" << (build.simd_compiled ? "true" : "false")
      << ",\"threads\":" << build.threads;
 }

@@ -26,9 +26,6 @@ inline constexpr int kTelemetrySchemaVersion = 1;
 [[nodiscard]] std::map<std::string, std::string> parse_flat_json(
     const std::string& line);
 
-/// Escapes a string for embedding in a JSON value.
-[[nodiscard]] std::string json_escape(const std::string& s);
-
 /// Parses one tuning request from a flat JSON object line. Recognized
 /// keys: id, workload, cluster, steps, budget_seconds, seed, model, warm
 /// (neighbour count for warm-start retrieval; 0 = cold, negative rejected),

@@ -6,6 +6,7 @@
 #include <tuple>
 #include <utility>
 
+#include "common/json.hpp"
 #include "rl/replay_rdper.hpp"
 #include "service/checkpoint.hpp"
 #include "service/jsonl.hpp"
@@ -629,7 +630,7 @@ std::vector<StreamReport> serve_batch(StreamingService& service,
 }
 
 std::string stream_error_payload(const std::string& message) {
-  return "{\"error\":\"" + json_escape(message) + "\"}";
+  return "{\"error\":\"" + common::json_escape(message) + "\"}";
 }
 
 std::string stream_reply_payload(const StreamReport& report) {

@@ -198,11 +198,14 @@ TEST(CliCommandsTest, EveryFlagTheUsageCiAndBenchmarkPassParses) {
   argvs.push_back({"serve", "--stream", "1", "--checkpoint", "reg",
                    "--socket", "s.sock", "--http", "127.0.0.1:0",
                    "--series", "64", "--warm-index", "i.bin",
-                   "--trace-stream", "t.json", "--metrics-out", "m.jsonl",
+                   "--trace-out", "t.json", "--metrics-out", "m.jsonl",
                    "--tele-every", "2", "--clock", "logical",
                    "--master-steps", "0", "--out", "w.bin"});
+  argvs.push_back({"serve", "--stream", "1", "--checkpoint", "reg",
+                   "--tcp", "127.0.0.1:0", "--trace-out", "t.json"});
   argvs.push_back({"stats", "--socket", "s.sock", "--tcp", "127.0.0.1:1",
                    "--requests", "r.jsonl"});
+  argvs.push_back({"stats", "--tcp", "127.0.0.1:1", "--requests", "r.jsonl"});
   argvs.push_back({"index", "build", "--checkpoint", "reg", "--out", "i.bin",
                    "--seeds", "1", "--steps", "3", "--workloads",
                    "TS-D1,WC-D1"});
@@ -397,16 +400,14 @@ TEST(CliObsCommandsTest, ServeStreamIncrementalTraceAndTeleFrames) {
   std::ostringstream os;
   EXPECT_EQ(run_cli({"serve", "--stream", "1", "--checkpoint",
                      dir + "/registry", "--train-iters", "40", "--in",
-                     in_path, "--out", out_path, "--trace-stream", trace_path,
-                     "--trace-ring", "8", "--clock", "logical",
-                     "--tele-every", "1"},
+                     in_path, "--out", out_path, "--trace-out", trace_path,
+                     "--clock", "logical", "--tele-every", "1"},
                     os),
             0)
       << os.str();
-  // The exporter status line reports what streamed out and that nothing
-  // was dropped.
-  EXPECT_NE(os.str().find("streamed trace to"), std::string::npos)
-      << os.str();
+  // The status line reports what streamed out and that nothing was
+  // dropped.
+  EXPECT_NE(os.str().find("wrote trace to"), std::string::npos) << os.str();
   EXPECT_NE(os.str().find("dropped 0"), std::string::npos) << os.str();
 
   // The incrementally-written file is a complete, valid Chrome trace.
@@ -451,6 +452,8 @@ TEST(CliObsCommandsTest, ServeStreamIncrementalTraceAndTeleFrames) {
 }
 
 TEST(CliObsCommandsTest, ServeStreamRejectsBothTraceModes) {
+  // --trace-out is the one trace flag; the retired --trace-stream and
+  // --trace-ring fail as unknown flags before anything runs.
   const std::string dir = ::testing::TempDir() + "deepcat_cli_trace_both";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
@@ -460,7 +463,43 @@ TEST(CliObsCommandsTest, ServeStreamRejectsBothTraceModes) {
                      dir + "/a.json", "--trace-stream", dir + "/b.json"},
                     os),
             1);
-  EXPECT_NE(os.str().find("--trace-out"), std::string::npos) << os.str();
+  EXPECT_NE(os.str().find("unknown flag --trace-stream"), std::string::npos)
+      << os.str();
+  std::ostringstream ring_os;
+  EXPECT_EQ(run_cli({"serve", "--stream", "1", "--checkpoint",
+                     dir + "/registry", "--train-iters", "40", "--trace-out",
+                     dir + "/a.json", "--trace-ring", "8"},
+                    ring_os),
+            1);
+  EXPECT_NE(ring_os.str().find("unknown flag --trace-ring"),
+            std::string::npos)
+      << ring_os.str();
+  EXPECT_FALSE(std::filesystem::exists(dir + "/registry"));
+}
+
+TEST(CliObsCommandsTest, ServeStreamUnwritableTraceFailsBeforeTraining) {
+  // The trace file is opened before the service is built, so a path that
+  // cannot be written fails naming it before a model trains or publishes.
+  const std::string dir = ::testing::TempDir() + "deepcat_cli_trace_missing";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string req_path = dir + "/r.jsonl";
+  {
+    std::ofstream req(req_path);
+    req << R"({"id":"a","workload":"TS-D1","steps":1,"seed":3})" << '\n';
+  }
+  const std::string trace_path = dir + "/missing/t.json";
+  std::ostringstream os;
+  EXPECT_EQ(run_cli({"serve", "--stream", "1", "--checkpoint",
+                     dir + "/registry", "--train-iters", "40", "--requests",
+                     req_path, "--out", dir + "/out.wire", "--trace-out",
+                     trace_path},
+                    os),
+            1);
+  EXPECT_NE(os.str().find(trace_path), std::string::npos) << os.str();
+  EXPECT_TRUE(!std::filesystem::exists(dir + "/registry") ||
+              std::filesystem::is_empty(dir + "/registry"))
+      << os.str();
 }
 
 TEST(CliObsCommandsTest, StatsPollsATeleSnapshotOverTheSocket) {

@@ -1,14 +1,13 @@
 // Streaming span export: ring drain semantics (back-pressure, no loss),
-// bounded memory, health instruments, signature parity with retained
-// mode, and the ChromeTraceFileSink valid-at-every-flush framing.
+// bounded memory, health instruments, the structural signature across
+// drains, and the ChromeTraceFileSink valid-at-every-drain framing.
 #include "obs/exporter.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -19,18 +18,11 @@
 namespace deepcat::obs {
 namespace {
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
 TEST(ObsExporterTest, CallbackSinkReceivesCompletedSpansInOrder) {
   std::vector<SpanRecord> seen;
   CallbackSpanSink sink([&seen](const SpanRecord& s) { seen.push_back(s); });
   LogicalClock clock;
-  Tracer tracer(clock, {.exporter = &sink, .ring_capacity = 2});
+  Tracer tracer(clock, sink, {.ring_capacity = 2});
 
   const std::uint64_t root = tracer.begin_span("request");
   const std::uint64_t child = tracer.begin_span("session", root);
@@ -51,7 +43,7 @@ TEST(ObsExporterTest, RingDrainBoundsMemoryWithZeroLoss) {
   CallbackSpanSink sink([&exported](const SpanRecord&) { ++exported; });
   LogicalClock clock;
   constexpr std::size_t kRing = 4;
-  Tracer tracer(clock, {.exporter = &sink, .ring_capacity = kRing});
+  Tracer tracer(clock, sink, {.ring_capacity = kRing});
 
   constexpr std::size_t kSpans = 1000;
   for (std::size_t i = 0; i < kSpans; ++i) {
@@ -72,8 +64,7 @@ TEST(ObsExporterTest, RingDrainBoundsMemoryWithZeroLoss) {
 TEST(ObsExporterTest, StreamingCapLimitsOpenSpansOnly) {
   CallbackSpanSink sink([](const SpanRecord&) {});
   LogicalClock clock;
-  Tracer tracer(clock,
-                {.max_spans = 2, .exporter = &sink, .ring_capacity = 8});
+  Tracer tracer(clock, sink, {.max_spans = 2, .ring_capacity = 8});
 
   const std::uint64_t a = tracer.begin_span("a");
   const std::uint64_t b = tracer.begin_span("b");
@@ -96,7 +87,7 @@ TEST(ObsExporterTest, DestructorFlushesTheRing) {
   CallbackSpanSink sink([&exported](const SpanRecord&) { ++exported; });
   LogicalClock clock;
   {
-    Tracer tracer(clock, {.exporter = &sink, .ring_capacity = 64});
+    Tracer tracer(clock, sink, {.ring_capacity = 64});
     for (int i = 0; i < 5; ++i) {
       tracer.end_span(tracer.begin_span("s"));  // never fills the ring
     }
@@ -105,49 +96,39 @@ TEST(ObsExporterTest, DestructorFlushesTheRing) {
   EXPECT_EQ(exported, 5u);
 }
 
-TEST(ObsExporterTest, StructureSignatureMatchesRetainedMode) {
-  auto run = [](SpanSink* sink) {
-    LogicalClock clock;
-    TracerOptions options;
-    options.exporter = sink;
-    options.ring_capacity = 2;
-    Tracer tracer(clock, options);
-    const std::uint64_t root = tracer.begin_span("batch");
-    for (int i = 0; i < 6; ++i) {
-      const std::uint64_t s = tracer.begin_span("session", root);
-      const std::uint64_t g = tracer.begin_span("gp.fit", s);
-      tracer.end_span(g);
-      tracer.end_span(s);
-    }
-    tracer.end_span(root);
-    return tracer.structure_signature();
-  };
+TEST(ObsExporterTest, StructureSignatureSurvivesRingDrains) {
+  // The edge multiset is kept at begin_span, so spans that already left
+  // through the sink still count in the signature.
   CallbackSpanSink sink([](const SpanRecord&) {});
-  const std::string streaming = run(&sink);
-  const std::string retained = run(nullptr);
-  EXPECT_EQ(streaming, retained);
-  EXPECT_EQ(streaming, ">batch 1\nbatch>session 6\nsession>gp.fit 6\n");
+  LogicalClock clock;
+  Tracer tracer(clock, sink, {.ring_capacity = 2});
+  const std::uint64_t root = tracer.begin_span("batch");
+  for (int i = 0; i < 6; ++i) {
+    const std::uint64_t s = tracer.begin_span("session", root);
+    const std::uint64_t g = tracer.begin_span("gp.fit", s);
+    tracer.end_span(g);
+    tracer.end_span(s);
+  }
+  tracer.end_span(root);
+  EXPECT_GE(tracer.exported_spans(), 12u);
+  EXPECT_EQ(tracer.structure_signature(),
+            ">batch 1\nbatch>session 6\nsession>gp.fit 6\n");
 }
 
 TEST(ObsExporterTest, HealthInstrumentsLandInTheRegistry) {
   MetricsRegistry registry;
   CallbackSpanSink sink([](const SpanRecord&) {});
   LogicalClock clock;
-  Tracer tracer(clock, {.sample_every = 2,
-                        .max_spans = 1,
-                        .exporter = &sink,
-                        .ring_capacity = 4,
-                        .health = &registry});
-  const std::uint64_t a = tracer.begin_span("a");  // root #1: kept
+  Tracer tracer(clock, sink,
+                {.max_spans = 1, .ring_capacity = 4, .health = &registry});
+  const std::uint64_t a = tracer.begin_span("a");
   ASSERT_NE(a, 0u);
-  // A child while `a` is open trips the open-span cap (a second root
-  // would be sampled out instead, which does not count as a drop).
+  // A child while `a` is open trips the open-span cap.
   EXPECT_EQ(tracer.begin_span("b", a), 0u);
   tracer.end_span(a);
   tracer.flush_exporter();
 
-  bool saw_emitted = false, saw_dropped = false, saw_highwater = false,
-       saw_sample = false;
+  bool saw_emitted = false, saw_dropped = false, saw_highwater = false;
   for (const MetricSnapshot& snap : registry.snapshot(true)) {
     if (snap.name == "obs.spans.emitted") {
       saw_emitted = true;
@@ -160,68 +141,78 @@ TEST(ObsExporterTest, HealthInstrumentsLandInTheRegistry) {
     } else if (snap.name == "obs.spans.ring_highwater") {
       saw_highwater = true;
       EXPECT_FALSE(snap.deterministic);
-    } else if (snap.name == "obs.sample_every") {
-      saw_sample = true;
-      EXPECT_TRUE(snap.deterministic);
-      EXPECT_EQ(snap.mean, 2.0);
     }
   }
   EXPECT_TRUE(saw_emitted);
   EXPECT_TRUE(saw_dropped);
   EXPECT_TRUE(saw_highwater);
-  EXPECT_TRUE(saw_sample);
 }
 
 TEST(ObsExporterTest, ChromeTraceFileIsValidAtEveryFlushBoundary) {
-  const std::string path =
-      ::testing::TempDir() + "deepcat_exporter_trace.json";
   LogicalClock clock;
+  std::ostringstream out;
   {
-    ChromeTraceFileSink sink(path, "logical");
+    ChromeTraceFileSink sink(out, "logical");
     // Valid immediately after construction (zero spans).
     {
-      const ChromeTraceCheck empty = validate_chrome_trace(read_file(path));
+      const ChromeTraceCheck empty = validate_chrome_trace(out.str());
       EXPECT_TRUE(empty.ok) << empty.error;
       EXPECT_EQ(empty.complete_events, 0u);
     }
-    Tracer tracer(clock, {.exporter = &sink, .ring_capacity = 3});
+    Tracer tracer(clock, sink, {.ring_capacity = 3});
     for (std::size_t i = 0; i < 10; ++i) {
       const std::uint64_t root = tracer.begin_span("request");
       tracer.end_span(tracer.begin_span("session", root));
       tracer.end_span(root);
       tracer.flush_exporter();
-      // The tail-rewind framing keeps the on-disk file a complete trace
-      // after every flush — a crash here would still leave parseable JSON.
-      const ChromeTraceCheck check = validate_chrome_trace(read_file(path));
+      // The tail-rewind framing keeps the output a complete trace after
+      // every flush — a crash here would still leave parseable JSON.
+      const ChromeTraceCheck check = validate_chrome_trace(out.str());
       ASSERT_TRUE(check.ok) << "after flush " << i << ": " << check.error;
       ASSERT_EQ(check.complete_events, 2 * (i + 1));
     }
-    EXPECT_EQ(sink.exported_spans(), 20u);
+    EXPECT_EQ(tracer.exported_spans(), 20u);
   }
-  const std::string json = read_file(path);
+  const std::string json = out.str();
   const ChromeTraceCheck final_check = validate_chrome_trace(json);
   EXPECT_TRUE(final_check.ok) << final_check.error;
   EXPECT_EQ(final_check.complete_events, 20u);
   EXPECT_NE(json.find("\"logical\""), std::string::npos);
-  std::remove(path.c_str());
 }
 
-TEST(ObsExporterTest, StreamingModeChromeTraceIsEmptyButValid) {
-  CallbackSpanSink sink([](const SpanRecord&) {});
+TEST(ObsExporterTest, ChromeTraceIsValidAfterEveryRingDrain) {
+  // A full ring drains without any flush call; each drain leaves the
+  // output a complete trace holding every drained span.
   LogicalClock clock;
-  Tracer tracer(clock, {.exporter = &sink, .ring_capacity = 2});
-  tracer.end_span(tracer.begin_span("s"));
-  std::ostringstream os;
-  tracer.write_chrome_trace(os);  // exporter owns the spans
-  const ChromeTraceCheck check = validate_chrome_trace(os.str());
-  EXPECT_TRUE(check.ok) << check.error;
-  EXPECT_EQ(check.complete_events, 0u);
+  std::ostringstream out;
+  ChromeTraceFileSink sink(out, "logical");
+  Tracer tracer(clock, sink, {.ring_capacity = 2});
+  for (std::size_t i = 1; i <= 8; ++i) {
+    tracer.end_span(tracer.begin_span("work"));
+    const ChromeTraceCheck check = validate_chrome_trace(out.str());
+    ASSERT_TRUE(check.ok) << "after span " << i << ": " << check.error;
+    ASSERT_EQ(tracer.exported_spans(), i - i % 2);
+    ASSERT_EQ(check.complete_events, tracer.exported_spans());
+  }
+  // Ids count up from 1 in begin order.
+  EXPECT_NE(out.str().find("\"args\":{\"id\":8,\"parent\":0}"),
+            std::string::npos);
+}
+
+TEST(ObsExporterTest, ChromeTraceSinkRefusesAnUnseekableStream) {
+  // The tail rewind needs a seekable stream; a pipe is refused up front,
+  // not at the first drain.
+  struct Unseekable : std::streambuf {
+    int overflow(int c) override { return c; }
+  } buf;
+  std::ostream out(&buf);
+  EXPECT_THROW(ChromeTraceFileSink(out, "steady"), std::invalid_argument);
 }
 
 TEST(ObsExporterTest, RingCapacityMustBePositiveWithExporter) {
   CallbackSpanSink sink([](const SpanRecord&) {});
   LogicalClock clock;
-  EXPECT_THROW(Tracer(clock, {.exporter = &sink, .ring_capacity = 0}),
+  EXPECT_THROW(Tracer(clock, sink, {.ring_capacity = 0}),
                std::invalid_argument);
 }
 

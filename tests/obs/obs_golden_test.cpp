@@ -17,11 +17,15 @@
 #include <string>
 
 #include "obs/clock.hpp"
+#include "obs/exporter.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 
 namespace deepcat::obs {
 namespace {
+
+/// Sink for the goldens that read the registry or the signature.
+CallbackSpanSink discard([](const SpanRecord&) {});
 
 std::string golden_path(const std::string& name) {
   return std::string(DEEPCAT_OBS_GOLDEN_DIR) + "/" + name;
@@ -74,7 +78,7 @@ void run_scenario(MetricsRegistry& registry, Tracer& tracer) {
 
 TEST(ObsGoldenTest, MetricsJsonlMatchesGolden) {
   LogicalClock clock;
-  Tracer tracer(clock);
+  Tracer tracer(clock, discard);
   MetricsRegistry registry;
   run_scenario(registry, tracer);
   std::ostringstream os;
@@ -84,7 +88,7 @@ TEST(ObsGoldenTest, MetricsJsonlMatchesGolden) {
 
 TEST(ObsGoldenTest, DeterministicMetricsExportOmitsQueueDepth) {
   LogicalClock clock;
-  Tracer tracer(clock);
+  Tracer tracer(clock, discard);
   MetricsRegistry registry;
   run_scenario(registry, tracer);
   std::ostringstream os;
@@ -96,13 +100,15 @@ TEST(ObsGoldenTest, DeterministicMetricsExportOmitsQueueDepth) {
 TEST(ObsGoldenTest, ChromeTraceMatchesGoldenAndValidates) {
   // Single-threaded + logical clock: tick assignment is fully ordered, so
   // even the trace BYTES are deterministic here (concurrent runs only
-  // guarantee structure_signature equality).
+  // guarantee structure_signature equality). Events appear in completion
+  // order, children before their parents.
   LogicalClock clock;
-  Tracer tracer(clock);
+  std::ostringstream os;
+  ChromeTraceFileSink sink(os, clock.kind());
+  Tracer tracer(clock, sink);
   MetricsRegistry registry;
   run_scenario(registry, tracer);
-  std::ostringstream os;
-  tracer.write_chrome_trace(os);
+  tracer.flush_exporter();
   const ChromeTraceCheck check = validate_chrome_trace(os.str());
   ASSERT_TRUE(check.ok) << check.error;
   EXPECT_EQ(check.complete_events, tracer.span_count());
@@ -111,7 +117,7 @@ TEST(ObsGoldenTest, ChromeTraceMatchesGoldenAndValidates) {
 
 TEST(ObsGoldenTest, StructureSignatureMatchesGolden) {
   LogicalClock clock;
-  Tracer tracer(clock);
+  Tracer tracer(clock, discard);
   MetricsRegistry registry;
   run_scenario(registry, tracer);
   check_golden("trace_structure.txt.golden", tracer.structure_signature());

@@ -1,5 +1,5 @@
 // Tracer unit tests: parent/child structure, logical-clock determinism,
-// sampling and span-cap behavior, Chrome-trace structural validity.
+// span-cap behavior, Chrome-trace structural validity.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -8,10 +8,14 @@
 #include <vector>
 
 #include "obs/clock.hpp"
+#include "obs/exporter.hpp"
 #include "obs/tracer.hpp"
 
 namespace deepcat::obs {
 namespace {
+
+/// Sink for tests that read the tracer, not what it exports.
+CallbackSpanSink discard([](const SpanRecord&) {});
 
 TEST(ObsTracerTest, LogicalClockTicksMonotonically) {
   LogicalClock clock;
@@ -24,7 +28,7 @@ TEST(ObsTracerTest, LogicalClockTicksMonotonically) {
 
 TEST(ObsTracerTest, SpansNestByExplicitParentIds) {
   LogicalClock clock;
-  Tracer tracer(clock);
+  Tracer tracer(clock, discard);
   const std::uint64_t root = tracer.begin_span("request");
   ASSERT_NE(root, 0u);
   const std::uint64_t child = tracer.begin_span("session", root);
@@ -38,7 +42,7 @@ TEST(ObsTracerTest, SpansNestByExplicitParentIds) {
 
 TEST(ObsTracerTest, ScopeEndsSpansOnExit) {
   LogicalClock clock;
-  Tracer tracer(clock);
+  Tracer tracer(clock, discard);
   {
     const auto outer = tracer.scope("outer");
     const auto inner = tracer.scope("inner", outer.id());
@@ -53,7 +57,7 @@ TEST(ObsTracerTest, StructureSignatureIsInterleavingInvariant) {
   // determinism stress asserts end to end.
   auto run = [](std::size_t threads) {
     LogicalClock clock;
-    Tracer tracer(clock);
+    Tracer tracer(clock, discard);
     const std::uint64_t root = tracer.begin_span("batch");
     std::vector<std::thread> workers;
     for (std::size_t t = 0; t < threads; ++t) {
@@ -76,33 +80,9 @@ TEST(ObsTracerTest, StructureSignatureIsInterleavingInvariant) {
   EXPECT_EQ(one, ">batch 1\nbatch>session 12\nsession>gp.fit 12\n");
 }
 
-TEST(ObsTracerTest, SamplingKeepsEveryNthRoot) {
-  LogicalClock clock;
-  Tracer tracer(clock, {.sample_every = 3});
-  std::size_t kept = 0;
-  for (int i = 0; i < 9; ++i) {
-    const std::uint64_t id = tracer.begin_span("root");
-    kept += id != 0 ? 1 : 0;
-    tracer.end_span(id);
-  }
-  EXPECT_EQ(kept, 3u);
-  EXPECT_EQ(tracer.span_count(), 3u);
-}
-
-TEST(ObsTracerTest, ChildrenOfKeptRootsSurviveSampling) {
-  LogicalClock clock;
-  Tracer tracer(clock, {.sample_every = 2});
-  const std::uint64_t root = tracer.begin_span("r");  // root #1: kept
-  ASSERT_NE(root, 0u);
-  const std::uint64_t child = tracer.begin_span("c", root);
-  EXPECT_NE(child, 0u);  // child of a kept root is never sampled out
-  tracer.end_span(child);
-  tracer.end_span(root);
-}
-
 TEST(ObsTracerTest, SpanCapDropsAndCounts) {
   LogicalClock clock;
-  Tracer tracer(clock, {.max_spans = 2});
+  Tracer tracer(clock, discard, {.max_spans = 2});
   EXPECT_NE(tracer.begin_span("a"), 0u);
   EXPECT_NE(tracer.begin_span("b"), 0u);
   EXPECT_EQ(tracer.begin_span("c"), 0u);
@@ -113,7 +93,7 @@ TEST(ObsTracerTest, SpanCapDropsAndCounts) {
 
 TEST(ObsTracerTest, EndSpanZeroIsANoOpAndDoubleEndKeepsFirst) {
   LogicalClock clock;
-  Tracer tracer(clock);
+  Tracer tracer(clock, discard);
   tracer.end_span(0);  // must not crash
   const std::uint64_t id = tracer.begin_span("s");
   tracer.end_span(id);
@@ -123,19 +103,22 @@ TEST(ObsTracerTest, EndSpanZeroIsANoOpAndDoubleEndKeepsFirst) {
 
 TEST(ObsTracerTest, ChromeTraceIsStructurallyValid) {
   LogicalClock clock;
-  Tracer tracer(clock);
+  std::ostringstream os;
+  ChromeTraceFileSink sink(os, clock.kind());
+  Tracer tracer(clock, sink);
   const std::uint64_t root = tracer.begin_span("request");
   const std::uint64_t child = tracer.begin_span("session", root);
   tracer.end_span(child);
   tracer.end_span(root);
-  (void)tracer.begin_span("unended");  // exports with dur 0
+  (void)tracer.begin_span("unended");  // never completes, never exports
+  tracer.flush_exporter();
 
-  std::ostringstream os;
-  tracer.write_chrome_trace(os);
   const std::string json = os.str();
   const ChromeTraceCheck check = validate_chrome_trace(json);
   EXPECT_TRUE(check.ok) << check.error;
-  EXPECT_EQ(check.complete_events, 3u);
+  EXPECT_EQ(check.complete_events, 2u);
+  EXPECT_EQ(json.find("\"unended\""), std::string::npos);
+  EXPECT_EQ(tracer.retained_spans(), 1u);  // held open, not lost
   EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
   EXPECT_NE(json.find("\"logical\""), std::string::npos);
 }

@@ -1,8 +1,8 @@
 // Persistence contracts for the warm-start experience index: the
 // standalone DCKP index container (what `deepcat index build` writes and
-// `serve --warm-index` loads) and the optional "RIDX" checkpoint section
-// both round-trip bit-identically, and every corruption fails with a
-// CheckpointError — never UB, never a silent mis-accept.
+// `serve --warm-index` loads) round-trips bit-identically, a model file
+// that also carries its "RIDX" section still loads, and every corruption
+// fails with a CheckpointError — never UB, never a silent mis-accept.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -134,6 +134,23 @@ TEST(RetrievalIndexIoTest, CorruptionAlwaysRaisesCheckpointError) {
   }
 }
 
+/// One checkpoint section: u32 tag | u64 length | payload | u32 CRC32,
+/// little-endian, with the CRC computed here.
+std::string section(const std::string& tag, const std::string& payload) {
+  std::string out = tag;
+  const auto put = [&out](std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+    }
+  };
+  put(payload.size(), 8);
+  out += payload;
+  put(service::crc32(reinterpret_cast<const unsigned char*>(payload.data()),
+                     payload.size()),
+      4);
+  return out;
+}
+
 TEST(RetrievalIndexIoTest, CheckpointRidxSectionRoundTrips) {
   core::DeepCatApiOptions api;
   api.tuner.seed = 5;
@@ -143,26 +160,34 @@ TEST(RetrievalIndexIoTest, CheckpointRidxSectionRoundTrips) {
   core::DeepCat model(sparksim::cluster_a(), api);
   (void)model.train_offline(
       sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 20);
+  const std::string plain = service::checkpoint_to_string(model);
 
-  const ExperienceIndex index = sample_index();
-  const std::string with_index =
-      service::checkpoint_to_string(model, nullptr, &index);
-  const std::string without_index = service::checkpoint_to_string(model);
-  EXPECT_GT(with_index.size(), without_index.size());
+  // The index container is magic | version | RIDX section | END section;
+  // rebuild its RIDX section from the payload and splice it, with a WREP
+  // section as an older writer's OtterTune repository, in front of the
+  // model file's END section.
+  std::ostringstream container(std::ios::binary);
+  service::save_index(container, sample_index());
+  const std::string index_bytes = container.str();
+  constexpr std::size_t kHeader = 8;   // magic + version
+  constexpr std::size_t kEnd = 16;     // "END " | u64 0 | CRC of nothing
+  const std::string ridx =
+      index_bytes.substr(kHeader, index_bytes.size() - kHeader - kEnd);
+  ASSERT_EQ(ridx.compare(0, 4, "RIDX"), 0);
+  ASSERT_EQ(section("RIDX", ridx.substr(12, ridx.size() - 16)), ridx);
+  std::string spliced = plain;
+  spliced.insert(spliced.size() - kEnd,
+                 ridx + section("WREP", "an older writer's repository"));
 
-  // Round trip: the section restores the exact index.
-  core::DeepCat target(sparksim::cluster_a(), api);
-  ExperienceIndex restored;
-  service::checkpoint_from_string(with_index, target, nullptr, &restored);
-  EXPECT_EQ(restored, index);
-
-  // A checkpoint without the optional section leaves the out-param
-  // untouched, and a reader that does not ask for the index skips the
-  // section by the unknown-tag rule.
-  ExperienceIndex untouched;
-  service::checkpoint_from_string(without_index, target, nullptr, &untouched);
-  EXPECT_TRUE(untouched.empty());
-  service::checkpoint_from_string(with_index, target);  // must not throw
+  // Both unknown sections are skipped: the model loads exactly as from
+  // the plain file.
+  core::DeepCat from_plain(sparksim::cluster_a(), api);
+  service::checkpoint_from_string(plain, from_plain);
+  core::DeepCat from_spliced(sparksim::cluster_a(), api);
+  service::checkpoint_from_string(spliced, from_spliced);
+  EXPECT_EQ(service::checkpoint_to_string(from_spliced),
+            service::checkpoint_to_string(from_plain));
+  EXPECT_EQ(service::checkpoint_to_string(from_spliced), plain);
 }
 
 TEST(RetrievalIndexIoTest, VersionConstantsMatchTheWireFormat) {

@@ -325,29 +325,6 @@ TEST(CheckpointTest, ReplayKindMismatchDiagnosed) {
   }
 }
 
-TEST(CheckpointTest, WorkloadRepositoryRoundTripsWhenRequested) {
-  core::DeepCat model = trained_model(18, 20);
-  gp::WorkloadRepository repo;
-  repo.add("TS-D1", {.config = {0.1, 0.2}, .metrics = {0.3, 0.4},
-                     .performance = 12.5});
-  repo.add("WC-D1", {.config = {0.5, 0.6}, .metrics = {0.7, 0.8},
-                     .performance = 8.25});
-
-  std::stringstream ss;
-  save_checkpoint(ss, model, &repo);
-
-  core::DeepCat fresh(sparksim::cluster_a(), small_options(1));
-  gp::WorkloadRepository restored;
-  load_checkpoint(ss, fresh, &restored);
-  EXPECT_EQ(restored.num_workloads(), repo.num_workloads());
-  EXPECT_EQ(restored.workload_ids(), repo.workload_ids());
-  const auto& obs = restored.observations("TS-D1");
-  ASSERT_EQ(obs.size(), 1u);
-  EXPECT_EQ(obs[0].config, (std::vector<double>{0.1, 0.2}));
-  EXPECT_EQ(obs[0].metrics, (std::vector<double>{0.3, 0.4}));
-  EXPECT_EQ(obs[0].performance, 12.5);
-}
-
 // The table-sliced crc32 must return what the textbook one-byte-at-a-time
 // loop returns, for every length and alignment the slicing splits on.
 TEST(CheckpointTest, Crc32MatchesBytewiseReference) {

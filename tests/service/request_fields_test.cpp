@@ -8,6 +8,7 @@
 #include <string>
 
 #include "service/jsonl.hpp"
+#include "service/streaming.hpp"
 
 namespace deepcat::service {
 namespace {
@@ -74,6 +75,36 @@ TEST(RequestFieldTest, DuplicateKeyIsAParseError) {
   }
   EXPECT_THROW((void)parse_flat_json(R"({"a":1,"b":2,"a":"x"})"),
                std::invalid_argument);
+}
+
+TEST(RequestFieldTest, RawControlCharacterInAStringIsAParseError) {
+  // A raw byte below 0x20 inside a string is not JSON; copied into an id
+  // or a model name it would come back raw in the REP or ERR, which
+  // strict readers reject. Escaped, the same text parses.
+  for (const char* line :
+       {"{\"id\":\"r\x01\",\"workload\":\"TS-D1\"}",
+        "{\"id\":\"r\",\"workload\":\"TS-D1\x01\"}",
+        "{\"id\":\"r\",\"workload\":\"TS-D1\",\"model\":\"m\x1f\"}",
+        "{\"id\":\"r\",\"workload\":\"TS-D1\",\"trace\":\"t\x01\"}",
+        "{\"id\":\"r\",\"workload\":\"TS-D1\",\"trace\":\"a\tb\"}",
+        "{\"id\x01\":\"r\",\"workload\":\"TS-D1\"}"}) {
+    try {
+      (void)parse_request_json(line, 0);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "malformed JSON: unescaped control character"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(parse_request_json(R"({"id":"a\tb","workload":"TS-D1"})", 0).id,
+            "a\tb");
+  // A STAT payload is read by the same parser, so it fails typed too.
+  const auto stat = stat_payload_error("{\"k\":\"v\x01\"}");
+  ASSERT_TRUE(stat.has_value());
+  EXPECT_NE(stat->find("unescaped control character"), std::string::npos)
+      << *stat;
 }
 
 TEST(RequestFieldTest, EveryKnownKeyParses) {

@@ -77,10 +77,9 @@ ObsRunResult run_with_obs(const std::string& master_blob,
       [&sunk_spans](const obs::SpanRecord&) { ++sunk_spans; });
   obs::MetricsRegistry registry;
   obs::TracerOptions tracer_options;
-  tracer_options.exporter = &sink;
   tracer_options.ring_capacity = kStressRing;
   tracer_options.health = &registry;
-  obs::Tracer tracer(clock, tracer_options);
+  obs::Tracer tracer(clock, sink, tracer_options);
   StreamingOptions options = obs_stress_options(threads);
   options.service.obs = {&registry, &tracer};
 
@@ -209,9 +208,10 @@ TEST(StreamingObsDeterminismTest, SpanHealthCountersLandInNondeterministicTele) 
   // TELE view — present there by name, absent from the byte-stable one.
   obs::LogicalClock clock;
   obs::MetricsRegistry registry;
+  obs::CallbackSpanSink sink([](const obs::SpanRecord&) {});
   obs::TracerOptions tracer_options;
   tracer_options.health = &registry;
-  obs::Tracer tracer(clock, tracer_options);
+  obs::Tracer tracer(clock, sink, tracer_options);
   StreamingOptions options = obs_stress_options(1);
   options.service.obs = {&registry, &tracer};
   StreamingService svc(options);

@@ -15,6 +15,7 @@
 
 #include "common/rng.hpp"
 #include "obs/clock.hpp"
+#include "obs/exporter.hpp"
 #include "obs/tracer.hpp"
 #include "service/session.hpp"
 #include "service/streaming.hpp"
@@ -77,7 +78,8 @@ struct TraceRunResult {
 TraceRunResult run_once(const std::vector<TuningRequest>& arrival_order,
                         std::size_t threads) {
   obs::LogicalClock clock;
-  obs::Tracer tracer(clock);
+  obs::CallbackSpanSink sink([](const obs::SpanRecord&) {});
+  obs::Tracer tracer(clock, sink);
   StreamingOptions options = trace_options(threads);
   options.service.obs.tracer = &tracer;
 
@@ -173,7 +175,8 @@ TEST(TracePropTest, TracedRequestsParentUnderTheTransportSpan) {
   // server_parent_span; a traced request's "request" span must nest
   // under it, while untraced requests keep the historical root.
   obs::LogicalClock clock;
-  obs::Tracer tracer(clock);
+  obs::CallbackSpanSink sink([](const obs::SpanRecord&) {});
+  obs::Tracer tracer(clock, sink);
   StreamingOptions options = trace_options(1);
   options.service.obs.tracer = &tracer;
   StreamingService svc(options);
