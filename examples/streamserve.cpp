@@ -86,12 +86,16 @@ int main() {
 
   std::istringstream wire_in(service::encode_frames(frames));
   std::ostringstream wire_out;
-  const net::FrontEndStats result =
-      net::serve_stream(wire_in, wire_out, svc, net::FrontEndOptions{});
+  net::serve_stream(wire_in, wire_out, svc, net::FrontEndOptions{});
 
-  std::printf("\nwire stream: %zu requests, %zu failed, clean_end=%d\n",
-              result.requests, result.failed_sessions,
-              static_cast<int>(result.clean_ends == 1));
+  // The front end counted the stream into the service's registry.
+  obs::MetricsRegistry& counts = svc.metrics_registry();
+  std::printf("\nwire stream: %llu requests, %llu failed, clean_end=%d\n",
+              static_cast<unsigned long long>(
+                  counts.counter("net.requests").value()),
+              static_cast<unsigned long long>(
+                  counts.counter("net.failed_sessions").value()),
+              static_cast<int>(counts.counter("net.clean_ends").value() == 1));
   for (const auto& frame : service::decode_frames(wire_out.str())) {
     std::printf("  %-4s %s\n",
                 service::frame_type_name(

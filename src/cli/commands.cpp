@@ -154,39 +154,9 @@ void print_usage(std::ostream& os) {
         "                              k-NN query against a saved index\n";
 }
 
-int front_end_exit_code(const net::FrontEndStats& stats) {
-  // Overload rejections are the protocol working as designed, not a
-  // failure; anything lost or corrupted is (a stream without its END
-  // frame counts as a protocol error).
-  return (stats.failed_sessions == 0 && stats.parse_errors == 0 &&
-          stats.protocol_errors == 0 && stats.forced_closes == 0)
-             ? 0
-             : 1;
-}
-
-int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
-                     const std::string& checkpoint_dir) {
-  const std::string model_name = args.flag_or("model", "default");
-  const auto train_iters = args.integer_or<std::size_t>("train-iters", 0);
+/// The service settings both serve modes read from the same flags.
+service::StreamingOptions serve_options(const ParsedArgs& args) {
   const auto seed = args.integer_or<std::uint64_t>("seed", 1);
-  const auto socket_path = args.flag("socket");
-  const auto tcp_spec = args.flag("tcp");
-  const bool listening = socket_path.has_value() || tcp_spec.has_value();
-  const auto http_spec = args.flag("http");
-  if (http_spec && !listening) {
-    throw std::invalid_argument(
-        "serve: --http requires --socket or --tcp (the observability "
-        "endpoint shares the front end's epoll loop)");
-  }
-  // One service per process: --shards survives only as `--shards 1`, so
-  // older launch lines keep parsing.
-  if (const auto shards = args.flag("shards");
-      shards && args.number_or("shards", 1) != 1.0) {
-    throw std::invalid_argument(
-        "serve: flag --shards accepts only 1 (one service per process), "
-        "got '" + *shards + "'");
-  }
-
   service::StreamingOptions options;
   options.service.cluster = args.flag_or("cluster", "a");
   options.service.threads = args.integer_or<std::size_t>("threads", 0);
@@ -194,87 +164,17 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
   options.service.api.env.seed = seed + 1000;
   options.master_update_steps =
       args.integer_or<std::size_t>("master-steps", 4);
-  options.max_loaded_models = args.integer_or<std::size_t>("max-models", 4);
-  options.registry_dir = checkpoint_dir;
+  return options;
+}
 
-  // Observability taps: --trace-out streams completed spans into a Chrome
-  // trace file, --metrics-out writes the registry at exit; either turns
-  // the sink on for the whole stack (service spans, tuner losses, GP
-  // timings). --clock logical makes the trace/metrics — and the TELE
-  // payloads — deterministic for golden comparisons.
-  const auto trace_out = args.flag("trace-out");
-  const auto metrics_out = args.flag("metrics-out");
-  const std::string clock_kind = args.flag_or("clock", "steady");
-  // Declared so that the tracer goes first: its last drain still writes
-  // the file and sets the registry's health gauge.
-  std::unique_ptr<obs::Clock> clock;
-  std::unique_ptr<obs::MetricsRegistry> metrics_registry;
-  std::ofstream trace_file;
-  std::unique_ptr<obs::ChromeTraceFileSink> trace_sink;
-  std::unique_ptr<obs::Tracer> tracer;
-  // --http implies a metrics registry (GET /metrics must serve real
-  // instruments, not just the build-info join gauge) but not a tracer:
-  // spans need a file to stream to.
-  const bool obs_on = trace_out || metrics_out || http_spec.has_value();
-  if (obs_on) {
-    if (clock_kind == "logical") {
-      clock = std::make_unique<obs::LogicalClock>();
-    } else if (clock_kind == "steady") {
-      clock = std::make_unique<obs::SteadyClock>();
-    } else {
-      throw std::invalid_argument("serve: unknown --clock '" + clock_kind +
-                                  "' (use steady or logical)");
-    }
-    metrics_registry = std::make_unique<obs::MetricsRegistry>();
-    if (trace_out) {
-      // Opened before the service is built, so an unwritable path fails
-      // before anything trains; from here on the file is a valid trace.
-      trace_file.open(*trace_out, std::ios::binary | std::ios::trunc);
-      if (!trace_file) {
-        throw std::invalid_argument("serve: cannot open trace output '" +
-                                    *trace_out + "'");
-      }
-      trace_sink =
-          std::make_unique<obs::ChromeTraceFileSink>(trace_file, clock_kind);
-      obs::TracerOptions tracer_options;
-      tracer_options.health = metrics_registry.get();
-      tracer =
-          std::make_unique<obs::Tracer>(*clock, *trace_sink, tracer_options);
-      options.service.obs.tracer = tracer.get();
-    }
-    options.service.obs.metrics = metrics_registry.get();
-  }
-
-  // Convergence time-series retention is independent of the trace/metrics
-  // gate: --series alone turns it on (for TSER frames + GET /timeseries)
-  // without paying for span bookkeeping.
-  std::unique_ptr<obs::TimeSeriesRegistry> series_registry;
-  if (auto capacity = args.integer_or<std::size_t>("series", 0);
-      capacity != 0) {
-    if (capacity < 2) capacity = 128;  // --series 1 means "just enable it"
-    if (capacity % 2 != 0) ++capacity;
-    series_registry = std::make_unique<obs::TimeSeriesRegistry>(capacity);
-    options.service.obs.series = series_registry.get();
-  }
-  options.reply_timings = args.number_or("reply-timings", 0) != 0.0;
-  if (options.reply_timings && tracer == nullptr) {
-    throw std::invalid_argument(
-        "serve: --reply-timings needs a tracer (--trace-out)");
-  }
-
-  net::FrontEndOptions fe;
-  fe.tele_every = args.integer_or<std::size_t>("tele-every", 0);
-  // Logical-clock runs promise byte-identical telemetry across thread
-  // counts; scheduling-dependent fields would break that promise.
-  fe.tele_include_nondeterministic = !(obs_on && clock_kind == "logical");
-  fe.obs = options.service.obs;
-
-  // Wire bytes to stdout (no --out / --socket / --tcp) must stay pure
-  // protocol, so status text is suppressed in that mode.
-  const bool quiet = !args.flag("out") && !listening;
-  service::StreamingService svc(options);
-  service::ModelRegistry registry(checkpoint_dir);
-
+/// Loads the newest published `model_name` into `svc`, or trains one for
+/// --train-iters iterations and publishes it. Status lines go to `os`
+/// unless `quiet` (its stdout carries wire bytes).
+void bootstrap_model(const ParsedArgs& args, service::StreamingService& svc,
+                     service::ModelRegistry& registry,
+                     const std::string& model_name, std::ostream& os,
+                     bool quiet) {
+  const auto train_iters = args.integer_or<std::size_t>("train-iters", 0);
   const auto version = registry.latest_version(model_name);
   if (version) {
     svc.load_model_file(model_name, registry.path_for(model_name, *version));
@@ -299,6 +199,118 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
         "serve: no published model '" + model_name +
         "' in the registry and --train-iters is 0; train one first");
   }
+}
+
+int front_end_exit_code(obs::MetricsRegistry& registry) {
+  // Overload rejections are the protocol working as designed, not a
+  // failure; anything lost or corrupted is (a stream without its END
+  // frame counts as a protocol error).
+  for (const char* name : {"net.failed_sessions", "net.parse_errors",
+                           "net.protocol_errors", "net.forced_closes"}) {
+    if (registry.counter(name).value() != 0) return 1;
+  }
+  return 0;
+}
+
+int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
+                     const std::string& checkpoint_dir) {
+  const std::string model_name = args.flag_or("model", "default");
+  service::StreamingOptions options = serve_options(args);
+  const auto socket_path = args.flag("socket");
+  const auto tcp_spec = args.flag("tcp");
+  const bool listening = socket_path.has_value() || tcp_spec.has_value();
+  const auto http_spec = args.flag("http");
+  if (http_spec && !listening) {
+    throw std::invalid_argument(
+        "serve: --http requires --socket or --tcp (the observability "
+        "endpoint shares the front end's epoll loop)");
+  }
+  // One service per process: --shards survives only as `--shards 1`, so
+  // older launch lines keep parsing.
+  if (const auto shards = args.flag("shards");
+      shards && args.number_or("shards", 1) != 1.0) {
+    throw std::invalid_argument(
+        "serve: flag --shards accepts only 1 (one service per process), "
+        "got '" + *shards + "'");
+  }
+
+  options.max_loaded_models = args.integer_or<std::size_t>("max-models", 4);
+  options.registry_dir = checkpoint_dir;
+
+  // Observability taps: the service, its sessions and the front end count
+  // into one registry, always (STAT, /varz, /metrics and the summary line
+  // read it); --metrics-out writes it at exit. --trace-out streams
+  // completed spans into a Chrome trace file. --clock logical makes the
+  // trace/metrics — and the TELE payloads — deterministic for golden
+  // comparisons.
+  const auto trace_out = args.flag("trace-out");
+  const auto metrics_out = args.flag("metrics-out");
+  const std::string clock_kind = args.flag_or("clock", "steady");
+  // Declared so that the tracer goes first: its last drain still writes
+  // the file and sets the registry's health gauge.
+  obs::MetricsRegistry metrics_registry;
+  options.service.obs.metrics = &metrics_registry;
+  std::unique_ptr<obs::Clock> clock;
+  std::ofstream trace_file;
+  std::unique_ptr<obs::ChromeTraceFileSink> trace_sink;
+  std::unique_ptr<obs::Tracer> tracer;
+  const bool obs_on = trace_out || metrics_out || http_spec.has_value();
+  if (obs_on) {
+    if (clock_kind == "logical") {
+      clock = std::make_unique<obs::LogicalClock>();
+    } else if (clock_kind == "steady") {
+      clock = std::make_unique<obs::SteadyClock>();
+    } else {
+      throw std::invalid_argument("serve: unknown --clock '" + clock_kind +
+                                  "' (use steady or logical)");
+    }
+    if (trace_out) {
+      // Opened before the service is built, so an unwritable path fails
+      // before anything trains; from here on the file is a valid trace.
+      trace_file.open(*trace_out, std::ios::binary | std::ios::trunc);
+      if (!trace_file) {
+        throw std::invalid_argument("serve: cannot open trace output '" +
+                                    *trace_out + "'");
+      }
+      trace_sink =
+          std::make_unique<obs::ChromeTraceFileSink>(trace_file, clock_kind);
+      obs::TracerOptions tracer_options;
+      tracer_options.health = &metrics_registry;
+      tracer =
+          std::make_unique<obs::Tracer>(*clock, *trace_sink, tracer_options);
+      options.service.obs.tracer = tracer.get();
+    }
+  }
+
+  // Convergence time-series retention is independent of the trace/metrics
+  // gate: --series alone turns it on (for TSER frames + GET /timeseries)
+  // without paying for span bookkeeping.
+  std::unique_ptr<obs::TimeSeriesRegistry> series_registry;
+  if (auto capacity = args.integer_or<std::size_t>("series", 0);
+      capacity != 0) {
+    if (capacity < 2) capacity = 128;  // --series 1 means "just enable it"
+    if (capacity % 2 != 0) ++capacity;
+    series_registry = std::make_unique<obs::TimeSeriesRegistry>(capacity);
+    options.service.obs.series = series_registry.get();
+  }
+  options.reply_timings = args.number_or("reply-timings", 0) != 0.0;
+  if (options.reply_timings && tracer == nullptr) {
+    throw std::invalid_argument(
+        "serve: --reply-timings needs a tracer (--trace-out)");
+  }
+
+  net::FrontEndOptions fe;
+  fe.tele_every = args.integer_or<std::size_t>("tele-every", 0);
+  // Logical-clock runs promise byte-identical telemetry across thread
+  // counts; scheduling-dependent fields would break that promise.
+  fe.tele_include_nondeterministic = !(obs_on && clock_kind == "logical");
+
+  // Wire bytes to stdout (no --out / --socket / --tcp) must stay pure
+  // protocol, so status text is suppressed in that mode.
+  const bool quiet = !args.flag("out") && !listening;
+  service::StreamingService svc(options);
+  service::ModelRegistry registry(checkpoint_dir);
+  bootstrap_model(args, svc, registry, model_name, os, quiet);
 
   if (const auto warm_path = args.flag("warm-index")) {
     auto index = std::make_shared<retrieval::ExperienceIndex>(
@@ -314,7 +326,10 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
     svc.set_warm_index(std::move(index));
   }
 
-  int exit_code = 0;
+  // The front end's counts, as the summary lines print them.
+  const auto count = [&metrics_registry](const char* name) {
+    return metrics_registry.counter(std::string("net.") + name).value();
+  };
   if (listening) {
     if (socket_path) fe.unix_path = *socket_path;
     if (tcp_spec) {
@@ -346,21 +361,21 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
          << server.http_port() << '\n';
     }
     os << std::flush;
-    const net::FrontEndStats stats = server.run();
-    os << "serve done: " << stats.accepted << " connections ("
-       << stats.clean_ends << " clean), " << stats.requests << " requests, "
-       << stats.replies << " replies, " << stats.failed_sessions
-       << " failed sessions, " << stats.parse_errors << " parse errors, "
-       << stats.protocol_errors << " protocol errors, "
-       << stats.rejected_overload + stats.overloaded_requests
-       << " overload rejections, " << stats.forced_closes
+    server.run();
+    os << "serve done: " << count("accepted") << " connections ("
+       << count("clean_ends") << " clean), " << count("requests")
+       << " requests, " << count("replies") << " replies, "
+       << count("failed_sessions") << " failed sessions, "
+       << count("parse_errors") << " parse errors, "
+       << count("protocol_errors") << " protocol errors, "
+       << count("rejected_overload") + count("overloaded_requests")
+       << " overload rejections, " << count("forced_closes")
        << " forced closes";
     if (http_spec) {
-      os << ", " << stats.http_requests << " http requests, "
-         << stats.http_errors << " http errors";
+      os << ", " << count("http_requests") << " http requests, "
+         << count("http_errors") << " http errors";
     }
     os << '\n';
-    exit_code = front_end_exit_code(stats);
   } else {
     // One byte stream — stdin, --in, or --requests framed as REQ* + END —
     // served as the front end's single connection.
@@ -408,16 +423,17 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
       }
       out = &out_file;
     }
-    const net::FrontEndStats stats = net::serve_stream(*in, *out, svc, fe);
+    net::serve_stream(*in, *out, svc, fe);
     if (!quiet) {
-      os << "stream done: " << stats.requests << " requests, "
-         << stats.failed_sessions << " failed sessions, "
-         << stats.parse_errors << " parse errors, " << stats.protocol_errors
-         << " protocol errors"
-         << (stats.clean_ends != 0 ? "" : " (no clean END frame)") << '\n';
+      os << "stream done: " << count("requests") << " requests, "
+         << count("failed_sessions") << " failed sessions, "
+         << count("parse_errors") << " parse errors, "
+         << count("protocol_errors") << " protocol errors"
+         << (count("clean_ends") != 0 ? "" : " (no clean END frame)")
+         << '\n';
     }
-    exit_code = front_end_exit_code(stats);
   }
+  const int exit_code = front_end_exit_code(metrics_registry);
 
   if (tracer != nullptr) {
     tracer->flush_exporter();
@@ -438,7 +454,7 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
       throw std::invalid_argument("serve: cannot open metrics output '" +
                                   *metrics_out + "'");
     }
-    metrics_registry->write_jsonl(mf);
+    svc.metrics_registry().write_jsonl(mf);
     if (!quiet) os << "wrote metrics to " << *metrics_out << '\n';
   }
   return exit_code;
@@ -650,40 +666,10 @@ int cmd_serve(const ParsedArgs& args, std::ostream& os) {
     return cmd_serve_stream(args, os, *checkpoint_dir);
   }
   const std::string model_name = args.flag_or("model", "default");
-  const auto train_iters = args.integer_or<std::size_t>("train-iters", 0);
-  const auto seed = args.integer_or<std::uint64_t>("seed", 1);
-
-  service::StreamingOptions options;
-  options.service.cluster = args.flag_or("cluster", "a");
-  options.service.threads = args.integer_or<std::size_t>("threads", 0);
-  options.service.api.tuner.seed = seed;
-  options.service.api.env.seed = seed + 1000;
-  options.master_update_steps =
-      args.integer_or<std::size_t>("master-steps", 4);
-
+  const service::StreamingOptions options = serve_options(args);
   service::StreamingService svc(options);
   service::ModelRegistry registry(*checkpoint_dir);
-
-  const auto version = registry.latest_version(model_name);
-  if (version) {
-    svc.load_model_file(model_name, registry.path_for(model_name, *version));
-    os << "loaded model '" << model_name << "' v" << *version << " from "
-       << registry.directory() << '\n';
-  } else if (train_iters > 0) {
-    const WorkloadType type =
-        workload_from_flag(args.flag_or("train-workload", "TS"));
-    const double size = args.number_or("train-size", default_size(type));
-    os << "no published model '" << model_name << "'; training "
-       << train_iters << " offline iterations...\n";
-    const auto trained =
-        svc.train_model(model_name, make_workload(type, size), train_iters);
-    const std::uint32_t v = registry.publish(model_name, *trained);
-    os << "published model '" << model_name << "' v" << v << '\n';
-  } else {
-    throw std::invalid_argument(
-        "serve: no published model '" + model_name +
-        "' in the registry and --train-iters is 0; train one first");
-  }
+  bootstrap_model(args, svc, registry, model_name, os, /*quiet=*/false);
 
   const auto requests_path = args.flag("requests");
   if (!requests_path) return 0;  // train/publish-only invocation

@@ -25,23 +25,19 @@ IoStatus Connection::read_some() {
   }
 }
 
-IoStatus Connection::flush_writes() {
-  while (write_pos_ < write_buffer_.size()) {
-    const ssize_t n =
-        ::send(fd_.get(), write_buffer_.data() + write_pos_,
-               write_buffer_.size() - write_pos_, MSG_NOSIGNAL);
+IoStatus WriteQueue::flush(int fd) {
+  while (pos_ < buffer_.size()) {
+    const ssize_t n = ::send(fd, buffer_.data() + pos_, buffer_.size() - pos_,
+                             MSG_NOSIGNAL);
     if (n > 0) {
-      write_pos_ += static_cast<std::size_t>(n);
+      pos_ += static_cast<std::size_t>(n);
       continue;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) return IoStatus::kWouldBlock;
     if (errno == EINTR) continue;
     return IoStatus::kError;  // EPIPE/ECONNRESET: peer is gone
   }
-  if (write_pos_ > 0) {
-    write_buffer_.clear();
-    write_pos_ = 0;
-  }
+  clear();
   return IoStatus::kOk;
 }
 

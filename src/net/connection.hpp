@@ -2,11 +2,12 @@
 //
 // A Connection owns one accepted nonblocking socket plus everything the
 // event loop needs to drive it: the incremental frame decoder on the read
-// side, a byte queue with partial-write tracking on the write side
-// (EPOLLOUT is armed only while the queue is nonempty), per-connection
-// protocol counters, and a connection-scoped session aggregate so the
-// TELE frames this connection receives at FLSH/END are a pure function of
-// ITS requests — never of what other connections happened to be doing.
+// side, a WriteQueue on the write side (EPOLLOUT is armed only while it
+// holds bytes), the request and reply ordinals, and a connection-scoped
+// session aggregate so the TELE frames this connection receives at
+// FLSH/END are a pure function of ITS requests — never of what other
+// connections happened to be doing. Serving counts live in the service's
+// registry (server.hpp), not here.
 //
 // Reply ordering: every frame the connection answers (REQ, STAT, an
 // unexpected frame) and a fatal framing/EOF error each take the next
@@ -55,6 +56,31 @@ enum class IoStatus {
   kError,     ///< ECONNRESET/EPIPE/...; the fd is dead
 };
 
+/// Outbound bytes with partial-write tracking, for both connection kinds.
+class WriteQueue {
+ public:
+  void append(std::string_view bytes) { buffer_.append(bytes); }
+
+  /// Pushes queued bytes to `fd`. kOk means the queue is empty;
+  /// kWouldBlock means EPOLLOUT should stay armed; kError means the peer
+  /// is gone (EPIPE/ECONNRESET).
+  [[nodiscard]] IoStatus flush(int fd);
+
+  [[nodiscard]] bool pending() const noexcept {
+    return pos_ < buffer_.size();
+  }
+
+  /// Drops buffered output (the peer can no longer read).
+  void clear() noexcept {
+    buffer_.clear();
+    pos_ = 0;
+  }
+
+ private:
+  std::string buffer_;
+  std::size_t pos_ = 0;
+};
+
 class Connection {
  public:
   Connection(std::uint64_t id, FdGuard fd, bool is_tcp)
@@ -67,18 +93,9 @@ class Connection {
   ConnState state = ConnState::kOpen;
   service::FrameDecoder decoder;
 
-  /// Per-connection serve counters (summed into FrontEndStats).
-  std::size_t requests = 0;
-  std::size_t failed_sessions = 0;
-  std::size_t parse_errors = 0;
-  std::size_t protocol_errors = 0;
-  std::size_t stat_polls = 0;
-  std::size_t tele_frames = 0;
-  std::size_t tser_frames = 0;
-  std::size_t replies = 0;
-  std::size_t overloaded_requests = 0;
-  bool clean_end = false;
-  bool finished = false;     ///< retired into stats; awaiting reap only
+  std::size_t requests = 0;  ///< REQ frames seen; the next REQ's ordinal
+  std::size_t replies = 0;   ///< REPs written; paces `tele_every`
+  bool finished = false;     ///< retired (net.closed); awaiting reap only
   /// The peer's EOF has been read. Buffered frames are still served; the
   /// EOF itself is judged once the decoder has nothing complete left.
   bool read_eof = false;
@@ -100,28 +117,16 @@ class Connection {
   /// Millisecond timestamp (loop clock) of the last read/write progress.
   std::int64_t last_activity_ms = 0;
 
+  /// Encoded frames (and the stream header) waiting for the socket.
+  WriteQueue writes;
+
   /// Reads whatever the kernel has into the decoder. kOk means at least
   /// one byte arrived.
   [[nodiscard]] IoStatus read_some();
 
-  /// Appends an encoded frame (or raw header bytes) to the write queue.
-  void queue_bytes(std::string_view bytes) { write_buffer_.append(bytes); }
+  /// Appends one encoded frame to the write queue.
   void queue_frame(service::FrameType type, std::string_view payload) {
-    write_buffer_.append(service::encode_frame(type, payload));
-  }
-
-  /// Pushes queued bytes to the kernel. kOk means the queue is empty;
-  /// kWouldBlock means EPOLLOUT should stay armed.
-  [[nodiscard]] IoStatus flush_writes();
-
-  [[nodiscard]] bool write_pending() const noexcept {
-    return write_pos_ < write_buffer_.size();
-  }
-
-  /// Drops buffered output (zombie path: the peer can no longer read).
-  void abandon_writes() noexcept {
-    write_buffer_.clear();
-    write_pos_ = 0;
+    writes.append(service::encode_frame(type, payload));
   }
 
   void close() noexcept { fd_.reset(); }
@@ -130,8 +135,6 @@ class Connection {
   std::uint64_t id_;
   FdGuard fd_;
   bool is_tcp_;
-  std::string write_buffer_;
-  std::size_t write_pos_ = 0;
 };
 
 }  // namespace deepcat::net

@@ -165,24 +165,4 @@ IoStatus HttpConnection::read_some() {
   return IoStatus::kOk;
 }
 
-IoStatus HttpConnection::flush_writes() {
-  while (write_pos_ < write_buffer_.size()) {
-    const ssize_t n =
-        ::send(fd_.get(), write_buffer_.data() + write_pos_,
-               write_buffer_.size() - write_pos_, MSG_NOSIGNAL);
-    if (n > 0) {
-      write_pos_ += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return IoStatus::kWouldBlock;
-    if (errno == EINTR) continue;
-    return IoStatus::kError;
-  }
-  if (write_pos_ > 0) {
-    write_buffer_.clear();
-    write_pos_ = 0;
-  }
-  return IoStatus::kOk;
-}
-
 }  // namespace deepcat::net

@@ -93,13 +93,9 @@ class HttpConnection {
 
   [[nodiscard]] const std::string& buffer() const noexcept { return buffer_; }
 
-  void queue(std::string_view bytes) { write_buffer_.append(bytes); }
-  [[nodiscard]] IoStatus flush_writes();
-  [[nodiscard]] bool write_pending() const noexcept {
-    return write_pos_ < write_buffer_.size();
-  }
-
   void close() noexcept { fd_.reset(); }
+
+  WriteQueue writes;       ///< the response, until it drains
 
   bool epollout = false;   ///< EPOLLOUT currently armed for this fd
   bool responded = false;  ///< response queued; close once it drains
@@ -109,8 +105,6 @@ class HttpConnection {
   std::uint64_t id_;
   FdGuard fd_;
   std::string buffer_;
-  std::string write_buffer_;
-  std::size_t write_pos_ = 0;
 };
 
 }  // namespace deepcat::net

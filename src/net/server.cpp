@@ -58,7 +58,33 @@ void forward_signal(int) {
 
 FrontEnd::FrontEnd(service::StreamingService& service,
                    FrontEndOptions options)
-    : service_(service), options_(std::move(options)) {
+    : service_(service),
+      obs_(service.options().service.obs),
+      options_(std::move(options)),
+      accepted_(service.metrics_registry().counter("net.accepted")),
+      rejected_overload_(
+          service.metrics_registry().counter("net.rejected_overload")),
+      overloaded_requests_(
+          service.metrics_registry().counter("net.overloaded_requests")),
+      requests_(service.metrics_registry().counter("net.requests")),
+      replies_(service.metrics_registry().counter("net.replies")),
+      failed_sessions_(
+          service.metrics_registry().counter("net.failed_sessions")),
+      parse_errors_(service.metrics_registry().counter("net.parse_errors")),
+      protocol_errors_(
+          service.metrics_registry().counter("net.protocol_errors")),
+      stat_polls_(service.metrics_registry().counter("net.stat_polls")),
+      tele_frames_(service.metrics_registry().counter("net.tele_frames")),
+      tser_frames_(service.metrics_registry().counter("net.tser_frames")),
+      clean_ends_(service.metrics_registry().counter("net.clean_ends")),
+      idle_timeouts_(service.metrics_registry().counter("net.idle_timeouts")),
+      forced_closes_(service.metrics_registry().counter(
+          "net.forced_closes", /*deterministic=*/false)),
+      closed_(service.metrics_registry().counter("net.closed")),
+      http_requests_(service.metrics_registry().counter("net.http_requests")),
+      http_errors_(service.metrics_registry().counter("net.http_errors")),
+      open_conns_(service.metrics_registry().gauge(
+          "net.open_connections", /*deterministic=*/false)) {
   listeners_.reserve(3);  // pointers below index into this vector
   if (!options_.unix_path.empty()) {
     listeners_.push_back(listen_unix(options_.unix_path, /*backlog=*/128));
@@ -83,16 +109,6 @@ FrontEnd::FrontEnd(service::StreamingService& service,
     http_listener_ = &listeners_.back();
   }
   time_replies_ = service_.options().reply_timings;
-  if (auto* metrics = options_.obs.metrics) {
-    obs_accepted_ = &metrics->counter("net.accepted");
-    obs_rejected_ = &metrics->counter("net.rejected_overload");
-    obs_overloaded_requests_ = &metrics->counter("net.overloaded_requests");
-    obs_closed_ = &metrics->counter("net.closed");
-    obs_idle_timeouts_ = &metrics->counter("net.idle_timeouts");
-    obs_protocol_errors_ = &metrics->counter("net.protocol_errors");
-    obs_open_conns_ =
-        &metrics->gauge("net.open_connections", /*deterministic=*/false);
-  }
 }
 
 FrontEnd::~FrontEnd() {
@@ -124,7 +140,7 @@ void FrontEnd::install_signal_handlers() {
 }
 
 bool FrontEnd::served_single_connection() const noexcept {
-  return options_.single_connection && stats_.accepted >= 1;
+  return options_.single_connection && served_one_;
 }
 
 bool FrontEnd::accepting() const noexcept {
@@ -135,7 +151,7 @@ std::string FrontEnd::global_tele_payload() const {
   std::ostringstream tele;
   service::write_telemetry_payload(
       tele, service_.metrics(), service_.build_info(),
-      service_.metrics_registry(), options_.tele_include_nondeterministic);
+      &service_.metrics_registry(), options_.tele_include_nondeterministic);
   return strip_newline(std::move(tele).str());
 }
 
@@ -151,7 +167,7 @@ std::string FrontEnd::telemetry_frames(Connection& conn, bool global,
     obs::write_timeseries_jsonl(os, series->snapshot());
     frames += service::encode_frame(service::FrameType::kTimeSeries,
                                     strip_newline(std::move(os).str()));
-    ++conn.tser_frames;
+    tser_frames_.add(1);
   }
   // Connection-scoped TELE carries this connection's own session
   // aggregate and no instrument lines — a pure function of ITS requests.
@@ -167,7 +183,7 @@ std::string FrontEnd::telemetry_frames(Connection& conn, bool global,
     payload = strip_newline(std::move(tele).str());
   }
   frames += service::encode_frame(service::FrameType::kTelemetry, payload);
-  ++conn.tele_frames;
+  tele_frames_.add(1);
   return frames;
 }
 
@@ -177,21 +193,19 @@ void FrontEnd::serve_connection(FdGuard fd) {
 }
 
 void FrontEnd::add_connection(FdGuard fd, bool is_tcp) {
-  ++stats_.accepted;
-  if (obs_accepted_ != nullptr) obs_accepted_->add(1);
+  served_one_ = true;
+  accepted_.add(1);
   auto conn =
       std::make_unique<Connection>(next_conn_id_++, std::move(fd), is_tcp);
-  if (auto* tracer = options_.obs.tracer) {
-    conn->span = tracer->begin_span("conn", options_.obs.trace_parent);
+  if (obs::Tracer* tracer = obs_.tracer) {
+    conn->span = tracer->begin_span("conn", obs_.trace_parent);
   }
-  conn->queue_bytes(service::encode_stream_header());
+  conn->writes.append(service::encode_stream_header());
   conn->last_activity_ms = now_ms();
   const std::uint64_t id = conn->id();
   loop_.add(conn->fd(), id);
   Connection& ref = *conns_.emplace(id, std::move(conn)).first->second;
-  if (obs_open_conns_ != nullptr) {
-    obs_open_conns_->set(static_cast<double>(conns_.size()));
-  }
+  open_conns_.set(static_cast<double>(conns_.size()));
   pump_writes(ref);
 }
 
@@ -207,11 +221,10 @@ void FrontEnd::accept_ready(Listener& listener, bool is_tcp) {
     if (!accepting() || conns_.size() >= options_.max_connections) {
       // Admission control, never a silent drop: greet with a decodable
       // header + typed ERR + END, then close.
-      ++stats_.rejected_overload;
-      if (obs_rejected_ != nullptr) obs_rejected_->add(1);
+      rejected_overload_.add(1);
       auto conn = std::make_unique<Connection>(next_conn_id_++, std::move(fd),
                                                is_tcp);
-      conn->queue_bytes(service::encode_stream_header());
+      conn->writes.append(service::encode_stream_header());
       conn->queue_frame(
           service::FrameType::kError,
           service::stream_error_payload(
@@ -243,20 +256,17 @@ void FrontEnd::handle_frame(Connection& conn, service::Frame frame) {
   switch (frame.type) {
     case service::FrameType::kRequest: {
       const std::size_t ordinal = conn.requests++;
+      requests_.add(1);
       const std::string where = "request " + std::to_string(ordinal) + ": ";
       if (outstanding_total_ >= options_.max_inflight) {
-        ++conn.overloaded_requests;
-        ++stats_.overloaded_requests;
-        if (obs_overloaded_requests_ != nullptr) {
-          obs_overloaded_requests_->add(1);
-        }
+        overloaded_requests_.add(1);
         answer(conn, error_frame(where +
                                  "overloaded: in-flight limit reached (" +
                                  std::to_string(options_.max_inflight) + ")"));
         break;
       }
       service::TuningRequest request;
-      obs::Tracer* tracer = options_.obs.tracer;
+      obs::Tracer* tracer = obs_.tracer;
       const bool time_decode = time_replies_ && tracer != nullptr;
       const std::uint64_t t_decode =
           time_decode ? tracer->clock().now_ns() : 0;
@@ -264,7 +274,7 @@ void FrontEnd::handle_frame(Connection& conn, service::Frame frame) {
         request = service::parse_request_json(frame.payload, ordinal);
       } catch (const std::exception& e) {
         answer(conn, error_frame(where + e.what()));
-        ++conn.parse_errors;
+        parse_errors_.add(1);
         break;
       }
       if (!request.trace_id.empty()) {
@@ -281,7 +291,7 @@ void FrontEnd::handle_frame(Connection& conn, service::Frame frame) {
       // server cannot perform.
       if (const auto warm_err = service_.warm_error(request)) {
         answer(conn, error_frame(where + *warm_err));
-        ++conn.parse_errors;
+        parse_errors_.add(1);
         break;
       }
       const std::uint64_t conn_id = conn.id();
@@ -310,15 +320,15 @@ void FrontEnd::handle_frame(Connection& conn, service::Frame frame) {
       // rejected so a corrupt STAT cannot be half-honored.
       if (const auto stat_error = service::stat_payload_error(frame.payload)) {
         answer(conn, error_frame("STAT: " + *stat_error));
-        ++conn.parse_errors;
+        parse_errors_.add(1);
       } else {
-        ++conn.stat_polls;
+        stat_polls_.add(1);
         answer(conn, telemetry_frames(conn, /*global=*/true,
                                       /*with_series=*/true));
       }
       break;
     case service::FrameType::kEnd:
-      conn.clean_end = true;
+      clean_ends_.add(1);
       begin_conn_drain(conn);
       break;
     default:
@@ -328,7 +338,7 @@ void FrontEnd::handle_frame(Connection& conn, service::Frame frame) {
                                service::frame_type_name(
                                    static_cast<std::uint32_t>(frame.type)) +
                                "' frame from client"));
-      ++conn.parse_errors;
+      parse_errors_.add(1);
       break;
   }
 }
@@ -347,8 +357,7 @@ void FrontEnd::process_frames(Connection& conn) {
       answer(conn, service::encode_frame(service::FrameType::kError,
                                          service::stream_error_payload(
                                              e.what())));
-      ++conn.protocol_errors;
-      if (obs_protocol_errors_ != nullptr) obs_protocol_errors_->add(1);
+      protocol_errors_.add(1);
       begin_conn_drain(conn);
       return;
     }
@@ -372,8 +381,7 @@ void FrontEnd::on_stream_eof(Connection& conn) {
                         : "wire stream ended before the 'END' frame";
   answer(conn, service::encode_frame(service::FrameType::kError,
                                      service::stream_error_payload(why)));
-  ++conn.protocol_errors;
-  if (obs_protocol_errors_ != nullptr) obs_protocol_errors_->add(1);
+  protocol_errors_.add(1);
   begin_conn_drain(conn);
 }
 
@@ -395,7 +403,7 @@ void FrontEnd::drain_completions() {
       if (conn.outstanding == 0) finish_conn(conn);
       continue;
     }
-    if (!completion.report.session.ok) ++conn.failed_sessions;
+    if (!completion.report.session.ok) failed_sessions_.add(1);
     // The service already holds the experience for its next merge.
     completion.report.session.new_transitions = {};
     conn.pending_replies[completion.slot].report =
@@ -414,11 +422,10 @@ void FrontEnd::release_replies(Connection& conn) {
        it = conn.pending_replies.find(conn.next_release)) {
     if (std::optional<service::StreamReport>& report = it->second.report) {
       conn.metrics.record(report->session);
-      if (report->session.timings.has_value() &&
-          options_.obs.tracer != nullptr) {
+      if (report->session.timings.has_value() && obs_.tracer != nullptr) {
         // Write cost via a discarded dry-run serialization (two clock
         // reads bracketing the same encoder the real reply uses below).
-        obs::Clock& clock = options_.obs.tracer->clock();
+        obs::Clock& clock = obs_.tracer->clock();
         const std::uint64_t t0 = clock.now_ns();
         (void)service::stream_reply_payload(*report);
         report->session.timings->write_ns = clock.now_ns() - t0;
@@ -426,13 +433,14 @@ void FrontEnd::release_replies(Connection& conn) {
       conn.queue_frame(service::FrameType::kReply,
                        service::stream_reply_payload(*report));
       ++conn.replies;
+      replies_.add(1);
       if (options_.tele_every != 0 &&
           conn.replies % options_.tele_every == 0) {
-        conn.queue_bytes(telemetry_frames(conn, /*global=*/false,
-                                          /*with_series=*/false));
+        conn.writes.append(telemetry_frames(conn, /*global=*/false,
+                                            /*with_series=*/false));
       }
     } else {
-      conn.queue_bytes(it->second.frames);
+      conn.writes.append(it->second.frames);
     }
     conn.pending_replies.erase(it);
     ++conn.next_release;
@@ -453,8 +461,8 @@ void FrontEnd::maybe_run_flush() {
     for (auto& [id, conn] : conns_) {
       if (conn->state != ConnState::kFlushWait) continue;
       conn->state = ConnState::kOpen;
-      conn->queue_bytes(telemetry_frames(*conn, /*global=*/false,
-                                         /*with_series=*/true));
+      conn->writes.append(telemetry_frames(*conn, /*global=*/false,
+                                           /*with_series=*/true));
       pump_writes(*conn);
     }
     flush_waiters_ = 0;
@@ -489,8 +497,8 @@ void FrontEnd::maybe_emit_tail(Connection& conn) {
     if (outstanding_total_ != 0) return;
     (void)service_.flush();
   }
-  conn.queue_bytes(telemetry_frames(conn, /*global=*/false,
-                                    /*with_series=*/true));
+  conn.writes.append(telemetry_frames(conn, /*global=*/false,
+                                      /*with_series=*/true));
   conn.queue_frame(service::FrameType::kEnd, "");
   conn.state = ConnState::kClosing;
   pump_writes(conn);
@@ -531,8 +539,7 @@ void FrontEnd::check_timeouts(std::int64_t now) {
       if (conn->state != ConnState::kOpen) continue;
       if (conn->outstanding != 0 || !conn->pending_replies.empty()) continue;
       if (now - conn->last_activity_ms < limit) continue;
-      ++stats_.idle_timeouts;
-      if (obs_idle_timeouts_ != nullptr) obs_idle_timeouts_->add(1);
+      idle_timeouts_.add(1);
       conn->queue_frame(service::FrameType::kError,
                         service::stream_error_payload("idle timeout"));
       conn->queue_frame(service::FrameType::kEnd, "");
@@ -545,9 +552,9 @@ void FrontEnd::check_timeouts(std::int64_t now) {
       if (conn->responded) continue;  // write-draining, bounded by epoll
       if (now - conn->last_activity_ms < kHttpIdleTimeoutMs) continue;
       HttpError timeout{408, "request head not received in time"};
-      conn->queue(render_http_error(timeout));
+      conn->writes.append(render_http_error(timeout));
       conn->responded = true;
-      ++stats_.http_errors;
+      http_errors_.add(1);
       pump_http_writes(*conn);
     }
     reap();  // pump may finish connections
@@ -560,7 +567,7 @@ void FrontEnd::check_timeouts(std::int64_t now) {
         // Skip conns already retired this iteration (finished, awaiting
         // reap) — they closed on their own, not by force.
         if (conn->state == ConnState::kZombie || conn->finished) continue;
-        ++stats_.forced_closes;
+        forced_closes_.add(1);
         make_zombie(*conn);
       }
       reap();
@@ -580,7 +587,7 @@ bool FrontEnd::wants_read(const Connection& conn) const noexcept {
 }
 
 void FrontEnd::update_interest(Connection& conn) {
-  const bool want_write = conn.write_pending();
+  const bool want_write = conn.writes.pending();
   const bool want_read = wants_read(conn);
   const bool want_hangup = !conn.read_eof;
   if (conn.fd() < 0 ||
@@ -596,7 +603,7 @@ void FrontEnd::update_interest(Connection& conn) {
 
 void FrontEnd::pump_writes(Connection& conn) {
   if (conn.state == ConnState::kZombie || conn.fd() < 0) return;
-  const IoStatus status = conn.flush_writes();
+  const IoStatus status = conn.writes.flush(conn.fd());
   if (status == IoStatus::kError) {
     make_zombie(conn);
     return;
@@ -616,7 +623,7 @@ void FrontEnd::make_zombie(Connection& conn) {
   // keep the Connection until its in-flight sessions complete so the
   // outstanding accounting stays exact (no silent drops — the sessions
   // still run and merge).
-  conn.abandon_writes();
+  conn.writes.clear();
   if (conn.state == ConnState::kFlushWait) --flush_waiters_;
   if (conn.fd() >= 0) {
     loop_.remove(conn.fd());
@@ -629,22 +636,11 @@ void FrontEnd::make_zombie(Connection& conn) {
 void FrontEnd::finish_conn(Connection& conn) {
   // Idempotent: a conn queued in dead_conns_ can be reached again before
   // reap() (e.g. the drain-timeout sweep in the same loop iteration);
-  // counting it twice would corrupt stats_ and end its span twice.
+  // retiring it twice would count net.closed twice and end its span twice.
   if (conn.finished) return;
   conn.finished = true;
-  stats_.requests += conn.requests;
-  stats_.replies += conn.replies;
-  stats_.failed_sessions += conn.failed_sessions;
-  stats_.parse_errors += conn.parse_errors;
-  stats_.protocol_errors += conn.protocol_errors;
-  stats_.stat_polls += conn.stat_polls;
-  stats_.tele_frames += conn.tele_frames;
-  stats_.tser_frames += conn.tser_frames;
-  if (conn.clean_end) ++stats_.clean_ends;
-  if (obs_closed_ != nullptr) obs_closed_->add(1);
-  if (conn.span != 0) {
-    if (auto* tracer = options_.obs.tracer) tracer->end_span(conn.span);
-  }
+  closed_.add(1);
+  if (conn.span != 0) obs_.tracer->end_span(conn.span);
   if (conn.fd() >= 0) {
     loop_.remove(conn.fd());
     conn.close();
@@ -654,8 +650,8 @@ void FrontEnd::finish_conn(Connection& conn) {
 
 void FrontEnd::reap() {
   for (const std::uint64_t id : dead_conns_) conns_.erase(id);
-  if (!dead_conns_.empty() && obs_open_conns_ != nullptr) {
-    obs_open_conns_->set(static_cast<double>(conns_.size()));
+  if (!dead_conns_.empty()) {
+    open_conns_.set(static_cast<double>(conns_.size()));
   }
   dead_conns_.clear();
   for (const std::uint64_t id : dead_http_conns_) http_conns_.erase(id);
@@ -681,9 +677,9 @@ void FrontEnd::accept_http_ready() {
       // Scrapers are cheap but not free; past the cap they get the same
       // typed-refusal treatment as DCWP connections.
       HttpError overload{503, "overloaded: connection limit reached"};
-      ref.queue(render_http_error(overload));
+      ref.writes.append(render_http_error(overload));
       ref.responded = true;
-      ++stats_.http_errors;
+      http_errors_.add(1);
       pump_http_writes(ref);
     }
   }
@@ -694,27 +690,24 @@ std::string FrontEnd::route_http(const HttpRequest& request) {
     // Readiness, not liveness: flips to 503 the moment a drain starts (or
     // admission is closed), while the process is still up serving tails.
     if (draining_) {
-      ++stats_.http_errors;
+      http_errors_.add(1);
       return render_http_response(503, "text/plain; charset=utf-8",
                                   "draining\n");
     }
     if (conns_.size() >= options_.max_connections) {
-      ++stats_.http_errors;
+      http_errors_.add(1);
       return render_http_response(503, "text/plain; charset=utf-8",
                                   "overloaded\n");
     }
-    ++stats_.http_requests;
+    http_requests_.add(1);
     return render_http_response(200, "text/plain; charset=utf-8", "ok\n");
   }
   if (request.path == "/metrics") {
-    const obs::MetricsRegistry* registry = service_.metrics_registry();
+    // Counted before the snapshot, so the scrape includes itself.
+    http_requests_.add(1);
     std::ostringstream os;
-    obs::write_prometheus_text(
-        os,
-        registry != nullptr ? registry->snapshot()
-                            : std::vector<obs::MetricSnapshot>{},
-        service_.build_info());
-    ++stats_.http_requests;
+    obs::write_prometheus_text(os, service_.metrics_registry().snapshot(),
+                               service_.build_info());
     return render_http_response(
         200, "text/plain; version=0.0.4; charset=utf-8",
         std::move(os).str());
@@ -722,23 +715,23 @@ std::string FrontEnd::route_http(const HttpRequest& request) {
   if (request.path == "/varz") {
     // The same payload a STAT poll gets, over HTTP: live service
     // aggregate plus the instrument set, flat JSON.
-    ++stats_.http_requests;
+    http_requests_.add(1);
     return render_http_response(200, "application/json",
                                 global_tele_payload() + "\n");
   }
   if (request.path == "/timeseries") {
     const obs::TimeSeriesRegistry* series = service_.timeseries_registry();
     if (series == nullptr) {
-      ++stats_.http_errors;
+      http_errors_.add(1);
       HttpError off{404, "time-series retention is off (serve --series)"};
       return render_http_error(off);
     }
     std::ostringstream os;
     obs::write_timeseries_json(os, series->snapshot());
-    ++stats_.http_requests;
+    http_requests_.add(1);
     return render_http_response(200, "application/json", std::move(os).str());
   }
-  ++stats_.http_errors;
+  http_errors_.add(1);
   HttpError unknown{404, "no route '" + request.path +
                              "'; routes: /metrics /healthz /varz /timeseries"};
   return render_http_error(unknown);
@@ -752,11 +745,11 @@ void FrontEnd::respond_http(HttpConnection& conn) {
     case HttpParseResult::kNeedMore:
       return;
     case HttpParseResult::kRequest:
-      conn.queue(route_http(request));
+      conn.writes.append(route_http(request));
       break;
     case HttpParseResult::kError:
-      ++stats_.http_errors;
-      conn.queue(render_http_error(error));
+      http_errors_.add(1);
+      conn.writes.append(render_http_error(error));
       break;
   }
   conn.responded = true;
@@ -764,7 +757,7 @@ void FrontEnd::respond_http(HttpConnection& conn) {
 
 void FrontEnd::pump_http_writes(HttpConnection& conn) {
   if (conn.fd() < 0) return;
-  const IoStatus status = conn.flush_writes();
+  const IoStatus status = conn.writes.flush(conn.fd());
   if (status == IoStatus::kError) {
     finish_http_conn(conn);
     return;
@@ -773,7 +766,7 @@ void FrontEnd::pump_http_writes(HttpConnection& conn) {
     finish_http_conn(conn);
     return;
   }
-  const bool want_write = conn.write_pending();
+  const bool want_write = conn.writes.pending();
   if (want_write != conn.epollout) {
     loop_.modify(conn.fd(), conn.id(), want_write, !conn.responded);
     conn.epollout = want_write;
@@ -834,7 +827,7 @@ void FrontEnd::handle_conn_event(Connection& conn, const Event& event) {
   if (conn.state != ConnState::kZombie) maybe_emit_tail(conn);
 }
 
-FrontEndStats FrontEnd::run() {
+void FrontEnd::run() {
   loop_.add(wake_.fd(), kWakeToken);
   if (unix_listener_ != nullptr) {
     loop_.add(unix_listener_->fd.get(), kUnixToken);
@@ -897,7 +890,6 @@ FrontEndStats FrontEnd::run() {
   // Final barrier: merge whatever completed without an explicit FLSH so
   // checkpoints after a drain reflect every admitted session.
   (void)service_.flush();
-  return stats_;
 }
 
 namespace {
@@ -917,9 +909,9 @@ bool send_all(int fd, const char* data, std::size_t size) {
 
 }  // namespace
 
-FrontEndStats serve_stream(std::istream& in, std::ostream& out,
-                           service::StreamingService& service,
-                           FrontEndOptions options) {
+void serve_stream(std::istream& in, std::ostream& out,
+                  service::StreamingService& service,
+                  FrontEndOptions options) {
   int fds[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
     throw std::runtime_error(std::string("socketpair(): ") +
@@ -935,7 +927,6 @@ FrontEndStats serve_stream(std::istream& in, std::ostream& out,
   front_end.serve_connection(std::move(server_end));
 
   const int fd = client_end.get();
-  FrontEndStats stats;
   // One slot per thread; each failure also shuts the socket down so the
   // other two unblock, and the first is rethrown once all three are done.
   std::exception_ptr errors[3];
@@ -945,7 +936,7 @@ FrontEndStats serve_stream(std::istream& in, std::ostream& out,
   };
   std::thread loop([&] {
     try {
-      stats = front_end.run();
+      front_end.run();
     } catch (...) {
       fail(errors[0]);
     }
@@ -1000,7 +991,6 @@ FrontEndStats serve_stream(std::istream& in, std::ostream& out,
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
   }
-  return stats;
 }
 
 }  // namespace deepcat::net

@@ -36,6 +36,10 @@
 //     tail and close once its write buffer empties. --drain-timeout
 //     bounds the wait, after which stragglers are force-closed (counted,
 //     never silent).
+//   - Counts: every serving count (connections, requests, replies, errors,
+//     polls, HTTP exchanges) is a `net.*` instrument in the service's
+//     registry, incremented where the event happens — the one record that
+//     STAT, /varz, /metrics and the CLI's summary line all read.
 //
 // TELE scoping: FLSH- and END-tail TELE frames carry the CONNECTION's
 // session aggregates (deterministic per connection; no registry
@@ -95,27 +99,6 @@ struct FrontEndOptions {
   /// false = byte-stable TELE payloads (deterministic instruments and
   /// integer aggregates only); the CLI sets this for --clock logical.
   bool tele_include_nondeterministic = true;
-  obs::Sink obs;
-};
-
-/// Aggregate outcome of one run(), summed over all connections.
-struct FrontEndStats {
-  std::size_t accepted = 0;
-  std::size_t rejected_overload = 0;   ///< connections refused at the cap
-  std::size_t overloaded_requests = 0; ///< requests refused at the cap
-  std::size_t requests = 0;
-  std::size_t replies = 0;
-  std::size_t failed_sessions = 0;
-  std::size_t parse_errors = 0;
-  std::size_t protocol_errors = 0;
-  std::size_t stat_polls = 0;
-  std::size_t tele_frames = 0;
-  std::size_t tser_frames = 0;         ///< convergence time-series frames
-  std::size_t clean_ends = 0;          ///< connections that sent END
-  std::size_t idle_timeouts = 0;
-  std::size_t forced_closes = 0;       ///< drain-timeout casualties
-  std::size_t http_requests = 0;       ///< HTTP exchanges answered 2xx
-  std::size_t http_errors = 0;         ///< HTTP exchanges answered 4xx/5xx
 };
 
 class FrontEnd {
@@ -137,9 +120,9 @@ class FrontEnd {
   /// Actual HTTP observability port; 0 when the HTTP endpoint is off.
   [[nodiscard]] std::uint16_t http_port() const noexcept;
 
-  /// Runs the loop until shutdown/exit-after; returns the aggregate
-  /// stats. Call once.
-  FrontEndStats run();
+  /// Runs the loop until shutdown/exit-after. Call once. What it served
+  /// reads from the `net.*` counters in the service's registry.
+  void run();
 
   /// Thread- and signal-safe shutdown request (starts a graceful drain).
   void request_shutdown() noexcept;
@@ -194,6 +177,8 @@ class FrontEnd {
   [[nodiscard]] std::string global_tele_payload() const;
 
   service::StreamingService& service_;
+  /// The service's sink: its tracer and trace parent for `conn` spans.
+  const obs::Sink& obs_;
   FrontEndOptions options_;
   EventLoop loop_;
   WakeFd wake_;
@@ -226,16 +211,31 @@ class FrontEnd {
   std::int64_t drain_started_ms_ = 0;
   std::atomic<bool> shutdown_requested_{false};
   bool signal_handlers_installed_ = false;
+  /// Set at the first connection; a single-connection front end then
+  /// accepts no other.
+  bool served_one_ = false;
 
-  FrontEndStats stats_;
-
-  obs::Counter* obs_accepted_ = nullptr;
-  obs::Counter* obs_rejected_ = nullptr;
-  obs::Counter* obs_overloaded_requests_ = nullptr;
-  obs::Counter* obs_closed_ = nullptr;
-  obs::Counter* obs_idle_timeouts_ = nullptr;
-  obs::Counter* obs_protocol_errors_ = nullptr;
-  obs::Gauge* obs_open_conns_ = nullptr;
+  // `net.*` instruments in the service's registry, bound once. A drain's
+  // forced closes and the open-connection gauge depend on timing, so they
+  // register as nondeterministic.
+  obs::Counter& accepted_;
+  obs::Counter& rejected_overload_;    ///< connections refused at the cap
+  obs::Counter& overloaded_requests_;  ///< requests refused at the cap
+  obs::Counter& requests_;
+  obs::Counter& replies_;
+  obs::Counter& failed_sessions_;
+  obs::Counter& parse_errors_;
+  obs::Counter& protocol_errors_;
+  obs::Counter& stat_polls_;
+  obs::Counter& tele_frames_;
+  obs::Counter& tser_frames_;          ///< convergence time-series frames
+  obs::Counter& clean_ends_;           ///< connections that sent END
+  obs::Counter& idle_timeouts_;
+  obs::Counter& forced_closes_;        ///< drain-timeout casualties
+  obs::Counter& closed_;
+  obs::Counter& http_requests_;        ///< HTTP exchanges answered 2xx
+  obs::Counter& http_errors_;          ///< HTTP exchanges answered 4xx/5xx
+  obs::Gauge& open_conns_;
 };
 
 /// Serves one DCWP byte stream (stdin, a file, a string) through a
@@ -245,8 +245,8 @@ class FrontEnd {
 /// ignored, and the in-flight cap is lifted — a stream has one client, so
 /// admission control would only turn its own requests away. Returns
 /// after the stream's END tail (or error tail) has been written.
-FrontEndStats serve_stream(std::istream& in, std::ostream& out,
-                           service::StreamingService& service,
-                           FrontEndOptions options);
+void serve_stream(std::istream& in, std::ostream& out,
+                  service::StreamingService& service,
+                  FrontEndOptions options);
 
 }  // namespace deepcat::net

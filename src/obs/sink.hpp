@@ -33,10 +33,6 @@ struct Sink {
   /// Parent span id for spans opened through this sink (0 = root).
   std::uint64_t trace_parent = 0;
 
-  [[nodiscard]] bool active() const noexcept {
-    return metrics != nullptr || tracer != nullptr || series != nullptr;
-  }
-
   /// Appends one sample to a convergence series; inert without a
   /// TimeSeriesRegistry.
   void record_series(const std::string& name, double value) const {

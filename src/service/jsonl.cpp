@@ -37,6 +37,42 @@ void expect(const std::string& s, std::size_t& i, char c,
   ++i;
 }
 
+/// A unicode escape (its 'u' already read) appended as UTF-8: a surrogate
+/// pair becomes one 4-byte sequence; a lone or reversed surrogate fails.
+void parse_unicode_escape(const std::string& s, std::size_t& i,
+                          std::string& out) {
+  const auto hex4 = [&s, &i] {  // four hex digits, either case
+    std::uint32_t value = 0;
+    const char* begin = s.data() + i;
+    if (s.size() - i < 4 ||
+        std::from_chars(begin, begin + 4, value, 16).ptr != begin + 4) {
+      throw std::invalid_argument("malformed JSON: invalid \\u escape");
+    }
+    i += 4;
+    return value;
+  };
+  std::uint32_t code = hex4();
+  if (code >= 0xD800 && code <= 0xDFFF) {
+    std::uint32_t low = 0;
+    if (code <= 0xDBFF && s.compare(i, 2, "\\u") == 0) {
+      i += 2;
+      low = hex4();
+    }
+    if (low < 0xDC00 || low > 0xDFFF) {
+      throw std::invalid_argument(
+          "malformed JSON: unpaired surrogate in \\u escape");
+    }
+    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+  }
+  // A lead byte with the top bits, then six bits per continuation byte.
+  const int tail = code < 0x80 ? 0 : code < 0x800 ? 1 : code < 0x10000 ? 2 : 3;
+  static constexpr std::uint32_t kLead[] = {0x00, 0xC0, 0xE0, 0xF0};
+  out.push_back(static_cast<char>(kLead[tail] | code >> (6 * tail)));
+  for (int k = tail - 1; k >= 0; --k) {
+    out.push_back(static_cast<char>(0x80 | (code >> (6 * k) & 0x3F)));
+  }
+}
+
 std::string parse_string(const std::string& s, std::size_t& i) {
   expect(s, i, '"', "'\"'");
   std::string out;
@@ -55,9 +91,14 @@ std::string parse_string(const std::string& s, std::size_t& i) {
         case 'n': c = '\n'; break;
         case 't': c = '\t'; break;
         case 'r': c = '\r'; break;
+        case 'b': c = '\b'; break;
+        case 'f': c = '\f'; break;
         case '"': c = '"'; break;
         case '\\': c = '\\'; break;
         case '/': c = '/'; break;
+        case 'u':
+          parse_unicode_escape(s, i, out);
+          continue;
         default:
           throw std::invalid_argument(
               "malformed JSON: unsupported escape sequence");

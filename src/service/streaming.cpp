@@ -22,44 +22,51 @@ sparksim::ClusterSpec streaming_cluster(const std::string& tag) {
   return sparksim::cluster_a();
 }
 
-StreamingOptions require_rdper(StreamingOptions options) {
+/// Checks the options are servable and points the sink at the registry in
+/// use (the caller's, else `own`) before the tuner options copy it.
+StreamingOptions bind_sink(StreamingOptions options,
+                           obs::MetricsRegistry& own) {
   if (!options.service.api.tuner.use_rdper) {
     throw std::invalid_argument(
         "StreamingService: use_rdper = false is not servable (sessions "
         "sample the master's RDPER pools)");
   }
+  if (options.service.obs.metrics == nullptr) {
+    options.service.obs.metrics = &own;
+  }
+  options.service.api.tuner.obs = options.service.obs;
   return options;
 }
 
 }  // namespace
 
 StreamingService::StreamingService(StreamingOptions options)
-    : options_((options.service.api.tuner.obs = options.service.obs,
-                require_rdper(std::move(options)))),
+    : options_(bind_sink(std::move(options), own_metrics_)),
       cluster_(streaming_cluster(options_.service.cluster)),
+      obs_admitted_(metrics_registry().counter("stream.requests_admitted")),
+      obs_sessions_ok_(metrics_registry().counter("stream.sessions_ok")),
+      obs_sessions_failed_(
+          metrics_registry().counter("stream.sessions_failed")),
+      obs_flushes_(metrics_registry().counter("stream.flushes")),
+      obs_merges_(metrics_registry().counter("stream.merges")),
+      obs_merged_transitions_(
+          metrics_registry().counter("stream.merged_transitions")),
+      obs_fine_tune_steps_(
+          metrics_registry().counter("stream.fine_tune_steps")),
+      obs_evictions_(metrics_registry().counter("stream.evictions")),
+      obs_warm_requests_(metrics_registry().counter("stream.warm_requests")),
+      obs_warm_hits_(metrics_registry().counter("stream.warm_hits")),
+      // 1-2-5 edges from 1 ms: a served session's modeled cost is a few
+      // ms to tens of ms (rec_cost), a long offline run's up to minutes.
+      obs_rec_seconds_(metrics_registry().histogram(
+          "stream.rec_seconds",
+          {0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0,
+           5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0})),
+      obs_queue_depth_(metrics_registry().gauge("stream.queue_depth",
+                                                /*deterministic=*/false)),
       pool_(options_.service.threads) {
   if (!options_.registry_dir.empty()) {
     registry_.emplace(options_.registry_dir);
-  }
-  if (auto* metrics = options_.service.obs.metrics) {
-    obs_admitted_ = &metrics->counter("stream.requests_admitted");
-    obs_sessions_ok_ = &metrics->counter("stream.sessions_ok");
-    obs_sessions_failed_ = &metrics->counter("stream.sessions_failed");
-    obs_flushes_ = &metrics->counter("stream.flushes");
-    obs_merges_ = &metrics->counter("stream.merges");
-    obs_merged_transitions_ = &metrics->counter("stream.merged_transitions");
-    obs_fine_tune_steps_ = &metrics->counter("stream.fine_tune_steps");
-    obs_evictions_ = &metrics->counter("stream.evictions");
-    obs_warm_requests_ = &metrics->counter("stream.warm_requests");
-    obs_warm_hits_ = &metrics->counter("stream.warm_hits");
-    // 1-2-5 edges from 1 ms: a served session's modeled cost is a few
-    // ms to tens of ms (rec_cost), a long offline run's up to minutes.
-    obs_rec_seconds_ = &metrics->histogram(
-        "stream.rec_seconds",
-        {0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0,
-         10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0});
-    obs_queue_depth_ =
-        &metrics->gauge("stream.queue_depth", /*deterministic=*/false);
   }
 }
 
@@ -214,7 +221,7 @@ void StreamingService::evict_idle_locked() {
       (void)registry_->publish(victim->first, victim->second->model);
     }
     entries_.erase(victim);
-    if (obs_evictions_ != nullptr) obs_evictions_->add(1);
+    obs_evictions_.add(1);
   }
 }
 
@@ -290,8 +297,8 @@ void StreamingService::resolve_warm(TuningRequest& request,
     const auto& action = index.entries()[nb.entry].best_action;
     request.warm_actions.emplace_back(action.begin(), action.end());
   }
-  if (obs_warm_requests_ != nullptr) obs_warm_requests_->add(1);
-  if (obs_warm_hits_ != nullptr) obs_warm_hits_->add(neighbors.size());
+  obs_warm_requests_.add(1);
+  obs_warm_hits_.add(neighbors.size());
 }
 
 void StreamingService::submit(TuningRequest request) {
@@ -349,15 +356,13 @@ void StreamingService::submit(TuningRequest request,
     entry->last_used = sequence;
     ++in_flight_;
     ++entry->in_flight;
-    if (obs_queue_depth_ != nullptr) {
-      obs_queue_depth_->set(static_cast<double>(in_flight_));
-    }
+    obs_queue_depth_.set(static_cast<double>(in_flight_));
   } catch (const std::exception& e) {
     complete_failed(request, e.what(), on_done);
     return;
   }
 
-  if (obs_admitted_ != nullptr) obs_admitted_->add(1);
+  obs_admitted_.add(1);
   obs::Tracer* tracer = options_.service.obs.tracer;
   std::uint64_t request_span = 0;
   if (tracer != nullptr) {
@@ -445,9 +450,7 @@ void StreamingService::on_complete(MasterEntry& entry,
     if (!on_done) completed_.push_back(std::move(stream_report));
     --in_flight_;
     --entry.in_flight;
-    if (obs_queue_depth_ != nullptr) {
-      obs_queue_depth_->set(static_cast<double>(in_flight_));
-    }
+    obs_queue_depth_.set(static_cast<double>(in_flight_));
     completion_cv_.notify_all();
   }
   // The in-flight decrement happens BEFORE the callback runs, so a caller
@@ -469,13 +472,11 @@ void StreamingService::record_metrics_locked(const SessionReport& report,
                                              const std::string& key) {
   sessions_.record(report);
   if (!report.ok) {
-    if (obs_sessions_failed_ != nullptr) obs_sessions_failed_->add(1);
+    obs_sessions_failed_.add(1);
     return;
   }
-  if (obs_sessions_ok_ != nullptr) obs_sessions_ok_->add(1);
-  if (obs_rec_seconds_ != nullptr) {
-    obs_rec_seconds_->observe(report.report.total_recommendation_seconds());
-  }
+  obs_sessions_ok_.add(1);
+  obs_rec_seconds_.observe(report.report.total_recommendation_seconds());
   if (auto* series = options_.service.obs.series) {
     // Convergence history (state lock held, so appends are ordered):
     // per-evaluation recommendation cost, running best session reward per
@@ -513,8 +514,7 @@ std::size_t StreamingService::merge_entry_locked(
     MasterEntry& entry, common::ThreadPool* helpers) {
   if (entry.pending.empty()) return 0;
   const auto merge_span = options_.service.obs.scope("merge");
-  ++merges_;
-  if (obs_merges_ != nullptr) obs_merges_->add(1);
+  obs_merges_.add(1);
   if (entry.stub) {
     // No real master behind a test-runner entry; the epoch still advances
     // so transcripts exercise the model-epoch contract.
@@ -547,15 +547,11 @@ std::size_t StreamingService::merge_entry_locked(
         const std::size_t tuned = entry.model.tuner().agent().fine_tune(
             *replay, entry.model.tuner().rng(), options_.master_update_steps,
             helpers);
-        fine_tune_steps_ += tuned;
-        if (obs_fine_tune_steps_ != nullptr) obs_fine_tune_steps_->add(tuned);
+        obs_fine_tune_steps_.add(tuned);
       }
     }
   }
-  merged_transitions_ += merged;
-  if (obs_merged_transitions_ != nullptr) {
-    obs_merged_transitions_->add(merged);
-  }
+  obs_merged_transitions_.add(merged);
   entry.pending.clear();
   ++entry.epoch;
   entry.dirty = true;
@@ -567,7 +563,7 @@ std::size_t StreamingService::flush() {
   std::shared_lock reg(registry_mutex_);
   std::unique_lock state(state_mutex_);
   completion_cv_.wait(state, [this] { return in_flight_ == 0; });
-  if (obs_flushes_ != nullptr) obs_flushes_->add(1);
+  obs_flushes_.add(1);
   // No session is in flight and none can be admitted while state_mutex_ is
   // held, so the master's steps borrow an idle pool worker.
   std::size_t merged = 0;
@@ -605,9 +601,9 @@ obs::BuildInfo StreamingService::build_info() const {
 ServiceMetrics StreamingService::metrics() const {
   std::scoped_lock state(state_mutex_);
   ServiceMetrics m = sessions_.snapshot();
-  m.merges = merges_;
-  m.merged_transitions = merged_transitions_;
-  m.fine_tune_steps = fine_tune_steps_;
+  m.merges = obs_merges_.value();
+  m.merged_transitions = obs_merged_transitions_.value();
+  m.fine_tune_steps = obs_fine_tune_steps_.value();
   return m;
 }
 

@@ -58,7 +58,9 @@ struct ServiceOptions {
   std::size_t threads = 0;      ///< session pool size; 0 = hardware
   /// Observability hand-off: propagated into the master's tuner options
   /// and every session clone, so losses, Twin-Q counters and spans from
-  /// all layers land in one registry/tracer. Non-owning; inert by default.
+  /// all layers land in one registry/tracer. Non-owning. A null registry
+  /// means the service counts into its own; tracer and series stay off
+  /// when null.
   obs::Sink obs{};
 };
 
@@ -181,10 +183,11 @@ class StreamingService {
   /// dispatch/thread state.
   [[nodiscard]] obs::BuildInfo build_info() const;
 
-  /// The sink's metrics registry (null when observability is off); the
-  /// TELE encoder reads the instrument set through this.
-  [[nodiscard]] const obs::MetricsRegistry* metrics_registry() const noexcept {
-    return options_.service.obs.metrics;
+  /// The one record of every serving count: the sink's registry, or the
+  /// service's own when the sink names none. The master, every session and
+  /// the front end count into it; STAT, /varz and /metrics read it.
+  [[nodiscard]] obs::MetricsRegistry& metrics_registry() const noexcept {
+    return *options_.service.obs.metrics;
   }
 
   /// The sink's convergence time-series registry (null = no TSER frames,
@@ -259,6 +262,9 @@ class StreamingService {
   void resolve_warm(TuningRequest& request,
                     const retrieval::ExperienceIndex& index);
 
+  /// The registry used when the sink names none; declared before
+  /// options_, whose sink then points at it.
+  obs::MetricsRegistry own_metrics_;
   StreamingOptions options_;
   sparksim::ClusterSpec cluster_;
   std::optional<ModelRegistry> registry_;
@@ -281,28 +287,25 @@ class StreamingService {
   std::size_t in_flight_ = 0;
   std::uint64_t next_sequence_ = 0;
   SessionAggregate sessions_;
-  std::size_t merges_ = 0;
-  std::size_t merged_transitions_ = 0;
-  std::size_t fine_tune_steps_ = 0;
   /// Running best session reward per served model key, feeding the
   /// "model.<key>.best_reward" convergence series.
   std::map<std::string, double> best_reward_;
 
-  // Registry instruments, resolved once at construction; null when the
-  // sink is inert. The queue-depth gauge registers as nondeterministic —
-  // how deep the queue gets is exactly what scheduling decides.
-  obs::Counter* obs_admitted_ = nullptr;
-  obs::Counter* obs_sessions_ok_ = nullptr;
-  obs::Counter* obs_sessions_failed_ = nullptr;
-  obs::Counter* obs_flushes_ = nullptr;
-  obs::Counter* obs_merges_ = nullptr;
-  obs::Counter* obs_merged_transitions_ = nullptr;
-  obs::Counter* obs_fine_tune_steps_ = nullptr;
-  obs::Counter* obs_evictions_ = nullptr;
-  obs::Counter* obs_warm_requests_ = nullptr;
-  obs::Counter* obs_warm_hits_ = nullptr;
-  obs::Histogram* obs_rec_seconds_ = nullptr;
-  obs::Gauge* obs_queue_depth_ = nullptr;
+  // Registry instruments, bound once at construction. The queue-depth
+  // gauge registers as nondeterministic — how deep the queue gets is
+  // exactly what scheduling decides.
+  obs::Counter& obs_admitted_;
+  obs::Counter& obs_sessions_ok_;
+  obs::Counter& obs_sessions_failed_;
+  obs::Counter& obs_flushes_;
+  obs::Counter& obs_merges_;
+  obs::Counter& obs_merged_transitions_;
+  obs::Counter& obs_fine_tune_steps_;
+  obs::Counter& obs_evictions_;
+  obs::Counter& obs_warm_requests_;
+  obs::Counter& obs_warm_hits_;
+  obs::Histogram& obs_rec_seconds_;
+  obs::Gauge& obs_queue_depth_;
 
   /// Declared last: its destructor runs every queued session and joins
   /// before any state above is torn down.

@@ -17,15 +17,19 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "net/client.hpp"
 #include "obs/metrics.hpp"
+#include "service/jsonl.hpp"
 #include "service/streaming.hpp"
 #include "service/wire.hpp"
 
@@ -104,12 +108,56 @@ std::string unique_socket_path(const std::string& tag) {
          std::to_string(::getpid()) + ".sock";
 }
 
+/// One HTTP exchange with the observability port: sends `request` (if
+/// any) and returns everything the server wrote before it closed.
+std::string http_exchange(std::uint16_t port, const std::string& request) {
+  auto client = BlockingClient::to_tcp("127.0.0.1", port);
+  if (!request.empty()) {
+    EXPECT_EQ(
+        ::send(client.fd(), request.data(), request.size(), MSG_NOSIGNAL),
+        static_cast<ssize_t>(request.size()));
+  }
+  std::string response;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::recv(client.fd(), buf, sizeof buf, 0)) > 0) {
+    response.append(buf, static_cast<std::size_t>(n));
+  }
+  return response;
+}
+
+std::string http_get(std::uint16_t port, const std::string& path) {
+  return http_exchange(port, "GET " + path + " HTTP/1.1\r\n\r\n");
+}
+
+/// The status code and the body of an HTTP response.
+std::pair<int, std::string> http_status_and_body(const std::string& response) {
+  const std::size_t body = response.find("\r\n\r\n");
+  if (response.rfind("HTTP/1.1 ", 0) != 0 || body == std::string::npos) {
+    ADD_FAILURE() << "not an HTTP response: " << response;
+    return {0, ""};
+  }
+  return {std::stoi(response.substr(9, 3)), response.substr(body + 4)};
+}
+
+/// Counter values by name: what a run counted into its service's registry.
+using Counts = std::map<std::string, std::uint64_t>;
+
+Counts counts_of(const service::StreamingService& svc) {
+  Counts counts;
+  for (const obs::MetricSnapshot& m : svc.metrics_registry().snapshot()) {
+    if (m.kind == obs::MetricKind::kCounter) counts[m.name] = m.counter_value;
+  }
+  return counts;
+}
+
 /// Runs a FrontEnd on its own thread; the test thread plays the clients.
 class TestServer {
  public:
   TestServer(service::StreamingService& svc, FrontEndOptions options)
-      : front_end_(svc, std::move(options)),
-        thread_([this] { stats_ = front_end_.run(); }) {}
+      : svc_(svc),
+        front_end_(svc, std::move(options)),
+        thread_([this] { front_end_.run(); }) {}
 
   ~TestServer() { join(); }
 
@@ -117,12 +165,15 @@ class TestServer {
   [[nodiscard]] std::uint16_t tcp_port() const noexcept {
     return front_end_.tcp_port();
   }
+  [[nodiscard]] std::uint16_t http_port() const noexcept {
+    return front_end_.http_port();
+  }
 
-  /// Requests shutdown (if still running) and returns the final stats.
-  const FrontEndStats& finish() {
+  /// Requests shutdown (if still running) and returns the final counts.
+  Counts finish() {
     front_end_.request_shutdown();
     join();
-    return stats_;
+    return counts_of(svc_);
   }
 
  private:
@@ -130,8 +181,8 @@ class TestServer {
     if (thread_.joinable()) thread_.join();
   }
 
+  service::StreamingService& svc_;
   FrontEnd front_end_;
-  FrontEndStats stats_;
   std::thread thread_;
 };
 
@@ -159,7 +210,7 @@ TEST(FrontEndTest, UnixAndTcpRoundTripWithStatPoll) {
   tcp_client.send_frame(FrameType::kEnd, "");
   const auto tcp_frames = read_until_end(tcp_client);
 
-  const auto& stats = server.finish();
+  const Counts stats = server.finish();
 
   // Unix transcript: replies in admission order, then TELE + END.
   std::vector<std::string> reply_ids;
@@ -184,14 +235,14 @@ TEST(FrontEndTest, UnixAndTcpRoundTripWithStatPoll) {
   EXPECT_EQ(count_type(tcp_frames, FrameType::kReply), 1u);
   EXPECT_EQ(tcp_frames.back().type, FrameType::kEnd);
 
-  EXPECT_EQ(stats.accepted, 2u);
-  EXPECT_EQ(stats.requests, 4u);
-  EXPECT_EQ(stats.replies, 4u);
-  EXPECT_EQ(stats.clean_ends, 2u);
-  EXPECT_EQ(stats.failed_sessions, 0u);
-  EXPECT_EQ(stats.stat_polls, 1u);
-  EXPECT_EQ(stats.rejected_overload, 0u);
-  EXPECT_EQ(stats.forced_closes, 0u);
+  EXPECT_EQ(stats.at("net.accepted"), 2u);
+  EXPECT_EQ(stats.at("net.requests"), 4u);
+  EXPECT_EQ(stats.at("net.replies"), 4u);
+  EXPECT_EQ(stats.at("net.clean_ends"), 2u);
+  EXPECT_EQ(stats.at("net.failed_sessions"), 0u);
+  EXPECT_EQ(stats.at("net.stat_polls"), 1u);
+  EXPECT_EQ(stats.at("net.rejected_overload"), 0u);
+  EXPECT_EQ(stats.at("net.forced_closes"), 0u);
 }
 
 TEST(FrontEndTest, RepliesAreReleasedInAdmissionOrder) {
@@ -267,24 +318,25 @@ TEST(FrontEndTest, ConnectionCapRejectsWithTypedError) {
   const auto tail = read_until_end(first);
   EXPECT_EQ(tail.back().type, FrameType::kEnd);
 
-  const auto& stats = server.finish();
-  EXPECT_EQ(stats.accepted, 1u);
-  EXPECT_EQ(stats.rejected_overload, 1u);
-  EXPECT_EQ(stats.clean_ends, 1u);
+  const Counts stats = server.finish();
+  EXPECT_EQ(stats.at("net.accepted"), 1u);
+  EXPECT_EQ(stats.at("net.rejected_overload"), 1u);
+  EXPECT_EQ(stats.at("net.clean_ends"), 1u);
 }
 
 TEST(FrontEndTest, InflightCapRejectsRequestsWithTypedError) {
   auto gate = std::make_shared<Gate>();
-  service::StreamingService svc(fake_options(2));
+  obs::MetricsRegistry registry;
+  service::StreamingOptions streaming = fake_options(2);
+  streaming.service.obs.metrics = &registry;
+  service::StreamingService svc(streaming);
   svc.set_session_runner_for_test([gate](const TuningRequest& r) {
     gate->wait_inside();
     return fake_report(r);
   });
-  obs::MetricsRegistry registry;
   FrontEndOptions options;
   options.unix_path = unique_socket_path("inflight");
   options.max_inflight = 1;
-  options.obs.metrics = &registry;
   TestServer server(svc, options);
 
   auto client = BlockingClient::to_unix(options.unix_path);
@@ -315,11 +367,11 @@ TEST(FrontEndTest, InflightCapRejectsRequestsWithTypedError) {
   const auto tail = read_until_end(client);
   EXPECT_EQ(tail.back().type, FrameType::kEnd);
 
-  const auto& stats = server.finish();
-  EXPECT_EQ(stats.requests, 3u);
-  EXPECT_EQ(stats.replies, 1u);
-  EXPECT_EQ(stats.overloaded_requests, 2u);
-  EXPECT_EQ(stats.failed_sessions, 0u);
+  const Counts stats = server.finish();
+  EXPECT_EQ(stats.at("net.requests"), 3u);
+  EXPECT_EQ(stats.at("net.replies"), 1u);
+  EXPECT_EQ(stats.at("net.overloaded_requests"), 2u);
+  EXPECT_EQ(stats.at("net.failed_sessions"), 0u);
 }
 
 TEST(FrontEndTest, DuplicateRequestKeyGetsTypedErrorAndTheConnCarriesOn) {
@@ -346,10 +398,10 @@ TEST(FrontEndTest, DuplicateRequestKeyGetsTypedErrorAndTheConnCarriesOn) {
   EXPECT_NE(frames[1].payload.find("\"id\":\"after\""), std::string::npos);
   EXPECT_EQ(frames.back().type, FrameType::kEnd);
 
-  const auto& stats = server.finish();
-  EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.replies, 1u);
-  EXPECT_EQ(stats.parse_errors, 1u);
+  const Counts stats = server.finish();
+  EXPECT_EQ(stats.at("net.requests"), 2u);
+  EXPECT_EQ(stats.at("net.replies"), 1u);
+  EXPECT_EQ(stats.at("net.parse_errors"), 1u);
 }
 
 TEST(FrontEndTest, OversizedFrameGetsTypedErrorAndSparesOtherConns) {
@@ -391,10 +443,10 @@ TEST(FrontEndTest, OversizedFrameGetsTypedErrorAndSparesOtherConns) {
   EXPECT_EQ(count_type(ok_frames, FrameType::kReply), 1u);
   EXPECT_EQ(ok_frames.back().type, FrameType::kEnd);
 
-  const auto& stats = server.finish();
-  EXPECT_EQ(stats.protocol_errors, 1u);
-  EXPECT_EQ(stats.replies, 1u);
-  EXPECT_EQ(stats.clean_ends, 1u);
+  const Counts stats = server.finish();
+  EXPECT_EQ(stats.at("net.protocol_errors"), 1u);
+  EXPECT_EQ(stats.at("net.replies"), 1u);
+  EXPECT_EQ(stats.at("net.clean_ends"), 1u);
 }
 
 TEST(FrontEndTest, MidstreamDisconnectDoesNotPoisonOtherConnections) {
@@ -442,10 +494,11 @@ TEST(FrontEndTest, MidstreamDisconnectDoesNotPoisonOtherConnections) {
   EXPECT_EQ(count_type(frames, FrameType::kReply), 1u);
   EXPECT_EQ(frames.back().type, FrameType::kEnd);
 
-  const auto& stats = server.finish();
-  EXPECT_EQ(stats.protocol_errors, 1u) << "flavor 1 only; resets don't count";
-  EXPECT_EQ(stats.replies, 1u);
-  EXPECT_EQ(stats.failed_sessions, 0u);
+  const Counts stats = server.finish();
+  EXPECT_EQ(stats.at("net.protocol_errors"), 1u)
+      << "flavor 1 only; resets don't count";
+  EXPECT_EQ(stats.at("net.replies"), 1u);
+  EXPECT_EQ(stats.at("net.failed_sessions"), 0u);
 }
 
 TEST(FrontEndTest, FlushBarrierAcksWithConnectionTele) {
@@ -611,8 +664,8 @@ TEST(FrontEndTest, TcpHostnamesResolveViaGetaddrinfo) {
   const auto frames = read_until_end(client);
   EXPECT_EQ(count_type(frames, FrameType::kReply), 1u);
   EXPECT_EQ(frames.back().type, FrameType::kEnd);
-  const auto& stats = server.finish();
-  EXPECT_EQ(stats.replies, 1u);
+  const Counts stats = server.finish();
+  EXPECT_EQ(stats.at("net.replies"), 1u);
 }
 
 TEST(FrontEndTest, GracefulDrainFlushesInFlightRepliesAndTails) {
@@ -644,10 +697,10 @@ TEST(FrontEndTest, GracefulDrainFlushesInFlightRepliesAndTails) {
     EXPECT_EQ(count_type(frames, FrameType::kTelemetry), 1u);
     EXPECT_EQ(frames.back().type, FrameType::kEnd);
   }
-  const auto& stats = server.finish();
-  EXPECT_EQ(stats.replies, 2u);
-  EXPECT_EQ(stats.forced_closes, 0u);
-  EXPECT_EQ(stats.clean_ends, 0u) << "neither client ever sent END";
+  const Counts stats = server.finish();
+  EXPECT_EQ(stats.at("net.replies"), 2u);
+  EXPECT_EQ(stats.at("net.forced_closes"), 0u);
+  EXPECT_EQ(stats.at("net.clean_ends"), 0u) << "neither client ever sent END";
 }
 
 TEST(FrontEndTest, DrainTimeoutForceClosesAndCountsStragglers) {
@@ -672,9 +725,10 @@ TEST(FrontEndTest, DrainTimeoutForceClosesAndCountsStragglers) {
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
   gate->release();
 
-  const auto& stats = server.finish();
-  EXPECT_EQ(stats.forced_closes, 1u);
-  EXPECT_EQ(stats.replies, 0u) << "the peer was cut off before the reply";
+  const Counts stats = server.finish();
+  EXPECT_EQ(stats.at("net.forced_closes"), 1u);
+  EXPECT_EQ(stats.at("net.replies"), 0u)
+      << "the peer was cut off before the reply";
 }
 
 TEST(FrontEndTest, IdleConnectionsTimeOutWithTypedError) {
@@ -693,8 +747,8 @@ TEST(FrontEndTest, IdleConnectionsTimeOutWithTypedError) {
   EXPECT_NE(frames[0].payload.find("idle timeout"), std::string::npos);
   EXPECT_EQ(frames[1].type, FrameType::kEnd);
 
-  const auto& stats = server.finish();
-  EXPECT_EQ(stats.idle_timeouts, 1u);
+  const Counts stats = server.finish();
+  EXPECT_EQ(stats.at("net.idle_timeouts"), 1u);
 }
 
 TEST(FrontEndTest, ServesHundredsOfConcurrentMixedConnections) {
@@ -742,15 +796,274 @@ TEST(FrontEndTest, ServesHundredsOfConcurrentMixedConnections) {
     EXPECT_EQ(frames.back().type, FrameType::kEnd) << "conn " << i;
   }
 
-  const auto& stats = server.finish();
-  EXPECT_EQ(stats.accepted, 2 * kPerTransport);
-  EXPECT_EQ(stats.requests, 2 * kPerTransport);
-  EXPECT_EQ(stats.replies, 2 * kPerTransport);
-  EXPECT_EQ(stats.clean_ends, 2 * kPerTransport);
-  EXPECT_EQ(stats.rejected_overload, 0u);
-  EXPECT_EQ(stats.overloaded_requests, 0u);
-  EXPECT_EQ(stats.failed_sessions, 0u);
-  EXPECT_EQ(stats.forced_closes, 0u);
+  const Counts stats = server.finish();
+  EXPECT_EQ(stats.at("net.accepted"), 2 * kPerTransport);
+  EXPECT_EQ(stats.at("net.requests"), 2 * kPerTransport);
+  EXPECT_EQ(stats.at("net.replies"), 2 * kPerTransport);
+  EXPECT_EQ(stats.at("net.clean_ends"), 2 * kPerTransport);
+  EXPECT_EQ(stats.at("net.rejected_overload"), 0u);
+  EXPECT_EQ(stats.at("net.overloaded_requests"), 0u);
+  EXPECT_EQ(stats.at("net.failed_sessions"), 0u);
+  EXPECT_EQ(stats.at("net.forced_closes"), 0u);
+}
+
+TEST(FrontEndTest, StatCarriesInstrumentsWithoutACallerRegistry) {
+  // The service was given no registry: it counts into its own, and STAT
+  // answers with the aggregate line plus every instrument.
+  service::StreamingService svc(fake_options(1));
+  svc.set_session_runner_for_test(fake_report);
+  FrontEndOptions options;
+  options.unix_path = unique_socket_path("ownregistry");
+  TestServer server(svc, options);
+
+  auto client = BlockingClient::to_unix(options.unix_path);
+  client.send_header();
+  client.send_frame(FrameType::kRequest, request_json("counted"));
+  const auto reply = client.read_frame();
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, FrameType::kReply);
+  client.send_frame(FrameType::kStat, "");
+  const auto tele = client.read_frame();
+  ASSERT_TRUE(tele.has_value());
+  ASSERT_EQ(tele->type, FrameType::kTelemetry);
+  std::map<std::string, std::string> values;
+  std::istringstream lines(tele->payload);
+  for (std::string line; std::getline(lines, line);) {
+    for (const char* name : {"stream.requests_admitted", "net.accepted"}) {
+      if (line.find("\"name\":\"" + std::string(name) + "\"") !=
+          std::string::npos) {
+        values[name] = service::parse_flat_json(line).at("value");
+      }
+    }
+  }
+  EXPECT_EQ(values["stream.requests_admitted"], "1") << tele->payload;
+  EXPECT_EQ(values["net.accepted"], "1") << tele->payload;
+  client.send_frame(FrameType::kEnd, "");
+  (void)read_until_end(client);
+  (void)server.finish();
+}
+
+TEST(FrontEndTest, ScriptedRunOverBothTransportsCountsEveryEvent) {
+  // One script touches every DCWP count: a STAT on each transport, a
+  // connection past the cap, a corrupt frame, a request past the in-flight
+  // cap, a malformed request, a FLSH, a failed session, a clean END and an
+  // idle timeout. The net.* counters must read what the front end's own
+  // per-run tally read for the same script.
+  auto gate = std::make_shared<Gate>();
+  service::StreamingService svc(fake_options(2));
+  svc.set_session_runner_for_test([gate](const TuningRequest& r) {
+    if (r.id == "slow") gate->wait_inside();
+    service::SessionReport report = fake_report(r);
+    report.ok = r.id != "fail";
+    return report;
+  });
+  FrontEndOptions options;
+  options.unix_path = unique_socket_path("script");
+  options.tcp_port = 0;
+  options.max_connections = 2;
+  options.max_inflight = 1;
+  options.idle_timeout_seconds = 1.0;
+  TestServer server(svc, options);
+  ASSERT_GT(server.tcp_port(), 0);
+
+  // A STAT round trip on each transport proves both are accepted.
+  auto a = BlockingClient::to_unix(options.unix_path);
+  a.send_header();
+  a.send_frame(FrameType::kStat, "");
+  ASSERT_EQ(a.read_frame()->type, FrameType::kTelemetry);
+  auto b = BlockingClient::to_tcp("127.0.0.1", server.tcp_port());
+  b.send_header();
+  b.send_frame(FrameType::kStat, "");
+  ASSERT_EQ(b.read_frame()->type, FrameType::kTelemetry);
+
+  auto refused = BlockingClient::to_unix(options.unix_path);
+  EXPECT_EQ(read_until_end(refused).front().type, FrameType::kError);
+
+  std::string corrupt =
+      service::encode_frame(FrameType::kRequest, request_json("torn"));
+  corrupt.back() ^= 0x01;  // the CRC
+  ASSERT_EQ(::send(b.fd(), corrupt.data(), corrupt.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(corrupt.size()));
+  const auto b_tail = read_until_end(b);
+  EXPECT_EQ(count_type(b_tail, FrameType::kError), 1u);
+
+  a.send_frame(FrameType::kRequest, request_json("slow"));
+  gate->wait_entered(1);
+  a.send_frame(FrameType::kRequest, request_json("over"));
+  // Both slots are taken before the hostage goes: the refusal is decided.
+  while (svc.metrics_registry().counter("net.requests").value() != 2) {
+    std::this_thread::yield();
+  }
+  gate->release();
+  EXPECT_EQ(a.read_frame()->type, FrameType::kReply);
+  EXPECT_EQ(a.read_frame()->type, FrameType::kError);
+  a.send_frame(FrameType::kRequest, "{\"id\":");
+  a.send_frame(FrameType::kFlush, "");
+  a.send_frame(FrameType::kRequest, request_json("fail"));
+  a.send_frame(FrameType::kEnd, "");
+  std::vector<FrameType> types;
+  for (const auto& f : read_until_end(a)) types.push_back(f.type);
+  EXPECT_EQ(types, (std::vector<FrameType>{
+                       FrameType::kError, FrameType::kTelemetry,
+                       FrameType::kReply, FrameType::kTelemetry,
+                       FrameType::kEnd}));
+
+  auto idle = BlockingClient::to_tcp("127.0.0.1", server.tcp_port());
+  idle.send_header();
+  const auto idle_frames = read_until_end(idle);
+  ASSERT_EQ(idle_frames.size(), 2u);
+  EXPECT_NE(idle_frames[0].payload.find("idle timeout"), std::string::npos);
+
+  const Counts stats = server.finish();
+  const Counts expected = {
+      {"net.accepted", 3},        {"net.clean_ends", 1},
+      {"net.closed", 4},          {"net.failed_sessions", 1},
+      {"net.forced_closes", 0},   {"net.http_errors", 0},
+      {"net.http_requests", 0},   {"net.idle_timeouts", 1},
+      {"net.overloaded_requests", 1}, {"net.parse_errors", 1},
+      {"net.protocol_errors", 1}, {"net.rejected_overload", 1},
+      {"net.replies", 2},         {"net.requests", 4},
+      {"net.stat_polls", 2},      {"net.tele_frames", 5},
+      {"net.tser_frames", 0},
+  };
+  Counts net;
+  for (const auto& [name, value] : stats) {
+    if (name.rfind("net.", 0) == 0) net.emplace(name, value);
+  }
+  EXPECT_EQ(net, expected);
+}
+
+TEST(FrontEndTest, HttpRoutesAnswerAndCountEveryExchange) {
+  service::StreamingService svc(fake_options(1));
+  svc.set_session_runner_for_test(fake_report);
+  FrontEndOptions options;
+  options.unix_path = unique_socket_path("httproutes");
+  options.http_port = 0;
+  TestServer server(svc, options);
+  ASSERT_GT(server.http_port(), 0);
+  // (net.http_requests, net.http_errors) after each exchange.
+  using HttpCounts = std::pair<std::uint64_t, std::uint64_t>;
+  obs::MetricsRegistry& registry = svc.metrics_registry();
+  const auto http_counts = [&registry] {
+    return HttpCounts{registry.counter("net.http_requests").value(),
+                      registry.counter("net.http_errors").value()};
+  };
+
+  auto [status, body] = http_status_and_body(http_get(server.http_port(),
+                                                      "/healthz"));
+  EXPECT_EQ(status, 200);
+  EXPECT_EQ(body, "ok\n");
+  EXPECT_EQ(http_counts(), HttpCounts(1, 0));
+
+  // One served request, so /metrics and /varz have a DCWP count to show.
+  auto client = BlockingClient::to_unix(options.unix_path);
+  client.send_header();
+  client.send_frame(FrameType::kRequest, request_json("scraped"));
+  ASSERT_EQ(client.read_frame()->type, FrameType::kReply);
+
+  std::tie(status, body) =
+      http_status_and_body(http_get(server.http_port(), "/metrics"));
+  EXPECT_EQ(status, 200);
+  EXPECT_NE(body.find("\ndeepcat_net_requests_total 1\n"), std::string::npos)
+      << body;
+  EXPECT_EQ(http_counts(), HttpCounts(2, 0));
+
+  std::tie(status, body) =
+      http_status_and_body(http_get(server.http_port(), "/varz"));
+  EXPECT_EQ(status, 200);
+  EXPECT_EQ(body.rfind("{\"tele\":1,", 0), 0u) << body;
+  EXPECT_NE(body.find("\"sessions\":1,"), std::string::npos) << body;
+  EXPECT_NE(body.find(R"({"name":"net.requests","kind":"counter",)"
+                      R"("deterministic":true,"value":1})"),
+            std::string::npos)
+      << body;
+  EXPECT_EQ(http_counts(), HttpCounts(3, 0));
+
+  std::tie(status, body) =
+      http_status_and_body(http_get(server.http_port(), "/timeseries"));
+  EXPECT_EQ(status, 404) << "no series registry";
+  EXPECT_EQ(http_counts(), HttpCounts(3, 1));
+
+  std::tie(status, body) =
+      http_status_and_body(http_get(server.http_port(), "/nope"));
+  EXPECT_EQ(status, 404);
+  EXPECT_EQ(http_counts(), HttpCounts(3, 2));
+
+  std::tie(status, body) = http_status_and_body(
+      http_exchange(server.http_port(), "POST /metrics HTTP/1.1\r\n\r\n"));
+  EXPECT_EQ(status, 405);
+  EXPECT_EQ(http_counts(), HttpCounts(3, 3));
+
+  client.send_frame(FrameType::kEnd, "");
+  (void)read_until_end(client);
+  (void)server.finish();
+}
+
+TEST(FrontEndTest, HealthzReadsDrainingWhileADrainWaitsOnASession) {
+  auto gate = std::make_shared<Gate>();
+  service::StreamingService svc(fake_options(1));
+  svc.set_session_runner_for_test([gate](const TuningRequest& r) {
+    gate->wait_inside();
+    return fake_report(r);
+  });
+  FrontEndOptions options;
+  options.unix_path = unique_socket_path("httpdrain");
+  options.http_port = 0;
+  options.drain_timeout_seconds = 30.0;
+  TestServer server(svc, options);
+  obs::MetricsRegistry& registry = svc.metrics_registry();
+
+  auto [status, body] =
+      http_status_and_body(http_get(server.http_port(), "/healthz"));
+  EXPECT_EQ(status, 200);
+  EXPECT_EQ(body, "ok\n");
+
+  auto client = BlockingClient::to_unix(options.unix_path);
+  client.send_header();
+  client.send_frame(FrameType::kRequest, request_json("held"));
+  gate->wait_entered(1);
+  server.front_end().request_shutdown();
+  // The drain starts on the loop's next pass; poll until readiness flips.
+  // The held session keeps the loop (and the HTTP listener) alive.
+  std::uint64_t ok = 1;
+  for (int i = 0; i < 200; ++i) {
+    std::tie(status, body) =
+        http_status_and_body(http_get(server.http_port(), "/healthz"));
+    if (status != 200) break;
+    ++ok;
+  }
+  EXPECT_EQ(status, 503);
+  EXPECT_EQ(body, "draining\n");
+  EXPECT_EQ(registry.counter("net.http_requests").value(), ok);
+  EXPECT_EQ(registry.counter("net.http_errors").value(), 1u);
+
+  gate->release();
+  const auto frames = read_until_end(client);
+  EXPECT_EQ(count_type(frames, FrameType::kReply), 1u);
+  (void)server.finish();
+}
+
+TEST(FrontEndTest, HttpConnectionPastTheCapGets503) {
+  service::StreamingService svc(fake_options(1));
+  svc.set_session_runner_for_test(fake_report);
+  FrontEndOptions options;
+  options.unix_path = unique_socket_path("httpcap");
+  options.http_port = 0;
+  options.max_connections = 1;
+  TestServer server(svc, options);
+  obs::MetricsRegistry& registry = svc.metrics_registry();
+
+  // The first scraper holds its connection open without a request; the
+  // second is past the cap and answered before it sends a byte.
+  auto holder = BlockingClient::to_tcp("127.0.0.1", server.http_port());
+  auto [status, body] =
+      http_status_and_body(http_exchange(server.http_port(), ""));
+  EXPECT_EQ(status, 503);
+  EXPECT_NE(body.find("overloaded"), std::string::npos) << body;
+  EXPECT_EQ(registry.counter("net.http_requests").value(), 0u);
+  EXPECT_EQ(registry.counter("net.http_errors").value(), 1u);
+  holder.close();
+  (void)server.finish();
 }
 
 TEST(FrontEndTest, StreamBridgeServesThousandsOfRequestsInOrder) {
@@ -773,7 +1086,8 @@ TEST(FrontEndTest, StreamBridgeServesThousandsOfRequestsInOrder) {
     svc.set_session_runner_for_test(fake_report);
     std::istringstream in(input, std::ios::binary);
     std::ostringstream out(std::ios::binary);
-    const FrontEndStats stats = serve_stream(in, out, svc, FrontEndOptions{});
+    serve_stream(in, out, svc, FrontEndOptions{});
+    const Counts stats = counts_of(svc);
 
     const auto frames = service::decode_frames(out.str());
     ASSERT_EQ(frames.size(), kRequests + (corrupt ? 3 : 2)) << corrupt;
@@ -790,10 +1104,10 @@ TEST(FrontEndTest, StreamBridgeServesThousandsOfRequestsInOrder) {
     }
     EXPECT_EQ(frames[frames.size() - 2].type, FrameType::kTelemetry);
     EXPECT_EQ(frames.back().type, FrameType::kEnd);
-    EXPECT_EQ(stats.replies, kRequests);
-    EXPECT_EQ(stats.overloaded_requests, 0u);
-    EXPECT_EQ(stats.protocol_errors, corrupt ? 1u : 0u);
-    EXPECT_EQ(stats.clean_ends, corrupt ? 0u : 1u);
+    EXPECT_EQ(stats.at("net.replies"), kRequests);
+    EXPECT_EQ(stats.at("net.overloaded_requests"), 0u);
+    EXPECT_EQ(stats.at("net.protocol_errors"), corrupt ? 1u : 0u);
+    EXPECT_EQ(stats.at("net.clean_ends"), corrupt ? 0u : 1u);
   }
 }
 

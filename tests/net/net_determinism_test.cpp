@@ -108,8 +108,7 @@ std::map<std::size_t, std::string> run_fake_config(
   options.max_inflight = 256;
   options.tele_include_nondeterministic = false;
   FrontEnd front_end(svc, options);
-  FrontEndStats stats;
-  std::thread loop([&] { stats = front_end.run(); });
+  std::thread loop([&] { front_end.run(); });
 
   std::map<std::size_t, std::unique_ptr<BlockingClient>> clients;
   for (const std::size_t key : order) {
@@ -132,9 +131,12 @@ std::map<std::size_t, std::string> run_fake_config(
   }
   front_end.request_shutdown();
   loop.join();
-  EXPECT_EQ(stats.replies, order.size() * kRequestsPerConn) << tag;
-  EXPECT_EQ(stats.failed_sessions, 0u) << tag;
-  EXPECT_EQ(stats.forced_closes, 0u) << tag;
+  obs::MetricsRegistry& counts = svc.metrics_registry();
+  EXPECT_EQ(counts.counter("net.replies").value(),
+            order.size() * kRequestsPerConn)
+      << tag;
+  EXPECT_EQ(counts.counter("net.failed_sessions").value(), 0u) << tag;
+  EXPECT_EQ(counts.counter("net.forced_closes").value(), 0u) << tag;
   return transcripts;
 }
 
@@ -186,7 +188,7 @@ std::map<std::string, std::string> run_real_config(
   options.unix_path = unique_socket_path(tag);
   options.max_connections = 32;
   FrontEnd front_end(svc, options);
-  std::thread loop([&] { (void)front_end.run(); });
+  std::thread loop([&] { front_end.run(); });
 
   std::vector<std::unique_ptr<BlockingClient>> clients;
   for (const std::size_t key : order) {

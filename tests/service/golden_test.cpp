@@ -169,7 +169,7 @@ std::string serve_bytewise(const std::string& input, StreamingService& svc) {
   net::FrontEnd front_end(svc, options);
   front_end.serve_connection(net::FdGuard(fds[0]));
   const net::FdGuard client(fds[1]);
-  std::thread loop([&] { (void)front_end.run(); });
+  std::thread loop([&] { front_end.run(); });
   std::thread sender([&] {
     for (const char byte : input) {
       if (::send(client.get(), &byte, 1, MSG_NOSIGNAL) != 1) break;
@@ -206,7 +206,7 @@ std::string serve_once(const std::string& input, bool with_fake_runner,
   if (bytewise) return serve_bytewise(input, svc);
   std::istringstream in(input, std::ios::binary);
   std::ostringstream out(std::ios::binary);
-  (void)net::serve_stream(in, out, svc, net::FrontEndOptions{});
+  net::serve_stream(in, out, svc, net::FrontEndOptions{});
   return std::move(out).str();
 }
 

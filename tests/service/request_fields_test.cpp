@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/json.hpp"
 #include "service/jsonl.hpp"
 #include "service/streaming.hpp"
 
@@ -105,6 +106,57 @@ TEST(RequestFieldTest, RawControlCharacterInAStringIsAParseError) {
   ASSERT_TRUE(stat.has_value());
   EXPECT_NE(stat->find("unescaped control character"), std::string::npos)
       << *stat;
+}
+
+TEST(RequestFieldTest, UnicodeEscapesDecodeToUtf8) {
+  // Python's json.dumps writes non-ASCII as \u escapes by default.
+  const TuningRequest r = parse_request_json(
+      R"({"id":"caf\u00e9","workload":"TS-D1"})", 0);
+  EXPECT_EQ(r.id, "caf\xc3\xa9");
+  StreamReport report;
+  report.session.id = r.id;
+  EXPECT_NE(stream_reply_payload(report).find("\"id\":\"caf\xc3\xa9\""),
+            std::string::npos);
+  EXPECT_EQ(parse_flat_json(R"({"k":"\u00E9\u00e9"})").at("k"),
+            "\xc3\xa9\xc3\xa9");
+  // A surrogate pair is one code point, one 4-byte sequence.
+  EXPECT_EQ(parse_flat_json(R"({"k":"\ud83d\ude00"})").at("k"),
+            "\xf0\x9f\x98\x80");
+  EXPECT_EQ(parse_flat_json(R"({"k":"a\b\fz"})").at("k"), "a\b\fz");
+}
+
+TEST(RequestFieldTest, BrokenUnicodeEscapesAreParseErrors) {
+  const auto fails_with = [](const char* line, const std::string& why) {
+    try {
+      (void)parse_request_json(line, 0);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "malformed JSON: " + why) << line;
+    }
+  };
+  for (const char* lone : {R"({"id":"\ud83d","workload":"TS-D1"})",
+                           R"({"id":"\ud83dx","workload":"TS-D1"})",
+                           R"({"id":"\ude00\ud83d","workload":"TS-D1"})",
+                           R"({"id":"\ud83d\u0041","workload":"TS-D1"})"}) {
+    fails_with(lone, "unpaired surrogate in \\u escape");
+  }
+  for (const char* short_or_not_hex :
+       {R"({"id":"\u12","workload":"TS-D1"})", R"({"id":"\u12)",
+        R"({"id":"\uZZZZ","workload":"TS-D1"})",
+        R"({"id":"\u-123","workload":"TS-D1"})"}) {
+    fails_with(short_or_not_hex, "invalid \\u escape");
+  }
+}
+
+TEST(RequestFieldTest, EveryEscapedAsciiByteReadsBack) {
+  // json_escape is the one escaper every JSON writer calls; what it writes
+  // the reader must read back, control bytes (as \u00XX) included.
+  for (int b = 0; b < 0x80; ++b) {
+    const std::string id = "a" + std::string(1, static_cast<char>(b)) + "z";
+    const std::string line =
+        "{\"id\":\"" + common::json_escape(id) + "\",\"workload\":\"TS-D1\"}";
+    EXPECT_EQ(parse_request_json(line, 0).id, id) << "byte " << b;
+  }
 }
 
 TEST(RequestFieldTest, EveryKnownKeyParses) {

@@ -328,12 +328,10 @@ std::unique_ptr<StreamingService> fake_service(const obs::BuildInfo& build) {
 
 std::vector<Frame> serve_bytes(StreamingService& svc,
                                const std::string& input,
-                               const net::FrontEndOptions& options,
-                               net::FrontEndStats* stats = nullptr) {
+                               const net::FrontEndOptions& options) {
   std::istringstream in(input, std::ios::binary);
   std::ostringstream out(std::ios::binary);
-  const net::FrontEndStats result = net::serve_stream(in, out, svc, options);
-  if (stats != nullptr) *stats = result;
+  net::serve_stream(in, out, svc, options);
   return decode_frames(std::move(out).str());
 }
 
@@ -435,15 +433,18 @@ TEST(StreamingTeleTest, TeleFramesAtEveryProtocolPointAndOnPolls) {
   });
   net::FrontEndOptions options;
   options.tele_every = 1;  // one TELE after every REP too
-  net::FrontEndStats result;
-  const auto frames = serve_bytes(*svc, input, options, &result);
+  const auto frames = serve_bytes(*svc, input, options);
 
-  EXPECT_EQ(result.clean_ends, 1u);
-  EXPECT_EQ(result.requests, 2u);
-  EXPECT_EQ(result.stat_polls, 2u);   // the malformed one does not count
-  EXPECT_EQ(result.parse_errors, 1u);
+  obs::MetricsRegistry& counts = svc->metrics_registry();
+  const auto count = [&](const char* name) {
+    return counts.counter(name).value();
+  };
+  EXPECT_EQ(count("net.clean_ends"), 1u);
+  EXPECT_EQ(count("net.requests"), 2u);
+  EXPECT_EQ(count("net.stat_polls"), 2u);  // the malformed one does not count
+  EXPECT_EQ(count("net.parse_errors"), 1u);
   // TELE points: 2 polls + 1 FLSH + 2 per-REP + 1 before END.
-  EXPECT_EQ(result.tele_frames, 6u);
+  EXPECT_EQ(count("net.tele_frames"), 6u);
 
   std::size_t tele = 0, err = 0;
   for (const auto& f : frames) {
@@ -460,7 +461,7 @@ TEST(StreamingTeleTest, TeleFramesAtEveryProtocolPointAndOnPolls) {
       EXPECT_NE(f.payload.find("STAT"), std::string::npos);
     }
   }
-  EXPECT_EQ(tele, result.tele_frames);
+  EXPECT_EQ(tele, count("net.tele_frames"));
   EXPECT_EQ(err, 1u);
   // The tail is the connection's TELE, then END.
   ASSERT_GE(frames.size(), 2u);

@@ -354,11 +354,12 @@ TEST(StreamingTest, ServeFrameStreamEndToEnd) {
   });
   std::istringstream in(input, std::ios::binary);
   std::ostringstream out(std::ios::binary);
-  const auto result = net::serve_stream(in, out, svc, net::FrontEndOptions{});
-  EXPECT_EQ(result.clean_ends, 1u);
-  EXPECT_EQ(result.requests, 3u);
-  EXPECT_EQ(result.failed_sessions, 0u);
-  EXPECT_EQ(result.protocol_errors, 0u);
+  net::serve_stream(in, out, svc, net::FrontEndOptions{});
+  obs::MetricsRegistry& counts = svc.metrics_registry();
+  EXPECT_EQ(counts.counter("net.clean_ends").value(), 1u);
+  EXPECT_EQ(counts.counter("net.requests").value(), 3u);
+  EXPECT_EQ(counts.counter("net.failed_sessions").value(), 0u);
+  EXPECT_EQ(counts.counter("net.protocol_errors").value(), 0u);
 
   const auto frames = decode_frames(out.str());
   std::vector<FrameType> types;
