@@ -1337,8 +1337,11 @@ int run_warm_bench_json(const std::string& path) {
     return 1;
   }
 
+  // nproc and the build type head the file, as in the kernel report.
   std::ostringstream json;
-  json << "{\"bench\":\"deepcat warm-start evaluations-to-target\",\"build\":";
+  json << "{\"bench\":\"deepcat warm-start evaluations-to-target\","
+       << "\"nproc\":" << available_cpus() << ",\"build_type\":\""
+       << DEEPCAT_BUILD_TYPE << "\",\"build\":";
   obs::write_build_info_json(json, obs::current_build_info());
   json << ",\"skipped\":[";
   for (std::size_t i = 0; i < skipped.size(); ++i) {
@@ -1464,8 +1467,11 @@ int run_stream_bench_json(const std::string& path) {
     return 1;
   }
 
+  // nproc and the build type head the file, as in the kernel report.
   std::ostringstream json;
-  json << "{\"bench\":\"deepcat streaming re-adaptation\",\"build\":";
+  json << "{\"bench\":\"deepcat streaming re-adaptation\","
+       << "\"nproc\":" << available_cpus() << ",\"build_type\":\""
+       << DEEPCAT_BUILD_TYPE << "\",\"build\":";
   obs::write_build_info_json(json, obs::current_build_info());
   json << "}\n";
   registry.write_jsonl(json);

@@ -102,9 +102,8 @@ void print_usage(std::ostream& os) {
         "      [--export spark|yarn|hdfs|submit]\n"
         "  serve --checkpoint dir/     serve a JSONL tuning-request batch\n"
         "      [--requests file.jsonl] [--out file.jsonl] [--model default]\n"
-        "                              (request lines may carry \"scope\":\n"
-        "                               global|workload|hardware and\n"
-        "                               streaming workload ids SA-P1..SJ-P2)\n"
+        "                              (request lines may name streaming\n"
+        "                               workload ids SA-P1..SJ-P2)\n"
         "      [--train-iters 0] [--train-workload TS] [--train-size 3.2]\n"
         "      [--threads 0] [--cluster a|b] [--seed 1] [--publish 1]\n"
         "      [--master-steps 4]      (fine-tune steps after the batch merge)\n"
@@ -190,9 +189,9 @@ void bootstrap_model(const ParsedArgs& args, service::StreamingService& svc,
       os << "no published model '" << model_name << "'; training "
          << train_iters << " offline iterations...\n";
     }
-    const auto trained =
-        svc.train_model(model_name, make_workload(type, size), train_iters);
-    const std::uint32_t v = registry.publish(model_name, *trained);
+    const std::uint32_t v = registry.publish(
+        model_name,
+        svc.train_model(model_name, make_workload(type, size), train_iters));
     if (!quiet) os << "published model '" << model_name << "' v" << v << '\n';
   } else {
     throw std::invalid_argument(
@@ -241,11 +240,14 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
   // into one registry, always (STAT, /varz, /metrics and the summary line
   // read it); --metrics-out writes it at exit. --trace-out streams
   // completed spans into a Chrome trace file. --clock logical makes the
-  // trace/metrics — and the TELE payloads — deterministic for golden
-  // comparisons.
+  // trace and the TELE payloads deterministic for golden comparisons.
   const auto trace_out = args.flag("trace-out");
   const auto metrics_out = args.flag("metrics-out");
   const std::string clock_kind = args.flag_or("clock", "steady");
+  if (clock_kind != "steady" && clock_kind != "logical") {
+    throw std::invalid_argument("serve: unknown --clock '" + clock_kind +
+                                "' (use steady or logical)");
+  }
   // Declared so that the tracer goes first: its last drain still writes
   // the file and sets the registry's health gauge.
   obs::MetricsRegistry metrics_registry;
@@ -254,32 +256,25 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
   std::ofstream trace_file;
   std::unique_ptr<obs::ChromeTraceFileSink> trace_sink;
   std::unique_ptr<obs::Tracer> tracer;
-  const bool obs_on = trace_out || metrics_out || http_spec.has_value();
-  if (obs_on) {
+  if (trace_out) {
+    // Opened before the service is built, so an unwritable path fails
+    // before anything trains; from here on the file is a valid trace.
+    trace_file.open(*trace_out, std::ios::binary | std::ios::trunc);
+    if (!trace_file) {
+      throw std::invalid_argument("serve: cannot open trace output '" +
+                                  *trace_out + "'");
+    }
     if (clock_kind == "logical") {
       clock = std::make_unique<obs::LogicalClock>();
-    } else if (clock_kind == "steady") {
-      clock = std::make_unique<obs::SteadyClock>();
     } else {
-      throw std::invalid_argument("serve: unknown --clock '" + clock_kind +
-                                  "' (use steady or logical)");
+      clock = std::make_unique<obs::SteadyClock>();
     }
-    if (trace_out) {
-      // Opened before the service is built, so an unwritable path fails
-      // before anything trains; from here on the file is a valid trace.
-      trace_file.open(*trace_out, std::ios::binary | std::ios::trunc);
-      if (!trace_file) {
-        throw std::invalid_argument("serve: cannot open trace output '" +
-                                    *trace_out + "'");
-      }
-      trace_sink =
-          std::make_unique<obs::ChromeTraceFileSink>(trace_file, clock_kind);
-      obs::TracerOptions tracer_options;
-      tracer_options.health = &metrics_registry;
-      tracer =
-          std::make_unique<obs::Tracer>(*clock, *trace_sink, tracer_options);
-      options.service.obs.tracer = tracer.get();
-    }
+    trace_sink =
+        std::make_unique<obs::ChromeTraceFileSink>(trace_file, clock_kind);
+    obs::TracerOptions tracer_options;
+    tracer_options.health = &metrics_registry;
+    tracer = std::make_unique<obs::Tracer>(*clock, *trace_sink, tracer_options);
+    options.service.obs.tracer = tracer.get();
   }
 
   // Convergence time-series retention is independent of the trace/metrics
@@ -303,7 +298,7 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
   fe.tele_every = args.integer_or<std::size_t>("tele-every", 0);
   // Logical-clock runs promise byte-identical telemetry across thread
   // counts; scheduling-dependent fields would break that promise.
-  fe.tele_include_nondeterministic = !(obs_on && clock_kind == "logical");
+  fe.tele_include_nondeterministic = clock_kind != "logical";
 
   // Wire bytes to stdout (no --out / --socket / --tcp) must stay pure
   // protocol, so status text is suppressed in that mode.
@@ -483,12 +478,6 @@ std::string objective_kind_list() {
          to_string(ObjectiveKind::kBatchLatencyP95);
 }
 
-std::string scope_level_list() {
-  return to_string(service::TuneScope::kGlobal) + "," +
-         to_string(service::TuneScope::kWorkload) + "," +
-         to_string(service::TuneScope::kHardware);
-}
-
 }  // namespace
 
 int cmd_info(const ParsedArgs& args, std::ostream& os) {
@@ -511,7 +500,6 @@ int cmd_info(const ParsedArgs& args, std::ostream& os) {
        << ",\"index_section_version\":" << service::kIndexSectionVersion
        << ",\"workload_families\":\"" << workload_family_list()
        << "\",\"objective_kinds\":\"" << objective_kind_list()
-       << "\",\"scope_levels\":\"" << scope_level_list()
        << "\",\"stream_cases\":" << streamsim::stream_suite().size()
        << "}\n";
     return 0;
@@ -528,7 +516,6 @@ int cmd_info(const ParsedArgs& args, std::ostream& os) {
      << "index section:    v" << service::kIndexSectionVersion << '\n'
      << "workload families:" << ' ' << workload_family_list() << '\n'
      << "objective kinds:  " << objective_kind_list() << '\n'
-     << "scope levels:     " << scope_level_list() << '\n'
      << "stream cases:     " << streamsim::stream_suite().size() << '\n';
   return 0;
 }
@@ -685,12 +672,11 @@ int cmd_serve(const ParsedArgs& args, std::ostream& os) {
              ? std::string("hardware")
              : std::to_string(options.service.threads))
      << " threads...\n";
-  // Every request is served cold by the one loaded master, whatever model,
-  // scope or warm count its line names: the batch path is REQ* + one
-  // flush, with no routing and no experience index.
+  // Every request is served cold by the one loaded master, whatever model
+  // or warm count its line names: the batch path is REQ* + one flush, with
+  // no routing and no experience index.
   for (service::TuningRequest& r : requests) {
     r.model = model_name;
-    r.scope = service::TuneScope::kGlobal;
     r.warm_k = 0;
   }
   const auto reports = service::serve_batch(svc, std::move(requests));

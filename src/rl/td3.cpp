@@ -107,6 +107,23 @@ Td3Agent::Td3Agent(Td3Config config, const Td3Agent& frozen)
   bind_obs();
 }
 
+Td3Agent::Td3Agent(Td3Config config, AgentSnapshot s)
+    : config_((validate(config), layout(config).check(s), config)),
+      actor_(std::move(s.networks[0]), nn::OutputActivation::kSigmoid),
+      actor_target_(std::move(s.networks[1]), nn::OutputActivation::kSigmoid),
+      critic1_(std::move(s.networks[2]), nn::OutputActivation::kNone),
+      critic2_(std::move(s.networks[3]), nn::OutputActivation::kNone),
+      critic1_target_(std::move(s.networks[4]), nn::OutputActivation::kNone),
+      critic2_target_(std::move(s.networks[5]), nn::OutputActivation::kNone),
+      actor_opt_(resume_adam(actor_, actor_adam(config_), s.optimizers[0])),
+      critic1_opt_(
+          resume_adam(critic1_, critic_adam(config_), s.optimizers[1])),
+      critic2_opt_(
+          resume_adam(critic2_, critic_adam(config_), s.optimizers[2])),
+      steps_(s.train_steps) {
+  bind_obs();
+}
+
 void Td3Agent::thaw() {
   if (frozen_ != nullptr) restore(frozen_->snapshot());
 }
@@ -366,20 +383,7 @@ AgentSnapshot Td3Agent::snapshot() const {
 }
 
 void Td3Agent::restore(AgentSnapshot s) {
-  layout(config_).check(s);
-  auto& n = s.networks;
-  actor_ = nn::Mlp(std::move(n[0]), nn::OutputActivation::kSigmoid);
-  actor_target_ = nn::Mlp(std::move(n[1]), nn::OutputActivation::kSigmoid);
-  critic1_ = nn::Mlp(std::move(n[2]), nn::OutputActivation::kNone);
-  critic2_ = nn::Mlp(std::move(n[3]), nn::OutputActivation::kNone);
-  critic1_target_ = nn::Mlp(std::move(n[4]), nn::OutputActivation::kNone);
-  critic2_target_ = nn::Mlp(std::move(n[5]), nn::OutputActivation::kNone);
-  auto& o = s.optimizers;
-  actor_opt_ = resume_adam(actor_, actor_adam(config_), o[0]);
-  critic1_opt_ = resume_adam(critic1_, critic_adam(config_), o[1]);
-  critic2_opt_ = resume_adam(critic2_, critic_adam(config_), o[2]);
-  steps_ = s.train_steps;
-  frozen_ = nullptr;
+  *this = Td3Agent(config_, std::move(s));
 }
 
 AgentLayout Td3Agent::layout(const Td3Config& config) {

@@ -77,6 +77,12 @@ class Td3Agent {
   /// otherwise AgentLayoutError is thrown before anything is built.
   Td3Agent(Td3Config config, const Td3Agent& frozen);
 
+  /// An agent whose networks, optimizer moments and train-step counter are
+  /// `s`'s tensors (moved in), with no random init: how a checkpoint load
+  /// builds a master. `s` must fit layout(config), else AgentLayoutError
+  /// is thrown before anything is built.
+  Td3Agent(Td3Config config, AgentSnapshot s);
+
   /// Deterministic policy output for one state, each dim in [0,1].
   [[nodiscard]] std::vector<double> act(std::span<const double> state);
 
@@ -136,10 +142,10 @@ class Td3Agent {
   /// clone that has not trained yet reads its frozen source, which it equals.
   [[nodiscard]] AgentSnapshot snapshot() const;
 
-  /// Rebuilds the networks and optimizers from `s`'s tensors (moved in),
-  /// sets the train-step counter and drops any frozen source. The moments
-  /// and counter matter as much as the weights: both feed the next update.
-  /// A snapshot that fails layout(config()).check throws AgentLayoutError
+  /// Replaces this agent's state with an agent built from `s` (the
+  /// snapshot constructor), dropping any frozen source. The moments and
+  /// counter matter as much as the weights: both feed the next update. A
+  /// snapshot that fails layout(config()).check throws AgentLayoutError
   /// and changes nothing.
   void restore(AgentSnapshot s);
 

@@ -827,11 +827,13 @@ void load_checkpoint(std::istream& is, core::DeepCat& model) {
                                         replay_fit(tuner));
   const common::RngState rng = decode_rng(require_section(sections, kTagRng));
 
-  // Apply. materialize's random init draws from the tuner's RNG, which RNGS
-  // then overwrites.
-  tuner.materialize(state_dim, action_dim);
+  // Apply. A model without an agent builds it from the snapshot.
+  if (tuner.has_agent()) {
+    tuner.agent().restore(std::move(agent));
+  } else {
+    tuner.materialize(std::move(agent));
+  }
   model.set_next_env_seed(next_seed);
-  tuner.agent().restore(std::move(agent));
   if (replay.kind == kReplayRdper) {
     dynamic_cast<rl::RdperReplay&>(*tuner.replay())
         .restore_pools(std::move(replay.rings[0]), replay.cursors[0],

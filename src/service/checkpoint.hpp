@@ -102,8 +102,9 @@ void save_index_file(const std::string& path,
 [[nodiscard]] retrieval::ExperienceIndex load_index_file(
     const std::string& path);
 
-/// Stream-free conveniences: the service layer's scoped-fork genesis seeds
-/// and checkpoint_of(). Served sessions clone the master's agent instead.
+/// Stream-free conveniences: StreamingService::train_model's published
+/// blob and checkpoint_of(). Served sessions clone the master's agent
+/// instead.
 [[nodiscard]] std::string checkpoint_to_string(core::DeepCat& model);
 void checkpoint_from_string(const std::string& blob, core::DeepCat& model);
 

@@ -185,15 +185,15 @@ TuningRequest parse_request_json(const std::string& line, std::size_t index) {
   }
   // Only keys read below are accepted: a misspelt "stpes" must fail typed,
   // not run the default 5 steps.
-  static constexpr std::array<std::string_view, 11> kKeys = {
-      "id",    "workload", "cluster", "steps", "budget_seconds", "seed",
-      "model", "warm",     "trace",   "span",  "scope"};
+  static constexpr std::array<std::string_view, 10> kKeys = {
+      "id",    "workload", "cluster", "steps", "budget_seconds",
+      "seed",  "model",    "warm",    "trace", "span"};
   for (const auto& [key, value] : fields) {
     if (std::find(kKeys.begin(), kKeys.end(), key) == kKeys.end()) {
       throw std::invalid_argument(
           "request '" + req.id + "' has an unknown key \"" + key +
           "\" (want id, workload, cluster, steps, budget_seconds, seed, "
-          "model, warm, trace, span or scope)");
+          "model, warm, trace or span)");
     }
   }
   if (const auto it = fields.find("workload"); it != fields.end()) {
@@ -272,21 +272,6 @@ TuningRequest parse_request_json(const std::string& line, std::size_t index) {
     }
     req.trace_span = *span;
   }
-  if (const auto it = fields.find("scope"); it != fields.end()) {
-    // Mirrors the "warm" precedent: a malformed scope is a typed parse
-    // error, never a silent fall-back to global routing.
-    if (it->second == "global") {
-      req.scope = TuneScope::kGlobal;
-    } else if (it->second == "workload") {
-      req.scope = TuneScope::kWorkload;
-    } else if (it->second == "hardware") {
-      req.scope = TuneScope::kHardware;
-    } else {
-      throw std::invalid_argument(
-          "request '" + req.id + "' has an unknown \"scope\" '" + it->second +
-          "' (use global, workload or hardware)");
-    }
-  }
   return req;
 }
 
@@ -324,11 +309,6 @@ void write_report_body(std::ostream& os, const SessionReport& r,
   // Cold sessions omit the key entirely so pre-warm transcripts (and their
   // golden files) stay byte-identical.
   if (r.warm_seeds > 0) os << ",\"warm\":" << r.warm_seeds;
-  // Global-scope sessions likewise omit "scope" — legacy transcripts stay
-  // byte-identical; scoped ones echo the level the model was keyed under.
-  if (!r.scope.empty()) {
-    os << ",\"scope\":\"" << common::json_escape(r.scope) << "\"";
-  }
   // Traced sessions echo the client's trace id plus the deterministic
   // server span id; untraced REPs omit both keys (byte-identity again).
   if (!r.trace_id.empty()) {

@@ -29,13 +29,12 @@ inline constexpr int kTelemetrySchemaVersion = 1;
 /// Parses one tuning request from a flat JSON object line. Recognized
 /// keys: id, workload, cluster, steps, budget_seconds, seed, model, warm
 /// (neighbour count for warm-start retrieval; 0 = cold, negative rejected),
-/// scope ("global" | "workload" | "hardware"; missing = global),
 /// trace (client trace id; missing = untraced), span (client parent span
 /// id, non-negative integer; requires trace).
 /// Missing id defaults to "req-<index>"; missing seed derives from
 /// `index` so every request stays individually reproducible. Throws
-/// std::invalid_argument on malformed JSON, a missing workload key, a
-/// negative warm count, an unknown scope, or a malformed trace context.
+/// std::invalid_argument on malformed JSON, any other key, a missing
+/// workload key, a negative warm count, or a malformed trace context.
 [[nodiscard]] TuningRequest parse_request_json(const std::string& line,
                                                std::size_t index);
 

@@ -55,40 +55,6 @@ ServiceMetrics SessionAggregate::snapshot() const {
   return m;
 }
 
-std::string to_string(TuneScope scope) {
-  switch (scope) {
-    case TuneScope::kGlobal:
-      return "global";
-    case TuneScope::kWorkload:
-      return "workload";
-    case TuneScope::kHardware:
-      return "hardware";
-  }
-  return "global";
-}
-
-std::string scoped_model_key(const TuningRequest& request) {
-  switch (request.scope) {
-    case TuneScope::kGlobal:
-      return request.model;
-    case TuneScope::kWorkload:
-      return request.model + "@wl:" + request.workload;
-    case TuneScope::kHardware:
-      return request.model + "@hw:" + request.cluster;
-  }
-  return request.model;
-}
-
-std::optional<std::string> scope_base_of(const std::string& model_key) {
-  for (const char* sep : {"@wl:", "@hw:"}) {
-    const std::size_t pos = model_key.find(sep);
-    if (pos != std::string::npos && pos > 0) {
-      return model_key.substr(0, pos);
-    }
-  }
-  return std::nullopt;
-}
-
 double SessionReport::mean_reward() const noexcept {
   if (report.steps.empty()) return 0.0;
   double sum = 0.0;
@@ -169,9 +135,6 @@ SessionReport run_session(const rl::Td3Agent& master,
   out.id = request.id;
   out.workload = request.workload;
   out.cluster = request.cluster;
-  if (request.scope != TuneScope::kGlobal) {
-    out.scope = to_string(request.scope);
-  }
   try {
     // Batch id ("TS-D1") or streaming id ("SA-P1")? Resolve the batch suite
     // first; a miss there falls through to the streaming suite, and only a

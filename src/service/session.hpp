@@ -36,14 +36,6 @@
 
 namespace deepcat::service {
 
-/// AutoScope-style tuning scope: which key a session's model is tuned
-/// under. kGlobal shares one model per name (today's behaviour);
-/// kWorkload/kHardware fork a scoped model per workload id / cluster tag,
-/// so one served name tunes independently at each configured scope.
-enum class TuneScope { kGlobal, kWorkload, kHardware };
-
-[[nodiscard]] std::string to_string(TuneScope scope);
-
 /// One online tuning request: workload + cluster + budget + determinism
 /// seed. `workload` is a HiBench suite id ("WC-D1" .. "KM-D3") or a
 /// streaming suite id ("SA-P1" .. "SJ-P2"); streaming requests run one
@@ -55,7 +47,8 @@ struct TuningRequest {
   int max_steps = 5;          ///< paid online evaluations
   double max_total_seconds = 1e18;  ///< tuning-time budget (paper §2)
   std::uint64_t seed = 1;     ///< per-session determinism seed
-  /// Named master model to serve against (streaming multi-model routing).
+  /// Named master model to serve against: the one routing key of the
+  /// streaming service (resident entry, else the registry's newest version).
   std::string model = "default";
   /// Warm-start: number of experience-index neighbours requested (wire
   /// "warm" field; 0 = cold request, the default). The service resolves
@@ -65,14 +58,10 @@ struct TuningRequest {
   /// Retrieved seed actions (normalized [0,1]^kNumKnobs, nearest first),
   /// replayed as the first online steps before the actor takes over.
   std::vector<std::vector<double>> warm_actions;
-  /// AutoScope-style scope descriptor (wire "scope" field; kGlobal = omitted
-  /// = today's behaviour). Non-global scopes route the session to a
-  /// scope-keyed model derived from `model` via scoped_model_key().
-  TuneScope scope = TuneScope::kGlobal;
   /// Client-supplied trace id (wire "trace" field; empty = untraced
   /// request, the default). A traced REP echoes it plus a deterministic
   /// server span id; malformed values are typed parse errors like
-  /// "warm"/"scope".
+  /// "warm".
   std::string trace_id;
   /// Client-side parent span id accompanying trace_id (wire "span" field,
   /// optional; requires "trace"). Carried for trace-file correlation —
@@ -85,21 +74,6 @@ struct TuningRequest {
   /// per-stage timing block in the REP. Never serialized.
   std::uint64_t decode_ns = 0;
 };
-
-/// The registry/routing key a request's model resolves to under its scope:
-/// kGlobal -> "m", kWorkload -> "m@wl:<workload>", kHardware ->
-/// "m@hw:<cluster>". Scoped keys feed both ModelRegistry lookup and the
-/// service's master map, so the same name tunes independently per workload
-/// or hardware class while checkpoints stay bit-identical across thread
-/// layouts.
-[[nodiscard]] std::string scoped_model_key(const TuningRequest& request);
-
-/// Inverse of scoped_model_key's derivation: the base model name a scoped
-/// key was forked from ("m@wl:TS-D1" -> "m"), or nullopt for unscoped
-/// keys. The streaming service bootstraps a scoped model that has no
-/// published version from its base model's genesis checkpoint.
-[[nodiscard]] std::optional<std::string> scope_base_of(
-    const std::string& model_key);
 
 /// Deterministic server span id echoed in a traced REP: 64-bit FNV-1a of
 /// trace id + '\0' + request id, forced nonzero. Deliberately NOT the
@@ -148,10 +122,6 @@ struct SessionReport {
   /// REP body carries this as "warm" only when nonzero, keeping cold
   /// transcripts byte-identical.
   int warm_seeds = 0;
-  /// Scope level this session tuned under ("workload"/"hardware"); empty for
-  /// global scope, in which case the REP omits the "scope" key so legacy
-  /// transcripts stay byte-identical.
-  std::string scope;
   /// Echoed trace context: the request's trace id plus the deterministic
   /// server span id (FNV-1a of trace id + request id, never 0). Empty
   /// trace_id omits both keys, keeping untraced REPs byte-identical.

@@ -84,31 +84,25 @@ StreamingService::MasterEntry& StreamingService::ensure_entry_locked(
   return *it->second;
 }
 
-std::shared_ptr<const std::string> StreamingService::bootstrap_model(
+void StreamingService::bootstrap_model(
     const std::string& name, const std::function<void(core::DeepCat&)>& init) {
   std::unique_lock reg(registry_mutex_);
   MasterEntry& entry = ensure_entry_locked(name);
-  std::shared_ptr<const std::string> seed;
-  {
-    std::unique_lock master(entry.mutex);
-    init(entry.model);
-    seed = std::make_shared<const std::string>(
-        checkpoint_to_string(entry.model));
-  }
-  // state_mutex_ only after the master lock is released: merges take
-  // state_mutex_ then a master lock, so holding both here inverts the order.
-  std::scoped_lock state(state_mutex_);
-  return scope_seeds_[name] = std::move(seed);
+  std::unique_lock master(entry.mutex);
+  init(entry.model);
 }
 
-std::shared_ptr<const std::string> StreamingService::train_model(
+std::string StreamingService::train_model(
     const std::string& name, const sparksim::WorkloadSpec& workload,
     std::size_t iterations) {
   // Called before the server listens: no session runs, so the offline
   // train steps borrow an idle pool worker.
-  return bootstrap_model(name, [&](core::DeepCat& model) {
+  std::string checkpoint;
+  bootstrap_model(name, [&](core::DeepCat& model) {
     (void)model.train_offline(workload, iterations, &pool_);
+    checkpoint = checkpoint_to_string(model);
   });
+  return checkpoint;
 }
 
 void StreamingService::load_model(const std::string& name, std::istream& is) {
@@ -155,50 +149,18 @@ StreamingService::MasterEntry& StreamingService::resolve_entry(
     entry->stub = true;
     return *entries_.emplace(name, std::move(entry)).first->second;
   }
-  const std::optional<std::string> base = scope_base_of(name);
-  if (!registry_ && !base) {
+  if (!registry_) {
     throw std::runtime_error("unknown model '" + name +
                              "' (no registry configured)");
   }
-  if (registry_) {
-    if (const auto version = registry_->latest_version(name)) {
-      evict_idle_locked();
-      auto entry = make_entry();
-      registry_->load_into(name, *version, entry->model);
-      return *entries_.emplace(name, std::move(entry)).first->second;
-    }
-    if (!base) {
-      throw std::runtime_error("unknown model '" + name +
-                               "': no published version in the registry");
-    }
-  }
-  // Scoped-key fork: no published version under the scoped key, so start
-  // the scoped model from its base — the base's latest published version
-  // if the registry has one, else the base's genesis seed blob. Both are
-  // fixed bytes, so the fork is identical on every thread layout.
-  if (registry_) {
-    if (const auto version = registry_->latest_version(*base)) {
-      evict_idle_locked();
-      auto entry = make_entry();
-      registry_->load_into(*base, *version, entry->model);
-      return *entries_.emplace(name, std::move(entry)).first->second;
-    }
-  }
-  std::shared_ptr<const std::string> seed;
-  {
-    std::scoped_lock state(state_mutex_);
-    if (const auto it = scope_seeds_.find(*base); it != scope_seeds_.end()) {
-      seed = it->second;
-    }
-  }
-  if (!seed) {
-    throw std::runtime_error("unknown model '" + name + "': base model '" +
-                             *base +
-                             "' has no published version and is not loaded");
+  const auto version = registry_->latest_version(name);
+  if (!version) {
+    throw std::runtime_error("unknown model '" + name +
+                             "': no published version in the registry");
   }
   evict_idle_locked();
   auto entry = make_entry();
-  checkpoint_from_string(*seed, entry->model);
+  registry_->load_into(name, *version, entry->model);
   return *entries_.emplace(name, std::move(entry)).first->second;
 }
 
@@ -233,15 +195,12 @@ void StreamingService::complete_failed(const TuningRequest& request,
   report.workload = request.workload;
   report.cluster = request.cluster;
   report.model = request.model;
-  if (request.scope != TuneScope::kGlobal) {
-    report.scope = to_string(request.scope);
-  }
   report.ok = false;
   report.error = error;
   StreamReport stream_report;
   {
     std::scoped_lock state(state_mutex_);
-    record_metrics_locked(report, scoped_model_key(request));
+    record_metrics_locked(report);
     stream_report = {std::move(report), 0, next_sequence_++};
     if (!on_done) {
       completed_.push_back(std::move(stream_report));
@@ -330,9 +289,7 @@ void StreamingService::submit(TuningRequest request,
   }
   MasterEntry* entry = nullptr;
   try {
-    // Scope-keyed routing: a non-global request resolves (and, on first
-    // use, forks) the scoped model derived from the requested name.
-    entry = &resolve_entry(scoped_model_key(request));
+    entry = &resolve_entry(request.model);
   } catch (const std::exception& e) {
     complete_failed(request, e.what(), on_done);
     return;
@@ -405,9 +362,6 @@ void StreamingService::submit(TuningRequest request,
     }
     const std::uint64_t t_done = timed ? tracer->clock().now_ns() : 0;
     report.model = request.model;
-    if (request.scope != TuneScope::kGlobal) {
-      report.scope = to_string(request.scope);
-    }
     if (!request.trace_id.empty()) {
       report.trace_id = request.trace_id;
       report.server_span = trace_server_span(request.trace_id, request.id);
@@ -442,7 +396,7 @@ void StreamingService::on_complete(MasterEntry& entry,
       entry.pending.push_back(
           {request.id, request.seed, request.workload, report.new_transitions});
     }
-    record_metrics_locked(report, scoped_model_key(request));
+    record_metrics_locked(report);
     if (report.timings && tracer != nullptr) {
       report.timings->merge_ns = tracer->clock().now_ns() - t_merge0;
     }
@@ -468,8 +422,7 @@ std::size_t StreamingService::in_flight() const {
   return in_flight_;
 }
 
-void StreamingService::record_metrics_locked(const SessionReport& report,
-                                             const std::string& key) {
+void StreamingService::record_metrics_locked(const SessionReport& report) {
   sessions_.record(report);
   if (!report.ok) {
     obs_sessions_failed_.add(1);
@@ -480,15 +433,15 @@ void StreamingService::record_metrics_locked(const SessionReport& report,
   if (auto* series = options_.service.obs.series) {
     // Convergence history (state lock held, so appends are ordered):
     // per-evaluation recommendation cost, running best session reward per
-    // model key, and PR 9 shift-recovery outcomes (-1 = never recovered).
+    // model, and shift-recovery outcomes (-1 = never recovered).
     for (const auto& step : report.report.steps) {
       series->append("stream.rec_cost", step.recommendation_seconds);
     }
     double& best = best_reward_
-                       .try_emplace(key, report.mean_reward())
+                       .try_emplace(report.model, report.mean_reward())
                        .first->second;
     best = std::max(best, report.mean_reward());
-    series->append("model." + key + ".best_reward", best);
+    series->append("model." + report.model + ".best_reward", best);
     if (report.report.stream.has_value()) {
       for (const auto& shift : report.report.stream->shifts) {
         series->append("stream.shift_recovery_evals",

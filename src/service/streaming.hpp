@@ -18,10 +18,12 @@
 //     the shared model learning between requests — and its model epoch
 //     advances; every report carries the epoch that served it.
 //
-// Multi-model routing: requests name a model. The service lazily loads
-// named checkpoints from the ModelRegistry under a shared lock and evicts
-// idle least-recently-used models when more than `max_loaded_models` are
-// resident (merging and republishing their learned state first).
+// Multi-model routing: a request's `model` names its master, and that is
+// the only routing rule. A resident master serves it; otherwise the service
+// lazily loads the name's newest ModelRegistry version under a shared lock
+// and evicts idle least-recently-used models when more than
+// `max_loaded_models` are resident (merging and republishing their learned
+// state first); a name with neither fails as a typed unknown-model report.
 //
 // Threading contract: submit/flush/wait_completed are
 // driver APIs — call them from one thread (the net front end's loop, or
@@ -110,11 +112,11 @@ class StreamingService {
 
   /// Explicit model bootstrap (the CLI uses these for the default model;
   /// other models load lazily from the registry on first request).
-  /// train_model returns the trained master's checkpoint (its genesis seed
-  /// blob), so that publishing it encodes nothing again.
-  std::shared_ptr<const std::string> train_model(
-      const std::string& name, const sparksim::WorkloadSpec& workload,
-      std::size_t iterations);
+  /// train_model returns the trained master's checkpoint, so that
+  /// publishing it encodes nothing again; the loads encode nothing.
+  std::string train_model(const std::string& name,
+                          const sparksim::WorkloadSpec& workload,
+                          std::size_t iterations);
   void load_model(const std::string& name, std::istream& is);
   void load_model_file(const std::string& name, const std::string& path);
 
@@ -231,10 +233,9 @@ class StreamingService {
 
   [[nodiscard]] std::unique_ptr<MasterEntry> make_entry() const;
   /// Shared tail of train_model/load_model*: runs `init` on the named
-  /// entry under its master lock, then records and returns the genesis
-  /// seed blob.
-  std::shared_ptr<const std::string> bootstrap_model(
-      const std::string& name, const std::function<void(core::DeepCat&)>& init);
+  /// entry under its master lock.
+  void bootstrap_model(const std::string& name,
+                       const std::function<void(core::DeepCat&)>& init);
   /// Finds or lazily loads the model; throws on unknown names.
   [[nodiscard]] MasterEntry& resolve_entry(const std::string& name);
   [[nodiscard]] MasterEntry& ensure_entry_locked(const std::string& name);
@@ -243,10 +244,9 @@ class StreamingService {
   void on_complete(MasterEntry& entry, const TuningRequest& request,
                    SessionReport report, std::uint64_t epoch,
                    std::uint64_t sequence, const CompletionCallback& on_done);
-  /// `model_key` is the scoped routing key the session was served under,
-  /// naming its "model.<key>.best_reward" convergence series.
-  void record_metrics_locked(const SessionReport& report,
-                             const std::string& model_key);
+  /// Counts a completed session; its model names the
+  /// "model.<name>.best_reward" convergence series.
+  void record_metrics_locked(const SessionReport& report);
   /// Merges one entry's pending experience; requires state_mutex_ held and
   /// no in-flight sessions on the entry. Returns transitions merged. The
   /// master's fine-tune borrows a worker of `helpers` (flush passes the
@@ -270,10 +270,6 @@ class StreamingService {
   std::optional<ModelRegistry> registry_;
   SessionRunner runner_;
   std::shared_ptr<const retrieval::ExperienceIndex> warm_index_;
-  /// Base-model genesis blobs, recorded by train_model/load_model*: a
-  /// scoped key ("m@wl:...") with no resident entry and no published
-  /// registry version forks from its base's blob (state_mutex_).
-  std::map<std::string, std::shared_ptr<const std::string>> scope_seeds_;
 
   /// Guards the entries_ map (lookup shared, lazy load/evict exclusive).
   mutable std::shared_mutex registry_mutex_;
@@ -287,8 +283,8 @@ class StreamingService {
   std::size_t in_flight_ = 0;
   std::uint64_t next_sequence_ = 0;
   SessionAggregate sessions_;
-  /// Running best session reward per served model key, feeding the
-  /// "model.<key>.best_reward" convergence series.
+  /// Running best session reward per served model, feeding the
+  /// "model.<name>.best_reward" convergence series.
   std::map<std::string, double> best_reward_;
 
   // Registry instruments, bound once at construction. The queue-depth

@@ -15,7 +15,6 @@ constexpr std::size_t kFrameHeadSize = 12;  // u32 type + u64 length
 constexpr std::uint32_t kKnownTypes[] = {
     static_cast<std::uint32_t>(FrameType::kRequest),
     static_cast<std::uint32_t>(FrameType::kReply),
-    static_cast<std::uint32_t>(FrameType::kMetrics),
     static_cast<std::uint32_t>(FrameType::kTelemetry),
     static_cast<std::uint32_t>(FrameType::kStat),
     static_cast<std::uint32_t>(FrameType::kTimeSeries),

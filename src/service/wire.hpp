@@ -23,9 +23,6 @@
 //
 //   "REQ "  client -> server: one tuning request
 //   "REP "  server -> client: one session report (+ model, model_epoch)
-//   "METR"  server -> client: retired aggregate-metrics frame. No longer
-//           emitted (the "TELE" aggregate line carries the same keys); the
-//           type still decodes so older recorded streams read
 //   "TELE"  server -> client: versioned telemetry snapshot — one
 //           aggregate JSON line ("tele" schema tag + the aggregate
 //           fields + build labels) followed by the full name-sorted instrument
@@ -90,7 +87,6 @@ class WireError : public std::runtime_error {
 enum class FrameType : std::uint32_t {
   kRequest = 0x20514552u,    // "REQ "
   kReply = 0x20504552u,      // "REP "
-  kMetrics = 0x5254454Du,    // "METR"
   kTelemetry = 0x454C4554u,  // "TELE"
   kStat = 0x54415453u,       // "STAT"
   kTimeSeries = 0x52455354u, // "TSER"

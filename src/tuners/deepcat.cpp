@@ -70,6 +70,15 @@ void DeepCatTuner::materialize(const rl::Td3Agent& frozen,
   replay_ = std::move(replay);
 }
 
+void DeepCatTuner::materialize(rl::AgentSnapshot snapshot) {
+  if (agent_) throw std::logic_error("DeepCatTuner: agent already built");
+  options_.td3.state_dim = snapshot.state_dim;
+  options_.td3.action_dim = snapshot.action_dim;
+  options_.td3.obs = options_.obs;
+  agent_ = std::make_unique<rl::Td3Agent>(options_.td3, std::move(snapshot));
+  replay_ = make_replay();
+}
+
 rl::Td3Agent& DeepCatTuner::agent() {
   if (!agent_) throw std::logic_error("DeepCatTuner: agent not built yet");
   return *agent_;

@@ -114,9 +114,8 @@ class DeepCatTuner final : public OnlineTuner {
     return online_traces_;
   }
 
-  /// Builds the agent + replay buffer for the given dimensions without an
-  /// environment — the checkpoint layer needs a live agent to restore into
-  /// before any env exists in the loading process. No-op if the agent
+  /// Builds the agent (random init from the tuner's RNG) + replay buffer
+  /// for the given dimensions without an environment. No-op if the agent
   /// already exists with matching dims; throws on a dim mismatch.
   void materialize(std::size_t state_dim, std::size_t action_dim);
 
@@ -128,6 +127,14 @@ class DeepCatTuner final : public OnlineTuner {
   /// that differ from `frozen`'s throw rl::AgentLayoutError.
   void materialize(const rl::Td3Agent& frozen,
                    std::unique_ptr<rl::ReplayBuffer> replay);
+
+  /// Builds the agent straight from `snapshot` (its dims, networks,
+  /// moments and train-step counter; no random init, no RNG draw) and a
+  /// fresh replay buffer: how a checkpoint load builds a model that has no
+  /// agent yet. The tuner must not have an agent (throws std::logic_error);
+  /// a snapshot that does not fit options().td3's hidden sizes throws
+  /// rl::AgentLayoutError.
+  void materialize(rl::AgentSnapshot snapshot);
 
   [[nodiscard]] bool has_agent() const noexcept { return agent_ != nullptr; }
 

@@ -732,6 +732,96 @@ TEST(CliObsCommandsTest, ServeStreamRejectsUnknownClock) {
   EXPECT_NE(os.str().find("--clock"), std::string::npos);
 }
 
+TEST(CliObsCommandsTest, ServeStreamRejectsUnknownClockWithoutObsFlags) {
+  // --clock is checked whatever else the line asks for, before anything
+  // trains: no --trace-out, --metrics-out or --http here.
+  const std::string dir = ::testing::TempDir() + "deepcat_cli_clock_plain";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string req_path = dir + "/r.jsonl";
+  {
+    std::ofstream req(req_path);
+    req << R"({"id":"a","workload":"TS-D1","steps":1,"seed":3})" << '\n';
+  }
+  std::ostringstream os;
+  EXPECT_EQ(run_cli({"serve", "--stream", "1", "--checkpoint",
+                     dir + "/registry", "--train-iters", "40", "--requests",
+                     req_path, "--out", dir + "/out.wire", "--clock",
+                     "bogus"},
+                    os),
+            1);
+  EXPECT_NE(os.str().find("--clock"), std::string::npos) << os.str();
+  EXPECT_FALSE(std::filesystem::exists(dir + "/registry")) << os.str();
+}
+
+/// The first TELE payload (the STAT answer) of a `serve --stream 1` run
+/// over one STAT + END stream, with `extra` flags appended.
+std::string stat_answer(const std::string& dir,
+                        const std::vector<std::string>& extra) {
+  const std::string in_path = dir + "/in.wire";
+  const std::string out_path = dir + "/out.wire";
+  {
+    std::ofstream in(in_path, std::ios::binary | std::ios::trunc);
+    in << service::encode_frames({{service::FrameType::kStat, ""},
+                                  {service::FrameType::kEnd, ""}});
+  }
+  std::vector<std::string> argv = {"serve", "--stream", "1", "--checkpoint",
+                                   dir + "/registry", "--train-iters", "40",
+                                   "--in", in_path, "--out", out_path};
+  argv.insert(argv.end(), extra.begin(), extra.end());
+  std::ostringstream os;
+  EXPECT_EQ(run_cli(argv, os), 0) << os.str();
+  std::ifstream out(out_path, std::ios::binary);
+  std::ostringstream bytes(std::ios::binary);
+  bytes << out.rdbuf();
+  const auto frames = service::decode_frames(bytes.str());
+  EXPECT_EQ(frames.size(), 3u);
+  return frames.empty() ? std::string() : frames.front().payload;
+}
+
+TEST(CliObsCommandsTest, LogicalClockAloneKeepsSchedulingCountsOutOfStat) {
+  // --clock logical promises TELE bytes that scheduling cannot move, with
+  // or without a trace, a metrics file or an http endpoint.
+  const std::string dir = ::testing::TempDir() + "deepcat_cli_clock_tele";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string logical = stat_answer(dir, {"--clock", "logical"});
+  const std::string steady = stat_answer(dir, {});
+  EXPECT_NE(logical.find("\"name\":\"stream.requests_admitted\""),
+            std::string::npos)
+      << logical;
+  for (const char* name :
+       {"stream.queue_depth", "net.open_connections", "net.forced_closes"}) {
+    const std::string line = "\"name\":\"" + std::string(name) + "\"";
+    EXPECT_EQ(logical.find(line), std::string::npos) << name << '\n'
+                                                     << logical;
+    EXPECT_NE(steady.find(line), std::string::npos) << name << '\n' << steady;
+  }
+}
+
+TEST(CliObsCommandsTest, ReplyTimingsWithoutTraceOutFailsBeforeTraining) {
+  // The stage split is clocked by the tracer, so --reply-timings without
+  // --trace-out is refused before a model trains.
+  const std::string dir = ::testing::TempDir() + "deepcat_cli_timings";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string req_path = dir + "/r.jsonl";
+  {
+    std::ofstream req(req_path);
+    req << R"({"id":"a","workload":"TS-D1","steps":1,"seed":3,"trace":"t"})"
+        << '\n';
+  }
+  std::ostringstream os;
+  EXPECT_EQ(run_cli({"serve", "--stream", "1", "--checkpoint",
+                     dir + "/registry", "--train-iters", "40", "--requests",
+                     req_path, "--out", dir + "/out.wire", "--reply-timings",
+                     "1"},
+                    os),
+            1);
+  EXPECT_NE(os.str().find("--trace-out"), std::string::npos) << os.str();
+  EXPECT_FALSE(std::filesystem::exists(dir + "/registry")) << os.str();
+}
+
 TEST(CliCommandsTest, ServeStreamCorruptInputExitsNonzeroWithErrFrame) {
   const std::string dir = ::testing::TempDir() + "deepcat_cli_stream_bad";
   std::filesystem::remove_all(dir);

@@ -36,8 +36,8 @@ std::string wire_base_stream() {
        "{\"id\":\"req-warm\",\"workload\":\"WC-D2\",\"steps\":2,\"seed\":14,"
        "\"warm\":2,\"model\":\"default\"}"},
       {service::FrameType::kRequest,
-       "{\"id\":\"req-scoped\",\"workload\":\"SA-P1\",\"steps\":2,"
-       "\"seed\":15,\"scope\":\"workload\"}"},
+       "{\"id\":\"req-stream\",\"workload\":\"SA-P1\",\"steps\":2,"
+       "\"seed\":15}"},
       {service::FrameType::kRequest,
        "{\"id\":\"req-traced\",\"workload\":\"KM-D1\",\"steps\":1,"
        "\"seed\":16,\"trace\":\"fuzz-trace\",\"span\":42}"},
@@ -46,7 +46,8 @@ std::string wire_base_stream() {
        "{\"tele\":1,\"deterministic\":false,\"aggregate\":true,"
        "\"sessions\":2}\n{\"name\":\"stream.flushes\",\"kind\":\"counter\","
        "\"deterministic\":true,\"value\":1}"},
-      {service::FrameType::kMetrics, "{\"aggregate\":true,\"sessions\":2}"},
+      {service::FrameType::kTimeSeries,
+       "{\"tser\":1,\"series\":1}\n{\"name\":\"stream.rec_cost\"}"},
       {service::FrameType::kEnd, ""},
   });
 }

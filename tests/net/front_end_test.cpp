@@ -228,7 +228,6 @@ TEST(FrontEndTest, UnixAndTcpRoundTripWithStatPoll) {
   // STAT answers with the global TELE; the END tail adds the
   // connection-scoped TELE.
   EXPECT_EQ(count_type(unix_frames, FrameType::kTelemetry), 2u);
-  EXPECT_EQ(count_type(unix_frames, FrameType::kMetrics), 0u);
   EXPECT_EQ(unix_frames.back().type, FrameType::kEnd);
   EXPECT_EQ(count_type(unix_frames, FrameType::kError), 0u);
 

@@ -344,38 +344,21 @@ TEST(GoldenTranscriptTest, MalformedWarmPayloadIsAParseError) {
                      /*with_warm_index=*/true));
 }
 
-TEST(GoldenTranscriptTest, ScopedHappyPathCarriesScopeAndStreamKeys) {
-  // Scope-keyed sessions beside a global one: the scoped REPs carry the
-  // "scope" key, the streaming REQ carries the full re-adaptation block,
-  // and the global batch REQ stays byte-identical to the legacy format.
+TEST(GoldenTranscriptTest, StreamingHappyPathCarriesStreamKeys) {
+  // Streaming REQs beside a batch one: the streaming REPs carry the full
+  // re-adaptation block and the batch REQ on cluster b stays
+  // byte-identical to the legacy format.
   const std::string input = encode_frames({
       {FrameType::kRequest,
-       "{\"id\":\"s1\",\"workload\":\"SA-P1\",\"steps\":2,\"seed\":41,"
-       "\"scope\":\"workload\"}"},
+       "{\"id\":\"s1\",\"workload\":\"SA-P1\",\"steps\":2,\"seed\":41}"},
       {FrameType::kRequest,
        "{\"id\":\"s2\",\"workload\":\"TS-D1\",\"cluster\":\"b\","
-       "\"steps\":1,\"seed\":42,\"scope\":\"hardware\"}"},
+       "\"steps\":1,\"seed\":42}"},
       {FrameType::kRequest,
        "{\"id\":\"s3\",\"workload\":\"SJ-P2\",\"steps\":1,\"seed\":43}"},
       {FrameType::kEnd, ""},
   });
-  check_golden("scoped_happy_path.golden",
-               serve(input, /*with_fake_runner=*/true));
-}
-
-TEST(GoldenTranscriptTest, UnknownScopeIsAParseError) {
-  // A malformed "scope" is a typed ERR frame (the "warm" precedent): the
-  // stream continues and the well-scoped REQ after it still serves.
-  const std::string input = encode_frames({
-      {FrameType::kRequest,
-       "{\"id\":\"bad\",\"workload\":\"TS-D1\",\"steps\":1,\"seed\":51,"
-       "\"scope\":\"regional\"}"},
-      {FrameType::kRequest,
-       "{\"id\":\"ok\",\"workload\":\"TS-D1\",\"steps\":1,\"seed\":52,"
-       "\"scope\":\"workload\"}"},
-      {FrameType::kEnd, ""},
-  });
-  check_golden("scope_malformed.golden",
+  check_golden("streaming_happy_path.golden",
                serve(input, /*with_fake_runner=*/true));
 }
 
@@ -400,7 +383,7 @@ TEST(GoldenTranscriptTest, TracedHappyPathEchoesTraceAndServerSpan) {
 }
 
 TEST(GoldenTranscriptTest, MalformedTraceContextIsAParseError) {
-  // The "warm"/"scope" precedent applied to trace context: an empty trace
+  // The "warm" precedent applied to trace context: an empty trace
   // id, a span without a trace, and a non-numeric span are typed ERR
   // frames naming the field; the stream continues and the well-traced REQ
   // after them still serves.
@@ -462,8 +445,7 @@ TEST(GoldenTranscriptTest, GoldenTranscriptsDecodeAsValidWireStreams) {
                            "malformed_frame.golden", "midstream_eof.golden",
                            "stat_tele.golden", "warm_happy_path.golden",
                            "warm_no_index.golden", "warm_malformed.golden",
-                           "scoped_happy_path.golden",
-                           "scope_malformed.golden",
+                           "streaming_happy_path.golden",
                            "traced_happy_path.golden",
                            "trace_malformed.golden",
                            "timeseries_tail.golden"}) {

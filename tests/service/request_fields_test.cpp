@@ -58,6 +58,9 @@ TEST(RequestFieldTest, UnknownKeyIsAParseError) {
   (void)parse_error(R"({"id":"r","workload":"TS-D1","stpes":1,"seed":3})",
                     "stpes");
   (void)parse_error(R"({"id":"r","workload":"TS-D1","Steps":2})", "Steps");
+  // A request's "model" is its only routing key.
+  (void)parse_error(R"({"id":"r","workload":"TS-D1","scope":"workload"})",
+                    "scope");
 }
 
 TEST(RequestFieldTest, DuplicateKeyIsAParseError) {
@@ -163,13 +166,12 @@ TEST(RequestFieldTest, EveryKnownKeyParses) {
   const TuningRequest r = parse_request_json(
       R"({"id":"r","workload":"TS-D1","cluster":"b","steps":2,)"
       R"("budget_seconds":9,"seed":4,"model":"m","warm":0,"trace":"t",)"
-      R"("span":7,"scope":"workload"})",
+      R"("span":7})",
       0);
   EXPECT_EQ(r.cluster, "b");
   EXPECT_EQ(r.max_steps, 2);
   EXPECT_EQ(r.model, "m");
   EXPECT_EQ(r.trace_span, 7u);
-  EXPECT_EQ(r.scope, TuneScope::kWorkload);
 }
 
 TEST(RequestFieldTest, WellFormedNumbersParse) {

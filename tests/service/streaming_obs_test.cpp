@@ -448,7 +448,6 @@ TEST(StreamingTeleTest, TeleFramesAtEveryProtocolPointAndOnPolls) {
 
   std::size_t tele = 0, err = 0;
   for (const auto& f : frames) {
-    EXPECT_NE(f.type, FrameType::kMetrics) << "METR is retired";
     if (f.type == FrameType::kTelemetry) {
       ++tele;
       // Every TELE payload leads with the versioned header line and the

@@ -1,8 +1,9 @@
 // StreamingService behavior: streaming results match the batch path,
 // model epochs advance only on merging flushes, unknown models fail as
 // reports (never exceptions), multi-model routing lazily loads from the
-// registry and republishes on eviction, and the front end's byte-stream
-// bridge speaks the framed wire protocol end to end.
+// registry and republishes on eviction, the front end's byte-stream
+// bridge speaks the framed wire protocol end to end, and a REP carries
+// the streaming re-adaptation keys only for streaming workloads.
 #include "service/streaming.hpp"
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "net/server.hpp"
 #include "rl/replay_rdper.hpp"
 #include "service/checkpoint.hpp"
+#include "service/jsonl.hpp"
 #include "service/wire.hpp"
 #include "sparksim/workloads.hpp"
 
@@ -382,6 +384,92 @@ TEST(StreamingTest, ServeFrameStreamEndToEnd) {
             std::string::npos);
   // The end-of-stream flush merged request c's experience too.
   EXPECT_EQ(svc.model_epoch("default"), 3u);
+}
+
+TEST(StreamingTest, ScopeKeyFailsTypedInItsSlotAndTheStreamContinues) {
+  // A request's "model" is its one routing key: "scope" is an unknown key
+  // like any other, answered by a typed ERR in the request's own reply
+  // slot, and the REQ after it still serves.
+  StreamingService svc(small_streaming_options(1));
+  svc.set_session_runner_for_test([](const TuningRequest& r) {
+    SessionReport report;
+    report.id = r.id;
+    report.workload = r.workload;
+    report.cluster = r.cluster;
+    report.ok = true;
+    return report;
+  });
+  const std::string input = encode_frames({
+      {FrameType::kRequest,
+       "{\"id\":\"scoped\",\"workload\":\"SA-P1\",\"steps\":2,\"seed\":41,"
+       "\"scope\":\"workload\"}"},
+      {FrameType::kRequest,
+       "{\"id\":\"plain\",\"workload\":\"SA-P1\",\"steps\":2,\"seed\":42}"},
+      {FrameType::kEnd, ""},
+  });
+  std::istringstream in(input, std::ios::binary);
+  std::ostringstream out(std::ios::binary);
+  net::serve_stream(in, out, svc, net::FrontEndOptions{});
+
+  const auto frames = decode_frames(out.str());
+  ASSERT_EQ(frames.size(), 4u);
+  EXPECT_EQ(frames[0].type, FrameType::kError);
+  EXPECT_NE(frames[0].payload.find(
+                "request 0: request 'scoped' has an unknown key \\\"scope\\\""),
+            std::string::npos)
+      << frames[0].payload;
+  EXPECT_EQ(frames[1].type, FrameType::kReply);
+  EXPECT_EQ(frames[1].payload.rfind("{\"id\":\"plain\"", 0), 0u)
+      << frames[1].payload;
+  EXPECT_EQ(frames[2].type, FrameType::kTelemetry);
+  EXPECT_EQ(frames[3].type, FrameType::kEnd);
+  obs::MetricsRegistry& counts = svc.metrics_registry();
+  EXPECT_EQ(counts.counter("net.requests").value(), 2u);
+  EXPECT_EQ(counts.counter("net.parse_errors").value(), 1u);
+  EXPECT_EQ(counts.counter("net.clean_ends").value(), 1u);
+  EXPECT_EQ(counts.counter("stream.requests_admitted").value(), 1u);
+}
+
+TEST(StreamingReportTest, StreamingReportCarriesTheReAdaptationKeys) {
+  SessionReport r;
+  r.id = "x";
+  r.workload = "SA-P1";
+  r.ok = true;
+  r.report.objective = sparksim::ObjectiveKind::kBatchLatencyP95;
+  sparksim::StreamSummary ss;
+  ss.phases = 3;
+  ss.windows = 12;
+  ss.final_p95_s = 2.5;
+  sparksim::ShiftRecord recovered;
+  recovered.recovered = true;
+  recovered.recovery_evals = 2;
+  ss.shifts.push_back(recovered);
+  ss.shifts.push_back({});  // unrecovered shift serializes as "-"
+  r.report.stream = ss;
+  std::ostringstream os;
+  write_report_jsonl(os, r);
+  const std::string line = os.str();
+  EXPECT_NE(line.find("\"objective\":\"batch_latency_p95\""),
+            std::string::npos)
+      << line;
+  EXPECT_NE(line.find("\"phases\":3"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"windows\":12"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"shifts\":2"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"recovered\":false"), std::string::npos) << line;
+  EXPECT_NE(line.find("\"recovery_evals\":\"2,-\""), std::string::npos)
+      << line;
+  EXPECT_NE(line.find("\"final_p95_s\":2.5"), std::string::npos) << line;
+}
+
+TEST(StreamingReportTest, BatchReportOmitsTheStreamingKeys) {
+  SessionReport r;
+  r.id = "x";
+  r.workload = "TS-D1";
+  r.ok = true;
+  std::ostringstream os;
+  write_report_jsonl(os, r);
+  EXPECT_EQ(os.str().find("\"objective\""), std::string::npos);
+  EXPECT_EQ(os.str().find("\"recovery_evals\""), std::string::npos);
 }
 
 }  // namespace

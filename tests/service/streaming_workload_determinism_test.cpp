@@ -1,14 +1,13 @@
-// Phase-shift determinism stress: one mixed batch of streaming and scoped
-// requests, served across threads {1,4,16} x 3 arrival shuffles, must
-// always produce byte-identical REP transcripts (sorted by request id) and
-// byte-identical checkpoints for every scoped key — the scope-keyed variant
-// of the streaming determinism contract. A scoped fork starts from its base
-// model's genesis blob, recorded when the base was loaded: the same
-// canonical bytes whatever the thread layout.
+// Phase-shift determinism stress over real sessions: one mixed batch of
+// streaming (SA/SJ, phase-shifted) and batch requests on both clusters,
+// served across threads {1,4,16} x 3 arrival shuffles, must always produce
+// byte-identical REP transcripts (sorted by request id) and a
+// byte-identical checkpoint of the default master after the merge — the
+// streaming-workload variant of the streaming determinism contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <condition_variable>
-#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -30,27 +29,18 @@ StreamingOptions stress_options(std::size_t threads) {
   o.service.api.tuner.warmup_steps = 16;
   o.service.api.env.seed = 1007;
   o.master_update_steps = 2;
-  // The request set touches 5 scoped keys; keep them all resident so the
-  // checkpoint comparison never races LRU eviction.
-  o.max_loaded_models = 16;
   return o;
 }
 
 std::vector<TuningRequest> stress_requests() {
-  // Streaming sessions (phase-shifted, scope-keyed) beside batch sessions,
-  // spanning all three scope levels and both clusters.
+  // Streaming sessions beside batch sessions, on both clusters.
   struct Spec {
     const char* workload;
-    TuneScope scope;
     const char* cluster;
   };
   const Spec specs[] = {
-      {"SA-P1", TuneScope::kWorkload, "a"},
-      {"SJ-P1", TuneScope::kWorkload, "a"},
-      {"SA-P2", TuneScope::kGlobal, "a"},
-      {"TS-D1", TuneScope::kHardware, "b"},
-      {"WC-D1", TuneScope::kGlobal, "a"},
-      {"KM-D1", TuneScope::kWorkload, "b"},
+      {"SA-P1", "a"}, {"SJ-P1", "a"}, {"SA-P2", "a"},
+      {"TS-D1", "b"}, {"WC-D1", "a"}, {"KM-D1", "b"},
   };
   std::vector<TuningRequest> reqs;
   for (std::size_t i = 0; i < std::size(specs); ++i) {
@@ -58,7 +48,6 @@ std::vector<TuningRequest> stress_requests() {
     r.id = "req-" + std::to_string(i);
     r.workload = specs[i].workload;
     r.cluster = specs[i].cluster;
-    r.scope = specs[i].scope;
     r.max_steps = 2;
     r.seed = 100 + i;
     reqs.push_back(r);
@@ -66,21 +55,9 @@ std::vector<TuningRequest> stress_requests() {
   return reqs;
 }
 
-/// Every distinct scoped key the request set touches, plus the base.
-std::vector<std::string> scoped_keys(const std::vector<TuningRequest>& reqs) {
-  std::vector<std::string> keys = {"default"};
-  for (const auto& r : reqs) {
-    const std::string key = scoped_model_key(r);
-    if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
-      keys.push_back(key);
-    }
-  }
-  return keys;
-}
-
 struct RunResult {
-  std::string transcript;                       ///< REP lines sorted by id
-  std::map<std::string, std::string> checkpoints;  ///< per scoped key
+  std::string transcript;  ///< REP lines sorted by id
+  std::string checkpoint;  ///< the default master after the merge
 };
 
 RunResult run_once(const std::string& master_blob,
@@ -117,32 +94,28 @@ RunResult run_once(const std::string& master_blob,
     write_report_jsonl(os, r);
   }
   out.transcript = os.str();
-  for (const std::string& key : scoped_keys(arrival_order)) {
-    out.checkpoints[key] = svc.checkpoint_of(key);
-  }
+  out.checkpoint = svc.checkpoint_of("default");
   return out;
 }
 
-TEST(ScopeDeterminismTest, TranscriptsAndCheckpointsSurviveEveryLayout) {
+TEST(StreamingWorkloadDeterminismTest,
+     TranscriptsAndCheckpointsSurviveEveryLayout) {
   std::string master_blob;
   {
     StreamingService trainer(stress_options(1));
-    trainer.train_model(
+    master_blob = trainer.train_model(
         "default",
         sparksim::make_workload(sparksim::WorkloadType::kTeraSort, 3.2), 40);
-    master_blob = trainer.checkpoint_of("default");
   }
 
   const auto requests = stress_requests();
   const RunResult reference = run_once(master_blob, requests, 1);
   ASSERT_FALSE(reference.transcript.empty());
-  for (const auto& [key, blob] : reference.checkpoints) {
-    EXPECT_FALSE(blob.empty()) << key;
-  }
+  ASSERT_FALSE(reference.checkpoint.empty());
+  EXPECT_NE(reference.checkpoint, master_blob)
+      << "the merge should have moved the master past its loaded state";
   // Streaming REP lines must carry the re-adaptation keys.
   EXPECT_NE(reference.transcript.find("\"objective\":\"batch_latency_p95\""),
-            std::string::npos);
-  EXPECT_NE(reference.transcript.find("\"scope\":\"workload\""),
             std::string::npos);
 
   common::Rng shuffler(0x5C0BE5ull);
@@ -156,14 +129,8 @@ TEST(ScopeDeterminismTest, TranscriptsAndCheckpointsSurviveEveryLayout) {
       const RunResult run = run_once(master_blob, order, threads);
       EXPECT_EQ(run.transcript, reference.transcript)
           << context << ": REP transcript diverged";
-      ASSERT_EQ(run.checkpoints.size(), reference.checkpoints.size())
-          << context;
-      for (const auto& [key, blob] : reference.checkpoints) {
-        const auto it = run.checkpoints.find(key);
-        ASSERT_NE(it, run.checkpoints.end()) << context << ": " << key;
-        EXPECT_EQ(it->second, blob)
-            << context << ": checkpoint for '" << key << "' diverged";
-      }
+      EXPECT_EQ(run.checkpoint, reference.checkpoint)
+          << context << ": the default master's checkpoint diverged";
     }
   }
 }

@@ -4,21 +4,28 @@
 // trace echo and server span ids included — and (b) the identical trace
 // structure_signature(). The server span id is a pure function of (trace
 // id, request id), so no pool width or arrival order may leak into what
-// the client sees.
+// the client sees. The opt-in per-stage timing block rides only on traced
+// REPs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <condition_variable>
+#include <map>
 #include <mutex>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "net/server.hpp"
 #include "obs/clock.hpp"
 #include "obs/exporter.hpp"
 #include "obs/tracer.hpp"
+#include "service/jsonl.hpp"
 #include "service/session.hpp"
 #include "service/streaming.hpp"
+#include "service/wire.hpp"
 
 namespace deepcat::service {
 namespace {
@@ -205,6 +212,58 @@ TEST(TracePropTest, TracedRequestsParentUnderTheTransportSpan) {
   EXPECT_NE(signature.find(">request 1"), std::string::npos) << signature;
   EXPECT_NE(signature.find("request>session 2"), std::string::npos)
       << signature;
+}
+
+/// Serves one traced and one untraced REQ through the front end's
+/// byte-stream bridge with a tracer attached and reply_timings set as
+/// given; returns, per REP id, the keys of its "t_*_ns" timing block.
+std::map<std::string, std::set<std::string>> timing_keys(bool reply_timings) {
+  obs::LogicalClock clock;
+  obs::CallbackSpanSink sink([](const obs::SpanRecord&) {});
+  obs::Tracer tracer(clock, sink);
+  StreamingOptions options = trace_options(1);
+  options.service.obs.tracer = &tracer;
+  options.reply_timings = reply_timings;
+  StreamingService svc(options);
+  svc.set_session_runner_for_test(pure_report);
+
+  const std::string input = encode_frames({
+      {FrameType::kRequest,
+       "{\"id\":\"traced\",\"workload\":\"WC-D1\",\"seed\":1,"
+       "\"trace\":\"trace-a\"}"},
+      {FrameType::kRequest,
+       "{\"id\":\"plain\",\"workload\":\"WC-D1\",\"seed\":2}"},
+      {FrameType::kEnd, ""},
+  });
+  std::istringstream in(input, std::ios::binary);
+  std::ostringstream out(std::ios::binary);
+  net::serve_stream(in, out, svc, net::FrontEndOptions{});
+
+  std::map<std::string, std::set<std::string>> keys;
+  for (const Frame& f : decode_frames(out.str())) {
+    if (f.type != FrameType::kReply) continue;
+    const auto fields = parse_flat_json(f.payload);
+    std::set<std::string>& timed = keys[fields.at("id")];
+    for (const auto& [key, value] : fields) {
+      if (key.rfind("t_", 0) == 0) timed.insert(key);
+    }
+  }
+  return keys;
+}
+
+TEST(TracePropTest, ReplyTimingsStampOnlyTracedRepliesWhenEnabled) {
+  const auto on = timing_keys(/*reply_timings=*/true);
+  ASSERT_EQ(on.size(), 2u);
+  EXPECT_EQ(on.at("traced"),
+            (std::set<std::string>{"t_decode_ns", "t_queue_ns",
+                                   "t_session_ns", "t_merge_ns",
+                                   "t_write_ns"}));
+  EXPECT_TRUE(on.at("plain").empty());
+
+  const auto off = timing_keys(/*reply_timings=*/false);
+  ASSERT_EQ(off.size(), 2u);
+  EXPECT_TRUE(off.at("traced").empty());
+  EXPECT_TRUE(off.at("plain").empty());
 }
 
 }  // namespace

@@ -46,16 +46,16 @@ std::string wire_base_stream() {
        "{\"id\":\"req-3\",\"workload\":\"WC-D2\",\"steps\":2,\"seed\":14,"
        "\"warm\":2,\"model\":\"default\"}"},
       {FrameType::kRequest,
-       "{\"id\":\"req-4\",\"workload\":\"SA-P1\",\"steps\":2,\"seed\":15,"
-       "\"scope\":\"workload\"}"},
+       "{\"id\":\"req-4\",\"workload\":\"SA-P1\",\"steps\":2,\"seed\":15}"},
       {FrameType::kRequest,
        "{\"id\":\"req-5\",\"workload\":\"TS-D1\",\"cluster\":\"b\","
-       "\"steps\":1,\"seed\":16,\"scope\":\"hardware\"}"},
+       "\"steps\":1,\"seed\":16}"},
       {FrameType::kRequest,
        "{\"id\":\"req-6\",\"workload\":\"WC-D1\",\"steps\":1,\"seed\":17,"
        "\"trace\":\"fuzz-trace\",\"span\":42}"},
       {FrameType::kStat, "{\"want\":\"tele\"}"},
-      {FrameType::kMetrics, "{\"aggregate\":true,\"sessions\":3}"},
+      {FrameType::kTimeSeries,
+       "{\"tser\":1,\"series\":1}\n{\"name\":\"stream.rec_cost\"}"},
       {FrameType::kEnd, ""},
   });
 }
@@ -105,7 +105,7 @@ TEST(WireFuzzTest, TypedErrorsNameTheOffendingFrame) {
       const std::string msg = e.what();
       const bool named = msg.find("REQ") != std::string::npos ||
                          msg.find("FLSH") != std::string::npos ||
-                         msg.find("METR") != std::string::npos ||
+                         msg.find("TSER") != std::string::npos ||
                          msg.find("TELE") != std::string::npos ||
                          msg.find("STAT") != std::string::npos ||
                          msg.find("END") != std::string::npos ||
@@ -149,7 +149,6 @@ TEST(WireFuzzTest, ServeDriverSurvivesMutatedStreams) {
     EXPECT_EQ(frames[frames.size() - 2].payload.rfind("{\"tele\":1,", 0), 0u)
         << desc;
     for (const auto& f : frames) {
-      EXPECT_NE(f.type, FrameType::kMetrics) << desc;
       if (f.type == FrameType::kError) {
         EXPECT_EQ(f.payload.rfind("{\"error\":\"", 0), 0u) << desc;
         EXPECT_GT(f.payload.size(), 12u) << desc;

@@ -39,7 +39,7 @@ TEST(WireTest, EmptyAndBinaryPayloadsRoundTrip) {
   }
   const auto frames = decode_frames(encode_frames({
       {FrameType::kReply, ""},
-      {FrameType::kMetrics, binary},
+      {FrameType::kTimeSeries, binary},
       {FrameType::kEnd, ""},
   }));
   ASSERT_EQ(frames.size(), 3u);
@@ -72,14 +72,19 @@ TEST(WireTest, RejectsNewerVersion) {
 TEST(WireTest, RejectsUnknownFrameTypeByName) {
   // Unlike the checkpoint reader (skip unknown optional sections), the
   // wire reader refuses unknown frames: dropping an imperative is a lost
-  // request, not a compatibility feature.
-  std::string bytes = encode_stream_header() + "BOGU";
-  bytes.append(12, '\0');  // length + CRC
-  try {
-    (void)decode_frames(bytes);
-    FAIL() << "unknown frame type accepted";
-  } catch (const WireError& e) {
-    EXPECT_NE(std::string(e.what()).find("BOGU"), std::string::npos);
+  // request, not a compatibility feature. The retired METR frame is one.
+  for (const char* tag : {"BOGU", "METR"}) {
+    std::string bytes = encode_stream_header() + tag;
+    bytes.append(12, '\0');  // length + CRC
+    try {
+      (void)decode_frames(bytes);
+      ADD_FAILURE() << "unknown frame type " << tag << " accepted";
+    } catch (const WireError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown wire frame type '" +
+                                           std::string(tag) + "'"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -137,8 +142,8 @@ TEST(WireTest, CleanEofAtFrameBoundaryIsNullopt) {
 TEST(WireTest, FrameTypeNameSanitizesUnprintableTags) {
   EXPECT_EQ(frame_type_name(static_cast<std::uint32_t>(FrameType::kRequest)),
             "REQ");
-  EXPECT_EQ(frame_type_name(static_cast<std::uint32_t>(FrameType::kMetrics)),
-            "METR");
+  EXPECT_EQ(frame_type_name(static_cast<std::uint32_t>(FrameType::kTimeSeries)),
+            "TSER");
   EXPECT_EQ(frame_type_name(static_cast<std::uint32_t>(FrameType::kTelemetry)),
             "TELE");
   EXPECT_EQ(frame_type_name(static_cast<std::uint32_t>(FrameType::kStat)),
