@@ -336,9 +336,7 @@ class ObsServe {
   ObsServe& operator=(const ObsServe&) = delete;
 
   void round() {
-    for (const auto& r : round_) svc_->submit(r);
-    while (svc_->wait_completed()) {
-    }
+    (void)service::serve_all(*svc_, round_);
     (void)svc_->flush();
     ++rounds_;
   }
@@ -974,9 +972,7 @@ int run_obs_bench_json(const std::string& path) {
 
     std::atomic<bool> done{false};
     std::thread worker([&] {
-      for (const auto& r : obs_bench_requests()) svc.submit(r);
-      while (svc.wait_completed()) {
-      }
+      (void)service::serve_all(svc, obs_bench_requests());
       (void)svc.flush();
       done.store(true, std::memory_order_release);
     });

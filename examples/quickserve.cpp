@@ -45,7 +45,8 @@ int main() {
     r.seed = 100 + requests.size();
     requests.push_back(r);
   }
-  const auto reports = service::serve_batch(svc, requests);
+  const auto reports = service::serve_all(svc, requests);
+  (void)svc.flush();
 
   std::puts("\nid            workload  default(s)  best(s)  speedup");
   for (const auto& report : reports) {

@@ -1,14 +1,15 @@
-// Streamserve: the no-barrier streaming side of `deepcat serve --stream`.
-// Where quickserve.cpp submits one whole batch behind a barrier, this
-// example admits requests one at a time, consumes reports in completion
-// order, and flushes mid-stream so the master keeps learning between
-// requests (continuous master updates). It finishes by driving the same
-// requests through the framed DCWP wire protocol, client-side, against the
-// epoll front end serving an in-process byte stream.
+// Streamserve: the multi-model streaming side of `deepcat serve --stream`.
+// Requests route to named master models; each report comes back through
+// its request's completion callback (collected here in request order), and
+// a flush merges the sessions' experience so the master keeps learning
+// between requests (continuous master updates). It finishes by driving the
+// same requests through the framed DCWP wire protocol, client-side,
+// against the epoll front end serving an in-process byte stream.
 //
 //   $ ./streamserve
 #include <cstdio>
 #include <sstream>
+#include <vector>
 
 #include "net/server.hpp"
 #include "service/streaming.hpp"
@@ -33,11 +34,12 @@ int main() {
   svc.train_model("graph",
                   sparksim::make_workload(WorkloadType::kPageRank, 0.5), 400);
 
-  // 2. Submit requests as they "arrive" — no batch boundary. Reports come
-  //    back in completion order; each carries the model epoch it was
-  //    served against.
+  // 2. Submit the requests; they run side by side on the pool, and the
+  //    collector hands the reports back in request order. Each carries
+  //    the model epoch it was served against.
   const char* suite[] = {"TS-D1", "PR-D1", "TS-D2", "PR-D2"};
   std::size_t seq = 0;
+  std::vector<service::TuningRequest> requests;
   for (const char* id : suite) {
     service::TuningRequest r;
     r.id = std::string("req-") + id;
@@ -45,12 +47,12 @@ int main() {
     r.model = (id[0] == 'T') ? "sort" : "graph";
     r.max_steps = 4;
     r.seed = 100 + seq++;
-    svc.submit(std::move(r));
+    requests.push_back(std::move(r));
   }
 
   std::puts("\nid        model  epoch  best(s)  speedup");
-  while (const auto report = svc.wait_completed()) {
-    const auto& s = report->session;
+  for (const auto& report : service::serve_all(svc, std::move(requests))) {
+    const auto& s = report.session;
     if (!s.ok) {
       std::printf("%-9s %-6s FAILED: %s\n", s.id.c_str(), s.model.c_str(),
                   s.error.c_str());
@@ -58,7 +60,7 @@ int main() {
     }
     std::printf("%-9s %-6s %5llu %8.1f %7.2fx\n", s.id.c_str(),
                 s.model.c_str(),
-                static_cast<unsigned long long>(report->model_epoch),
+                static_cast<unsigned long long>(report.model_epoch),
                 s.report.best_time, s.report.speedup_over_default());
   }
 

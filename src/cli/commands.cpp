@@ -7,7 +7,6 @@
 #include <map>
 #include <memory>
 #include <ostream>
-#include <shared_mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -54,12 +53,6 @@ WorkloadType workload_from_flag(const std::string& tag) {
   if (tag == "SJ" || tag == "streamjoin") return WorkloadType::kStreamJoin;
   throw std::invalid_argument("unknown workload '" + tag +
                               "' (use WC, TS, PR, KM, SA or SJ)");
-}
-
-ClusterSpec cluster_from_flag(const std::string& tag) {
-  if (tag == "a" || tag == "A") return cluster_a();
-  if (tag == "b" || tag == "B") return cluster_b();
-  throw std::invalid_argument("unknown cluster '" + tag + "' (use a or b)");
 }
 
 double default_size(WorkloadType type) {
@@ -300,6 +293,45 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
   // counts; scheduling-dependent fields would break that promise.
   fe.tele_include_nondeterministic = clock_kind != "logical";
 
+  // One byte stream — stdin, --in, or --requests framed as REQ* + END —
+  // is served as the front end's single connection when not listening.
+  // Its input is opened (a --requests file read and framed) before
+  // anything trains.
+  std::ifstream in_file;
+  std::istringstream synth_in(std::ios::binary);
+  std::istream* in = &std::cin;
+  if (const auto req_path = args.flag("requests"); req_path && !listening) {
+    // Human-writable bridge: frame each JSONL request line as a REQ and
+    // append a clean END, so smoke tests don't need a wire encoder.
+    if (args.flag("in")) {
+      throw std::invalid_argument(
+          "serve: --requests and --in are mutually exclusive in stream "
+          "mode");
+    }
+    std::ifstream req(*req_path);
+    if (!req) {
+      throw std::invalid_argument("serve: cannot open requests file '" +
+                                  *req_path + "'");
+    }
+    std::vector<std::pair<service::FrameType, std::string>> frames;
+    std::string line;
+    while (std::getline(req, line)) {
+      if (!line.empty()) {
+        frames.emplace_back(service::FrameType::kRequest, line);
+      }
+    }
+    frames.emplace_back(service::FrameType::kEnd, "");
+    synth_in.str(service::encode_frames(frames));
+    in = &synth_in;
+  } else if (const auto in_path = args.flag("in"); in_path && !listening) {
+    in_file.open(*in_path, std::ios::binary);
+    if (!in_file) {
+      throw std::invalid_argument("serve: cannot open wire input '" +
+                                  *in_path + "'");
+    }
+    in = &in_file;
+  }
+
   // Wire bytes to stdout (no --out / --socket / --tcp) must stay pure
   // protocol, so status text is suppressed in that mode.
   const bool quiet = !args.flag("out") && !listening;
@@ -372,42 +404,6 @@ int cmd_serve_stream(const ParsedArgs& args, std::ostream& os,
     }
     os << '\n';
   } else {
-    // One byte stream — stdin, --in, or --requests framed as REQ* + END —
-    // served as the front end's single connection.
-    std::ifstream in_file;
-    std::istringstream synth_in(std::ios::binary);
-    std::istream* in = &std::cin;
-    if (const auto req_path = args.flag("requests")) {
-      // Human-writable bridge: frame each JSONL request line as a REQ and
-      // append a clean END, so smoke tests don't need a wire encoder.
-      if (args.flag("in")) {
-        throw std::invalid_argument(
-            "serve: --requests and --in are mutually exclusive in stream "
-            "mode");
-      }
-      std::ifstream req(*req_path);
-      if (!req) {
-        throw std::invalid_argument("serve: cannot open requests file '" +
-                                    *req_path + "'");
-      }
-      std::vector<std::pair<service::FrameType, std::string>> frames;
-      std::string line;
-      while (std::getline(req, line)) {
-        if (!line.empty()) {
-          frames.emplace_back(service::FrameType::kRequest, line);
-        }
-      }
-      frames.emplace_back(service::FrameType::kEnd, "");
-      synth_in.str(service::encode_frames(frames));
-      in = &synth_in;
-    } else if (const auto in_path = args.flag("in")) {
-      in_file.open(*in_path, std::ios::binary);
-      if (!in_file) {
-        throw std::invalid_argument("serve: cannot open wire input '" +
-                                    *in_path + "'");
-      }
-      in = &in_file;
-    }
     std::ofstream out_file;
     std::ostream* out = &os;  // quiet mode: wire bytes into the CLI stream
     if (const auto out_path = args.flag("out")) {
@@ -559,7 +555,7 @@ int cmd_simulate(const ParsedArgs& args, std::ostream& os) {
   const WorkloadType type = workload_from_flag(args.flag_or("workload", "TS"));
   const double size = args.number_or("size", default_size(type));
   const WorkloadSpec workload = make_workload(type, size);
-  const ClusterSpec cluster = cluster_from_flag(args.flag_or("cluster", "a"));
+  const ClusterSpec cluster = cluster_from_tag(args.flag_or("cluster", "a"));
   const ConfigValues config = config_from_assignments(args);
   const auto runs = args.integer_or<int>("runs", 1);
   const auto seed0 = args.integer_or<std::uint64_t>("seed", 1);
@@ -594,7 +590,7 @@ int cmd_simulate(const ParsedArgs& args, std::ostream& os) {
 int cmd_tune(const ParsedArgs& args, std::ostream& os) {
   const WorkloadType type = workload_from_flag(args.flag_or("workload", "TS"));
   const double size = args.number_or("size", default_size(type));
-  const ClusterSpec cluster = cluster_from_flag(args.flag_or("cluster", "a"));
+  const ClusterSpec cluster = cluster_from_tag(args.flag_or("cluster", "a"));
   const auto steps = args.integer_or<int>("steps", 5);
   const auto offline_iters =
       args.integer_or<std::size_t>("offline-iters", 1200);
@@ -652,21 +648,25 @@ int cmd_serve(const ParsedArgs& args, std::ostream& os) {
   if (args.number_or("stream", 0) != 0.0) {
     return cmd_serve_stream(args, os, *checkpoint_dir);
   }
+  // The request file is parsed before anything trains, so a bad line
+  // fails before a model is published.
+  const auto requests_path = args.flag("requests");
+  std::vector<service::TuningRequest> requests;
+  if (requests_path) {
+    std::ifstream req_stream(*requests_path);
+    if (!req_stream) {
+      throw std::invalid_argument("serve: cannot open requests file '" +
+                                  *requests_path + "'");
+    }
+    requests = service::parse_requests_jsonl(req_stream);
+  }
   const std::string model_name = args.flag_or("model", "default");
   const service::StreamingOptions options = serve_options(args);
   service::StreamingService svc(options);
   service::ModelRegistry registry(*checkpoint_dir);
   bootstrap_model(args, svc, registry, model_name, os, /*quiet=*/false);
-
-  const auto requests_path = args.flag("requests");
   if (!requests_path) return 0;  // train/publish-only invocation
 
-  std::ifstream req_stream(*requests_path);
-  if (!req_stream) {
-    throw std::invalid_argument("serve: cannot open requests file '" +
-                                *requests_path + "'");
-  }
-  auto requests = service::parse_requests_jsonl(req_stream);
   os << "serving " << requests.size() << " requests on "
      << (options.service.threads == 0
              ? std::string("hardware")
@@ -679,7 +679,8 @@ int cmd_serve(const ParsedArgs& args, std::ostream& os) {
     r.model = model_name;
     r.warm_k = 0;
   }
-  const auto reports = service::serve_batch(svc, std::move(requests));
+  const auto reports = service::serve_all(svc, std::move(requests));
+  (void)svc.flush();
 
   // The aggregate is fed in request order, so its float sums — and the
   // whole output — are identical for any --threads.
@@ -912,15 +913,10 @@ int cmd_index_build(const ParsedArgs& args, std::ostream& os) {
     throw std::invalid_argument("index build: no published model '" +
                                 model_name + "' in the registry");
   }
-  // Sessions clone the loaded master's agent and sample its pools, as
-  // served sessions do; nothing changes the master while they run.
-  const core::DeepCatApiOptions api;
-  core::DeepCat master(cluster_a(), api);
-  registry.load_into(model_name, *version, master);
-  const rl::Td3Agent& agent = master.tuner().agent();
-  const auto& pools =
-      dynamic_cast<const rl::RdperReplay&>(*master.tuner().replay());
-  std::shared_mutex pools_mutex;
+  // Served sessions on the loaded master, side by side on the pool; no
+  // flush ever changes it, so it is dropped unmerged.
+  service::StreamingService svc;
+  svc.load_model_file(model_name, registry.path_for(model_name, *version));
 
   std::vector<HiBenchCase> cases;
   const std::string which = args.flag_or("workloads", "all");
@@ -937,9 +933,7 @@ int cmd_index_build(const ParsedArgs& args, std::ostream& os) {
     throw std::invalid_argument("index build: --workloads selected nothing");
   }
 
-  // Sessions are pure functions of (model, request), so the index built
-  // here is bit-identical on every machine that holds the same model.
-  retrieval::ExperienceIndex index;
+  std::vector<service::TuningRequest> requests;
   for (const auto& c : cases) {
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
       service::TuningRequest request;
@@ -948,15 +942,24 @@ int cmd_index_build(const ParsedArgs& args, std::ostream& os) {
       request.cluster = cluster_tag;
       request.max_steps = steps;
       request.seed = seed;
-      const service::SessionReport report = service::run_session(
-          agent, api, request, pools, pools_mutex);
-      if (!report.ok) {
-        os << "error: session " << request.id << " failed: " << report.error
-           << '\n';
-        return 1;
-      }
-      index.add(retrieval::entry_from_report(c, seed, report.report));
+      request.model = model_name;
+      requests.push_back(std::move(request));
     }
+  }
+  // Sessions are pure functions of (model, request), and entries go in
+  // request order, so the index built here is bit-identical for any pool
+  // size and on every machine that holds the same model.
+  const auto reports = service::serve_all(svc, std::move(requests));
+  retrieval::ExperienceIndex index;
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    const service::SessionReport& report = reports[i].session;
+    if (!report.ok) {
+      os << "error: session " << report.id << " failed: " << report.error
+         << '\n';
+      return 1;
+    }
+    index.add(retrieval::entry_from_report(
+        cases[i / seeds], i % seeds + 1, report.report));
   }
 
   service::save_index_file(*out_path, index);

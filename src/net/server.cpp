@@ -277,14 +277,12 @@ void FrontEnd::handle_frame(Connection& conn, service::Frame frame) {
         parse_errors_.add(1);
         break;
       }
-      if (!request.trace_id.empty()) {
-        // Wire-propagated trace context: the session's request span
-        // parents under this connection's span, so one trace shows
-        // client -> conn -> request -> session.
-        request.server_parent_span = conn.span;
-        if (time_decode) {
-          request.decode_ns = tracer->clock().now_ns() - t_decode;
-        }
+      // Every request's span parents under this connection's span, so one
+      // trace shows conn -> request -> session (client -> conn too when
+      // the REQ carries trace context); decode timing is traced-only.
+      request.server_parent_span = conn.span;
+      if (time_decode && !request.trace_id.empty()) {
+        request.decode_ns = tracer->clock().now_ns() - t_decode;
       }
       // A warm request against a missing/empty index is a typed protocol
       // error, never a failed session: the client asked for retrieval the

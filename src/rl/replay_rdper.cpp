@@ -1,6 +1,5 @@
 #include "rl/replay_rdper.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace deepcat::rl {
@@ -74,11 +73,8 @@ SampledBatch RdperReplay::sample(std::size_t m, common::Rng& rng) {
   batch.weights.reserve(m);
   batch.ids.reserve(m);
 
-  std::size_t from_high =
-      static_cast<std::size_t>(std::llround(config_.beta * static_cast<double>(m)));
-  if (high_.size() == 0) from_high = 0;
-  if (low_.size() == 0) from_high = m;
-
+  const std::size_t from_high =
+      rdper_high_draws(m, config_.beta, high_.size(), low_.size());
   draw_from(high_, from_high, rng, batch);
   draw_from(low_, m - from_high, rng, batch);
   return batch;

@@ -6,6 +6,9 @@
 // in every update regardless of how scarce it is in the stream.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
+
 #include "common/rng.hpp"
 #include "rl/replay.hpp"
 
@@ -15,6 +18,18 @@ struct RdperConfig {
   double reward_threshold = 0.0;  ///< R_th: reward >= R_th goes to P_high
   double beta = 0.6;              ///< high-reward share of each batch (paper §5.4.1)
 };
+
+/// RDPER's split of an m-sample batch over pools of `high_size` and
+/// `low_size` transitions: round(beta * m) draws from P_high and the rest
+/// from P_low, or all m from one pool while the other is empty. Returns
+/// the P_high share.
+[[nodiscard]] inline std::size_t rdper_high_draws(
+    std::size_t m, double beta, std::size_t high_size,
+    std::size_t low_size) noexcept {
+  if (low_size == 0) return m;
+  if (high_size == 0) return 0;
+  return static_cast<std::size_t>(std::llround(beta * static_cast<double>(m)));
+}
 
 class RdperReplay final : public ReplayBuffer {
  public:

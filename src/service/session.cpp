@@ -1,7 +1,6 @@
 #include "service/session.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -13,12 +12,6 @@
 namespace deepcat::service {
 
 namespace {
-
-sparksim::ClusterSpec cluster_for(const std::string& tag) {
-  if (tag == "a" || tag == "A") return sparksim::cluster_a();
-  if (tag == "b" || tag == "B") return sparksim::cluster_b();
-  throw std::invalid_argument("unknown cluster '" + tag + "' (use a or b)");
-}
 
 // Domain-separation constants for the per-session streams: the tuner's
 // exploration noise and the environment seed must come from unrelated
@@ -92,11 +85,9 @@ rl::SampledBatch SharedRdperReplay::sample(std::size_t m, common::Rng& rng) {
   const std::size_t high_total = master_high_ + local_high_.size();
   const std::size_t low_total = master_low_ + local_low_.size();
 
-  // Same split rule as RdperReplay::sample, over the combined pool sizes.
-  std::size_t from_high = static_cast<std::size_t>(
-      std::llround(config_.beta * static_cast<double>(m)));
-  if (high_total == 0) from_high = 0;
-  if (low_total == 0) from_high = m;
+  // RdperReplay::sample's split rule, over the combined pool sizes.
+  const std::size_t from_high =
+      rl::rdper_high_draws(m, config_.beta, high_total, low_total);
 
   rl::SampledBatch batch;
   batch.weights.assign(m, 1.0);
@@ -149,7 +140,9 @@ SessionReport run_session(const rl::Td3Agent& master,
 
     // The clone's agent is built from the master's and samples the
     // master's pools through a shared view; it never owns pools of its own.
-    core::DeepCat dc(cluster_for(request.cluster), api);
+    const sparksim::ClusterSpec cluster =
+        sparksim::cluster_from_tag(request.cluster);
+    core::DeepCat dc(cluster, api);
     auto view = std::make_unique<SharedRdperReplay>(master_pools, master_mutex);
     SharedRdperReplay* shared = view.get();
     dc.tuner().materialize(master, std::move(view));
@@ -171,8 +164,7 @@ SessionReport run_session(const rl::Td3Agent& master,
     out.report =
         batch_case != nullptr
             ? dc.tune_online(sparksim::workload_for(*batch_case), budget)
-            : dc.tune_online_stream(cluster_for(request.cluster),
-                                    *stream_case, budget);
+            : dc.tune_online_stream(cluster, *stream_case, budget);
     out.warm_seeds = static_cast<int>(
         std::min(request.warm_actions.size(), out.report.steps.size()));
     out.new_transitions = shared->session_transitions();

@@ -17,11 +17,6 @@ namespace deepcat::service {
 
 namespace {
 
-sparksim::ClusterSpec streaming_cluster(const std::string& tag) {
-  if (tag == "b" || tag == "B") return sparksim::cluster_b();
-  return sparksim::cluster_a();
-}
-
 /// Checks the options are servable and points the sink at the registry in
 /// use (the caller's, else `own`) before the tuner options copy it.
 StreamingOptions bind_sink(StreamingOptions options,
@@ -42,7 +37,7 @@ StreamingOptions bind_sink(StreamingOptions options,
 
 StreamingService::StreamingService(StreamingOptions options)
     : options_(bind_sink(std::move(options), own_metrics_)),
-      cluster_(streaming_cluster(options_.service.cluster)),
+      cluster_(sparksim::cluster_from_tag(options_.service.cluster)),
       obs_admitted_(metrics_registry().counter("stream.requests_admitted")),
       obs_sessions_ok_(metrics_registry().counter("stream.sessions_ok")),
       obs_sessions_failed_(
@@ -197,20 +192,12 @@ void StreamingService::complete_failed(const TuningRequest& request,
   report.model = request.model;
   report.ok = false;
   report.error = error;
-  StreamReport stream_report;
   {
     std::scoped_lock state(state_mutex_);
     record_metrics_locked(report);
-    stream_report = {std::move(report), 0, next_sequence_++};
-    if (!on_done) {
-      completed_.push_back(std::move(stream_report));
-      completion_cv_.notify_all();
-      return;
-    }
-    completion_cv_.notify_all();
   }
   // Callback outside the lock: the front end re-enters its own queues.
-  on_done(std::move(stream_report));
+  on_done({std::move(report), 0});
 }
 
 void StreamingService::set_warm_index(
@@ -260,46 +247,28 @@ void StreamingService::resolve_warm(TuningRequest& request,
   obs_warm_hits_.add(neighbors.size());
 }
 
-void StreamingService::submit(TuningRequest request) {
-  submit(std::move(request), CompletionCallback{});
-}
-
 void StreamingService::submit(TuningRequest request,
                               CompletionCallback on_done) {
-  if (request.warm_k > 0 && request.warm_actions.empty()) {
-    std::shared_ptr<const retrieval::ExperienceIndex> index;
-    {
-      std::scoped_lock state(state_mutex_);
-      index = warm_index_;
-    }
-    if (index == nullptr || index->empty()) {
-      // Direct-API callers get a failed report; the wire transports
-      // precheck warm_error() and emit a typed ERR frame instead.
-      complete_failed(request,
-                      "warm request but no experience index is loaded",
-                      on_done);
-      return;
-    }
-    try {
-      resolve_warm(request, *index);
-    } catch (const std::exception& e) {
-      complete_failed(request, e.what(), on_done);
-      return;
-    }
-  }
   MasterEntry* entry = nullptr;
-  try {
-    entry = &resolve_entry(request.model);
-  } catch (const std::exception& e) {
-    complete_failed(request, e.what(), on_done);
-    return;
-  }
-
   const rl::Td3Agent* master_agent = nullptr;
   const rl::RdperReplay* master_pools = nullptr;
   std::uint64_t epoch = 0;
-  std::uint64_t sequence = 0;
   try {
+    if (request.warm_k > 0 && request.warm_actions.empty()) {
+      std::shared_ptr<const retrieval::ExperienceIndex> index;
+      {
+        std::scoped_lock state(state_mutex_);
+        index = warm_index_;
+      }
+      if (index == nullptr || index->empty()) {
+        // Direct-API callers get a failed report; the wire transports
+        // precheck warm_error() and emit a typed ERR frame instead.
+        throw std::invalid_argument(
+            "warm request but no experience index is loaded");
+      }
+      resolve_warm(request, *index);
+    }
+    entry = &resolve_entry(request.model);
     std::scoped_lock state(state_mutex_);
     if (!runner_) {
       // The session clones the master itself: nothing writes it until this
@@ -309,12 +278,12 @@ void StreamingService::submit(TuningRequest request,
           *entry->model.tuner().replay());
     }
     epoch = entry->epoch;
-    sequence = next_sequence_++;
-    entry->last_used = sequence;
+    entry->last_used = next_sequence_++;
     ++in_flight_;
     ++entry->in_flight;
     obs_queue_depth_.set(static_cast<double>(in_flight_));
   } catch (const std::exception& e) {
+    // Every admission failure comes back inline, as a failed report.
     complete_failed(request, e.what(), on_done);
     return;
   }
@@ -323,13 +292,11 @@ void StreamingService::submit(TuningRequest request,
   obs::Tracer* tracer = options_.service.obs.tracer;
   std::uint64_t request_span = 0;
   if (tracer != nullptr) {
-    // Traced requests parent under the transport's span (the front end's
-    // per-connection span) when one was stamped; untraced requests keep
-    // the historical root so legacy trace structures are unchanged.
-    const std::uint64_t parent =
-        (!request.trace_id.empty() && request.server_parent_span != 0)
-            ? request.server_parent_span
-            : options_.service.obs.trace_parent;
+    // A request parents under the transport's span (the front end's
+    // per-connection span) whenever one was stamped.
+    const std::uint64_t parent = request.server_parent_span != 0
+                                     ? request.server_parent_span
+                                     : options_.service.obs.trace_parent;
     request_span = tracer->begin_span("request", parent);
   }
   const bool timed =
@@ -337,7 +304,7 @@ void StreamingService::submit(TuningRequest request,
   const std::uint64_t t_submit = timed ? tracer->clock().now_ns() : 0;
 
   (void)pool_.submit([this, entry, master_agent, master_pools, epoch,
-                      sequence, request_span, tracer, timed, t_submit,
+                      request_span, tracer, timed, t_submit,
                       request = std::move(request),
                       on_done = std::move(on_done)] {
     SessionReport report;
@@ -374,19 +341,17 @@ void StreamingService::submit(TuningRequest request,
       report.timings = t;
     }
     // End the request span BEFORE on_complete: on_complete releases
-    // waiters (wait_completed / flush), and anyone it wakes may export the
-    // trace immediately — the span must already be closed by then.
+    // waiters (the callback's owner, flush), and anyone it wakes may export
+    // the trace immediately — the span must already be closed by then.
     if (tracer != nullptr) tracer->end_span(request_span);
-    on_complete(*entry, request, std::move(report), epoch, sequence, on_done);
+    on_complete(*entry, request, std::move(report), epoch, on_done);
   });
 }
 
 void StreamingService::on_complete(MasterEntry& entry,
                                    const TuningRequest& request,
                                    SessionReport report, std::uint64_t epoch,
-                                   std::uint64_t sequence,
                                    const CompletionCallback& on_done) {
-  StreamReport stream_report;
   obs::Tracer* tracer = options_.service.obs.tracer;
   const std::uint64_t t_merge0 =
       (report.timings && tracer != nullptr) ? tracer->clock().now_ns() : 0;
@@ -400,8 +365,6 @@ void StreamingService::on_complete(MasterEntry& entry,
     if (report.timings && tracer != nullptr) {
       report.timings->merge_ns = tracer->clock().now_ns() - t_merge0;
     }
-    stream_report = {std::move(report), epoch, sequence};
-    if (!on_done) completed_.push_back(std::move(stream_report));
     --in_flight_;
     --entry.in_flight;
     obs_queue_depth_.set(static_cast<double>(in_flight_));
@@ -409,7 +372,7 @@ void StreamingService::on_complete(MasterEntry& entry,
   }
   // The in-flight decrement happens BEFORE the callback runs, so a caller
   // observing idle() after its last callback knows the service is settled.
-  if (on_done) on_done(std::move(stream_report));
+  on_done({std::move(report), epoch});
 }
 
 bool StreamingService::idle() const {
@@ -451,16 +414,6 @@ void StreamingService::record_metrics_locked(const SessionReport& report) {
       }
     }
   }
-}
-
-std::optional<StreamReport> StreamingService::wait_completed() {
-  std::unique_lock state(state_mutex_);
-  completion_cv_.wait(
-      state, [this] { return !completed_.empty() || in_flight_ == 0; });
-  if (completed_.empty()) return std::nullopt;
-  StreamReport report = std::move(completed_.front());
-  completed_.pop_front();
-  return report;
 }
 
 std::size_t StreamingService::merge_entry_locked(
@@ -560,21 +513,22 @@ ServiceMetrics StreamingService::metrics() const {
   return m;
 }
 
-std::vector<StreamReport> serve_batch(StreamingService& service,
-                                      std::vector<TuningRequest> requests) {
-  for (TuningRequest& request : requests) service.submit(std::move(request));
-  // One submitting thread, so admission sequence numbers ascend in request
-  // order: sorting the completions by them restores it.
-  std::vector<StreamReport> reports;
-  reports.reserve(requests.size());
-  while (auto report = service.wait_completed()) {
-    reports.push_back(*std::move(report));
+std::vector<StreamReport> serve_all(StreamingService& service,
+                                    std::vector<TuningRequest> requests) {
+  std::vector<StreamReport> reports(requests.size());
+  std::mutex mutex;
+  std::condition_variable arrived_cv;
+  std::size_t arrived = 0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    service.submit(std::move(requests[i]), [&, i](StreamReport report) {
+      std::scoped_lock lock(mutex);
+      reports[i] = std::move(report);
+      ++arrived;
+      arrived_cv.notify_all();
+    });
   }
-  std::sort(reports.begin(), reports.end(),
-            [](const StreamReport& a, const StreamReport& b) {
-              return a.sequence < b.sequence;
-            });
-  (void)service.flush();
+  std::unique_lock lock(mutex);
+  arrived_cv.wait(lock, [&] { return arrived == reports.size(); });
   return reports;
 }
 

@@ -1,8 +1,8 @@
 // StreamingService: the serving pipeline over the DeepCAT library. It
 // admits requests as they arrive, runs them on the thread pool as
-// clone-on-tune sessions (session.hpp), and hands reports back in
-// completion order. Determinism is preserved by a sequencer discipline
-// instead of a barrier:
+// clone-on-tune sessions (session.hpp), and hands each report to its
+// request's completion callback. Determinism is preserved by a sequencer
+// discipline instead of a barrier:
 //
 //   - sessions are pure functions of (master at admission, request):
 //     every request admitted between two flush boundaries clones the same
@@ -25,15 +25,14 @@
 // `max_loaded_models` are resident (merging and republishing their learned
 // state first); a name with neither fails as a typed unknown-model report.
 //
-// Threading contract: submit/flush/wait_completed are
-// driver APIs — call them from one thread (the net front end's loop, or
-// serve_batch's caller). Sessions complete concurrently on the pool; all
-// shared state crossings are internal.
+// Threading contract: submit/flush are driver APIs — call them from one
+// thread (the net front end's loop, or serve_all's caller). Sessions
+// complete concurrently on the pool, and a report leaves the service only
+// through its request's callback; all shared state crossings are internal.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <istream>
 #include <map>
@@ -92,7 +91,6 @@ struct StreamingOptions {
 struct StreamReport {
   SessionReport session;
   std::uint64_t model_epoch = 0;  ///< master epoch that served the session
-  std::uint64_t sequence = 0;     ///< admission index (monotonic)
 };
 
 class StreamingService {
@@ -138,17 +136,11 @@ class StreamingService {
   [[nodiscard]] std::optional<std::string> warm_error(
       const TuningRequest& request) const;
 
-  /// Admits one request; returns immediately. Unknown models and other
-  /// admission failures surface as a completed ok=false report, never an
-  /// exception.
-  void submit(TuningRequest request);
-
-  /// Completion hand-off for callers that multiplex several clients over
-  /// one service (the net front end): invoked exactly once per submitted
-  /// request, after the service bookkeeping settles, instead of queueing
-  /// the report on the poll/wait queue. Runs on a pool worker thread (or
-  /// inline on the submitting thread when admission fails synchronously);
-  /// it must not block and must not call back into driver APIs.
+  /// Admits one request and returns immediately. Its report comes back
+  /// only through `on_done`, exactly once: after the in-flight count drops,
+  /// on a pool worker, or inline on this thread when admission fails (an
+  /// unknown model, say: an ok=false report, never an exception).
+  /// `on_done` must not block and must not call back into driver APIs.
   using CompletionCallback = std::function<void(StreamReport)>;
   void submit(TuningRequest request, CompletionCallback on_done);
 
@@ -158,11 +150,6 @@ class StreamingService {
 
   /// Sessions currently in flight (admitted, not yet completed).
   [[nodiscard]] std::size_t in_flight() const;
-
-  /// Next completed report in completion order; blocks while sessions are
-  /// in flight, and returns nullopt once none will ever arrive because the
-  /// service is idle.
-  [[nodiscard]] std::optional<StreamReport> wait_completed();
 
   /// Barrier: waits for every in-flight session, merges all pending
   /// experience (canonical order) into each model, takes the bounded
@@ -243,7 +230,7 @@ class StreamingService {
                        const CompletionCallback& on_done);
   void on_complete(MasterEntry& entry, const TuningRequest& request,
                    SessionReport report, std::uint64_t epoch,
-                   std::uint64_t sequence, const CompletionCallback& on_done);
+                   const CompletionCallback& on_done);
   /// Counts a completed session; its model names the
   /// "model.<name>.best_reward" convergence series.
   void record_metrics_locked(const SessionReport& report);
@@ -275,11 +262,10 @@ class StreamingService {
   mutable std::shared_mutex registry_mutex_;
   std::map<std::string, std::unique_ptr<MasterEntry>> entries_;
 
-  /// Guards the scheduler state: queues, counters, metrics, entry
-  /// bookkeeping fields.
+  /// Guards the scheduler state: counters, metrics, entry bookkeeping
+  /// fields.
   mutable std::mutex state_mutex_;
   std::condition_variable completion_cv_;
-  std::deque<StreamReport> completed_;
   std::size_t in_flight_ = 0;
   std::uint64_t next_sequence_ = 0;
   SessionAggregate sessions_;
@@ -319,11 +305,13 @@ class StreamingService {
 [[nodiscard]] std::optional<std::string> stat_payload_error(
     const std::string& payload);
 
-/// The batch path: submits every request, waits for all of them, then
-/// runs one flush() — REQ* + FLSH without a wire. Reports come back in
-/// request order and, like the merged master, do not depend on the pool
-/// size. Call it on an otherwise idle service.
-[[nodiscard]] std::vector<StreamReport> serve_batch(
+/// The one completion collector: submits every request with a callback
+/// that moves its report into that request's slot, and returns once every
+/// callback has run, so the reports come back in request order whatever
+/// order the sessions complete in (and, like them, do not depend on the
+/// pool size). It does not flush; the batch path (REQ* + FLSH without a
+/// wire) calls flush() next.
+[[nodiscard]] std::vector<StreamReport> serve_all(
     StreamingService& service, std::vector<TuningRequest> requests);
 
 }  // namespace deepcat::service

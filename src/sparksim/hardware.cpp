@@ -1,5 +1,7 @@
 #include "sparksim/hardware.hpp"
 
+#include <stdexcept>
+
 namespace deepcat::sparksim {
 
 int ClusterSpec::total_cores() const noexcept {
@@ -34,6 +36,12 @@ ClusterSpec cluster_b() {
   node.disk_seek_ms = 1.0;
   node.net_mbps = 200.0;         // virtio network
   return {"Cluster-B", {node, node, node}};
+}
+
+ClusterSpec cluster_from_tag(const std::string& tag) {
+  if (tag == "a" || tag == "A") return cluster_a();
+  if (tag == "b" || tag == "B") return cluster_b();
+  throw std::invalid_argument("unknown cluster '" + tag + "' (use a or b)");
 }
 
 }  // namespace deepcat::sparksim

@@ -35,4 +35,8 @@ struct ClusterSpec {
 /// disks but fewer resources (§5.3.2).
 [[nodiscard]] ClusterSpec cluster_b();
 
+/// The cluster a request or flag tag names: "a"/"A" or "b"/"B". Throws
+/// std::invalid_argument on any other tag.
+[[nodiscard]] ClusterSpec cluster_from_tag(const std::string& tag);
+
 }  // namespace deepcat::sparksim

@@ -861,6 +861,79 @@ TEST(CliCommandsTest, ServeStreamCorruptInputExitsNonzeroWithErrFrame) {
   EXPECT_TRUE(saw_err);
 }
 
+/// True when `registry` holds no published checkpoint (or does not exist).
+bool no_checkpoint_in(const std::string& registry) {
+  if (!std::filesystem::exists(registry)) return true;
+  for (const auto& entry : std::filesystem::directory_iterator(registry)) {
+    if (entry.path().extension() == ".dckp") return false;
+  }
+  return true;
+}
+
+TEST(CliCommandsTest, ServeRejectsAnUnknownClusterBeforeTraining) {
+  // --cluster names the master's home cluster in both modes; a tag other
+  // than a or b fails when the service is built, before anything trains.
+  const std::string dir = ::testing::TempDir() + "deepcat_cli_cluster_c";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string req_path = dir + "/r.jsonl";
+  {
+    std::ofstream req(req_path);
+    req << R"({"id":"a","workload":"TS-D1","steps":1,"seed":3})" << '\n';
+  }
+  for (const std::string stream : {"0", "1"}) {
+    const std::string registry = dir + "/registry" + stream;
+    std::ostringstream os;
+    EXPECT_EQ(run_cli({"serve", "--stream", stream, "--checkpoint", registry,
+                       "--train-iters", "5", "--cluster", "c", "--requests",
+                       req_path, "--out", dir + "/out" + stream},
+                      os),
+              1)
+        << os.str();
+    EXPECT_NE(os.str().find("unknown cluster 'c' (use a or b)"),
+              std::string::npos)
+        << os.str();
+    EXPECT_TRUE(no_checkpoint_in(registry)) << os.str();
+  }
+}
+
+TEST(CliCommandsTest, ServeBatchParsesTheRequestFileBeforeTraining) {
+  // A bad line anywhere in the batch fails before a model trains, so
+  // nothing is published for a batch that was never going to run.
+  const std::string dir = ::testing::TempDir() + "deepcat_cli_batch_bad_key";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string req_path = dir + "/r.jsonl";
+  {
+    std::ofstream req(req_path);
+    req << R"({"id":"a","workload":"TS-D1","steps":1,"seed":3})" << '\n'
+        << R"({"id":"b","workload":"TS-D1","stpes":1,"seed":4})" << '\n';
+  }
+  std::ostringstream os;
+  EXPECT_EQ(run_cli({"serve", "--checkpoint", dir + "/registry",
+                     "--train-iters", "5", "--requests", req_path},
+                    os),
+            1);
+  EXPECT_NE(os.str().find("unknown key"), std::string::npos) << os.str();
+  EXPECT_EQ(os.str().find("published"), std::string::npos) << os.str();
+  EXPECT_TRUE(no_checkpoint_in(dir + "/registry")) << os.str();
+}
+
+TEST(CliCommandsTest, ServeStreamReadsTheRequestFileBeforeTraining) {
+  const std::string dir = ::testing::TempDir() + "deepcat_cli_stream_no_req";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string req_path = dir + "/missing.jsonl";
+  std::ostringstream os;
+  EXPECT_EQ(run_cli({"serve", "--stream", "1", "--checkpoint",
+                     dir + "/registry", "--train-iters", "5", "--requests",
+                     req_path, "--out", dir + "/out.wire"},
+                    os),
+            1);
+  EXPECT_NE(os.str().find(req_path), std::string::npos) << os.str();
+  EXPECT_TRUE(no_checkpoint_in(dir + "/registry")) << os.str();
+}
+
 TEST(CliCommandsTest, ServeStreamRequiresABootstrappedModel) {
   const std::string dir = ::testing::TempDir() + "deepcat_cli_stream_empty";
   std::filesystem::remove_all(dir);

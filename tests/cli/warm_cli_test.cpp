@@ -10,15 +10,21 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <shared_mutex>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/deepcat_api.hpp"
 #include "retrieval/index.hpp"
+#include "rl/replay_rdper.hpp"
 #include "service/checkpoint.hpp"
 #include "service/jsonl.hpp"
+#include "service/session.hpp"
 #include "service/wire.hpp"
+#include "sparksim/hardware.hpp"
+#include "sparksim/workloads.hpp"
 
 namespace deepcat::cli {
 namespace {
@@ -148,6 +154,60 @@ TEST(CliWarmTest, IndexBuildQueryAndWarmServeEndToEnd) {
   EXPECT_NE(reps[0].find("\"warm\":2"), std::string::npos) << reps[0];
   EXPECT_NE(reps[1].find("\"id\":\"c\""), std::string::npos) << reps[1];
   EXPECT_EQ(reps[1].find("\"warm\":"), std::string::npos) << reps[1];
+}
+
+TEST(CliWarmTest, IndexBuildEqualsSerialSessionsOnTheSameMaster) {
+  // index build serves its workloads x seeds side by side on the
+  // service's pool; the container must hold the bytes that serial
+  // run_session calls on the same master write, entries in request order.
+  // An 80-iteration master holds a TD3 batch, so the sessions train.
+  const std::string dir = ::testing::TempDir() + "deepcat_warm_cli_serial";
+  std::filesystem::remove_all(dir);
+  const std::string registry_dir = dir + "/registry";
+  std::ostringstream train_os;
+  ASSERT_EQ(run_cli({"serve", "--checkpoint", registry_dir, "--train-iters",
+                     "80"},
+                    train_os),
+            0)
+      << train_os.str();
+  const std::string index_path = dir + "/experience.dcix";
+  std::ostringstream build_os;
+  ASSERT_EQ(run_cli({"index", "build", "--checkpoint", registry_dir, "--out",
+                     index_path, "--workloads", "TS-D1,WC-D1,PR-D2",
+                     "--seeds", "2", "--steps", "3", "--cluster", "b"},
+                    build_os),
+            0)
+      << build_os.str();
+
+  const core::DeepCatApiOptions api;
+  core::DeepCat master(sparksim::cluster_a(), api);
+  const service::ModelRegistry registry(registry_dir);
+  registry.load_into("default", *registry.latest_version("default"), master);
+  const auto& pools =
+      dynamic_cast<const rl::RdperReplay&>(*master.tuner().replay());
+  std::shared_mutex pools_mutex;
+  retrieval::ExperienceIndex reference;
+  for (const char* id : {"TS-D1", "WC-D1", "PR-D2"}) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      service::TuningRequest request;
+      request.id = std::string(id) + "-s" + std::to_string(seed);
+      request.workload = id;
+      request.cluster = "b";
+      request.max_steps = 3;
+      request.seed = seed;
+      const service::SessionReport report = service::run_session(
+          master.tuner().agent(), api, request, pools, pools_mutex);
+      ASSERT_TRUE(report.ok) << report.error;
+      reference.add(retrieval::entry_from_report(sparksim::hibench_case(id),
+                                                 seed, report.report));
+    }
+  }
+  std::ostringstream want(std::ios::binary);
+  service::save_index(want, reference);
+  std::ifstream built(index_path, std::ios::binary);
+  std::ostringstream got(std::ios::binary);
+  got << built.rdbuf();
+  EXPECT_EQ(got.str(), want.str());
 }
 
 TEST(CliWarmTest, WarmRequestWithoutIndexIsATypedStreamError) {

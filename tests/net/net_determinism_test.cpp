@@ -140,8 +140,7 @@ std::map<std::size_t, std::string> run_fake_config(
   return transcripts;
 }
 
-TEST(NetDeterminismTest,
-     TranscriptsAreBitIdenticalAcrossShardsThreadsAndArrival) {
+TEST(NetDeterminismTest, TranscriptsAreBitIdenticalAcrossThreadsAndArrival) {
   constexpr std::size_t kConns = 16;
   const auto baseline = run_fake_config(1, arrival_order(kConns, 0), "base");
   ASSERT_EQ(baseline.size(), kConns);
@@ -223,7 +222,7 @@ std::map<std::string, std::string> run_real_config(
   return checkpoints;
 }
 
-TEST(NetDeterminismTest, CheckpointsAreBitIdenticalAcrossShardsAndThreads) {
+TEST(NetDeterminismTest, CheckpointsAreBitIdenticalAcrossThreadsAndArrival) {
   // Train one master offline, then fan the SAME blob out under 8 model
   // names — every configuration must merge back to identical bits.
   service::StreamingOptions trainer_options;

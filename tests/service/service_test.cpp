@@ -1,4 +1,4 @@
-// The batch path (serve_batch: REQ* + one flush on a StreamingService):
+// The batch path (serve_all, then one flush, on a StreamingService):
 // results independent of thread-pool size, reports in request order,
 // failures isolated per session, experience merged back into the master
 // pools, metrics aggregation, and the versioned on-disk model registry.
@@ -38,9 +38,10 @@ void train(StreamingService& svc, std::size_t iterations) {
 std::vector<SessionReport> batch_sessions(StreamingService& svc,
                                      std::vector<TuningRequest> requests) {
   std::vector<SessionReport> sessions;
-  for (auto& r : serve_batch(svc, std::move(requests))) {
+  for (auto& r : serve_all(svc, std::move(requests))) {
     sessions.push_back(std::move(r.session));
   }
+  (void)svc.flush();
   return sessions;
 }
 

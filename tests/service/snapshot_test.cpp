@@ -49,10 +49,6 @@ core::DeepCatApiOptions small_api() {
   return o;
 }
 
-sparksim::ClusterSpec cluster_for(const std::string& tag) {
-  return tag == "b" ? sparksim::cluster_b() : sparksim::cluster_a();
-}
-
 const rl::RdperReplay& pools_of(core::DeepCat& model) {
   return dynamic_cast<const rl::RdperReplay&>(*model.tuner().replay());
 }
@@ -70,7 +66,9 @@ SessionReport reference_session(const std::string& blob,
   out.workload = request.workload;
   out.cluster = request.cluster;
   try {
-    core::DeepCat dc(cluster_for(request.cluster), api);
+    const sparksim::ClusterSpec cluster =
+        sparksim::cluster_from_tag(request.cluster);
+    core::DeepCat dc(cluster, api);
     checkpoint_from_string(blob, dc);
     dc.tuner().rng() =
         common::Rng(common::mix_seed(request.seed, kTunerStream));
@@ -90,9 +88,8 @@ SessionReport reference_session(const std::string& blob,
     out.report =
         batch_case != nullptr
             ? dc.tune_online(sparksim::workload_for(*batch_case), budget)
-            : dc.tune_online_stream(cluster_for(request.cluster),
-                                    streamsim::stream_case(request.workload),
-                                    budget);
+            : dc.tune_online_stream(
+                  cluster, streamsim::stream_case(request.workload), budget);
     out.warm_seeds = static_cast<int>(
         std::min(request.warm_actions.size(), out.report.steps.size()));
     out.new_transitions = shared->session_transitions();
@@ -193,8 +190,8 @@ TEST(StreamingSnapshotTest, NextEpochClonesThePostFlushMaster) {
                   sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 80);
   const std::string genesis = svc.checkpoint_of("default");
 
-  // Epoch 1: three sessions clone the genesis master; serve_batch's flush
-  // merges their experience and takes the master's fine-tune steps.
+  // Epoch 1: three sessions clone the genesis master; the flush after
+  // them merges their experience and takes the master's fine-tune steps.
   std::vector<TuningRequest> first;
   for (const char* id : {"TS-D1", "WC-D2", "PR-D1"}) {
     TuningRequest r;
@@ -204,10 +201,11 @@ TEST(StreamingSnapshotTest, NextEpochClonesThePostFlushMaster) {
     r.seed = first.size() + 11;
     first.push_back(r);
   }
-  for (const StreamReport& r : serve_batch(svc, first)) {
+  for (const StreamReport& r : serve_all(svc, first)) {
     ASSERT_TRUE(r.session.ok) << r.session.error;
     EXPECT_EQ(r.model_epoch, 1u);
   }
+  (void)svc.flush();
   ASSERT_EQ(svc.model_epoch(), 2u);
   EXPECT_EQ(svc.metrics().fine_tune_steps, options.master_update_steps);
   const std::string post_flush = svc.checkpoint_of("default");
@@ -221,13 +219,12 @@ TEST(StreamingSnapshotTest, NextEpochClonesThePostFlushMaster) {
   next.cluster = "b";
   next.max_steps = 3;
   next.seed = 21;
-  svc.submit(next);
-  const std::optional<StreamReport> served = svc.wait_completed();
-  ASSERT_TRUE(served.has_value());
-  ASSERT_TRUE(served->session.ok) << served->session.error;
-  EXPECT_EQ(served->model_epoch, 2u);
+  const auto served = serve_all(svc, {next});
+  ASSERT_EQ(served.size(), 1u);
+  ASSERT_TRUE(served[0].session.ok) << served[0].session.error;
+  EXPECT_EQ(served[0].model_epoch, 2u);
   std::shared_mutex mutex;
-  expect_same_session(served->session,
+  expect_same_session(served[0].session,
                       reference_session(post_flush, options.service.api, next,
                                         pools_of(svc.master()), mutex));
 }
@@ -256,10 +253,9 @@ TEST(StreamingSnapshotTest, ServedSessionSkipsOnlyTheFinalFineTune) {
     r.workload = workload;
     r.max_steps = steps;
     r.seed = 5;
-    svc.submit(r);
-    const std::optional<StreamReport> served = svc.wait_completed();
-    EXPECT_TRUE(served.has_value() && served->session.ok);
-    EXPECT_EQ(served->session.report.steps.size(),
+    const auto served = serve_all(svc, {r});
+    EXPECT_TRUE(served.at(0).session.ok) << served.at(0).session.error;
+    EXPECT_EQ(served.at(0).session.report.steps.size(),
               static_cast<std::size_t>(steps));
     return metrics.counter("rl.train_steps").value() - before;
   };

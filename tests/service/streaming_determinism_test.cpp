@@ -58,10 +58,9 @@ RunResult run_once(const std::string& master_blob,
   StreamingService svc(stress_options(threads));
   std::istringstream blob(master_blob, std::ios::binary);
   svc.load_model("default", blob);
-  for (const auto& r : arrival_order) svc.submit(r);
   RunResult result;
-  while (auto report = svc.wait_completed()) {
-    result.reports.push_back(std::move(report->session));
+  for (auto& report : serve_all(svc, arrival_order)) {
+    result.reports.push_back(std::move(report.session));
   }
   (void)svc.flush();
   result.checkpoint = svc.checkpoint_of("default");
@@ -163,13 +162,9 @@ TEST(StreamingDeterminismTest, MidStreamFlushesStayOrderInvariant) {
     StreamingService svc(stress_options(threads));
     std::istringstream blob(master_blob, std::ios::binary);
     svc.load_model("default", blob);
-    for (const auto& r : p1) svc.submit(r);
-    while (svc.wait_completed()) {
-    }
+    (void)serve_all(svc, std::move(p1));
     (void)svc.flush();  // phase boundary: merge + continuous master update
-    for (const auto& r : p2) svc.submit(r);
-    while (svc.wait_completed()) {
-    }
+    (void)serve_all(svc, std::move(p2));
     (void)svc.flush();
     EXPECT_EQ(svc.model_epoch("default"), 3u);
     return svc.checkpoint_of("default");

@@ -86,9 +86,7 @@ ObsRunResult run_with_obs(const std::string& master_blob,
   StreamingService svc(options);
   std::istringstream blob(master_blob, std::ios::binary);
   svc.load_model("default", blob);
-  for (const auto& r : arrival_order) svc.submit(r);
-  while (svc.wait_completed()) {
-  }
+  (void)serve_all(svc, arrival_order);
   (void)svc.flush();
 
   ObsRunResult result;
@@ -192,9 +190,7 @@ TEST(StreamingObsDeterminismTest, TracingDoesNotPerturbTheMasterCheckpoint) {
     StreamingService svc(obs_stress_options(4));
     std::istringstream blob(master_blob, std::ios::binary);
     svc.load_model("default", blob);
-    for (const auto& r : requests) svc.submit(r);
-    while (svc.wait_completed()) {
-    }
+    (void)serve_all(svc, requests);
     (void)svc.flush();
     plain_checkpoint = svc.checkpoint_of("default");
   }
@@ -225,9 +221,7 @@ TEST(StreamingObsDeterminismTest, SpanHealthCountersLandInNondeterministicTele) 
   TuningRequest request;
   request.id = "span-health";
   request.workload = "WC-D1";
-  svc.submit(request);
-  while (svc.wait_completed()) {
-  }
+  (void)serve_all(svc, {request});
 
   const obs::BuildInfo info{"stress", "pinned", false, 1};
   std::ostringstream full;
@@ -268,10 +262,7 @@ TEST(StreamingObsDeterminismTest, SharedForksAreBoundedAndNondeterministic) {
       registry.counter("rl.train_steps").value();
   ASSERT_GT(startup_steps, 0u) << "startup training must take train steps";
   const std::vector<TuningRequest> requests = obs_stress_requests();
-  svc.submit(requests[0]);
-  svc.submit(requests[1]);
-  while (svc.wait_completed()) {
-  }
+  (void)serve_all(svc, {requests[0], requests[1]});
   (void)svc.flush();
   const std::size_t master_steps = svc.metrics().fine_tune_steps;
   EXPECT_EQ(master_steps, 4u);
@@ -354,14 +345,14 @@ TEST(StreamingObsTest, RecSecondsBucketsFitServedSessionCosts) {
     report.report.steps.push_back(step);
     return report;
   });
+  std::vector<TuningRequest> requests;
   for (const char* cost : {"0.005", "0.03", "0.15"}) {
     TuningRequest request;
     request.id = cost;
     request.workload = "TS-D1";
-    svc.submit(request);
+    requests.push_back(request);
   }
-  while (svc.wait_completed()) {
-  }
+  (void)serve_all(svc, requests);
   std::optional<obs::MetricSnapshot> hist;
   for (auto& m : registry.snapshot()) {
     if (m.name == "stream.rec_seconds") hist = std::move(m);

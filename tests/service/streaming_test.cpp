@@ -9,13 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <condition_variable>
 #include <filesystem>
-#include <mutex>
 #include <random>
-#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/server.hpp"
@@ -58,17 +57,11 @@ std::vector<TuningRequest> mixed_requests(std::size_t count) {
   return reqs;
 }
 
-std::vector<StreamReport> drain(StreamingService& svc) {
-  std::vector<StreamReport> reports;
-  while (auto r = svc.wait_completed()) reports.push_back(std::move(*r));
-  return reports;
-}
-
 TEST(StreamingTest, MatchesBatchServiceWithoutMasterUpdates) {
-  // With master_update_steps = 0 a shuffled streaming run (submit, drain,
-  // flush) and the batch path (serve_batch: REQ* + one flush, reports in
-  // request order) give identical per-request reports and an identical
-  // post-merge master checkpoint, on different pool sizes.
+  // With master_update_steps = 0 a shuffled streaming run and the batch
+  // path (serve_all in request order, then one flush) give identical
+  // per-request reports and an identical post-merge master checkpoint, on
+  // different pool sizes.
   const auto workload = sparksim::make_workload(WorkloadType::kTeraSort, 3.2);
   StreamingService batch(small_streaming_options(2));
   batch.train_model("default", workload, 40);
@@ -78,11 +71,11 @@ TEST(StreamingTest, MatchesBatchServiceWithoutMasterUpdates) {
   streaming.load_model("default", master_blob);
 
   const auto requests = mixed_requests(8);
-  const auto batch_reports = serve_batch(batch, requests);
+  const auto batch_reports = serve_all(batch, requests);
+  (void)batch.flush();
   auto shuffled = requests;
   std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(5));
-  for (const auto& r : shuffled) streaming.submit(r);
-  auto stream_reports = drain(streaming);
+  auto stream_reports = serve_all(streaming, shuffled);
   std::size_t generated = 0;
   for (const auto& r : batch_reports) {
     generated += r.session.new_transitions.size();
@@ -130,8 +123,7 @@ TEST(StreamingTest, EpochAdvancesOnlyWhenAFlushMerges) {
   EXPECT_EQ(svc.model_epoch("default"), 1u) << "empty flush is a no-op";
 
   const auto requests = mixed_requests(3);
-  for (const auto& r : requests) svc.submit(r);
-  const auto reports = drain(svc);
+  const auto reports = serve_all(svc, requests);
   ASSERT_EQ(reports.size(), 3u);
   for (const auto& r : reports) EXPECT_TRUE(r.session.ok) << r.session.error;
 
@@ -145,8 +137,7 @@ TEST(StreamingTest, EpochAdvancesOnlyWhenAFlushMerges) {
   EXPECT_EQ(svc.model_epoch("default"), 2u);
 
   // The next request is served against the post-merge epoch.
-  svc.submit(requests[0]);
-  const auto next = drain(svc);
+  const auto next = serve_all(svc, {requests[0]});
   ASSERT_EQ(next.size(), 1u);
   EXPECT_EQ(next[0].model_epoch, 2u);
 }
@@ -157,8 +148,7 @@ TEST(StreamingTest, UnknownModelFailsAsReportNotException) {
   r.id = "lost";
   r.workload = "TS-D1";
   r.model = "no-such-model";
-  svc.submit(r);
-  const auto reports = drain(svc);
+  const auto reports = serve_all(svc, {r});
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_FALSE(reports[0].session.ok);
   EXPECT_NE(reports[0].session.error.find("no-such-model"), std::string::npos);
@@ -193,13 +183,8 @@ TEST(StreamingTest, RoutesAcrossModelsAndLazilyLoadsFromRegistry) {
   requests[1].model = "beta";
   requests[2].model = "alpha";
   requests[3].model = "gamma";  // never published
-  for (const auto& r : requests) svc.submit(r);
-  auto reports = drain(svc);
+  const auto reports = serve_all(svc, requests);
   ASSERT_EQ(reports.size(), 4u);
-  std::sort(reports.begin(), reports.end(),
-            [](const StreamReport& a, const StreamReport& b) {
-              return a.session.id < b.session.id;
-            });
   EXPECT_TRUE(reports[0].session.ok) << reports[0].session.error;
   EXPECT_TRUE(reports[1].session.ok) << reports[1].session.error;
   EXPECT_TRUE(reports[2].session.ok) << reports[2].session.error;
@@ -232,13 +217,11 @@ TEST(StreamingTest, EvictionMergesAndRepublishesDirtyModels) {
   auto requests = mixed_requests(2);
   requests[0].model = "alpha";
   requests[1].model = "beta";  // forces alpha's eviction at cap 1
-  svc.submit(requests[0]);
   // Alpha's session must complete before beta's admission may evict it.
-  auto first = drain(svc);
+  const auto first = serve_all(svc, {requests[0]});
   ASSERT_EQ(first.size(), 1u);
   EXPECT_TRUE(first[0].session.ok) << first[0].session.error;
-  svc.submit(requests[1]);
-  auto second = drain(svc);
+  const auto second = serve_all(svc, {requests[1]});
   ASSERT_EQ(second.size(), 1u);
   EXPECT_TRUE(second[0].session.ok) << second[0].session.error;
 
@@ -257,8 +240,7 @@ TEST(StreamingTest, MetricsAggregateWithStreamingQuantiles) {
   svc.train_model("default",
                   sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 40);
   const auto requests = mixed_requests(6);
-  for (const auto& r : requests) svc.submit(r);
-  const auto reports = drain(svc);
+  const auto reports = serve_all(svc, requests);
 
   std::size_t evals = 0;
   for (const auto& r : reports) evals += r.session.report.steps.size();
@@ -270,35 +252,6 @@ TEST(StreamingTest, MetricsAggregateWithStreamingQuantiles) {
   EXPECT_GE(m.p95_recommendation_seconds, m.p50_recommendation_seconds);
   EXPECT_GT(m.mean_speedup, 0.0);
 }
-
-TEST(StreamingTest, WaitCompletedReturnsNulloptWhenIdle) {
-  StreamingService svc(small_streaming_options(1));
-  EXPECT_FALSE(svc.wait_completed().has_value());
-}
-
-/// Waits for a fixed number of completion callbacks.
-class CallbackLatch {
- public:
-  explicit CallbackLatch(std::size_t expected) : expected_(expected) {}
-
-  void arrive(StreamReport report) {
-    std::scoped_lock lock(mutex_);
-    reports_.push_back(std::move(report));
-    if (reports_.size() >= expected_) cv_.notify_all();
-  }
-
-  std::vector<StreamReport> wait() {
-    std::unique_lock lock(mutex_);
-    cv_.wait(lock, [&] { return reports_.size() >= expected_; });
-    return reports_;
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<StreamReport> reports_;
-  std::size_t expected_;
-};
 
 TEST(StreamingTest, CallbacksDeliverEveryReportAndIdleSettles) {
   StreamingService svc(small_streaming_options(2));
@@ -312,28 +265,69 @@ TEST(StreamingTest, CallbacksDeliverEveryReportAndIdleSettles) {
   EXPECT_TRUE(svc.idle());
 
   constexpr std::size_t kRequests = 24;
-  CallbackLatch latch(kRequests);
+  std::vector<TuningRequest> requests;
   for (std::size_t i = 0; i < kRequests; ++i) {
     TuningRequest request;
     request.id = "req-" + std::to_string(i);
     request.workload = "TS-D1";
     request.model = "model-" + std::to_string(i % 6);
-    svc.submit(request, [&](StreamReport r) { latch.arrive(std::move(r)); });
+    requests.push_back(request);
   }
-  const auto reports = latch.wait();
+  const auto reports = serve_all(svc, requests);
   ASSERT_EQ(reports.size(), kRequests);
-  std::set<std::string> ids;
-  for (const auto& report : reports) {
-    EXPECT_TRUE(report.session.ok);
-    ids.insert(report.session.id);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    EXPECT_TRUE(reports[i].session.ok);
+    EXPECT_EQ(reports[i].session.id, requests[i].id)
+        << "every request answered in its own slot";
   }
-  EXPECT_EQ(ids.size(), kRequests) << "every request answered exactly once";
 
   // The callback fires after the in-flight decrement, so once the last
-  // one has arrived the service must (eventually) read as idle.
-  while (!svc.idle()) {
-  }
+  // one has run the service reads as idle.
+  EXPECT_TRUE(svc.idle());
   EXPECT_EQ(svc.in_flight(), 0u);
+}
+
+TEST(StreamingTest, CollectorKeepsRequestOrderWhenAnAdmissionFailsInline) {
+  // An unknown model fails at admission: its callback runs on the
+  // submitting thread before submit returns, while the real requests
+  // around it run on the pool. serve_all still puts each report in its
+  // request's slot.
+  StreamingService svc(small_streaming_options(2));
+  svc.train_model("default",
+                  sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 40);
+  auto requests = mixed_requests(3);
+  requests[1].model = "no-such-model";
+
+  std::thread::id answered_on;
+  svc.submit(requests[1], [&answered_on](StreamReport) {
+    answered_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(answered_on, std::this_thread::get_id());
+
+  const auto reports = serve_all(svc, requests);
+  ASSERT_EQ(reports.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(reports[i].session.id, requests[i].id);
+  }
+  EXPECT_TRUE(reports[0].session.ok) << reports[0].session.error;
+  EXPECT_FALSE(reports[1].session.ok);
+  EXPECT_NE(reports[1].session.error.find("no-such-model"), std::string::npos);
+  EXPECT_TRUE(reports[2].session.ok) << reports[2].session.error;
+}
+
+TEST(StreamingTest, UnknownClusterTagFailsAtConstruction) {
+  // The master's home cluster is parsed by the one tag parser: anything
+  // but a or b is refused before a pool starts or a model trains.
+  StreamingOptions options = small_streaming_options(1);
+  options.service.cluster = "c";
+  try {
+    StreamingService svc(options);
+    FAIL() << "cluster 'c' built a service";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "unknown cluster 'c' (use a or b)");
+  }
+  options.service.cluster = "b";
+  EXPECT_NO_THROW(StreamingService svc(options));
 }
 
 TEST(StreamingTest, ServeFrameStreamEndToEnd) {

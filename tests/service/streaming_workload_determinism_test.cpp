@@ -7,8 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <condition_variable>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -67,19 +65,9 @@ RunResult run_once(const std::string& master_blob,
   std::istringstream blob(master_blob, std::ios::binary);
   svc.load_model("default", blob);
 
-  std::mutex mutex;
-  std::condition_variable cv;
   std::vector<SessionReport> reports;
-  for (const auto& r : arrival_order) {
-    svc.submit(r, [&](StreamReport rep) {
-      std::scoped_lock lock(mutex);
-      reports.push_back(std::move(rep.session));
-      cv.notify_all();
-    });
-  }
-  {
-    std::unique_lock lock(mutex);
-    cv.wait(lock, [&] { return reports.size() >= arrival_order.size(); });
+  for (auto& rep : serve_all(svc, arrival_order)) {
+    reports.push_back(std::move(rep.session));
   }
   (void)svc.flush();
 

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -42,11 +44,42 @@ void train(StreamingService& svc) {
 std::vector<SessionReport> batch_sessions(StreamingService& svc,
                                      std::vector<TuningRequest> requests) {
   std::vector<SessionReport> sessions;
-  for (auto& r : serve_batch(svc, std::move(requests))) {
+  for (auto& r : serve_all(svc, std::move(requests))) {
     sessions.push_back(std::move(r.session));
   }
+  (void)svc.flush();
   return sessions;
 }
+
+/// The latch for a test that acts while a batch is in flight: each
+/// callback moves its report into its request's slot, and the test waits
+/// for a count of them (serve_all waits for all).
+class CompletionLatch {
+ public:
+  explicit CompletionLatch(std::size_t slots) : reports_(slots) {}
+
+  [[nodiscard]] StreamingService::CompletionCallback slot(std::size_t i) {
+    return [this, i](StreamReport report) {
+      std::scoped_lock lock(mutex_);
+      reports_[i] = std::move(report);
+      ++arrived_;
+      arrived_cv_.notify_all();
+    };
+  }
+
+  /// Blocks until `count` callbacks have run; returns the slots.
+  std::vector<StreamReport> wait_for(std::size_t count) {
+    std::unique_lock lock(mutex_);
+    arrived_cv_.wait(lock, [&] { return arrived_ >= count; });
+    return reports_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable arrived_cv_;
+  std::vector<StreamReport> reports_;
+  std::size_t arrived_ = 0;
+};
 
 std::vector<TuningRequest> stress_batch(std::size_t n) {
   const char* cases[] = {"WC-D1", "TS-D1", "PR-D1", "KM-D1"};
@@ -122,11 +155,13 @@ TEST(ServiceStressTest, LateCopiesRaceNeitherAFlushNorACheckpointReader) {
       batch[i].id = "late-" + std::to_string(round) + "-" + std::to_string(i);
       batch[i].max_steps = i == 0 ? 1 : 2 + static_cast<int>(i % 3);
     }
-    for (const auto& r : batch) svc.submit(r);
-    std::vector<StreamReport> reports;
-    reports.push_back(*svc.wait_completed());
+    CompletionLatch latch(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      svc.submit(batch[i], latch.slot(i));
+    }
+    (void)latch.wait_for(1);
     EXPECT_GT(svc.flush(), 0u);
-    while (auto r = svc.wait_completed()) reports.push_back(*std::move(r));
+    const auto reports = latch.wait_for(batch.size());
     EXPECT_EQ(reports.size(), batch.size());  // the writer is still running
     for (const auto& r : reports) {
       EXPECT_TRUE(r.session.ok) << r.session.id << ": " << r.session.error;

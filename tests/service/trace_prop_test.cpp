@@ -9,9 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <condition_variable>
 #include <map>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -93,23 +91,7 @@ TraceRunResult run_once(const std::vector<TuningRequest>& arrival_order,
   StreamingService svc(options);
   svc.set_session_runner_for_test(pure_report);
 
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::vector<StreamReport> reports;
-  for (const auto& r : arrival_order) {
-    svc.submit(r, [&](StreamReport report) {
-      std::scoped_lock lock(mutex);
-      reports.push_back(std::move(report));
-      cv.notify_all();
-    });
-  }
-  {
-    std::unique_lock lock(mutex);
-    cv.wait(lock, [&] { return reports.size() >= arrival_order.size(); });
-  }
-  while (!svc.idle()) {
-  }
-
+  auto reports = serve_all(svc, arrival_order);
   std::sort(reports.begin(), reports.end(),
             [](const StreamReport& a, const StreamReport& b) {
               return a.session.id < b.session.id;
@@ -123,7 +105,7 @@ TraceRunResult run_once(const std::vector<TuningRequest>& arrival_order,
   return result;
 }
 
-TEST(TracePropTest, TranscriptAndTraceStructureSurviveShardsThreadsShuffles) {
+TEST(TracePropTest, TranscriptAndTraceStructureSurviveThreadsAndShuffles) {
   const auto requests = trace_requests();
   const TraceRunResult reference = run_once(requests, 1);
 
@@ -177,10 +159,10 @@ TEST(TracePropTest, ServerSpanIsAPureFunctionOfTraceAndRequestId) {
   EXPECT_NE(span, 0u);
 }
 
-TEST(TracePropTest, TracedRequestsParentUnderTheTransportSpan) {
-  // The front end stamps its per-connection span into
-  // server_parent_span; a traced request's "request" span must nest
-  // under it, while untraced requests keep the historical root.
+TEST(TracePropTest, EveryRequestParentsUnderTheTransportSpan) {
+  // The front end stamps its per-connection span into every request's
+  // server_parent_span; each "request" span must nest under it, traced
+  // or not.
   obs::LogicalClock clock;
   obs::CallbackSpanSink sink([](const obs::SpanRecord&) {});
   obs::Tracer tracer(clock, sink);
@@ -195,23 +177,40 @@ TEST(TracePropTest, TracedRequestsParentUnderTheTransportSpan) {
   traced.workload = "WC-D1";
   traced.trace_id = "trace-t0";
   traced.server_parent_span = conn;
-  svc.submit(traced);
 
   TuningRequest untraced;
   untraced.id = "u0";
   untraced.workload = "WC-D1";
-  untraced.server_parent_span = conn;  // ignored without a trace id
-  svc.submit(untraced);
+  untraced.server_parent_span = conn;
 
-  while (svc.wait_completed()) {
-  }
+  (void)serve_all(svc, {traced, untraced});
   tracer.end_span(conn);
 
   const std::string signature = tracer.structure_signature();
-  EXPECT_NE(signature.find("conn>request 1"), std::string::npos) << signature;
-  EXPECT_NE(signature.find(">request 1"), std::string::npos) << signature;
+  EXPECT_NE(signature.find("conn>request 2"), std::string::npos) << signature;
   EXPECT_NE(signature.find("request>session 2"), std::string::npos)
       << signature;
+
+  // The front end does the stamping: a traced and an untraced REQ on one
+  // connection both nest conn > request > session.
+  obs::Tracer wire_tracer(clock, sink);
+  StreamingOptions wire_options = trace_options(1);
+  wire_options.service.obs.tracer = &wire_tracer;
+  StreamingService wire_svc(wire_options);
+  wire_svc.set_session_runner_for_test(pure_report);
+  std::istringstream in(
+      encode_frames({
+          {FrameType::kRequest,
+           "{\"id\":\"t1\",\"workload\":\"WC-D1\",\"trace\":\"trace-t1\"}"},
+          {FrameType::kRequest, "{\"id\":\"u1\",\"workload\":\"WC-D1\"}"},
+          {FrameType::kEnd, ""},
+      }),
+      std::ios::binary);
+  std::ostringstream out(std::ios::binary);
+  net::serve_stream(in, out, wire_svc, net::FrontEndOptions{});
+  const std::string wire = wire_tracer.structure_signature();
+  EXPECT_NE(wire.find("conn>request 2"), std::string::npos) << wire;
+  EXPECT_NE(wire.find("request>session 2"), std::string::npos) << wire;
 }
 
 /// Serves one traced and one untraced REQ through the front end's

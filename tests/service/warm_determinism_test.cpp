@@ -7,9 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,30 +35,6 @@ StreamingOptions stress_options(std::size_t threads) {
   return o;
 }
 
-/// Collects a fixed number of completion callbacks.
-class CallbackLatch {
- public:
-  explicit CallbackLatch(std::size_t expected) : expected_(expected) {}
-
-  void arrive(StreamReport report) {
-    std::scoped_lock lock(mutex_);
-    reports_.push_back(std::move(report));
-    if (reports_.size() >= expected_) cv_.notify_all();
-  }
-
-  std::vector<StreamReport> wait() {
-    std::unique_lock lock(mutex_);
-    cv_.wait(lock, [&] { return reports_.size() >= expected_; });
-    return reports_;
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::size_t expected_;
-  std::vector<StreamReport> reports_;
-};
-
 /// One master blob + one experience index, built once per suite run: the
 /// index entries come from real cold sessions, so warm seeds replay real
 /// best-action vectors.
@@ -77,20 +51,23 @@ const Fixture& fixture() {
         "default", sparksim::make_workload(WorkloadType::kTeraSort, 3.2), 40);
     out.master_blob = svc.checkpoint_of("default");
 
-    auto index = std::make_shared<retrieval::ExperienceIndex>();
-    const char* cases[] = {"WC-D1", "TS-D1", "PR-D1", "KM-D1"};
+    std::vector<TuningRequest> requests;
     std::uint64_t seed = 500;
-    for (const char* id : cases) {
+    for (const char* id : {"WC-D1", "TS-D1", "PR-D1", "KM-D1"}) {
       TuningRequest r;
       r.id = std::string("seed-") + id;
       r.workload = id;
       r.max_steps = 3;
       r.seed = seed++;
-      svc.submit(r);
-      auto report = svc.wait_completed();
-      EXPECT_TRUE(report.has_value() && report->session.ok) << id;
+      requests.push_back(r);
+    }
+    auto index = std::make_shared<retrieval::ExperienceIndex>();
+    const auto reports = serve_all(svc, requests);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_TRUE(reports[i].session.ok) << requests[i].workload;
       index->add(retrieval::entry_from_report(
-          sparksim::hibench_case(id), r.seed, report->session.report));
+          sparksim::hibench_case(requests[i].workload), requests[i].seed,
+          reports[i].session.report));
     }
     out.index = std::move(index);
     return out;
@@ -120,12 +97,10 @@ std::vector<SessionReport> run_matrix_cell(
   std::istringstream blob(fixture().master_blob, std::ios::binary);
   svc.load_model("default", blob);
   svc.set_warm_index(fixture().index);
-  CallbackLatch latch(arrival_order.size());
-  for (const auto& r : arrival_order) {
-    svc.submit(r, [&latch](StreamReport rep) { latch.arrive(std::move(rep)); });
-  }
   std::vector<SessionReport> reports;
-  for (auto& r : latch.wait()) reports.push_back(std::move(r.session));
+  for (auto& r : serve_all(svc, arrival_order)) {
+    reports.push_back(std::move(r.session));
+  }
   std::sort(reports.begin(), reports.end(),
             [](const SessionReport& a, const SessionReport& b) {
               return a.id < b.id;
@@ -232,12 +207,10 @@ TEST(WarmDeterminismTest, IndexRoundTripsBitIdenticallyIntoFreshObjects) {
   std::istringstream blob(fixture().master_blob, std::ios::binary);
   svc.load_model("default", blob);
   svc.set_warm_index(shared_fresh);
-  CallbackLatch latch(requests.size());
-  for (const auto& r : requests) {
-    svc.submit(r, [&latch](StreamReport rep) { latch.arrive(std::move(rep)); });
-  }
   std::vector<SessionReport> from_fresh;
-  for (auto& r : latch.wait()) from_fresh.push_back(std::move(r.session));
+  for (auto& r : serve_all(svc, requests)) {
+    from_fresh.push_back(std::move(r.session));
+  }
   std::sort(from_fresh.begin(), from_fresh.end(),
             [](const SessionReport& a, const SessionReport& b) {
               return a.id < b.id;
@@ -262,13 +235,12 @@ TEST(WarmDeterminismTest, DirectSubmitWithoutIndexFailsTyped) {
   r.max_steps = 1;
   r.seed = 77;
   r.warm_k = 2;
-  svc.submit(r);
-  const auto report = svc.wait_completed();
-  ASSERT_TRUE(report.has_value());
-  EXPECT_FALSE(report->session.ok);
-  EXPECT_NE(report->session.error.find("no experience index"),
+  const auto reports = serve_all(svc, {r});
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_FALSE(reports[0].session.ok);
+  EXPECT_NE(reports[0].session.error.find("no experience index"),
             std::string::npos)
-      << report->session.error;
+      << reports[0].session.error;
   EXPECT_FALSE(svc.has_warm_index());
 
   // warm_error() is the shared precheck both transports use.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace deepcat::sparksim {
 namespace {
 
@@ -38,6 +41,22 @@ TEST(HardwareTest, EmptyClusterAggregates) {
   const ClusterSpec empty{"empty", {}};
   EXPECT_EQ(empty.total_cores(), 0);
   EXPECT_DOUBLE_EQ(empty.total_memory_mb(), 0.0);
+}
+
+TEST(HardwareTest, ClusterFromTagNamesOnlyTheTwoClusters) {
+  EXPECT_EQ(cluster_from_tag("a").name, "Cluster-A");
+  EXPECT_EQ(cluster_from_tag("A").name, "Cluster-A");
+  EXPECT_EQ(cluster_from_tag("b").name, "Cluster-B");
+  EXPECT_EQ(cluster_from_tag("B").name, "Cluster-B");
+  for (const char* tag : {"c", "", "ab"}) {
+    try {
+      (void)cluster_from_tag(tag);
+      ADD_FAILURE() << "tag '" << tag << "' named a cluster";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "unknown cluster '" + std::string(tag) + "' (use a or b)");
+    }
+  }
 }
 
 }  // namespace
